@@ -7,7 +7,7 @@ behind one deterministic, seed-threaded API.
 
 import os as _os
 
-# cap numeric-library parallelism before numpy/numba load; default single
+# cap numeric-library parallelism before numpy loads; default single
 # thread for reproducible runs, ROBLEARN_THREADS raises it explicitly
 _threads = _os.environ.get("ROBLEARN_THREADS", "1")
 for _var in (
@@ -15,11 +15,10 @@ for _var in (
     "OPENBLAS_NUM_THREADS",
     "MKL_NUM_THREADS",
     "NUMEXPR_NUM_THREADS",
-    "NUMBA_NUM_THREADS",
 ):
     _os.environ.setdefault(_var, _threads)
 
-from ._kernels import active_backend, set_backend
+from ._kernels import active_backend
 from .core import (
     ABSTAIN,
     Dataset,

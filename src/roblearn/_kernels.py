@@ -1,48 +1,22 @@
-"""Numeric kernels with two interchangeable backends.
+"""Numeric kernels: the hot loops of the package, one numpy implementation each.
 
-The hot loops of the package live here: the weighted hinge trainer that every
-boosting round calls, and the two stochastic mirror-descent loops used for
-noise-tolerant training. Each kernel has a vectorized numpy implementation and
-an explicit-loop twin compiled with numba. The active backend is chosen by the
-ROBLEARN_BACKEND environment variable ("numba" or "numpy"; unset means numba
-when importable) and can be swapped at runtime with set_backend, which the
-benchmark script uses to time both paths on identical inputs.
-
-Backends agree to float rounding (different summation orders), not bit for bit.
+The weighted hinge trainer is called by every boosting round; the stochastic
+mirror-descent loop runs both noise-tolerant trainers, which differ only in
+their step schedule and per-sample gradient coefficient. Explicit-loop
+references of every kernel live in tests/_refs.py and are checked against
+these to float rounding.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAS_NUMBA = False
-
-_env = os.environ.get("ROBLEARN_BACKEND", "").strip().lower()
-if _env in ("numba", "numpy"):
-    _BACKEND = _env if (_env == "numpy" or HAS_NUMBA) else "numpy"
-else:
-    _BACKEND = "numba" if HAS_NUMBA else "numpy"
-
 
 def active_backend() -> str:
-    return _BACKEND
-
-
-def set_backend(name: str) -> None:
-    global _BACKEND
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not HAS_NUMBA:
-        raise ValueError("numba backend requested but numba is not importable")
-    _BACKEND = name
+    """Name of the kernel implementation, for run stamps."""
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +29,7 @@ def set_backend(name: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _hinge_train_numpy(X, y, sw, steps, lr0, reg, fit_bias):
+def hinge_train(X, y, sw, steps, lr0, reg, fit_bias):
     n, d = X.shape
     w = np.zeros(d)
     b = 0.0
@@ -72,177 +46,101 @@ def _hinge_train_numpy(X, y, sw, steps, lr0, reg, fit_bias):
     return w, b
 
 
-def _hinge_train_loops(X, y, sw, steps, lr0, reg, fit_bias):
-    n, d = X.shape
-    w = np.zeros(d)
-    b = 0.0
-    gw = np.zeros(d)
-    for t in range(1, steps + 1):
-        for j in range(d):
-            gw[j] = reg * w[j]
-        gb = 0.0
-        for i in range(n):
-            m = b
-            for j in range(d):
-                m += w[j] * X[i, j]
-            if y[i] * m < 1.0:
-                c = y[i] * sw[i]
-                for j in range(d):
-                    gw[j] -= c * X[i, j]
-                gb += c
-        step = lr0 / math.sqrt(t)
-        for j in range(d):
-            w[j] -= step * gw[j]
-        if fit_bias:
-            b += step * gb
-    return w, b
-
-
 # ---------------------------------------------------------------------------
-# stochastic mirror descent for the noise-tolerant margin surrogate
+# stochastic mirror descent over the unit q-ball
 #
-# Minimizes the empirical average of phi(y <w, x>) over the unit q-ball, where
-#   phi(s) = lam * (1 - s/gamma)        if s >  gamma
-#            (1 - lam) * (1 - s/gamma)  if s <= gamma.
-# q > 1 uses the half-squared-q-norm potential; its mirror maps are the
-# signed-power pair below and the exact Bregman projection onto the ball is
-# radial rescaling. q = 1 runs exponentiated gradient on 2d+1 doubled
-# coordinates (plus slack). idx carries the pre-drawn sample indices, one per
-# step, so the RNG stays outside the kernel. Returns the averaged iterate.
+# Each step draws sample i = idx[t], asks the caller's coefficient rule for
+# c = coef(i, <w, x_i>) and moves along the stochastic gradient c x_i with
+# step rates[t]. q > 1 uses the half-squared-q-norm potential; its mirror maps
+# are the signed-power pair below and the exact Bregman projection onto the
+# ball is radial rescaling. q = 1 runs exponentiated gradient on 2d+1 doubled
+# coordinates (plus slack). The pre-drawn indices keep the RNG outside the
+# kernel. Returns the averaged iterate.
 # ---------------------------------------------------------------------------
 
 
-def _md_rcn_numpy(X, y, gamma, lam, q, idx):
-    n, d = X.shape
+def _q_ball_step(w, sg, q, p):
+    """Map w to the dual space, subtract the scaled gradient sg, map back and
+    rescale onto the unit q-ball; p is the dual exponent of q."""
+    nw = float(np.sum(np.abs(w) ** q)) ** (1.0 / q) if np.any(w) else 0.0
+    if nw > 0.0:
+        theta = np.sign(w) * np.abs(w) ** (q - 1.0) * nw ** (2.0 - q)
+    else:
+        theta = np.zeros(w.shape[0])
+    theta = theta - sg
+    nt = float(np.sum(np.abs(theta) ** p)) ** (1.0 / p) if np.any(theta) else 0.0
+    if nt > 0.0:
+        w = np.sign(theta) * np.abs(theta) ** (p - 1.0) * nt ** (2.0 - p)
+    else:
+        w = np.zeros(theta.shape[0])
+    nw = float(np.sum(np.abs(w) ** q)) ** (1.0 / q)
+    if nw > 1.0:
+        w = w / nw
+    return w
+
+
+def _mirror_descent(X, idx, q, rates, coef):
+    d = X.shape[1]
     steps = idx.shape[0]
-    L = max(lam, 1.0 - lam) / gamma
     w = np.zeros(d)
     acc = np.zeros(d)
     if q == 1.0:
         u = np.full(2 * d + 1, 1.0 / (2 * d + 1))
-        for t in range(1, steps + 1):
-            i = idx[t - 1]
-            s = y[i] * float(X[i] @ w)
-            coef = (-lam / gamma if s > gamma else -(1.0 - lam) / gamma) * y[i]
-            g = coef * X[i]
-            step = 1.0 / (L * math.sqrt(t))
-            arg = np.concatenate((-step * g, step * g, (0.0,)))
+        for t in range(steps):
+            i = idx[t]
+            g = coef(i, float(X[i] @ w)) * X[i]
+            arg = np.concatenate((-rates[t] * g, rates[t] * g, (0.0,)))
             u = u * np.exp(np.clip(arg, -60.0, 60.0))
             u = u / u.sum()
             w = u[:d] - u[d : 2 * d]
             acc += w
         return acc / steps
     p = q / (q - 1.0)
-    for t in range(1, steps + 1):
-        i = idx[t - 1]
-        s = y[i] * float(X[i] @ w)
-        coef = (-lam / gamma if s > gamma else -(1.0 - lam) / gamma) * y[i]
-        g = coef * X[i]
-        step = 1.0 / (L * math.sqrt(t))
-        nw = float(np.sum(np.abs(w) ** q)) ** (1.0 / q) if np.any(w) else 0.0
-        if nw > 0.0:
-            theta = np.sign(w) * np.abs(w) ** (q - 1.0) * nw ** (2.0 - q)
-        else:
-            theta = np.zeros(d)
-        theta = theta - step * g
-        nt = float(np.sum(np.abs(theta) ** p)) ** (1.0 / p) if np.any(theta) else 0.0
-        if nt > 0.0:
-            w = np.sign(theta) * np.abs(theta) ** (p - 1.0) * nt ** (2.0 - p)
-        else:
-            w = np.zeros(d)
-        nw = float(np.sum(np.abs(w) ** q)) ** (1.0 / q)
-        if nw > 1.0:
-            w = w / nw
+    for t in range(steps):
+        i = idx[t]
+        g = coef(i, float(X[i] @ w)) * X[i]
+        w = _q_ball_step(w, rates[t] * g, q, p)
         acc += w
     return acc / steps
 
 
-def _md_rcn_loops(X, y, gamma, lam, q, idx):
-    n, d = X.shape
-    steps = idx.shape[0]
+# ---------------------------------------------------------------------------
+# noise-tolerant margin surrogate
+#
+# Minimizes the empirical average of phi(y <w, x>), where
+#   phi(s) = lam * (1 - s/gamma)        if s >  gamma
+#            (1 - lam) * (1 - s/gamma)  if s <= gamma,
+# with step 1/(L sqrt(t)), L the larger slope.
+# ---------------------------------------------------------------------------
+
+
+def rcn_phi(s: float, lam: float, gamma: float) -> tuple[float, float]:
+    """Piecewise-linear margin surrogate value and subgradient in s.
+
+    Slope -lam/gamma above the margin, -(1-lam)/gamma at or below it; the
+    boundary s == gamma uses the lower branch.
+    """
+    if s > gamma:
+        return lam * (1.0 - s / gamma), -lam / gamma
+    return (1.0 - lam) * (1.0 - s / gamma), -(1.0 - lam) / gamma
+
+
+def md_rcn(X, y, gamma, lam, q, idx):
     L = max(lam, 1.0 - lam) / gamma
-    w = np.zeros(d)
-    acc = np.zeros(d)
-    if q == 1.0:
-        m2 = 2 * d + 1
-        u = np.full(m2, 1.0 / m2)
-        for t in range(1, steps + 1):
-            i = idx[t - 1]
-            s = 0.0
-            for j in range(d):
-                s += w[j] * X[i, j]
-            s *= y[i]
-            coef = (-lam / gamma if s > gamma else -(1.0 - lam) / gamma) * y[i]
-            step = 1.0 / (L * math.sqrt(t))
-            tot = u[m2 - 1]
-            for j in range(d):
-                a = -step * coef * X[i, j]
-                if a > 60.0:
-                    a = 60.0
-                elif a < -60.0:
-                    a = -60.0
-                u[j] = u[j] * math.exp(a)
-                u[d + j] = u[d + j] * math.exp(-a)
-                tot += u[j] + u[d + j]
-            for j in range(m2):
-                u[j] /= tot
-            for j in range(d):
-                w[j] = u[j] - u[d + j]
-                acc[j] += w[j]
-        return acc / steps
-    p = q / (q - 1.0)
-    theta = np.zeros(d)
-    for t in range(1, steps + 1):
-        i = idx[t - 1]
-        s = 0.0
-        for j in range(d):
-            s += w[j] * X[i, j]
-        s *= y[i]
-        coef = (-lam / gamma if s > gamma else -(1.0 - lam) / gamma) * y[i]
-        step = 1.0 / (L * math.sqrt(t))
-        nw = 0.0
-        for j in range(d):
-            nw += abs(w[j]) ** q
-        nw = nw ** (1.0 / q) if nw > 0.0 else 0.0
-        for j in range(d):
-            if nw > 0.0 and w[j] != 0.0:
-                theta[j] = math.copysign(abs(w[j]) ** (q - 1.0), w[j]) * nw ** (2.0 - q)
-            else:
-                theta[j] = 0.0
-            theta[j] -= step * coef * X[i, j]
-        nt = 0.0
-        for j in range(d):
-            nt += abs(theta[j]) ** p
-        nt = nt ** (1.0 / p) if nt > 0.0 else 0.0
-        nw = 0.0
-        for j in range(d):
-            if nt > 0.0 and theta[j] != 0.0:
-                w[j] = math.copysign(abs(theta[j]) ** (p - 1.0), theta[j]) * nt ** (2.0 - p)
-            else:
-                w[j] = 0.0
-            nw += abs(w[j]) ** q
-        nw = nw ** (1.0 / q)
-        if nw > 1.0:
-            for j in range(d):
-                w[j] /= nw
-        for j in range(d):
-            acc[j] += w[j]
-    return acc / steps
+    rates = 1.0 / (L * np.sqrt(np.arange(1, idx.shape[0] + 1)))
+    return _mirror_descent(X, idx, q, rates, lambda i, s: rcn_phi(y[i] * s, lam, gamma)[1] * y[i])
 
 
 # ---------------------------------------------------------------------------
-# stochastic mirror descent for the monotone-link loss
+# monotone-link loss
 #
 # Labels arrive in {0, 1}. The per-sample gradient is (u(<w, x>) - y) x with
-#   u(s) = eta                       if s < -gamma
-#          (1-2 eta)/(2 gamma) s + 1/2  if |s| <= gamma
-#          1 - eta                   if s >  gamma.
-# Same constraint set and mirror maps as the surrogate above; the step is
-# lr0/sqrt(t) with lr0 chosen by the caller.
+# the link u below; the step is lr0/sqrt(t) with lr0 chosen by the caller.
 # ---------------------------------------------------------------------------
 
 
-def _link_value(s, gamma, eta):
+def glm_link_u(s: float, eta: float, gamma: float) -> float:
+    """Monotone link: eta below -gamma, 1-eta above, linear in between."""
     if s < -gamma:
         return eta
     if s > gamma:
@@ -250,154 +148,6 @@ def _link_value(s, gamma, eta):
     return (1.0 - 2.0 * eta) / (2.0 * gamma) * s + 0.5
 
 
-def _md_glm_numpy(X, y01, gamma, eta, q, lr0, idx):
-    n, d = X.shape
-    steps = idx.shape[0]
-    w = np.zeros(d)
-    acc = np.zeros(d)
-    if q == 1.0:
-        u = np.full(2 * d + 1, 1.0 / (2 * d + 1))
-        for t in range(1, steps + 1):
-            i = idx[t - 1]
-            s = float(X[i] @ w)
-            coef = _link_value(s, gamma, eta) - y01[i]
-            g = coef * X[i]
-            step = lr0 / math.sqrt(t)
-            arg = np.concatenate((-step * g, step * g, (0.0,)))
-            u = u * np.exp(np.clip(arg, -60.0, 60.0))
-            u = u / u.sum()
-            w = u[:d] - u[d : 2 * d]
-            acc += w
-        return acc / steps
-    p = q / (q - 1.0)
-    for t in range(1, steps + 1):
-        i = idx[t - 1]
-        s = float(X[i] @ w)
-        coef = _link_value(s, gamma, eta) - y01[i]
-        g = coef * X[i]
-        step = lr0 / math.sqrt(t)
-        nw = float(np.sum(np.abs(w) ** q)) ** (1.0 / q) if np.any(w) else 0.0
-        if nw > 0.0:
-            theta = np.sign(w) * np.abs(w) ** (q - 1.0) * nw ** (2.0 - q)
-        else:
-            theta = np.zeros(d)
-        theta = theta - step * g
-        nt = float(np.sum(np.abs(theta) ** p)) ** (1.0 / p) if np.any(theta) else 0.0
-        if nt > 0.0:
-            w = np.sign(theta) * np.abs(theta) ** (p - 1.0) * nt ** (2.0 - p)
-        else:
-            w = np.zeros(d)
-        nw = float(np.sum(np.abs(w) ** q)) ** (1.0 / q)
-        if nw > 1.0:
-            w = w / nw
-        acc += w
-    return acc / steps
-
-
-def _md_glm_loops(X, y01, gamma, eta, q, lr0, idx):
-    n, d = X.shape
-    steps = idx.shape[0]
-    w = np.zeros(d)
-    acc = np.zeros(d)
-    lo = eta
-    hi = 1.0 - eta
-    slope = (1.0 - 2.0 * eta) / (2.0 * gamma)
-    if q == 1.0:
-        m2 = 2 * d + 1
-        u = np.full(m2, 1.0 / m2)
-        for t in range(1, steps + 1):
-            i = idx[t - 1]
-            s = 0.0
-            for j in range(d):
-                s += w[j] * X[i, j]
-            if s < -gamma:
-                uv = lo
-            elif s > gamma:
-                uv = hi
-            else:
-                uv = slope * s + 0.5
-            coef = uv - y01[i]
-            step = lr0 / math.sqrt(t)
-            tot = u[m2 - 1]
-            for j in range(d):
-                a = -step * coef * X[i, j]
-                if a > 60.0:
-                    a = 60.0
-                elif a < -60.0:
-                    a = -60.0
-                u[j] = u[j] * math.exp(a)
-                u[d + j] = u[d + j] * math.exp(-a)
-                tot += u[j] + u[d + j]
-            for j in range(m2):
-                u[j] /= tot
-            for j in range(d):
-                w[j] = u[j] - u[d + j]
-                acc[j] += w[j]
-        return acc / steps
-    p = q / (q - 1.0)
-    theta = np.zeros(d)
-    for t in range(1, steps + 1):
-        i = idx[t - 1]
-        s = 0.0
-        for j in range(d):
-            s += w[j] * X[i, j]
-        if s < -gamma:
-            uv = lo
-        elif s > gamma:
-            uv = hi
-        else:
-            uv = slope * s + 0.5
-        coef = uv - y01[i]
-        step = lr0 / math.sqrt(t)
-        nw = 0.0
-        for j in range(d):
-            nw += abs(w[j]) ** q
-        nw = nw ** (1.0 / q) if nw > 0.0 else 0.0
-        for j in range(d):
-            if nw > 0.0 and w[j] != 0.0:
-                theta[j] = math.copysign(abs(w[j]) ** (q - 1.0), w[j]) * nw ** (2.0 - q)
-            else:
-                theta[j] = 0.0
-            theta[j] -= step * coef * X[i, j]
-        nt = 0.0
-        for j in range(d):
-            nt += abs(theta[j]) ** p
-        nt = nt ** (1.0 / p) if nt > 0.0 else 0.0
-        nw = 0.0
-        for j in range(d):
-            if nt > 0.0 and theta[j] != 0.0:
-                w[j] = math.copysign(abs(theta[j]) ** (p - 1.0), theta[j]) * nt ** (2.0 - p)
-            else:
-                w[j] = 0.0
-            nw += abs(w[j]) ** q
-        nw = nw ** (1.0 / q)
-        if nw > 1.0:
-            for j in range(d):
-                w[j] /= nw
-        for j in range(d):
-            acc[j] += w[j]
-    return acc / steps
-
-
-if HAS_NUMBA:
-    _hinge_train_numba = njit(cache=True)(_hinge_train_loops)
-    _md_rcn_numba = njit(cache=True)(_md_rcn_loops)
-    _md_glm_numba = njit(cache=True)(_md_glm_loops)
-
-
-def hinge_train(X, y, sw, steps, lr0, reg, fit_bias):
-    if _BACKEND == "numba":
-        return _hinge_train_numba(X, y, sw, steps, lr0, reg, fit_bias)
-    return _hinge_train_numpy(X, y, sw, steps, lr0, reg, fit_bias)
-
-
-def md_rcn(X, y, gamma, lam, q, idx):
-    if _BACKEND == "numba":
-        return _md_rcn_numba(X, y, gamma, lam, q, idx)
-    return _md_rcn_numpy(X, y, gamma, lam, q, idx)
-
-
 def md_glm(X, y01, gamma, eta, q, lr0, idx):
-    if _BACKEND == "numba":
-        return _md_glm_numba(X, y01, gamma, eta, q, lr0, idx)
-    return _md_glm_numpy(X, y01, gamma, eta, q, lr0, idx)
+    rates = lr0 / np.sqrt(np.arange(1, idx.shape[0] + 1))
+    return _mirror_descent(X, idx, q, rates, lambda i, s: glm_link_u(s, eta, gamma) - y01[i])

@@ -10,7 +10,6 @@ import sys
 
 import numpy as np
 
-from . import set_backend
 from .core import (
     Dataset,
     FiniteOffsets,
@@ -85,6 +84,7 @@ from .data import (
     results_text,
     save_csv,
     save_model,
+    save_results,
     substream,
 )
 from .errors import (
@@ -715,7 +715,6 @@ def _add_common(sp, *, ball=False, gen=False, seed=True, output=True):
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="roblearn")
-    ap.add_argument("--compute-backend", choices=["numba", "numpy"], default=None)
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("certify", help="robust accuracy of a saved model")
@@ -880,10 +879,12 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
-    if args.compute_backend:
-        set_backend(args.compute_backend)
     try:
         doc = args.func(args)
+        if getattr(args, "output", None):
+            save_results(args.output, doc)
+        else:
+            sys.stdout.write(results_text(doc))
     except _DATA_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -896,12 +897,6 @@ def main(argv=None) -> int:
     except _CONFIG_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    text = results_text(doc)
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return EXIT_OK
 
 

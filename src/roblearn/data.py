@@ -213,6 +213,10 @@ def load_csv(path: str) -> Dataset:
             raise ParseError(f"label must be +1 or -1, got {fields[-1]!r}", row=rownum, col=width)
         rows.append((vals[:-1], int(label)))
     X = np.array([r[0] for r in rows], dtype=float)
+    bad = np.argwhere(~np.isfinite(X))
+    if bad.size:
+        i, j = bad[0]
+        raise ParseError("feature must be finite", row=lines[i][0], col=int(j) + 1)
     y = np.array([r[1] for r in rows], dtype=np.int64)
     return Dataset(X, y)
 

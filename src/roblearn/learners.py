@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
+from ._kernels import glm_link_u, rcn_phi  # noqa: F401  (re-exported)
 from .core import Dataset, LinearModel, as_vector, dual_exponent, lp_norm, margins_batch
 from .errors import AllZeroWeights, EmptyDataset, EmptyPool, InvalidNorm
 
@@ -199,17 +200,6 @@ def rcn_lambda(eps: float, gamma: float, eta: float) -> float:
     return (eps * gamma / 2.0 + eta) / (1.0 + eps * gamma)
 
 
-def rcn_phi(s: float, lam: float, gamma: float) -> tuple[float, float]:
-    """Piecewise-linear margin surrogate value and subgradient in s.
-
-    Slope -lam/gamma above the margin, -(1-lam)/gamma at or below it; the
-    boundary s == gamma uses the lower branch.
-    """
-    if s > gamma:
-        return lam * (1.0 - s / gamma), -lam / gamma
-    return (1.0 - lam) * (1.0 - s / gamma), -(1.0 - lam) / gamma
-
-
 def mirror_step(w: np.ndarray, g: np.ndarray, step: float, q: float) -> np.ndarray:
     """One mirror-descent step under the half-squared-q-norm potential (q > 1),
     then the exact Bregman projection onto the unit q-ball (radial rescale)."""
@@ -268,15 +258,6 @@ def rcn_train_md(data: Dataset, cfg: RcnConfig) -> LinearModel:
     w = _kernels.md_rcn(X, yf, cfg.gamma, cfg.lam, float(cfg.q), idx)
     w = _nonzero_or_fallback(np.asarray(w), X.T @ yf)
     return LinearModel(w)
-
-
-def glm_link_u(s: float, eta: float, gamma: float) -> float:
-    """Monotone link: eta below -gamma, 1-eta above, linear in between."""
-    if s < -gamma:
-        return eta
-    if s > gamma:
-        return 1.0 - eta
-    return (1.0 - 2.0 * eta) / (2.0 * gamma) * s + 0.5
 
 
 def glm_loss(w: np.ndarray, x: np.ndarray, y01: float, eta: float, gamma: float) -> float:

@@ -123,3 +123,123 @@ def brute_pool_optimum(pool, X_lists, y) -> float:
 
 def central_difference(f, s: float, h: float = 1e-6) -> float:
     return (f(s + h) - f(s - h)) / (2.0 * h)
+
+
+# ---------------------------------------------------------------------------
+# explicit-loop twins of the numpy kernels in roblearn._kernels
+# ---------------------------------------------------------------------------
+
+
+def hinge_train_ref(X, y, sw, steps, lr0, reg, fit_bias):
+    """Full-batch hinge subgradient descent, one scalar at a time."""
+    n, d = X.shape
+    w = np.zeros(d)
+    b = 0.0
+    gw = np.zeros(d)
+    for t in range(1, steps + 1):
+        for j in range(d):
+            gw[j] = reg * w[j]
+        gb = 0.0
+        for i in range(n):
+            m = b
+            for j in range(d):
+                m += w[j] * X[i, j]
+            if y[i] * m < 1.0:
+                c = y[i] * sw[i]
+                for j in range(d):
+                    gw[j] -= c * X[i, j]
+                gb += c
+        step = lr0 / math.sqrt(t)
+        for j in range(d):
+            w[j] -= step * gw[j]
+        if fit_bias:
+            b += step * gb
+    return w, b
+
+
+def _md_ref(X, idx, q, step_at, coef):
+    """Stochastic mirror descent over the unit q-ball, one scalar at a time.
+
+    step_at(t) is the rate of 1-based step t and coef(i, s) the gradient
+    coefficient of sample i at s = <w, x_i>. q = 1 runs exponentiated gradient
+    on 2d+1 doubled coordinates; q > 1 the signed-power mirror maps of the
+    half-squared-q-norm followed by radial rescaling. Returns the average
+    iterate.
+    """
+    n, d = X.shape
+    steps = idx.shape[0]
+    w = np.zeros(d)
+    acc = np.zeros(d)
+    if q == 1.0:
+        m2 = 2 * d + 1
+        u = np.full(m2, 1.0 / m2)
+        for t in range(1, steps + 1):
+            i = idx[t - 1]
+            s = 0.0
+            for j in range(d):
+                s += w[j] * X[i, j]
+            c = coef(i, s)
+            step = step_at(t)
+            tot = u[m2 - 1]
+            for j in range(d):
+                a = min(max(-step * c * X[i, j], -60.0), 60.0)
+                u[j] = u[j] * math.exp(a)
+                u[d + j] = u[d + j] * math.exp(-a)
+                tot += u[j] + u[d + j]
+            for j in range(m2):
+                u[j] /= tot
+            for j in range(d):
+                w[j] = u[j] - u[d + j]
+                acc[j] += w[j]
+        return acc / steps
+    p = q / (q - 1.0)
+    theta = np.zeros(d)
+    for t in range(1, steps + 1):
+        i = idx[t - 1]
+        s = 0.0
+        for j in range(d):
+            s += w[j] * X[i, j]
+        c = coef(i, s)
+        step = step_at(t)
+        nw = sum(abs(w[j]) ** q for j in range(d)) ** (1.0 / q)
+        for j in range(d):
+            theta[j] = math.copysign(abs(w[j]) ** (q - 1.0), w[j]) * nw ** (2.0 - q) if w[j] != 0.0 else 0.0
+            theta[j] -= step * c * X[i, j]
+        nt = sum(abs(theta[j]) ** p for j in range(d)) ** (1.0 / p)
+        for j in range(d):
+            w[j] = math.copysign(abs(theta[j]) ** (p - 1.0), theta[j]) * nt ** (2.0 - p) if theta[j] != 0.0 else 0.0
+        nw = sum(abs(w[j]) ** q for j in range(d)) ** (1.0 / q)
+        if nw > 1.0:
+            for j in range(d):
+                w[j] /= nw
+        for j in range(d):
+            acc[j] += w[j]
+    return acc / steps
+
+
+def md_rcn_ref(X, y, gamma, lam, q, idx):
+    """Mirror descent on phi(y <w, x>) with slope -lam/gamma above the margin
+    and -(1-lam)/gamma at or below it; step 1/(L sqrt(t)), L the larger slope."""
+    L = max(lam, 1.0 - lam) / gamma
+
+    def coef(i, s):
+        slope = -lam / gamma if y[i] * s > gamma else -(1.0 - lam) / gamma
+        return slope * y[i]
+
+    return _md_ref(X, idx, q, lambda t: 1.0 / (L * math.sqrt(t)), coef)
+
+
+def md_glm_ref(X, y01, gamma, eta, q, lr0, idx):
+    """Mirror descent on the link-integral loss, gradient (u(<w, x>) - y01) x
+    with u clipped to [eta, 1 - eta] outside [-gamma, gamma]; step lr0/sqrt(t)."""
+
+    def coef(i, s):
+        if s < -gamma:
+            u = eta
+        elif s > gamma:
+            u = 1.0 - eta
+        else:
+            u = (1.0 - 2.0 * eta) / (2.0 * gamma) * s + 0.5
+        return u - y01[i]
+
+    return _md_ref(X, idx, q, lambda t: lr0 / math.sqrt(t), coef)

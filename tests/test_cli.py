@@ -86,6 +86,15 @@ def test_certify_writes_output_file(tmp_path):
     assert "robust_accuracy: 1" in text
 
 
+def test_output_into_missing_directory_is_data_error(tmp_path, capsys):
+    data = write_band(tmp_path)
+    model = write_model(tmp_path)
+    out = str(tmp_path / "absent" / "res.txt")
+    assert run(["certify", "--model", model, "--input", data, "--gamma", "0.5",
+                "--output", out]) == 3
+    assert "IoError" in capsys.readouterr().err
+
+
 def test_certify_methods_agree(tmp_path, capsys):
     data = write_band(tmp_path)
     model = write_model(tmp_path, w=(1.0, 0.2), bias=0.05)

@@ -195,6 +195,12 @@ def test_csv_error_positions(tmp_path):
         load_csv(str(p))
     assert exc.value.col == 3
 
+    for token in ("nan", "inf", "-Infinity"):
+        p.write_text(f"f1,f2,label\n1.0,2.0,1\n\n3.0,{token},-1\n")
+        with pytest.raises(ParseError) as exc:
+            load_csv(str(p))
+        assert exc.value.row == 4 and exc.value.col == 2
+
     p.write_text("header,only\n")
     with pytest.raises(EmptyDataset):
         load_csv(str(p))
