@@ -37,6 +37,7 @@ from .core import (
     margin,
     margins_batch,
     robust_loss,
+    robust_losses,
     robust_risk,
     worst_case_point,
 )
@@ -89,6 +90,7 @@ from .boosting import (
     finite_source,
     in_nonrobust_region,
     rejection_sample,
+    selective_labels,
     selective_predict,
     sparsify_majority,
     strong_to_barely,
@@ -122,6 +124,7 @@ from .redaction import (
     rejectron,
     save_selection,
     select_member,
+    select_members,
     selective_classify,
     transductive_pool,
     urejectron,

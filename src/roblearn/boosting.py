@@ -22,11 +22,11 @@ from .core import (
     FinitePerExample,
     LinearModel,
     LpBall,
-    Sample,
     as_vector,
     inverse_blowup,
     margin,
-    robust_loss,
+    margins_batch,
+    robust_losses,
 )
 from .data import substream
 from .errors import (
@@ -55,24 +55,27 @@ class SelectiveClassifier:
         return selective_predict(self, z)
 
 
-def selective_predict(sc: SelectiveClassifier, z):
-    z = as_vector(z)
+def selective_labels(sc: SelectiveClassifier, Z) -> np.ndarray:
+    """Labels of the selective classifier on the rows of Z; 0 marks abstention."""
+    Z = np.asarray(Z, dtype=float)
     spec = sc.abstain_spec
     if isinstance(spec, LpBall):
         # closed form: prediction is stable on the inverse ball iff the
         # normalized margin clears the radius; ties abstain
-        m = margin(sc.model, z, spec.p)
-        if abs(m) > spec.gamma:
-            return sc.model.predict(z)
-        return ABSTAIN
+        m = margins_batch(sc.model, Z, spec.p)
+        return np.where(np.abs(m) > spec.gamma, np.where(m >= 0.0, 1, -1), 0)
     if isinstance(spec, FiniteOffsets):
-        preds = {sc.model.predict(z - o) for o in spec.offsets}
-        if len(preds) == 1:
-            return preds.pop()
-        return ABSTAIN
+        pre = (Z[:, None, :] - spec.offsets).reshape(-1, Z.shape[1])
+        preds = sc.model.predict_batch(pre).reshape(Z.shape[0], spec.k)
+        return np.where(np.all(preds == preds[:, :1], axis=1), preds[:, 0], 0)
     if isinstance(spec, FinitePerExample):
         raise Unsupported("per-example tables have no input-indexed inverse")
     raise Unsupported(f"no abstention rule for {type(spec).__name__}")
+
+
+def selective_predict(sc: SelectiveClassifier, z):
+    label = int(selective_labels(sc, as_vector(z)[None, :])[0])
+    return label if label else ABSTAIN
 
 
 class Cascade:
@@ -96,39 +99,42 @@ class Cascade:
 
     def predict_batch(self, Z) -> np.ndarray:
         Z = np.asarray(Z, dtype=float)
-        return np.array([cascade_predict(self, Z[i]) for i in range(Z.shape[0])], dtype=np.int64)
+        out = np.zeros(Z.shape[0], dtype=np.int64)
+        for stage in self.stages:
+            open_ = out == 0
+            out[open_] = selective_labels(stage, Z[open_])
+        open_ = out == 0
+        out[open_] = self.fallback.predict_batch(Z[open_])
+        return out
 
-    def robust_loss_lp(self, sample: Sample, ball: LpBall) -> int:
-        """Sound worst-case loss over the ball, never under-reporting.
+    def robust_losses_lp(self, data: Dataset, ball: LpBall) -> np.ndarray:
+        """Sound worst-case losses over the ball, never under-reporting.
 
         Normalized margins move by at most the ball radius, so each stage is
         classified from its margin at the center alone: surely-correct (and
         non-abstaining) everywhere, possibly-wrong somewhere, or safe
         (correct-or-abstaining) everywhere. A possibly-wrong stage counts as
-        a loss; a safe stage defers to the rest of the cascade.
+        a loss; a safe stage defers the row to the rest of the cascade.
         """
         r = ball.gamma
-        y = sample.y
+        losses = np.zeros(data.n, dtype=np.int64)
+        open_ = np.ones(data.n, dtype=bool)
         for stage in self.stages:
+            if not open_.any():
+                return losses
             spec = stage.abstain_spec
             if not isinstance(spec, LpBall) or spec.p != ball.p:
                 raise Unsupported("stage abstention norm must match the evaluation ball")
-            ym = y * margin(stage.model, sample.x, ball.p)
-            if ym > spec.gamma + r:
-                return 0
-            if ym < r - spec.gamma:
-                return 1
-        ym = y * margin(self.fallback, sample.x, ball.p)
-        return 0 if ym > r else 1
+            ym = data.y * margins_batch(stage.model, data.X, ball.p)
+            losses[open_ & (ym < r - spec.gamma)] = 1
+            open_ &= (ym <= spec.gamma + r) & (ym >= r - spec.gamma)
+        ym = data.y * margins_batch(self.fallback, data.X, ball.p)
+        losses[open_ & (ym <= r)] = 1
+        return losses
 
 
 def cascade_predict(c: Cascade, z) -> int:
-    z = as_vector(z)
-    for stage in c.stages:
-        label = selective_predict(stage, z)
-        if label is not ABSTAIN:
-            return label
-    return c.fallback.predict(z)
+    return int(c.predict_batch(as_vector(z)[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +226,8 @@ class BoostConfig:
             raise ValueError("delta must lie in (0, 1)")
         if self.rounds is not None and self.rounds < 1:
             raise ValueError("rounds must be >= 1")
+        if self.per_round_m is not None and self.per_round_m < 1:
+            raise ValueError("per_round_m must be >= 1")
 
     @property
     def rounds_resolved(self) -> int:
@@ -279,10 +287,7 @@ def beta_roboost(source, barely_learner, cfg: BoostConfig, U: LpBall, diagnostic
         models.append(h_t)
         specs.append(ball_t)
         sizes.append(round_data.n)
-        inv = inverse_blowup(ball_t)
-        held = sum(
-            robust_loss(h_t, round_data.sample(i), inv) == 0 for i in range(round_data.n)
-        )
+        held = int(np.sum(robust_losses(h_t, round_data, inverse_blowup(ball_t)) == 0))
         beta_hats.append(held / round_data.n)
     if diagnostics is not None:
         diagnostics["beta_hats"] = beta_hats
@@ -329,9 +334,7 @@ class MajorityVote:
         self.models = models
 
     def predict(self, z) -> int:
-        z = as_vector(z)
-        total = sum(m.predict(z) for m in self.models)
-        return 1 if total >= 0 else -1
+        return int(self.predict_batch(as_vector(z)[None, :])[0])
 
     def predict_batch(self, Z) -> np.ndarray:
         Z = np.asarray(Z, dtype=float)
@@ -369,12 +372,6 @@ class AlphaBoostConfig:
         return alpha, T
 
 
-def _example_loss(model, sample: Sample, U, index: int | None = None) -> int:
-    if U is None:
-        return 0 if model.predict(sample.x) == sample.y else 1
-    return robust_loss(model, sample, U, index=index)
-
-
 def alpha_boost(data: Dataset, weak_learner, cfg: AlphaBoostConfig, U=None, diagnostics=None):
     """Multiplicative-weights boosting of a weak (robust) learner.
 
@@ -388,7 +385,6 @@ def alpha_boost(data: Dataset, weak_learner, cfg: AlphaBoostConfig, U=None, diag
         raise ValueError("cannot boost on an empty dataset")
     alpha, T = cfg.resolved(m)
     retries = max(1, math.ceil(math.log(2.0 * T / cfg.delta)))
-    samples = [data.sample(i) for i in range(m)]
     D = np.full(m, 1.0 / m)
     models = []
     errors = []
@@ -396,9 +392,7 @@ def alpha_boost(data: Dataset, weak_learner, cfg: AlphaBoostConfig, U=None, diag
         accepted = None
         for _attempt in range(retries):
             h = weak_learner(WeightedDataset(data, D))
-            losses = np.array(
-                [_example_loss(h, s, U, index=i) for i, s in enumerate(samples)], dtype=float
-            )
+            losses = robust_losses(h, data, U).astype(float)
             err = float(D @ losses)
             if err <= 1.0 / 3.0:
                 accepted = (h, losses, err)
@@ -423,22 +417,14 @@ def alpha_boost(data: Dataset, weak_learner, cfg: AlphaBoostConfig, U=None, diag
 
 def vote_agreement(models, data: Dataset, U=None) -> np.ndarray:
     """Per-example fraction of models with zero (robust) loss."""
-    samples = [data.sample(i) for i in range(data.n)]
     agree = np.zeros(data.n)
     for h in models:
-        agree += np.array([1.0 - _example_loss(h, s, U, index=i) for i, s in enumerate(samples)])
+        agree += 1.0 - robust_losses(h, data, U)
     return agree / len(models)
 
 
 def _zero_loss(predictor, data: Dataset, U) -> bool:
-    for i in range(data.n):
-        s = data.sample(i)
-        if U is None:
-            if predictor.predict(s.x) != s.y:
-                return False
-        elif robust_loss(predictor, s, U, index=i) != 0:
-            return False
-    return True
+    return not robust_losses(predictor, data, U).any()
 
 
 def sparsify_majority(models, check_data: Dataset, N: int = 25, seed: int = 0, U=None, retry_limit: int = 100):
@@ -475,12 +461,11 @@ class ExpandedPredictor:
         self.y = y
 
     def predict(self, z) -> int:
-        m = margin(self.model, as_vector(z), self.ball.p)
-        return self.y if self.y * m > -self.ball.gamma else -self.y
+        return int(self.predict_batch(as_vector(z)[None, :])[0])
 
     def predict_batch(self, Z) -> np.ndarray:
-        Z = np.asarray(Z, dtype=float)
-        return np.array([self.predict(Z[i]) for i in range(Z.shape[0])], dtype=np.int64)
+        m = margins_batch(self.model, Z, self.ball.p)
+        return np.where(self.y * m > -self.ball.gamma, self.y, -self.y).astype(np.int64)
 
 
 def expand_g(h_hat: LinearModel, U: LpBall, y: int) -> ExpandedPredictor:

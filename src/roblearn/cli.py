@@ -13,15 +13,13 @@ import numpy as np
 from .core import (
     Dataset,
     FiniteOffsets,
-    LinearModel,
     LpBall,
-    inverse_blowup,
     margins_batch,
-    robust_loss,
+    robust_losses,
     robust_risk,
+    worst_case_point,
 )
 from .oracles import (
-    attack,
     bound_separation,
     default_ellipsoid_config,
     ellipsoid_certify,
@@ -42,7 +40,6 @@ from .learners import (
 from .boosting import (
     AlphaBoostConfig,
     BoostConfig,
-    MajorityVote,
     alpha_boost,
     beta_roboost,
     beta_uroboost,
@@ -67,7 +64,7 @@ from .redaction import (
     RedactConfig,
     rejectron,
     save_selection,
-    select_member,
+    select_members,
     transductive_pool,
     urejectron,
 )
@@ -88,10 +85,9 @@ from .data import (
     substream,
 )
 from .errors import (
+    AllZeroWeights,
     ConfigError,
     EmptyDataset,
-    EmptyPool,
-    InvalidNorm,
     IoError,
     MissingPerturbations,
     MistakeCapExceeded,
@@ -100,10 +96,10 @@ from .errors import (
     OracleViolation,
     ParseError,
     RetryLimit,
+    RoblearnError,
     SizeLimit,
     SourceExhausted,
     StreamExhausted,
-    Unsupported,
     WeakLearnerFailed,
     ZeroWeight,
 )
@@ -114,17 +110,19 @@ EXIT_DATA = 3
 EXIT_INFEASIBLE = 4
 EXIT_OPTIMIZER = 5
 
-_DATA_ERRORS = (ParseError, EmptyDataset, IoError, MissingPerturbations)
-_INFEASIBLE_ERRORS = (
-    NotSeparable,
-    NoRealizableMember,
-    MistakeCapExceeded,
-    StreamExhausted,
-    SourceExhausted,
-    SizeLimit,
-)
-_OPTIMIZER_ERRORS = (WeakLearnerFailed, RetryLimit, OracleViolation, ZeroWeight)
-_CONFIG_ERRORS = (ConfigError, InvalidNorm, Unsupported, EmptyPool, ValueError)
+# exit code per error class; everything else (ConfigError, InvalidNorm,
+# Unsupported, EmptyPool, a bad ValueError) is a configuration error
+_EXIT_CODES = {
+    **dict.fromkeys((ParseError, EmptyDataset, IoError, MissingPerturbations, AllZeroWeights), EXIT_DATA),
+    **dict.fromkeys((NotSeparable, NoRealizableMember, MistakeCapExceeded, StreamExhausted,
+                     SourceExhausted, SizeLimit), EXIT_INFEASIBLE),
+    **dict.fromkeys((WeakLearnerFailed, RetryLimit, OracleViolation, ZeroWeight), EXIT_OPTIMIZER),
+}
+
+
+def _exit_code(exc: BaseException) -> int:
+    """The code of the nearest mapped class in the error's ancestry."""
+    return next((_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES), EXIT_CONFIG)
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +172,10 @@ def _dataset(args) -> Dataset:
     return data
 
 
-def _stream(args):
-    """A labeled source: finite for CSV input, endless for generators."""
-    if getattr(args, "input", None):
-        return finite_source(load_csv(args.input))
+def _stream(args, data: Dataset | None):
+    """A labeled source: finite over already loaded rows, endless for generators."""
+    if data is not None:
+        return finite_source(data)
     if getattr(args, "gen", None):
         kind = _gen_kind(args)
         rng = substream(args.seed, "source")
@@ -273,20 +271,16 @@ def _cmd_attack(args) -> dict:
     model = load_model(args.model)
     data = _dataset(args)
     ball = _ball(args)
-    witnesses, labels = [], []
-    for i in range(data.n):
-        z = attack(model, data.sample(i), ball)
-        if z is not None:
-            witnesses.append(z)
-            labels.append(int(data.y[i]))
-    if args.save_witnesses and witnesses:
-        save_csv(args.save_witnesses, Dataset(np.stack(witnesses), np.array(labels)))
+    lost = np.flatnonzero(robust_losses(model, data, ball))
+    if args.save_witnesses and lost.size:
+        witnesses = worst_case_point(model, data.X[lost], data.y[lost], ball)
+        save_csv(args.save_witnesses, Dataset(witnesses, data.y[lost]))
     return {
         "config": _echo(args, ["model", "input", "gamma", "p"]),
         "metrics": {
             "n": data.n,
-            "attacked": len(witnesses),
-            "attacked_fraction": len(witnesses) / data.n,
+            "attacked": int(lost.size),
+            "attacked_fraction": int(lost.size) / data.n,
             "mean_margin": float(np.mean(data.y * margins_batch(model, data.X, args.p))),
         },
     }
@@ -320,11 +314,8 @@ def _cascade_metrics(cascade, data: Dataset, ball: LpBall) -> dict:
     }
 
 
-def _cmd_roboost(args) -> dict:
-    ball = _ball(args)
-    source = _stream(args)
-    learner = _barely_learner(args.learner, args.gamma)
-    cfg = BoostConfig(
+def _boost_config(args) -> BoostConfig:
+    return BoostConfig(
         beta=args.beta,
         eps=args.eps,
         delta=args.delta,
@@ -333,9 +324,17 @@ def _cmd_roboost(args) -> dict:
         multi_granularity=args.multi_granularity,
         rng_seed=args.seed,
     )
+
+
+def _cmd_roboost(args) -> dict:
+    ball = _ball(args)
+    train = load_csv(args.input) if args.input else None
+    source = _stream(args, train)
+    learner = _barely_learner(args.learner, args.gamma)
+    cfg = _boost_config(args)
     diag: dict = {}
     cascade = beta_roboost(source, learner, cfg, ball, diagnostics=diag)
-    eval_data, eval_kind = _eval_data(args, None) if args.test_input or args.gen else (load_csv(args.input), "train")
+    eval_data, eval_kind = _eval_data(args, train)
     doc = {
         "config": _echo(
             args,
@@ -359,19 +358,11 @@ def _cmd_uroboost(args) -> dict:
     if args.unlabeled_input:
         unlabeled = finite_source(load_csv(args.unlabeled_input))
     elif args.gen:
-        unlabeled = _stream(args)
+        unlabeled = _stream(args, labeled)
     else:
         raise ConfigError("provide --unlabeled-input or --gen for the unlabeled source")
     learner = _barely_learner(args.learner, args.gamma)
-    cfg = BoostConfig(
-        beta=args.beta,
-        eps=args.eps,
-        delta=args.delta,
-        rounds=args.rounds,
-        per_round_m=args.per_round_m,
-        multi_granularity=args.multi_granularity,
-        rng_seed=args.seed,
-    )
+    cfg = _boost_config(args)
     diag: dict = {}
     cascade = beta_uroboost(labeled, unlabeled, learner, cfg, ball, diagnostics=diag)
     eval_data, eval_kind = _eval_data(args, labeled)
@@ -490,7 +481,8 @@ def _cmd_cycle_robust(args) -> dict:
 
 def _cmd_one_pass(args) -> dict:
     ball = _ball(args)
-    stream = _stream(args)
+    train = load_csv(args.input) if args.input else None
+    stream = _stream(args, train)
     oracle = margin_attack(ball)
     probe = stream(1)
     d = probe.d
@@ -508,7 +500,7 @@ def _cmd_one_pass(args) -> dict:
     model = perceptron_model(state)
     if args.save_model:
         save_model(args.save_model, model)
-    eval_data, eval_kind = _eval_data(args, None) if (args.test_input or args.gen) else (load_csv(args.input), "train")
+    eval_data, eval_kind = _eval_data(args, train)
     return {
         "config": _echo(args, ["input", "gen", "gamma", "p", "eps", "delta", "mistake-cap", "seed"]),
         "eval_on": eval_kind,
@@ -530,12 +522,7 @@ def _cmd_wm(args) -> dict:
     weights, predictor = weighted_majority_robust(
         pool, finite_source(data), oracle, args.eta_wm, rounds=args.rounds, diagnostics=diag
     )
-    opt = min(
-        sum(
-            robust_loss(h, data.sample(i), U, index=i) for i in range(data.n)
-        )
-        for h in pool
-    )
+    opt = min(int(robust_losses(h, data, U).sum()) for h in pool)
     doc = {
         "config": _echo(args, ["input", "offset", "eta-wm", "rounds", "pool", "seed"]),
         "metrics": {
@@ -592,8 +579,8 @@ def _cmd_rejectron(args) -> dict:
     h, selection = rejectron(train, test.X, cfg, diagnostics=diag)
     if args.save_selection:
         save_selection(args.save_selection, selection)
-    kept = np.array([select_member(selection, test.X[i]) for i in range(test.n)])
-    kept_train = np.array([select_member(selection, train.X[i]) for i in range(train.n)])
+    kept = select_members(selection, test.X)
+    kept_train = select_members(selection, train.X)
     metrics = {
         "rounds": diag["rounds"],
         "test_rejection_rate": float(1.0 - kept.mean()) if test.n else 0.0,
@@ -622,8 +609,8 @@ def _cmd_urejectron(args) -> dict:
         backend = DistinguisherT1()
     diag: dict = {}
     selection = urejectron(train.X, test.X, cfg, backend, diagnostics=diag)
-    kept = np.array([select_member(selection, test.X[i]) for i in range(test.n)])
-    kept_train = np.array([select_member(selection, train.X[i]) for i in range(train.n)])
+    kept = select_members(selection, test.X)
+    kept_train = select_members(selection, train.X)
     doc = {
         "config": _echo(args, ["input", "test-input", "eps", "lambda-weight", "backend", "seed"]),
         "metrics": {
@@ -713,6 +700,18 @@ def _add_common(sp, *, ball=False, gen=False, seed=True, output=True):
         sp.add_argument("--output", default=None, help="results document path (default stdout)")
 
 
+def _add_boost(sp):
+    sp.add_argument("--test-input", default=None)
+    sp.add_argument("--eps", type=float, required=True)
+    sp.add_argument("--beta", type=float, required=True)
+    sp.add_argument("--delta", type=float, default=0.05)
+    sp.add_argument("--rounds", type=int, default=None)
+    sp.add_argument("--per-round-m", type=int, default=None)
+    sp.add_argument("--learner", choices=["svm", "erm"], default="svm")
+    sp.add_argument("--multi-granularity", action="store_true")
+    _add_common(sp, ball=True, gen=True)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="roblearn")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -739,29 +738,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("roboost", help="boost a barely robust learner into a cascade")
     sp.add_argument("--input", default=None)
-    sp.add_argument("--test-input", default=None)
-    sp.add_argument("--eps", type=float, required=True)
-    sp.add_argument("--beta", type=float, required=True)
-    sp.add_argument("--delta", type=float, default=0.05)
-    sp.add_argument("--rounds", type=int, default=None)
-    sp.add_argument("--per-round-m", type=int, default=None)
-    sp.add_argument("--learner", choices=["svm", "erm"], default="svm")
-    sp.add_argument("--multi-granularity", action="store_true")
-    _add_common(sp, ball=True, gen=True)
+    _add_boost(sp)
     sp.set_defaults(func=_cmd_roboost)
 
     sp = sub.add_parser("uroboost", help="boost robustness with unlabeled data")
     sp.add_argument("--input", required=True)
     sp.add_argument("--unlabeled-input", default=None)
-    sp.add_argument("--test-input", default=None)
-    sp.add_argument("--eps", type=float, required=True)
-    sp.add_argument("--beta", type=float, required=True)
-    sp.add_argument("--delta", type=float, default=0.05)
-    sp.add_argument("--rounds", type=int, default=None)
-    sp.add_argument("--per-round-m", type=int, default=None)
-    sp.add_argument("--learner", choices=["svm", "erm"], default="svm")
-    sp.add_argument("--multi-granularity", action="store_true")
-    _add_common(sp, ball=True, gen=True)
+    _add_boost(sp)
     sp.set_defaults(func=_cmd_uroboost)
 
     sp = sub.add_parser("alpha-boost", help="multiplicative-weights boosting")
@@ -885,18 +868,9 @@ def main(argv=None) -> int:
             save_results(args.output, doc)
         else:
             sys.stdout.write(results_text(doc))
-    except _DATA_ERRORS as exc:
+    except (RoblearnError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except _INFEASIBLE_ERRORS as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except _OPTIMIZER_ERRORS as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_OPTIMIZER
-    except _CONFIG_ERRORS as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _exit_code(exc)
     return EXIT_OK
 
 

@@ -3,7 +3,9 @@
 Perturbation sets are closed lp balls or explicit finite point sets. For a
 linear model and an lp ball the robust loss has a closed form: the attacker
 wins iff the signed dual-normalized margin is at most the radius. Finite sets
-are evaluated by enumeration against any predictor exposing .predict.
+are evaluated by enumeration against any predictor exposing .predict_batch.
+Every loss is computed for a whole dataset at once by robust_losses; the
+single-sample robust_loss is its one-row case.
 """
 
 from __future__ import annotations
@@ -156,7 +158,8 @@ class FiniteOffsets:
         return self.offsets.shape[0]
 
     def points(self, x) -> np.ndarray:
-        return np.asarray(x, dtype=float)[None, :] + self.offsets
+        """(k, d) perturbed copies of a point, or (n, k, d) for an (n, d) matrix."""
+        return np.asarray(x, dtype=float)[..., None, :] + self.offsets
 
 
 class FinitePerExample:
@@ -236,10 +239,7 @@ def dual_maximizer(w: np.ndarray, p: float) -> np.ndarray:
 def margin(model: LinearModel, x, p: float) -> float:
     """(<w, x> + bias) / ||w||_q, the signed distance scale of Lemma-style
     margin analysis; q dual to p."""
-    nq = dual_norm(model.w, p)
-    if nq == 0.0:
-        raise ZeroWeight("margin undefined for all-zero weights")
-    return (float(model.w @ as_vector(x)) + model.bias) / nq
+    return float(margins_batch(model, as_vector(x)[None, :], p)[0])
 
 
 def margins_batch(model: LinearModel, X, p: float) -> np.ndarray:
@@ -249,54 +249,52 @@ def margins_batch(model: LinearModel, X, p: float) -> np.ndarray:
     return model.decisions(X) / nq
 
 
-def worst_case_point(model: LinearModel, x, y: int, ball: LpBall) -> np.ndarray:
-    """The analytic attack point x - gamma * y * v, v the dual maximizer of w.
+def worst_case_point(model: LinearModel, x, y, ball: LpBall) -> np.ndarray:
+    """The analytic attack point x - gamma * y * v, v the dual maximizer of w;
+    x may also be an (n, d) matrix with y its label vector.
 
     Achieves the infimum of y * (<w, z> + bias) over the closed ball."""
     v = dual_maximizer(model.w, ball.p)
-    return as_vector(x) - ball.gamma * y * v
+    x = np.asarray(x, dtype=float)
+    return (as_vector(x) if x.ndim == 1 else x) - ball.gamma * np.asarray(y)[..., None] * v
 
 
-def _finite_points(U: PerturbationSpec, x, index):
-    if isinstance(U, FiniteOffsets):
-        return U.points(x)
-    if isinstance(U, FinitePerExample):
-        return U.points(index)
-    raise Unsupported(f"not a finite perturbation spec: {type(U).__name__}")
+def robust_losses(predictor, data: Dataset, U: PerturbationSpec | None) -> np.ndarray:
+    """Per-row 0/1 vector: 1 iff some allowed perturbation of the row is
+    misclassified; U=None gives the plain 0-1 loss.
+
+    LpBall has a closed form for a LinearModel (1 iff y * margin <= gamma,
+    boundary counts as loss) and otherwise needs the predictor's own
+    robust_losses_lp; finite specs classify every listed point in one batch.
+    """
+    if U is None:
+        return (predictor.predict_batch(data.X) != data.y).astype(np.int64)
+    if isinstance(U, LpBall):
+        if isinstance(predictor, LinearModel):
+            return (data.y * margins_batch(predictor, data.X, U.p) <= U.gamma).astype(np.int64)
+        lp = getattr(predictor, "robust_losses_lp", None)
+        if lp is None:
+            raise Unsupported(
+                f"ball robust loss has no closed form for {type(predictor).__name__}"
+            )
+        return lp(data, U)
+    flat = inflate(data, U, cap=math.inf)
+    wrong = predictor.predict_batch(flat.data.X) != flat.data.y
+    return (np.bincount(flat.origins, weights=wrong, minlength=data.n) > 0).astype(np.int64)
 
 
 def robust_loss(predictor, sample: Sample, U: PerturbationSpec, index: int | None = None) -> int:
-    """1 iff some allowed perturbation of the sample is misclassified.
-
-    LpBall requires a LinearModel (closed form: 1 iff y * margin <= gamma,
-    boundary counts as loss); finite specs enumerate against any predictor.
-    """
-    if isinstance(U, LpBall):
-        if isinstance(predictor, LinearModel):
-            return 1 if sample.y * margin(predictor, sample.x, U.p) <= U.gamma else 0
-        lp = getattr(predictor, "robust_loss_lp", None)
-        if lp is not None:
-            return lp(sample, U)
-        raise Unsupported(
-            f"ball robust loss has no closed form for {type(predictor).__name__}"
-        )
-    Z = _finite_points(U, sample.x, index)
-    if isinstance(predictor, LinearModel):
-        return 1 if np.any(predictor.predict_batch(Z) != sample.y) else 0
-    for z in Z:
-        if predictor.predict(z) != sample.y:
-            return 1
-    return 0
+    """robust_losses of one sample; a per-example table is read at `index`."""
+    if isinstance(U, FinitePerExample):
+        U = FinitePerExample({0: U.points(index)})
+    return int(robust_losses(predictor, Dataset(sample.x[None, :], [sample.y]), U)[0])
 
 
-def robust_risk(predictor, data: Dataset, U: PerturbationSpec) -> float:
+def robust_risk(predictor, data: Dataset, U: PerturbationSpec | None) -> float:
     """Mean robust loss over the dataset."""
     if data.n == 0:
         raise EmptyDataset("robust risk needs at least one sample")
-    total = 0
-    for i in range(data.n):
-        total += robust_loss(predictor, data.sample(i), U, index=i)
-    return total / data.n
+    return int(robust_losses(predictor, data, U).sum()) / data.n
 
 
 def inverse_blowup(U: PerturbationSpec) -> PerturbationSpec:
@@ -323,23 +321,19 @@ def inflate(data: Dataset, U: PerturbationSpec, cap: int = DEFAULT_INFLATE_CAP) 
     """Expand every example into its perturbation list, keeping origin tags.
 
     Output order is example-major, perturbation-minor."""
-    if isinstance(U, LpBall):
+    if isinstance(U, FiniteOffsets):
+        sizes = np.full(data.n, U.k, dtype=np.int64)
+    elif isinstance(U, FinitePerExample):
+        blocks = [U.points(i) for i in range(data.n)]
+        sizes = np.array([b.shape[0] for b in blocks], dtype=np.int64)
+    else:
         raise Unsupported("only finite perturbation specs can be inflated")
-    sizes = []
-    for i in range(data.n):
-        sizes.append(_finite_points(U, data.X[i], i).shape[0])
-    total = int(sum(sizes))
+    total = int(sizes.sum())
     if total > cap:
         raise SizeLimit(f"inflated size {total} exceeds cap {cap}")
-    rows = np.empty((total, data.d))
-    labels = np.empty(total, dtype=np.int64)
-    origins = np.empty(total, dtype=np.int64)
-    pos = 0
-    for i in range(data.n):
-        Z = _finite_points(U, data.X[i], i)
-        k = Z.shape[0]
-        rows[pos : pos + k] = Z
-        labels[pos : pos + k] = data.y[i]
-        origins[pos : pos + k] = i
-        pos += k
-    return InflatedDataset(Dataset(rows, labels), origins)
+    if isinstance(U, FiniteOffsets):
+        rows = U.points(data.X).reshape(total, data.d)
+    else:
+        rows = np.concatenate(blocks) if blocks else np.empty((0, data.d))
+    origins = np.repeat(np.arange(data.n), sizes)
+    return InflatedDataset(Dataset(rows, data.y[origins]), origins)

@@ -11,13 +11,13 @@ integral loss of a monotone link function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
 from ._kernels import glm_link_u, rcn_phi  # noqa: F401  (re-exported)
-from .core import Dataset, LinearModel, as_vector, dual_exponent, lp_norm, margins_batch
+from .core import Dataset, LinearModel, as_vector, lp_norm, margins_batch
 from .errors import AllZeroWeights, EmptyDataset, EmptyPool, InvalidNorm
 
 
@@ -230,6 +230,8 @@ class RcnConfig:
     def __post_init__(self):
         if self.q < 1.0:
             raise InvalidNorm(f"q must be >= 1, got {self.q}")
+        if self.steps is not None and self.steps < 1:
+            raise ValueError("steps must be >= 1")
 
     @property
     def lam(self) -> float:
@@ -292,6 +294,10 @@ class GlmConfig:
             raise InvalidNorm(f"q must be >= 1, got {self.q}")
         if not (0.0 <= self.eta < 0.5):
             raise ValueError("eta must lie in [0, 0.5)")
+        if not (self.gamma > 0.0):
+            raise ValueError("gamma must be positive")
+        if self.steps is not None and self.steps < 1:
+            raise ValueError("steps must be >= 1")
 
 
 def glm_train(data: Dataset, cfg: GlmConfig) -> LinearModel:

@@ -23,11 +23,10 @@ from .core import (
     PerturbationSpec,
     Sample,
     as_vector,
-    lp_norm,
     margin,
     worst_case_point,
 )
-from .errors import NotSeparable, OracleViolation, UnsupportedGeometry, ZeroWeight
+from .errors import NotSeparable, OracleViolation, UnsupportedGeometry
 
 
 class _Inside:
@@ -102,7 +101,8 @@ def attack(model: LinearModel, sample: Sample, U: PerturbationSpec, index: int |
     misclassified (or boundary) witness in U(x).
 
     For lp balls the witness is the analytic worst-case point; for finite
-    specs it is the first misclassified listed point.
+    specs it is the first misclassified listed point, and the model may be
+    any predictor exposing predict_batch.
     """
     if isinstance(U, LpBall):
         if sample.y * margin(model, sample.x, U.p) > U.gamma:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .boosting import SelectiveClassifier, selective_labels
 from .core import (
     ABSTAIN,
     Dataset,
@@ -23,7 +24,7 @@ from .core import (
     LinearModel,
     LpBall,
     as_vector,
-    margins_batch,
+    robust_risk,
 )
 from .data import fmt_float
 from .errors import EmptyPool, IoError, NoRealizableMember, ParseError, Unsupported
@@ -87,12 +88,22 @@ class SelectionSet:
         return select_member(self, x)
 
 
-def select_member(S: SelectionSet, x) -> bool:
-    x = as_vector(x)
+def select_members(S: SelectionSet, X) -> np.ndarray:
+    """Boolean mask of the rows of X that the selection set keeps."""
+    X = np.asarray(X, dtype=float)
+    keep = np.ones(X.shape[0], dtype=bool)
     if S.mode == "rejectron":
-        hx = S.base.predict(x)
-        return all(c.predict(x) == hx for c in S.members)
-    return all(c.predict(x) == c2.predict(x) for c, c2 in S.members)
+        hx = S.base.predict_batch(X)
+        for c in S.members:
+            keep &= c.predict_batch(X) == hx
+    else:
+        for c, c2 in S.members:
+            keep &= c.predict_batch(X) == c2.predict_batch(X)
+    return keep
+
+
+def select_member(S: SelectionSet, x) -> bool:
+    return bool(select_members(S, as_vector(x)[None, :])[0])
 
 
 def selective_classify(h, S: SelectionSet, x):
@@ -300,29 +311,18 @@ class PoolHypotheses:
 
 
 def _preimage_risks(h: LinearModel, train: Dataset, tests: np.ndarray, U) -> tuple[float, float]:
+    # labeled: some preimage x - u is misclassified; unlabeled: the
+    # preimages disagree, i.e. h abstains as a selective classifier over U
     if isinstance(U, LpBall):
-        m_train = margins_batch(h, train.X, U.p)
-        r_lab = float(np.mean(train.y * m_train <= U.gamma))
-        if tests.shape[0] == 0:
-            return r_lab, 0.0
-        m_test = margins_batch(h, tests, U.p)
-        return r_lab, float(np.mean(np.abs(m_test) <= U.gamma))
-    if isinstance(U, FiniteOffsets):
-        bad_lab = 0
-        for i in range(train.n):
-            pre = train.X[i] - U.offsets
-            if np.any(h.predict_batch(pre) != train.y[i]):
-                bad_lab += 1
-        bad_unl = 0
-        for j in range(tests.shape[0]):
-            pre = tests[j] - U.offsets
-            preds = h.predict_batch(pre)
-            if np.any(preds != preds[0]):
-                bad_unl += 1
-        r_lab = bad_lab / train.n
-        r_unl = bad_unl / tests.shape[0] if tests.shape[0] else 0.0
-        return r_lab, r_unl
-    raise Unsupported("preimage risks need a ball or a shared offset set")
+        pre = U
+    elif isinstance(U, FiniteOffsets):
+        pre = FiniteOffsets(-U.offsets)
+    else:
+        raise Unsupported("preimage risks need a ball or a shared offset set")
+    r_lab = robust_risk(h, train, pre)
+    if tests.shape[0] == 0:
+        return r_lab, 0.0
+    return r_lab, float(np.mean(selective_labels(SelectiveClassifier(h, U), tests) == 0))
 
 
 def transductive_pool(pool: PoolHypotheses, train: Dataset, test_points, U,

@@ -22,7 +22,6 @@ from .core import (
     Sample,
     as_vector,
     inflate,
-    robust_loss,
 )
 from .boosting import (
     AlphaBoostConfig,
@@ -41,7 +40,6 @@ from .errors import (
     Unsupported,
     WeakLearnerFailed,
 )
-from .learners import perceptron_model
 from .oracles import attack
 
 
@@ -52,18 +50,10 @@ from .oracles import attack
 
 def enumeration_attack(U):
     """Attack oracle over a finite perturbation list; works for any predictor
-    exposing predict(). Returns a callable (predictor, sample, index) -> z|None."""
+    exposing predict_batch(). Returns a callable (predictor, sample, index) -> z|None."""
     if not isinstance(U, (FiniteOffsets, FinitePerExample)):
         raise Unsupported("enumeration needs a finite perturbation set")
-
-    def oracle(predictor, sample: Sample, index: int | None = None):
-        pts = U.points(sample.x) if isinstance(U, FiniteOffsets) else U.points(index)
-        for j in range(pts.shape[0]):
-            if predictor.predict(pts[j]) != sample.y:
-                return pts[j].copy()
-        return None
-
-    return oracle
+    return lambda predictor, sample, index=None: attack(predictor, sample, U, index)
 
 
 def margin_attack(U: LpBall):
@@ -219,14 +209,6 @@ class PerExampleWeights:
         self.w[i] = self.w[i] * np.where(mask, factor, 1.0)
 
 
-def _perturbation_lists(data: Dataset, U) -> list:
-    if isinstance(U, FiniteOffsets):
-        return [U.points(data.X[i]) for i in range(data.n)]
-    if isinstance(U, FinitePerExample):
-        return [U.points(i) for i in range(data.n)]
-    raise Unsupported("this reduction needs a finite perturbation set")
-
-
 def fms_agnostic(data: Dataset, U, erm, eta_mw: float | None = None, rounds: int | None = None,
                  eps: float = 0.2, diagnostics=None):
     """Multiplicative-weights game over perturbations: each round the ERM
@@ -234,14 +216,15 @@ def fms_agnostic(data: Dataset, U, erm, eta_mw: float | None = None, rounds: int
     the round's model got wrong is up-weighted by (1 + eta). Returns the
     majority vote of the round models.
     """
-    lists = _perturbation_lists(data, U)
-    k_max = max(pts.shape[0] for pts in lists)
+    if rounds is not None and rounds < 1:
+        raise ValueError("rounds must be >= 1")
+    inflated = inflate(data, U, cap=math.inf)
+    flat = inflated.data
+    sizes = np.bincount(inflated.origins, minlength=data.n)
+    k_max = int(sizes.max())
     T = rounds if rounds is not None else math.ceil(32.0 * math.log(max(k_max, 2)) / eps ** 2)
     eta = eta_mw if eta_mw is not None else math.sqrt(math.log(max(k_max, 2)) / T)
-    weights = PerExampleWeights([pts.shape[0] for pts in lists])
-    flat_X = np.concatenate(lists)
-    flat_y = np.concatenate([np.full(pts.shape[0], data.y[i]) for i, pts in enumerate(lists)])
-    flat = Dataset(flat_X, flat_y)
+    weights = PerExampleWeights(sizes)
     m = data.n
     models = []
     for _ in range(T):
@@ -249,9 +232,9 @@ def fms_agnostic(data: Dataset, U, erm, eta_mw: float | None = None, rounds: int
         sample_w = np.concatenate([Pi / m for Pi in P])
         h_t = erm(WeightedDataset(flat, sample_w))
         models.append(h_t)
-        for i, pts in enumerate(lists):
-            preds = h_t.predict_batch(pts)
-            weights.scale_up(i, preds != data.y[i], 1.0 + eta)
+        wrong = h_t.predict_batch(flat.X) != flat.y
+        for i, mask in enumerate(np.split(wrong, np.cumsum(sizes)[:-1])):
+            weights.scale_up(i, mask, 1.0 + eta)
     if diagnostics is not None:
         diagnostics["rounds"] = T
         diagnostics["eta"] = eta
@@ -357,15 +340,14 @@ class WeightedMajority:
         self.ensemble = weights
 
     def predict(self, z) -> int:
-        z = as_vector(z)
-        score = sum(
-            wi * m.predict(z) for wi, m in zip(self.ensemble.weights, self.models)
-        )
-        return 1 if score >= 0 else -1
+        return int(self.predict_batch(as_vector(z)[None, :])[0])
 
     def predict_batch(self, Z) -> np.ndarray:
         Z = np.asarray(Z, dtype=float)
-        return np.array([self.predict(Z[i]) for i in range(Z.shape[0])], dtype=np.int64)
+        score = np.zeros(Z.shape[0])
+        for wi, m in zip(self.ensemble.weights, self.models):
+            score = score + wi * m.predict_batch(Z)
+        return np.where(score >= 0, 1, -1).astype(np.int64)
 
 
 def wm_constants(eta: float) -> tuple[float, float]:

@@ -243,3 +243,67 @@ def md_glm_ref(X, y01, gamma, eta, q, lr0, idx):
         return u - y01[i]
 
     return _md_ref(X, idx, q, lambda t: lr0 / math.sqrt(t), coef)
+
+
+# ---------------------------------------------------------------------------
+# per-row references for the batch evaluation layer; models are read only
+# through their w and bias, specs through p, gamma and offsets
+# ---------------------------------------------------------------------------
+
+
+def margin_ref(model, x, p: float) -> float:
+    """(<w, x> + bias) / ||w||_q with q dual to p."""
+    return (float(np.dot(model.w, x)) + model.bias) / norm_ref(model.w, dual_exponent_ref(p))
+
+
+def selective_ref(model, spec, z) -> int:
+    """The model's label if every preimage of z under the spec gets the same
+    label, else 0 (abstain). A ball's preimages are a ball of the same radius."""
+    if hasattr(spec, "offsets"):
+        labels = {predict_ref(model.w, model.bias, z - o) for o in spec.offsets}
+        return labels.pop() if len(labels) == 1 else 0
+    m = margin_ref(model, z, spec.p)
+    return sign_ref(m) if abs(m) > spec.gamma else 0
+
+
+def cascade_ref(stages, fallback, z) -> int:
+    """First non-abstaining stage speaks; the fallback answers otherwise."""
+    for stage in stages:
+        label = selective_ref(stage.model, stage.abstain_spec, z)
+        if label != 0:
+            return label
+    return predict_ref(fallback.w, fallback.bias, z)
+
+
+def cascade_ball_loss_ref(stages, fallback, x, y: int, p: float, gamma: float) -> int:
+    """Stage-by-stage sound bound over the gamma ball: a stage whose margin
+    clears its abstention radius plus gamma is correct everywhere (0); one
+    below gamma minus that radius may be wrong somewhere (1); otherwise it
+    is correct-or-abstaining and the next stage decides."""
+    for stage in stages:
+        g = stage.abstain_spec.gamma
+        ym = y * margin_ref(stage.model, x, p)
+        if ym > g + gamma:
+            return 0
+        if ym < gamma - g:
+            return 1
+    return 0 if y * margin_ref(fallback, x, p) > gamma else 1
+
+
+def vote_ref(models, weights, z) -> int:
+    """sign(sum_i weights_i * h_i(z)), ties to +1."""
+    return sign_ref(sum(wi * predict_ref(m.w, m.bias, z) for wi, m in zip(weights, models)))
+
+
+def expanded_ref(model, p: float, gamma: float, y: int, z) -> int:
+    """y on the gamma-blowup of the region the model labels y robustly."""
+    return y if y * margin_ref(model, z, p) > -gamma else -y
+
+
+def select_ref(mode: str, base, members, x) -> bool:
+    """Rejectron keeps x while every member agrees with the base model;
+    the unsupervised variant keeps x while every pair agrees with itself."""
+    if mode == "rejectron":
+        hx = predict_ref(base.w, base.bias, x)
+        return all(predict_ref(c.w, c.bias, x) == hx for c in members)
+    return all(predict_ref(a.w, a.bias, x) == predict_ref(b.w, b.bias, x) for a, b in members)

@@ -152,7 +152,7 @@ def test_cascade_ball_loss_requires_matching_norm():
     stage = SelectiveClassifier(LinearModel(vec(1.0, 0.0)), LpBall(2.0, 0.5))
     c = Cascade([stage], fallback=LinearModel(vec(1.0, 0.0)))
     with pytest.raises(Unsupported):
-        c.robust_loss_lp(Sample(vec(1.0, 0.0), 1), LpBall(math.inf, 0.5))
+        c.robust_losses_lp(Dataset([vec(1.0, 0.0)], [1]), LpBall(math.inf, 0.5))
 
 
 @given(st.integers(0, 4_000), st.sampled_from([2.0, math.inf]))
@@ -171,7 +171,7 @@ def test_cascade_ball_loss_never_underreports(seed, p):
     x = rng.standard_normal(2) * 1.5
     y = 1 if rng.random() < 0.5 else -1
     s = Sample(x, y)
-    claimed = c.robust_loss_lp(s, LpBall(p, gamma))
+    claimed = int(c.robust_losses_lp(Dataset([x], [y]), LpBall(p, gamma))[0])
     assert robust_loss(c, s, LpBall(p, gamma)) == claimed  # core dispatches to the walk
     if claimed == 0:
         for z in ball_samples(x, p, gamma, 80, rng):

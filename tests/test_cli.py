@@ -4,8 +4,8 @@ import sys
 import numpy as np
 import pytest
 
-from roblearn import Dataset, LinearModel, load_csv, save_csv, save_model
-from roblearn.cli import main
+from roblearn import AllZeroWeights, Dataset, LinearModel, UnsupportedGeometry, load_csv, save_csv, save_model
+from roblearn.cli import _exit_code, main
 
 
 def run(argv):
@@ -204,3 +204,69 @@ def test_wm_cli_reports_bound(tmp_path):
     text = open(out).read()
     assert "bound_holds: true" in text
     assert "pool_opt: 0" in text
+
+# ---------------------------------------------------------------------------
+# one test per documented exit code: 2 config, 3 data, 4 infeasible,
+# 5 optimizer; every failure is one "error:" line, never a traceback. The
+# cases the single tests above pin are not repeated here.
+# ---------------------------------------------------------------------------
+
+
+def _fail_with(tmp_path, capsys, argv, code):
+    band = write_band(tmp_path)
+    model = write_model(tmp_path)
+    clash = str(tmp_path / "clash.csv")
+    save_csv(clash, Dataset(np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([1, -1])))
+    fill = {"BAND": band, "MODEL": model, "CLASH": clash, "MISSING": str(tmp_path / "absent.txt")}
+    assert run([fill.get(a, a) for a in argv]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+BOOST = ["--gamma", "0.3", "--eps", "0.2", "--beta", "0.5", "--rounds", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["fms", "--input", "BAND", "--offset", "0,0", "--rounds", "0"],
+    ["rcn-train", "--method", "glm", "--input", "BAND", "--gamma", "0", "--rcn-eta", "0.1"],
+    ["rcn-train", "--input", "BAND", "--gamma", "0.3", "--rcn-eta", "0.1", "--steps", "0"],
+    ["rcn-train", "--method", "glm", "--input", "BAND", "--gamma", "0.3", "--rcn-eta", "0.1",
+     "--steps", "0"],
+    ["roboost", "--input", "BAND", *BOOST, "--per-round-m", "0", "--learner", "erm"],
+    ["uroboost", "--input", "BAND", "--unlabeled-input", "BAND", *BOOST, "--per-round-m", "0"],
+    ["wm", "--input", "BAND", "--eta-wm", "0.5", "--pool", "MODEL"],
+])
+def test_config_errors_exit_2(tmp_path, capsys, argv):
+    _fail_with(tmp_path, capsys, argv, 2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--model", "MISSING", "--input", "BAND", "--gamma", "0.5"],
+    ["certify", "--model", "BAND", "--input", "BAND", "--gamma", "0.5"],
+])
+def test_data_errors_exit_3(tmp_path, capsys, argv):
+    _fail_with(tmp_path, capsys, argv, 3)
+
+
+def test_error_classes_map_to_their_exit_codes():
+    assert _exit_code(AllZeroWeights("no positive weight")) == 3
+    assert _exit_code(UnsupportedGeometry("no oracle")) == 2
+    assert _exit_code(ValueError("bad value")) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["transductive-pool", "--input", "BAND", "--test-input", "BAND", "--pool", "MODEL",
+     "--gamma", "5.0"],
+    ["cycle-robust", "--input", "CLASH", "--gamma", "0.1", "--mistake-cap", "3"],
+    ["one-pass", "--input", "CLASH", "--gamma", "0.1", "--eps", "0.01", "--mistake-cap", "5"],
+    ["roboost", "--input", "CLASH", *BOOST, "--per-round-m", "5"],
+])
+def test_infeasible_runs_exit_4(tmp_path, capsys, argv):
+    _fail_with(tmp_path, capsys, argv, 4)
+
+
+@pytest.mark.parametrize("argv", [
+    ["robustify", "--input", "CLASH", "--offset", "0,0", "--rounds", "2", "--inner-rounds", "2"],
+])
+def test_optimizer_failures_exit_5(tmp_path, capsys, argv):
+    _fail_with(tmp_path, capsys, argv, 5)
