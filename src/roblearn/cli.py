@@ -21,6 +21,7 @@ from .core import (
 )
 from .oracles import (
     bound_separation,
+    check_disjoint_balls,
     default_ellipsoid_config,
     ellipsoid_certify,
     rerm_ellipsoid,
@@ -251,11 +252,8 @@ def _cmd_certify(args) -> dict:
         risk = robust_risk(model, data, ball)
     else:
         cfg = default_ellipsoid_config(args.gamma)
-        sep = lambda i: bound_separation(ball, data.X[i])
-        bad = sum(
-            ellipsoid_certify(model, data.sample(i), sep(i), cfg) is not None
-            for i in range(data.n)
-        )
+        bad = sum(ellipsoid_certify(model, data.sample(i), bound_separation(ball, data.X[i]), cfg)
+                  is not None for i in range(data.n))
         risk = bad / data.n
     return {
         "config": _echo(args, ["model", "input", "gamma", "p", "method"]),
@@ -290,6 +288,7 @@ def _cmd_rerm(args) -> dict:
     data = _dataset(args)
     ball = _ball(args)
     cfg = default_ellipsoid_config(args.gamma)
+    check_disjoint_balls(data, ball)
     model = rerm_ellipsoid(data, lambda i: bound_separation(ball, data.X[i]), cfg)
     if args.save_model:
         save_model(args.save_model, model)

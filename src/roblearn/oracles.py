@@ -51,8 +51,8 @@ class Hyperplane:
         if not np.any(self.normal):
             raise ValueError("hyperplane normal must be non-zero")
 
-
-SeparationAnswer = _Inside | Hyperplane
+    def __iter__(self):  # unpacks like a raw (normal, offset) cut
+        return iter((self.normal, self.offset))
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,8 @@ class Polytope:
         b = np.asarray(self.b, dtype=float)
         if A.ndim != 2 or b.shape != (A.shape[0],):
             raise ValueError("need A of shape (m, d) and b of shape (m,)")
+        if not (np.isfinite(A).all() and np.isfinite(b).all() and A.any(axis=1).all()):
+            raise ValueError("A and b must be finite and every row of A non-zero")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
 
@@ -121,10 +123,8 @@ def attack(model: LinearModel, sample: Sample, U: PerturbationSpec, index: int |
     return Z[int(bad[0])].copy()
 
 
-def separation_oracle(U_descriptor, x, z) -> SeparationAnswer:
-    """Membership-or-separating-hyperplane for z against U(x)."""
-    x = as_vector(x)
-    z = as_vector(z)
+def _separate(U_descriptor, x: np.ndarray, z: np.ndarray):
+    """INSIDE or a raw cut (normal, offset), for already validated x and z."""
     if isinstance(U_descriptor, LpBall):
         p, gamma = U_descriptor.p, U_descriptor.gamma
         delta = z - x
@@ -133,22 +133,21 @@ def separation_oracle(U_descriptor, x, z) -> SeparationAnswer:
             if dist <= gamma:
                 return INSIDE
             normal = delta / dist
-            return Hyperplane(normal, float(normal @ x) + gamma)
-        if math.isinf(p):
+        elif math.isinf(p):
             dist = float(np.max(np.abs(delta)))
             if dist <= gamma:
                 return INSIDE
             j = int(np.argmax(np.abs(delta)))
             normal = np.zeros_like(x)
             normal[j] = 1.0 if delta[j] > 0 else -1.0
-            return Hyperplane(normal, float(normal @ x) + gamma)
-        if p == 1.0:
+        elif p == 1.0:
             dist = float(np.sum(np.abs(delta)))
             if dist <= gamma:
                 return INSIDE
             normal = np.sign(delta)
-            return Hyperplane(normal, float(normal @ x) + gamma)
-        raise UnsupportedGeometry(f"no separation oracle for p={p}")
+        else:
+            raise UnsupportedGeometry(f"no separation oracle for p={p}")
+        return normal, float(normal @ x) + gamma
     if isinstance(U_descriptor, Polytope):
         vals = U_descriptor.A @ (z - x)
         viol = np.nonzero(vals > U_descriptor.b)[0]
@@ -156,21 +155,43 @@ def separation_oracle(U_descriptor, x, z) -> SeparationAnswer:
             return INSIDE
         i = int(viol[0])
         row = U_descriptor.A[i]
-        return Hyperplane(row, float(row @ x) + float(U_descriptor.b[i]))
+        return row, float(row @ x) + float(U_descriptor.b[i])
     raise UnsupportedGeometry(f"no separation oracle for {type(U_descriptor).__name__}")
 
 
+def separation_oracle(U_descriptor, x, z) -> _Inside | Hyperplane:
+    """Membership-or-separating-hyperplane for z against U(x)."""
+    ans = _separate(U_descriptor, as_vector(x), as_vector(z))
+    return ans if ans is INSIDE else Hyperplane(*ans)
+
+
 def bound_separation(U_descriptor, x):
-    """Close the oracle over a fixed center, giving a query-only callable."""
-    return lambda z: separation_oracle(U_descriptor, x, z)
+    """Close the oracle over a center validated here, once. The query-only
+    callable answers INSIDE or a raw cut; the ellipsoid checks its queries."""
+    x = as_vector(x)
+    return lambda z: _separate(U_descriptor, x, z)
+
+
+def check_disjoint_balls(data: Dataset, ball: LpBall) -> None:
+    """Raise NotSeparable when the balls of two rows with opposite labels meet
+    (distance <= 2 gamma): no halfspace has a positive margin on both."""
+    if ball.p not in (1.0, 2.0, math.inf):
+        raise UnsupportedGeometry(f"no separation oracle for p={ball.p}")
+    neg = np.nonzero(data.y == -1)[0]
+    X_neg = data.X[neg]
+    for i in np.nonzero(data.y == 1)[0]:
+        near = np.linalg.norm(X_neg - data.X[i], ord=ball.p, axis=1) <= 2.0 * ball.gamma
+        if near.any():
+            raise NotSeparable(f"rows {i} and {neg[near.argmax()]} have opposite labels "
+                               "and intersecting perturbation balls")
 
 
 def ellipsoid_feasible(sep, d: int, cfg: EllipsoidConfig, center=None):
     """Find a point the separation oracle accepts, or None when the region is
     empty up to volume_eps (budget exhausted or every semi-axis shrunk away).
 
-    The caller guarantees the region, if non-empty with volume_eps slack, lies
-    inside the init_radius ball around center.
+    sep answers INSIDE or a (normal, offset) cut. The caller guarantees the
+    region, if non-empty with volume_eps slack, is in the init_radius ball at center.
     """
     c = np.zeros(d) if center is None else as_vector(center).copy()
     max_iters = cfg.resolved_max_iters(d)
@@ -180,8 +201,9 @@ def ellipsoid_feasible(sep, d: int, cfg: EllipsoidConfig, center=None):
             ans = sep(c)
             if ans is INSIDE:
                 return c
-            g = float(ans.normal[0])
-            if g * c[0] - ans.offset < -1e-12 * (1.0 + abs(ans.offset)):
+            normal, off = ans
+            g = float(normal[0])
+            if g * c[0] - off < -1e-12 * (1.0 + abs(off)):
                 raise OracleViolation("separating hyperplane does not cut the center")
             c = c - np.array([math.copysign(r / 2.0, g)])
             r /= 2.0
@@ -191,21 +213,25 @@ def ellipsoid_feasible(sep, d: int, cfg: EllipsoidConfig, center=None):
     Q = np.eye(d) * cfg.init_radius**2
     nsq = d * d / (d * d - 1.0)
     for _ in range(max_iters):
+        if not np.isfinite(c).all():
+            raise ValueError("vector entries must be finite")
         ans = sep(c)
         if ans is INSIDE:
             return c
-        g = ans.normal
-        if float(g @ c) - ans.offset < -1e-12 * (1.0 + abs(ans.offset)):
+        g, off = ans
+        if float(g @ c) - off < -1e-12 * (1.0 + abs(off)):
             raise OracleViolation("separating hyperplane does not cut the center")
         Qg = Q @ g
         denom = float(g @ Qg)
         if denom <= 0.0:
             return None
-        bvec = Qg / math.sqrt(denom)
-        c = c - bvec / (d + 1.0)
-        Q = nsq * (Q - (2.0 / (d + 1.0)) * np.outer(bvec, bvec))
+        b = Qg / math.sqrt(denom)
+        c = c - b / (d + 1.0)
+        Q -= 2.0 / (d + 1.0) * (b[:, None] * b)
+        Q *= nsq
+        # Q stays exactly symmetric, but entries beyond max_float / 2 overflow here
         Q = 0.5 * (Q + Q.T)
-        if math.sqrt(max(float(np.trace(Q)), 0.0)) < cfg.volume_eps:
+        if math.sqrt(max(float(Q.trace()), 0.0)) < cfg.volume_eps:
             return None
     return None
 
@@ -221,11 +247,11 @@ def ellipsoid_certify(model: LinearModel, sample: Sample, sepU, cfg: EllipsoidCo
     """
     y = float(sample.y)
     w = model.w
-    off = slack - y * model.bias
+    miss = (y * w, slack - y * model.bias)
 
     def composed(z):
         if y * (float(w @ z) + model.bias) > slack:
-            return Hyperplane(y * w, off)
+            return miss
         return sepU(z)
 
     return ellipsoid_feasible(composed, sample.x.shape[0], cfg, center=sample.x)
@@ -241,28 +267,26 @@ def rerm_ellipsoid(data: Dataset, sep_for_example, cfg: EllipsoidConfig) -> Line
     """
     d = data.d
     tau = cfg.feas_slack
-    oracles = [sep_for_example(i) for i in range(data.n)]
+    rows = [(data.sample(i), sep_for_example(i)) for i in range(data.n)]
 
     def weight_oracle(wvec):
         nrm = float(np.linalg.norm(wvec))
         if nrm > cfg.init_radius:
-            return Hyperplane(wvec / nrm, cfg.init_radius)
-        for i in range(data.n):
-            y = int(data.y[i])
-            if not np.any(wvec):
-                # w = 0 violates every margin constraint; any point of U(x_i) cuts
-                z = ellipsoid_feasible(oracles[i], d, cfg, center=data.X[i])
+            return wvec / nrm, float(cfg.init_radius)
+        # w = 0 violates every margin constraint; any point of U(x_i) cuts
+        model = LinearModel(wvec) if np.any(wvec) else None
+        for s, sep in rows:
+            if model is None:
+                z = ellipsoid_feasible(sep, d, cfg, center=s.x)
             else:
-                z = ellipsoid_certify(
-                    LinearModel(wvec), data.sample(i), oracles[i], cfg, slack=tau
-                )
+                z = ellipsoid_certify(model, s, sep, cfg, slack=tau)
             if z is None:
                 continue
-            normal = -y * np.asarray(z, dtype=float)
+            normal = -s.y * np.asarray(z, dtype=float)
             if not np.any(normal):
                 # constraint y <w, 0> >= tau > 0 can never hold
                 raise NotSeparable("a perturbation at the origin blocks every halfspace")
-            return Hyperplane(normal, -tau)
+            return normal, -tau
         return INSIDE
 
     w = ellipsoid_feasible(weight_oracle, d, cfg)

@@ -27,7 +27,7 @@ from .core import (
     robust_risk,
 )
 from .data import fmt_float
-from .errors import EmptyPool, IoError, NoRealizableMember, ParseError, Unsupported
+from .errors import EmptyPool, IoError, NoRealizableMember, ParseError, RoblearnError, Unsupported
 from .learners import ErmConfig, WeightedDataset, erm_linear
 
 
@@ -162,7 +162,8 @@ def rejectron(train: Dataset, test_points, cfg: RedactConfig, erm=None, diagnost
         if s <= cfg.eps:
             break
         removed = int(disagree_sel.sum())
-        assert removed > cfg.eps * n_test, "a kept round must redact more than an eps fraction"
+        if removed <= cfg.eps * n_test:
+            raise RoblearnError("a kept round must redact more than an eps fraction")
         members.append(c)
         selected = selected & ~disagree_sel
     if diagnostics is not None:

@@ -1,7 +1,8 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is written from the definitions, on purpose: no calls into
-roblearn's closed forms, so a bug there cannot hide a bug here.
+roblearn's closed forms, so a bug there cannot hide a bug here. Only its
+vector check, its oracle answer types and its errors are shared.
 """
 
 from __future__ import annotations
@@ -9,6 +10,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from roblearn.core import as_vector
+from roblearn.errors import NotSeparable, OracleViolation
+from roblearn.oracles import INSIDE, Hyperplane
 
 
 def dual_exponent_ref(p: float) -> float:
@@ -307,3 +312,121 @@ def select_ref(mode: str, base, members, x) -> bool:
         hx = predict_ref(base.w, base.bias, x)
         return all(predict_ref(c.w, c.bias, x) == hx for c in members)
     return all(predict_ref(a.w, a.bias, x) == predict_ref(b.w, b.bias, x) for a, b in members)
+
+
+# ---------------------------------------------------------------------------
+# the ellipsoid method as it was written before the loop validated only at
+# its boundary: every answer is a validated Hyperplane, every query is
+# re-validated, and Q is rebuilt out of place and re-symmetrized each step
+# ---------------------------------------------------------------------------
+
+
+def separation_ref(U, x, z):
+    """INSIDE, or a Hyperplane separating z from U(x) (an lp ball or a polytope)."""
+    x = as_vector(x)
+    z = as_vector(z)
+    delta = z - x
+    if hasattr(U, "A"):
+        viol = np.nonzero(U.A @ delta > U.b)[0]
+        if viol.size == 0:
+            return INSIDE
+        row = U.A[int(viol[0])]
+        return Hyperplane(row, float(row @ x) + float(U.b[int(viol[0])]))
+    p, gamma = U.p, U.gamma
+    if p == 2.0:
+        dist = float(np.linalg.norm(delta))
+        if dist <= gamma:
+            return INSIDE
+        normal = delta / dist
+    elif math.isinf(p):
+        if float(np.max(np.abs(delta))) <= gamma:
+            return INSIDE
+        j = int(np.argmax(np.abs(delta)))
+        normal = np.zeros_like(x)
+        normal[j] = 1.0 if delta[j] > 0 else -1.0
+    else:
+        if float(np.sum(np.abs(delta))) <= gamma:
+            return INSIDE
+        normal = np.sign(delta)
+    return Hyperplane(normal, float(normal @ x) + gamma)
+
+
+def ellipsoid_feasible_ref(sep, d: int, cfg, center=None):
+    """Central-cut ellipsoid search; sep answers INSIDE or a Hyperplane."""
+    c = np.zeros(d) if center is None else as_vector(center).copy()
+    max_iters = cfg.resolved_max_iters(d)
+    if d == 1:
+        r = cfg.init_radius
+        for _ in range(max_iters):
+            ans = sep(c)
+            if ans is INSIDE:
+                return c
+            g = float(ans.normal[0])
+            if g * c[0] - ans.offset < -1e-12 * (1.0 + abs(ans.offset)):
+                raise OracleViolation("separating hyperplane does not cut the center")
+            c = c - np.array([math.copysign(r / 2.0, g)])
+            r /= 2.0
+            if r < cfg.volume_eps:
+                return None
+        return None
+    Q = np.eye(d) * cfg.init_radius**2
+    nsq = d * d / (d * d - 1.0)
+    for _ in range(max_iters):
+        ans = sep(c)
+        if ans is INSIDE:
+            return c
+        g = ans.normal
+        if float(g @ c) - ans.offset < -1e-12 * (1.0 + abs(ans.offset)):
+            raise OracleViolation("separating hyperplane does not cut the center")
+        Qg = Q @ g
+        denom = float(g @ Qg)
+        if denom <= 0.0:
+            return None
+        bvec = Qg / math.sqrt(denom)
+        c = c - bvec / (d + 1.0)
+        Q = nsq * (Q - (2.0 / (d + 1.0)) * np.outer(bvec, bvec))
+        Q = 0.5 * (Q + Q.T)
+        if math.sqrt(max(float(np.trace(Q)), 0.0)) < cfg.volume_eps:
+            return None
+    return None
+
+
+def ellipsoid_certify_ref(w, bias: float, x, y: int, sepU, cfg, slack: float = 0.0):
+    """A point of U(x) with decision value at most slack against y, or None."""
+    y = float(y)
+    off = slack - y * bias
+
+    def composed(z):
+        if y * (float(w @ z) + bias) > slack:
+            return Hyperplane(y * w, off)
+        return sepU(z)
+
+    return ellipsoid_feasible_ref(composed, x.shape[0], cfg, center=x)
+
+
+def rerm_ellipsoid_ref(X, y, U, cfg):
+    """Weights of a homogeneous halfspace certified at margin feas_slack on
+    every row, found by ellipsoid search in weight space, or None."""
+    n, d = X.shape
+    tau = cfg.feas_slack
+    oracles = [lambda z, x=x: separation_ref(U, x, z) for x in X]
+
+    def weight_oracle(wvec):
+        nrm = float(np.linalg.norm(wvec))
+        if nrm > cfg.init_radius:
+            return Hyperplane(wvec / nrm, cfg.init_radius)
+        for i in range(n):
+            if not np.any(wvec):
+                z = ellipsoid_feasible_ref(oracles[i], d, cfg, center=X[i])
+            else:
+                z = ellipsoid_certify_ref(wvec, 0.0, X[i].copy(), int(y[i]), oracles[i], cfg,
+                                          slack=tau)
+            if z is None:
+                continue
+            normal = -int(y[i]) * np.asarray(z, dtype=float)
+            if not np.any(normal):
+                raise NotSeparable("a perturbation at the origin blocks every halfspace")
+            return Hyperplane(normal, -tau)
+        return INSIDE
+
+    return ellipsoid_feasible_ref(weight_oracle, d, cfg)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from roblearn import (
     Dataset,
@@ -26,9 +26,17 @@ from roblearn import (
     rerm_ellipsoid,
     separation_oracle,
 )
-from roblearn.oracles import INSIDE
+from roblearn.errors import RoblearnError, UnsupportedGeometry
+from roblearn.oracles import INSIDE, check_disjoint_balls
 
-from ._refs import ball_samples, brute_margin_certified
+from ._refs import (
+    ball_samples,
+    brute_margin_certified,
+    ellipsoid_certify_ref,
+    ellipsoid_feasible_ref,
+    rerm_ellipsoid_ref,
+    separation_ref,
+)
 
 
 def vec(*vals):
@@ -118,9 +126,41 @@ def test_hyperplane_rejects_zero_normal():
         Hyperplane(vec(0.0, 0.0), 1.0)
 
 
+def test_hyperplane_unpacks_to_normal_and_offset():
+    normal, offset = Hyperplane([1, 2], 3)
+    assert np.array_equal(normal, vec(1.0, 2.0)) and offset == 3.0 and type(offset) is float
+
+
 def test_polytope_validates_shapes():
     with pytest.raises(ValueError):
         Polytope(np.zeros((2, 2)), np.zeros(3))
+
+
+@pytest.mark.parametrize("A, b", [
+    ([[1.0, 0.0], [0.0, 0.0]], [1.0, -1.0]),  # a zero row cannot cut
+    ([[1.0, np.nan]], [1.0]),
+    ([[1.0, 0.0]], [np.inf]),
+])
+def test_polytope_rejects_rows_that_cannot_cut(A, b):
+    with pytest.raises(ValueError):
+        Polytope(np.array(A), np.array(b))
+
+
+@pytest.mark.parametrize("U", [LpBall(1.0, 0.5), LpBall(2.0, 0.5), LpBall(math.inf, 0.5),
+                               Polytope(np.eye(2), np.full(2, 0.5))])
+def test_public_separation_oracle_validates_and_answers_hyperplanes(U):
+    x, z = vec(0.0, 0.0), vec(2.0, 1.0)
+    ans = separation_oracle(U, x, z)
+    assert isinstance(ans, Hyperplane)
+    normal, offset = bound_separation(U, x)(z)
+    assert np.array_equal(ans.normal, normal) and ans.offset == offset
+    for bad in (vec(np.nan, 0.0), vec(0.0, np.inf)):
+        with pytest.raises(ValueError):
+            separation_oracle(U, bad, z)
+        with pytest.raises(ValueError):
+            separation_oracle(U, x, bad)
+    with pytest.raises(ValueError):
+        bound_separation(U, vec(np.inf, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +201,37 @@ def test_bogus_oracle_cut_is_detected():
 
     with pytest.raises(OracleViolation):
         ellipsoid_feasible(lying, 2, cfg)
+
+
+def test_user_oracle_answering_hyperplanes_drives_the_search():
+    cfg = EllipsoidConfig()
+    for d, U in ((1, Polytope(np.array([[1.0], [-1.0]]), np.array([0.4, -0.3]))),
+                 (2, LpBall(2.0, 0.2)), (3, LpBall(1.0, 0.3))):
+        x = np.linspace(1.0, 2.0, d)
+        calls = []
+
+        def user(z):
+            calls.append(z.copy())
+            return separation_oracle(U, x, z)
+
+        got = ellipsoid_feasible(user, d, cfg)
+        assert np.array_equal(got, ellipsoid_feasible(bound_separation(U, x), d, cfg))
+        assert len(calls) > 1 and separation_oracle(U, x, got) is INSIDE
+
+
+def test_non_finite_center_raises_before_the_next_query():
+    calls = []
+
+    def poisoned(z):
+        # an unvalidated raw cut whose NaN normal sends the center to NaN
+        calls.append(z.copy())
+        return vec(np.nan, 1.0), 0.0
+
+    with pytest.raises(ValueError, match="finite"):
+        ellipsoid_feasible(poisoned, 2, EllipsoidConfig())
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="finite"):
+        ellipsoid_feasible(poisoned, 2, EllipsoidConfig(), center=vec(np.inf, 0.0))
 
 
 def test_config_validation_and_defaults():
@@ -220,3 +291,134 @@ def test_rerm_raises_when_labels_collide():
     cfg = EllipsoidConfig(max_iters=2000)
     with pytest.raises(NotSeparable):
         rerm_ellipsoid(data, lambda i: bound_separation(ball, data.X[i]), cfg)
+
+
+# ---------------------------------------------------------------------------
+# the loop against the reference that validates every query and answer,
+# builds Q out of place and re-symmetrizes it
+# ---------------------------------------------------------------------------
+
+
+def _region(kind, rng, d):
+    """A ball or polytope; about a fifth are a single point or empty, so the
+    search runs until the ellipsoid shrinks below volume_eps."""
+    degenerate = rng.random() < 0.2
+    if kind == "poly":
+        m = int(rng.integers(1, 5))
+        A = rng.standard_normal((m, d))
+        A[np.all(A == 0.0, axis=1), 0] = 1.0
+        b = rng.uniform(-0.4, 1.0, m)
+        if degenerate:  # a_0 (z - x) <= b_0 and -a_0 (z - x) <= -b_0 - 0.1 clash
+            A, b = np.vstack([A, -A[0]]), np.append(b, -b[0] - 0.1)
+        return Polytope(A, b)
+    gamma = 0.0 if degenerate else float(rng.uniform(0.0, 1.5))
+    return LpBall({"l1": 1.0, "l2": 2.0, "linf": math.inf}[kind], gamma)
+
+
+REGIONS = st.sampled_from(["l1", "l2", "linf", "poly"])
+
+
+def _outcome(search, sep):
+    """A search's result or error class, and how many queries sep answered.
+    Some searches overflow Q (an l-inf region outside the initial ellipsoid);
+    they must raise at the same query as the reference."""
+    answered = []
+
+    def counted(z):
+        ans = sep(z)
+        answered.append(1)
+        return ans
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return search(counted), None, len(answered)
+        except (ValueError, RoblearnError) as exc:
+            return None, type(exc), len(answered)
+
+
+def _assert_same_outcome(got, want):
+    assert got[1:] == want[1:]
+    assert (got[0] is None) == (want[0] is None)
+    assert got[0] is None or np.array_equal(got[0], want[0])
+
+
+@given(st.integers(0, 10_000), REGIONS, st.integers(1, 3),
+       st.one_of(st.none(), st.integers(1, 400)), st.sampled_from([1e-3, 1e-6]))
+@example(2, "linf", 3, None, 1e-6)  # Q overflows; the center is lost after 6007 queries
+def test_feasible_matches_reference(seed, kind, d, max_iters, volume_eps):
+    rng = np.random.default_rng(seed)
+    cfg = EllipsoidConfig(max_iters=max_iters, init_radius=float(rng.uniform(1.0, 10.0)),
+                          volume_eps=volume_eps)
+    U = _region(kind, rng, d)
+    x = rng.standard_normal(d) * 2.0
+    center = None if rng.random() < 0.3 else rng.standard_normal(d)
+    got = _outcome(lambda sep: ellipsoid_feasible(sep, d, cfg, center=center),
+                   bound_separation(U, x))
+    want = _outcome(lambda sep: ellipsoid_feasible_ref(sep, d, cfg, center=center),
+                    lambda z: separation_ref(U, x, z))
+    _assert_same_outcome(got, want)
+
+
+@given(st.integers(0, 10_000), REGIONS, st.integers(1, 3), st.sampled_from([0.0, 0.05]))
+def test_certify_matches_reference(seed, kind, d, slack):
+    rng = np.random.default_rng(seed)
+    cfg = EllipsoidConfig(volume_eps=float(rng.choice([1e-3, 1e-6])))
+    U = _region(kind, rng, d)
+    model = LinearModel(rng.standard_normal(d) + 0.1, bias=float(rng.standard_normal()) * 0.5)
+    x = rng.standard_normal(d)
+    y = 1 if rng.random() < 0.5 else -1
+    got = _outcome(lambda sep: ellipsoid_certify(model, Sample(x, y), sep, cfg, slack=slack),
+                   bound_separation(U, x))
+    want = _outcome(lambda sep: ellipsoid_certify_ref(model.w, model.bias, x, y, sep, cfg,
+                                                      slack=slack),
+                    lambda z: separation_ref(U, x, z))
+    _assert_same_outcome(got, want)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([1.0, 2.0, math.inf]), st.integers(2, 3))
+def test_rerm_matches_reference(seed, p, d):
+    rng = np.random.default_rng(seed)
+    gamma = float(rng.uniform(0.05, 0.3))
+    w_star = rng.standard_normal(d)
+    w_star /= np.linalg.norm(w_star)
+    X = rng.uniform(-2.0, 2.0, (6, d))
+    X += np.outer(np.sign(X @ w_star) * (gamma * math.sqrt(d) + 0.5), w_star)
+    y = np.where(X @ w_star >= 0.0, 1, -1)
+    data, ball = Dataset(X, y), LpBall(p, gamma)
+    cfg = default_ellipsoid_config(gamma)
+    got = rerm_ellipsoid(data, lambda i: bound_separation(ball, data.X[i]), cfg)
+    want = rerm_ellipsoid_ref(X, y, ball, cfg)
+    assert want is not None and np.array_equal(got.w, want)
+
+
+# ---------------------------------------------------------------------------
+# early infeasibility: opposite-label rows whose balls meet
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_disjoint_balls_check_fires_at_exactly_two_gamma(p):
+    gamma = 0.01
+    data = Dataset(np.array([[0.5, 0.3], [0.01, 0.0], [-0.01, 0.0]]), np.array([1, 1, -1]))
+    with pytest.raises(NotSeparable, match="rows 1 and 2"):
+        check_disjoint_balls(data, LpBall(p, gamma))
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_disjoint_balls_check_passes_just_beyond_two_gamma(p):
+    gamma = 0.01
+    half = (2.0 * gamma + 1e-3) / 2.0
+    data = Dataset(np.array([[half, 0.0], [-half, 0.0]]), np.array([1, -1]))
+    ball = LpBall(p, gamma)
+    check_disjoint_balls(data, ball)
+    model = rerm_ellipsoid(data, lambda i: bound_separation(ball, data.X[i]),
+                           default_ellipsoid_config(gamma))
+    for i in range(data.n):
+        assert brute_margin_certified(model.w, model.bias, data.X[i], int(data.y[i]), p, gamma)
+
+
+def test_disjoint_balls_check_keeps_unsupported_norms_unsupported():
+    data = Dataset(np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([1, -1]))
+    with pytest.raises(UnsupportedGeometry):
+        check_disjoint_balls(data, LpBall(3.0, 0.1))
