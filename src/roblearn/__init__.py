@@ -149,6 +149,7 @@ from . import errors
 from .errors import (
     AllZeroWeights,
     ConfigError,
+    EllipsoidDiverged,
     EmptyDataset,
     EmptyPool,
     InvalidNorm,

@@ -62,17 +62,23 @@ def hinge_train(X, y, sw, steps, lr0, reg, fit_bias):
 def _q_ball_step(w, sg, q, p):
     """Map w to the dual space, subtract the scaled gradient sg, map back and
     rescale onto the unit q-ball; p is the dual exponent of q."""
-    nw = float(np.sum(np.abs(w) ** q)) ** (1.0 / q) if np.any(w) else 0.0
-    if nw > 0.0:
-        theta = np.sign(w) * np.abs(w) ** (q - 1.0) * nw ** (2.0 - q)
+    if q == 2.0:
+        # both maps are identities, bit for bit: the dot tests are the zero-norm
+        # tests below (squares underflow alike); + 0.0 maps -0.0 to +0.0 as sign does
+        theta = (w if np.dot(w, w) > 0.0 else np.zeros(w.shape[0])) - sg
+        w = theta + 0.0 if np.dot(theta, theta) > 0.0 else np.zeros(theta.shape[0])
     else:
-        theta = np.zeros(w.shape[0])
-    theta = theta - sg
-    nt = float(np.sum(np.abs(theta) ** p)) ** (1.0 / p) if np.any(theta) else 0.0
-    if nt > 0.0:
-        w = np.sign(theta) * np.abs(theta) ** (p - 1.0) * nt ** (2.0 - p)
-    else:
-        w = np.zeros(theta.shape[0])
+        nw = float(np.sum(np.abs(w) ** q)) ** (1.0 / q) if np.any(w) else 0.0
+        if nw > 0.0:
+            theta = np.sign(w) * np.abs(w) ** (q - 1.0) * nw ** (2.0 - q)
+        else:
+            theta = np.zeros(w.shape[0])
+        theta = theta - sg
+        nt = float(np.sum(np.abs(theta) ** p)) ** (1.0 / p) if np.any(theta) else 0.0
+        if nt > 0.0:
+            w = np.sign(theta) * np.abs(theta) ** (p - 1.0) * nt ** (2.0 - p)
+        else:
+            w = np.zeros(theta.shape[0])
     nw = float(np.sum(np.abs(w) ** q)) ** (1.0 / q)
     if nw > 1.0:
         w = w / nw

@@ -88,6 +88,7 @@ from .data import (
 from .errors import (
     AllZeroWeights,
     ConfigError,
+    EllipsoidDiverged,
     EmptyDataset,
     IoError,
     MissingPerturbations,
@@ -117,7 +118,8 @@ _EXIT_CODES = {
     **dict.fromkeys((ParseError, EmptyDataset, IoError, MissingPerturbations, AllZeroWeights), EXIT_DATA),
     **dict.fromkeys((NotSeparable, NoRealizableMember, MistakeCapExceeded, StreamExhausted,
                      SourceExhausted, SizeLimit), EXIT_INFEASIBLE),
-    **dict.fromkeys((WeakLearnerFailed, RetryLimit, OracleViolation, ZeroWeight), EXIT_OPTIMIZER),
+    **dict.fromkeys((WeakLearnerFailed, RetryLimit, OracleViolation, ZeroWeight,
+                     EllipsoidDiverged), EXIT_OPTIMIZER),
 }
 
 
@@ -289,7 +291,7 @@ def _cmd_rerm(args) -> dict:
     ball = _ball(args)
     cfg = default_ellipsoid_config(args.gamma)
     check_disjoint_balls(data, ball)
-    model = rerm_ellipsoid(data, lambda i: bound_separation(ball, data.X[i]), cfg)
+    model = rerm_ellipsoid(data, lambda i: bound_separation(ball, data.X[i]), cfg, ball=ball)
     if args.save_model:
         save_model(args.save_model, model)
     return {

@@ -45,6 +45,10 @@ class OracleViolation(RoblearnError):
     """A separation oracle returned a hyperplane that fails to cut the query point."""
 
 
+class EllipsoidDiverged(RoblearnError):
+    """The ellipsoid search grew without bound instead of closing in on the region."""
+
+
 class NotSeparable(RoblearnError):
     """The ellipsoid search exhausted its budget without finding a feasible classifier."""
 

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from roblearn.core import as_vector
-from roblearn.errors import NotSeparable, OracleViolation
+from roblearn.errors import EllipsoidDiverged, NotSeparable, OracleViolation
 from roblearn.oracles import INSIDE, Hyperplane
 
 
@@ -222,6 +222,26 @@ def _md_ref(X, idx, q, step_at, coef):
     return acc / steps
 
 
+def q_ball_step_ref(w, sg, q, p):
+    """One q > 1 mirror step in the general signed-power form at every q:
+    map w to the dual space, subtract sg, map back, rescale onto the ball."""
+    nw = float(np.sum(np.abs(w) ** q)) ** (1.0 / q) if np.any(w) else 0.0
+    if nw > 0.0:
+        theta = np.sign(w) * np.abs(w) ** (q - 1.0) * nw ** (2.0 - q)
+    else:
+        theta = np.zeros(w.shape[0])
+    theta = theta - sg
+    nt = float(np.sum(np.abs(theta) ** p)) ** (1.0 / p) if np.any(theta) else 0.0
+    if nt > 0.0:
+        w = np.sign(theta) * np.abs(theta) ** (p - 1.0) * nt ** (2.0 - p)
+    else:
+        w = np.zeros(theta.shape[0])
+    nw = float(np.sum(np.abs(w) ** q)) ** (1.0 / q)
+    if nw > 1.0:
+        w = w / nw
+    return w
+
+
 def md_rcn_ref(X, y, gamma, lam, q, idx):
     """Mirror descent on phi(y <w, x>) with slope -lam/gamma above the margin
     and -(1-lam)/gamma at or below it; step 1/(L sqrt(t)), L the larger slope."""
@@ -386,8 +406,11 @@ def ellipsoid_feasible_ref(sep, d: int, cfg, center=None):
         c = c - bvec / (d + 1.0)
         Q = nsq * (Q - (2.0 / (d + 1.0)) * np.outer(bvec, bvec))
         Q = 0.5 * (Q + Q.T)
-        if math.sqrt(max(float(np.trace(Q)), 0.0)) < cfg.volume_eps:
+        size = math.sqrt(max(float(np.trace(Q)), 0.0))
+        if size < cfg.volume_eps:
             return None
+        if size > 1e100 * cfg.init_radius:
+            raise EllipsoidDiverged("the ellipsoid keeps growing")
     return None
 
 

@@ -4,7 +4,8 @@ import sys
 import numpy as np
 import pytest
 
-from roblearn import AllZeroWeights, Dataset, LinearModel, UnsupportedGeometry, load_csv, save_csv, save_model
+from roblearn import (AllZeroWeights, Dataset, EllipsoidDiverged, LinearModel, UnsupportedGeometry,
+                      load_csv, save_csv, save_model)
 from roblearn.cli import _exit_code, main
 
 
@@ -250,6 +251,7 @@ def test_data_errors_exit_3(tmp_path, capsys, argv):
 
 def test_error_classes_map_to_their_exit_codes():
     assert _exit_code(AllZeroWeights("no positive weight")) == 3
+    assert _exit_code(EllipsoidDiverged("grew without bound")) == 5
     assert _exit_code(UnsupportedGeometry("no oracle")) == 2
     assert _exit_code(ValueError("bad value")) == 2
 

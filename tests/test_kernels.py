@@ -6,11 +6,12 @@ for bit.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from roblearn import Dataset, ErmConfig, WeightedDataset, erm_linear, mirror_step
 from roblearn._kernels import _q_ball_step, hinge_train, md_glm, md_rcn
 
-from ._refs import hinge_train_ref, md_glm_ref, md_rcn_ref
+from ._refs import hinge_train_ref, md_glm_ref, md_rcn_ref, q_ball_step_ref
 
 
 def random_problem(seed, n=60, d=5):
@@ -60,6 +61,26 @@ def test_kernel_step_matches_public_mirror_step(q):
         step = rng.uniform(0.01, 1.0)
         np.testing.assert_allclose(_q_ball_step(w, step * g, q, p), mirror_step(w, g, step, q),
                                    rtol=1e-9, atol=1e-12)
+
+
+# zeros of either sign, entries whose squares underflow or overflow, and
+# ordinary values; a True flag copies w_j into sg_j so the entry cancels
+ENTRY = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -1e-200, 1e-170, 1e200]),
+                  st.floats(-3.0, 3.0))
+
+
+@given(st.lists(st.tuples(ENTRY, ENTRY, st.booleans()), min_size=1, max_size=5))
+@example([(-0.0, 0.0, False), (-0.0, 0.0, False)])  # all -0.0 takes the zero branch
+@example([(0.5, 0.0, True), (-0.0, 0.0, False)])  # theta = [+0.0, -0.0]
+@example([(0.5, 0.0, False), (-0.0, 0.0, False)])  # a -0.0 entry beside a non-zero one
+@example([(1e-200, 0.5, False), (-1e-170, 0.0, False)])  # ||w|| underflows to zero
+def test_q2_step_is_the_general_step_bit_for_bit(cols):
+    w = np.array([c[0] for c in cols])
+    sg = np.array([c[0] if c[2] else c[1] for c in cols])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _q_ball_step(w.copy(), sg, 2.0, 2.0)
+        want = q_ball_step_ref(w.copy(), sg, 2.0, 2.0)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_erm_linear_matches_loop_trainer():

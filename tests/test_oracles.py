@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from roblearn import (
     Dataset,
@@ -19,6 +19,7 @@ from roblearn import (
     attack,
     bound_separation,
     default_ellipsoid_config,
+    dual_norm,
     ellipsoid_certify,
     ellipsoid_feasible,
     lp_norm,
@@ -26,7 +27,8 @@ from roblearn import (
     rerm_ellipsoid,
     separation_oracle,
 )
-from roblearn.errors import RoblearnError, UnsupportedGeometry
+from roblearn import oracles
+from roblearn.errors import EllipsoidDiverged, RoblearnError, UnsupportedGeometry
 from roblearn.oracles import INSIDE, check_disjoint_balls
 
 from ._refs import (
@@ -320,7 +322,7 @@ REGIONS = st.sampled_from(["l1", "l2", "linf", "poly"])
 
 def _outcome(search, sep):
     """A search's result or error class, and how many queries sep answered.
-    Some searches overflow Q (an l-inf region outside the initial ellipsoid);
+    Some searches diverge (an l-inf region outside the initial ellipsoid);
     they must raise at the same query as the reference."""
     answered = []
 
@@ -329,11 +331,10 @@ def _outcome(search, sep):
         answered.append(1)
         return ans
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            return search(counted), None, len(answered)
-        except (ValueError, RoblearnError) as exc:
-            return None, type(exc), len(answered)
+    try:
+        return search(counted), None, len(answered)
+    except (ValueError, RoblearnError) as exc:
+        return None, type(exc), len(answered)
 
 
 def _assert_same_outcome(got, want):
@@ -342,10 +343,7 @@ def _assert_same_outcome(got, want):
     assert got[0] is None or np.array_equal(got[0], want[0])
 
 
-@given(st.integers(0, 10_000), REGIONS, st.integers(1, 3),
-       st.one_of(st.none(), st.integers(1, 400)), st.sampled_from([1e-3, 1e-6]))
-@example(2, "linf", 3, None, 1e-6)  # Q overflows; the center is lost after 6007 queries
-def test_feasible_matches_reference(seed, kind, d, max_iters, volume_eps):
+def _feasible_outcomes(seed, kind, d, max_iters, volume_eps):
     rng = np.random.default_rng(seed)
     cfg = EllipsoidConfig(max_iters=max_iters, init_radius=float(rng.uniform(1.0, 10.0)),
                           volume_eps=volume_eps)
@@ -356,7 +354,21 @@ def test_feasible_matches_reference(seed, kind, d, max_iters, volume_eps):
                    bound_separation(U, x))
     want = _outcome(lambda sep: ellipsoid_feasible_ref(sep, d, cfg, center=center),
                     lambda z: separation_ref(U, x, z))
+    return got, want
+
+
+@given(st.integers(0, 10_000), REGIONS, st.integers(1, 3),
+       st.one_of(st.none(), st.integers(1, 400)), st.sampled_from([1e-3, 1e-6]))
+def test_feasible_matches_reference(seed, kind, d, max_iters, volume_eps):
+    _assert_same_outcome(*_feasible_outcomes(seed, kind, d, max_iters, volume_eps))
+
+
+def test_region_outside_the_initial_ellipsoid_stops_as_diverged():
+    # an l-inf box outside the start grows Q along the axes its cuts miss;
+    # unbounded, Q overflowed and the center went non-finite after 6007 queries
+    got, want = _feasible_outcomes(2, "linf", 3, None, 1e-6)
     _assert_same_outcome(got, want)
+    assert got[1] is EllipsoidDiverged and got[2] < 4000
 
 
 @given(st.integers(0, 10_000), REGIONS, st.integers(1, 3), st.sampled_from([0.0, 0.05]))
@@ -375,21 +387,129 @@ def test_certify_matches_reference(seed, kind, d, slack):
     _assert_same_outcome(got, want)
 
 
+def _separable(rng, n, d, gamma):
+    """Rows robustly separated by a unit w_star with room to spare."""
+    w_star = rng.standard_normal(d)
+    w_star /= np.linalg.norm(w_star)
+    X = rng.uniform(-2.0, 2.0, (n, d))
+    X += np.outer(np.sign(X @ w_star) * (gamma * math.sqrt(d) + 0.5), w_star)
+    return X, np.where(X @ w_star >= 0.0, 1, -1), w_star
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from([1.0, 2.0, math.inf]), st.integers(2, 3))
 def test_rerm_matches_reference(seed, p, d):
     rng = np.random.default_rng(seed)
     gamma = float(rng.uniform(0.05, 0.3))
-    w_star = rng.standard_normal(d)
-    w_star /= np.linalg.norm(w_star)
-    X = rng.uniform(-2.0, 2.0, (6, d))
-    X += np.outer(np.sign(X @ w_star) * (gamma * math.sqrt(d) + 0.5), w_star)
-    y = np.where(X @ w_star >= 0.0, 1, -1)
+    X, y, _ = _separable(rng, 6, d, gamma)
     data, ball = Dataset(X, y), LpBall(p, gamma)
     cfg = default_ellipsoid_config(gamma)
     got = rerm_ellipsoid(data, lambda i: bound_separation(ball, data.X[i]), cfg)
     want = rerm_ellipsoid_ref(X, y, ball, cfg)
     assert want is not None and np.array_equal(got.w, want)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form screen: rows whose robust margin already clears feas_slack
+# skip their certification, and nothing else changes
+# ---------------------------------------------------------------------------
+
+
+def _first_weight_query(x0, y0, cfg):
+    """The second center of the weight search: the zero center is cut by
+    -y0 x0, the point row 0's search returns at once."""
+    d = x0.shape[0]
+    g = -y0 * x0
+    Qg = (np.eye(d) * cfg.init_radius**2) @ g
+    return -(Qg / math.sqrt(float(g @ Qg))) / (d + 1.0)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([1.0, 2.0, math.inf]), st.integers(2, 3),
+       st.lists(st.sampled_from([-1e-12, 0.0, 1e-12, -1e-3]), min_size=1, max_size=3))
+def test_screen_keeps_rerm_on_rows_at_the_slack(seed, p, d, gaps):
+    # rows 1.. are moved along w_1's part orthogonal to w_star so that their
+    # robust margin at the first non-zero query w_1 is feas_slack + gap; a
+    # gap of -1e-3 is a row that fails there and must not be screened
+    rng = np.random.default_rng(seed)
+    gamma = float(rng.uniform(0.05, 0.3))
+    ball, cfg = LpBall(p, gamma), default_ellipsoid_config(gamma)
+    X, y, w_star = _separable(rng, 6, d, gamma)
+    w1 = _first_weight_query(X[0], y[0], cfg)
+    v = w1 - (w1 @ w_star) * w_star
+    shift = gamma * dual_norm(w1, p)
+    for j, gap in enumerate(gaps, start=1):
+        step = (y[j] * (cfg.feas_slack + gap + shift) - w1 @ X[j]) / (w1 @ v)
+        assume(abs(step) * np.linalg.norm(v) < 4.0)
+        X[j] += step * v
+        assert abs(y[j] * (w1 @ X[j]) - shift - cfg.feas_slack - gap) < 1e-14
+    data = Dataset(X, y)
+    want = _outcome(lambda _: rerm_ellipsoid_ref(X, y, ball, cfg), None)
+    for screen in (ball, None):
+        got = _outcome(lambda _: rerm_ellipsoid(data, lambda i: bound_separation(ball, X[i]),
+                                                cfg, ball=screen).w, None)
+        _assert_same_outcome(got, want)
+
+
+def _screen_run(monkeypatch, data, ball, cfg, screen):
+    """The weight queries of one rerm run, and for each the rows whose
+    separation oracle it asked."""
+    weights, asked = [], []
+    search = oracles.ellipsoid_feasible
+
+    def spy(sep, d, cfg, center=None):
+        if center is not None:
+            return search(sep, d, cfg, center=center)
+
+        def weight_sep(w):  # the weight-space search
+            weights.append(w.copy())
+            asked.append(set())
+            return sep(w)
+
+        return search(weight_sep, d, cfg)
+
+    def sep_for(i):
+        inner = bound_separation(ball, data.X[i])
+
+        def counted(z):
+            asked[-1].add(i)
+            return inner(z)
+
+        return counted
+
+    monkeypatch.setattr(oracles, "ellipsoid_feasible", spy)
+    model = rerm_ellipsoid(data, sep_for, cfg, ball=screen)
+    monkeypatch.undo()
+    return model, weights, asked
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_screen_asks_no_proven_row(monkeypatch, p):
+    # 2-d rows just past the margin the l-inf ball needs, hardest first, with
+    # a wide spread across w_star so the search takes several weight queries
+    rng = np.random.default_rng(1)
+    w_star = rng.standard_normal(2)
+    w_star /= np.linalg.norm(w_star)
+    y = np.where(rng.random(24) < 0.5, 1, -1)
+    mag = np.sort(0.2 * math.sqrt(2.0) + 0.04 + 2.0 * rng.random(24))
+    X = (y * mag)[:, None] * w_star + np.outer(rng.uniform(-3.0, 3.0, 24), [-w_star[1], w_star[0]])
+    data, ball, cfg = Dataset(X, y), LpBall(p, 0.2), default_ellipsoid_config(0.2)
+    plain, weights, asked_all = _screen_run(monkeypatch, data, ball, cfg, None)
+    model, weights_s, asked = _screen_run(monkeypatch, data, ball, cfg, ball)
+    assert np.array_equal(model.w, plain.w) and len(weights_s) == len(weights)
+    # unscreened, every query inside the radius asks rows 0..j in order, and
+    # the accepting last query asks every row
+    assert asked_all[-1] == set(range(data.n))
+    skipped = 0
+    for w, w_s, rows_all, rows in zip(weights, weights_s, asked_all, asked):
+        assert np.array_equal(w, w_s)
+        assert rows_all == set(range(len(rows_all)))
+        raw = y * (X @ w)
+        shift = 0.2 * dual_norm(w, p)
+        proven = raw - shift - cfg.feas_slack > 1e-9 * (np.abs(raw) + shift + cfg.feas_slack)
+        assert rows == rows_all - set(np.flatnonzero(proven))
+        skipped += len(rows_all - rows)
+    assert skipped > 0 and sum(map(len, asked)) < sum(map(len, asked_all))
 
 
 # ---------------------------------------------------------------------------
