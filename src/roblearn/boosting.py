@@ -3,9 +3,10 @@
 Two regimes live here. beta_roboost turns a learner that is only robust on a
 beta fraction of its input into a cascade whose non-robust mass decays like
 prod(1 - beta_hat_t); alpha_boost aggregates weak robust learners into a
-majority vote, with optional sparsification of the vote. expand_g and
-strong_to_barely go the other way, degrading a strong robust learner into a
-one-sided barely-robust one.
+majority vote, which the finite-set reductions thin with sparsify_majority.
+The cascade's stage walk also decides the non-robust region for sampling.
+expand_g and strong_to_barely go the other way, degrading a strong robust
+learner into a one-sided barely-robust one.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .core import (
     LpBall,
     as_vector,
     inverse_blowup,
-    margin,
     margins_batch,
     robust_losses,
 )
@@ -61,9 +61,9 @@ def selective_labels(sc: SelectiveClassifier, Z) -> np.ndarray:
     spec = sc.abstain_spec
     if isinstance(spec, LpBall):
         # closed form: prediction is stable on the inverse ball iff the
-        # normalized margin clears the radius; ties abstain
+        # normalized margin clears the radius; its sign is the label, ties abstain
         m = margins_batch(sc.model, Z, spec.p)
-        return np.where(np.abs(m) > spec.gamma, np.where(m >= 0.0, 1, -1), 0)
+        return (m > spec.gamma).astype(np.int64) - (m < -spec.gamma)
     if isinstance(spec, FiniteOffsets):
         pre = (Z[:, None, :] - spec.offsets).reshape(-1, Z.shape[1])
         preds = sc.model.predict_batch(pre).reshape(Z.shape[0], spec.k)
@@ -99,10 +99,7 @@ class Cascade:
 
     def predict_batch(self, Z) -> np.ndarray:
         Z = np.asarray(Z, dtype=float)
-        out = np.zeros(Z.shape[0], dtype=np.int64)
-        for stage in self.stages:
-            open_ = out == 0
-            out[open_] = selective_labels(stage, Z[open_])
+        out = _stage_labels(self.stages, Z)
         open_ = out == 0
         out[open_] = self.fallback.predict_batch(Z[open_])
         return out
@@ -133,6 +130,20 @@ class Cascade:
         return losses
 
 
+def _stage_labels(stages, Z) -> np.ndarray:
+    """Label of each row's first non-abstaining stage; 0 where every stage
+    abstains. The walk stops once no row is left open."""
+    Z = np.asarray(Z, dtype=float)
+    out = np.zeros(Z.shape[0], dtype=np.int64)
+    open_ = slice(None)  # every row, before the first stage
+    for stage in stages:
+        out[open_] = selective_labels(stage, Z[open_])
+        open_ = np.flatnonzero(out == 0)
+        if not open_.size:
+            break
+    return out
+
+
 def cascade_predict(c: Cascade, z) -> int:
     return int(c.predict_batch(as_vector(z)[None, :])[0])
 
@@ -142,14 +153,11 @@ def cascade_predict(c: Cascade, z) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _stable_everywhere(model: LinearModel, spec, x) -> bool:
-    # prediction constant over the inverse blowup of the perturbation set
-    if isinstance(spec, LpBall):
-        return abs(margin(model, x, spec.p)) > 2.0 * spec.gamma
-    doubled = inverse_blowup(spec)
-    pts = doubled.points(x)
-    preds = model.predict_batch(pts)
-    return bool(np.all(preds == preds[0]))
+def _doubled_stages(models, specs) -> list:
+    # a model's prediction can be flipped or silenced within U at x exactly
+    # where it abstains on the inverse blowup of U: |margin| <= 2 gamma for a
+    # ball, and for offsets x - (O - O) is the symmetric set x + (O - O)
+    return [SelectiveClassifier(m, inverse_blowup(s)) for m, s in zip(models, specs)]
 
 
 def in_nonrobust_region(models, x, U) -> bool:
@@ -158,12 +166,8 @@ def in_nonrobust_region(models, x, U) -> bool:
     models = list(models)
     if not models:
         raise ValueError("need at least one model")
-    x = as_vector(x)
-    return all(not _stable_everywhere(m, U, x) for m in models)
-
-
-def _in_nonrobust_multi(models, specs, x) -> bool:
-    return all(not _stable_everywhere(m, s, x) for m, s in zip(models, specs))
+    stages = _doubled_stages(models, [U] * len(models))
+    return not _stage_labels(stages, as_vector(x)[None, :])[0]
 
 
 def finite_source(data: Dataset):
@@ -187,17 +191,26 @@ def rejection_sample(source, models, m: int, budget_per_draw: int, U, specs=None
     source draws (evidence the region's mass is too small to matter)."""
     models = list(models)
     specs = list(specs) if specs is not None else [U] * len(models)
+    got = _accept(source, _doubled_stages(models, specs), m, budget_per_draw, abstained=True)
+    return None if got is None else Dataset(np.array(got[0]), np.array(got[1], dtype=np.int64))
+
+
+def _accept(source, stages, m: int, budget_per_draw: int, abstained: bool):
+    """Draw one row at a time, keeping rows where every stage abstains (or,
+    with abstained False, where some stage speaks) until m are kept. Returns
+    the kept (rows, labels), or None once one accept costs more than
+    budget_per_draw draws."""
     xs, ys = [], []
     while len(xs) < m:
         for _ in range(budget_per_draw):
             batch = source(1)
-            if _in_nonrobust_multi(models, specs, batch.X[0]):
+            if (_stage_labels(stages, batch.X)[0] == 0) == abstained:
                 xs.append(batch.X[0])
                 ys.append(batch.y[0])
                 break
         else:
             return None
-    return Dataset(np.array(xs), np.array(ys, dtype=np.int64))
+    return xs, ys
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +361,6 @@ class MajorityVote:
 class AlphaBoostConfig:
     alpha: float | None = None
     rounds: int | None = None
-    sparsify_N: int = 25
     delta: float = 0.05
     agreement_mode: bool = False  # alternative (T, alpha) pairing with the 5/9 agreement floor
     early_stop: bool = False  # break once the running majority has zero loss on the data
@@ -478,14 +490,8 @@ def strong_to_barely(h_hat: LinearModel, source, U: LpBall, delta: float = 0.05,
     the matching one-sided expansion."""
     if m_tilde is None:
         m_tilde = math.ceil(64.0 / 9.0 * math.log(1.0 / delta))
-    accepted_labels = []
-    while len(accepted_labels) < m_tilde:
-        for _ in range(budget_per_draw):
-            batch = source(1)
-            if _stable_everywhere(h_hat, U, batch.X[0]):
-                accepted_labels.append(int(batch.y[0]))
-                break
-        else:
-            raise SourceExhausted("robust region of the base model is too rare to sample")
-    m_plus = np.mean(np.array(accepted_labels) == 1)
+    got = _accept(source, _doubled_stages([h_hat], [U]), m_tilde, budget_per_draw, abstained=False)
+    if got is None:
+        raise SourceExhausted("robust region of the base model is too rare to sample")
+    m_plus = np.mean(np.array(got[1]) == 1)
     return expand_g(h_hat, U, 1 if m_plus >= 0.5 else -1)

@@ -27,7 +27,6 @@ from .oracles import (
     rerm_ellipsoid,
 )
 from .learners import (
-    ErmConfig,
     GlmConfig,
     RcnConfig,
     WeightedDataset,
@@ -389,14 +388,12 @@ def _cmd_alpha_boost(args) -> dict:
     cfg = AlphaBoostConfig(
         alpha=args.alpha,
         rounds=args.rounds,
-        sparsify_N=args.sparsify_n,
         delta=args.delta,
         agreement_mode=args.agreement_mode,
         rng_seed=args.seed,
     )
-    erm = lambda wd: erm_linear(wd, ErmConfig())
     diag: dict = {}
-    models, vote = alpha_boost(data, erm, cfg, U=U, diagnostics=diag)
+    models, vote = alpha_boost(data, erm_linear, cfg, U=U, diagnostics=diag)
     agreement = vote_agreement(models, data, U=U)
     metrics = {
         "rounds": diag["rounds"],
@@ -427,9 +424,8 @@ def _cmd_robustify(args) -> dict:
         sparsify_N=args.sparsify_n,
         rng_seed=args.seed,
     )
-    base = lambda wd: erm_linear(wd, ErmConfig())
     diag: dict = {}
-    vote = robustify_nonrobust(data, U, base, cfg, diagnostics=diag)
+    vote = robustify_nonrobust(data, U, erm_linear, cfg, diagnostics=diag)
     return {
         "config": _echo(args, ["input", "offset", "rounds", "inner-rounds", "subsample", "seed"]),
         "metrics": {
@@ -444,9 +440,8 @@ def _cmd_robustify(args) -> dict:
 def _cmd_fms(args) -> dict:
     data = _dataset(args)
     U = _offsets(args)
-    erm = lambda wd: erm_linear(wd, ErmConfig())
     diag: dict = {}
-    vote = fms_agnostic(data, U, erm, eta_mw=args.eta_mw, rounds=args.rounds,
+    vote = fms_agnostic(data, U, erm_linear, eta_mw=args.eta_mw, rounds=args.rounds,
                         eps=args.eps, diagnostics=diag)
     return {
         "config": _echo(args, ["input", "offset", "eta-mw", "rounds", "eps", "seed"]),
@@ -566,7 +561,7 @@ def _cmd_rcn_train(args) -> dict:
         "metrics": {
             "standard_accuracy": _std_acc(model, eval_data),
             "margin_accuracy": float(
-                np.mean(eval_data.y * margins_batch(model, eval_data.X, 2.0) > args.gamma / 2.0)
+                np.mean(robust_losses(model, eval_data, LpBall(2.0, args.gamma / 2.0)) == 0)
             ),
         },
     }
@@ -755,7 +750,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--offset", action="append", default=[])
     sp.add_argument("--alpha", type=float, default=None)
     sp.add_argument("--rounds", type=int, default=None)
-    sp.add_argument("--sparsify-n", type=int, default=25)
     sp.add_argument("--delta", type=float, default=0.05)
     sp.add_argument("--agreement-mode", action="store_true")
     _add_common(sp)

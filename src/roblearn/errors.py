@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-Every error that callers are expected to catch derives from RoblearnError,
-so `except RoblearnError` at the CLI boundary is exhaustive.
+Every error that callers are expected to catch derives from RoblearnError.
+That is not yet exhaustive: many range checks still raise ValueError, so the
+CLI boundary also catches ValueError and maps it to the config exit code (2).
 """
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import glm_link_u, rcn_phi  # noqa: F401  (re-exported)
-from .core import Dataset, LinearModel, as_vector, lp_norm, margins_batch
+from .core import Dataset, LinearModel, LpBall, as_vector, lp_norm, robust_losses
 from .errors import AllZeroWeights, EmptyDataset, EmptyPool, InvalidNorm
 
 
@@ -48,7 +48,6 @@ class ErmConfig:
     lr0: float = 0.5
     reg: float = 1e-4
     fit_bias: bool = False
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -123,8 +122,7 @@ def svm_margin(data: Dataset, two_gamma: float, cfg: SvmConfig | None = None) ->
     w, b = _kernels.hinge_train(X, yf, sw, cfg.epochs, lr0, reg, cfg.fit_bias)
     w = _nonzero_or_fallback(np.asarray(w), X.T @ (yf * sw))
     model = LinearModel(w, b if cfg.fit_bias else 0.0)
-    m = margins_batch(model, data.X, cfg.p)
-    beta_hat = float(np.mean(data.y * m > two_gamma))
+    beta_hat = float(np.mean(robust_losses(model, data, LpBall(cfg.p, two_gamma)) == 0))
     return SvmResult(model, beta_hat)
 
 

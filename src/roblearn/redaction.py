@@ -53,7 +53,6 @@ class ConstantModel:
 class RedactConfig:
     eps: float
     weight: float | None = None  # None means n + 1, the realizable choice
-    eta: float | None = None
     rng_seed: int = 0
 
     def __post_init__(self):

@@ -9,7 +9,7 @@ perfect attack oracle, feeding counterexamples back as updates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -143,15 +143,7 @@ def robustify_nonrobust(data: Dataset, U, base_learner, cfg: RobustifyConfig | N
             pick = rng.choice(m_u, size=min(cfg.subsample, m_u), replace=True, p=D)
             origin_rows = origins[pick]
             L_t = data.subset(origin_rows)
-            inner_cfg = RobustifyConfig(
-                inner_rounds=cfg.inner_rounds,
-                subsample=cfg.subsample,
-                sparsify_N=cfg.sparsify_N,
-                alpha=cfg.alpha,
-                delta=cfg.delta,
-                retry_limit=cfg.retry_limit,
-                rng_seed=cfg.rng_seed + t + 1,
-            )
+            inner_cfg = replace(cfg, rng_seed=cfg.rng_seed + t + 1)
             try:
                 h_t = zero_robust_loss(L_t, U, base_learner, inner_cfg, indices=origin_rows)
             except WeakLearnerFailed:

@@ -291,6 +291,22 @@ def selective_ref(model, spec, z) -> int:
     return sign_ref(m) if abs(m) > spec.gamma else 0
 
 
+def stable_ref(model, spec, x) -> bool:
+    """The model's prediction is constant over every natural point sharing a
+    perturbation with x: |margin(x)| > 2 gamma for a ball, one label over
+    x + (O - O) for offsets."""
+    if hasattr(spec, "offsets"):
+        labels = {predict_ref(model.w, model.bias, x + (a - b))
+                  for a in spec.offsets for b in spec.offsets}
+        return len(labels) == 1
+    return abs(margin_ref(model, x, spec.p)) > 2.0 * spec.gamma
+
+
+def nonrobust_ref(models, specs, x) -> bool:
+    """x lies in the joint non-robust region: no model is stable there."""
+    return not any(stable_ref(m, s, x) for m, s in zip(models, specs))
+
+
 def cascade_ref(stages, fallback, z) -> int:
     """First non-abstaining stage speaks; the fallback answers otherwise."""
     for stage in stages:

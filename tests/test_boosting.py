@@ -48,7 +48,7 @@ from roblearn import (
 from roblearn.boosting import _round_radius
 from roblearn.data import substream
 
-from ._refs import ball_samples
+from ._refs import ball_samples, nonrobust_ref, stable_ref
 
 
 def vec(*vals):
@@ -192,6 +192,81 @@ def test_nonrobust_region_closed_form():
     assert not in_nonrobust_region([h, stable], vec(1.5, 5.0), ball)
     with pytest.raises(ValueError):
         in_nonrobust_region([], vec(0.0, 0.0), ball)
+
+
+def _region_case(seed, kind, gamma, two_models):
+    """Models, per-model specs and rows for the region tests. The first model
+    is 2 * e_0, whose margin is exactly x_0 under every norm, so rows at
+    x_0 = +-2 gamma sit exactly on a ball's boundary and rows at x_0 = -d_0
+    put a point of x + (O - O) exactly on the decision boundary."""
+    rng = np.random.default_rng(seed)
+    d = 3
+    axis = LinearModel(vec(2.0, 0.0, 0.0))
+    X = rng.standard_normal((24, d)) * 2.0 * max(gamma, 0.3)
+    if kind == "offsets":
+        U = FiniteOffsets(np.vstack([np.zeros(d), rng.standard_normal((2, d)) * gamma]))
+        diffs = (U.offsets[:, None, :] - U.offsets[None, :, :]).reshape(-1, d)
+        X[:6, 0] = -diffs[rng.integers(0, len(diffs), size=6), 0]
+        second = U
+    else:
+        U = LpBall(kind, gamma)
+        X[:6, 0] = np.array([1.0, -1.0] * 3) * 2.0 * gamma
+        second = LpBall(kind, gamma / 2.0)  # a later round's radius, as in multi-granularity
+    models, specs = [axis], [U]
+    if two_models:
+        w = rng.standard_normal(d)
+        w[0] = 1.0 if abs(w[0]) < 0.2 else w[0]
+        models.append(LinearModel(w, bias=float(rng.standard_normal()) * 0.3))
+        specs.append(second)
+    y = np.where(rng.random(24) < 0.5, 1, -1)
+    return models, specs, U, Dataset(X, y)
+
+
+region_kinds = st.sampled_from([1.0, 2.0, math.inf, "offsets"])
+
+
+@given(st.integers(0, 100_000), region_kinds, st.floats(0.05, 1.0), st.booleans())
+def test_nonrobust_region_matches_reference(seed, kind, gamma, two_models):
+    models, specs, U, data = _region_case(seed, kind, gamma, two_models)
+    for x in data.X:
+        assert in_nonrobust_region(models, x, U) == nonrobust_ref(models, [U] * len(models), x)
+    # boundary rows of a ball are non-robust for the axis model
+    if kind != "offsets":
+        assert all(in_nonrobust_region(models[:1], x, U) for x in data.X[:6])
+    flags = [nonrobust_ref(models, specs, x) for x in data.X]
+    want = [i for i, f in enumerate(flags) if f]
+    source = finite_source(data)
+    if not want:
+        with pytest.raises(SourceExhausted):
+            rejection_sample(source, models, 1, data.n + 1, U, specs=specs)
+        return
+    got = rejection_sample(source, models, len(want), data.n, U, specs=specs)
+    assert np.array_equal(got.X, data.X[want]) and np.array_equal(got.y, data.y[want])
+
+
+@given(st.integers(0, 100_000), st.sampled_from([1.0, 2.0, math.inf]), st.floats(0.05, 1.0))
+def test_strong_to_barely_reads_the_stable_rows(seed, p, gamma):
+    models, _specs, U, data = _region_case(seed, p, gamma, False)
+    stable = [i for i, x in enumerate(data.X) if stable_ref(models[0], U, x)]
+    if not stable:
+        with pytest.raises(SourceExhausted):
+            strong_to_barely(models[0], finite_source(data), U, m_tilde=1, budget_per_draw=data.n + 1)
+        return
+    g = strong_to_barely(models[0], finite_source(data), U, m_tilde=len(stable),
+                         budget_per_draw=data.n)
+    assert g.y == (1 if np.mean(data.y[stable] == 1) >= 0.5 else -1)
+
+
+def test_per_example_tables_have_no_region():
+    h = LinearModel(vec(1.0, 0.0))
+    table = FinitePerExample({0: [[0.0, 0.0]]})
+    data = Dataset(np.zeros((3, 2)), np.ones(3, dtype=np.int64))
+    with pytest.raises(Unsupported):
+        in_nonrobust_region([h], vec(0.0, 0.0), table)
+    with pytest.raises(Unsupported):
+        rejection_sample(finite_source(data), [h], 1, 3, table)
+    with pytest.raises(Unsupported):
+        strong_to_barely(h, finite_source(data), table)
 
 
 def test_finite_source_walks_forward_then_raises():

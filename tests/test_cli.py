@@ -47,6 +47,12 @@ def test_missing_subcommand_is_config_error():
     assert run(["certify"]) == 2  # required flags absent
 
 
+def test_removed_flag_is_config_error(tmp_path):
+    # alpha-boost never sparsified its vote, so --sparsify-n is gone
+    data = write_band(tmp_path)
+    assert run(["alpha-boost", "--input", data, "--rounds", "4", "--sparsify-n", "5"]) == 2
+
+
 def test_missing_file_is_data_error(tmp_path):
     model = write_model(tmp_path)
     code = run(["certify", "--model", model, "--input", str(tmp_path / "nope.csv"),
