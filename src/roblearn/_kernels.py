@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 
+from .core import lp_norm
+
 
 def active_backend() -> str:
     """Name of the kernel implementation, for run stamps."""
@@ -51,35 +53,38 @@ def hinge_train(X, y, sw, steps, lr0, reg, fit_bias):
 #
 # Each step draws sample i = idx[t], asks the caller's coefficient rule for
 # c = coef(i, <w, x_i>) and moves along the stochastic gradient c x_i with
-# step rates[t]. q > 1 uses the half-squared-q-norm potential; its mirror maps
-# are the signed-power pair below and the exact Bregman projection onto the
-# ball is radial rescaling. q = 1 runs exponentiated gradient on 2d+1 doubled
+# step rates[t]. q > 1 uses the half-squared-q-norm potential; both mirror maps
+# are _mirror_map, at exponents q and p, and the exact Bregman projection onto
+# the ball is radial rescaling. q = 1 runs exponentiated gradient on 2d+1 doubled
 # coordinates (plus slack). The pre-drawn indices keep the RNG outside the
 # kernel. Returns the averaged iterate.
 # ---------------------------------------------------------------------------
+
+
+def _mirror_map(v, r):
+    """(grad 1/2 ||v||_r^2, n) with n = ||v||_r, the link written as
+    sign(v) (|v|/n)^(r-1) n: every base is in [0, 1], so no power overflows and
+    only entries negligible next to the peak underflow. A zero vector maps to
+    +0.0 entries."""
+    n = lp_norm(v, r)
+    if not n > 0.0:
+        return np.zeros(v.shape[0]), n
+    return np.sign(v) * (np.abs(v) / n) ** (r - 1.0) * n, n
 
 
 def _q_ball_step(w, sg, q, p):
     """Map w to the dual space, subtract the scaled gradient sg, map back and
     rescale onto the unit q-ball; p is the dual exponent of q."""
     if q == 2.0:
-        # both maps are identities, bit for bit: the dot tests are the zero-norm
-        # tests below (squares underflow alike); + 0.0 maps -0.0 to +0.0 as sign does
+        # both maps are identities, bit for bit with the unscaled signed-power
+        # form (tests/_refs.py::q_ball_step_ref): the dot tests are its zero-norm
+        # tests (squares underflow alike); + 0.0 maps -0.0 to +0.0 as sign does
         theta = (w if np.dot(w, w) > 0.0 else np.zeros(w.shape[0])) - sg
         w = theta + 0.0 if np.dot(theta, theta) > 0.0 else np.zeros(theta.shape[0])
+        nw = float(np.sum(np.abs(w) ** q)) ** (1.0 / q)
     else:
-        nw = float(np.sum(np.abs(w) ** q)) ** (1.0 / q) if np.any(w) else 0.0
-        if nw > 0.0:
-            theta = np.sign(w) * np.abs(w) ** (q - 1.0) * nw ** (2.0 - q)
-        else:
-            theta = np.zeros(w.shape[0])
-        theta = theta - sg
-        nt = float(np.sum(np.abs(theta) ** p)) ** (1.0 / p) if np.any(theta) else 0.0
-        if nt > 0.0:
-            w = np.sign(theta) * np.abs(theta) ** (p - 1.0) * nt ** (2.0 - p)
-        else:
-            w = np.zeros(theta.shape[0])
-    nw = float(np.sum(np.abs(w) ** q)) ** (1.0 / q)
+        # the back map's q-norm is ||theta||_p, its second return value
+        w, nw = _mirror_map(_mirror_map(w, q)[0] - sg, p)
     if nw > 1.0:
         w = w / nw
     return w

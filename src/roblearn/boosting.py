@@ -226,9 +226,7 @@ class BoostConfig:
     rounds: int | None = None
     per_round_m: int | None = None
     learner_m: int = 0  # sample size the base learner asks for
-    sample_budget_per_draw: int | None = None
     multi_granularity: bool = False
-    rng_seed: int = 0
 
     def __post_init__(self):
         if not (0.0 < self.beta <= 1.0):
@@ -257,8 +255,6 @@ class BoostConfig:
 
     @property
     def budget_per_draw_resolved(self) -> int:
-        if self.sample_budget_per_draw is not None:
-            return self.sample_budget_per_draw
         return math.ceil(4.0 / self.eps)
 
 
@@ -364,7 +360,6 @@ class AlphaBoostConfig:
     delta: float = 0.05
     agreement_mode: bool = False  # alternative (T, alpha) pairing with the 5/9 agreement floor
     early_stop: bool = False  # break once the running majority has zero loss on the data
-    rng_seed: int = 0
 
     def resolved(self, m: int) -> tuple[float, int]:
         if self.agreement_mode:

@@ -322,7 +322,6 @@ def _boost_config(args) -> BoostConfig:
         rounds=args.rounds,
         per_round_m=args.per_round_m,
         multi_granularity=args.multi_granularity,
-        rng_seed=args.seed,
     )
 
 
@@ -390,7 +389,6 @@ def _cmd_alpha_boost(args) -> dict:
         rounds=args.rounds,
         delta=args.delta,
         agreement_mode=args.agreement_mode,
-        rng_seed=args.seed,
     )
     diag: dict = {}
     models, vote = alpha_boost(data, erm_linear, cfg, U=U, diagnostics=diag)
@@ -570,7 +568,7 @@ def _cmd_rcn_train(args) -> dict:
 def _cmd_rejectron(args) -> dict:
     train = load_csv(args.input)
     test = load_csv(args.test_input)
-    cfg = RedactConfig(eps=args.eps, weight=args.lambda_weight, rng_seed=args.seed)
+    cfg = RedactConfig(eps=args.eps, weight=args.lambda_weight)
     diag: dict = {}
     h, selection = rejectron(train, test.X, cfg, diagnostics=diag)
     if args.save_selection:
@@ -595,7 +593,7 @@ def _cmd_rejectron(args) -> dict:
 def _cmd_urejectron(args) -> dict:
     train = load_csv(args.input)
     test = load_csv(args.test_input)
-    cfg = RedactConfig(eps=args.eps, weight=args.lambda_weight, rng_seed=args.seed)
+    cfg = RedactConfig(eps=args.eps, weight=args.lambda_weight)
     if args.backend == "pairs":
         pool = [load_model(p) for p in args.pool] if args.pool else None
         if not pool:
@@ -708,8 +706,15 @@ def _add_boost(sp):
     _add_common(sp, ball=True, gen=True)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a ConfigError, so it prints one line."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="roblearn")
+    ap = _Parser(prog="roblearn")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("certify", help="robust accuracy of a saved model")
@@ -855,9 +860,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
-    try:
         doc = args.func(args)
         if getattr(args, "output", None):
             save_results(args.output, doc)
@@ -866,6 +868,8 @@ def main(argv=None) -> int:
     except (RoblearnError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return _exit_code(exc)
+    except SystemExit as exc:  # --help, after printing the help text
+        return exc.code
     return EXIT_OK
 
 

@@ -170,17 +170,31 @@ def fmt_float(v: float) -> str:
     return FLOAT_FMT % float(v)
 
 
+def read_text(path: str) -> str:
+    """The whole UTF-8 file; an unreadable path raises IoError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+
+
+def write_text(path: str, text: str) -> None:
+    """Replace the file with text in UTF-8; an unwritable path raises IoError."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
 def load_csv(path: str) -> Dataset:
     """Comma-separated reals, final column the label in {-1, +1}.
 
     A header line is detected by its first field failing to parse as a
     number. Row/column positions in errors are 1-based over the raw file.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+    raw = read_text(path)
     rows = []
     lines = [(i + 1, ln) for i, ln in enumerate(raw.splitlines()) if ln.strip()]
     if not lines:
@@ -221,13 +235,8 @@ def load_csv(path: str) -> Dataset:
 
 
 def save_csv(path: str, data: Dataset) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for i in range(data.n):
-                feats = ",".join(fmt_float(v) for v in data.X[i])
-                fh.write(f"{feats},{int(data.y[i])}\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    rows = (",".join(fmt_float(v) for v in data.X[i]) + f",{int(data.y[i])}\n" for i in range(data.n))
+    write_text(path, "".join(rows))
 
 
 def _emit_scalar(v) -> str:
@@ -279,31 +288,18 @@ def results_text(document: dict) -> str:
 
 
 def save_results(path: str, document: dict) -> None:
-    text = results_text(document)
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_text(path, results_text(document))
 
 
 def save_model(path: str, model: LinearModel) -> None:
     lines = ["linear-model v1"]
     lines.append("w: " + " ".join(fmt_float(v) for v in model.w))
     lines.append("bias: " + fmt_float(model.bias))
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def load_model(path: str) -> LinearModel:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh.read().splitlines() if ln.strip()]
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+    lines = [ln.strip() for ln in read_text(path).splitlines() if ln.strip()]
     if not lines or lines[0] != "linear-model v1":
         raise ParseError(f"{path} is not a linear-model file", row=1, col=1)
     w = None

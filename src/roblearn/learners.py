@@ -17,7 +17,8 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import glm_link_u, rcn_phi  # noqa: F401  (re-exported)
-from .core import Dataset, LinearModel, LpBall, as_vector, lp_norm, robust_losses
+from .core import Dataset, LinearModel, LpBall, as_vector, robust_losses
+from .data import substream
 from .errors import AllZeroWeights, EmptyDataset, EmptyPool, InvalidNorm
 
 
@@ -201,19 +202,13 @@ def rcn_lambda(eps: float, gamma: float, eta: float) -> float:
 def mirror_step(w: np.ndarray, g: np.ndarray, step: float, q: float) -> np.ndarray:
     """One mirror-descent step under the half-squared-q-norm potential (q > 1),
     then the exact Bregman projection onto the unit q-ball (radial rescale)."""
-    if q <= 1.0:
-        raise InvalidNorm("mirror_step requires q > 1; q = 1 uses the simplex embedding")
+    if not 1.0 < q < math.inf:
+        raise InvalidNorm(f"mirror_step requires 1 < q < inf, got {q}; q = 1 uses the simplex embedding")
     w = as_vector(w)
-    p = q / (q - 1.0)
-    nw = lp_norm(w, q)
-    theta = np.sign(w) * np.abs(w) ** (q - 1.0) * nw ** (2.0 - q) if nw > 0 else np.zeros_like(w)
-    theta = theta - step * np.asarray(g, dtype=float)
-    nt = lp_norm(theta, p)
-    w2 = np.sign(theta) * np.abs(theta) ** (p - 1.0) * nt ** (2.0 - p) if nt > 0 else np.zeros_like(theta)
-    nq = lp_norm(w2, q)
-    if nq > 1.0:
-        w2 = w2 / nq
-    return w2
+    sg = as_vector(step * np.asarray(g, dtype=float))
+    if sg.shape != w.shape:
+        raise ValueError(f"gradient has {sg.shape[0]} entries, w has {w.shape[0]}")
+    return _kernels._q_ball_step(w, sg, q, q / (q - 1.0))
 
 
 @dataclass
@@ -226,20 +221,14 @@ class RcnConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.q < 1.0:
-            raise InvalidNorm(f"q must be >= 1, got {self.q}")
+        if not 1.0 <= self.q < math.inf:
+            raise InvalidNorm(f"q must lie in [1, inf), got {self.q}")
         if self.steps is not None and self.steps < 1:
             raise ValueError("steps must be >= 1")
 
     @property
     def lam(self) -> float:
         return rcn_lambda(self.eps, self.gamma, self.eta)
-
-
-def _draw_indices(n: int, steps: int, seed: int, label: str) -> np.ndarray:
-    from .data import substream
-
-    return substream(seed, label).integers(0, n, size=steps)
 
 
 def rcn_train_md(data: Dataset, cfg: RcnConfig) -> LinearModel:
@@ -252,7 +241,7 @@ def rcn_train_md(data: Dataset, cfg: RcnConfig) -> LinearModel:
     if data.n == 0:
         raise EmptyDataset("cannot train on an empty dataset")
     steps = cfg.steps if cfg.steps is not None else 2 * data.n
-    idx = _draw_indices(data.n, steps, cfg.rng_seed, "rcn-md")
+    idx = substream(cfg.rng_seed, "rcn-md").integers(0, data.n, size=steps)
     X = np.ascontiguousarray(data.X)
     yf = data.y.astype(float)
     w = _kernels.md_rcn(X, yf, cfg.gamma, cfg.lam, float(cfg.q), idx)
@@ -288,8 +277,8 @@ class GlmConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.q < 1.0:
-            raise InvalidNorm(f"q must be >= 1, got {self.q}")
+        if not 1.0 <= self.q < math.inf:
+            raise InvalidNorm(f"q must lie in [1, inf), got {self.q}")
         if not (0.0 <= self.eta < 0.5):
             raise ValueError("eta must lie in [0, 0.5)")
         if not (self.gamma > 0.0):
@@ -305,7 +294,7 @@ def glm_train(data: Dataset, cfg: GlmConfig) -> LinearModel:
         raise EmptyDataset("cannot train on an empty dataset")
     steps = cfg.steps if cfg.steps is not None else 2 * data.n
     lr0 = cfg.lr0 if cfg.lr0 is not None else 2.0 * cfg.gamma / (1.0 - 2.0 * cfg.eta)
-    idx = _draw_indices(data.n, steps, cfg.rng_seed, "glm-md")
+    idx = substream(cfg.rng_seed, "glm-md").integers(0, data.n, size=steps)
     X = np.ascontiguousarray(data.X)
     y01 = (data.y.astype(float) + 1.0) / 2.0
     w = _kernels.md_glm(X, y01, cfg.gamma, cfg.eta, float(cfg.q), lr0, idx)

@@ -26,8 +26,8 @@ from .core import (
     as_vector,
     robust_risk,
 )
-from .data import fmt_float
-from .errors import EmptyPool, IoError, NoRealizableMember, ParseError, RoblearnError, Unsupported
+from .data import fmt_float, read_text, write_text
+from .errors import EmptyPool, NoRealizableMember, ParseError, RoblearnError, Unsupported
 from .learners import ErmConfig, WeightedDataset, erm_linear
 
 
@@ -53,7 +53,6 @@ class ConstantModel:
 class RedactConfig:
     eps: float
     weight: float | None = None  # None means n + 1, the realizable choice
-    rng_seed: int = 0
 
     def __post_init__(self):
         if not (0.0 < self.eps <= 1.0):
@@ -383,19 +382,11 @@ def save_selection(path: str, S: SelectionSet) -> None:
             lines.append("c: " + _model_token(member))
         else:
             lines.append("pair: " + _model_token(member[0]) + " | " + _model_token(member[1]))
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def load_selection(path: str) -> SelectionSet:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh.read().splitlines() if ln.strip()]
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+    lines = [ln.strip() for ln in read_text(path).splitlines() if ln.strip()]
     if not lines or lines[0] != "selection-set v1":
         raise ParseError(f"{path} is not a selection-set file", row=1, col=1)
     mode = None

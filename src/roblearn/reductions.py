@@ -99,9 +99,7 @@ def zero_robust_loss(L: Dataset, U, base_learner, cfg: RobustifyConfig | None = 
     inflated = inflate(L, src, cap=2_000_000)
     flat = inflated.data
     T = cfg.inner_rounds if cfg.inner_rounds is not None else math.ceil(1.0 + 48.0 * math.log(max(flat.n, 2)))
-    boost_cfg = AlphaBoostConfig(
-        alpha=cfg.alpha, rounds=T, delta=cfg.delta, early_stop=True, rng_seed=cfg.rng_seed
-    )
+    boost_cfg = AlphaBoostConfig(alpha=cfg.alpha, rounds=T, delta=cfg.delta, early_stop=True)
     models, vote = alpha_boost(flat, base_learner, boost_cfg, U=None)
     if not _zero_loss(vote, flat, None):
         raise WeakLearnerFailed("boosting did not reach zero loss on the inflated set")

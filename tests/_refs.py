@@ -7,6 +7,7 @@ vector check, its oracle answer types and its errors are shared.
 
 from __future__ import annotations
 
+import decimal
 import math
 
 import numpy as np
@@ -240,6 +241,31 @@ def q_ball_step_ref(w, sg, q, p):
     if nw > 1.0:
         w = w / nw
     return w
+
+
+def q_ball_step_decimal(w, sg, q, p, digits=40):
+    """q_ball_step_ref's formula in decimal arithmetic with `digits` significant
+    digits, whose exponent range is wide enough that no power under- or
+    overflows; the exact inputs and exponents, one rounding back to floats."""
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        q, p = D(q), D(p)
+
+        def norm(v, r):
+            s = sum(abs(x) ** r for x in v)
+            return s ** (1 / r) if s else D(0)
+
+        def link(v, r):
+            n = norm(v, r)
+            return [(abs(x) ** (r - 1) * n ** (2 - r)).copy_sign(x) if x else D(0) for x in v]
+
+        theta = [a - D(b) for a, b in zip(link([D(x) for x in w], q), sg)]
+        out = link(theta, p)
+        n = norm(out, q)
+        if n > 1:
+            out = [x / n for x in out]
+        return np.array([float(x) for x in out])
 
 
 def md_rcn_ref(X, y, gamma, lam, q, idx):

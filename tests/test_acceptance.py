@@ -133,7 +133,7 @@ def test_c02_cascade_improves_heldout_robust_accuracy():
     gamma = 1.6
     ball = LpBall(2.0, gamma)
     learner = lambda d: svm_margin(d, 2.0 * gamma, SvmConfig()).model
-    cfg = BoostConfig(beta=0.4, eps=0.05, rounds=3, per_round_m=150, rng_seed=0)
+    cfg = BoostConfig(beta=0.4, eps=0.05, rounds=3, per_round_m=150)
     diag = {}
     cascade = beta_roboost(gen_stream(THREE_CLUSTERS, 11), learner, cfg, ball,
                            diagnostics=diag)
@@ -215,7 +215,7 @@ def test_c03_boost_reaches_agreement_floor_on_all_seeds():
             out = y.copy()
             out[i] = -out[i]
             pool.append(TableModel(out))
-        cfg = AlphaBoostConfig(agreement_mode=True, rng_seed=seed)
+        cfg = AlphaBoostConfig(agreement_mode=True)
         models, vote = alpha_boost(data, make_pool_erm(pool), cfg)
         agreement = vote_agreement(models, data)
         majority_errs = int(np.sum(vote.predict_batch(data.X) != y))

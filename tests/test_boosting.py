@@ -342,7 +342,7 @@ def test_roboost_cascade_beats_single_model_on_cluster_mix():
     # later rounds chase whatever the earlier stages cannot hold
     gamma = 1.6
     ball = LpBall(2.0, gamma)
-    cfg = BoostConfig(beta=0.4, eps=0.05, rounds=3, per_round_m=150, rng_seed=0)
+    cfg = BoostConfig(beta=0.4, eps=0.05, rounds=3, per_round_m=150)
     diag = {}
     cascade = beta_roboost(gen_stream(THREE_CLUSTERS, 11), barely_svm(2 * gamma), cfg, ball,
                            diagnostics=diag)
@@ -359,7 +359,7 @@ def test_roboost_cascade_beats_single_model_on_cluster_mix():
 def test_roboost_stops_when_learner_is_already_robust():
     # one well-separated pair: round 1 holds everything, round 2 finds nothing
     wide = MarginUnion((MarginCluster(vec(0.0, 9.0), 1.0, 0.01),))
-    cfg = BoostConfig(beta=1.0, eps=0.2, per_round_m=60, rng_seed=3)
+    cfg = BoostConfig(beta=1.0, eps=0.2, per_round_m=60)
     diag = {}
     cascade = beta_roboost(gen_stream(wide, 7), barely_svm(3.2), cfg, LpBall(2.0, 1.6),
                            diagnostics=diag)
@@ -370,7 +370,7 @@ def test_roboost_stops_when_learner_is_already_robust():
 
 def test_roboost_finite_source_dry_after_first_round_stops_cleanly():
     data = generate(GenSpec(THREE_CLUSTERS, 70, rng_seed=2))
-    cfg = BoostConfig(beta=0.4, eps=0.2, rounds=3, per_round_m=60, rng_seed=1)
+    cfg = BoostConfig(beta=0.4, eps=0.2, rounds=3, per_round_m=60)
     diag = {}
     cascade = beta_roboost(finite_source(data), barely_svm(3.2), cfg, LpBall(2.0, 1.6),
                            diagnostics=diag)
@@ -382,7 +382,7 @@ def test_uroboost_with_faithful_pseudo_labels_matches_roboost():
     gamma = 1.6
     ball = LpBall(2.0, gamma)
     labeled = generate(GenSpec(THREE_CLUSTERS, 400, rng_seed=21))
-    cfg = BoostConfig(beta=0.4, eps=0.2, rounds=2, per_round_m=150, rng_seed=0)
+    cfg = BoostConfig(beta=0.4, eps=0.2, rounds=2, per_round_m=150)
     cascade = beta_uroboost(labeled, gen_stream(THREE_CLUSTERS, 31), barely_svm(2 * gamma),
                             cfg, ball)
     eval_data = generate(GenSpec(THREE_CLUSTERS, 800, rng_seed=998))

@@ -42,17 +42,6 @@ def test_entry_point_subprocess(tmp_path):
     assert "robust_accuracy: 1" in out.stdout
 
 
-def test_missing_subcommand_is_config_error():
-    assert run([]) == 2
-    assert run(["certify"]) == 2  # required flags absent
-
-
-def test_removed_flag_is_config_error(tmp_path):
-    # alpha-boost never sparsified its vote, so --sparsify-n is gone
-    data = write_band(tmp_path)
-    assert run(["alpha-boost", "--input", data, "--rounds", "4", "--sparsify-n", "5"]) == 2
-
-
 def test_missing_file_is_data_error(tmp_path):
     model = write_model(tmp_path)
     code = run(["certify", "--model", model, "--input", str(tmp_path / "nope.csv"),
@@ -228,6 +217,7 @@ def _fail_with(tmp_path, capsys, argv, code):
     assert run([fill.get(a, a) for a in argv]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    return err
 
 
 BOOST = ["--gamma", "0.3", "--eps", "0.2", "--beta", "0.5", "--rounds", "2"]
@@ -242,9 +232,22 @@ BOOST = ["--gamma", "0.3", "--eps", "0.2", "--beta", "0.5", "--rounds", "2"]
     ["roboost", "--input", "BAND", *BOOST, "--per-round-m", "0", "--learner", "erm"],
     ["uroboost", "--input", "BAND", "--unlabeled-input", "BAND", *BOOST, "--per-round-m", "0"],
     ["wm", "--input", "BAND", "--eta-wm", "0.5", "--pool", "MODEL"],
+    ["rcn-train", "--input", "BAND", "--gamma", "0.3", "--rcn-eta", "0.1", "--q", "nan"],
+    ["rcn-train", "--method", "glm", "--input", "BAND", "--gamma", "0.3", "--rcn-eta", "0.1",
+     "--q", "inf"],
+    [],  # no subcommand
+    ["certify"],  # required flags absent
+    # alpha-boost never sparsified its vote, so --sparsify-n is gone
+    ["alpha-boost", "--input", "BAND", "--rounds", "4", "--sparsify-n", "5"],
 ])
 def test_config_errors_exit_2(tmp_path, capsys, argv):
-    _fail_with(tmp_path, capsys, argv, 2)
+    err = _fail_with(tmp_path, capsys, argv, 2)
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_help_prints_usage_and_exits_0(capsys):
+    assert run(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: roblearn")
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from roblearn import (
     AllZeroWeights,
@@ -32,7 +32,7 @@ from roblearn import (
 )
 from roblearn.data import apply_rcn, substream
 
-from ._refs import central_difference
+from ._refs import central_difference, q_ball_step_decimal
 
 
 def vec(*vals):
@@ -244,8 +244,42 @@ def test_mirror_step_zero_gradient_is_identity():
 
 
 def test_mirror_step_rejects_q_at_most_one():
-    with pytest.raises(InvalidNorm):
-        mirror_step(vec(0.1), vec(0.0), 0.1, 1.0)
+    for q in (1.0, 0.5, math.nan, math.inf):
+        with pytest.raises(InvalidNorm):
+            mirror_step(vec(0.1), vec(0.0), 0.1, q)
+
+
+def test_mirror_step_rejects_a_bad_gradient():
+    # a nan gradient used to return the zero vector without a word
+    for g in (vec(math.nan, 0.0), vec(math.inf, 0.0), vec(1.0)):
+        with pytest.raises(ValueError):
+            mirror_step(vec(0.3, 0.2), g, 1.0, 1.5)
+
+
+def _normal_pair(draw):
+    seed, d, scale = draw
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(d) * scale, rng.standard_normal(d)
+
+
+# an entry of theta that nearly cancels loses relative bits in any float form,
+# and the back map multiplies that loss by p - 1, so small entries are held to
+# 1e-12 of the largest one
+@given(
+    st.sampled_from([1.01, 1.1, 1.5, 3.0, 4.0]),
+    st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 5), st.sampled_from([1e-6, 1.0, 1e3]))
+    .map(_normal_pair),
+)
+# powers of |theta| overflowed at q = 1.01 (p = 101) in the unscaled form
+@example(1.01, ([0.3, -0.2], [-2000.0, 1000.0]))
+# and underflowed for a tiny w
+@example(1.01, ([1e-5, -1e-5], [0.0, 0.0]))
+def test_mirror_step_matches_decimal_reference(q, wg):
+    w, g = wg
+    out = mirror_step(w, g, 1.0, q)
+    want = q_ball_step_decimal(w, g, q, q / (q - 1.0))
+    assert np.all(np.isfinite(out)) and lp_norm(out, q) <= 1.0 + 1e-12
+    np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
 
 @given(
