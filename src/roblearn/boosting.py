@@ -188,7 +188,8 @@ def finite_source(data: Dataset):
 def rejection_sample(source, models, m: int, budget_per_draw: int, U, specs=None):
     """Accept m labeled samples lying in the joint non-robust region of the
     models, or None once any single accept costs more than budget_per_draw
-    source draws (evidence the region's mass is too small to matter)."""
+    rows examined (evidence the region's mass is too small to matter). Rows
+    are requested in blocks; see _accept."""
     models = list(models)
     specs = list(specs) if specs is not None else [U] * len(models)
     got = _accept(source, _doubled_stages(models, specs), m, budget_per_draw, abstained=True)
@@ -196,20 +197,29 @@ def rejection_sample(source, models, m: int, budget_per_draw: int, U, specs=None
 
 
 def _accept(source, stages, m: int, budget_per_draw: int, abstained: bool):
-    """Draw one row at a time, keeping rows where every stage abstains (or,
-    with abstained False, where some stage speaks) until m are kept. Returns
-    the kept (rows, labels), or None once one accept costs more than
-    budget_per_draw draws."""
-    xs, ys = [], []
+    """Keep rows where every stage abstains (or, with abstained False, where
+    some stage speaks) until m are kept. Returns the kept (rows, labels), or
+    None once one accept costs more than budget_per_draw rows examined.
+
+    Each request is for k = min(m - kept, budget_per_draw - since) rows, with
+    since counting the rows rejected after the last accept. A one-row loop
+    would examine every row of such a block too, as it cannot overfill m and
+    the budget can run out only at its last row, so on a finite source the
+    kept rows, the None outcome and the cursor are the same. The exception: a
+    source with fewer than k rows left raises SourceExhausted before reading
+    them, where a one-row loop raises after (they could neither fill m nor
+    exhaust the budget).
+    """
+    xs, ys, since = [], [], 0
     while len(xs) < m:
-        for _ in range(budget_per_draw):
-            batch = source(1)
-            if (_stage_labels(stages, batch.X)[0] == 0) == abstained:
-                xs.append(batch.X[0])
-                ys.append(batch.y[0])
-                break
-        else:
+        if since >= budget_per_draw:
             return None
+        k = min(m - len(xs), budget_per_draw - since)
+        batch = source(k)
+        hits = np.flatnonzero((_stage_labels(stages, batch.X) == 0) == abstained)
+        xs.extend(batch.X[hits])
+        ys.extend(batch.y[hits])
+        since = k - 1 - hits[-1] if hits.size else since + k
     return xs, ys
 
 

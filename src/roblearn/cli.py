@@ -357,7 +357,7 @@ def _cmd_uroboost(args) -> dict:
     if args.unlabeled_input:
         unlabeled = finite_source(load_csv(args.unlabeled_input))
     elif args.gen:
-        unlabeled = _stream(args, labeled)
+        unlabeled = _stream(args, None)
     else:
         raise ConfigError("provide --unlabeled-input or --gen for the unlabeled source")
     learner = _barely_learner(args.learner, args.gamma)

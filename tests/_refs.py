@@ -2,7 +2,9 @@
 
 Everything here is written from the definitions, on purpose: no calls into
 roblearn's closed forms, so a bug there cannot hide a bug here. Only its
-vector check, its oracle answer types and its errors are shared.
+vector check, its oracle answer types and its errors are shared, plus, in
+the last section, its generator for test streams and the stage walk that
+accept_ref's loop calls (nonrobust_ref checks that walk on its own).
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ import math
 
 import numpy as np
 
-from roblearn.core import as_vector
+from roblearn.boosting import _stage_labels
+from roblearn.core import Dataset, as_vector
+from roblearn.data import GenSpec, generate
 from roblearn.errors import EllipsoidDiverged, NotSeparable, OracleViolation
 from roblearn.oracles import INSIDE, Hyperplane
 
@@ -495,3 +499,37 @@ def rerm_ellipsoid_ref(X, y, U, cfg):
         return INSIDE
 
     return ellipsoid_feasible_ref(weight_oracle, d, cfg)
+
+
+# ---------------------------------------------------------------------------
+# sources and the one-row accept loop
+# ---------------------------------------------------------------------------
+
+
+def gen_stream(kind, seed: int):
+    """Independent draws per call: each request uses a fresh derived seed."""
+    state = {"t": 0}
+
+    def draw(k: int) -> Dataset:
+        state["t"] += 1
+        return generate(GenSpec(kind, k, rng_seed=seed * 100_003 + state["t"]))
+
+    return draw
+
+
+def accept_ref(source, stages, m: int, budget_per_draw: int, abstained: bool):
+    """Draw one row at a time, keeping rows where every stage abstains (or,
+    with abstained False, where some stage speaks) until m are kept. Returns
+    the kept (rows, labels), or None once one accept costs more than
+    budget_per_draw draws."""
+    xs, ys = [], []
+    while len(xs) < m:
+        for _ in range(budget_per_draw):
+            batch = source(1)
+            if (_stage_labels(stages, batch.X)[0] == 0) == abstained:
+                xs.append(batch.X[0])
+                ys.append(batch.y[0])
+                break
+        else:
+            return None
+    return xs, ys

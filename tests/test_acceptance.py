@@ -68,7 +68,8 @@ from roblearn.boosting import finite_source
 from roblearn.cli import main as cli_main
 from roblearn.redaction import DistinguisherT1
 
-from ._refs import brute_ball_loss, brute_margin_certified, brute_pool_optimum, central_difference
+from ._refs import (brute_ball_loss, brute_margin_certified, brute_pool_optimum, central_difference,
+                    gen_stream)
 
 
 def vec(*vals):
@@ -77,16 +78,6 @@ def vec(*vals):
 
 def unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
-
-
-def gen_stream(kind, seed: int):
-    state = {"t": 0}
-
-    def draw(k: int) -> Dataset:
-        state["t"] += 1
-        return generate(GenSpec(kind, k, rng_seed=seed * 100_003 + state["t"]))
-
-    return draw
 
 
 # ---------------------------------------------------------------------------

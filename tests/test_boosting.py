@@ -45,25 +45,14 @@ from roblearn import (
     vote_agreement,
     worst_case_point,
 )
-from roblearn.boosting import _round_radius
+from roblearn.boosting import _accept, _doubled_stages, _round_radius
 from roblearn.data import substream
 
-from ._refs import ball_samples, nonrobust_ref, stable_ref
+from ._refs import accept_ref, ball_samples, gen_stream, nonrobust_ref, stable_ref
 
 
 def vec(*vals):
     return np.array(vals, dtype=float)
-
-
-def gen_stream(kind, seed: int):
-    """Independent draws per call: each request uses a fresh derived seed."""
-    state = {"t": 0}
-
-    def draw(k: int) -> Dataset:
-        state["t"] += 1
-        return generate(GenSpec(kind, k, rng_seed=seed * 100_003 + state["t"]))
-
-    return draw
 
 
 # margins under the class-mean directions the rounds will train: the far
@@ -295,6 +284,69 @@ def test_rejection_sample_gives_up_on_empty_region():
     h = LinearModel(vec(1.0, 0.0))
     far = Dataset(np.full((40, 2), 9.0), np.ones(40, dtype=np.int64))
     assert rejection_sample(finite_source(far), [h], 1, 5, ball) is None
+
+
+def _recording(source):
+    """The source, plus the sizes of the requests made of it."""
+    sizes = []
+
+    def draw(k: int) -> Dataset:
+        sizes.append(k)
+        return source(k)
+
+    return draw, sizes
+
+
+def _outcome(run):
+    try:
+        return run()
+    except SourceExhausted:
+        return SourceExhausted
+
+
+# a gap is the number of rejected rows before an accept: codes below 10 give
+# a gap the budget allows, 10 the budget itself (its last row), 11 one too many
+accept_gaps = st.lists(st.integers(0, 11), max_size=8)
+
+
+@given(st.integers(0, 100_000), region_kinds, st.floats(0.05, 1.0), st.booleans(),
+       st.booleans(), st.integers(0, 6), st.integers(1, 6), accept_gaps, st.integers(0, 8))
+def test_block_accept_matches_the_one_row_loop(seed, kind, gamma, two_models, abstained,
+                                               m, budget, gaps, tail):
+    models, specs, _U, pool = _region_case(seed, kind, gamma, two_models)
+    stages = _doubled_stages(models, specs)
+    flags = np.array([nonrobust_ref(models, specs, x) == abstained for x in pool.X])
+    hit_rows, miss_rows = np.flatnonzero(flags), np.flatnonzero(~flags)
+    gaps = [g % (budget + 1) if g < 10 else budget + g - 10 for g in gaps]
+    # a pool without one of the two kinds of rows fills the pattern with the other
+    pattern = [r for g in gaps for r in [False] * g + [True]] + [False] * tail
+    pattern = [hit if (hit_rows.size if hit else miss_rows.size) else not hit for hit in pattern]
+    rng = np.random.default_rng(seed)
+    order = [rng.choice(hit_rows if hit else miss_rows) for hit in pattern]
+    data = pool.subset(np.array(order, dtype=np.int64))
+
+    ref_source, ref_sizes = _recording(finite_source(data))
+    new_source, new_sizes = _recording(finite_source(data))
+    want = _outcome(lambda: accept_ref(ref_source, stages, m, budget, abstained))
+    got = _outcome(lambda: _accept(new_source, stages, m, budget, abstained))
+    if want is SourceExhausted or want is None:
+        assert got is want
+    else:
+        assert got is not None and got is not SourceExhausted
+        assert np.array_equal(np.array(got[0]), np.array(want[0]))
+        assert np.array_equal(np.array(got[1]), np.array(want[1]))
+    if want is SourceExhausted:
+        # the one-row loop reads every row, then asks for one more; the block
+        # loop's last request is larger than what is left
+        assert sum(ref_sizes) == data.n + 1
+        assert sum(new_sizes[:-1]) <= data.n < sum(new_sizes)
+        return
+    assert sum(new_sizes) == sum(ref_sizes)
+    following = [_outcome(lambda s=s: s(1)) for s in (ref_source, new_source)]
+    if following[0] is SourceExhausted:
+        assert following[1] is SourceExhausted
+    else:
+        assert np.array_equal(following[0].X, following[1].X)
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,15 @@ def test_subcommands_are_byte_deterministic(tmp_path):
     assert runs[0] == runs[1]
 
 
+def test_uroboost_gen_draws_unlabeled_rows_from_the_generator(tmp_path):
+    # 20 labeled rows cannot fill a 30-row round; an endless generator can
+    out = str(tmp_path / "u.txt")
+    assert run(["uroboost", "--input", write_band(tmp_path), "--gen", "gaussian",
+                "--per-round-m", "30", "--rounds", "3", "--gamma", "0.3", "--eps", "0.2",
+                "--beta", "0.5", "--output", out]) == 0
+    assert "rounds:\n  - round: 1\n" in open(out).read()
+
+
 def test_rcn_train_on_noisy_planted_data(tmp_path):
     csv = str(tmp_path / "noisy.csv")
     assert run(["gen-data", "--gen", "gaussian", "--center-pos", "1,0,0,0",

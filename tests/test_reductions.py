@@ -43,21 +43,11 @@ from roblearn import (
 )
 from roblearn.reductions import PerExampleWeights
 
-from ._refs import brute_pool_optimum
+from ._refs import brute_pool_optimum, gen_stream
 
 
 def vec(*vals):
     return np.array(vals, dtype=float)
-
-
-def gen_stream(kind, seed: int):
-    state = {"t": 0}
-
-    def draw(k: int) -> Dataset:
-        state["t"] += 1
-        return generate(GenSpec(kind, k, rng_seed=seed * 100_003 + state["t"]))
-
-    return draw
 
 
 # ---------------------------------------------------------------------------
