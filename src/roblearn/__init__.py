@@ -49,6 +49,7 @@ from .oracles import (
     bound_separation,
     default_ellipsoid_config,
     ellipsoid_certify,
+    ellipsoid_certify_batch,
     ellipsoid_feasible,
     rerm_ellipsoid,
     separation_oracle,

@@ -23,7 +23,7 @@ from .oracles import (
     bound_separation,
     check_disjoint_balls,
     default_ellipsoid_config,
-    ellipsoid_certify,
+    ellipsoid_certify_batch,
     rerm_ellipsoid,
 )
 from .learners import (
@@ -253,8 +253,7 @@ def _cmd_certify(args) -> dict:
         risk = robust_risk(model, data, ball)
     else:
         cfg = default_ellipsoid_config(args.gamma)
-        bad = sum(ellipsoid_certify(model, data.sample(i), bound_separation(ball, data.X[i]), cfg)
-                  is not None for i in range(data.n))
+        bad = sum(z is not None for z in ellipsoid_certify_batch(model, data, ball, cfg))
         risk = bad / data.n
     return {
         "config": _echo(args, ["model", "input", "gamma", "p", "method"]),

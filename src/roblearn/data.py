@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -195,7 +196,6 @@ def load_csv(path: str) -> Dataset:
     number. Row/column positions in errors are 1-based over the raw file.
     """
     raw = read_text(path)
-    rows = []
     lines = [(i + 1, ln) for i, ln in enumerate(raw.splitlines()) if ln.strip()]
     if not lines:
         raise EmptyDataset(f"{path} contains no data rows")
@@ -206,6 +206,25 @@ def load_csv(path: str) -> Dataset:
         lines = lines[1:]
         if not lines:
             raise EmptyDataset(f"{path} contains no data rows")
+    # one float() per token, streamed into the array so no list of tokens is
+    # held; any fault is located by the scan
+    commas = lines[0][1].count(",")
+    if commas and all(ln.count(",") == commas for _, ln in lines):
+        tokens = chain.from_iterable(ln.split(",") for _, ln in lines)
+        try:
+            vals = np.fromiter(map(float, tokens), dtype=float, count=len(lines) * (commas + 1))
+        except ValueError:
+            return _scan_csv(lines)
+        vals = vals.reshape(len(lines), commas + 1)
+        X, label = vals[:, :-1], vals[:, -1]
+        if ((label == 1.0) | (label == -1.0)).all() and np.isfinite(X).all():
+            return Dataset(np.ascontiguousarray(X), label.astype(np.int64))
+    return _scan_csv(lines)
+
+
+def _scan_csv(lines) -> Dataset:
+    """Parse numbered lines field by field, raising ParseError at the first fault."""
+    rows = []
     width = None
     for rownum, line in lines:
         fields = [f.strip() for f in line.split(",")]

@@ -5,6 +5,13 @@ scan for finite sets. Certification against arbitrary convex perturbation
 regions goes through the ellipsoid method: a separation oracle for U(x) is
 composed with the misclassification halfspace, and robust ERM runs a second
 ellipsoid in weight space whose cuts come from failed certifications.
+
+There is one central-cut loop, `_lockstep`: it runs k searches side by side
+as stacked centers and shapes, asking a row-wise oracle for all open rows at
+once, so certifying a dataset costs one numpy step per iteration rather than
+one per row and iteration. A single search (`ellipsoid_feasible`,
+`ellipsoid_certify`) is its one-row case behind an adapter over the scalar
+oracle, and `_separate` answers for lp balls and polytopes row by row.
 """
 
 from __future__ import annotations
@@ -124,53 +131,53 @@ def attack(model: LinearModel, sample: Sample, U: PerturbationSpec, index: int |
     return Z[int(bad[0])].copy()
 
 
-def _separate(U_descriptor, x: np.ndarray, z: np.ndarray):
-    """INSIDE or a raw cut (normal, offset), for already validated x and z."""
+def _separate(U_descriptor, X: np.ndarray, Z: np.ndarray):
+    """Row-wise membership of Z[i] in U(X[i]) for validated (k, d) stacks:
+    (inside, normals, offsets), where row i outside is cut by
+    <normals[i], z'> <= offsets[i]; the cuts of rows inside mean nothing."""
     if isinstance(U_descriptor, LpBall):
         p, gamma = U_descriptor.p, U_descriptor.gamma
-        delta = z - x
+        delta = Z - X
         if p == 2.0:
-            dist = float(np.linalg.norm(delta))
-            if dist <= gamma:
-                return INSIDE
-            normal = delta / dist
+            dist = np.sqrt(np.vecdot(delta, delta))
+            inside = dist <= gamma
+            normal = delta / np.where(inside, 1.0, dist)[:, None]
         elif math.isinf(p):
-            dist = float(np.max(np.abs(delta)))
-            if dist <= gamma:
-                return INSIDE
-            j = int(np.argmax(np.abs(delta)))
-            normal = np.zeros_like(x)
-            normal[j] = 1.0 if delta[j] > 0 else -1.0
+            mag = np.abs(delta)
+            inside = mag.max(axis=1) <= gamma
+            rows, j = np.arange(len(delta)), mag.argmax(axis=1)
+            normal = np.zeros_like(delta)
+            normal[rows, j] = np.where(delta[rows, j] > 0, 1.0, -1.0)
         elif p == 1.0:
-            dist = float(np.sum(np.abs(delta)))
-            if dist <= gamma:
-                return INSIDE
+            inside = np.abs(delta).sum(axis=1) <= gamma
             normal = np.sign(delta)
         else:
             raise UnsupportedGeometry(f"no separation oracle for p={p}")
-        return normal, float(normal @ x) + gamma
+        return inside, normal, np.vecdot(normal, X) + gamma
     if isinstance(U_descriptor, Polytope):
-        vals = U_descriptor.A @ (z - x)
-        viol = np.nonzero(vals > U_descriptor.b)[0]
-        if viol.size == 0:
-            return INSIDE
-        i = int(viol[0])
-        row = U_descriptor.A[i]
-        return row, float(row @ x) + float(U_descriptor.b[i])
+        viol = np.matmul(U_descriptor.A, (Z - X)[..., None])[..., 0] > U_descriptor.b
+        i = viol.argmax(axis=1)
+        normal = U_descriptor.A[i]
+        return ~viol.any(axis=1), normal, np.vecdot(normal, X) + U_descriptor.b[i]
     raise UnsupportedGeometry(f"no separation oracle for {type(U_descriptor).__name__}")
 
 
 def separation_oracle(U_descriptor, x, z) -> _Inside | Hyperplane:
     """Membership-or-separating-hyperplane for z against U(x)."""
-    ans = _separate(U_descriptor, as_vector(x), as_vector(z))
-    return ans if ans is INSIDE else Hyperplane(*ans)
+    inside, normal, offset = _separate(U_descriptor, as_vector(x)[None], as_vector(z)[None])
+    return INSIDE if inside[0] else Hyperplane(normal[0], offset[0])
 
 
 def bound_separation(U_descriptor, x):
     """Close the oracle over a center validated here, once. The query-only
     callable answers INSIDE or a raw cut; the ellipsoid checks its queries."""
-    x = as_vector(x)
-    return lambda z: _separate(U_descriptor, x, z)
+    X = as_vector(x)[None]
+
+    def sep(z):
+        inside, normal, offset = _separate(U_descriptor, X, z[None])
+        return INSIDE if inside[0] else (normal[0], float(offset[0]))
+
+    return sep
 
 
 def check_disjoint_balls(data: Dataset, ball: LpBall) -> None:
@@ -187,6 +194,123 @@ def check_disjoint_balls(data: Dataset, ball: LpBall) -> None:
                                "and intersecting perturbation balls")
 
 
+# The searches of one lockstep run hold at most this many floats of stacked
+# shapes (k d^2, 8 MiB); more rows go in chunks, in order.
+_STACK_FLOATS = 1 << 20
+
+
+def _lockstep(sep, C: np.ndarray, cfg: EllipsoidConfig) -> list:
+    """Central-cut ellipsoid searches from the k rows of C, one per row, run
+    side by side: for each row a point its oracle row accepts, or None when
+    that region is empty up to volume_eps (budget exhausted or shrunk away).
+
+    sep(rows, Z) answers the queries Z[j] of the open rows `rows` at once with
+    (inside, normals, offsets): a mask, and for each row outside a raw cut
+    <normals[j], z'> <= offsets[j]. Each row takes exactly the steps of its own
+    search. A failing row stops the rows after it, and once the rows before it
+    are done its error is raised, as a loop over the rows would raise it.
+    """
+    k, d = C.shape
+    found = [None] * k
+    chunk = max(1, _STACK_FLOATS // (d * d))
+    for lo in range(0, k, chunk):
+        failure = _search(sep, C[lo:lo + chunk], lo, cfg, found)
+        if failure is not None:
+            raise failure
+    return found
+
+
+def _search(sep, C, lo, cfg, found):
+    """One lockstep run over the rows lo, lo + 1, ... that C holds; fills
+    found and returns the error of the lowest failing row, if any."""
+    k, d = C.shape
+    rows = np.arange(lo, lo + k)
+    r = cfg.init_radius
+    Q = np.broadcast_to(np.eye(d) * r**2, (k, d, d)).copy()
+    nsq = d * d / (d * d - 1.0) if d > 1 else 0.0
+    failure = None
+    for _ in range(cfg.resolved_max_iters(d)):
+        if not np.isfinite(C).all():
+            failure = ValueError("vector entries must be finite")
+            n = int(np.argmin(np.isfinite(C).all(axis=1)))
+            rows, C, Q = rows[:n], C[:n], Q[:n]
+            if not n:
+                break
+        inside, G, off = sep(rows, C)
+        if np.count_nonzero(inside):
+            for j in np.flatnonzero(inside):
+                found[rows[j]] = C[j].copy()
+            keep = ~inside
+            rows, C, Q, G, off = rows[keep], C[keep], Q[keep], G[keep], off[keep]
+            if not rows.size:
+                break
+        gap = np.vecdot(G, C) - off
+        if not np.isfinite(gap).all():  # at a finite center: a non-finite cut, or overflow
+            cut_ok = np.isfinite(G).all(axis=1) & np.isfinite(off)
+            if not cut_ok.all():  # each cut is checked once, when it arrives
+                failure = ValueError("vector entries must be finite")
+                n = int(np.argmin(cut_ok))
+                rows, C, Q, G, off, gap = rows[:n], C[:n], Q[:n], G[:n], off[:n], gap[:n]
+        bad = gap < -1e-12 * (1.0 + np.abs(off))
+        if np.count_nonzero(bad):
+            failure = OracleViolation("separating hyperplane does not cut the center")
+            n = int(np.argmax(bad))
+            rows, C, Q, G = rows[:n], C[:n], Q[:n], G[:n]
+        if not rows.size:
+            break
+        if d == 1:  # bisection: the interval is the ellipsoid
+            C = C - np.copysign(r / 2.0, G)
+            r /= 2.0
+            if r < cfg.volume_eps:
+                break
+            continue
+        # matmul and vecdot round each row like the one-row Q @ g and g @ Qg;
+        # einsum does not
+        Qg = np.matmul(Q, G[..., None])[..., 0]
+        denom = np.vecdot(G, Qg)
+        empty = denom <= 0.0
+        if np.count_nonzero(empty):
+            keep = ~empty
+            rows, C, Q, G, Qg, denom = rows[keep], C[keep], Q[keep], G[keep], Qg[keep], denom[keep]
+            if not rows.size:
+                break
+        b = Qg / np.sqrt(denom)[:, None]
+        C = C - b / (d + 1.0)
+        Q -= 2.0 / (d + 1.0) * (b[:, :, None] * b[:, None, :])
+        Q *= nsq
+        # Q stays exactly symmetric, but entries beyond max_float / 2 overflow here
+        Q = 0.5 * (Q + Q.transpose(0, 2, 1))
+        size = np.sqrt(np.maximum(Q.trace(axis1=1, axis2=2), 0.0))
+        # Uncut axes grow by a constant factor per query: an empty slab in d = 2
+        # stops near 1e59 init radii, a region outside the start overflows Q near
+        # 1e154. On 14.4k property-test searches this bound stopped only the latter.
+        small, big = size < cfg.volume_eps, size > 1e100 * cfg.init_radius
+        if np.count_nonzero(small | big):
+            if np.count_nonzero(big):
+                failure = EllipsoidDiverged("the ellipsoid grew past 1e100 initial radii "
+                                            "instead of closing in on the region")
+                n = int(np.argmax(big))
+                rows, C, Q, small = rows[:n], C[:n], Q[:n], small[:n]
+            keep = ~small
+            rows, C, Q = rows[keep], C[keep], Q[keep]
+            if not rows.size:
+                break
+    return failure
+
+
+def _one_row(sep):
+    """The scalar oracle sep(z), answering INSIDE or a (normal, offset) cut,
+    as a row-wise oracle over a single row."""
+    def answer(_, Z):
+        ans = sep(Z[0])
+        if ans is INSIDE:
+            return np.ones(1, dtype=bool), np.zeros_like(Z), np.zeros(1)
+        normal, offset = ans
+        return np.zeros(1, dtype=bool), np.asarray(normal, dtype=float)[None], np.array([offset], dtype=float)
+
+    return answer
+
+
 def ellipsoid_feasible(sep, d: int, cfg: EllipsoidConfig, center=None):
     """Find a point the separation oracle accepts, or None when the region is
     empty up to volume_eps (budget exhausted or every semi-axis shrunk away).
@@ -194,54 +318,28 @@ def ellipsoid_feasible(sep, d: int, cfg: EllipsoidConfig, center=None):
     sep answers INSIDE or a (normal, offset) cut. The caller guarantees the
     region, if non-empty with volume_eps slack, is in the init_radius ball at center.
     """
-    c = np.zeros(d) if center is None else as_vector(center).copy()
-    max_iters = cfg.resolved_max_iters(d)
-    if d == 1:
-        r = cfg.init_radius
-        for _ in range(max_iters):
-            ans = sep(c)
-            if ans is INSIDE:
-                return c
-            normal, off = ans
-            g = float(normal[0])
-            if g * c[0] - off < -1e-12 * (1.0 + abs(off)):
-                raise OracleViolation("separating hyperplane does not cut the center")
-            c = c - np.array([math.copysign(r / 2.0, g)])
-            r /= 2.0
-            if r < cfg.volume_eps:
-                return None
-        return None
-    Q = np.eye(d) * cfg.init_radius**2
-    nsq = d * d / (d * d - 1.0)
-    for _ in range(max_iters):
-        if not np.isfinite(c).all():
-            raise ValueError("vector entries must be finite")
-        ans = sep(c)
-        if ans is INSIDE:
-            return c
-        g, off = ans
-        if float(g @ c) - off < -1e-12 * (1.0 + abs(off)):
-            raise OracleViolation("separating hyperplane does not cut the center")
-        Qg = Q @ g
-        denom = float(g @ Qg)
-        if denom <= 0.0:
-            return None
-        b = Qg / math.sqrt(denom)
-        c = c - b / (d + 1.0)
-        Q -= 2.0 / (d + 1.0) * (b[:, None] * b)
-        Q *= nsq
-        # Q stays exactly symmetric, but entries beyond max_float / 2 overflow here
-        Q = 0.5 * (Q + Q.T)
-        size = math.sqrt(max(float(Q.trace()), 0.0))
-        if size < cfg.volume_eps:
-            return None
-        # Uncut axes grow by a constant factor per query: an empty slab in d = 2
-        # stops near 1e59 init radii, a region outside the start overflows Q near
-        # 1e154. On 14.4k property-test searches this bound stopped only the latter.
-        if size > 1e100 * cfg.init_radius:
-            raise EllipsoidDiverged("the ellipsoid grew past 1e100 initial radii "
-                                    "instead of closing in on the region")
-    return None
+    c = np.zeros(d) if center is None else as_vector(center)
+    if c.shape != (d,):
+        raise ValueError(f"center must have {d} entries, got {c.shape[0]}")
+    return _lockstep(_one_row(sep), np.array([c]), cfg)[0]
+
+
+def _certify_oracle(w, bias: float, y: np.ndarray, slack: float, region):
+    """Row-wise oracle for {z in U(x_i) : y_i (<w, z> + bias) <= slack}: the
+    misclassification cut where the decision value clears slack, and the
+    answer of region(rows, Z) for U(x_i) only where it does not."""
+    miss_normal, miss_offset = y[:, None] * w, slack - y * bias
+
+    def composed(rows, Z):
+        ask = ~(y[rows] * (np.vecdot(Z, w) + bias) > slack)
+        normal, offset = miss_normal[rows], miss_offset[rows]
+        if not np.count_nonzero(ask):
+            return ask, normal, offset
+        inside = np.zeros_like(ask)
+        inside[ask], normal[ask], offset[ask] = region(rows[ask], Z[ask])
+        return inside, normal, offset
+
+    return composed
 
 
 def ellipsoid_certify(model: LinearModel, sample: Sample, sepU, cfg: EllipsoidConfig,
@@ -253,16 +351,18 @@ def ellipsoid_certify(model: LinearModel, sample: Sample, sepU, cfg: EllipsoidCo
     sepU must be a query-only separation oracle for U(x); the search ellipsoid
     is centered at x, so U(x) must fit in the init_radius ball around it.
     """
-    y = float(sample.y)
-    w = model.w
-    miss = (y * w, slack - y * model.bias)
+    sep = _certify_oracle(model.w, model.bias, np.array([float(sample.y)]), slack, _one_row(sepU))
+    return _lockstep(sep, np.array([as_vector(sample.x)]), cfg)[0]
 
-    def composed(z):
-        if y * (float(w @ z) + model.bias) > slack:
-            return miss
-        return sepU(z)
 
-    return ellipsoid_feasible(composed, sample.x.shape[0], cfg, center=sample.x)
+def ellipsoid_certify_batch(model: LinearModel, data: Dataset, U, cfg: EllipsoidConfig,
+                            slack: float = 0.0) -> list:
+    """ellipsoid_certify on every row of data against U(x_i), for an lp ball
+    or polytope U, as one lockstep search: per row the counterexample or
+    None. Raises the error the first failing row would raise on its own."""
+    sep = _certify_oracle(model.w, model.bias, data.y.astype(float), slack,
+                          lambda rows, Z: _separate(U, data.X[rows], Z))
+    return _lockstep(sep, data.X, cfg)
 
 
 def rerm_ellipsoid(data: Dataset, sep_for_example, cfg: EllipsoidConfig,

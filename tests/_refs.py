@@ -2,8 +2,8 @@
 
 Everything here is written from the definitions, on purpose: no calls into
 roblearn's closed forms, so a bug there cannot hide a bug here. Only its
-vector check, its oracle answer types and its errors are shared, plus, in
-the last section, its generator for test streams and the stage walk that
+vector check, its oracle answer types, its errors and its text read are
+shared, plus its generator for test streams and the stage walk that
 accept_ref's loop calls (nonrobust_ref checks that walk on its own).
 """
 
@@ -16,8 +16,8 @@ import numpy as np
 
 from roblearn.boosting import _stage_labels
 from roblearn.core import Dataset, as_vector
-from roblearn.data import GenSpec, generate
-from roblearn.errors import EllipsoidDiverged, NotSeparable, OracleViolation
+from roblearn.data import GenSpec, generate, read_text
+from roblearn.errors import EllipsoidDiverged, EmptyDataset, NotSeparable, OracleViolation, ParseError
 from roblearn.oracles import INSIDE, Hyperplane
 
 
@@ -533,3 +533,54 @@ def accept_ref(source, stages, m: int, budget_per_draw: int, abstained: bool):
         else:
             return None
     return xs, ys
+
+
+# ---------------------------------------------------------------------------
+# the field-by-field CSV scan
+# ---------------------------------------------------------------------------
+
+
+def load_csv_ref(path: str) -> Dataset:
+    """Comma-separated reals, final column the label in {-1, +1}.
+
+    A header line is detected by its first field failing to parse as a
+    number. Row/column positions in errors are 1-based over the raw file.
+    """
+    raw = read_text(path)
+    rows = []
+    lines = [(i + 1, ln) for i, ln in enumerate(raw.splitlines()) if ln.strip()]
+    if not lines:
+        raise EmptyDataset(f"{path} contains no data rows")
+    first_tok = lines[0][1].split(",")[0].strip()
+    try:
+        float(first_tok)
+    except ValueError:
+        lines = lines[1:]
+        if not lines:
+            raise EmptyDataset(f"{path} contains no data rows")
+    width = None
+    for rownum, line in lines:
+        fields = [f.strip() for f in line.split(",")]
+        if width is None:
+            width = len(fields)
+            if width < 2:
+                raise ParseError("need at least one feature column and a label", row=rownum, col=1)
+        elif len(fields) != width:
+            raise ParseError(f"expected {width} columns, got {len(fields)}", row=rownum, col=len(fields))
+        vals = []
+        for colnum, tok in enumerate(fields, start=1):
+            try:
+                vals.append(float(tok))
+            except ValueError:
+                raise ParseError(f"not a number: {tok!r}", row=rownum, col=colnum) from None
+        label = vals[-1]
+        if label not in (1.0, -1.0):
+            raise ParseError(f"label must be +1 or -1, got {fields[-1]!r}", row=rownum, col=width)
+        rows.append((vals[:-1], int(label)))
+    X = np.array([r[0] for r in rows], dtype=float)
+    bad = np.argwhere(~np.isfinite(X))
+    if bad.size:
+        i, j = bad[0]
+        raise ParseError("feature must be finite", row=lines[i][0], col=int(j) + 1)
+    y = np.array([r[1] for r in rows], dtype=np.int64)
+    return Dataset(X, y)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from roblearn import (
     Dataset,
@@ -26,6 +26,9 @@ from roblearn import (
     substream,
 )
 from roblearn.data import fmt_float
+from roblearn.errors import RoblearnError
+
+from ._refs import load_csv_ref
 
 
 def vec(*vals):
@@ -209,6 +212,59 @@ def test_csv_error_positions(tmp_path):
         load_csv(str(p))
     with pytest.raises(IoError):
         load_csv(str(tmp_path / "absent.csv"))
+
+
+_FIELDS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-5, 5).map(str),
+    st.sampled_from(["1", "-1", "+1", "1.0", "-1e0", " -1 ", "\t1", "0", "2", "-0.0", "1_0"]),
+    st.sampled_from(["nan", "inf", "-Infinity", "", "oops", "1 2", "0x1"]),
+)
+_LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def _csv_texts(draw):
+    """Rows of a common width with some ragged, bad-token, bad-label and
+    non-finite fields, padded fields, blank lines, a header and mixed line ends."""
+    width = draw(st.integers(2, 4))
+    lines = [draw(st.sampled_from(["f1,f2,label", "x,y", "# a,b"]))] if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(["", "   ", "\t"])))
+            continue
+        w = width + (draw(st.sampled_from([-1, 1])) if draw(st.integers(0, 14)) == 0 else 0)
+        clean = draw(st.integers(0, 3)) > 0  # most rows parse
+        fields = []
+        for c in range(max(w, 1)):
+            if c == w - 1 and clean:
+                tok = draw(st.sampled_from(["1", "-1", "1.0", " -1", "+1 "]))
+            elif clean:
+                tok = repr(draw(st.floats(-1e6, 1e6)))
+            else:
+                tok = draw(_FIELDS)
+            fields.append(draw(st.sampled_from(["", " ", "\t"])) + tok + draw(st.sampled_from(["", " "])))
+        lines.append(",".join(fields))
+    ends = [draw(_LINE_ENDS) for _ in lines]
+    return "".join(ln + end for ln, end in zip(lines, ends))[:None if draw(st.booleans()) else -1]
+
+
+def _load_outcome(load, path):
+    try:
+        data = load(path)
+    except (ValueError, RoblearnError) as exc:
+        return type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "col", None)
+    return data.X.shape, data.X.dtype, data.X.tobytes(), data.y.dtype, data.y.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_csv_texts())
+@example("1\n-1\n")  # no feature column, though every token parses
+@example("f1,f2,label\r\n 0.5, 1.5 ,1\r\n\r\n-0.5,2.0,-1")
+def test_load_csv_matches_the_field_scan(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _load_outcome(load_csv, str(path)) == _load_outcome(load_csv_ref, str(path))
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))

@@ -21,6 +21,7 @@ from roblearn import (
     default_ellipsoid_config,
     dual_norm,
     ellipsoid_certify,
+    ellipsoid_certify_batch,
     ellipsoid_feasible,
     lp_norm,
     margin,
@@ -224,16 +225,23 @@ def test_user_oracle_answering_hyperplanes_drives_the_search():
 def test_non_finite_center_raises_before_the_next_query():
     calls = []
 
-    def poisoned(z):
-        # an unvalidated raw cut whose NaN normal sends the center to NaN
-        calls.append(z.copy())
-        return vec(np.nan, 1.0), 0.0
+    def poisoned(normal, offset):
+        # an unvalidated raw cut: a NaN normal sends the center to NaN, and a
+        # NaN offset (or any NaN cut in d = 1) used to run on to "region empty"
+        def sep(z):
+            calls.append(z.copy())
+            return normal, offset
+        return sep
 
+    for d, normal, offset in ((2, vec(np.nan, 1.0), 0.0), (1, vec(np.nan), 0.0),
+                              (2, vec(1.0, 0.0), np.nan), (1, vec(1.0), np.nan)):
+        calls.clear()
+        with pytest.raises(ValueError, match="finite"):
+            ellipsoid_feasible(poisoned(normal, offset), d, EllipsoidConfig())
+        assert len(calls) == 1
     with pytest.raises(ValueError, match="finite"):
-        ellipsoid_feasible(poisoned, 2, EllipsoidConfig())
-    assert len(calls) == 1
-    with pytest.raises(ValueError, match="finite"):
-        ellipsoid_feasible(poisoned, 2, EllipsoidConfig(), center=vec(np.inf, 0.0))
+        ellipsoid_feasible(poisoned(vec(np.nan, 1.0), 0.0), 2, EllipsoidConfig(),
+                           center=vec(np.inf, 0.0))
 
 
 def test_config_validation_and_defaults():
@@ -385,6 +393,148 @@ def test_certify_matches_reference(seed, kind, d, slack):
                                                       slack=slack),
                     lambda z: separation_ref(U, x, z))
     _assert_same_outcome(got, want)
+
+
+def _rows_outcome(search):
+    """A batch's per-row results, or its error class."""
+    try:
+        return search(), None
+    except (ValueError, RoblearnError) as exc:
+        return None, type(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), REGIONS, st.integers(1, 3), st.sampled_from([0.0, 0.05]),
+       st.integers(1, 12), st.sampled_from([2, 3]))
+def test_certify_batch_matches_reference_row_by_row(seed, kind, d, slack, n, chunk_rows):
+    # most rows are right at x, so they are attacked after a few cuts or
+    # certified once the ellipsoid shrinks away; the rest are attacked at x.
+    # A start radius of 0.3 leaves some regions partly outside the start.
+    rng = np.random.default_rng(seed)
+    cfg = EllipsoidConfig(init_radius=float(rng.choice([0.3, 10.0])),
+                          volume_eps=float(rng.choice([1e-3, 1e-6])))
+    U = _region(kind, rng, d)
+    model = LinearModel(rng.standard_normal(d) + 0.1, bias=float(rng.standard_normal()) * 0.5)
+    X = rng.standard_normal((n, d))
+    y = np.where(X @ model.w + model.bias >= 0.0, 1, -1) * np.where(rng.random(n) < 0.8, 1, -1)
+    want = [_outcome(lambda sep: ellipsoid_certify_ref(model.w, model.bias, X[i], int(y[i]), sep,
+                                                       cfg, slack=slack),
+                     lambda z, x=X[i]: separation_ref(U, x, z)) for i in range(n)]
+    failed = [err for _, err, _ in want if err is not None]
+    data = Dataset(X, y)
+    whole = _rows_outcome(lambda: ellipsoid_certify_batch(model, data, U, cfg, slack=slack))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracles, "_STACK_FLOATS", chunk_rows * d * d)
+        chunked = _rows_outcome(lambda: ellipsoid_certify_batch(model, data, U, cfg, slack=slack))
+    for got, err in (whole, chunked):
+        # the error of the lowest failing row, the first a row loop meets
+        assert err is (failed[0] if failed else None)
+        for z, (ref, _, _) in zip(got or [], want):
+            assert (z is None) == (ref is None)
+            assert z is None or z.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("U", [LpBall(2.0, 0.3), LpBall(math.inf, 0.2),
+                               Polytope(np.array([[1.0, 0.2], [-0.5, 1.0], [0.0, -1.0]]),
+                                        np.array([0.3, 0.2, 0.25]))])
+def test_certify_batch_matches_reference_across_closing_steps(monkeypatch, U):
+    # most rows are right at x, with margins spread around the radius: they
+    # are attacked after one to dozens of cuts or certified once the ellipsoid
+    # shrinks away, so rows leave the lockstep at many different steps
+    rng = np.random.default_rng(5)
+    model = LinearModel(vec(1.0, -0.5), bias=0.1)
+    X = rng.standard_normal((40, 2))
+    y = np.where(X @ model.w + model.bias >= 0.0, 1, -1) * np.where(rng.random(40) < 0.85, 1, -1)
+    cfg = EllipsoidConfig()
+    want = [_outcome(lambda sep: ellipsoid_certify_ref(model.w, model.bias, X[i], int(y[i]), sep,
+                                                       cfg),
+                     lambda z, x=X[i]: separation_ref(U, x, z)) for i in range(40)]
+    assert len({steps for _, _, steps in want}) >= 6
+    got = ellipsoid_certify_batch(model, Dataset(X, y), U, cfg)
+    monkeypatch.setattr(oracles, "_STACK_FLOATS", 3 * 2 * 2)  # chunks of 3 rows
+    assert [z is None or z.tobytes() for z in ellipsoid_certify_batch(model, Dataset(X, y), U, cfg)] \
+        == [z is None or z.tobytes() for z in got]
+    for z, (ref, err, _) in zip(got, want):
+        assert err is None and (z is None) == (ref is None)
+        assert z is None or z.tobytes() == ref.tobytes()
+
+
+def _stacked(seps):
+    """A row-wise oracle over one scalar oracle per row."""
+    def sep(rows, Z):
+        answers = [seps[i](z) for i, z in zip(rows, Z)]
+        cuts = [(np.zeros(Z.shape[1]), 0.0) if a is INSIDE else a for a in answers]
+        return (np.array([a is INSIDE for a in answers]), np.array([g for g, _ in cuts]),
+                np.array([off for _, off in cuts]))
+    return sep
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.lists(REGIONS, min_size=1, max_size=5), st.integers(1, 3),
+       st.sampled_from([1e-3, 1e-6]))
+def test_lockstep_matches_reference_searches_row_by_row(seed, kinds, d, volume_eps):
+    # each row searches its own region from its own center: rows are found,
+    # shrink away, run empty along a slab or diverge, each at its own step
+    rng = np.random.default_rng(seed)
+    cfg = EllipsoidConfig(init_radius=float(rng.uniform(1.0, 10.0)), volume_eps=volume_eps)
+    regions = [_region(kind, rng, d) for kind in kinds]
+    X = rng.standard_normal((len(kinds), d)) * 2.0
+    C = rng.standard_normal((len(kinds), d))
+    want = [_outcome(lambda sep: ellipsoid_feasible_ref(sep, d, cfg, center=C[i]),
+                     lambda z, i=i: separation_ref(regions[i], X[i], z)) for i in range(len(kinds))]
+    failed = [err for _, err, _ in want if err is not None]
+    sep = _stacked([bound_separation(U, x) for U, x in zip(regions, X)])
+    got, err = _rows_outcome(lambda: oracles._lockstep(sep, C, cfg))
+    assert err is (failed[0] if failed else None)
+    for z, (ref, _, _) in zip(got or [], want):
+        assert (z is None) == (ref is None)
+        assert z is None or z.tobytes() == ref.tobytes()
+
+
+def test_lockstep_rows_leave_at_their_own_steps():
+    # a ball found at once; an empty diagonal slab whose g Q g reaches 0 after
+    # 38 queries; two slabs 1e-12 wide found at queries 70 and 71, either side of
+    # a single point that shrinks away at 56; and an empty slab along an axis,
+    # which ends only when that axis underflows
+    cfg = EllipsoidConfig(volume_eps=1e-2)
+    slab, slab2 = np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([[0.0, 1.0], [0.0, -1.0]])
+    regions = [LpBall(2.0, 0.5), Polytope(np.array([[1.0, 1.0], [-1.0, -1.0]]), np.array([0.3, -0.4])),
+               Polytope(slab, np.array([0.3, -0.3 + 1e-12])), LpBall(2.0, 0.0),
+               Polytope(slab2, np.array([0.2, -0.2 + 1e-12])), Polytope(slab, np.array([0.3, -0.4]))]
+    X = np.array([[0.2, 0.1], [0.0, 0.0], [0.1, 0.4], [0.5, -0.2], [-0.3, 0.1], [0.0, 0.0]])
+    C = np.zeros((6, 2))
+    want = [_outcome(lambda sep: ellipsoid_feasible_ref(sep, 2, cfg, center=C[i]),
+                     lambda z, i=i: separation_ref(regions[i], X[i], z)) for i in range(6)]
+    assert [(ref is None, steps) for ref, _, steps in want] == \
+        [(False, 1), (True, 38), (False, 70), (True, 56), (False, 71), (True, 925)]
+    got = oracles._lockstep(_stacked([bound_separation(U, x) for U, x in zip(regions, X)]), C, cfg)
+    for z, (ref, _, _) in zip(got, want):
+        assert (z is None) == (ref is None)
+        assert z is None or z.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("row0_fails", [False, True])
+def test_lockstep_raises_the_error_of_the_lowest_failing_row(row0_fails):
+    # row 2's cut misses its center at the first query and row 1 sends a NaN
+    # cut at the second; row 0 is accepted (or misses) at the third, and row
+    # 3 is accepted at once. Rows after a failure stop; row 0 runs to its end.
+    asked = dict.fromkeys(range(4), 0)
+
+    def sep(rows, Z):
+        inside, offsets = np.zeros(rows.size, dtype=bool), Z[:, 0].copy()
+        for j, i in enumerate(rows):
+            asked[i] += 1
+            inside[j] = i == 3 or (i == 0 and asked[i] == 3 and not row0_fails)
+            if (i, asked[i]) == (1, 2):
+                offsets[j] = np.nan
+            elif i == 2 or (i == 0 and asked[i] == 3):
+                offsets[j] += 1.0
+        return inside, np.tile(vec(1.0, 0.0), (rows.size, 1)), offsets
+
+    error = OracleViolation if row0_fails else ValueError
+    with pytest.raises(error):
+        oracles._lockstep(sep, np.zeros((4, 2)), EllipsoidConfig())
+    assert asked == {0: 3, 1: 2, 2: 1, 3: 1}
 
 
 def _separable(rng, n, d, gamma):
