@@ -49,7 +49,6 @@ from .oracles import (
     bound_separation,
     default_ellipsoid_config,
     ellipsoid_certify,
-    ellipsoid_certify_batch,
     ellipsoid_feasible,
     rerm_ellipsoid,
     separation_oracle,

@@ -143,11 +143,11 @@ def _separate(U_descriptor, X: np.ndarray, Z: np.ndarray):
             inside = dist <= gamma
             normal = delta / np.where(inside, 1.0, dist)[:, None]
         elif math.isinf(p):
-            mag = np.abs(delta)
-            inside = mag.max(axis=1) <= gamma
-            rows, j = np.arange(len(delta)), mag.argmax(axis=1)
+            rows, j = np.arange(len(delta)), np.abs(delta).argmax(axis=1)
+            top = delta[rows, j]  # |top| is the largest |delta| entry
+            inside = np.abs(top) <= gamma
             normal = np.zeros_like(delta)
-            normal[rows, j] = np.where(delta[rows, j] > 0, 1.0, -1.0)
+            normal[rows, j] = np.where(top > 0, 1.0, -1.0)
         elif p == 1.0:
             inside = np.abs(delta).sum(axis=1) <= gamma
             normal = np.sign(delta)
@@ -170,13 +170,18 @@ def separation_oracle(U_descriptor, x, z) -> _Inside | Hyperplane:
 
 def bound_separation(U_descriptor, x):
     """Close the oracle over a center validated here, once. The query-only
-    callable answers INSIDE or a raw cut; the ellipsoid checks its queries."""
+    callable answers INSIDE or a raw cut; the ellipsoid checks its queries
+    and asks its `rowwise` form, skipping the one-row adapter."""
     X = as_vector(x)[None]
 
+    def rowwise(_, Z):
+        return _separate(U_descriptor, X, Z)
+
     def sep(z):
-        inside, normal, offset = _separate(U_descriptor, X, z[None])
+        inside, normal, offset = rowwise(None, z[None])
         return INSIDE if inside[0] else (normal[0], float(offset[0]))
 
+    sep.rowwise = rowwise
     return sep
 
 
@@ -222,17 +227,23 @@ def _lockstep(sep, C: np.ndarray, cfg: EllipsoidConfig) -> list:
 
 def _search(sep, C, lo, cfg, found):
     """One lockstep run over the rows lo, lo + 1, ... that C holds; fills
-    found and returns the error of the lowest failing row, if any."""
+    found and returns the error of the lowest failing row, if any.
+
+    Every step pays a fixed number of numpy calls whatever k is; the masks
+    are tested with count_nonzero, and the state is compacted only on the
+    steps where a row leaves."""
     k, d = C.shape
     rows = np.arange(lo, lo + k)
     r = cfg.init_radius
     Q = np.broadcast_to(np.eye(d) * r**2, (k, d, d)).copy()
     nsq = d * d / (d * d - 1.0) if d > 1 else 0.0
+    cut, eps, huge = 2.0 / (d + 1.0), cfg.volume_eps, 1e100 * r
     failure = None
     for _ in range(cfg.resolved_max_iters(d)):
-        if not np.isfinite(C).all():
+        finite = np.isfinite(C)
+        if np.count_nonzero(finite) < finite.size:
             failure = ValueError("vector entries must be finite")
-            n = int(np.argmin(np.isfinite(C).all(axis=1)))
+            n = int(np.argmin(finite.all(axis=1)))
             rows, C, Q = rows[:n], C[:n], Q[:n]
             if not n:
                 break
@@ -245,7 +256,8 @@ def _search(sep, C, lo, cfg, found):
             if not rows.size:
                 break
         gap = np.vecdot(G, C) - off
-        if not np.isfinite(gap).all():  # at a finite center: a non-finite cut, or overflow
+        finite = np.isfinite(gap)
+        if np.count_nonzero(finite) < finite.size:  # a non-finite cut, or overflow
             cut_ok = np.isfinite(G).all(axis=1) & np.isfinite(off)
             if not cut_ok.all():  # each cut is checked once, when it arrives
                 failure = ValueError("vector entries must be finite")
@@ -261,7 +273,7 @@ def _search(sep, C, lo, cfg, found):
         if d == 1:  # bisection: the interval is the ellipsoid
             C = C - np.copysign(r / 2.0, G)
             r /= 2.0
-            if r < cfg.volume_eps:
+            if r < eps:
                 break
             continue
         # matmul and vecdot round each row like the one-row Q @ g and g @ Qg;
@@ -276,7 +288,7 @@ def _search(sep, C, lo, cfg, found):
                 break
         b = Qg / np.sqrt(denom)[:, None]
         C = C - b / (d + 1.0)
-        Q -= 2.0 / (d + 1.0) * (b[:, :, None] * b[:, None, :])
+        Q -= cut * (b[:, :, None] * b[:, None, :])
         Q *= nsq
         # Q stays exactly symmetric, but entries beyond max_float / 2 overflow here
         Q = 0.5 * (Q + Q.transpose(0, 2, 1))
@@ -284,8 +296,8 @@ def _search(sep, C, lo, cfg, found):
         # Uncut axes grow by a constant factor per query: an empty slab in d = 2
         # stops near 1e59 init radii, a region outside the start overflows Q near
         # 1e154. On 14.4k property-test searches this bound stopped only the latter.
-        small, big = size < cfg.volume_eps, size > 1e100 * cfg.init_radius
-        if np.count_nonzero(small | big):
+        small, big = size < eps, size > huge
+        if np.count_nonzero(small) or np.count_nonzero(big):
             if np.count_nonzero(big):
                 failure = EllipsoidDiverged("the ellipsoid grew past 1e100 initial radii "
                                             "instead of closing in on the region")
@@ -300,7 +312,11 @@ def _search(sep, C, lo, cfg, found):
 
 def _one_row(sep):
     """The scalar oracle sep(z), answering INSIDE or a (normal, offset) cut,
-    as a row-wise oracle over a single row."""
+    as a row-wise oracle over a single row; a bound_separation oracle is
+    asked in its own row-wise form."""
+    if hasattr(sep, "rowwise"):
+        return sep.rowwise
+
     def answer(_, Z):
         ans = sep(Z[0])
         if ans is INSIDE:
@@ -332,8 +348,11 @@ def _certify_oracle(w, bias: float, y: np.ndarray, slack: float, region):
 
     def composed(rows, Z):
         ask = ~(y[rows] * (np.vecdot(Z, w) + bias) > slack)
+        n = np.count_nonzero(ask)
+        if n == len(ask):
+            return region(rows, Z)
         normal, offset = miss_normal[rows], miss_offset[rows]
-        if not np.count_nonzero(ask):
+        if not n:
             return ask, normal, offset
         inside = np.zeros_like(ask)
         inside[ask], normal[ask], offset[ask] = region(rows[ask], Z[ask])
@@ -355,12 +374,11 @@ def ellipsoid_certify(model: LinearModel, sample: Sample, sepU, cfg: EllipsoidCo
     return _lockstep(sep, np.array([as_vector(sample.x)]), cfg)[0]
 
 
-def ellipsoid_certify_batch(model: LinearModel, data: Dataset, U, cfg: EllipsoidConfig,
-                            slack: float = 0.0) -> list:
+def ellipsoid_certify_batch(model: LinearModel, data: Dataset, U, cfg: EllipsoidConfig) -> list:
     """ellipsoid_certify on every row of data against U(x_i), for an lp ball
     or polytope U, as one lockstep search: per row the counterexample or
     None. Raises the error the first failing row would raise on its own."""
-    sep = _certify_oracle(model.w, model.bias, data.y.astype(float), slack,
+    sep = _certify_oracle(model.w, model.bias, data.y.astype(float), 0.0,
                           lambda rows, Z: _separate(U, data.X[rows], Z))
     return _lockstep(sep, data.X, cfg)
 

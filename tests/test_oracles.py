@@ -21,7 +21,6 @@ from roblearn import (
     default_ellipsoid_config,
     dual_norm,
     ellipsoid_certify,
-    ellipsoid_certify_batch,
     ellipsoid_feasible,
     lp_norm,
     margin,
@@ -30,7 +29,7 @@ from roblearn import (
 )
 from roblearn import oracles
 from roblearn.errors import EllipsoidDiverged, RoblearnError, UnsupportedGeometry
-from roblearn.oracles import INSIDE, check_disjoint_balls
+from roblearn.oracles import INSIDE, check_disjoint_balls, ellipsoid_certify_batch
 
 from ._refs import (
     ball_samples,
@@ -404,12 +403,14 @@ def _rows_outcome(search):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10_000), REGIONS, st.integers(1, 3), st.sampled_from([0.0, 0.05]),
-       st.integers(1, 12), st.sampled_from([2, 3]))
-def test_certify_batch_matches_reference_row_by_row(seed, kind, d, slack, n, chunk_rows):
+@given(st.integers(0, 10_000), REGIONS, st.integers(1, 3), st.integers(1, 12),
+       st.sampled_from([2, 3]))
+def test_certify_batch_matches_reference_row_by_row(seed, kind, d, n, chunk_rows):
     # most rows are right at x, so they are attacked after a few cuts or
     # certified once the ellipsoid shrinks away; the rest are attacked at x.
     # A start radius of 0.3 leaves some regions partly outside the start.
+    # The batch certifies at slack 0; test_certify_matches_reference covers
+    # a positive slack through the same composed oracle.
     rng = np.random.default_rng(seed)
     cfg = EllipsoidConfig(init_radius=float(rng.choice([0.3, 10.0])),
                           volume_eps=float(rng.choice([1e-3, 1e-6])))
@@ -418,14 +419,14 @@ def test_certify_batch_matches_reference_row_by_row(seed, kind, d, slack, n, chu
     X = rng.standard_normal((n, d))
     y = np.where(X @ model.w + model.bias >= 0.0, 1, -1) * np.where(rng.random(n) < 0.8, 1, -1)
     want = [_outcome(lambda sep: ellipsoid_certify_ref(model.w, model.bias, X[i], int(y[i]), sep,
-                                                       cfg, slack=slack),
+                                                       cfg),
                      lambda z, x=X[i]: separation_ref(U, x, z)) for i in range(n)]
     failed = [err for _, err, _ in want if err is not None]
     data = Dataset(X, y)
-    whole = _rows_outcome(lambda: ellipsoid_certify_batch(model, data, U, cfg, slack=slack))
+    whole = _rows_outcome(lambda: ellipsoid_certify_batch(model, data, U, cfg))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracles, "_STACK_FLOATS", chunk_rows * d * d)
-        chunked = _rows_outcome(lambda: ellipsoid_certify_batch(model, data, U, cfg, slack=slack))
+        chunked = _rows_outcome(lambda: ellipsoid_certify_batch(model, data, U, cfg))
     for got, err in (whole, chunked):
         # the error of the lowest failing row, the first a row loop meets
         assert err is (failed[0] if failed else None)
