@@ -168,6 +168,7 @@ from .errors import (
     Unsupported,
     UnsupportedGeometry,
     WeakLearnerFailed,
+    ZeroPerceptron,
     ZeroWeight,
 )
 

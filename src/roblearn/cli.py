@@ -102,6 +102,7 @@ from .errors import (
     SourceExhausted,
     StreamExhausted,
     WeakLearnerFailed,
+    ZeroPerceptron,
     ZeroWeight,
 )
 
@@ -114,7 +115,8 @@ EXIT_OPTIMIZER = 5
 # exit code per error class; everything else (ConfigError, InvalidNorm,
 # Unsupported, EmptyPool, a bad ValueError) is a configuration error
 _EXIT_CODES = {
-    **dict.fromkeys((ParseError, EmptyDataset, IoError, MissingPerturbations, AllZeroWeights), EXIT_DATA),
+    **dict.fromkeys((ParseError, EmptyDataset, IoError, MissingPerturbations, AllZeroWeights,
+                     ZeroPerceptron), EXIT_DATA),
     **dict.fromkeys((NotSeparable, NoRealizableMember, MistakeCapExceeded, StreamExhausted,
                      SourceExhausted, SizeLimit), EXIT_INFEASIBLE),
     **dict.fromkeys((WeakLearnerFailed, RetryLimit, OracleViolation, ZeroWeight,
@@ -481,9 +483,13 @@ def _cmd_one_pass(args) -> dict:
     d = probe.d
 
     def stream_with_probe(k: int, _first=[probe]):
-        if _first and k == 1:
-            return _first.pop()
-        return stream(k)
+        # the probe row leads the first block, whatever its size
+        if not _first:
+            return stream(k)
+        rest = stream(k - 1) if k > 1 else None  # may raise; the probe stays first
+        head = _first.pop()
+        return head if rest is None else Dataset(np.vstack([head.X, rest.X]),
+                                                 np.concatenate([head.y, rest.y]))
 
     diag: dict = {}
     state = one_pass_robust(

@@ -18,6 +18,10 @@ class ZeroWeight(RoblearnError):
     """A weight vector with zero dual norm was used where a direction is needed."""
 
 
+class ZeroPerceptron(ZeroWeight):
+    """An online perceptron ended with all-zero weights, which name no halfspace."""
+
+
 class InvalidNorm(RoblearnError):
     """Norm parameter outside the supported range (p or q < 1)."""
 

@@ -19,7 +19,7 @@ from . import _kernels
 from ._kernels import glm_link_u, rcn_phi  # noqa: F401  (re-exported)
 from .core import Dataset, LinearModel, LpBall, as_vector, robust_losses
 from .data import substream
-from .errors import AllZeroWeights, EmptyDataset, EmptyPool, InvalidNorm
+from .errors import AllZeroWeights, EmptyDataset, EmptyPool, InvalidNorm, ZeroPerceptron
 
 
 class WeightedDataset:
@@ -179,6 +179,12 @@ def perceptron_update(state: PerceptronState, z, y: int) -> PerceptronState:
 
 
 def perceptron_model(state: PerceptronState) -> LinearModel:
+    """The state's halfspace; ZeroPerceptron when its weights are all zero."""
+    if not np.any(state.w):
+        cause = ("it made no update, and the zero state predicts +1 everywhere, so no row "
+                 "labeled -1 was reached" if state.mistakes == 0
+                 else f"its {state.mistakes} updates cancelled out")
+        raise ZeroPerceptron(f"the perceptron ended with all-zero weights: {cause}")
     return LinearModel(state.w.copy())
 
 

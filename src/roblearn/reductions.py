@@ -8,6 +8,7 @@ perfect attack oracle, feeding counterexamples back as updates.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -22,6 +23,8 @@ from .core import (
     Sample,
     as_vector,
     inflate,
+    margins_batch,
+    worst_case_point,
 )
 from .boosting import (
     AlphaBoostConfig,
@@ -50,15 +53,46 @@ from .oracles import attack
 
 def enumeration_attack(U):
     """Attack oracle over a finite perturbation list; works for any predictor
-    exposing predict_batch(). Returns a callable (predictor, sample, index) -> z|None."""
+    exposing predict_batch(). Returns a callable (predictor, sample, index) -> z|None
+    whose `rowwise` form attacks a block of rows in one batch."""
     if not isinstance(U, (FiniteOffsets, FinitePerExample)):
         raise Unsupported("enumeration needs a finite perturbation set")
-    return lambda predictor, sample, index=None: attack(predictor, sample, U, index)
+
+    def oracle(predictor, sample, index=None):
+        return attack(predictor, sample, U, index)
+
+    def rowwise(predictor, X, y, start):
+        if isinstance(U, FiniteOffsets):
+            known, sizes = len(y), np.full(len(y), U.k)
+            Z = U.points(X).reshape(-1, X.shape[1])
+        else:
+            # rows end at the first index without a list; that row counts as
+            # hit and its witness raises MissingPerturbations, as attack does
+            idx = range(start, start + len(y)) if start is not None else ()
+            lists = [U.table[i] for i in itertools.takewhile(U.table.__contains__, idx)]
+            known, sizes = len(lists), np.array([len(P) for P in lists], dtype=np.int64)
+            Z = np.concatenate(lists) if lists else None
+        starts = np.cumsum(sizes) - sizes
+        hit = np.ones(len(y), dtype=bool)
+        if known:
+            wrong = predictor.predict_batch(Z) != np.repeat(y[:known], sizes)
+            hit[:known] = np.logical_or.reduceat(wrong, starts)
+
+        def witness(j):
+            if j == known:
+                U.points(None if start is None else start + j)
+            return Z[starts[j] + int(wrong[starts[j]:starts[j] + sizes[j]].argmax())].copy()
+
+        return hit, witness
+
+    oracle.rowwise = rowwise
+    return oracle
 
 
 def margin_attack(U: LpBall):
     """Attack oracle for perceptron-style states with a weight vector; the
-    all-zero state predicts +1 everywhere, so only negative samples witness."""
+    all-zero state predicts +1 everywhere, so only negative samples witness.
+    Its `rowwise` form tests a block of rows in one closed-form batch."""
 
     def oracle(state, sample: Sample, index: int | None = None):
         w = np.asarray(state.w, dtype=float)
@@ -66,6 +100,15 @@ def margin_attack(U: LpBall):
             return sample.x.copy() if sample.y == -1 else None
         return attack(LinearModel(w), sample, U)
 
+    def rowwise(state, X, y, start):
+        w = np.asarray(state.w, dtype=float)
+        if not np.any(w):
+            return y == -1, lambda j: X[j].copy()
+        model = LinearModel(w)
+        hit = ~(y * margins_batch(model, X, U.p) > U.gamma)  # attack's test negated, nan included
+        return hit, lambda j: worst_case_point(model, X[j], y[j], U)
+
+    oracle.rowwise = rowwise
     return oracle
 
 
@@ -236,32 +279,103 @@ def fms_agnostic(data: Dataset, U, erm, eta_mw: float | None = None, rounds: int
 # ---------------------------------------------------------------------------
 
 
+_MAX_DRAW = 4096  # rows per stream request, so a long survivor run stays small in memory
+
+
+def _rowwise(attack_oracle, indexed: bool):
+    """The oracle as (rowwise, most): rowwise(state, X, y, start) gives the
+    hit mask of a block of rows and witness(j) for a hit row j, and most caps
+    the rows one call may take. A callable without a `rowwise` form is asked
+    one row at a time, with the row's index only when indexed, exactly as a
+    one-row loop asks it."""
+    if hasattr(attack_oracle, "rowwise"):
+        return attack_oracle.rowwise, None
+
+    def one_row(state, X, y, start):
+        s = Sample(X[0].copy(), int(y[0]))
+        z = attack_oracle(state, s, start) if indexed else attack_oracle(state, s)
+        return np.array([z is not None]), lambda j: z
+
+    return one_row, 1
+
+
+def _scan(oracle, state, X, y, start, on_hit):
+    """Run the rows (X, y) past the learner in order and return its final
+    state. The learner changes only at a hit, so one row-wise call finds the
+    next one: the lowest hit row j gets state = on_hit(state, j, witness), and
+    the rows after it are attacked again under the new state. start is the
+    index of row 0 for per-example oracles, or None.
+
+    A call takes a window of the rows not yet passed: it doubles after a
+    window with no hit and drops to twice the last gap (at least 64 rows)
+    after a hit, so dense hits re-attack few rows and sparse ones take few
+    calls. The window changes the work, never the outcome."""
+    rowwise, most = oracle
+    i, n, span = 0, len(y), 64
+    while i < n:
+        k = min(n - i, span if most is None else most)
+        hit, witness = rowwise(state, X[i:i + k], y[i:i + k], None if start is None else start + i)
+        j = int(np.argmax(hit))
+        if not hit[j]:
+            i += k
+            span *= 2
+            continue
+        state = on_hit(state, i + j, witness(j))
+        i += j + 1
+        span = max(64, 2 * (j + 1))
+    return state
+
+
+def _draw(stream, k: int) -> Dataset:
+    """At most k rows from the stream. A request the stream cannot cover
+    (SourceExhausted) is halved until it can, so a finite source hands out
+    every row a one-row loop would read; a refused one-row request raises."""
+    k = min(k, _MAX_DRAW)
+    while True:
+        try:
+            return stream(k)
+        except SourceExhausted:
+            if k == 1:
+                raise
+            k //= 2
+
+
 def one_pass_robust(stream, online_learner, attack_oracle, eps: float, delta: float,
                     mistake_cap: int, diagnostics=None):
     """Single pass over an i.i.d. stream: update on every attackable example,
     return the first hypothesis that survives ceil((1/eps) ln(cap/delta))
-    consecutive robust-correct draws. Never updates on a survivor example."""
+    consecutive robust-correct draws. Never updates on a survivor example.
+
+    Rows are drawn in blocks no longer than the rest of the survivor run, so
+    a finite source gives up no row a one-row loop would not have read."""
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
+    if not (0.0 < delta < 1.0):
+        raise ValueError("delta must lie in (0, 1)")
+    if mistake_cap < 1:
+        raise ValueError("mistake_cap must be >= 1")
+    oracle = _rowwise(attack_oracle, indexed=False)
     run_len = max(1, math.ceil((1.0 / eps) * math.log(mistake_cap / delta)))
     streak = 0
     updates = 0
+
+    def on_hit(learner, j, z):
+        nonlocal updates, last
+        updates += 1
+        last = j
+        return learner.update(as_vector(z), int(batch.y[j]))
+
     learner = online_learner
     while streak < run_len:
         try:
-            batch = stream(1)
+            batch = _draw(stream, run_len - streak)
         except SourceExhausted as exc:
             raise StreamExhausted(
                 f"stream ended with survivor streak {streak} of {run_len}"
             ) from exc
-        s = batch.sample(0)
-        z = attack_oracle(learner, s)
-        if z is None:
-            streak += 1
-        else:
-            learner = learner.update(as_vector(z), s.y)
-            updates += 1
-            streak = 0
+        last = -1
+        learner = _scan(oracle, learner, batch.X, batch.y, None, on_hit)
+        streak = batch.n - 1 - last if last >= 0 else streak + batch.n
     if diagnostics is not None:
         diagnostics["updates"] = updates
         diagnostics["run_length"] = run_len
@@ -271,32 +385,36 @@ def one_pass_robust(stream, online_learner, attack_oracle, eps: float, delta: fl
 def cycle_robust(data: Dataset, online_learner, attack_oracle, mistake_cap: int, diagnostics=None):
     """Cycle over the training set feeding attack witnesses to the learner
     until one full pass draws no successful attack. Learner updates beyond
-    the mistake cap, or oracle usage beyond m * cap calls, abort the run."""
+    the mistake cap, or oracle usage beyond m * cap calls, abort the run.
+    Each row examined counts as one oracle call, however the rows are batched."""
+    if mistake_cap < 1:
+        raise ValueError("mistake_cap must be >= 1")
+    oracle = _rowwise(attack_oracle, indexed=True)
     m = data.n
-    learner = online_learner
-    samples = [data.sample(i) for i in range(m)]
     calls = 0
     updates = 0
     passes = 0
-    clean = False
-    while not clean:
-        clean = True
+
+    def on_hit(learner, i, z):
+        nonlocal updates
+        updates += 1
+        if updates > mistake_cap:
+            raise MistakeCapExceeded(f"learner needed more than {mistake_cap} updates")
+        return learner.update(as_vector(z), int(data.y[i]))
+
+    learner = online_learner
+    while True:
         passes += 1
-        for i, s in enumerate(samples):
-            if calls + 1 > m * mistake_cap:
-                raise MistakeCapExceeded(
-                    f"exceeded {m} x {mistake_cap} oracle calls without a clean pass"
-                )
-            calls += 1
-            z = attack_oracle(learner, s, i)
-            if z is not None:
-                updates += 1
-                if updates > mistake_cap:
-                    raise MistakeCapExceeded(
-                        f"learner needed more than {mistake_cap} updates"
-                    )
-                learner = learner.update(as_vector(z), s.y)
-                clean = False
+        before = updates
+        rows = min(m, m * mistake_cap - calls)
+        learner = _scan(oracle, learner, data.X[:rows], data.y[:rows], 0, on_hit)
+        calls += rows
+        if rows < m:
+            raise MistakeCapExceeded(
+                f"exceeded {m} x {mistake_cap} oracle calls without a clean pass"
+            )
+        if updates == before:
+            break
     if diagnostics is not None:
         diagnostics["oracle_calls"] = calls
         diagnostics["updates"] = updates
@@ -352,31 +470,37 @@ def weighted_majority_robust(pool, stream, attack_oracle, eta_wm: float, rounds:
                              diagnostics=None):
     """Run the weighted-majority vote against the attack oracle; every member
     wrong on a successful attack point is down-weighted by eta. Stops after
-    `rounds` draws or when a finite stream runs dry."""
+    `rounds` draws or when a finite stream runs dry; rows are drawn in
+    blocks, as in one_pass_robust."""
     pool = list(pool)
     if not pool:
         raise EmptyPool("hypothesis pool must be non-empty")
     if not (0.0 <= eta_wm < 1.0):
         raise ValueError("eta must lie in [0, 1)")
+    if rounds is not None and rounds < 1:
+        raise ValueError("rounds must be >= 1")
+    oracle = _rowwise(attack_oracle, indexed=False)
     weights = EnsembleWeights(np.ones(len(pool)))
     predictor = WeightedMajority(pool, weights)
     mistakes = 0
     seen = 0
-    while rounds is None or seen < rounds:
-        try:
-            batch = stream(1)
-        except SourceExhausted:
-            break
-        seen += 1
-        s = batch.sample(0)
-        z = attack_oracle(predictor, s)
-        if z is None:
-            continue
+
+    def on_hit(predictor, j, z):
+        nonlocal mistakes
         mistakes += 1
         z = as_vector(z)
-        for j, h in enumerate(pool):
-            if h.predict(z) != s.y:
-                weights.weights[j] *= eta_wm
+        for k, h in enumerate(pool):
+            if h.predict(z) != batch.y[j]:
+                weights.weights[k] *= eta_wm
+        return predictor
+
+    while rounds is None or seen < rounds:
+        try:
+            batch = _draw(stream, _MAX_DRAW if rounds is None else rounds - seen)
+        except SourceExhausted:
+            break
+        seen += batch.n
+        _scan(oracle, predictor, batch.X, batch.y, None, on_hit)
     if diagnostics is not None:
         diagnostics["mistakes"] = mistakes
         diagnostics["examples_seen"] = seen

@@ -3,8 +3,9 @@
 Everything here is written from the definitions, on purpose: no calls into
 roblearn's closed forms, so a bug there cannot hide a bug here. Only its
 vector check, its oracle answer types, its errors and its text read are
-shared, plus its generator for test streams and the stage walk that
-accept_ref's loop calls (nonrobust_ref checks that walk on its own).
+shared, plus its generator for test streams, the stage walk that
+accept_ref's loop calls (nonrobust_ref checks that walk on its own) and the
+weighted vote the one-row weighted-majority loop updates.
 """
 
 from __future__ import annotations
@@ -17,8 +18,11 @@ import numpy as np
 from roblearn.boosting import _stage_labels
 from roblearn.core import Dataset, as_vector
 from roblearn.data import GenSpec, generate, read_text
-from roblearn.errors import EllipsoidDiverged, EmptyDataset, NotSeparable, OracleViolation, ParseError
+from roblearn.errors import (EllipsoidDiverged, EmptyDataset, EmptyPool, MistakeCapExceeded,
+                             NotSeparable, OracleViolation, ParseError, SourceExhausted,
+                             StreamExhausted)
 from roblearn.oracles import INSIDE, Hyperplane
+from roblearn.reductions import EnsembleWeights, WeightedMajority
 
 
 def dual_exponent_ref(p: float) -> float:
@@ -533,6 +537,105 @@ def accept_ref(source, stages, m: int, budget_per_draw: int, abstained: bool):
         else:
             return None
     return xs, ys
+
+
+# ---------------------------------------------------------------------------
+# the one-row online loops: one draw, one attack, one update at a time
+# ---------------------------------------------------------------------------
+
+
+def one_pass_ref(stream, online_learner, attack_oracle, eps: float, delta: float,
+                 mistake_cap: int, diagnostics=None):
+    if not (0.0 < eps <= 1.0):
+        raise ValueError("eps must lie in (0, 1]")
+    run_len = max(1, math.ceil((1.0 / eps) * math.log(mistake_cap / delta)))
+    streak = 0
+    updates = 0
+    learner = online_learner
+    while streak < run_len:
+        try:
+            batch = stream(1)
+        except SourceExhausted as exc:
+            raise StreamExhausted(
+                f"stream ended with survivor streak {streak} of {run_len}"
+            ) from exc
+        s = batch.sample(0)
+        z = attack_oracle(learner, s)
+        if z is None:
+            streak += 1
+        else:
+            learner = learner.update(as_vector(z), s.y)
+            updates += 1
+            streak = 0
+    if diagnostics is not None:
+        diagnostics["updates"] = updates
+        diagnostics["run_length"] = run_len
+    return learner
+
+
+def cycle_ref(data: Dataset, online_learner, attack_oracle, mistake_cap: int, diagnostics=None):
+    m = data.n
+    learner = online_learner
+    samples = [data.sample(i) for i in range(m)]
+    calls = 0
+    updates = 0
+    passes = 0
+    clean = False
+    while not clean:
+        clean = True
+        passes += 1
+        for i, s in enumerate(samples):
+            if calls + 1 > m * mistake_cap:
+                raise MistakeCapExceeded(
+                    f"exceeded {m} x {mistake_cap} oracle calls without a clean pass"
+                )
+            calls += 1
+            z = attack_oracle(learner, s, i)
+            if z is not None:
+                updates += 1
+                if updates > mistake_cap:
+                    raise MistakeCapExceeded(
+                        f"learner needed more than {mistake_cap} updates"
+                    )
+                learner = learner.update(as_vector(z), s.y)
+                clean = False
+    if diagnostics is not None:
+        diagnostics["oracle_calls"] = calls
+        diagnostics["updates"] = updates
+        diagnostics["passes"] = passes
+    return learner
+
+
+def weighted_majority_ref(pool, stream, attack_oracle, eta_wm: float, rounds: int | None = None,
+                          diagnostics=None):
+    pool = list(pool)
+    if not pool:
+        raise EmptyPool("hypothesis pool must be non-empty")
+    if not (0.0 <= eta_wm < 1.0):
+        raise ValueError("eta must lie in [0, 1)")
+    weights = EnsembleWeights(np.ones(len(pool)))
+    predictor = WeightedMajority(pool, weights)
+    mistakes = 0
+    seen = 0
+    while rounds is None or seen < rounds:
+        try:
+            batch = stream(1)
+        except SourceExhausted:
+            break
+        seen += 1
+        s = batch.sample(0)
+        z = attack_oracle(predictor, s)
+        if z is None:
+            continue
+        mistakes += 1
+        z = as_vector(z)
+        for j, h in enumerate(pool):
+            if h.predict(z) != s.y:
+                weights.weights[j] *= eta_wm
+    if diagnostics is not None:
+        diagnostics["mistakes"] = mistakes
+        diagnostics["examples_seen"] = seen
+    return weights, predictor
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,13 @@ import sys
 import numpy as np
 import pytest
 
-from roblearn import (AllZeroWeights, Dataset, EllipsoidDiverged, LinearModel, UnsupportedGeometry,
-                      load_csv, save_csv, save_model)
+from roblearn import (AllZeroWeights, Dataset, EllipsoidDiverged, LinearModel, LpBall,
+                      UnsupportedGeometry, ZeroPerceptron, ZeroWeight, finite_source, load_csv,
+                      load_model, margin_attack, perceptron_init, save_csv, save_model)
+from roblearn import reductions
 from roblearn.cli import _exit_code, main
+
+from ._refs import one_pass_ref
 
 
 def run(argv):
@@ -210,6 +214,35 @@ def test_wm_cli_reports_bound(tmp_path):
     assert "bound_holds: true" in text
     assert "pool_opt: 0" in text
 
+
+def test_cli_cycle_and_wm_take_the_row_wise_scan(tmp_path, monkeypatch, capsys):
+    # the one-row oracles call reductions.attack; the row-wise forms never do
+    rng = np.random.default_rng(3)
+    X = rng.uniform(-1.0, 1.0, size=(60, 2))
+    data = str(tmp_path / "rows.csv")
+    save_csv(data, Dataset(X + np.sign(X[:, :1]) * [1.0, 0.0], np.where(X[:, 0] >= 0, 1, -1)))
+    pool = []
+    for i, w in enumerate(([1.0, 0.0], [0.3, 1.0])):
+        pool.append(str(tmp_path / f"pool{i}.txt"))
+        save_model(pool[-1], LinearModel(np.array(w)))
+    argvs = [["cycle-robust", "--input", data, "--gamma", "0.2", "--mistake-cap", "50"],
+             ["wm", "--input", data, "--offset", "0,0", "--offset", "0.5,0", "--eta-wm", "0.5",
+              "--pool", *pool]]
+    want = []
+    for argv in argvs:
+        assert run(argv) == 0
+        want.append(capsys.readouterr().out)
+
+    def one_row(*args, **kwargs):
+        raise AssertionError("a one-row attack ran")
+
+    monkeypatch.setattr(reductions, "attack", one_row)
+    for argv, out in zip(argvs, want):
+        assert run(argv) == 0
+        assert capsys.readouterr().out == out
+    assert "updates: 0" not in want[0] and "mistakes: 0" not in want[1]
+
+
 # ---------------------------------------------------------------------------
 # one test per documented exit code: 2 config, 3 data, 4 infeasible,
 # 5 optimizer; every failure is one "error:" line, never a traceback. The
@@ -248,6 +281,19 @@ BOOST = ["--gamma", "0.3", "--eps", "0.2", "--beta", "0.5", "--rounds", "2"]
     ["certify"],  # required flags absent
     # alpha-boost never sparsified its vote, so --sparsify-n is gone
     ["alpha-boost", "--input", "BAND", "--rounds", "4", "--sparsify-n", "5"],
+    # the online learners check their bounds before any row is drawn
+    ["one-pass", "--input", "BAND", "--gamma", "0.1", "--eps", "0.5", "--mistake-cap", "5",
+     "--delta", "0"],
+    ["one-pass", "--input", "BAND", "--gamma", "0.1", "--eps", "0.5", "--mistake-cap", "5",
+     "--delta=-1"],
+    ["one-pass", "--input", "BAND", "--gamma", "0.1", "--eps", "0.5", "--mistake-cap", "5",
+     "--delta", "nan"],
+    ["one-pass", "--input", "BAND", "--gamma", "0.1", "--eps", "0.5", "--mistake-cap", "0"],
+    ["cycle-robust", "--input", "BAND", "--gamma", "0.1", "--mistake-cap", "0"],
+    ["wm", "--input", "BAND", "--offset", "0,0", "--eta-wm", "0.5", "--pool", "MODEL",
+     "--rounds=-3"],
+    ["wm", "--input", "BAND", "--offset", "0,0", "--eta-wm", "0.5", "--pool", "MODEL",
+     "--rounds", "0"],
 ])
 def test_config_errors_exit_2(tmp_path, capsys, argv):
     err = _fail_with(tmp_path, capsys, argv, 2)
@@ -267,8 +313,44 @@ def test_data_errors_exit_3(tmp_path, capsys, argv):
     _fail_with(tmp_path, capsys, argv, 3)
 
 
+@pytest.mark.parametrize("argv", [
+    ["cycle-robust", "--input", "POSITIVE", "--gamma", "0.1", "--mistake-cap", "5"],
+    # a run of 4 survivors ends before the row labeled -1
+    ["one-pass", "--input", "LEADING", "--gamma", "0.1", "--eps", "1", "--mistake-cap", "2"],
+])
+def test_an_all_zero_perceptron_is_a_data_error(tmp_path, capsys, argv):
+    # the zero state predicts +1 everywhere, so positive rows never update it
+    X = np.array([[1.0, 0.0], [2.0, 1.0], [3.0, -1.0], [0.5, 0.5], [-1.0, 0.0]])
+    files = {"POSITIVE": Dataset(X[:4], np.ones(4, dtype=np.int64)),
+             "LEADING": Dataset(X, np.array([1, 1, 1, 1, -1]))}
+    for name, data in files.items():
+        save_csv(str(tmp_path / name), data)
+    err = _fail_with(tmp_path, capsys, [str(tmp_path / a) if a in files else a for a in argv], 3)
+    assert err == ("error: ZeroPerceptron: the perceptron ended with all-zero weights: it made "
+                   "no update, and the zero state predicts +1 everywhere, so no row labeled -1 "
+                   "was reached\n")
+
+
+def test_one_pass_input_reads_its_first_row(tmp_path):
+    # row 0 is the only mistake; skipping it would leave the zero perceptron
+    X = np.array([[-1.0, 0.5], [2.0, 0.0], [1.5, 1.0], [3.0, -1.0], [-2.0, 0.3], [2.5, 0.2]])
+    y = np.array([-1, 1, 1, 1, -1, 1])
+    path, model = str(tmp_path / "rows.csv"), str(tmp_path / "one-pass.model")
+    save_csv(path, Dataset(X, y))
+    out = str(tmp_path / "res.txt")
+    assert run(["one-pass", "--input", path, "--gamma", "0.1", "--eps", "1", "--mistake-cap", "2",
+                "--save-model", model, "--output", out]) == 0
+    diag = {}
+    state = one_pass_ref(finite_source(load_csv(path)), perceptron_init(2),
+                         margin_attack(LpBall(2.0, 0.1)), 1.0, 0.05, 2, diagnostics=diag)
+    assert load_model(model).w.tobytes() == state.w.tobytes()
+    assert f"updates: {diag['updates']}" in open(out).read() and diag["updates"] == 1
+
+
 def test_error_classes_map_to_their_exit_codes():
     assert _exit_code(AllZeroWeights("no positive weight")) == 3
+    assert _exit_code(ZeroPerceptron("all zero")) == 3
+    assert _exit_code(ZeroWeight("all zero")) == 5
     assert _exit_code(EllipsoidDiverged("grew without bound")) == 5
     assert _exit_code(UnsupportedGeometry("no oracle")) == 2
     assert _exit_code(ValueError("bad value")) == 2

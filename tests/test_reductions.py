@@ -1,8 +1,9 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from roblearn import (
     ConstantModel,
@@ -15,8 +16,11 @@ from roblearn import (
     GenSpec,
     LinearModel,
     LpBall,
+    MissingPerturbations,
     MistakeCapExceeded,
+    PerceptronState,
     RobustifyConfig,
+    RoblearnError,
     Sample,
     SourceExhausted,
     StreamExhausted,
@@ -43,7 +47,8 @@ from roblearn import (
 )
 from roblearn.reductions import PerExampleWeights
 
-from ._refs import brute_pool_optimum, gen_stream
+from ._refs import (brute_pool_optimum, cycle_ref, gen_stream, one_pass_ref,
+                    weighted_majority_ref)
 
 
 def vec(*vals):
@@ -300,3 +305,205 @@ def test_weighted_majority_respects_the_general_bound():
     a, b = wm_constants(0.5)
     # the pool contains a zero-mistake member, so the bound is pure overhead
     assert diag["mistakes"] <= a * 0.0 + b * math.log(len(pool))
+
+# ---------------------------------------------------------------------------
+# the block mistake scan against the one-row loops of tests/_refs.py
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BatchPerceptron:
+    """A perceptron with predict_batch, so enumeration oracles can attack it."""
+
+    state: PerceptronState
+
+    def predict_batch(self, Z):
+        return np.where(np.asarray(Z, dtype=float) @ self.state.w >= 0.0, 1, -1)
+
+    def update(self, z, y):
+        return BatchPerceptron(self.state.update(z, y))
+
+
+ORACLE_KINDS = ["ball", "offsets", "table"]
+
+
+def _case(seed, n, d, decimals):
+    """Rows rounded so that ties and repeats occur, labeled by a planted
+    halfspace with a seed-drawn share of flips, so runs both end and fail."""
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.uniform(-2.0, 2.0, size=(n, d)), decimals)
+    flip = rng.random(n) < rng.choice([0.0, 0.1, 0.5])
+    y = np.where((X @ rng.standard_normal(d) >= 0) != flip, 1, -1).astype(np.int64)
+    return rng, Dataset(X, y)
+
+
+def _oracle(kind, rng, data, plain, log):
+    """One attack oracle of the kind, and the learner it attacks. A plain
+    oracle hides the row-wise form and logs every call it answers."""
+    d = data.d
+    if kind == "ball":
+        p = [1.0, 2.0, math.inf][int(rng.integers(3))]
+        # round radii put rows on the sphere of integer rows, where attack counts the tie
+        gamma = float(rng.choice([0.0, 0.5, 1.0, round(rng.uniform(0.0, 1.0), 2)]))
+        oracle, learner = margin_attack(LpBall(p, gamma)), perceptron_init(d)
+    else:
+        learner = BatchPerceptron(perceptron_init(d))
+        if kind == "offsets":
+            offsets = np.vstack([np.zeros(d), np.round(rng.uniform(-1, 1, size=(3, d)), 1)])
+            oracle = enumeration_attack(FiniteOffsets(offsets))
+        else:
+            # about one row in eight has no list, so the scan must stop there
+            table = {i: data.X[i] + rng.uniform(-1, 1, size=(int(rng.integers(1, 4)), d))
+                     for i in range(data.n) if rng.random() > 0.125}
+            oracle = enumeration_attack(FinitePerExample(table))
+    if not plain:
+        return oracle, learner
+
+    def logged(state, sample, *index):
+        log.append((sample.x.tobytes(), sample.y, index))
+        return oracle(state, sample, *index)
+
+    return logged, learner
+
+
+def _result(run):
+    """Weight bytes and diagnostics, or the class and message of the error."""
+    diag = {}
+    try:
+        out = run(diag)
+    except (RoblearnError, ValueError) as exc:
+        return type(exc), str(exc)
+    w = out[0].weights if isinstance(out, tuple) else getattr(out, "state", out).w
+    return w.tobytes(), diag
+
+
+def _next_row(source):
+    try:
+        return source(1).X.tobytes()
+    except SourceExhausted:
+        return None
+
+
+rows_case = [st.integers(0, 100_000), st.integers(0, 24), st.integers(1, 3), st.integers(0, 2)]
+
+
+@settings(max_examples=200)
+@given(*rows_case, st.sampled_from(ORACLE_KINDS), st.booleans(), st.integers(1, 8))
+def test_cycle_matches_the_one_row_loop(seed, n, d, decimals, kind, plain, cap):
+    rng, data = _case(seed, n, d, decimals)
+    state = rng.bit_generator.state
+    logs = [], []
+    results = []
+    for loop, log in zip((cycle_ref, cycle_robust), logs):
+        rng.bit_generator.state = state
+        oracle, learner = _oracle(kind, rng, data, plain, log)
+        results.append(_result(lambda diag: loop(data, learner, oracle, cap, diagnostics=diag)))
+    assert results[1] == results[0]
+    assert logs[1] == logs[0]
+
+
+@settings(max_examples=200)
+@given(*rows_case, st.sampled_from(ORACLE_KINDS), st.booleans(), st.integers(1, 8),
+       st.sampled_from([0.25, 0.5, 1.0]), st.sampled_from([0.1, 0.5, 0.9]))
+def test_one_pass_matches_the_one_row_loop(seed, n, d, decimals, kind, plain, cap, eps, delta):
+    rng, data = _case(seed, n, d, decimals)
+    state = rng.bit_generator.state
+    logs, sources, results = ([], []), [], []
+    for loop, log in zip((one_pass_ref, one_pass_robust), logs):
+        rng.bit_generator.state = state
+        oracle, learner = _oracle(kind, rng, data, plain, log)
+        sources.append(finite_source(data))
+        results.append(_result(lambda diag: loop(sources[-1], learner, oracle, eps, delta, cap,
+                                                 diagnostics=diag)))
+    assert results[1] == results[0]
+    assert logs[1] == logs[0]
+    if results[0][0] in (StreamExhausted,) or isinstance(results[0][0], bytes):
+        # both loops read the same rows, including a source run dry mid-block
+        assert _next_row(sources[1]) == _next_row(sources[0])
+
+
+@settings(max_examples=200)
+@given(*rows_case, st.sampled_from(["offsets", "table"]), st.booleans(),
+       st.one_of(st.none(), st.integers(1, 40)), st.sampled_from([0.0, 0.25, 0.5, 0.9]),
+       st.integers(1, 3))
+def test_weighted_majority_matches_the_one_row_loop(seed, n, d, decimals, kind, plain, rounds,
+                                                    eta, members):
+    rng, data = _case(seed, n, d, decimals)
+    pool = [LinearModel(rng.uniform(0.1, 1.0, d) * rng.choice([-1.0, 1.0], d),
+                        float(rng.uniform(-0.5, 0.5))) for _ in range(members)]
+    state = rng.bit_generator.state
+    logs, sources, results = ([], []), [], []
+    for loop, log in zip((weighted_majority_ref, weighted_majority_robust), logs):
+        rng.bit_generator.state = state
+        oracle, _ = _oracle(kind, rng, data, plain, log)
+        sources.append(finite_source(data))
+        results.append(_result(lambda diag: loop(pool, sources[-1], oracle, eta, rounds,
+                                                 diagnostics=diag)))
+    assert results[1] == results[0]
+    assert logs[1] == logs[0]
+    if isinstance(results[0][0], bytes):
+        assert _next_row(sources[1]) == _next_row(sources[0])
+
+
+def _ball_outcomes(X, y, cap, gamma=0.1):
+    data = Dataset(np.array(X, dtype=float), np.array(y))
+    oracle = margin_attack(LpBall(2.0, gamma))
+    return [_result(lambda diag: loop(data, perceptron_init(data.d), oracle, cap, diagnostics=diag))
+            for loop in (cycle_ref, cycle_robust)]
+
+
+def test_cycle_hits_both_caps_as_the_one_row_loop_does():
+    # two labels on one point: every pass updates, so the update cap trips
+    want, got = _ball_outcomes([[1.0, 0.0], [1.0, 0.0]], [1, -1], 5)
+    assert got == want == (MistakeCapExceeded, "learner needed more than 5 updates")
+    # one update in the only pass the call budget allows: the next pass is over budget
+    want, got = _ball_outcomes([[2.0, 0.0], [-2.0, 0.0], [3.0, 0.0]], [1, -1, 1], 1)
+    assert got == want == (MistakeCapExceeded, "exceeded 3 x 1 oracle calls without a clean pass")
+
+
+def test_rows_on_the_sphere_count_as_attacked():
+    # after the first update w = (1,), so rows 0 and 1 have margin exactly
+    # gamma; their witnesses lie on the boundary and never move w, so the
+    # run ends at the update cap instead of in a clean second pass
+    want, got = _ball_outcomes([[-1.0], [1.0], [3.0]], [-1, 1, 1], 4, gamma=1.0)
+    assert got == want == (MistakeCapExceeded, "learner needed more than 4 updates")
+
+
+def test_one_pass_reads_no_row_past_the_survivor_run():
+    # run length 2: row 0 updates, rows 1 and 2 survive, rows 3 and 4 stay unread
+    data = Dataset(np.array([[-1.0], [2.0], [3.0], [-2.0], [4.0]]), np.array([-1, 1, 1, -1, 1]))
+    sources = [finite_source(data), finite_source(data)]
+    runs = [_result(lambda diag: loop(src, perceptron_init(1), margin_attack(LpBall(2.0, 0.1)),
+                                      1.0, 0.5, 2, diagnostics=diag))
+            for loop, src in zip((one_pass_ref, one_pass_robust), sources)]
+    assert runs[1] == runs[0] and runs[0][1] == {"updates": 1, "run_length": 2}
+    assert _next_row(sources[1]) == _next_row(sources[0]) == vec(-2.0).tobytes()
+
+
+def test_cycle_passes_row_indices_to_per_example_oracles():
+    # row 1 is attackable only through its own list, row 2 has none
+    data = Dataset(np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]), np.array([1, 1, 1]))
+    U = FinitePerExample({0: [[1.0, 0.0]], 1: [[2.0, 0.0], [-5.0, 0.0]]})
+    outcomes = [_result(lambda diag: loop(data, BatchPerceptron(perceptron_init(2)),
+                                          enumeration_attack(U), 4, diagnostics=diag))
+                for loop in (cycle_ref, cycle_robust)]
+    assert outcomes[1] == outcomes[0]
+    assert outcomes[0] == (MissingPerturbations, "no perturbation list for example index 2")
+
+
+def test_streams_that_run_dry_mid_block_end_as_the_one_row_loops_do():
+    data = Dataset(np.array([[1.0], [-1.0], [2.0], [3.0], [-2.0]]), np.array([1, -1, 1, 1, -1]))
+    oracle = margin_attack(LpBall(2.0, 0.1))
+    passes = [_result(lambda diag: loop(finite_source(data), perceptron_init(1), oracle,
+                                        0.25, 0.5, 4, diagnostics=diag))
+              for loop in (one_pass_ref, one_pass_robust)]
+    assert passes[1] == passes[0] == (StreamExhausted, "stream ended with survivor streak 3 of 9")
+    vote = enumeration_attack(FiniteOffsets([[0.0], [0.5]]))
+    pool = [LinearModel(vec(1.0)), LinearModel(vec(-1.0))]
+    for rounds in (None, 4, 5, 6, 50):
+        runs = [_result(lambda diag: loop(pool, finite_source(data), vote, 0.5, rounds,
+                                          diagnostics=diag))
+                for loop in (weighted_majority_ref, weighted_majority_robust)]
+        assert runs[1] == runs[0]
+        assert runs[0][1]["examples_seen"] == min(5, rounds or 5)
+
