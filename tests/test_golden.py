@@ -1,14 +1,18 @@
-"""Byte-for-byte pins of every subcommand's results document and side files.
+"""Byte-for-byte pins of every subcommand's results document and side files,
+and of the CLI's help texts and one-line command-line errors.
 
 Each case runs one CLI command inside a directory holding the shared inputs,
 with relative paths (documents echo them), and compares every file it writes
-with the copy under tests/golden/. A change that moves output bytes on
+with the copy under tests/golden/. Each text case runs one command line and
+compares what it prints with its copy. A change that moves output bytes on
 purpose rewrites the copies with `python tests/golden/regen.py` and says why
 in CHANGES.md.
 """
 
 from __future__ import annotations
 
+import io
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +72,24 @@ CASES = {
                           ["transductive-pool.labels.csv"]),
 }
 
+SUBCOMMANDS = list(dict.fromkeys(argv[0] for argv, _side in CASES.values()))
+
+# name -> argv of a command that prints a help text (exit 0) or one error line (exit 2)
+TEXT_CASES = {
+    "help": ["--help"],
+    **{f"help-{c}": [c, "--help"] for c in SUBCOMMANDS},
+    "error-no-subcommand": [],
+    "error-unknown-subcommand": ["frobnicate"],
+    "error-certify-no-flags": ["certify"],
+    "error-unknown-flag": ["gen-data", "--out-csv", "x.csv", "--bogus"],
+    "error-flag-before-subcommand": ["--bogus", "gen-data", "--out-csv", "x.csv"],
+    "error-bad-float": ["certify", "--model", "m.txt", "--input", "i.csv", "--gamma", "abc"],
+    "error-bad-learner": ["roboost", "--eps", "0.1", "--beta", "0.5", "--gamma", "0.3",
+                          "--learner", "tree"],
+}
+# argparse wraps help to the terminal width, which it reads from COLUMNS
+TEXT_COLUMNS = "80"
+
 
 def _band(path: Path, seed: int, n_side: int = 10) -> None:
     # two vertical bands at |x0| in [1.2, 1.8], labeled by side
@@ -100,6 +122,14 @@ def run_case(name: str) -> dict[str, bytes]:
     return {f: Path(f).read_bytes() for f in golden_names(name)}
 
 
+def run_text_case(name: str) -> tuple[int, str, str]:
+    """Run one text case; return its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli_main(list(TEXT_CASES[name]))
+    return code, out.getvalue(), err.getvalue()
+
+
 @pytest.fixture(scope="module")
 def inputs_dir(tmp_path_factory):
     workdir = tmp_path_factory.mktemp("golden")
@@ -114,7 +144,17 @@ def test_output_matches_golden(name, inputs_dir, monkeypatch):
         assert blob == (GOLDEN_DIR / fname).read_bytes(), f"{fname} differs from its golden copy"
 
 
+@pytest.mark.parametrize("name", list(TEXT_CASES))
+def test_help_and_errors_match_golden(name, monkeypatch):
+    monkeypatch.setenv("COLUMNS", TEXT_COLUMNS)
+    code, out, err = run_text_case(name)
+    printed, silent = (out, err) if name.startswith("help") else (err, out)
+    assert code == (0 if name.startswith("help") else 2)
+    assert silent == ""
+    assert printed.encode() == (GOLDEN_DIR / f"{name}.txt").read_bytes(), f"{name} differs"
+
+
 def test_every_golden_file_belongs_to_a_case():
-    pinned = {f for name in CASES for f in golden_names(name)}
+    pinned = {f for name in CASES for f in golden_names(name)} | {f"{n}.txt" for n in TEXT_CASES}
     on_disk = {p.name for p in GOLDEN_DIR.iterdir() if p.is_file() and p.suffix != ".py"}
     assert on_disk == pinned
