@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -163,41 +164,23 @@ def _gen_kind(args):
     raise ConfigError(f"unknown generator {args.gen!r}")
 
 
-def _dataset(args) -> Dataset:
-    if getattr(args, "input", None):
-        data = load_csv(args.input)
-    elif getattr(args, "gen", None):
-        data = generate(GenSpec(_gen_kind(args), args.n, rng_seed=args.seed))
-    else:
-        raise ConfigError("provide --input or --gen")
-    eta = getattr(args, "eta", None)
-    if eta:
-        data = apply_rcn(data, eta, args.seed)
-    return data
-
-
 def _stream(args, data: Dataset | None):
     """A labeled source: finite over already loaded rows, endless for generators."""
     if data is not None:
         return finite_source(data)
-    if getattr(args, "gen", None):
+    if args.gen:
         kind = _gen_kind(args)
         rng = substream(args.seed, "source")
-        eta = getattr(args, "eta", None)
 
         def draw(k: int) -> Dataset:
-            s = int(rng.integers(0, 2**31))
-            batch = generate(GenSpec(kind, k, rng_seed=s))
-            if eta:
-                batch = apply_rcn(batch, eta, s + 1)
-            return batch
+            return generate(GenSpec(kind, k, rng_seed=int(rng.integers(0, 2**31))))
 
         return draw
     raise ConfigError("provide --input or --gen")
 
 
 def _eval_data(args, train: Dataset) -> tuple[Dataset, str]:
-    if getattr(args, "test_input", None):
+    if args.test_input:
         return load_csv(args.test_input), "test-input"
     if getattr(args, "gen", None):
         eval_seed = int(substream(args.seed, "eval").integers(0, 2**31))
@@ -216,7 +199,7 @@ def _ball(args) -> LpBall:
 
 
 def _perturbation(args):
-    if getattr(args, "offset", None):
+    if args.offset:
         return _offsets(args)
     return _ball(args)
 
@@ -225,10 +208,10 @@ def _std_acc(model, data: Dataset) -> float:
     return float(np.mean(model.predict_batch(data.X) == data.y))
 
 
-def _echo(args, keys) -> dict:
+def _echo(args, keys: str) -> dict:
     out = {"subcommand": args.command}
-    for k in keys:
-        v = getattr(args, k.replace("-", "_"), None)
+    for k in keys.split():
+        v = getattr(args, k.replace("-", "_"))
         if v is not None:
             out[k] = list(v) if isinstance(v, (list, tuple)) else v
     return out
@@ -249,7 +232,7 @@ def _barely_learner(name: str, gamma: float):
 
 def _cmd_certify(args) -> dict:
     model = load_model(args.model)
-    data = _dataset(args)
+    data = load_csv(args.input)
     ball = _ball(args)
     if args.method == "closed":
         risk = robust_risk(model, data, ball)
@@ -258,7 +241,6 @@ def _cmd_certify(args) -> dict:
         bad = sum(z is not None for z in ellipsoid_certify_batch(model, data, ball, cfg))
         risk = bad / data.n
     return {
-        "config": _echo(args, ["model", "input", "gamma", "p", "method"]),
         "metrics": {
             "n": data.n,
             "robust_accuracy": 1.0 - risk,
@@ -269,14 +251,13 @@ def _cmd_certify(args) -> dict:
 
 def _cmd_attack(args) -> dict:
     model = load_model(args.model)
-    data = _dataset(args)
+    data = load_csv(args.input)
     ball = _ball(args)
     lost = np.flatnonzero(robust_losses(model, data, ball))
     if args.save_witnesses and lost.size:
         witnesses = worst_case_point(model, data.X[lost], data.y[lost], ball)
         save_csv(args.save_witnesses, Dataset(witnesses, data.y[lost]))
     return {
-        "config": _echo(args, ["model", "input", "gamma", "p"]),
         "metrics": {
             "n": data.n,
             "attacked": int(lost.size),
@@ -286,8 +267,8 @@ def _cmd_attack(args) -> dict:
     }
 
 
-def _cmd_rerm(args) -> dict:
-    data = _dataset(args)
+def _cmd_rerm_ellipsoid(args) -> dict:
+    data = load_csv(args.input)
     ball = _ball(args)
     cfg = default_ellipsoid_config(args.gamma)
     check_disjoint_balls(data, ball)
@@ -295,7 +276,6 @@ def _cmd_rerm(args) -> dict:
     if args.save_model:
         save_model(args.save_model, model)
     return {
-        "config": _echo(args, ["input", "gamma", "p", "seed"]),
         "metrics": {
             "n": data.n,
             "robust_accuracy": 1.0 - robust_risk(model, data, ball),
@@ -335,12 +315,7 @@ def _cmd_roboost(args) -> dict:
     diag: dict = {}
     cascade = beta_roboost(source, learner, cfg, ball, diagnostics=diag)
     eval_data, eval_kind = _eval_data(args, train)
-    doc = {
-        "config": _echo(
-            args,
-            ["input", "gen", "n", "gamma", "p", "eps", "beta", "delta", "rounds",
-             "per-round-m", "learner", "multi-granularity", "seed"],
-        ),
+    return {
         "rounds": [
             {"round": i + 1, "beta_hat": bh, "sample_size": sz}
             for i, (bh, sz) in enumerate(zip(diag["beta_hats"], diag["round_sizes"]))
@@ -349,7 +324,6 @@ def _cmd_roboost(args) -> dict:
         "eval_on": eval_kind,
         "metrics": _cascade_metrics(cascade, eval_data, ball),
     }
-    return doc
 
 
 def _cmd_uroboost(args) -> dict:
@@ -367,11 +341,6 @@ def _cmd_uroboost(args) -> dict:
     cascade = beta_uroboost(labeled, unlabeled, learner, cfg, ball, diagnostics=diag)
     eval_data, eval_kind = _eval_data(args, labeled)
     return {
-        "config": _echo(
-            args,
-            ["input", "unlabeled-input", "gen", "n", "gamma", "p", "eps", "beta",
-             "delta", "rounds", "per-round-m", "learner", "seed"],
-        ),
         "rounds": [
             {"round": i + 1, "beta_hat": bh}
             for i, bh in enumerate(diag.get("beta_hats", []))
@@ -383,7 +352,7 @@ def _cmd_uroboost(args) -> dict:
 
 
 def _cmd_alpha_boost(args) -> dict:
-    data = _dataset(args)
+    data = load_csv(args.input)
     U = _perturbation(args) if (args.offset or args.gamma > 0) else None
     cfg = AlphaBoostConfig(
         alpha=args.alpha,
@@ -405,16 +374,11 @@ def _cmd_alpha_boost(args) -> dict:
         metrics["majority_robust_accuracy"] = (
             1.0 - robust_risk(vote, data, U) if U is not None else _std_acc(vote, data)
         )
-    return {
-        "config": _echo(
-            args, ["input", "gamma", "p", "offset", "alpha", "rounds", "agreement-mode", "seed"]
-        ),
-        "metrics": metrics,
-    }
+    return {"metrics": metrics}
 
 
 def _cmd_robustify(args) -> dict:
-    data = _dataset(args)
+    data = load_csv(args.input)
     U = _offsets(args)
     cfg = RobustifyConfig(
         outer_rounds=args.rounds,
@@ -426,7 +390,6 @@ def _cmd_robustify(args) -> dict:
     diag: dict = {}
     vote = robustify_nonrobust(data, U, erm_linear, cfg, diagnostics=diag)
     return {
-        "config": _echo(args, ["input", "offset", "rounds", "inner-rounds", "subsample", "seed"]),
         "metrics": {
             "rounds_run": diag["rounds_run"],
             "inflated_size": diag["inflated_size"],
@@ -437,13 +400,12 @@ def _cmd_robustify(args) -> dict:
 
 
 def _cmd_fms(args) -> dict:
-    data = _dataset(args)
+    data = load_csv(args.input)
     U = _offsets(args)
     diag: dict = {}
     vote = fms_agnostic(data, U, erm_linear, eta_mw=args.eta_mw, rounds=args.rounds,
                         eps=args.eps, diagnostics=diag)
     return {
-        "config": _echo(args, ["input", "offset", "eta-mw", "rounds", "eps", "seed"]),
         "metrics": {
             "rounds": diag["rounds"],
             "eta": diag["eta"],
@@ -454,7 +416,7 @@ def _cmd_fms(args) -> dict:
 
 
 def _cmd_cycle_robust(args) -> dict:
-    data = _dataset(args)
+    data = load_csv(args.input)
     ball = _ball(args)
     oracle = margin_attack(ball)
     diag: dict = {}
@@ -463,7 +425,6 @@ def _cmd_cycle_robust(args) -> dict:
     if args.save_model:
         save_model(args.save_model, model)
     return {
-        "config": _echo(args, ["input", "gamma", "p", "mistake-cap", "seed"]),
         "metrics": {
             "oracle_calls": diag["oracle_calls"],
             "updates": diag["updates"],
@@ -482,12 +443,13 @@ def _cmd_one_pass(args) -> dict:
     probe = stream(1)
     d = probe.d
 
-    def stream_with_probe(k: int, _first=[probe]):
+    def stream_with_probe(k: int):
         # the probe row leads the first block, whatever its size
-        if not _first:
+        nonlocal probe
+        if probe is None:
             return stream(k)
         rest = stream(k - 1) if k > 1 else None  # may raise; the probe stays first
-        head = _first.pop()
+        head, probe = probe, None
         return head if rest is None else Dataset(np.vstack([head.X, rest.X]),
                                                  np.concatenate([head.y, rest.y]))
 
@@ -501,7 +463,6 @@ def _cmd_one_pass(args) -> dict:
         save_model(args.save_model, model)
     eval_data, eval_kind = _eval_data(args, train)
     return {
-        "config": _echo(args, ["input", "gen", "gamma", "p", "eps", "delta", "mistake-cap", "seed"]),
         "eval_on": eval_kind,
         "metrics": {
             "updates": diag["updates"],
@@ -513,7 +474,7 @@ def _cmd_one_pass(args) -> dict:
 
 
 def _cmd_wm(args) -> dict:
-    data = _dataset(args)
+    data = load_csv(args.input)
     U = _offsets(args)
     pool = [load_model(p) for p in args.pool]
     oracle = enumeration_attack(U)
@@ -523,7 +484,6 @@ def _cmd_wm(args) -> dict:
     )
     opt = min(int(robust_losses(h, data, U).sum()) for h in pool)
     doc = {
-        "config": _echo(args, ["input", "offset", "eta-wm", "rounds", "pool", "seed"]),
         "metrics": {
             "mistakes": diag["mistakes"],
             "examples_seen": diag["examples_seen"],
@@ -542,24 +502,17 @@ def _cmd_wm(args) -> dict:
 
 
 def _cmd_rcn_train(args) -> dict:
-    data = _dataset(args)
+    data = load_csv(args.input)
+    shared = dict(gamma=args.gamma, eta=args.rcn_eta, q=args.q, steps=args.steps,
+                  rng_seed=args.seed)
     if args.method == "md":
-        model = rcn_train_md(
-            data,
-            RcnConfig(gamma=args.gamma, eta=args.rcn_eta, eps=args.eps, q=args.q,
-                      steps=args.steps, rng_seed=args.seed),
-        )
+        model = rcn_train_md(data, RcnConfig(eps=args.eps, **shared))
     else:
-        model = glm_train(
-            data,
-            GlmConfig(gamma=args.gamma, eta=args.rcn_eta, q=args.q,
-                      steps=args.steps, rng_seed=args.seed),
-        )
+        model = glm_train(data, GlmConfig(**shared))
     if args.save_model:
         save_model(args.save_model, model)
     eval_data, eval_kind = _eval_data(args, data)
     return {
-        "config": _echo(args, ["input", "method", "gamma", "rcn-eta", "eps", "q", "steps", "seed"]),
         "eval_on": eval_kind,
         "metrics": {
             "standard_accuracy": _std_acc(model, eval_data),
@@ -567,6 +520,16 @@ def _cmd_rcn_train(args) -> dict:
                 np.mean(robust_losses(model, eval_data, LpBall(2.0, args.gamma / 2.0)) == 0)
             ),
         },
+    }
+
+
+def _rejection(selection, train: Dataset, test: Dataset):
+    """The test rows a selection keeps, and its rejection rate on each sample."""
+    kept = select_members(selection, test.X)
+    kept_train = select_members(selection, train.X)
+    return kept, {
+        "test_rejection_rate": float(1.0 - kept.mean()) if test.n else 0.0,
+        "train_rejection_rate": float(1.0 - kept_train.mean()),
     }
 
 
@@ -578,18 +541,12 @@ def _cmd_rejectron(args) -> dict:
     h, selection = rejectron(train, test.X, cfg, diagnostics=diag)
     if args.save_selection:
         save_selection(args.save_selection, selection)
-    kept = select_members(selection, test.X)
-    kept_train = select_members(selection, train.X)
-    metrics = {
-        "rounds": diag["rounds"],
-        "test_rejection_rate": float(1.0 - kept.mean()) if test.n else 0.0,
-        "train_rejection_rate": float(1.0 - kept_train.mean()),
-    }
+    kept, rates = _rejection(selection, train, test)
+    metrics = {"rounds": diag["rounds"], **rates}
     if kept.any():
         preds = h.predict_batch(test.X[kept])
         metrics["selective_test_error"] = float(np.mean(preds != test.y[kept]))
     return {
-        "config": _echo(args, ["input", "test-input", "eps", "lambda-weight", "seed"]),
         "scores": [float(s) for s in diag["scores"]],
         "metrics": metrics,
     }
@@ -608,15 +565,7 @@ def _cmd_urejectron(args) -> dict:
         backend = DistinguisherT1()
     diag: dict = {}
     selection = urejectron(train.X, test.X, cfg, backend, diagnostics=diag)
-    kept = select_members(selection, test.X)
-    kept_train = select_members(selection, train.X)
-    doc = {
-        "config": _echo(args, ["input", "test-input", "eps", "lambda-weight", "backend", "seed"]),
-        "metrics": {
-            "test_rejection_rate": float(1.0 - kept.mean()) if test.n else 0.0,
-            "train_rejection_rate": float(1.0 - kept_train.mean()),
-        },
-    }
+    doc = {"metrics": _rejection(selection, train, test)[1]}
     if args.backend == "t1":
         h = erm_linear(WeightedDataset.uniform(train))
         test_preds = h.predict_batch(test.X)
@@ -642,7 +591,7 @@ def _cmd_urejectron(args) -> dict:
     return doc
 
 
-def _cmd_transductive(args) -> dict:
+def _cmd_transductive_pool(args) -> dict:
     train = load_csv(args.input)
     test = load_csv(args.test_input)
     pool = PoolHypotheses(tuple(load_model(p) for p in args.pool))
@@ -653,7 +602,6 @@ def _cmd_transductive(args) -> dict:
     if args.save_labels:
         save_csv(args.save_labels, Dataset(test.X, labels))
     return {
-        "config": _echo(args, ["input", "test-input", "pool", "gamma", "p", "mode", "seed"]),
         "scores": diag["scores"],
         "metrics": {
             "chosen_index": chosen,
@@ -670,45 +618,143 @@ def _cmd_gen_data(args) -> dict:
         data = apply_rcn(data, args.eta, args.seed)
     save_csv(args.out_csv, data)
     return {
-        "config": _echo(args, ["gen", "n", "sigma", "noise", "cluster", "eta", "seed"]),
         "written": {"path": args.out_csv, "rows": data.n, "dim": data.d},
     }
 
 
 # ---------------------------------------------------------------------------
-# parser
+# subcommand table
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sp, *, ball=False, gen=False, seed=True, output=True):
-    if ball:
-        sp.add_argument("--gamma", type=float, required=True)
-        sp.add_argument("--p", type=float, default=2.0)
-    if gen:
-        sp.add_argument("--gen", choices=["gaussian", "moons", "margin-union"])
-        sp.add_argument("--n", type=int, default=200)
-        sp.add_argument("--center-pos", default="2,0")
-        sp.add_argument("--center-neg", default=None)
-        sp.add_argument("--sigma", type=float, default=0.0)
-        sp.add_argument("--noise", type=float, default=0.0)
-        sp.add_argument("--cluster", action="append", default=[])
-        sp.add_argument("--eval-n", type=int, default=2000)
-    if seed:
-        sp.add_argument("--seed", type=int, default=0)
-    if output:
-        sp.add_argument("--output", default=None, help="results document path (default stdout)")
+# add_argument keywords of each flag that a row names by itself
+_FLAGS = {
+    "--model": dict(required=True),
+    "--input": dict(required=True),
+    "--test-input": dict(default=None),
+    "--gamma": dict(type=float, required=True),
+    "--p": dict(type=float, default=2.0),
+    "--gen": dict(choices=["gaussian", "moons", "margin-union"]),
+    "--n": dict(type=int, default=200),
+    "--center-pos": dict(default="2,0"),
+    "--center-neg": dict(default=None),
+    "--sigma": dict(type=float, default=0.0),
+    "--noise": dict(type=float, default=0.0),
+    "--cluster": dict(action="append", default=[]),
+    "--eval-n": dict(type=int, default=2000),
+    "--eps": dict(type=float, required=True),
+    "--beta": dict(type=float, required=True),
+    "--delta": dict(type=float, default=0.05),
+    "--rounds": dict(type=int, default=None),
+    "--per-round-m": dict(type=int, default=None),
+    "--learner": dict(choices=["svm", "erm"], default="svm"),
+    "--multi-granularity": dict(action="store_true"),
+    "--offset": dict(action="append", default=[]),
+    "--mistake-cap": dict(type=int, required=True),
+    "--save-model": dict(default=None),
+    "--lambda-weight": dict(type=float, default=None),
+    "--save-selection": dict(default=None),
+    "--pool": dict(nargs="+", required=True),
+    "--seed": dict(type=int, default=0),
+    "--output": dict(default=None, help="results document path (default stdout)"),
+}
+_BALL = ("--gamma", "--p")
+_GEN = ("--gen", "--n", "--center-pos", "--center-neg", "--sigma", "--noise", "--cluster",
+        "--eval-n")
+_BOOST = ("--test-input", "--eps", "--beta", "--delta", "--rounds", "--per-round-m", "--learner",
+          "--multi-granularity", *_BALL, *_GEN)
+_COMMON = ("--seed", "--output")  # the last flags of every subcommand
 
 
-def _add_boost(sp):
-    sp.add_argument("--test-input", default=None)
-    sp.add_argument("--eps", type=float, required=True)
-    sp.add_argument("--beta", type=float, required=True)
-    sp.add_argument("--delta", type=float, default=0.05)
-    sp.add_argument("--rounds", type=int, default=None)
-    sp.add_argument("--per-round-m", type=int, default=None)
-    sp.add_argument("--learner", choices=["svm", "erm"], default="svm")
-    sp.add_argument("--multi-granularity", action="store_true")
-    _add_common(sp, ball=True, gen=True)
+@dataclass(frozen=True)
+class Command:
+    """One subcommand. Its handler is the module's `_cmd_<name>`, dashes as
+    underscores, looked up when it runs, so a wrapper bound over that name
+    (perfbench's tracer) is the one called. The handler returns the results
+    document without its "config" entry, which main puts first."""
+
+    help: str
+    echo: str  # the flags the "config" entry echoes, in order, without "--"
+    flags: tuple  # names of _FLAGS entries, or (name, add_argument keywords)
+
+
+COMMANDS = {
+    "certify": Command(
+        "robust accuracy of a saved model", "model input gamma p method",
+        ("--model", "--input", ("--method", dict(choices=["closed", "ellipsoid"], default="closed")),
+         *_BALL)),
+    "attack": Command(
+        "worst-case witnesses against a saved model", "model input gamma p",
+        ("--model", "--input", ("--save-witnesses", dict(default=None)), *_BALL)),
+    "rerm-ellipsoid": Command(
+        "robust ERM via ellipsoid search", "input gamma p seed",
+        ("--input", "--save-model", *_BALL)),
+    "roboost": Command(
+        "boost a barely robust learner into a cascade",
+        "input gen n gamma p eps beta delta rounds per-round-m learner multi-granularity seed",
+        (("--input", dict(default=None)), *_BOOST)),
+    "uroboost": Command(
+        "boost robustness with unlabeled data",
+        "input unlabeled-input gen n gamma p eps beta delta rounds per-round-m learner seed",
+        ("--input", ("--unlabeled-input", dict(default=None)), *_BOOST)),
+    "alpha-boost": Command(
+        "multiplicative-weights boosting", "input gamma p offset alpha rounds agreement-mode seed",
+        ("--input", ("--gamma", dict(type=float, default=0.0)), "--p", "--offset",
+         ("--alpha", dict(type=float, default=None)), "--rounds", "--delta",
+         ("--agreement-mode", dict(action="store_true")))),
+    "robustify": Command(
+        "robust learner from a non-robust one (finite sets)",
+        "input offset rounds inner-rounds subsample seed",
+        ("--input", "--offset", "--rounds", ("--inner-rounds", dict(type=int, default=None)),
+         ("--subsample", dict(type=int, default=32)),
+         ("--sparsify-n", dict(type=int, default=25)))),
+    "fms": Command(
+        "agnostic finite-set reduction", "input offset eta-mw rounds eps seed",
+        ("--input", "--offset", ("--eta-mw", dict(type=float, default=None)), "--rounds",
+         ("--eps", dict(type=float, default=0.2)))),
+    "cycle-robust": Command(
+        "perceptron cycled against the attack oracle", "input gamma p mistake-cap seed",
+        ("--input", "--mistake-cap", "--save-model", *_BALL)),
+    "one-pass": Command(
+        "single-pass online robust training", "input gen gamma p eps delta mistake-cap seed",
+        (("--input", dict(default=None)), "--test-input", "--eps", "--delta", "--mistake-cap",
+         "--save-model", *_BALL, *_GEN)),
+    "wm": Command(
+        "weighted majority over a model pool", "input offset eta-wm rounds pool seed",
+        ("--input", "--offset", ("--eta-wm", dict(type=float, required=True)), "--rounds",
+         "--pool")),
+    "rcn-train": Command(
+        "noise-tolerant margin training", "input method gamma rcn-eta eps q steps seed",
+        (("--method", dict(choices=["md", "glm"], default="md")), "--input", "--test-input",
+         "--gamma", ("--rcn-eta", dict(type=float, required=True)),
+         ("--eps", dict(type=float, default=0.05)), ("--q", dict(type=float, default=2.0)),
+         ("--steps", dict(type=int, default=None)), "--save-model")),
+    "rejectron": Command(
+        "selective classification under test-time drift",
+        "input test-input eps lambda-weight seed",
+        ("--input", ("--test-input", dict(required=True)), "--eps", "--lambda-weight",
+         "--save-selection")),
+    "urejectron": Command(
+        "unsupervised selective classification",
+        "input test-input eps lambda-weight backend seed",
+        ("--input", ("--test-input", dict(required=True)), "--eps", "--lambda-weight",
+         ("--backend", dict(choices=["pairs", "t1"], default="t1")),
+         ("--pool", dict(nargs="*", default=None)), "--save-selection")),
+    "transductive-pool": Command(
+        "pick a pool member stable on both samples", "input test-input pool gamma p mode seed",
+        ("--input", ("--test-input", dict(required=True)), "--pool", "--offset",
+         ("--mode", dict(choices=["realizable", "agnostic"], default="realizable")),
+         ("--save-labels", dict(default=None)), *_BALL)),
+    "gen-data": Command(
+        "write a synthetic dataset as CSV", "gen n sigma noise cluster eta seed",
+        (("--out-csv", dict(required=True)), ("--eta", dict(type=float, default=0.0)), *_GEN)),
+}
+
+
+def _row_flags(row: Command):
+    """(flag, add_argument keywords) of each flag of a row, in help order."""
+    for flag in (*row.flags, *_COMMON):
+        yield (flag, _FLAGS[flag]) if isinstance(flag, str) else flag
 
 
 class _Parser(argparse.ArgumentParser):
@@ -718,155 +764,27 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _parse(argv: list) -> argparse.Namespace:
+    """Parse a command line. Every subcommand is listed with its help line,
+    but only the one the command line names gets its flags."""
+    named = next((a for a in argv if a in COMMANDS), None)
     ap = _Parser(prog="roblearn")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("certify", help="robust accuracy of a saved model")
-    sp.add_argument("--model", required=True)
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--method", choices=["closed", "ellipsoid"], default="closed")
-    _add_common(sp, ball=True)
-    sp.set_defaults(func=_cmd_certify)
-
-    sp = sub.add_parser("attack", help="worst-case witnesses against a saved model")
-    sp.add_argument("--model", required=True)
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--save-witnesses", default=None)
-    _add_common(sp, ball=True)
-    sp.set_defaults(func=_cmd_attack)
-
-    sp = sub.add_parser("rerm-ellipsoid", help="robust ERM via ellipsoid search")
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--save-model", default=None)
-    _add_common(sp, ball=True)
-    sp.set_defaults(func=_cmd_rerm)
-
-    sp = sub.add_parser("roboost", help="boost a barely robust learner into a cascade")
-    sp.add_argument("--input", default=None)
-    _add_boost(sp)
-    sp.set_defaults(func=_cmd_roboost)
-
-    sp = sub.add_parser("uroboost", help="boost robustness with unlabeled data")
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--unlabeled-input", default=None)
-    _add_boost(sp)
-    sp.set_defaults(func=_cmd_uroboost)
-
-    sp = sub.add_parser("alpha-boost", help="multiplicative-weights boosting")
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--gamma", type=float, default=0.0)
-    sp.add_argument("--p", type=float, default=2.0)
-    sp.add_argument("--offset", action="append", default=[])
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--rounds", type=int, default=None)
-    sp.add_argument("--delta", type=float, default=0.05)
-    sp.add_argument("--agreement-mode", action="store_true")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_alpha_boost)
-
-    sp = sub.add_parser("robustify", help="robust learner from a non-robust one (finite sets)")
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--offset", action="append", default=[])
-    sp.add_argument("--rounds", type=int, default=None)
-    sp.add_argument("--inner-rounds", type=int, default=None)
-    sp.add_argument("--subsample", type=int, default=32)
-    sp.add_argument("--sparsify-n", type=int, default=25)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_robustify)
-
-    sp = sub.add_parser("fms", help="agnostic finite-set reduction")
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--offset", action="append", default=[])
-    sp.add_argument("--eta-mw", type=float, default=None)
-    sp.add_argument("--rounds", type=int, default=None)
-    sp.add_argument("--eps", type=float, default=0.2)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_fms)
-
-    sp = sub.add_parser("cycle-robust", help="perceptron cycled against the attack oracle")
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--mistake-cap", type=int, required=True)
-    sp.add_argument("--save-model", default=None)
-    _add_common(sp, ball=True)
-    sp.set_defaults(func=_cmd_cycle_robust)
-
-    sp = sub.add_parser("one-pass", help="single-pass online robust training")
-    sp.add_argument("--input", default=None)
-    sp.add_argument("--test-input", default=None)
-    sp.add_argument("--eps", type=float, required=True)
-    sp.add_argument("--delta", type=float, default=0.05)
-    sp.add_argument("--mistake-cap", type=int, required=True)
-    sp.add_argument("--save-model", default=None)
-    _add_common(sp, ball=True, gen=True)
-    sp.set_defaults(func=_cmd_one_pass)
-
-    sp = sub.add_parser("wm", help="weighted majority over a model pool")
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--offset", action="append", default=[])
-    sp.add_argument("--eta-wm", type=float, required=True)
-    sp.add_argument("--rounds", type=int, default=None)
-    sp.add_argument("--pool", nargs="+", required=True)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_wm)
-
-    sp = sub.add_parser("rcn-train", help="noise-tolerant margin training")
-    sp.add_argument("--method", choices=["md", "glm"], default="md")
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--test-input", default=None)
-    sp.add_argument("--gamma", type=float, required=True)
-    sp.add_argument("--rcn-eta", type=float, required=True)
-    sp.add_argument("--eps", type=float, default=0.05)
-    sp.add_argument("--q", type=float, default=2.0)
-    sp.add_argument("--steps", type=int, default=None)
-    sp.add_argument("--save-model", default=None)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_rcn_train)
-
-    sp = sub.add_parser("rejectron", help="selective classification under test-time drift")
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--test-input", required=True)
-    sp.add_argument("--eps", type=float, required=True)
-    sp.add_argument("--lambda-weight", type=float, default=None)
-    sp.add_argument("--save-selection", default=None)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_rejectron)
-
-    sp = sub.add_parser("urejectron", help="unsupervised selective classification")
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--test-input", required=True)
-    sp.add_argument("--eps", type=float, required=True)
-    sp.add_argument("--lambda-weight", type=float, default=None)
-    sp.add_argument("--backend", choices=["pairs", "t1"], default="t1")
-    sp.add_argument("--pool", nargs="*", default=None)
-    sp.add_argument("--save-selection", default=None)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_urejectron)
-
-    sp = sub.add_parser("transductive-pool", help="pick a pool member stable on both samples")
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--test-input", required=True)
-    sp.add_argument("--pool", nargs="+", required=True)
-    sp.add_argument("--offset", action="append", default=[])
-    sp.add_argument("--mode", choices=["realizable", "agnostic"], default="realizable")
-    sp.add_argument("--save-labels", default=None)
-    _add_common(sp, ball=True)
-    sp.set_defaults(func=_cmd_transductive)
-
-    sp = sub.add_parser("gen-data", help="write a synthetic dataset as CSV")
-    sp.add_argument("--out-csv", required=True)
-    sp.add_argument("--eta", type=float, default=0.0)
-    _add_common(sp, gen=True)
-    sp.set_defaults(func=_cmd_gen_data)
-
-    return ap
+    for name, row in COMMANDS.items():
+        sp = sub.add_parser(name, help=row.help)
+        if name == named:
+            for flag, kw in _row_flags(row):
+                sp.add_argument(flag, **kw)
+    return ap.parse_args(argv)
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
-        doc = args.func(args)
-        if getattr(args, "output", None):
+        args = _parse(argv)
+        handler = globals()["_cmd_" + args.command.replace("-", "_")]
+        doc = {"config": _echo(args, COMMANDS[args.command].echo), **handler(args)}
+        if args.output:
             save_results(args.output, doc)
         else:
             sys.stdout.write(results_text(doc))

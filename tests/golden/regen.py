@@ -3,8 +3,8 @@
 Run from anywhere: `python tests/golden/regen.py`. It writes the shared inputs
 into a temporary directory, runs every case of tests/test_golden.py there and
 copies each pinned file here, then writes the printed text of every help and
-error case (at the pinned terminal width). Only do this when a change moves output bytes on
-purpose, and say why in CHANGES.md.
+error case at the pinned terminal width. Only do this when a change moves
+output bytes on purpose, and say why in CHANGES.md.
 """
 
 from __future__ import annotations

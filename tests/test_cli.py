@@ -7,7 +7,7 @@ import pytest
 from roblearn import (AllZeroWeights, Dataset, EllipsoidDiverged, LinearModel, LpBall,
                       UnsupportedGeometry, ZeroPerceptron, ZeroWeight, finite_source, load_csv,
                       load_model, margin_attack, perceptron_init, save_csv, save_model)
-from roblearn import reductions
+from roblearn import cli, reductions
 from roblearn.cli import _exit_code, main
 
 from ._refs import one_pass_ref
@@ -372,3 +372,15 @@ def test_infeasible_runs_exit_4(tmp_path, capsys, argv):
 ])
 def test_optimizer_failures_exit_5(tmp_path, capsys, argv):
     _fail_with(tmp_path, capsys, argv, 5)
+
+
+def test_every_command_row_has_a_handler_and_every_handler_a_row():
+    handlers = {n for n, v in vars(cli).items() if n.startswith("_cmd_") and callable(v)}
+    assert handlers == {"_cmd_" + name.replace("-", "_") for name in cli.COMMANDS}
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_echoed_keys_name_flags_of_their_row(name):
+    row = cli.COMMANDS[name]
+    flags = {flag for flag, _kw in cli._row_flags(row)}
+    assert {f"--{key}" for key in row.echo.split()} <= flags
