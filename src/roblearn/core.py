@@ -194,18 +194,19 @@ def dual_exponent(p: float) -> float:
 
 
 def lp_norm(v: np.ndarray, p: float) -> float:
+    # np.sum/np.max's own ufunc reductions without their Python wrappers
     a = np.abs(np.asarray(v, dtype=float))
     if math.isinf(p):
-        return float(np.max(a)) if a.size else 0.0
+        return float(np.maximum.reduce(a, axis=None)) if a.size else 0.0
     if p == 1.0:
-        return float(np.sum(a))
+        return float(np.add.reduce(a, axis=None))
     # factor out the peak so powers of tiny or huge entries cannot under/overflow
-    peak = float(np.max(a)) if a.size else 0.0
+    peak = float(np.maximum.reduce(a, axis=None)) if a.size else 0.0
     if peak == 0.0 or not math.isfinite(peak):
         return peak
     if p == 2.0:
-        return peak * float(np.sqrt(np.sum((a / peak) ** 2)))
-    return peak * float(np.sum((a / peak) ** p) ** (1.0 / p))
+        return peak * float(np.sqrt(np.add.reduce((a / peak) ** 2, axis=None)))
+    return peak * float(np.add.reduce((a / peak) ** p, axis=None) ** (1.0 / p))
 
 
 def dual_norm(w: np.ndarray, p: float) -> float:

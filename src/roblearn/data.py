@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -192,33 +191,32 @@ def write_text(path: str, text: str) -> None:
 def load_csv(path: str) -> Dataset:
     """Comma-separated reals, final column the label in {-1, +1}.
 
-    A header line is detected by its first field failing to parse as a
-    number. Row/column positions in errors are 1-based over the raw file.
+    Every field reads as float() reads it; '#' starts no comment and quoted
+    fields are errors. A header is a first line whose first field is not a
+    number. Errors name a 1-based row and column of the raw file.
     """
-    raw = read_text(path)
-    lines = [(i + 1, ln) for i, ln in enumerate(raw.splitlines()) if ln.strip()]
+    text = read_text(path).splitlines()
+    start = next((i for i, ln in enumerate(text) if ln.strip()), len(text))
+    if start < len(text):
+        try:
+            float(text[start].split(",")[0].strip())
+        except ValueError:
+            start += 1
+    body = text[start:]
+    # numpy's reader converts fields as float() does and raises wherever the two
+    # differ; such input, and an all-empty body (numpy would warn), go to the scan
+    if any(body):
+        try:
+            vals = np.loadtxt(body, delimiter=",", comments=None, dtype=float, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            X, label = vals[:, :-1], vals[:, -1]
+            if vals.shape[1] > 1 and ((label == 1.0) | (label == -1.0)).all() and np.isfinite(X).all():
+                return Dataset(np.ascontiguousarray(X), label.astype(np.int64))
+    lines = [(i + 1, ln) for i, ln in enumerate(body, start) if ln.strip()]
     if not lines:
         raise EmptyDataset(f"{path} contains no data rows")
-    first_tok = lines[0][1].split(",")[0].strip()
-    try:
-        float(first_tok)
-    except ValueError:
-        lines = lines[1:]
-        if not lines:
-            raise EmptyDataset(f"{path} contains no data rows")
-    # one float() per token, streamed into the array so no list of tokens is
-    # held; any fault is located by the scan
-    commas = lines[0][1].count(",")
-    if commas and all(ln.count(",") == commas for _, ln in lines):
-        tokens = chain.from_iterable(ln.split(",") for _, ln in lines)
-        try:
-            vals = np.fromiter(map(float, tokens), dtype=float, count=len(lines) * (commas + 1))
-        except ValueError:
-            return _scan_csv(lines)
-        vals = vals.reshape(len(lines), commas + 1)
-        X, label = vals[:, :-1], vals[:, -1]
-        if ((label == 1.0) | (label == -1.0)).all() and np.isfinite(X).all():
-            return Dataset(np.ascontiguousarray(X), label.astype(np.int64))
     return _scan_csv(lines)
 
 
@@ -254,8 +252,8 @@ def _scan_csv(lines) -> Dataset:
 
 
 def save_csv(path: str, data: Dataset) -> None:
-    rows = (",".join(fmt_float(v) for v in data.X[i]) + f",{int(data.y[i])}\n" for i in range(data.n))
-    write_text(path, "".join(rows))
+    row = ",".join([FLOAT_FMT] * data.d) + ",%d\n"
+    write_text(path, "".join([row % (*x, y) for x, y in zip(data.X.tolist(), data.y.tolist())]))
 
 
 def _emit_scalar(v) -> str:

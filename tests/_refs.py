@@ -2,8 +2,8 @@
 
 Everything here is written from the definitions, on purpose: no calls into
 roblearn's closed forms, so a bug there cannot hide a bug here. Only its
-vector check, its oracle answer types, its errors and its text read are
-shared, plus its generator for test streams, the stage walk that
+vector check, its oracle answer types, its errors and its text read and
+write are shared, plus its generator for test streams, the stage walk that
 accept_ref's loop calls (nonrobust_ref checks that walk on its own) and the
 weighted vote the one-row weighted-majority loop updates.
 """
@@ -17,7 +17,7 @@ import numpy as np
 
 from roblearn.boosting import _stage_labels
 from roblearn.core import Dataset, as_vector
-from roblearn.data import GenSpec, generate, read_text
+from roblearn.data import GenSpec, generate, read_text, write_text
 from roblearn.errors import (EllipsoidDiverged, EmptyDataset, EmptyPool, MistakeCapExceeded,
                              NotSeparable, OracleViolation, ParseError, SourceExhausted,
                              StreamExhausted)
@@ -639,8 +639,14 @@ def weighted_majority_ref(pool, stream, attack_oracle, eta_wm: float, rounds: in
 
 
 # ---------------------------------------------------------------------------
-# the field-by-field CSV scan
+# the field-by-field CSV scan and the value-by-value CSV writer
 # ---------------------------------------------------------------------------
+
+
+def save_csv_ref(path: str, data: Dataset) -> None:
+    """One row per example: each feature in 17 significant digits, then the label."""
+    rows = (",".join("%.17g" % float(v) for v in data.X[i]) + f",{int(data.y[i])}\n" for i in range(data.n))
+    write_text(path, "".join(rows))
 
 
 def load_csv_ref(path: str) -> Dataset:

@@ -8,6 +8,7 @@ budget on a laptop-class machine.
 import math
 import os
 import time
+from pathlib import Path
 from dataclasses import dataclass
 
 import numpy as np
@@ -582,8 +583,8 @@ def test_c12_every_subcommand_is_deterministic(tmp_path):
         for _ in range(2):
             code = cli_main(list(args))
             assert code == 0, f"{name} exited {code}"
-            blob = open(out, "rb").read()
+            blob = Path(out).read_bytes()
             if name == "gen-data":
-                blob += open(gen_csv, "rb").read()
+                blob += Path(gen_csv).read_bytes()
             outputs.append(blob)
         assert outputs[0] == outputs[1], f"{name} output differs between identical runs"

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,7 +82,7 @@ def test_certify_writes_output_file(tmp_path):
     out = str(tmp_path / "res.txt")
     assert run(["certify", "--model", model, "--input", data, "--gamma", "0.5",
                 "--output", out]) == 0
-    text = open(out).read()
+    text = Path(out).read_text()
     assert "subcommand: certify" in text
     assert "robust_accuracy: 1" in text
 
@@ -103,8 +104,8 @@ def test_certify_methods_agree(tmp_path, capsys):
                 "--method", "closed", "--output", o1]) == 0
     assert run(["certify", "--model", model, "--input", data, "--gamma", "0.4",
                 "--method", "ellipsoid", "--output", o2]) == 0
-    line = [l for l in open(o1).read().splitlines() if "robust_accuracy" in l]
-    line2 = [l for l in open(o2).read().splitlines() if "robust_accuracy" in l]
+    line = [l for l in Path(o1).read_text().splitlines() if "robust_accuracy" in l]
+    line2 = [l for l in Path(o2).read_text().splitlines() if "robust_accuracy" in l]
     assert line == line2
 
 
@@ -119,7 +120,7 @@ def test_gen_data_pipeline(tmp_path):
     out = str(tmp_path / "cert.txt")
     assert run(["certify", "--model", model, "--input", csv, "--gamma", "0.5",
                 "--output", out]) == 0
-    assert "robust_accuracy: 1" in open(out).read()
+    assert "robust_accuracy: 1" in Path(out).read_text()
 
 
 def test_attack_saves_witnesses(tmp_path):
@@ -129,7 +130,7 @@ def test_attack_saves_witnesses(tmp_path):
     out = str(tmp_path / "atk.txt")
     assert run(["attack", "--model", model, "--input", data, "--gamma", "2.5",
                 "--save-witnesses", wit, "--output", out]) == 0
-    text = open(out).read()
+    text = Path(out).read_text()
     assert "attacked_fraction: 1" in text
     witnesses = load_csv(wit)
     assert witnesses.n == 20
@@ -154,7 +155,7 @@ def test_subcommands_are_byte_deterministic(tmp_path):
         out = str(tmp_path / f"boost-{tag}.txt")
         assert run(["alpha-boost", "--input", data, "--rounds", "4",
                     "--seed", "3", "--output", out]) == 0
-        runs.append(open(out, "rb").read())
+        runs.append(Path(out).read_bytes())
     assert runs[0] == runs[1]
 
     runs = []
@@ -164,7 +165,7 @@ def test_subcommands_are_byte_deterministic(tmp_path):
                     "--eval-n", "100", "--gamma", "0.3", "--eps", "0.2",
                     "--beta", "0.5", "--rounds", "2", "--seed", "5",
                     "--output", out]) == 0
-        runs.append(open(out, "rb").read())
+        runs.append(Path(out).read_bytes())
     assert runs[0] == runs[1]
 
 
@@ -174,7 +175,7 @@ def test_uroboost_gen_draws_unlabeled_rows_from_the_generator(tmp_path):
     assert run(["uroboost", "--input", write_band(tmp_path), "--gen", "gaussian",
                 "--per-round-m", "30", "--rounds", "3", "--gamma", "0.3", "--eps", "0.2",
                 "--beta", "0.5", "--output", out]) == 0
-    assert "rounds:\n  - round: 1\n" in open(out).read()
+    assert "rounds:\n  - round: 1\n" in Path(out).read_text()
 
 
 def test_rcn_train_on_noisy_planted_data(tmp_path):
@@ -185,7 +186,7 @@ def test_rcn_train_on_noisy_planted_data(tmp_path):
     out = str(tmp_path / "rcn.txt")
     assert run(["rcn-train", "--input", csv, "--gamma", "0.5", "--rcn-eta", "0.15",
                 "--seed", "4", "--output", out]) == 0
-    text = open(out).read()
+    text = Path(out).read_text()
     acc = float([l for l in text.splitlines() if "margin_accuracy" in l][0].split(":")[1])
     assert acc >= 0.75
 
@@ -197,10 +198,10 @@ def test_rejectron_cli_reports_rates(tmp_path):
     sel = str(tmp_path / "sel.txt")
     assert run(["rejectron", "--input", train, "--test-input", test,
                 "--eps", "0.2", "--save-selection", sel, "--output", out]) == 0
-    text = open(out).read()
+    text = Path(out).read_text()
     assert "train_rejection_rate: 0" in text
     assert "selective_test_error" in text
-    assert open(sel).read().startswith("selection-set v1")
+    assert Path(sel).read_text().startswith("selection-set v1")
 
 
 def test_wm_cli_reports_bound(tmp_path):
@@ -210,7 +211,7 @@ def test_wm_cli_reports_bound(tmp_path):
     out = str(tmp_path / "wm.txt")
     assert run(["wm", "--input", data, "--offset", "0,0", "--eta-wm", "0.5",
                 "--pool", good, bad, "--output", out]) == 0
-    text = open(out).read()
+    text = Path(out).read_text()
     assert "bound_holds: true" in text
     assert "pool_opt: 0" in text
 
@@ -344,7 +345,7 @@ def test_one_pass_input_reads_its_first_row(tmp_path):
     state = one_pass_ref(finite_source(load_csv(path)), perceptron_init(2),
                          margin_attack(LpBall(2.0, 0.1)), 1.0, 0.05, 2, diagnostics=diag)
     assert load_model(model).w.tobytes() == state.w.tobytes()
-    assert f"updates: {diag['updates']}" in open(out).read() and diag["updates"] == 1
+    assert f"updates: {diag['updates']}" in Path(out).read_text() and diag["updates"] == 1
 
 
 def test_error_classes_map_to_their_exit_codes():

@@ -1,4 +1,6 @@
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from roblearn import (
 from roblearn.data import fmt_float
 from roblearn.errors import RoblearnError
 
-from ._refs import load_csv_ref
+from ._refs import load_csv_ref, save_csv_ref
 
 
 def vec(*vals):
@@ -214,13 +216,25 @@ def test_csv_error_positions(tmp_path):
         load_csv(str(tmp_path / "absent.csv"))
 
 
+def test_header_then_blank_lines_is_empty_without_a_warning(tmp_path):
+    p = tmp_path / "blank.csv"
+    p.write_text("f1,f2,label\n\n\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EmptyDataset):
+            load_csv(str(p))
+
+
+# the last sampled_from of _FIELDS and the last four _LINE_ENDS are where
+# numpy's text reader and float()/str.splitlines could part ways
 _FIELDS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.integers(-5, 5).map(str),
     st.sampled_from(["1", "-1", "+1", "1.0", "-1e0", " -1 ", "\t1", "0", "2", "-0.0", "1_0"]),
     st.sampled_from(["nan", "inf", "-Infinity", "", "oops", "1 2", "0x1"]),
+    st.sampled_from(["\u0661", "1#2", "1e500", '"1"', "1e5 1"]),
 )
-_LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+_LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x85", "\u2028"])
 
 
 @st.composite
@@ -261,10 +275,34 @@ def _load_outcome(load, path):
 @given(_csv_texts())
 @example("1\n-1\n")  # no feature column, though every token parses
 @example("f1,f2,label\r\n 0.5, 1.5 ,1\r\n\r\n-0.5,2.0,-1")
+@example("f1,f2,label\n")  # header only
+@example("f1,f2,label\n\n\n")  # header, then blank lines
 def test_load_csv_matches_the_field_scan(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("csv") / "d.csv"
     path.write_bytes(text.encode("utf-8"))
     assert _load_outcome(load_csv, str(path)) == _load_outcome(load_csv_ref, str(path))
+
+
+_EXTREME_FLOATS = st.sampled_from([-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308])
+
+
+@st.composite
+def _datasets(draw):
+    """d in 1..4, zero to five rows, ordinary and extreme finite features."""
+    d, n = draw(st.integers(1, 4)), draw(st.integers(0, 5))
+    values = st.one_of(st.floats(allow_nan=False, allow_infinity=False), _EXTREME_FLOATS)
+    X = np.array([draw(values) for _ in range(n * d)], dtype=float).reshape(n, d)
+    return Dataset(X, np.array([draw(st.sampled_from([1, -1])) for _ in range(n)], dtype=np.int64))
+
+
+@given(_datasets())
+@example(Dataset(np.array([[-0.0, 5e-324, 1.7976931348623157e308]]), np.array([-1])))
+@example(Dataset(np.empty((0, 2)), np.empty(0, dtype=np.int64)))
+def test_save_csv_matches_the_per_value_writer(tmp_path_factory, data):
+    out = tmp_path_factory.mktemp("csv")
+    save_csv(str(out / "fast.csv"), data)
+    save_csv_ref(str(out / "ref.csv"), data)
+    assert (out / "fast.csv").read_bytes() == (out / "ref.csv").read_bytes()
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
@@ -310,7 +348,7 @@ def test_results_text_rejects_multiline_scalars(tmp_path):
         results_text({"bad": "two\nlines"})
     path = str(tmp_path / "r.txt")
     save_results(path, {"ok": 1})
-    assert open(path).read() == "ok: 1\n"
+    assert Path(path).read_text() == "ok: 1\n"
 
 
 # ---------------------------------------------------------------------------
