@@ -4,7 +4,8 @@ The weighted hinge trainer is called by every boosting round; the stochastic
 mirror-descent loop runs both noise-tolerant trainers, which differ only in
 their step schedule and per-sample gradient coefficient. Explicit-loop
 references of every kernel live in tests/_refs.py and are checked against
-these to float rounding.
+these to float rounding; the hinge trainer is also checked bit for bit against
+the dense numpy loop, which evaluates every step in full.
 """
 
 from __future__ import annotations
@@ -26,8 +27,29 @@ def active_backend() -> str:
 #
 # Full-batch subgradient descent on
 #   F(w, b) = sum_i sw_i * max(0, 1 - y_i (<w, x_i> + b)) + reg/2 ||w||^2
-# with step lr0/sqrt(t). sw must already be normalized to sum 1. The bias is
-# only trained when fit_bias is set; it is never regularized.
+# with step lr0/sqrt(t). sw must already be normalized to sum 1 and y is in
+# {-1, +1}. The bias is only trained when fit_bias is set; it is never
+# regularized.
+#
+# Every step is taken, with the dense loop's arithmetic, but a step's O(n)
+# part -- the margins m = y (X w + b), the active set m < 1, coef and
+# g = -X.T coef -- depends on (w, b) only through the active set. After an
+# exact evaluation at (w0, b0) the kernel certifies the radius
+#   R = min_i (|m_i - 1| - kappa (|b0| + 1)) / (||x_i|| + fit_bias)
+#       - kappa (||w0|| + max_i |m_i - 1|),
+# which is at most min_i (|m_i - 1| - err_i) / (||x_i|| + fit_bias) with
+# err_i = kappa (||x_i|| ||w0|| + |b0| + 1). With kappa = max(1e-12,
+# 8 (d+2) 2^-53), err_i bounds the rounding of the computed margin both at
+# (w0, b0) and at any point within R. The max term costs nothing in practice
+# and makes R -inf or nan once a margin overflows, so R is never +inf.
+# `moved` bounds ||w - w0|| + |b - b0| from each step's size, the rounding of
+# the update included. While moved < R no computed margin can cross 1, so the
+# active set, coef, g and sum(coef) are bit for bit those already computed
+# and the step does only its (d,) update; the output equals the dense loop's
+# (tests/_refs.py::hinge_train_dense_ref). A nan in R or moved, or an inf
+# moved, fails the test and takes the exact path. Where margins sit near 1 no
+# step is skipped; a radius that skipped nothing makes the next 1, 2, 4, ...
+# evaluations skip the radius.
 # ---------------------------------------------------------------------------
 
 
@@ -36,15 +58,38 @@ def hinge_train(X, y, sw, steps, lr0, reg, fit_bias):
     w = np.zeros(d)
     b = 0.0
     ysw = y * sw
+    kappa = max(1e-12, 8 * (d + 2) * 2.0**-53)
+    areg = abs(reg)
+    with np.errstate(all="ignore"):
+        # the floor keeps zero rows finite and only shrinks R
+        inv = 1.0 / np.maximum(np.sqrt(np.einsum("ij,ij->i", X, X)) + fit_bias, 2.0**-1023)
+    reach = moved = wn = nb = gn = 0.0
+    last, wait, backoff = -1, 0, 1
     for t in range(1, steps + 1):
-        margins = y * (X @ w + b)
-        active = margins < 1.0
-        coef = np.where(active, ysw, 0.0)
-        gw = -(X.T @ coef) + reg * w
         step = lr0 / math.sqrt(t)
-        w = w - step * gw
+        if moved < reach:
+            backoff = 1
+        else:
+            margins = y * (X @ w + b)
+            coef = np.where(margins < 1.0, ysw, 0.0)
+            g = -(X.T @ coef)
+            csum = float(coef.sum()) if fit_bias else 0.0
+            if last == t - 1:
+                wait, backoff = backoff, 2 * backoff
+            if wait:
+                wait -= 1
+                reach = 0.0
+            else:
+                last, moved, nb = t, 0.0, abs(b)
+                with np.errstate(all="ignore"):
+                    wn = math.sqrt(w @ w)
+                    gn = math.sqrt(g @ g) + abs(csum)
+                    gap = np.abs(margins - 1.0)
+                    reach = float(np.min((gap - kappa * (nb + 1.0)) * inv)) - kappa * (wn + float(np.max(gap)))
+        w = w - step * (g + reg * w)
         if fit_bias:
-            b = b + step * float(coef.sum())
+            b = b + step * csum
+        moved += (1.0 + kappa) * abs(step) * (gn + areg * (wn + moved)) + kappa * (wn + nb + 2.0 * moved)
     return w, b
 
 

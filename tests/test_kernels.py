@@ -1,17 +1,20 @@
 """The numpy kernels against the explicit-loop references in tests/_refs.py.
 
 Both sides sum in different orders, so they agree to float rounding, not bit
-for bit.
+for bit. The hinge trainer is also checked bit for bit against the dense
+numpy loop, which evaluates every step in full.
 """
+
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from roblearn import Dataset, ErmConfig, WeightedDataset, erm_linear
 from roblearn._kernels import _q_ball_step, hinge_train, md_glm, md_rcn
 
-from ._refs import hinge_train_ref, md_glm_ref, md_rcn_ref, q_ball_step_ref
+from ._refs import hinge_train_dense_ref, hinge_train_ref, md_glm_ref, md_rcn_ref, q_ball_step_ref
 
 
 def random_problem(seed, n=60, d=5):
@@ -30,6 +33,87 @@ def test_hinge_train_matches_loops(fit_bias):
     w_ref, b_ref = hinge_train_ref(X, y, sw, 150, 0.5, 0.01, fit_bias)
     np.testing.assert_allclose(w, w_ref, rtol=1e-9, atol=1e-12)
     assert b == pytest.approx(b_ref, rel=1e-9, abs=1e-12)
+
+
+def same_bits(got, want):
+    return got[0].tobytes() == want[0].tobytes() and np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+
+
+@st.composite
+def hinge_problems(draw):
+    """Small problems whose margins land exactly on 1: integer or one-decimal
+    features (or normal draws), some rows all zero, labels +-1."""
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["int", "decimal", "normal"]))
+    if kind == "normal":
+        X = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((n, d))
+    else:
+        X = np.array(draw(st.lists(st.integers(-20, 20), min_size=n * d, max_size=n * d)), dtype=float)
+        X = X.reshape(n, d) / (10.0 if kind == "decimal" else 1.0)
+    X[np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))] = 0.0
+    y = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        sw = np.full(n, 1.0 / n)
+    else:
+        sw = np.array(draw(st.lists(st.integers(1, 9), min_size=n, max_size=n)), dtype=float)
+        sw = sw / sw.sum()
+    return (X, y, sw, draw(st.integers(1, 400)), draw(st.sampled_from([0.01, 0.1, 0.5, 1.0, 3.0])),
+            draw(st.sampled_from([0.0, 1e-4, 0.5])), draw(st.booleans()))
+
+
+@settings(max_examples=200)
+@given(hinge_problems())
+@example((np.array([[1.0]]), np.array([1.0]), np.array([1.0]), 400, 1.0, 0.0, False))  # n = 1, lands on margin 1
+@example((np.zeros((3, 2)), np.array([1.0, -1.0, 1.0]), np.full(3, 1 / 3), 50, 0.5, 1e-4, True))
+def test_hinge_train_is_the_dense_loop_bit_for_bit(problem):
+    assert same_bits(hinge_train(*problem), hinge_train_dense_ref(*problem))
+
+
+def bands(seed, n):
+    """Two bands x1 = +-[1.2, 1.8], robust to the offsets (0, 0) and (+-0.3, 0):
+    the rows alpha-boost trains its weak learners on."""
+    rng = np.random.default_rng(seed)
+    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    return np.column_stack([y * (1.2 + 0.6 * rng.random(n)), rng.random(n) - 0.5]), y
+
+
+class CountingMatrix(np.ndarray):
+    """Counts the products X @ w and X.T @ coef; each returns a plain array."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        CountingMatrix.products += 1
+        return np.asarray(np.ndarray.__matmul__(self, other))
+
+
+@pytest.mark.parametrize("fit_bias", [False, True])
+def test_hinge_train_skips_most_margin_evaluations_on_bands(fit_bias):
+    cfg = ErmConfig()
+    steps = 0
+    CountingMatrix.products = 0
+    for seed in range(4):
+        X, y = bands(seed, 400)
+        rng = np.random.default_rng(100 + seed)
+        sw = rng.random(y.shape[0]) if seed % 2 else np.ones(y.shape[0])
+        sw = sw / sw.sum()
+        args = (y, sw, cfg.epochs, cfg.lr0, cfg.reg, fit_bias)
+        assert same_bits(hinge_train(X.view(CountingMatrix), *args), hinge_train_dense_ref(X, *args))
+        steps += cfg.epochs
+    # an exact evaluation makes two products: the margins and the gradient
+    assert CountingMatrix.products / 2 < 0.1 * steps
+
+
+@pytest.mark.parametrize("fit_bias", [False, True])
+@pytest.mark.parametrize("zero_rows", [[1, 3], [0, 1, 2, 3]])
+def test_hinge_train_zero_rows_raise_no_warning(fit_bias, zero_rows):
+    X, y, sw = random_problem(8, n=4, d=3)
+    X[zero_rows] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = hinge_train(X, y, sw, 120, 0.5, 1e-4, fit_bias)
+    assert same_bits(got, hinge_train_dense_ref(X, y, sw, 120, 0.5, 1e-4, fit_bias))
 
 
 @pytest.mark.parametrize("q", [2.0, 1.5, 1.0])
