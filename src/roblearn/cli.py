@@ -552,6 +552,15 @@ def _cmd_rejectron(args) -> dict:
     }
 
 
+def _kept_error(raw, wrong, thresholds) -> list:
+    """The share of wrong rows among those with raw >= t for each threshold
+    t, or 0.0 where none is kept. A nan row is never kept; a nan t keeps none."""
+    valid = ~np.isnan(raw)
+    kept, errors = (s.size - np.searchsorted(np.sort(s), thresholds)
+                    for s in (raw[valid], raw[valid & wrong]))
+    return (errors / np.maximum(kept, 1)).tolist()
+
+
 def _cmd_urejectron(args) -> dict:
     train = load_csv(args.input)
     test = load_csv(args.test_input)
@@ -567,25 +576,14 @@ def _cmd_urejectron(args) -> dict:
     selection = urejectron(train.X, test.X, cfg, backend, diagnostics=diag)
     doc = {"metrics": _rejection(selection, train, test)[1]}
     if args.backend == "t1":
-        h = erm_linear(WeightedDataset.uniform(train))
-        test_preds = h.predict_batch(test.X)
+        wrong = erm_linear(WeightedDataset.uniform(train)).predict_batch(test.X) != test.y
         shifted, _const = selection.members[0]
         # the stored model is shifted so its own threshold sits at zero;
         # undo the shift to score rows of the sweep on the raw scale
         raw_scores = test.X @ shifted.w + shifted.bias + diag["threshold"]
-        rows = []
-        for row in diag["tradeoff"]:
-            keep_mask = raw_scores >= row["threshold"]
-            err_q = float(np.mean(test_preds[keep_mask] != test.y[keep_mask])) if keep_mask.any() else 0.0
-            rows.append(
-                {
-                    "threshold": row["threshold"],
-                    "rej_p": row["rej_train"],
-                    "rej_q": row["rej_test"],
-                    "err_q": err_q,
-                }
-            )
-        doc["tradeoff"] = rows
+        errs = _kept_error(raw_scores, wrong, [r["threshold"] for r in diag["tradeoff"]])
+        doc["tradeoff"] = [{"threshold": r["threshold"], "rej_p": r["rej_train"], "rej_q": r["rej_test"],
+                            "err_q": e} for r, e in zip(diag["tradeoff"], errs)]
     if args.save_selection:
         save_selection(args.save_selection, selection)
     return doc

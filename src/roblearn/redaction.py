@@ -27,7 +27,7 @@ from .core import (
     robust_risk,
 )
 from .data import fmt_float, read_text, write_text
-from .errors import EmptyPool, NoRealizableMember, ParseError, RoblearnError, Unsupported
+from .errors import EmptyDataset, EmptyPool, NoRealizableMember, ParseError, RoblearnError, Unsupported
 from .learners import ErmConfig, WeightedDataset, erm_linear
 
 
@@ -199,6 +199,15 @@ class DistinguisherT1:
     cfg: ErmConfig = field(default_factory=lambda: ErmConfig(fit_bias=True))
 
 
+def _tradeoff_rows(train_scores, test_scores) -> list:
+    """Each test score as a threshold, after one below every score, with the share of each
+    sample scored below it, counted in one sort: a nan is below nothing and has nothing below it."""
+    grid = np.concatenate([[min(test_scores.min(), train_scores.min()) - 1.0], np.sort(test_scores)])
+    below = [(np.where(np.isnan(grid), 0, np.searchsorted(np.sort(s), grid)) / s.size).tolist()
+             for s in (train_scores, test_scores)]
+    return [{"threshold": t, "rej_train": a, "rej_test": b} for t, a, b in zip(grid.tolist(), *below)]
+
+
 def urejectron(train_points, test_points, cfg: RedactConfig, backend, diagnostics=None) -> SelectionSet:
     """Label-free redaction. With a finite pool, iterate the best
     agree-on-train / split-on-test pair until its score falls to eps. In the
@@ -214,6 +223,10 @@ def urejectron(train_points, test_points, cfg: RedactConfig, backend, diagnostic
         pool = backend.pool
         preds_train = [c.predict_batch(train) for c in pool]
         preds_test = [c.predict_batch(tests) for c in pool]
+        # (i, j, test rows the pair splits, its training penalty) in search order
+        table = [(i, j, preds_test[i] != preds_test[j],
+                  lam * (float(np.mean(preds_train[i] != preds_train[j])) if n else 0.0))
+                 for i in range(len(pool)) for j in range(i + 1, len(pool))]
         selected = np.ones(n_test, dtype=bool)
         members = []
         scores = []
@@ -221,14 +234,11 @@ def urejectron(train_points, test_points, cfg: RedactConfig, backend, diagnostic
             if n_test == 0 or not selected.any():
                 break
             best = None
-            for i in range(len(pool)):
-                for j in range(i + 1, len(pool)):
-                    split = selected & (preds_test[i] != preds_test[j])
-                    err_test = split.sum() / n_test
-                    err_train = float(np.mean(preds_train[i] != preds_train[j])) if n else 0.0
-                    s = err_test - lam * err_train
-                    if best is None or s > best[0]:
-                        best = (s, i, j, split)
+            for i, j, differs, penalty in table:
+                split = selected & differs
+                s = split.sum() / n_test - penalty
+                if best is None or s > best[0]:
+                    best = (s, i, j, split)
             if best is None or best[0] <= cfg.eps:
                 if best is not None:
                     scores.append(float(best[0]))
@@ -242,29 +252,19 @@ def urejectron(train_points, test_points, cfg: RedactConfig, backend, diagnostic
             diagnostics["scores"] = scores
         return SelectionSet("urejectron", members, eps=cfg.eps)
     if isinstance(backend, DistinguisherT1):
+        if not (n and n_test):
+            raise EmptyDataset("the t1 mode needs at least one training and one test point")
         X = np.concatenate([train, tests])
         y = np.concatenate([np.ones(n), -np.ones(n_test)]).astype(np.int64)
         d = erm_linear(WeightedDataset.uniform(Dataset(X, y)), backend.cfg)
         train_scores = d.decisions(train)
-        test_scores = d.decisions(tests)
-        # sweep every test score as a threshold, plus one keeping everything
-        grid = np.concatenate([[min(test_scores.min(), train_scores.min()) - 1.0], np.sort(test_scores)])
-        rows = []
-        for tau in grid:
-            rows.append(
-                {
-                    "threshold": float(tau),
-                    "rej_train": float(np.mean(train_scores < tau)) if n else 0.0,
-                    "rej_test": float(np.mean(test_scores < tau)) if n_test else 0.0,
-                }
-            )
-        tau_star = float(train_scores.min()) if n else 0.0  # keeps every training point
+        tau_star = float(train_scores.min())  # keeps every training point
         # the member recomputes the score in a different association order, so
         # back the threshold off by a relative ulp or the argmin point can drop
         tau_star -= 1e-9 * (1.0 + abs(tau_star))
         shifted = LinearModel(d.w, d.bias - tau_star)
         if diagnostics is not None:
-            diagnostics["tradeoff"] = rows
+            diagnostics["tradeoff"] = _tradeoff_rows(train_scores, d.decisions(tests))
             diagnostics["threshold"] = tau_star
         return SelectionSet("urejectron", [(shifted, ConstantModel(1))], eps=cfg.eps)
     raise Unsupported(f"unknown backend {type(backend).__name__}")

@@ -224,22 +224,29 @@ def robustify_nonrobust(data: Dataset, U, base_learner, cfg: RobustifyConfig | N
 
 
 class PerExampleWeights:
-    """One positive weight per (example, perturbation) pair, with a per-example
-    normalized view. Updates only ever multiply by factors >= 1."""
+    """One positive weight per (example, perturbation) pair, flat in example
+    order, with a per-example normalized view. Updates only multiply by >= 1."""
 
     def __init__(self, counts):
-        self.w = [np.ones(int(k), dtype=float) for k in counts]
-        for k in counts:
-            if k < 1:
-                raise ValueError("every example needs at least one perturbation")
+        self.sizes = np.asarray(counts, dtype=np.int64)
+        if np.any(self.sizes < 1):
+            raise ValueError("every example needs at least one perturbation")
+        self.w = np.ones(int(self.sizes.sum()))
+        # each (examples, count) block's row sums are each example's .sum() bit for bit, as reduceat's are not
+        starts = np.cumsum(self.sizes) - self.sizes
+        self.blocks = [(rows, starts[rows, None] + np.arange(k)) for k in set(self.sizes.tolist())
+                       for rows in [np.flatnonzero(self.sizes == k)]]
 
-    def normalized(self) -> list:
-        return [wi / wi.sum() for wi in self.w]
+    def normalized(self) -> np.ndarray:
+        sums = np.empty(self.sizes.size)
+        for rows, at in self.blocks:
+            sums[rows] = self.w[at].sum(axis=1)
+        return self.w / np.repeat(sums, self.sizes)
 
-    def scale_up(self, i: int, mask: np.ndarray, factor: float) -> None:
+    def scale_up(self, mask: np.ndarray, factor: float) -> None:
         if factor < 1.0:
             raise ValueError("weights must be non-decreasing")
-        self.w[i] = self.w[i] * np.where(mask, factor, 1.0)
+        self.w = self.w * np.where(mask, factor, 1.0)
 
 
 def fms_agnostic(data: Dataset, U, erm, eta_mw: float | None = None, rounds: int | None = None,
@@ -258,16 +265,11 @@ def fms_agnostic(data: Dataset, U, erm, eta_mw: float | None = None, rounds: int
     T = rounds if rounds is not None else math.ceil(32.0 * math.log(max(k_max, 2)) / eps ** 2)
     eta = eta_mw if eta_mw is not None else math.sqrt(math.log(max(k_max, 2)) / T)
     weights = PerExampleWeights(sizes)
-    m = data.n
     models = []
     for _ in range(T):
-        P = weights.normalized()
-        sample_w = np.concatenate([Pi / m for Pi in P])
-        h_t = erm(WeightedDataset(flat, sample_w))
+        h_t = erm(WeightedDataset(flat, weights.normalized() / data.n))
         models.append(h_t)
-        wrong = h_t.predict_batch(flat.X) != flat.y
-        for i, mask in enumerate(np.split(wrong, np.cumsum(sizes)[:-1])):
-            weights.scale_up(i, mask, 1.0 + eta)
+        weights.scale_up(h_t.predict_batch(flat.X) != flat.y, 1.0 + eta)
     if diagnostics is not None:
         diagnostics["rounds"] = T
         diagnostics["eta"] = eta

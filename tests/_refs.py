@@ -713,3 +713,99 @@ def load_csv_ref(path: str) -> Dataset:
         raise ParseError("feature must be finite", row=lines[i][0], col=int(j) + 1)
     y = np.array([r[1] for r in rows], dtype=np.int64)
     return Dataset(X, y)
+
+
+# ---------------------------------------------------------------------------
+# one-threshold-at-a-time twins of the urejectron sweep and the fms game
+# ---------------------------------------------------------------------------
+
+
+def tradeoff_rows_ref(train_scores, test_scores):
+    """urejectron's threshold sweep, rescanning both samples per threshold:
+    every test score, after one that keeps everything."""
+    n, n_test = train_scores.shape[0], test_scores.shape[0]
+    grid = np.concatenate([[min(test_scores.min(), train_scores.min()) - 1.0], np.sort(test_scores)])
+    rows = []
+    for tau in grid:
+        rows.append(
+            {
+                "threshold": float(tau),
+                "rej_train": float(np.mean(train_scores < tau)) if n else 0.0,
+                "rej_test": float(np.mean(test_scores < tau)) if n_test else 0.0,
+            }
+        )
+    return rows
+
+
+def kept_error_ref(raw_scores, test_preds, test_y, thresholds):
+    """The error rate among the rows with raw >= t for each threshold t, or
+    0.0 where none is kept, one threshold at a time."""
+    out = []
+    for t in thresholds:
+        keep_mask = raw_scores >= t
+        out.append(float(np.mean(test_preds[keep_mask] != test_y[keep_mask])) if keep_mask.any() else 0.0)
+    return out
+
+
+class PerExampleWeightsRef:
+    """The fms weights as one array per example."""
+
+    def __init__(self, counts):
+        self.w = [np.ones(int(k), dtype=float) for k in counts]
+        for k in counts:
+            if k < 1:
+                raise ValueError("every example needs at least one perturbation")
+
+    def normalized(self) -> list:
+        return [wi / wi.sum() for wi in self.w]
+
+    def scale_up(self, i: int, mask: np.ndarray, factor: float) -> None:
+        if factor < 1.0:
+            raise ValueError("weights must be non-decreasing")
+        self.w[i] = self.w[i] * np.where(mask, factor, 1.0)
+
+
+def fms_sample_weights_ref(sizes, wrong_rounds, eta: float):
+    """The sample weights each round of the fms game hands its learner, when
+    round t's model is wrong on the flat mask wrong_rounds[t]."""
+    weights = PerExampleWeightsRef(sizes)
+    m = len(sizes)
+    out = []
+    for wrong in wrong_rounds:
+        P = weights.normalized()
+        out.append(np.concatenate([Pi / m for Pi in P]))
+        for i, mask in enumerate(np.split(wrong, np.cumsum(sizes)[:-1])):
+            weights.scale_up(i, mask, 1.0 + eta)
+    return out
+
+
+def urejectron_pairs_ref(train, tests, eps: float, lam: float, pool):
+    """urejectron's pool search with each pair's training disagreement
+    recomputed every round; returns the chosen index pairs and the scores."""
+    n, n_test = train.shape[0], tests.shape[0]
+    preds_train = [c.predict_batch(train) for c in pool]
+    preds_test = [c.predict_batch(tests) for c in pool]
+    selected = np.ones(n_test, dtype=bool)
+    members = []
+    scores = []
+    for _ in range(int(math.floor(1.0 / eps))):
+        if n_test == 0 or not selected.any():
+            break
+        best = None
+        for i in range(len(pool)):
+            for j in range(i + 1, len(pool)):
+                split = selected & (preds_test[i] != preds_test[j])
+                err_test = split.sum() / n_test
+                err_train = float(np.mean(preds_train[i] != preds_train[j])) if n else 0.0
+                s = err_test - lam * err_train
+                if best is None or s > best[0]:
+                    best = (s, i, j, split)
+        if best is None or best[0] <= eps:
+            if best is not None:
+                scores.append(float(best[0]))
+            break
+        s, i, j, split = best
+        scores.append(float(s))
+        members.append((i, j))
+        selected = selected & ~split
+    return members, scores

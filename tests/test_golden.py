@@ -25,6 +25,10 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 BOOST_GEN = ["--gen", "gaussian", "--sigma", "0.1"]
 OFFSETS = ["--offset", "0,0", "--offset", "0.3,0", "--offset=-0.3,0"]
+# sign(x1 - a) at each cut a; no training row lies between the cuts of the
+# pairs (-0.4, -0.38), (0.05, 0.2) and (0.3, 0.45), but test rows do
+CUTS = (-0.4, -0.38, 0.05, 0.2, 0.3, 0.45)
+CUT_FILES = [f"cut{i}.txt" for i in range(len(CUTS))]
 
 # name -> (argv without --output, side files the command writes)
 CASES = {
@@ -65,6 +69,10 @@ CASES = {
     "urejectron": (["urejectron", "--input", "train.csv", "--test-input", "test.csv",
                     "--eps", "0.25", "--seed", "15",
                     "--save-selection", "urejectron.selection"], ["urejectron.selection"]),
+    "urejectron-pairs": (["urejectron", "--input", "train.csv", "--test-input", "test.csv",
+                          "--eps", "0.05", "--backend", "pairs", "--pool", *CUT_FILES,
+                          "--seed", "15", "--save-selection", "urejectron-pairs.selection"],
+                         ["urejectron-pairs.selection"]),
     "transductive-pool": (["transductive-pool", "--input", "train.csv", "--test-input", "test.csv",
                            "--pool", "good.txt", "bad.txt", "--gamma", "0.2",
                            "--mode", "agnostic", "--seed", "16",
@@ -106,6 +114,8 @@ def write_inputs(workdir: Path) -> None:
     _band(workdir / "test.csv", seed=2)
     save_model(str(workdir / "good.txt"), LinearModel(np.array([1.0, 0.0])))
     save_model(str(workdir / "bad.txt"), LinearModel(np.array([-1.0, 0.0])))
+    for fname, a in zip(CUT_FILES, CUTS):
+        save_model(str(workdir / fname), LinearModel(np.array([0.0, 1.0]), -a))
 
 
 def golden_names(name: str) -> list[str]:

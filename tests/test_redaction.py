@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from roblearn import (
     ABSTAIN,
     ConstantModel,
     Dataset,
     DistinguisherT1,
+    EmptyDataset,
     EmptyPool,
     FiniteOffsets,
     FinitePoolPairs,
@@ -35,6 +37,15 @@ from roblearn import (
     transductive_pool,
     urejectron,
 )
+from roblearn.cli import _kept_error
+from roblearn.redaction import _tradeoff_rows
+
+from ._refs import kept_error_ref, tradeoff_rows_ref, urejectron_pairs_ref
+
+# tied integer and one-decimal scores, signed zeros, infinities and nan
+SCORE = st.one_of(st.integers(-4, 4).map(float), st.integers(-40, 40).map(lambda k: k / 10),
+                  st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]), st.floats())
+SCORES = st.lists(SCORE, min_size=1, max_size=50).map(lambda v: np.array(v, dtype=float))
 
 
 def vec(*vals):
@@ -170,6 +181,58 @@ def test_urejectron_t1_threshold_tradeoff():
     assert kept_drift == 0
     with pytest.raises(Unsupported):
         urejectron(rng_train.X, tests, RedactConfig(0.2), backend="nope")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(0, 30), st.integers(1, 30),
+       st.sampled_from([0.05, 0.1, 0.3]), st.sampled_from([None, 1.0, 2.5]))
+def test_urejectron_pairs_is_the_per_round_search(seed, k, n, n_test, eps, weight):
+    # small-integer points and models, so pairs tie and split rows often
+    rng = np.random.default_rng(seed)
+    pool = [LinearModel(rng.choice([-2.0, -1.0, 1.0, 2.0], 2), float(rng.integers(-2, 3)))
+            for _ in range(k)]
+    train, tests = (rng.integers(-3, 4, (rows, 2)).astype(float) for rows in (n, n_test))
+    cfg = RedactConfig(eps, weight)
+    diag = {}
+    S = urejectron(train, tests, cfg, FinitePoolPairs(pool), diagnostics=diag)
+    members, scores = urejectron_pairs_ref(train, tests, eps, cfg.resolved_weight(n), pool)
+    assert S.members == tuple((pool[i], pool[j]) for i, j in members)
+    assert [repr(v) for v in diag["scores"]] == [repr(v) for v in scores]
+
+
+@pytest.mark.parametrize("side", ["train", "test"])
+def test_urejectron_t1_needs_both_samples(side):
+    X = band_train().X
+    empty = np.empty((0, 2))
+    train, tests = (empty, X) if side == "train" else (X, empty)
+    with pytest.raises(EmptyDataset):
+        urejectron(train, tests, RedactConfig(0.2), DistinguisherT1())
+
+
+@settings(max_examples=300, deadline=None)
+@given(SCORES, SCORES)
+@example(np.array([1.0]), np.array([math.nan]))
+@example(np.array([math.nan, 0.0, -0.0]), np.array([0.0, -0.0, 1.0, 1.0]))
+@example(np.array([-math.inf, 2.0]), np.array([math.inf, -math.inf, math.nan, 2.0]))
+def test_tradeoff_rows_are_the_per_threshold_loop(train_scores, test_scores):
+    got = _tradeoff_rows(train_scores, test_scores)
+    want = tradeoff_rows_ref(train_scores, test_scores)
+    assert [{k: repr(v) for k, v in r.items()} for r in got] == \
+        [{k: repr(v) for k, v in r.items()} for r in want]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(SCORE, st.booleans()), min_size=1, max_size=50),
+       st.lists(SCORE, max_size=20))
+@example([(math.nan, True), (1.0, False), (1.0, True)], [math.nan, 1.0, -0.0, math.inf])
+def test_kept_error_is_the_per_threshold_loop(rows, extra):
+    # the CLI's err_q column; its thresholds are the scores themselves, plus others
+    raw = np.array([r for r, _ in rows])
+    wrong = np.array([w for _, w in rows])
+    thresholds = [*raw.tolist(), *extra]
+    preds = np.where(wrong, -1, 1)
+    want = kept_error_ref(raw, preds, np.ones_like(preds), thresholds)
+    assert [repr(v) for v in _kept_error(raw, wrong, thresholds)] == [repr(v) for v in want]
 
 
 def test_lambda_star_matches_its_formula():

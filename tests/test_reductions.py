@@ -47,8 +47,8 @@ from roblearn import (
 )
 from roblearn.reductions import PerExampleWeights
 
-from ._refs import (brute_pool_optimum, cycle_ref, gen_stream, one_pass_ref,
-                    weighted_majority_ref)
+from ._refs import (brute_pool_optimum, cycle_ref, fms_sample_weights_ref, gen_stream,
+                    one_pass_ref, weighted_majority_ref)
 
 
 def vec(*vals):
@@ -153,14 +153,52 @@ def test_robustify_reaches_zero_robust_loss():
 
 def test_perturbation_weights_stay_normalized_and_monotone():
     w = PerExampleWeights([2, 3])
-    w.scale_up(0, np.array([True, False]), 1.5)
-    for p in w.normalized():
+    first = np.array([True, False, False, False, False])
+    w.scale_up(first, 1.5)
+    for p in np.split(w.normalized(), [2]):
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(p > 0)
     with pytest.raises(ValueError):
-        w.scale_up(0, np.array([True, False]), 0.9)
+        w.scale_up(first, 0.9)
     with pytest.raises(ValueError):
         PerExampleWeights([0])
+
+
+class _Scripted:
+    """A model whose predictions on the flat rows are fixed in advance."""
+
+    def __init__(self, labels):
+        self.labels = labels
+
+    def predict_batch(self, X):
+        return self.labels
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 20), min_size=1, max_size=12),
+       st.sampled_from([0.01, 0.3, 1.0, 7.0, 60.0]), st.integers(1, 25),
+       st.integers(0, 2 ** 32 - 1))
+def test_fms_weights_are_the_per_example_game_bit_for_bit(counts, eta, rounds, seed):
+    # each flat row is wrong with its own probability, so after a few rounds
+    # the weights of one example span many magnitudes
+    rng = np.random.default_rng(seed)
+    table = {i: rng.standard_normal((k, 2)) for i, k in enumerate(counts)}
+    data = Dataset(rng.standard_normal((len(counts), 2)),
+                   np.where(rng.random(len(counts)) < 0.5, 1, -1))
+    y_flat = np.repeat(data.y, counts)
+    p_wrong = rng.random(y_flat.size)
+    labels = [np.where(rng.random(y_flat.size) < p_wrong, -y_flat, y_flat) for _ in range(rounds)]
+    seen = []
+
+    def erm(wd):
+        seen.append(wd.weights)
+        return _Scripted(labels[len(seen) - 1])
+
+    fms_agnostic(data, FinitePerExample(table), erm, eta_mw=eta, rounds=rounds)
+    want = fms_sample_weights_ref(counts, [lab != y_flat for lab in labels], eta)
+    assert len(seen) == rounds
+    for got, ref in zip(seen, want):
+        assert [repr(v) for v in got.tolist()] == [repr(v) for v in ref.tolist()]
 
 
 def test_fms_vote_is_near_the_pool_optimum():
