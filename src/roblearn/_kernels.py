@@ -98,38 +98,37 @@ def hinge_train(X, y, sw, steps, lr0, reg, fit_bias):
 #
 # Each step draws sample i = idx[t], asks the caller's coefficient rule for
 # c = coef(i, <w, x_i>) and moves along the stochastic gradient c x_i with
-# step rates[t]. q > 1 uses the half-squared-q-norm potential; both mirror maps
-# are _mirror_map, at exponents q and p, and the exact Bregman projection onto
-# the ball is radial rescaling. q = 1 runs exponentiated gradient on 2d+1 doubled
-# coordinates (plus slack). The pre-drawn indices keep the RNG outside the
-# kernel. Returns the averaged iterate.
+# step rates[t]. q > 1 uses the half-squared-q-norm potential, whose exact
+# Bregman projection onto the ball is radial rescaling. Its link is
+# homogeneous of degree 1 and the links at q and p invert each other, so the
+# link of the rescaled w is theta / max(1, ||theta||_p): q != 2 keeps the dual
+# iterate theta and maps it back once per step. At q = 2 both links are
+# identities and the step works on w alone. q = 1 runs exponentiated gradient
+# on 2d+1 doubled coordinates (plus slack). The pre-drawn indices keep the RNG
+# outside the kernel. Returns the averaged iterate.
 # ---------------------------------------------------------------------------
 
 
 def _mirror_map(v, r):
     """(grad 1/2 ||v||_r^2, n) with n = ||v||_r, the link written as
-    sign(v) (|v|/n)^(r-1) n: every base is in [0, 1], so no power overflows and
-    only entries negligible next to the peak underflow. A zero vector maps to
-    +0.0 entries."""
-    n = lp_norm(v, r)
-    if not n > 0.0:
-        return np.zeros(v.shape[0]), n
-    return np.sign(v) * (np.abs(v) / n) ** (r - 1.0) * n, n
+    sign(v) b^(r-1) (peak/n)^(r-1) n with b = |v|/peak: every base is in
+    [0, 1], so no power overflows and only entries negligible next to the peak
+    underflow. A zero or non-finite vector maps to +0.0 entries."""
+    a = np.abs(v)
+    peak = float(np.maximum.reduce(a)) if a.size else 0.0
+    if not 0.0 < peak < math.inf:
+        return np.zeros(v.shape[0]), peak
+    b = a / peak
+    bp = b ** (r - 1.0)
+    n = peak * float(bp @ b) ** (1.0 / r)
+    return np.copysign(bp, v) * ((peak / n) ** (r - 1.0) * n), n
 
 
 def _q_ball_step(w, sg, q, p):
     """Map w to the dual space, subtract the scaled gradient sg, map back and
     rescale onto the unit q-ball; p is the dual exponent of q."""
-    if q == 2.0:
-        # both maps are identities, bit for bit with the unscaled signed-power
-        # form (tests/_refs.py::q_ball_step_ref): the dot tests are its zero-norm
-        # tests (squares underflow alike); + 0.0 maps -0.0 to +0.0 as sign does
-        theta = (w if np.dot(w, w) > 0.0 else np.zeros(w.shape[0])) - sg
-        w = theta + 0.0 if np.dot(theta, theta) > 0.0 else np.zeros(theta.shape[0])
-        nw = float(np.sum(np.abs(w) ** q)) ** (1.0 / q)
-    else:
-        # the back map's q-norm is ||theta||_p, its second return value
-        w, nw = _mirror_map(_mirror_map(w, q)[0] - sg, p)
+    # the back map's q-norm is ||theta||_p, its second return value
+    w, nw = _mirror_map(_mirror_map(w, q)[0] - sg, p)
     if nw > 1.0:
         w = w / nw
     return w
@@ -151,11 +150,27 @@ def _mirror_descent(X, idx, q, rates, coef):
             w = u[:d] - u[d : 2 * d]
             acc += w
         return acc / steps
+    if q == 2.0:
+        with np.errstate(over="ignore"):  # an overflowing w @ w rescales by lp_norm
+            for t in range(steps):
+                i = idx[t]
+                x = X[i]
+                w -= (rates[t] * coef(i, float(x @ w))) * x
+                n = math.sqrt(w @ w)
+                if n > 1.0:
+                    w /= n if n < math.inf else lp_norm(w, 2.0)
+                acc += w
+        return acc / steps
     p = q / (q - 1.0)
+    theta = np.zeros(d)
     for t in range(steps):
         i = idx[t]
-        g = coef(i, float(X[i] @ w)) * X[i]
-        w = _q_ball_step(w, rates[t] * g, q, p)
+        x = X[i]
+        theta -= (rates[t] * coef(i, float(x @ w))) * x
+        w, n = _mirror_map(theta, p)
+        if n > 1.0:
+            w /= n
+            theta /= n
         acc += w
     return acc / steps
 

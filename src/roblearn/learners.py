@@ -198,8 +198,8 @@ def rcn_lambda(eps: float, gamma: float, eta: float) -> float:
     in [eta, 1/2] for eta < 1/2."""
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
+    if not (0.0 < gamma < math.inf):
+        raise ValueError("gamma must be positive and finite")
     if not (0.0 <= eta < 0.5):
         raise ValueError("eta must lie in [0, 0.5)")
     return (eps * gamma / 2.0 + eta) / (1.0 + eps * gamma)
@@ -231,6 +231,7 @@ class RcnConfig:
             raise InvalidNorm(f"q must lie in [1, inf), got {self.q}")
         if self.steps is not None and self.steps < 1:
             raise ValueError("steps must be >= 1")
+        rcn_lambda(self.eps, self.gamma, self.eta)  # checks eps, gamma and eta
 
     @property
     def lam(self) -> float:
@@ -287,8 +288,8 @@ class GlmConfig:
             raise InvalidNorm(f"q must lie in [1, inf), got {self.q}")
         if not (0.0 <= self.eta < 0.5):
             raise ValueError("eta must lie in [0, 0.5)")
-        if not (self.gamma > 0.0):
-            raise ValueError("gamma must be positive")
+        if not (0.0 < self.gamma < math.inf):
+            raise ValueError("gamma must be positive and finite")
         if self.steps is not None and self.steps < 1:
             raise ValueError("steps must be >= 1")
 

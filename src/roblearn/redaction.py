@@ -57,7 +57,7 @@ class RedactConfig:
     def __post_init__(self):
         if not (0.0 < self.eps <= 1.0):
             raise ValueError("eps must lie in (0, 1]")
-        if self.weight is not None and self.weight < 1.0:
+        if self.weight is not None and not (self.weight >= 1.0):
             raise ValueError("the training weight must be at least 1")
 
     def resolved_weight(self, n_train: int) -> float:

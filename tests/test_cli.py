@@ -301,6 +301,23 @@ def test_config_errors_exit_2(tmp_path, capsys, argv):
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+@pytest.mark.parametrize("method", ["md", "glm"])
+@pytest.mark.parametrize("gamma", ["nan", "inf"])
+def test_rcn_train_rejects_a_non_finite_gamma(tmp_path, capsys, method, gamma):
+    # nan used to train and exit 0; glm at inf printed a numpy warning first
+    argv = ["rcn-train", "--method", method, "--input", "BAND", "--gamma", gamma, "--rcn-eta", "0.1"]
+    err = _fail_with(tmp_path, capsys, argv, 2)
+    assert err == "error: ValueError: gamma must be positive and finite\n"
+
+
+def test_urejectron_rejects_a_nan_lambda_weight(tmp_path, capsys):
+    # every pair used to score nan, and each round kept one
+    argv = ["urejectron", "--input", "BAND", "--test-input", "BAND", "--eps", "0.25",
+            "--backend", "pairs", "--pool", "MODEL", "MODEL", "--lambda-weight", "nan"]
+    err = _fail_with(tmp_path, capsys, argv, 2)
+    assert err == "error: ValueError: the training weight must be at least 1\n"
+
+
 def test_help_prints_usage_and_exits_0(capsys):
     assert run(["--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: roblearn")
