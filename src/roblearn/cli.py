@@ -237,7 +237,7 @@ def _cmd_certify(args) -> dict:
     if args.method == "closed":
         risk = robust_risk(model, data, ball)
     else:
-        cfg = default_ellipsoid_config(args.gamma)
+        cfg = default_ellipsoid_config(ball, data.d)
         bad = sum(z is not None for z in ellipsoid_certify_batch(model, data, ball, cfg))
         risk = bad / data.n
     return {
@@ -270,8 +270,8 @@ def _cmd_attack(args) -> dict:
 def _cmd_rerm_ellipsoid(args) -> dict:
     data = load_csv(args.input)
     ball = _ball(args)
-    cfg = default_ellipsoid_config(args.gamma)
     check_disjoint_balls(data, ball)
+    cfg = default_ellipsoid_config(ball, data.d)
     model = rerm_ellipsoid(data, lambda i: bound_separation(ball, data.X[i]), cfg, ball=ball)
     if args.save_model:
         save_model(args.save_model, model)
@@ -763,12 +763,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse(argv: list) -> argparse.Namespace:
-    """Parse a command line. Every subcommand is listed with its help line,
-    but only the one the command line names gets its flags."""
+    """Parse a command line. One that starts with a subcommand builds only
+    that subcommand's parser. Any other (help, a missing or unknown
+    subcommand, flags before it) lists every subcommand with its help line,
+    and only the one it names gets its flags."""
     named = next((a for a in argv if a in COMMANDS), None)
+    table = {named: COMMANDS[named]} if argv and argv[0] == named else COMMANDS
     ap = _Parser(prog="roblearn")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, row in COMMANDS.items():
+    for name, row in table.items():
         sp = sub.add_parser(name, help=row.help)
         if name == named:
             for flag, kw in _row_flags(row):

@@ -225,6 +225,9 @@ def dual_maximizer(w: np.ndarray, p: float) -> np.ndarray:
     nq = lp_norm(w, q)
     if nq == 0.0:
         raise ZeroWeight("dual maximizer of the zero vector is undefined")
+    if nq < 2.0**-1022:  # a subnormal norm has lost bits: scale w by an exact power of two
+        w = w * 2.0**600
+        nq = lp_norm(w, q)
     if p == 2.0:
         return w / nq
     if math.isinf(p):

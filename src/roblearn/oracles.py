@@ -83,7 +83,9 @@ class Polytope:
 
 @dataclass
 class EllipsoidConfig:
-    max_iters: int | None = None  # None derives 50 d^2 ceil(log2(r/vol_eps))
+    # None runs each search to the cut count that takes the ellipsoid's volume
+    # below the volume_eps ball's (resolved_max_iters); a set value caps it
+    max_iters: int | None = None
     init_radius: float = 10.0
     feas_slack: float = 0.1
     volume_eps: float = 1e-6
@@ -91,19 +93,49 @@ class EllipsoidConfig:
     def __post_init__(self):
         if self.max_iters is not None and self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.init_radius <= 0 or self.feas_slack <= 0 or self.volume_eps <= 0:
-            raise ValueError("config values must be positive")
+        values = (self.init_radius, self.feas_slack, self.volume_eps)
+        if not all(0.0 < v < math.inf for v in values):
+            raise ValueError("config values must be positive and finite")
+        if self.init_radius * self.init_radius == math.inf:  # the start shape is r^2 I
+            raise ValueError(f"init_radius {self.init_radius:.6g} is too large: "
+                             "its square overflows")
 
     def resolved_max_iters(self, d: int) -> int:
-        if self.max_iters is not None:
-            return self.max_iters
-        return 50 * d * d * math.ceil(math.log2(self.init_radius / self.volume_eps))
+        """The least cut count N_d after which every search ellipsoid in R^d
+        is smaller than the volume_eps ball, capped by max_iters. A central
+        cut multiplies det Q by rho_d = (d^2/(d^2-1))^d (d-1)/(d+1), so N_d is
+        the least N with r^(2d) rho_d^N < volume_eps^(2d); in d = 1 it is the
+        least number of halvings that takes r below volume_eps."""
+        r, eps = self.init_radius, self.volume_eps
+        if d == 1:
+            (mr, er), (me, ee) = math.frexp(r), math.frexp(eps)
+            n = er - ee + (mr >= me)  # exact: r / 2^n < eps first at this n
+        else:
+            rho = (d * d / (d * d - 1.0)) ** d * (d - 1.0) / (d + 1.0)
+            n = math.floor(2 * d * (math.log(r) - math.log(eps)) / -math.log(rho)) + 1
+        n = max(n, 0)
+        return n if self.max_iters is None else min(n, self.max_iters)
 
 
-def default_ellipsoid_config(gamma: float) -> EllipsoidConfig:
-    """Spec defaults, with the certification slack tied to the working radius."""
-    slack = gamma / 10.0 if gamma > 0 else 1e-3
-    return EllipsoidConfig(feas_slack=slack)
+def default_ellipsoid_config(ball: LpBall, d: int) -> EllipsoidConfig:
+    """Spec defaults, with the certification slack tied to the working radius
+    and the start ball wide enough to hold the lp ball around its center."""
+    slack = ball.gamma / 10.0 if ball.gamma > 0 else 1e-3
+    return EllipsoidConfig(init_radius=max(10.0, _l2_reach(ball, d)), feas_slack=slack)
+
+
+def _l2_reach(ball: LpBall, d: int) -> float:
+    """How far in l2 the lp ball in R^d reaches from its center."""
+    return ball.gamma * d ** max(0.0, 0.5 - 1.0 / ball.p)
+
+
+def _check_start(reach: float, cfg: EllipsoidConfig) -> None:
+    """The search's precondition, for regions whose l2 reach from the search
+    center is known: the region lies in the start ball. Checked once, before
+    the first query."""
+    if reach > cfg.init_radius:
+        raise EllipsoidDiverged(f"the region reaches {reach:.6g} from the search center, "
+                                f"past init_radius {cfg.init_radius:.6g}")
 
 
 def attack(model: LinearModel, sample: Sample, U: PerturbationSpec, index: int | None = None):
@@ -171,7 +203,9 @@ def separation_oracle(U_descriptor, x, z) -> _Inside | Hyperplane:
 def bound_separation(U_descriptor, x):
     """Close the oracle over a center validated here, once. The query-only
     callable answers INSIDE or a raw cut; the ellipsoid checks its queries
-    and asks its `rowwise` form, skipping the one-row adapter."""
+    and asks its `rowwise` form, skipping the one-row adapter. Over an lp
+    ball, `reach(c)` bounds the l2 distance from c of any point of U(x), and
+    ellipsoid_feasible and ellipsoid_certify check it against init_radius."""
     X = as_vector(x)[None]
 
     def rowwise(_, Z):
@@ -182,6 +216,9 @@ def bound_separation(U_descriptor, x):
         return INSIDE if inside[0] else (normal[0], float(offset[0]))
 
     sep.rowwise = rowwise
+    if isinstance(U_descriptor, LpBall):
+        reach = _l2_reach(U_descriptor, X.shape[1])
+        sep.reach = lambda c: float(np.linalg.norm(X[0] - c)) + reach
     return sep
 
 
@@ -207,7 +244,8 @@ _STACK_FLOATS = 1 << 20
 def _lockstep(sep, C: np.ndarray, cfg: EllipsoidConfig) -> list:
     """Central-cut ellipsoid searches from the k rows of C, one per row, run
     side by side: for each row a point its oracle row accepts, or None when
-    that region is empty up to volume_eps (budget exhausted or shrunk away).
+    that region is empty up to volume_eps (the search reached its cut count,
+    or a cut left nothing).
 
     sep(rows, Z) answers the queries Z[j] of the open rows `rows` at once with
     (inside, normals, offsets): a mask, and for each row outside a raw cut
@@ -229,15 +267,20 @@ def _search(sep, C, lo, cfg, found):
     """One lockstep run over the rows lo, lo + 1, ... that C holds; fills
     found and returns the error of the lowest failing row, if any.
 
-    Every step pays a fixed number of numpy calls whatever k is; the masks
-    are tested with count_nonzero, and the state is compacted only on the
-    steps where a row leaves."""
+    Every row runs at most cfg.resolved_max_iters(d) steps: a row still open
+    after that many cuts has an ellipsoid smaller than the volume_eps ball and
+    ends with None. Over that count an uncut axis grows at most
+    (init_radius / volume_eps)^1.1-fold in length. Every step pays a fixed
+    number of numpy calls whatever k is; the masks are tested with
+    count_nonzero, and the state is compacted only on the steps where a row
+    leaves. Q is updated in place and stays exactly symmetric, as
+    b_i b_j == b_j b_i."""
     k, d = C.shape
     rows = np.arange(lo, lo + k)
     r = cfg.init_radius
     Q = np.broadcast_to(np.eye(d) * r**2, (k, d, d)).copy()
     nsq = d * d / (d * d - 1.0) if d > 1 else 0.0
-    cut, eps, huge = 2.0 / (d + 1.0), cfg.volume_eps, 1e100 * r
+    cut = 2.0 / (d + 1.0)
     failure = None
     for _ in range(cfg.resolved_max_iters(d)):
         finite = np.isfinite(C)
@@ -273,8 +316,6 @@ def _search(sep, C, lo, cfg, found):
         if d == 1:  # bisection: the interval is the ellipsoid
             C = C - np.copysign(r / 2.0, G)
             r /= 2.0
-            if r < eps:
-                break
             continue
         # matmul and vecdot round each row like the one-row Q @ g and g @ Qg;
         # einsum does not
@@ -290,23 +331,6 @@ def _search(sep, C, lo, cfg, found):
         C = C - b / (d + 1.0)
         Q -= cut * (b[:, :, None] * b[:, None, :])
         Q *= nsq
-        # Q stays exactly symmetric, but entries beyond max_float / 2 overflow here
-        Q = 0.5 * (Q + Q.transpose(0, 2, 1))
-        size = np.sqrt(np.maximum(Q.trace(axis1=1, axis2=2), 0.0))
-        # Uncut axes grow by a constant factor per query: an empty slab in d = 2
-        # stops near 1e59 init radii, a region outside the start overflows Q near
-        # 1e154. On 14.4k property-test searches this bound stopped only the latter.
-        small, big = size < eps, size > huge
-        if np.count_nonzero(small) or np.count_nonzero(big):
-            if np.count_nonzero(big):
-                failure = EllipsoidDiverged("the ellipsoid grew past 1e100 initial radii "
-                                            "instead of closing in on the region")
-                n = int(np.argmax(big))
-                rows, C, Q, small = rows[:n], C[:n], Q[:n], small[:n]
-            keep = ~small
-            rows, C, Q = rows[keep], C[keep], Q[keep]
-            if not rows.size:
-                break
     return failure
 
 
@@ -329,14 +353,19 @@ def _one_row(sep):
 
 def ellipsoid_feasible(sep, d: int, cfg: EllipsoidConfig, center=None):
     """Find a point the separation oracle accepts, or None when the region is
-    empty up to volume_eps (budget exhausted or every semi-axis shrunk away).
+    empty up to volume_eps (the search reached its cut count, or a cut left
+    nothing).
 
     sep answers INSIDE or a (normal, offset) cut. The caller guarantees the
-    region, if non-empty with volume_eps slack, is in the init_radius ball at center.
+    region, if non-empty with volume_eps slack, is in the init_radius ball at
+    center; for a bound_separation oracle over an lp ball it is checked here,
+    and EllipsoidDiverged raised before the first query.
     """
     c = np.zeros(d) if center is None else as_vector(center)
     if c.shape != (d,):
         raise ValueError(f"center must have {d} entries, got {c.shape[0]}")
+    if hasattr(sep, "reach"):
+        _check_start(sep.reach(c), cfg)
     return _lockstep(_one_row(sep), np.array([c]), cfg)[0]
 
 
@@ -368,16 +397,23 @@ def ellipsoid_certify(model: LinearModel, sample: Sample, sepU, cfg: EllipsoidCo
     when the intersection is empty up to volume_eps (certified robust).
 
     sepU must be a query-only separation oracle for U(x); the search ellipsoid
-    is centered at x, so U(x) must fit in the init_radius ball around it.
+    is centered at x, so U(x) must fit in the init_radius ball around it,
+    which is checked as in ellipsoid_feasible.
     """
+    x = as_vector(sample.x)
+    if hasattr(sepU, "reach"):
+        _check_start(sepU.reach(x), cfg)
     sep = _certify_oracle(model.w, model.bias, np.array([float(sample.y)]), slack, _one_row(sepU))
-    return _lockstep(sep, np.array([as_vector(sample.x)]), cfg)[0]
+    return _lockstep(sep, x[None], cfg)[0]
 
 
 def ellipsoid_certify_batch(model: LinearModel, data: Dataset, U, cfg: EllipsoidConfig) -> list:
     """ellipsoid_certify on every row of data against U(x_i), for an lp ball
     or polytope U, as one lockstep search: per row the counterexample or
-    None. Raises the error the first failing row would raise on its own."""
+    None. Raises the error the first failing row would raise on its own, and
+    EllipsoidDiverged before any query when an lp ball reaches past init_radius."""
+    if isinstance(U, LpBall):
+        _check_start(_l2_reach(U, data.d), cfg)
     sep = _certify_oracle(model.w, model.bias, data.y.astype(float), 0.0,
                           lambda rows, Z: _separate(U, data.X[rows], Z))
     return _lockstep(sep, data.X, cfg)
@@ -394,10 +430,13 @@ def rerm_ellipsoid(data: Dataset, sep_for_example, cfg: EllipsoidConfig,
     the rows whose closed-form robust margin y_i <w, x_i> - gamma ||w||_* beats
     feas_slack by a relative 1e-9, as their certification can only return None;
     the rest run in order, so the failing row and its cut stay the same.
-    Raises NotSeparable when the budget is exhausted without a feasible point.
+    Raises NotSeparable when the budget is exhausted without a feasible point,
+    and with `ball`, EllipsoidDiverged at once when it reaches past init_radius.
     """
     d = data.d
     tau = cfg.feas_slack
+    if ball is not None:
+        _check_start(_l2_reach(ball, d), cfg)
     rows = [(data.sample(i), sep_for_example(i)) for i in range(data.n)]
 
     def weight_oracle(wvec):

@@ -441,9 +441,24 @@ def separation_ref(U, x, z):
     return Hyperplane(normal, float(normal @ x) + gamma)
 
 
-def ellipsoid_feasible_ref(sep, d: int, cfg, center=None):
-    """Central-cut ellipsoid search; sep answers INSIDE or a Hyperplane."""
+def ball_reach_ref(U, x, c) -> float:
+    """How far in l2 from c the lp ball U(x) reaches: through its farthest
+    point from x, a vertex gamma e_1 for p <= 2 and the corner of the
+    inscribed cube gamma d^(-1/p) (1, ..., 1) otherwise."""
+    d = x.shape[0]
+    far = np.full(d, U.gamma * d ** (-1.0 / U.p)) if U.p > 2.0 else np.eye(d)[0] * U.gamma
+    return float(np.linalg.norm(x - c)) + float(np.linalg.norm(far))
+
+
+def ellipsoid_feasible_ref(sep, d: int, cfg, center=None, region=None):
+    """Central-cut ellipsoid search; sep answers INSIDE or a Hyperplane. It
+    ends empty after cfg.resolved_max_iters(d) cuts. With region = (U, x), the
+    lp ball or polytope U(x) that sep answers for, a ball reaching past
+    init_radius from the center raises before the first query."""
     c = np.zeros(d) if center is None else as_vector(center).copy()
+    if region is not None and not hasattr(region[0], "A"):
+        if ball_reach_ref(region[0], as_vector(region[1]), c) > cfg.init_radius:
+            raise EllipsoidDiverged("the region leaves the start ball")
     max_iters = cfg.resolved_max_iters(d)
     if d == 1:
         r = cfg.init_radius
@@ -476,16 +491,12 @@ def ellipsoid_feasible_ref(sep, d: int, cfg, center=None):
         c = c - bvec / (d + 1.0)
         Q = nsq * (Q - (2.0 / (d + 1.0)) * np.outer(bvec, bvec))
         Q = 0.5 * (Q + Q.T)
-        size = math.sqrt(max(float(np.trace(Q)), 0.0))
-        if size < cfg.volume_eps:
-            return None
-        if size > 1e100 * cfg.init_radius:
-            raise EllipsoidDiverged("the ellipsoid keeps growing")
     return None
 
 
-def ellipsoid_certify_ref(w, bias: float, x, y: int, sepU, cfg, slack: float = 0.0):
-    """A point of U(x) with decision value at most slack against y, or None."""
+def ellipsoid_certify_ref(w, bias: float, x, y: int, sepU, cfg, slack: float = 0.0, U=None):
+    """A point of U(x) with decision value at most slack against y, or None;
+    sepU answers for U(x), which, when given, is checked to fit the start ball."""
     y = float(y)
     off = slack - y * bias
 
@@ -494,7 +505,8 @@ def ellipsoid_certify_ref(w, bias: float, x, y: int, sepU, cfg, slack: float = 0
             return Hyperplane(y * w, off)
         return sepU(z)
 
-    return ellipsoid_feasible_ref(composed, x.shape[0], cfg, center=x)
+    return ellipsoid_feasible_ref(composed, x.shape[0], cfg, center=x,
+                                  region=None if U is None else (U, x))
 
 
 def rerm_ellipsoid_ref(X, y, U, cfg):
@@ -510,10 +522,10 @@ def rerm_ellipsoid_ref(X, y, U, cfg):
             return Hyperplane(wvec / nrm, cfg.init_radius)
         for i in range(n):
             if not np.any(wvec):
-                z = ellipsoid_feasible_ref(oracles[i], d, cfg, center=X[i])
+                z = ellipsoid_feasible_ref(oracles[i], d, cfg, center=X[i], region=(U, X[i]))
             else:
                 z = ellipsoid_certify_ref(wvec, 0.0, X[i].copy(), int(y[i]), oracles[i], cfg,
-                                          slack=tau)
+                                          slack=tau, U=U)
             if z is None:
                 continue
             normal = -int(y[i]) * np.asarray(z, dtype=float)

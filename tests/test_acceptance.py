@@ -447,7 +447,7 @@ BOX = Polytope(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
 
 def test_c10_ellipsoid_rerm_returns_certified_separators():
     gamma = 0.4
-    cfg = default_ellipsoid_config(gamma)
+    cfg = default_ellipsoid_config(LpBall(2.0, gamma), 2)
     tau = cfg.feas_slack
     certified = 0
     for seed in range(50):

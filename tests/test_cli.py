@@ -109,6 +109,21 @@ def test_certify_methods_agree(tmp_path, capsys):
     assert line == line2
 
 
+@pytest.mark.parametrize("p", ["2", "inf"])
+def test_certify_methods_agree_on_balls_wider_than_the_default_start(tmp_path, capsys, p):
+    # each ball crosses the decision boundary, 24 / sqrt 2 = 17.0 from its row
+    # in l2 and 12 in l-inf, but a start ellipsoid of radius 10 does not reach
+    # it, so the search certified both rows; the start radius now grows to the
+    # ball's reach
+    data = str(tmp_path / "far.csv")
+    save_csv(data, Dataset(np.array([[12.0, 12.0], [-12.0, -12.0]]), np.array([1, -1])))
+    model = write_model(tmp_path, w=(1.0, 1.0))
+    for method in ("closed", "ellipsoid"):
+        assert run(["certify", "--model", model, "--input", data, "--gamma", "19", "--p", p,
+                    "--method", method]) == 0
+        assert "  robust_accuracy: 0\n" in capsys.readouterr().out
+
+
 def test_gen_data_pipeline(tmp_path):
     csv = str(tmp_path / "gen.csv")
     assert run(["gen-data", "--gen", "gaussian", "--n", "50", "--sigma", "0.1",
@@ -280,6 +295,9 @@ BOOST = ["--gamma", "0.3", "--eps", "0.2", "--beta", "0.5", "--rounds", "2"]
      "--q", "inf"],
     [],  # no subcommand
     ["certify"],  # required flags absent
+    # a start ball wide enough to hold these balls cannot be searched
+    ["certify", "--model", "MODEL", "--input", "BAND", "--gamma", "1e200", "--method", "ellipsoid"],
+    ["certify", "--model", "MODEL", "--input", "BAND", "--gamma", "inf", "--method", "ellipsoid"],
     # alpha-boost never sparsified its vote, so --sparsify-n is gone
     ["alpha-boost", "--input", "BAND", "--rounds", "4", "--sparsify-n", "5"],
     # the online learners check their bounds before any row is drawn

@@ -246,10 +246,46 @@ def test_non_finite_center_raises_before_the_next_query():
 def test_config_validation_and_defaults():
     with pytest.raises(ValueError):
         EllipsoidConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        EllipsoidConfig(init_radius=-1.0)
-    assert default_ellipsoid_config(1.0).feas_slack == pytest.approx(0.1)
-    assert default_ellipsoid_config(0.0).feas_slack == pytest.approx(1e-3)
+    for bad in (dict(init_radius=-1.0), dict(volume_eps=math.nan), dict(feas_slack=math.inf),
+                dict(init_radius=1e200)):  # 1e200 squared overflows
+        with pytest.raises(ValueError):
+            EllipsoidConfig(**bad)
+    assert default_ellipsoid_config(LpBall(2.0, 1.0), 2).feas_slack == pytest.approx(0.1)
+    assert default_ellipsoid_config(LpBall(2.0, 0.0), 2).feas_slack == pytest.approx(1e-3)
+    # the start ball holds the lp ball: 19 sqrt(3) for the l-inf ball in R^3
+    assert default_ellipsoid_config(LpBall(2.0, 9.0), 3).init_radius == 10.0
+    assert default_ellipsoid_config(LpBall(1.0, 19.0), 3).init_radius == 19.0
+    assert default_ellipsoid_config(LpBall(math.inf, 19.0), 3).init_radius == \
+        pytest.approx(19.0 * math.sqrt(3.0))
+
+
+def test_one_dimensional_count_is_the_number_of_halvings():
+    # the least n with init_radius / 2^n < volume_eps, capped by max_iters
+    for r, eps, n in ((10.0, 1e-6, 24), (1.0, 2.0**-10, 11), (1.0, 1.0, 1), (1.0, 2.0, 0),
+                      (3.0, 1.0, 2), (4.0, 1.0, 3), (1e150, 1e-300, 1495), (1.0, 5e-324, 1075)):
+        assert EllipsoidConfig(init_radius=r, volume_eps=eps).resolved_max_iters(1) == n
+    assert EllipsoidConfig(max_iters=5).resolved_max_iters(1) == 5
+
+
+@pytest.mark.parametrize("d", range(2, 11))
+def test_count_stop_is_where_the_volume_falls_below_the_eps_ball(d):
+    # every central cut scales det Q by the same factor, whatever the cut:
+    # after N_d - 1 cuts log det Q is still at least 2d ln(volume_eps), after
+    # N_d cuts it is below
+    cfg = EllipsoidConfig()
+    n = cfg.resolved_max_iters(d)
+    capped = [EllipsoidConfig(max_iters=m).resolved_max_iters(d) for m in (n - 1, n + 1)]
+    assert capped == [n - 1, n]
+    rng = np.random.default_rng(d)
+    Q = np.eye(d) * cfg.init_radius**2
+    logdets = []
+    for _ in range(n):
+        g = rng.standard_normal(d)
+        b = Q @ g / math.sqrt(float(g @ Q @ g))
+        Q = d * d / (d * d - 1.0) * (Q - 2.0 / (d + 1.0) * np.outer(b, b))
+        logdets.append(np.linalg.slogdet(Q)[1])
+    bound = 2 * d * math.log(cfg.volume_eps)
+    assert logdets[-2] >= bound > logdets[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +323,7 @@ def test_rerm_finds_robust_separator_in_two_dimensions():
                    np.array([1, 1, -1, -1]))
     gamma = 0.3
     for ball in (LpBall(2.0, gamma), LpBall(math.inf, gamma)):
-        cfg = default_ellipsoid_config(gamma)
+        cfg = default_ellipsoid_config(ball, 2)
         model = rerm_ellipsoid(data, lambda i: bound_separation(ball, data.X[i]), cfg)
         for i in range(data.n):
             assert brute_margin_certified(model.w, model.bias, data.X[i], int(data.y[i]),
@@ -329,14 +365,17 @@ REGIONS = st.sampled_from(["l1", "l2", "linf", "poly"])
 
 def _outcome(search, sep):
     """A search's result or error class, and how many queries sep answered.
-    Some searches diverge (an l-inf region outside the initial ellipsoid);
-    they must raise at the same query as the reference."""
+    An lp ball outside the initial ellipsoid must raise before the first
+    query, as in the reference, so the counting twin keeps sep's reach."""
     answered = []
 
     def counted(z):
         ans = sep(z)
         answered.append(1)
         return ans
+
+    if hasattr(sep, "reach"):
+        counted.reach = sep.reach
 
     try:
         return search(counted), None, len(answered)
@@ -359,7 +398,7 @@ def _feasible_outcomes(seed, kind, d, max_iters, volume_eps):
     center = None if rng.random() < 0.3 else rng.standard_normal(d)
     got = _outcome(lambda sep: ellipsoid_feasible(sep, d, cfg, center=center),
                    bound_separation(U, x))
-    want = _outcome(lambda sep: ellipsoid_feasible_ref(sep, d, cfg, center=center),
+    want = _outcome(lambda sep: ellipsoid_feasible_ref(sep, d, cfg, center=center, region=(U, x)),
                     lambda z: separation_ref(U, x, z))
     return got, want
 
@@ -371,11 +410,38 @@ def test_feasible_matches_reference(seed, kind, d, max_iters, volume_eps):
 
 
 def test_region_outside_the_initial_ellipsoid_stops_as_diverged():
-    # an l-inf box outside the start grows Q along the axes its cuts miss;
-    # unbounded, Q overflowed and the center went non-finite after 6007 queries
+    # an l-inf box outside the start ball is refused before the first query;
+    # a caller-supplied oracle for it carries the precondition unchecked, and
+    # its search ends at the cut count with Q still finite
     got, want = _feasible_outcomes(2, "linf", 3, None, 1e-6)
     _assert_same_outcome(got, want)
-    assert got[1] is EllipsoidDiverged and got[2] < 4000
+    assert got[1:] == (EllipsoidDiverged, 0)
+    rng = np.random.default_rng(2)  # the draws of _feasible_outcomes, center 0
+    cfg = EllipsoidConfig(init_radius=float(rng.uniform(1.0, 10.0)), volume_eps=1e-6)
+    U, x = _region("linf", rng, 3), rng.standard_normal(3) * 2.0
+    assert rng.random() < 0.3 and np.linalg.norm(x) + U.gamma * math.sqrt(3.0) > cfg.init_radius
+    unchecked = _outcome(lambda sep: ellipsoid_feasible(sep, 3, cfg),
+                         lambda z: separation_oracle(U, x, z))
+    assert unchecked == (None, None, cfg.resolved_max_iters(3))
+
+
+def test_lp_balls_past_the_start_are_refused_before_any_query(monkeypatch):
+    # the l-inf ball of radius 0.8 reaches 0.8 sqrt 2 > 1 from its center in
+    # l2, the l2 ball of radius 0.8 only 0.8
+    data = Dataset(np.array([[2.0, 0.0], [-2.0, 0.0]]), np.array([1, -1]))
+    model, cfg = LinearModel(vec(1.0, 0.0)), EllipsoidConfig(init_radius=1.0)
+    wide, wide_sep = LpBall(math.inf, 0.8), bound_separation(LpBall(math.inf, 0.8), data.X[0])
+    monkeypatch.setattr(oracles, "_separate", None)  # any query fails
+    for search in (lambda: ellipsoid_certify_batch(model, data, wide, cfg),
+                   lambda: rerm_ellipsoid(data, lambda i: None, cfg, ball=wide),
+                   lambda: ellipsoid_certify(model, data.sample(0), wide_sep, cfg),
+                   # an l2 ball of radius 0.8 centered 0.3 from the start
+                   lambda: ellipsoid_feasible(bound_separation(LpBall(2.0, 0.8), vec(0.3, 0.0)),
+                                              2, cfg)):
+        with pytest.raises(EllipsoidDiverged):
+            search()
+    monkeypatch.undo()
+    assert ellipsoid_certify_batch(model, data, LpBall(2.0, 0.8), cfg) == [None, None]
 
 
 @given(st.integers(0, 10_000), REGIONS, st.integers(1, 3), st.sampled_from([0.0, 0.05]))
@@ -389,7 +455,7 @@ def test_certify_matches_reference(seed, kind, d, slack):
     got = _outcome(lambda sep: ellipsoid_certify(model, Sample(x, y), sep, cfg, slack=slack),
                    bound_separation(U, x))
     want = _outcome(lambda sep: ellipsoid_certify_ref(model.w, model.bias, x, y, sep, cfg,
-                                                      slack=slack),
+                                                      slack=slack, U=U),
                     lambda z: separation_ref(U, x, z))
     _assert_same_outcome(got, want)
 
@@ -408,7 +474,8 @@ def _rows_outcome(search):
 def test_certify_batch_matches_reference_row_by_row(seed, kind, d, n, chunk_rows):
     # most rows are right at x, so they are attacked after a few cuts or
     # certified once the ellipsoid shrinks away; the rest are attacked at x.
-    # A start radius of 0.3 leaves some regions partly outside the start.
+    # A start radius of 0.3 leaves some regions partly outside the start: an
+    # lp ball is then refused before any query, a polytope searched as is.
     # The batch certifies at slack 0; test_certify_matches_reference covers
     # a positive slack through the same composed oracle.
     rng = np.random.default_rng(seed)
@@ -419,7 +486,7 @@ def test_certify_batch_matches_reference_row_by_row(seed, kind, d, n, chunk_rows
     X = rng.standard_normal((n, d))
     y = np.where(X @ model.w + model.bias >= 0.0, 1, -1) * np.where(rng.random(n) < 0.8, 1, -1)
     want = [_outcome(lambda sep: ellipsoid_certify_ref(model.w, model.bias, X[i], int(y[i]), sep,
-                                                       cfg),
+                                                       cfg, U=U),
                      lambda z, x=X[i]: separation_ref(U, x, z)) for i in range(n)]
     failed = [err for _, err, _ in want if err is not None]
     data = Dataset(X, y)
@@ -448,7 +515,7 @@ def test_certify_batch_matches_reference_across_closing_steps(monkeypatch, U):
     y = np.where(X @ model.w + model.bias >= 0.0, 1, -1) * np.where(rng.random(40) < 0.85, 1, -1)
     cfg = EllipsoidConfig()
     want = [_outcome(lambda sep: ellipsoid_certify_ref(model.w, model.bias, X[i], int(y[i]), sep,
-                                                       cfg),
+                                                       cfg, U=U),
                      lambda z, x=X[i]: separation_ref(U, x, z)) for i in range(40)]
     assert len({steps for _, _, steps in want}) >= 6
     got = ellipsoid_certify_batch(model, Dataset(X, y), U, cfg)
@@ -493,21 +560,25 @@ def test_lockstep_matches_reference_searches_row_by_row(seed, kinds, d, volume_e
 
 
 def test_lockstep_rows_leave_at_their_own_steps():
-    # a ball found at once; an empty diagonal slab whose g Q g reaches 0 after
-    # 38 queries; two slabs 1e-12 wide found at queries 70 and 71, either side of
-    # a single point that shrinks away at 56; and an empty slab along an axis,
-    # which ends only when that axis underflows
+    # under the budget of 53 cuts: a ball found at once; an empty diagonal slab
+    # whose g Q g reaches 0 after 38 queries; slabs 1e-5 and 1e-6 wide found
+    # at queries 29 and 37; a single point and an empty slab along an axis,
+    # which both end at the budget; and a ball of radius 1e-3 found one query
+    # before it
     cfg = EllipsoidConfig(volume_eps=1e-2)
+    assert cfg.resolved_max_iters(2) == 53
     slab, slab2 = np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([[0.0, 1.0], [0.0, -1.0]])
     regions = [LpBall(2.0, 0.5), Polytope(np.array([[1.0, 1.0], [-1.0, -1.0]]), np.array([0.3, -0.4])),
-               Polytope(slab, np.array([0.3, -0.3 + 1e-12])), LpBall(2.0, 0.0),
-               Polytope(slab2, np.array([0.2, -0.2 + 1e-12])), Polytope(slab, np.array([0.3, -0.4]))]
-    X = np.array([[0.2, 0.1], [0.0, 0.0], [0.1, 0.4], [0.5, -0.2], [-0.3, 0.1], [0.0, 0.0]])
-    C = np.zeros((6, 2))
+               Polytope(slab, np.array([0.3, -0.3 + 1e-5])), LpBall(2.0, 0.0),
+               Polytope(slab2, np.array([0.2, -0.2 + 1e-6])), Polytope(slab, np.array([0.3, -0.4])),
+               LpBall(2.0, 1e-3)]
+    X = np.array([[0.2, 0.1], [0.0, 0.0], [0.1, 0.4], [0.5, -0.2], [-0.3, 0.1], [0.0, 0.0],
+                  [0.5, -0.2]])
+    C = np.zeros((7, 2))
     want = [_outcome(lambda sep: ellipsoid_feasible_ref(sep, 2, cfg, center=C[i]),
-                     lambda z, i=i: separation_ref(regions[i], X[i], z)) for i in range(6)]
+                     lambda z, i=i: separation_ref(regions[i], X[i], z)) for i in range(7)]
     assert [(ref is None, steps) for ref, _, steps in want] == \
-        [(False, 1), (True, 38), (False, 70), (True, 56), (False, 71), (True, 925)]
+        [(False, 1), (True, 38), (False, 29), (True, 53), (False, 37), (True, 53), (False, 52)]
     got = oracles._lockstep(_stacked([bound_separation(U, x) for U, x in zip(regions, X)]), C, cfg)
     for z, (ref, _, _) in zip(got, want):
         assert (z is None) == (ref is None)
@@ -554,7 +625,7 @@ def test_rerm_matches_reference(seed, p, d):
     gamma = float(rng.uniform(0.05, 0.3))
     X, y, _ = _separable(rng, 6, d, gamma)
     data, ball = Dataset(X, y), LpBall(p, gamma)
-    cfg = default_ellipsoid_config(gamma)
+    cfg = default_ellipsoid_config(ball, d)
     got = rerm_ellipsoid(data, lambda i: bound_separation(ball, data.X[i]), cfg)
     want = rerm_ellipsoid_ref(X, y, ball, cfg)
     assert want is not None and np.array_equal(got.w, want)
@@ -584,7 +655,8 @@ def test_screen_keeps_rerm_on_rows_at_the_slack(seed, p, d, gaps):
     # gap of -1e-3 is a row that fails there and must not be screened
     rng = np.random.default_rng(seed)
     gamma = float(rng.uniform(0.05, 0.3))
-    ball, cfg = LpBall(p, gamma), default_ellipsoid_config(gamma)
+    ball = LpBall(p, gamma)
+    cfg = default_ellipsoid_config(ball, d)
     X, y, w_star = _separable(rng, 6, d, gamma)
     w1 = _first_weight_query(X[0], y[0], cfg)
     v = w1 - (w1 @ w_star) * w_star
@@ -644,7 +716,8 @@ def test_screen_asks_no_proven_row(monkeypatch, p):
     y = np.where(rng.random(24) < 0.5, 1, -1)
     mag = np.sort(0.2 * math.sqrt(2.0) + 0.04 + 2.0 * rng.random(24))
     X = (y * mag)[:, None] * w_star + np.outer(rng.uniform(-3.0, 3.0, 24), [-w_star[1], w_star[0]])
-    data, ball, cfg = Dataset(X, y), LpBall(p, 0.2), default_ellipsoid_config(0.2)
+    data, ball = Dataset(X, y), LpBall(p, 0.2)
+    cfg = default_ellipsoid_config(ball, 2)
     plain, weights, asked_all = _screen_run(monkeypatch, data, ball, cfg, None)
     model, weights_s, asked = _screen_run(monkeypatch, data, ball, cfg, ball)
     assert np.array_equal(model.w, plain.w) and len(weights_s) == len(weights)
@@ -684,7 +757,7 @@ def test_disjoint_balls_check_passes_just_beyond_two_gamma(p):
     ball = LpBall(p, gamma)
     check_disjoint_balls(data, ball)
     model = rerm_ellipsoid(data, lambda i: bound_separation(ball, data.X[i]),
-                           default_ellipsoid_config(gamma))
+                           default_ellipsoid_config(ball, 2))
     for i in range(data.n):
         assert brute_margin_certified(model.w, model.bias, data.X[i], int(data.y[i]), p, gamma)
 
