@@ -24,6 +24,7 @@ from .core import (
     LinearModel,
     LpBall,
     as_vector,
+    ball_hits,
     inverse_blowup,
     margins_batch,
     robust_losses,
@@ -124,9 +125,8 @@ class Cascade:
                 raise Unsupported("stage abstention norm must match the evaluation ball")
             ym = data.y * margins_batch(stage.model, data.X, ball.p)
             losses[open_ & (ym < r - spec.gamma)] = 1
-            open_ &= (ym <= spec.gamma + r) & (ym >= r - spec.gamma)
-        ym = data.y * margins_batch(self.fallback, data.X, ball.p)
-        losses[open_ & (ym <= r)] = 1
+            open_ &= ~((ym > spec.gamma + r) | (ym < r - spec.gamma))  # a nan stage abstains
+        losses[open_ & ball_hits(self.fallback, data.X, data.y, ball)] = 1
         return losses
 
 

@@ -577,11 +577,7 @@ def _cmd_urejectron(args) -> dict:
     doc = {"metrics": _rejection(selection, train, test)[1]}
     if args.backend == "t1":
         wrong = erm_linear(WeightedDataset.uniform(train)).predict_batch(test.X) != test.y
-        shifted, _const = selection.members[0]
-        # the stored model is shifted so its own threshold sits at zero;
-        # undo the shift to score rows of the sweep on the raw scale
-        raw_scores = test.X @ shifted.w + shifted.bias + diag["threshold"]
-        errs = _kept_error(raw_scores, wrong, [r["threshold"] for r in diag["tradeoff"]])
+        errs = _kept_error(diag["test_scores"], wrong, [r["threshold"] for r in diag["tradeoff"]])
         doc["tradeoff"] = [{"threshold": r["threshold"], "rej_p": r["rej_train"], "rej_q": r["rej_test"],
                             "err_q": e} for r, e in zip(diag["tradeoff"], errs)]
     if args.save_selection:

@@ -5,7 +5,10 @@ linear model and an lp ball the robust loss has a closed form: the attacker
 wins iff the signed dual-normalized margin is at most the radius. Finite sets
 are evaluated by enumeration against any predictor exposing .predict_batch.
 Every loss is computed for a whole dataset at once by robust_losses; the
-single-sample robust_loss is its one-row case.
+single-sample robust_loss is its one-row case. Every decision value comes
+from decision_values and every closed-form ball loss from ball_hits, so a row's
+decision value and robust loss have the same bits alone or in any block, and a
+boundary or NaN margin is a loss.
 """
 
 from __future__ import annotations
@@ -66,15 +69,6 @@ class Dataset:
         self.X = X
         self.y = y.astype(np.int64)
 
-    @classmethod
-    def from_samples(cls, samples) -> "Dataset":
-        samples = list(samples)
-        if not samples:
-            raise EmptyDataset("cannot build a dataset from zero samples")
-        X = np.stack([s.x for s in samples])
-        y = np.array([s.y for s in samples])
-        return cls(X, y)
-
     @property
     def n(self) -> int:
         return self.X.shape[0]
@@ -118,10 +112,10 @@ class LinearModel:
             raise ZeroWeight("linear model weights must not be all zero")
 
     def decision(self, x) -> float:
-        return float(self.w @ np.asarray(x, dtype=float)) + self.bias
+        return float(self.decisions(x))
 
     def decisions(self, X) -> np.ndarray:
-        return np.asarray(X, dtype=float) @ self.w + self.bias
+        return decision_values(X, self.w, self.bias)
 
     def predict(self, x) -> int:
         return 1 if self.decision(x) >= 0.0 else -1
@@ -138,8 +132,8 @@ class LpBall:
     def __post_init__(self):
         if not (self.p >= 1.0):
             raise InvalidNorm(f"p must be >= 1, got {self.p}")
-        if self.gamma < 0.0:
-            raise ValueError("radius must be non-negative")
+        if not (self.gamma >= 0.0):
+            raise ValueError(f"radius must be non-negative, got {self.gamma}")
 
 
 class FiniteOffsets:
@@ -240,6 +234,12 @@ def dual_maximizer(w: np.ndarray, p: float) -> np.ndarray:
     return np.sign(w) * (np.abs(w) / nq) ** (q / p)
 
 
+def decision_values(X, w, bias: float = 0.0) -> np.ndarray:
+    """<w, x> + bias for each row x of X (or X itself, one vector), with the bits of the
+    one-row w @ x + bias whatever block or memory layout x arrives in, unlike X @ w."""
+    return np.vecdot(np.ascontiguousarray(X, dtype=float), w) + bias
+
+
 def margin(model: LinearModel, x, p: float) -> float:
     """(<w, x> + bias) / ||w||_q, the signed distance scale of Lemma-style
     margin analysis; q dual to p."""
@@ -251,6 +251,11 @@ def margins_batch(model: LinearModel, X, p: float) -> np.ndarray:
     if nq == 0.0:
         raise ZeroWeight("margin undefined for all-zero weights")
     return model.decisions(X) / nq
+
+
+def ball_hits(model: LinearModel, X, y, ball: LpBall) -> np.ndarray:
+    """The closed-form ball attack test per row: y * margin <= gamma, or a NaN margin."""
+    return ~(y * margins_batch(model, X, ball.p) > ball.gamma)
 
 
 def worst_case_point(model: LinearModel, x, y, ball: LpBall) -> np.ndarray:
@@ -267,15 +272,15 @@ def robust_losses(predictor, data: Dataset, U: PerturbationSpec | None) -> np.nd
     """Per-row 0/1 vector: 1 iff some allowed perturbation of the row is
     misclassified; U=None gives the plain 0-1 loss.
 
-    LpBall has a closed form for a LinearModel (1 iff y * margin <= gamma,
-    boundary counts as loss) and otherwise needs the predictor's own
+    LpBall has a closed form for a LinearModel (ball_hits: a boundary or NaN
+    margin counts as loss) and otherwise needs the predictor's own
     robust_losses_lp; finite specs classify every listed point in one batch.
     """
     if U is None:
         return (predictor.predict_batch(data.X) != data.y).astype(np.int64)
     if isinstance(U, LpBall):
         if isinstance(predictor, LinearModel):
-            return (data.y * margins_batch(predictor, data.X, U.p) <= U.gamma).astype(np.int64)
+            return ball_hits(predictor, data.X, data.y, U).astype(np.int64)
         lp = getattr(predictor, "robust_losses_lp", None)
         if lp is None:
             raise Unsupported(

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import glm_link_u, rcn_phi  # noqa: F401  (re-exported)
-from .core import Dataset, LinearModel, LpBall, as_vector, robust_losses
+from .core import Dataset, LinearModel, LpBall, as_vector, decision_values, robust_losses
 from .data import substream
 from .errors import AllZeroWeights, EmptyDataset, EmptyPool, InvalidNorm, ZeroPerceptron
 
@@ -159,7 +159,7 @@ class PerceptronState:
     mistakes: int = 0
 
     def predict(self, z) -> int:
-        return 1 if float(self.w @ np.asarray(z, dtype=float)) >= 0.0 else -1
+        return 1 if decision_values(z, self.w) >= 0.0 else -1
 
     def update(self, z, y: int) -> "PerceptronState":
         return perceptron_update(self, z, y)

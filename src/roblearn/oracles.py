@@ -30,8 +30,9 @@ from .core import (
     PerturbationSpec,
     Sample,
     as_vector,
+    ball_hits,
+    decision_values,
     dual_norm,
-    margin,
     worst_case_point,
 )
 from .errors import EllipsoidDiverged, NotSeparable, OracleViolation, UnsupportedGeometry
@@ -147,9 +148,8 @@ def attack(model: LinearModel, sample: Sample, U: PerturbationSpec, index: int |
     any predictor exposing predict_batch.
     """
     if isinstance(U, LpBall):
-        if sample.y * margin(model, sample.x, U.p) > U.gamma:
-            return None
-        return worst_case_point(model, sample.x, sample.y, U)
+        hit = ball_hits(model, sample.x[None], sample.y, U)[0]
+        return worst_case_point(model, sample.x, sample.y, U) if hit else None
     if isinstance(U, FiniteOffsets):
         Z = U.points(sample.x)
     elif isinstance(U, FinitePerExample):
@@ -376,7 +376,7 @@ def _certify_oracle(w, bias: float, y: np.ndarray, slack: float, region):
     miss_normal, miss_offset = y[:, None] * w, slack - y * bias
 
     def composed(rows, Z):
-        ask = ~(y[rows] * (np.vecdot(Z, w) + bias) > slack)
+        ask = ~(y[rows] * decision_values(Z, w, bias) > slack)
         n = np.count_nonzero(ask)
         if n == len(ask):
             return region(rows, Z)
@@ -447,7 +447,7 @@ def rerm_ellipsoid(data: Dataset, sep_for_example, cfg: EllipsoidConfig,
         model = LinearModel(wvec) if np.any(wvec) else None
         todo = rows
         if ball is not None:  # at w = 0 no row is proven
-            raw = data.y * (data.X @ wvec)
+            raw = data.y * decision_values(data.X, wvec)
             shift = ball.gamma * dual_norm(wvec, ball.p)
             proven = raw - shift - tau > 1e-9 * (np.abs(raw) + shift + tau)
             todo = [rows[i] for i in np.flatnonzero(~proven)]

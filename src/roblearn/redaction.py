@@ -212,8 +212,8 @@ def urejectron(train_points, test_points, cfg: RedactConfig, backend, diagnostic
     """Label-free redaction. With a finite pool, iterate the best
     agree-on-train / split-on-test pair until its score falls to eps. In the
     single-round mode, fit one train-vs-test separator and keep everything on
-    the train side of a threshold; the full threshold sweep lands in
-    diagnostics["tradeoff"].
+    the train side of a threshold; the threshold sweep lands in
+    diagnostics["tradeoff"] and the test scores it ranks in diagnostics["test_scores"].
     """
     train = _as_points(train_points)
     tests = _as_points(test_points)
@@ -264,8 +264,8 @@ def urejectron(train_points, test_points, cfg: RedactConfig, backend, diagnostic
         tau_star -= 1e-9 * (1.0 + abs(tau_star))
         shifted = LinearModel(d.w, d.bias - tau_star)
         if diagnostics is not None:
-            diagnostics["tradeoff"] = _tradeoff_rows(train_scores, d.decisions(tests))
-            diagnostics["threshold"] = tau_star
+            diagnostics["test_scores"] = d.decisions(tests)
+            diagnostics["tradeoff"] = _tradeoff_rows(train_scores, diagnostics["test_scores"])
         return SelectionSet("urejectron", [(shifted, ConstantModel(1))], eps=cfg.eps)
     raise Unsupported(f"unknown backend {type(backend).__name__}")
 

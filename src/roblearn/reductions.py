@@ -22,8 +22,8 @@ from .core import (
     LpBall,
     Sample,
     as_vector,
+    ball_hits,
     inflate,
-    margins_batch,
     worst_case_point,
 )
 from .boosting import (
@@ -105,8 +105,7 @@ def margin_attack(U: LpBall):
         if not np.any(w):
             return y == -1, lambda j: X[j].copy()
         model = LinearModel(w)
-        hit = ~(y * margins_batch(model, X, U.p) > U.gamma)  # attack's test negated, nan included
-        return hit, lambda j: worst_case_point(model, X[j], y[j], U)
+        return ball_hits(model, X, y, U), lambda j: worst_case_point(model, X[j], y[j], U)
 
     oracle.rowwise = rowwise
     return oracle

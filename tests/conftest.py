@@ -6,6 +6,7 @@ settings.register_profile(
     "suite",
     max_examples=60,
     deadline=None,
+    print_blob=True,  # a failure prints the @reproduce_failure line that replays it
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")

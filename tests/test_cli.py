@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from roblearn import (AllZeroWeights, Dataset, EllipsoidDiverged, LinearModel, LpBall,
-                      UnsupportedGeometry, ZeroPerceptron, ZeroWeight, finite_source, load_csv,
-                      load_model, margin_attack, perceptron_init, save_csv, save_model)
+                      UnsupportedGeometry, WeightedDataset, ZeroPerceptron, ZeroWeight, erm_linear,
+                      finite_source, load_csv, load_model, margin_attack, perceptron_init, save_csv,
+                      save_model)
 from roblearn import cli, reductions
 from roblearn.cli import _exit_code, main
 
@@ -298,6 +299,10 @@ BOOST = ["--gamma", "0.3", "--eps", "0.2", "--beta", "0.5", "--rounds", "2"]
     # a start ball wide enough to hold these balls cannot be searched
     ["certify", "--model", "MODEL", "--input", "BAND", "--gamma", "1e200", "--method", "ellipsoid"],
     ["certify", "--model", "MODEL", "--input", "BAND", "--gamma", "inf", "--method", "ellipsoid"],
+    # a nan radius used to certify every row, attack none, or blame the vector entries
+    ["certify", "--model", "MODEL", "--input", "BAND", "--gamma", "nan"],
+    ["attack", "--model", "MODEL", "--input", "BAND", "--gamma", "nan"],
+    ["cycle-robust", "--input", "BAND", "--gamma", "nan", "--mistake-cap", "5"],
     # alpha-boost never sparsified its vote, so --sparsify-n is gone
     ["alpha-boost", "--input", "BAND", "--rounds", "4", "--sparsify-n", "5"],
     # the online learners check their bounds before any row is drawn
@@ -334,6 +339,38 @@ def test_urejectron_rejects_a_nan_lambda_weight(tmp_path, capsys):
             "--backend", "pairs", "--pool", "MODEL", "MODEL", "--lambda-weight", "nan"]
     err = _fail_with(tmp_path, capsys, argv, 2)
     assert err == "error: ValueError: the training weight must be at least 1\n"
+
+
+def test_urejectron_err_q_counts_over_the_scores_of_the_sweep(tmp_path, monkeypatch):
+    # err_q at threshold t is the wrong share of the test rows the sweep scored >= t;
+    # scores recomputed from the stored shifted model put 195 of 401 entries off here
+    rng = np.random.default_rng(5)
+
+    def pair(n):
+        y = np.where(rng.random(n) < 0.5, 1, -1)
+        return np.where((y == 1)[:, None], [2.0, 0.0], [-2.0, 0.0]) + 0.3 * rng.standard_normal((n, 2)), y
+
+    train, test = Dataset(*pair(400)), Dataset(*pair(400))
+    test.X[:200], test.y[:200] = [0.3, 6.0] + 0.2 * rng.standard_normal((200, 2)), -1
+    paths = [str(tmp_path / name) for name in ("train.csv", "test.csv")]
+    for path, data in zip(paths, (train, test)):
+        save_csv(path, data)
+    real, diag = cli.urejectron, {}
+
+    def spy(*args, diagnostics):
+        out = real(*args, diagnostics=diagnostics)
+        diag.update(diagnostics)
+        return out
+
+    monkeypatch.setattr(cli, "urejectron", spy)
+    doc = cli._cmd_urejectron(cli._parse(["urejectron", "--input", paths[0], "--test-input", paths[1],
+                                          "--eps", "0.1", "--backend", "t1"]))
+    scores = diag["test_scores"]
+    wrong = erm_linear(WeightedDataset.uniform(load_csv(paths[0]))).predict_batch(test.X) != test.y
+    assert len(doc["tradeoff"]) == test.n + 1
+    for row in doc["tradeoff"]:
+        kept = scores >= row["threshold"]
+        assert row["err_q"] == np.count_nonzero(kept & wrong) / max(np.count_nonzero(kept), 1)
 
 
 def test_help_prints_usage_and_exits_0(capsys):

@@ -5,14 +5,18 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from roblearn import (
+    Cascade,
     Dataset,
     FiniteOffsets,
     FinitePerExample,
     InvalidNorm,
     LinearModel,
     LpBall,
+    PerceptronState,
     Sample,
+    SelectiveClassifier,
     SizeLimit,
+    attack,
     dual_exponent,
     dual_maximizer,
     dual_norm,
@@ -20,8 +24,10 @@ from roblearn import (
     inverse_blowup,
     lp_norm,
     margin,
+    margin_attack,
     margins_batch,
     robust_loss,
+    robust_losses,
     robust_risk,
     worst_case_point,
 )
@@ -118,6 +124,45 @@ def test_linear_model_boundary_is_positive():
     m = LinearModel(vec(1.0, 0.0))
     assert m.predict(vec(0.0, 5.0)) == 1
     assert np.array_equal(m.predict_batch(np.array([[0.0, 1.0], [-1.0, 0.0]])), [1, -1])
+
+
+def _bits(v) -> bytes:
+    return np.float64(v).tobytes()
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 40), st.sampled_from([1, 2]),
+       st.sampled_from(["C", "F", "sliced"]))
+def test_a_rows_decision_value_does_not_depend_on_its_block(seed, d, n, decimals, layout):
+    # X @ w rounds a row by the block it arrives in; the decision value must not
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.uniform(-2.0, 2.0, (n, d)), decimals)
+    if layout == "F":
+        X = np.asfortranarray(X)
+    elif layout == "sliced":
+        X = np.repeat(X, 2, axis=1)[:, ::2]  # every other column of a wider matrix
+    model = LinearModel(rng.standard_normal(d), bias=float(rng.standard_normal()))
+    i = int(rng.integers(n))
+    k = int(rng.integers(1, n - i + 1))
+    block, alone = model.decisions(X)[i], model.decisions(X[i:i + k])[0]
+    assert _bits(block) == _bits(alone) == _bits(model.decision(X[i]))
+    assert model.predict_batch(X)[i] == model.predict_batch(X[i:i + k])[0] == model.predict(X[i])
+    assert PerceptronState(model.w).predict(X[i]) == LinearModel(model.w).predict_batch(X)[i]
+
+
+def test_a_nan_margin_is_a_loss_everywhere():
+    # ||w||_1 overflows to inf, and so does <w, x> (or it is inf - inf): the margin is nan
+    w, x = vec(1e308, 1e308), vec(1e308, -1e308)
+    model, ball = LinearModel(w), LpBall(math.inf, 0.5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isnan(margin(model, x, ball.p))
+        assert robust_losses(model, Dataset(x[None], [1]), ball).tolist() == [1]
+        assert attack(model, Sample(x, 1), ball) is not None
+        hit, _witness = margin_attack(ball).rowwise(PerceptronState(w), x[None], np.array([1]), 0)
+        # a stage with a nan margin abstains, so a wrong fallback decides the row
+        stage = SelectiveClassifier(model, LpBall(math.inf, 0.5))
+        cascade = Cascade([stage], LinearModel(vec(-1.0, 0.0)))
+        assert robust_losses(cascade, Dataset(x[None], [1]), ball).tolist() == [1]
+    assert hit.tolist() == [True]
 
 
 # ---------------------------------------------------------------------------
