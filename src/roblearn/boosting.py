@@ -365,28 +365,26 @@ class MajorityVote:
 
 @dataclass
 class AlphaBoostConfig:
-    alpha: float | None = None
-    rounds: int | None = None
+    alpha: float | None = None  # None means 1/8, or the agreement-mode pairing with T
+    rounds: int | None = None  # None means ceil(1 + 48 ln m), or ceil(112 ln m) in agreement mode
     delta: float = 0.05
     agreement_mode: bool = False  # alternative (T, alpha) pairing with the 5/9 agreement floor
     early_stop: bool = False  # break once the running majority has zero loss on the data
 
-    def resolved(self, m: int) -> tuple[float, int]:
-        if self.agreement_mode:
-            T = self.rounds if self.rounds is not None else math.ceil(112.0 * math.log(m))
-            alpha = (
-                self.alpha
-                if self.alpha is not None
-                else 0.5 * math.log(1.0 + math.sqrt(2.0 * math.log(m) / T))
-            )
-        else:
-            T = self.rounds if self.rounds is not None else math.ceil(1.0 + 48.0 * math.log(m))
-            alpha = self.alpha if self.alpha is not None else 0.125
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if T < 1:
+    def __post_init__(self):
+        if self.alpha is not None and not (0.0 < self.alpha < math.inf):
+            raise ValueError("alpha must be positive and finite")
+        if self.rounds is not None and not (self.rounds >= 1):
             raise ValueError("rounds must be >= 1")
-        return alpha, T
+        if not (0.0 < self.delta < 1.0):
+            raise ValueError("delta must lie in (0, 1)")
+
+    def resolved(self, m: int) -> tuple[float, int]:
+        ln_m = math.log(max(m, 2))
+        if self.agreement_mode:
+            T = self.rounds or math.ceil(112.0 * ln_m)
+            return self.alpha or 0.5 * math.log(1.0 + math.sqrt(2.0 * ln_m / T)), T
+        return self.alpha or 0.125, self.rounds or math.ceil(1.0 + 48.0 * ln_m)
 
 
 def alpha_boost(data: Dataset, weak_learner, cfg: AlphaBoostConfig, U=None, diagnostics=None):
@@ -394,8 +392,10 @@ def alpha_boost(data: Dataset, weak_learner, cfg: AlphaBoostConfig, U=None, diag
 
     Examples the round's model holds (loss 0, robust when U is given) are
     downweighted by e^{-2 alpha}; the weak learner must reach weighted error
-    <= 1/3 within ceil(ln(2T/delta)) attempts per round. Returns the model
-    list and their unweighted majority vote.
+    <= 1/3 within ceil(ln(2T/delta)) attempts per round. A weak learner may
+    raise WeakLearnerFailed to give up an attempt; a round whose attempts all
+    fail raises WeakLearnerFailed. Returns the model list and their
+    unweighted majority vote.
     """
     m = data.n
     if m == 0:
@@ -406,19 +406,19 @@ def alpha_boost(data: Dataset, weak_learner, cfg: AlphaBoostConfig, U=None, diag
     models = []
     errors = []
     for _ in range(T):
-        accepted = None
         for _attempt in range(retries):
-            h = weak_learner(WeightedDataset(data, D))
+            try:
+                h = weak_learner(WeightedDataset(data, D))
+            except WeakLearnerFailed:
+                continue
             losses = robust_losses(h, data, U).astype(float)
             err = float(D @ losses)
             if err <= 1.0 / 3.0:
-                accepted = (h, losses, err)
                 break
-        if accepted is None:
+        else:
             raise WeakLearnerFailed(
                 f"weighted error stayed above 1/3 for {retries} attempts"
             )
-        h, losses, err = accepted
         models.append(h)
         errors.append(err)
         D = D * np.where(losses == 0.0, math.exp(-2.0 * alpha), 1.0)

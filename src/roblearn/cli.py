@@ -353,7 +353,7 @@ def _cmd_uroboost(args) -> dict:
 
 def _cmd_alpha_boost(args) -> dict:
     data = load_csv(args.input)
-    U = _perturbation(args) if (args.offset or args.gamma > 0) else None
+    U = _perturbation(args) if (args.offset or args.gamma != 0) else None
     cfg = AlphaBoostConfig(
         alpha=args.alpha,
         rounds=args.rounds,

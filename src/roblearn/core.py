@@ -263,6 +263,8 @@ def worst_case_point(model: LinearModel, x, y, ball: LpBall) -> np.ndarray:
     x may also be an (n, d) matrix with y its label vector.
 
     Achieves the infimum of y * (<w, z> + bias) over the closed ball."""
+    if ball.gamma == math.inf:
+        raise ValueError("an infinite radius has no finite worst-case point")
     v = dual_maximizer(model.w, ball.p)
     x = np.asarray(x, dtype=float)
     return (as_vector(x) if x.ndim == 1 else x) - ball.gamma * np.asarray(y)[..., None] * v

@@ -42,8 +42,8 @@ class GaussianPair:
         c_neg = as_vector(self.centers[1])
         if c_pos.shape != c_neg.shape:
             raise ValueError("centers must share a dimension")
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
+        if not (0.0 <= self.sigma < math.inf):
+            raise ValueError("sigma must be non-negative and finite")
         object.__setattr__(self, "centers", (c_pos, c_neg))
 
 
@@ -54,8 +54,8 @@ class TwoMoons:
     noise: float = 0.0
 
     def __post_init__(self):
-        if self.noise < 0:
-            raise ValueError("noise must be non-negative")
+        if not (0.0 <= self.noise < math.inf):
+            raise ValueError("noise must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -74,10 +74,10 @@ class MarginCluster:
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_vector(self.center))
-        if self.weight <= 0:
-            raise ValueError("cluster weight must be positive")
-        if self.spread < 0:
-            raise ValueError("spread must be non-negative")
+        if not (0.0 < self.weight < math.inf):
+            raise ValueError("cluster weight must be positive and finite")
+        if not (0.0 <= self.spread < math.inf):
+            raise ValueError("spread must be non-negative and finite")
 
 
 @dataclass(frozen=True)

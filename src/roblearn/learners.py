@@ -53,8 +53,8 @@ class ErmConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.reg < 0:
-            raise ValueError("regularization must be non-negative")
+        if not (0.0 <= self.reg < math.inf):
+            raise ValueError("regularization must be non-negative and finite")
 
 
 def _nonzero_or_fallback(w: np.ndarray, fallback_dir: np.ndarray) -> np.ndarray:

@@ -59,6 +59,8 @@ class RedactConfig:
             raise ValueError("eps must lie in (0, 1]")
         if self.weight is not None and not (self.weight >= 1.0):
             raise ValueError("the training weight must be at least 1")
+        if self.weight == math.inf:  # inf * 0 would score agreeing pairs nan
+            raise ValueError("the training weight must be finite")
 
     def resolved_weight(self, n_train: int) -> float:
         return float(self.weight) if self.weight is not None else float(n_train + 1)

@@ -137,12 +137,9 @@ def zero_robust_loss(L: Dataset, U, base_learner, cfg: RobustifyConfig | None = 
     without reaching zero loss on the inflated set (non-realizable input).
     """
     cfg = cfg or RobustifyConfig()
-    src = _reindexed(U, indices, L.n)
-    inflated = inflate(L, src, cap=2_000_000)
-    flat = inflated.data
-    T = cfg.inner_rounds if cfg.inner_rounds is not None else math.ceil(1.0 + 48.0 * math.log(max(flat.n, 2)))
-    boost_cfg = AlphaBoostConfig(alpha=cfg.alpha, rounds=T, delta=cfg.delta, early_stop=True)
-    models, vote = alpha_boost(flat, base_learner, boost_cfg, U=None)
+    flat = inflate(L, _reindexed(U, indices, L.n)).data
+    boost_cfg = AlphaBoostConfig(alpha=cfg.alpha, rounds=cfg.inner_rounds, delta=cfg.delta, early_stop=True)
+    models, vote = alpha_boost(flat, base_learner, boost_cfg)
     if not _zero_loss(vote, flat, None):
         raise WeakLearnerFailed("boosting did not reach zero loss on the inflated set")
     sub = sparsify_majority(
@@ -161,50 +158,28 @@ def _reindexed(U, indices, n: int):
 
 
 def robustify_nonrobust(data: Dataset, U, base_learner, cfg: RobustifyConfig | None = None, diagnostics=None):
-    """Outer boosting over the inflated training set where each round's weak
-    hypothesis is built by zero_robust_loss on a subsample projected back to
-    its origin examples. The final vote is sparsified until its robust loss
-    on the original data is exactly zero.
+    """alpha_boost over the inflated training set with a weak learner that
+    draws a subsample from the round's distribution, projects it back to its
+    origin examples and runs zero_robust_loss on them; an attempt whose
+    subsample is not robustly realizable fails and is retried. The final vote
+    is sparsified until its robust loss on the original data is exactly zero.
     """
     cfg = cfg or RobustifyConfig()
     if not isinstance(U, (FiniteOffsets, FinitePerExample)):
         raise Unsupported("robustification needs a finite perturbation set")
-    inflated = inflate(data, U, cap=2_000_000)
+    inflated = inflate(data, U)
     flat, origins = inflated.data, inflated.origins
-    m_u = flat.n
-    T = cfg.outer_rounds if cfg.outer_rounds is not None else math.ceil(1.0 + 48.0 * math.log(max(m_u, 2)))
-    retries = max(1, math.ceil(math.log(2.0 * T / cfg.delta)))
     rng = substream(cfg.rng_seed, "robustify")
-    D = np.full(m_u, 1.0 / m_u)
-    models, round_errors = [], []
-    for t in range(T):
-        accepted = None
-        for _ in range(retries):
-            pick = rng.choice(m_u, size=min(cfg.subsample, m_u), replace=True, p=D)
-            origin_rows = origins[pick]
-            L_t = data.subset(origin_rows)
-            inner_cfg = replace(cfg, rng_seed=cfg.rng_seed + t + 1)
-            try:
-                h_t = zero_robust_loss(L_t, U, base_learner, inner_cfg, indices=origin_rows)
-            except WeakLearnerFailed:
-                continue
-            wrong = (h_t.predict_batch(flat.X) != flat.y).astype(float)
-            err = float(D @ wrong)
-            if err <= 1.0 / 3.0:
-                accepted = (h_t, wrong, err)
-                break
-        if accepted is None:
-            raise WeakLearnerFailed(
-                f"no round-{t + 1} hypothesis reached weighted error 1/3 in {retries} tries"
-            )
-        h_t, wrong, err = accepted
-        models.append(h_t)
-        round_errors.append(err)
-        D = D * np.where(wrong == 0.0, math.exp(-2.0 * cfg.alpha), 1.0)
-        D = D / D.sum()
-        if _zero_loss(MajorityVote(models), flat, None):
-            break
-    vote = MajorityVote(models)
+    inner_seeds = itertools.count(cfg.rng_seed + 1)  # the k-th attempt of the run seeds rng_seed + k
+
+    def weak_learner(wd):
+        origin_rows = origins[rng.choice(flat.n, size=min(cfg.subsample, flat.n), replace=True, p=wd.weights)]
+        inner_cfg = replace(cfg, rng_seed=next(inner_seeds))
+        return zero_robust_loss(data.subset(origin_rows), U, base_learner, inner_cfg, indices=origin_rows)
+
+    boost_cfg = AlphaBoostConfig(alpha=cfg.alpha, rounds=cfg.outer_rounds, delta=cfg.delta, early_stop=True)
+    boost_diag: dict = {}
+    models, vote = alpha_boost(flat, weak_learner, boost_cfg, diagnostics=boost_diag)
     if not _zero_loss(vote, flat, None):
         raise WeakLearnerFailed("outer boosting did not reach zero robust loss")
     sub = sparsify_majority(
@@ -212,8 +187,8 @@ def robustify_nonrobust(data: Dataset, U, base_learner, cfg: RobustifyConfig | N
     )
     if diagnostics is not None:
         diagnostics["rounds_run"] = len(models)
-        diagnostics["round_errors"] = round_errors
-        diagnostics["inflated_size"] = m_u
+        diagnostics["round_errors"] = boost_diag["round_errors"]
+        diagnostics["inflated_size"] = flat.n
     return MajorityVote(sub)
 
 
@@ -243,8 +218,8 @@ class PerExampleWeights:
         return self.w / np.repeat(sums, self.sizes)
 
     def scale_up(self, mask: np.ndarray, factor: float) -> None:
-        if factor < 1.0:
-            raise ValueError("weights must be non-decreasing")
+        if not (1.0 <= factor < math.inf):
+            raise ValueError("weights must be non-decreasing and finite")
         self.w = self.w * np.where(mask, factor, 1.0)
 
 
@@ -257,6 +232,10 @@ def fms_agnostic(data: Dataset, U, erm, eta_mw: float | None = None, rounds: int
     """
     if rounds is not None and rounds < 1:
         raise ValueError("rounds must be >= 1")
+    if not (0.0 < eps <= 1.0):
+        raise ValueError("eps must lie in (0, 1]")
+    if eta_mw is not None and not (0.0 <= eta_mw < math.inf):
+        raise ValueError("eta_mw must be finite and non-negative")
     inflated = inflate(data, U, cap=math.inf)
     flat = inflated.data
     sizes = np.bincount(inflated.origins, minlength=data.n)
@@ -436,7 +415,7 @@ class EnsembleWeights:
         w = np.asarray(self.weights, dtype=float)
         if w.size == 0:
             raise EmptyPool("at least one hypothesis required")
-        if np.any(w < 0) or np.any(w > 1):
+        if not np.all((w >= 0) & (w <= 1)):
             raise ValueError("hypothesis weights must lie in [0, 1]")
         self.weights = w
 

@@ -520,6 +520,50 @@ def test_alpha_boost_gives_up_on_hopeless_learner():
         alpha_boost(data, lambda wd: LinearModel(vec(-1.0)), AlphaBoostConfig(rounds=3))
 
 
+def test_alpha_boost_retries_a_weak_learner_that_gives_up():
+    data = Dataset(np.array([[1.0], [-1.0]]), np.array([1, -1]))
+    seen = []
+
+    def twice_failing(wd):
+        seen.append(wd.weights.copy())
+        if len(seen) <= 2:
+            raise WeakLearnerFailed("not this subsample")
+        return LinearModel(vec(1.0))
+
+    diag = {}
+    models, _ = alpha_boost(data, twice_failing, AlphaBoostConfig(rounds=2), diagnostics=diag)
+    assert len(seen) == 4 and len(models) == 2 and diag["round_errors"] == [0.0, 0.0]
+    assert np.array_equal(seen[0], seen[2])  # a failed attempt leaves the weights alone
+
+    attempts = []
+
+    def hopeless(wd):
+        attempts.append(1)
+        raise WeakLearnerFailed("never")
+
+    # ceil(ln(2 * 3 / 0.05)) = 5 attempts, and the first round gives up
+    with pytest.raises(WeakLearnerFailed, match="for 5 attempts"):
+        alpha_boost(data, hopeless, AlphaBoostConfig(rounds=3))
+    assert len(attempts) == 5
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(alpha=0.0), dict(alpha=-1.0), dict(alpha=math.nan), dict(alpha=math.inf),
+    dict(rounds=0), dict(rounds=0, agreement_mode=True),
+    dict(delta=0.0), dict(delta=-0.0), dict(delta=1.0), dict(delta=math.nan),
+])
+def test_alpha_boost_config_rejects_values_out_of_range(kwargs):
+    with pytest.raises(ValueError):
+        AlphaBoostConfig(**kwargs)
+
+
+def test_alpha_boost_config_resolves_one_example_as_two():
+    for agreement_mode in (False, True):
+        cfg = AlphaBoostConfig(agreement_mode=agreement_mode)
+        assert cfg.resolved(1) == cfg.resolved(2)
+    assert AlphaBoostConfig(agreement_mode=True).resolved(1)[1] == 78
+
+
 def test_alpha_boost_robust_mode_uses_ball_loss():
     ball = LpBall(2.0, 1.0)
     # margins sit below the radius, so the 0-1-perfect model still fails the

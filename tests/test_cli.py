@@ -13,6 +13,7 @@ from roblearn import cli, reductions
 from roblearn.cli import _exit_code, main
 
 from ._refs import one_pass_ref
+from .test_golden import CASES, write_inputs
 
 
 def run(argv):
@@ -318,6 +319,28 @@ BOOST = ["--gamma", "0.3", "--eps", "0.2", "--beta", "0.5", "--rounds", "2"]
      "--rounds=-3"],
     ["wm", "--input", "BAND", "--offset", "0,0", "--eta-wm", "0.5", "--pool", "MODEL",
      "--rounds", "0"],
+    # alpha-boost checks its config before it divides by delta or reweights by alpha
+    ["alpha-boost", "--input", "BAND", "--delta", "0"],
+    ["alpha-boost", "--input", "BAND", "--delta=-0.0"],
+    ["alpha-boost", "--input", "BAND", "--delta", "nan"],
+    ["alpha-boost", "--input", "BAND", "--alpha", "inf"],
+    ["alpha-boost", "--input", "BAND", "--agreement-mode", "--rounds", "0"],
+    # a nan or negative radius used to run with no perturbation
+    ["alpha-boost", "--input", "BAND", "--gamma", "nan"],
+    ["alpha-boost", "--input", "BAND", "--gamma=-1"],
+    ["robustify", "--input", "BAND", "--offset", "0,0", "--rounds", "0"],
+    ["fms", "--input", "BAND", "--offset", "0,0", "--eps", "0"],
+    ["fms", "--input", "BAND", "--offset", "0,0", "--eps=-1"],
+    ["fms", "--input", "BAND", "--offset", "0,0", "--eta-mw", "nan"],
+    ["fms", "--input", "BAND", "--offset", "0,0", "--eta-mw", "inf"],
+    ["roboost", "--gen", "moons", "--noise", "nan", *BOOST],
+    ["roboost", "--gen", "margin-union", "--cluster", "1,0:nan", *BOOST],
+    # an infinite weight scores every pair that agrees on the training rows inf * 0
+    ["urejectron", "--input", "BAND", "--test-input", "BAND", "--eps", "0.25",
+     "--backend", "pairs", "--pool", "MODEL", "MODEL", "--lambda-weight", "inf"],
+    # an infinite radius has no finite witness to save
+    ["attack", "--model", "MODEL", "--input", "BAND", "--gamma", "inf",
+     "--save-witnesses", "MISSING"],
 ])
 def test_config_errors_exit_2(tmp_path, capsys, argv):
     err = _fail_with(tmp_path, capsys, argv, 2)
@@ -339,6 +362,15 @@ def test_urejectron_rejects_a_nan_lambda_weight(tmp_path, capsys):
             "--backend", "pairs", "--pool", "MODEL", "MODEL", "--lambda-weight", "nan"]
     err = _fail_with(tmp_path, capsys, argv, 2)
     assert err == "error: ValueError: the training weight must be at least 1\n"
+
+
+def test_alpha_boost_agreement_mode_runs_on_one_row(tmp_path, capsys):
+    # with one row, ln m = 0 gave zero rounds, and the agreement-mode alpha divided by them
+    path = str(tmp_path / "one.csv")
+    save_csv(path, Dataset(np.array([[1.5, 0.2]]), np.array([1])))
+    assert run(["alpha-boost", "--input", path, "--agreement-mode"]) == 0
+    out = capsys.readouterr()
+    assert out.err == "" and "  rounds: 78\n" in out.out
 
 
 def test_urejectron_err_q_counts_over_the_scores_of_the_sweep(tmp_path, monkeypatch):
@@ -457,3 +489,28 @@ def test_echoed_keys_name_flags_of_their_row(name):
     row = cli.COMMANDS[name]
     flags = {flag for flag, _kw in cli._row_flags(row)}
     assert {f"--{key}" for key in row.echo.split()} <= flags
+
+
+# every float flag of every subcommand, fed nan, inf and -0.0 on top of the
+# subcommand's golden command lines
+FLOAT_SWEEP = [(case, flag, value)
+               for case, (argv, _side) in CASES.items()
+               for flag, kw in cli._row_flags(cli.COMMANDS[argv[0]]) if kw.get("type") is float
+               for value in ("nan", "inf", "-0.0")]
+
+
+@pytest.fixture(scope="module")
+def golden_inputs(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("sweep")
+    write_inputs(workdir)
+    return workdir
+
+
+@pytest.mark.parametrize("case, flag, value", FLOAT_SWEEP)
+def test_float_flags_exit_with_a_documented_code_and_one_line(golden_inputs, monkeypatch, capsys,
+                                                             case, flag, value):
+    monkeypatch.chdir(golden_inputs)
+    code = run([*CASES[case][0], f"{flag}={value}"])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4, 5)
+    assert err == "" or (err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"))

@@ -45,6 +45,7 @@ from roblearn import (
     wm_constants,
     zero_robust_loss,
 )
+from roblearn import reductions
 from roblearn.reductions import PerExampleWeights
 
 from ._refs import (brute_pool_optimum, cycle_ref, fms_sample_weights_ref, gen_stream,
@@ -144,6 +145,42 @@ def test_robustify_reaches_zero_robust_loss():
     assert all(e <= 1.0 / 3.0 for e in diag["round_errors"])
     with pytest.raises(Unsupported):
         robustify_nonrobust(data, LpBall(2.0, 0.5), erm_linear)
+
+
+def test_robustify_retries_a_failed_attempt_with_the_next_seed(monkeypatch):
+    data = separable_band()
+    inner = reductions.zero_robust_loss
+    seeds = []
+
+    def recording(L, U, learner, cfg, indices=None):
+        seeds.append(cfg.rng_seed)
+        return inner(L, U, learner, cfg, indices)
+
+    monkeypatch.setattr(reductions, "zero_robust_loss", recording)
+
+    def run():
+        calls = []
+
+        def flaky(wd):
+            # the first inner boost misses its edge on all ceil(ln(2 * 2 / 0.05)) = 5
+            # attempts, so the first outer attempt fails and is retried
+            calls.append(1)
+            return LinearModel(vec(-1.0, 0.0)) if len(calls) <= 5 else erm_linear(wd)
+
+        seeds.clear()
+        diag = {}
+        vote = robustify_nonrobust(data, SHIFTS, flaky, RobustifyConfig(inner_rounds=2, rng_seed=3),
+                                   diagnostics=diag)
+        grid = np.mgrid[-3:3:13j, -3:3:13j].reshape(2, -1).T
+        return list(seeds), diag, vote.predict_batch(grid), robust_risk(vote, data, SHIFTS)
+
+    seeds_a, diag_a, pred_a, risk = run()
+    seeds_b, diag_b, pred_b, _ = run()
+    # attempt k of the run seeds its inner boost with rng_seed + k
+    assert seeds_a == list(range(4, 4 + len(seeds_a)))
+    assert len(seeds_a) > diag_a["rounds_run"] and risk == 0.0
+    assert (seeds_a, diag_a) == (seeds_b, diag_b)
+    assert np.array_equal(pred_a, pred_b)
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +318,8 @@ def test_ensemble_weights_validation():
         EnsembleWeights(np.array([]))
     with pytest.raises(ValueError):
         EnsembleWeights(np.array([0.5, 1.2]))
+    with pytest.raises(ValueError):
+        EnsembleWeights(np.array([0.5, np.nan]))
 
 
 def test_weighted_majority_tie_goes_positive():
