@@ -31,6 +31,7 @@ from .core import (
 )
 from .data import substream
 from .errors import (
+    ConfigError,
     RetryLimit,
     SourceExhausted,
     Unsupported,
@@ -89,9 +90,9 @@ class Cascade:
     def __init__(self, stages, fallback: LinearModel):
         stages = list(stages)
         if not stages:
-            raise ValueError("a cascade needs at least one stage")
+            raise ConfigError("a cascade needs at least one stage")
         if fallback is None:
-            raise ValueError("a cascade needs a fallback model")
+            raise ConfigError("a cascade needs a fallback model")
         self.stages = stages
         self.fallback = fallback
 
@@ -165,7 +166,7 @@ def in_nonrobust_region(models, x, U) -> bool:
     for balls, |margin(x)| <= 2 gamma for all of them."""
     models = list(models)
     if not models:
-        raise ValueError("need at least one model")
+        raise ConfigError("need at least one model")
     stages = _doubled_stages(models, [U] * len(models))
     return not _stage_labels(stages, as_vector(x)[None, :])[0]
 
@@ -240,15 +241,15 @@ class BoostConfig:
 
     def __post_init__(self):
         if not (0.0 < self.beta <= 1.0):
-            raise ValueError("beta must lie in (0, 1]")
+            raise ConfigError("beta must lie in (0, 1]")
         if not (0.0 < self.eps < 1.0):
-            raise ValueError("eps must lie in (0, 1)")
+            raise ConfigError("eps must lie in (0, 1)")
         if not (0.0 < self.delta < 1.0):
-            raise ValueError("delta must lie in (0, 1)")
+            raise ConfigError("delta must lie in (0, 1)")
         if self.rounds is not None and self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
+            raise ConfigError("rounds must be >= 1")
         if self.per_round_m is not None and self.per_round_m < 1:
-            raise ValueError("per_round_m must be >= 1")
+            raise ConfigError("per_round_m must be >= 1")
 
     @property
     def rounds_resolved(self) -> int:
@@ -349,7 +350,7 @@ class MajorityVote:
     def __init__(self, models):
         models = list(models)
         if not models:
-            raise ValueError("need at least one model")
+            raise ConfigError("need at least one model")
         self.models = models
 
     def predict(self, z) -> int:
@@ -373,11 +374,11 @@ class AlphaBoostConfig:
 
     def __post_init__(self):
         if self.alpha is not None and not (0.0 < self.alpha < math.inf):
-            raise ValueError("alpha must be positive and finite")
+            raise ConfigError("alpha must be positive and finite")
         if self.rounds is not None and not (self.rounds >= 1):
-            raise ValueError("rounds must be >= 1")
+            raise ConfigError("rounds must be >= 1")
         if not (0.0 < self.delta < 1.0):
-            raise ValueError("delta must lie in (0, 1)")
+            raise ConfigError("delta must lie in (0, 1)")
 
     def resolved(self, m: int) -> tuple[float, int]:
         ln_m = math.log(max(m, 2))
@@ -399,7 +400,7 @@ def alpha_boost(data: Dataset, weak_learner, cfg: AlphaBoostConfig, U=None, diag
     """
     m = data.n
     if m == 0:
-        raise ValueError("cannot boost on an empty dataset")
+        raise ConfigError("cannot boost on an empty dataset")
     alpha, T = cfg.resolved(m)
     retries = max(1, math.ceil(math.log(2.0 * T / cfg.delta)))
     D = np.full(m, 1.0 / m)
@@ -451,7 +452,7 @@ def sparsify_majority(models, check_data: Dataset, N: int = 25, seed: int = 0, U
     if isinstance(U, LpBall) and U.gamma > 0:
         raise Unsupported("majority votes over a ball need a finite perturbation set")
     if not _zero_loss(MajorityVote(models), check_data, U):
-        raise ValueError("the full majority must have zero loss on check_data")
+        raise ConfigError("the full majority must have zero loss on check_data")
     rng = substream(seed, "sparsify")
     for _ in range(retry_limit):
         idx = rng.integers(0, len(models), size=N)
@@ -472,7 +473,7 @@ class ExpandedPredictor:
 
     def __init__(self, model: LinearModel, ball: LpBall, y: int):
         if y not in (1, -1):
-            raise ValueError("expansion label must be +1 or -1")
+            raise ConfigError("expansion label must be +1 or -1")
         self.model = model
         self.ball = ball
         self.y = y

@@ -85,49 +85,15 @@ from .data import (
     save_results,
     substream,
 )
-from .errors import (
-    AllZeroWeights,
-    ConfigError,
-    EllipsoidDiverged,
-    EmptyDataset,
-    IoError,
-    MissingPerturbations,
-    MistakeCapExceeded,
-    NoRealizableMember,
-    NotSeparable,
-    OracleViolation,
-    ParseError,
-    RetryLimit,
-    RoblearnError,
-    SizeLimit,
-    SourceExhausted,
-    StreamExhausted,
-    WeakLearnerFailed,
-    ZeroPerceptron,
-    ZeroWeight,
-)
+from .errors import ConfigError, RoblearnError
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_INFEASIBLE = 4
-EXIT_OPTIMIZER = 5
-
-# exit code per error class; everything else (ConfigError, InvalidNorm,
-# Unsupported, EmptyPool, a bad ValueError) is a configuration error
-_EXIT_CODES = {
-    **dict.fromkeys((ParseError, EmptyDataset, IoError, MissingPerturbations, AllZeroWeights,
-                     ZeroPerceptron), EXIT_DATA),
-    **dict.fromkeys((NotSeparable, NoRealizableMember, MistakeCapExceeded, StreamExhausted,
-                     SourceExhausted, SizeLimit), EXIT_INFEASIBLE),
-    **dict.fromkeys((WeakLearnerFailed, RetryLimit, OracleViolation, ZeroWeight,
-                     EllipsoidDiverged), EXIT_OPTIMIZER),
-}
+EXIT_INTERNAL = 1  # an exception that is not a RoblearnError: a bug in the program
 
 
 def _exit_code(exc: BaseException) -> int:
-    """The code of the nearest mapped class in the error's ancestry."""
-    return next((_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES), EXIT_CONFIG)
+    """The error class's own code for a RoblearnError, else EXIT_INTERNAL."""
+    return exc.exit_code if isinstance(exc, RoblearnError) else EXIT_INTERNAL
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +110,24 @@ def _vec(text: str) -> np.ndarray:
 
 def _cluster(text: str) -> MarginCluster:
     parts = text.split(":")
-    center = _vec(parts[0])
-    weight = float(parts[1]) if len(parts) > 1 and parts[1] else 1.0
-    spread = float(parts[2]) if len(parts) > 2 and parts[2] else 0.0
-    return MarginCluster(tuple(center), weight, spread)
+    try:
+        weight = float(parts[1]) if len(parts) > 1 and parts[1] else 1.0
+        spread = float(parts[2]) if len(parts) > 2 and parts[2] else 0.0
+    except ValueError:
+        raise ConfigError(f"not a cluster center:weight:spread: {text!r}") from None
+    return MarginCluster(tuple(_vec(parts[0])), weight, spread)
+
+
+def _check_width(what: str, width: int, d: int) -> None:
+    if width != d:
+        raise ConfigError(f"{what} has dimension {width}, where {d} is expected")
+
+
+def _load(read, path: str, d: int, flag: str):
+    """read(path), a model or rows whose dimension must be d, that of the rows it runs with."""
+    obj = read(path)
+    _check_width(f"{flag} {path}", obj.d if isinstance(obj, Dataset) else obj.w.size, d)
+    return obj
 
 
 def _gen_kind(args):
@@ -179,29 +159,26 @@ def _stream(args, data: Dataset | None):
     raise ConfigError("provide --input or --gen")
 
 
-def _eval_data(args, train: Dataset) -> tuple[Dataset, str]:
+def _eval_data(args, train: Dataset | None, d: int) -> tuple[Dataset, str]:
     if args.test_input:
-        return load_csv(args.test_input), "test-input"
+        return _load(load_csv, args.test_input, d, "--test-input"), "test-input"
     if getattr(args, "gen", None):
         eval_seed = int(substream(args.seed, "eval").integers(0, 2**31))
         return generate(GenSpec(_gen_kind(args), args.eval_n, rng_seed=eval_seed)), "generated"
     return train, "train"
 
 
-def _offsets(args) -> FiniteOffsets:
+def _offsets(args, d: int) -> FiniteOffsets:
     if not args.offset:
         raise ConfigError("this subcommand needs --offset entries (include 0)")
-    return FiniteOffsets(np.stack([_vec(o) for o in args.offset]))
+    offsets = [_vec(o) for o in args.offset]
+    for text, o in zip(args.offset, offsets):
+        _check_width(f"--offset {text}", o.size, d)
+    return FiniteOffsets(np.stack(offsets))
 
 
 def _ball(args) -> LpBall:
     return LpBall(args.p, args.gamma)
-
-
-def _perturbation(args):
-    if args.offset:
-        return _offsets(args)
-    return _ball(args)
 
 
 def _std_acc(model, data: Dataset) -> float:
@@ -231,8 +208,8 @@ def _barely_learner(name: str, gamma: float):
 
 
 def _cmd_certify(args) -> dict:
-    model = load_model(args.model)
     data = load_csv(args.input)
+    model = _load(load_model, args.model, data.d, "--model")
     ball = _ball(args)
     if args.method == "closed":
         risk = robust_risk(model, data, ball)
@@ -250,8 +227,8 @@ def _cmd_certify(args) -> dict:
 
 
 def _cmd_attack(args) -> dict:
-    model = load_model(args.model)
     data = load_csv(args.input)
+    model = _load(load_model, args.model, data.d, "--model")
     ball = _ball(args)
     lost = np.flatnonzero(robust_losses(model, data, ball))
     if args.save_witnesses and lost.size:
@@ -314,7 +291,7 @@ def _cmd_roboost(args) -> dict:
     cfg = _boost_config(args)
     diag: dict = {}
     cascade = beta_roboost(source, learner, cfg, ball, diagnostics=diag)
-    eval_data, eval_kind = _eval_data(args, train)
+    eval_data, eval_kind = _eval_data(args, train, cascade.fallback.w.size)
     return {
         "rounds": [
             {"round": i + 1, "beta_hat": bh, "sample_size": sz}
@@ -330,7 +307,7 @@ def _cmd_uroboost(args) -> dict:
     ball = _ball(args)
     labeled = load_csv(args.input)
     if args.unlabeled_input:
-        unlabeled = finite_source(load_csv(args.unlabeled_input))
+        unlabeled = finite_source(_load(load_csv, args.unlabeled_input, labeled.d, "--unlabeled-input"))
     elif args.gen:
         unlabeled = _stream(args, None)
     else:
@@ -339,7 +316,7 @@ def _cmd_uroboost(args) -> dict:
     cfg = _boost_config(args)
     diag: dict = {}
     cascade = beta_uroboost(labeled, unlabeled, learner, cfg, ball, diagnostics=diag)
-    eval_data, eval_kind = _eval_data(args, labeled)
+    eval_data, eval_kind = _eval_data(args, labeled, labeled.d)
     return {
         "rounds": [
             {"round": i + 1, "beta_hat": bh}
@@ -353,7 +330,7 @@ def _cmd_uroboost(args) -> dict:
 
 def _cmd_alpha_boost(args) -> dict:
     data = load_csv(args.input)
-    U = _perturbation(args) if (args.offset or args.gamma != 0) else None
+    U = _offsets(args, data.d) if args.offset else _ball(args) if args.gamma != 0 else None
     cfg = AlphaBoostConfig(
         alpha=args.alpha,
         rounds=args.rounds,
@@ -379,7 +356,7 @@ def _cmd_alpha_boost(args) -> dict:
 
 def _cmd_robustify(args) -> dict:
     data = load_csv(args.input)
-    U = _offsets(args)
+    U = _offsets(args, data.d)
     cfg = RobustifyConfig(
         outer_rounds=args.rounds,
         inner_rounds=args.inner_rounds,
@@ -401,7 +378,7 @@ def _cmd_robustify(args) -> dict:
 
 def _cmd_fms(args) -> dict:
     data = load_csv(args.input)
-    U = _offsets(args)
+    U = _offsets(args, data.d)
     diag: dict = {}
     vote = fms_agnostic(data, U, erm_linear, eta_mw=args.eta_mw, rounds=args.rounds,
                         eps=args.eps, diagnostics=diag)
@@ -461,7 +438,7 @@ def _cmd_one_pass(args) -> dict:
     model = perceptron_model(state)
     if args.save_model:
         save_model(args.save_model, model)
-    eval_data, eval_kind = _eval_data(args, train)
+    eval_data, eval_kind = _eval_data(args, train, d)
     return {
         "eval_on": eval_kind,
         "metrics": {
@@ -475,8 +452,8 @@ def _cmd_one_pass(args) -> dict:
 
 def _cmd_wm(args) -> dict:
     data = load_csv(args.input)
-    U = _offsets(args)
-    pool = [load_model(p) for p in args.pool]
+    U = _offsets(args, data.d)
+    pool = [_load(load_model, p, data.d, "--pool") for p in args.pool]
     oracle = enumeration_attack(U)
     diag: dict = {}
     weights, predictor = weighted_majority_robust(
@@ -511,7 +488,7 @@ def _cmd_rcn_train(args) -> dict:
         model = glm_train(data, GlmConfig(**shared))
     if args.save_model:
         save_model(args.save_model, model)
-    eval_data, eval_kind = _eval_data(args, data)
+    eval_data, eval_kind = _eval_data(args, data, data.d)
     return {
         "eval_on": eval_kind,
         "metrics": {
@@ -535,7 +512,7 @@ def _rejection(selection, train: Dataset, test: Dataset):
 
 def _cmd_rejectron(args) -> dict:
     train = load_csv(args.input)
-    test = load_csv(args.test_input)
+    test = _load(load_csv, args.test_input, train.d, "--test-input")
     cfg = RedactConfig(eps=args.eps, weight=args.lambda_weight)
     diag: dict = {}
     h, selection = rejectron(train, test.X, cfg, diagnostics=diag)
@@ -563,13 +540,12 @@ def _kept_error(raw, wrong, thresholds) -> list:
 
 def _cmd_urejectron(args) -> dict:
     train = load_csv(args.input)
-    test = load_csv(args.test_input)
+    test = _load(load_csv, args.test_input, train.d, "--test-input")
     cfg = RedactConfig(eps=args.eps, weight=args.lambda_weight)
     if args.backend == "pairs":
-        pool = [load_model(p) for p in args.pool] if args.pool else None
-        if not pool:
+        if not args.pool:
             raise ConfigError("pairs backend needs --pool model files")
-        backend = FinitePoolPairs(pool)
+        backend = FinitePoolPairs([_load(load_model, p, train.d, "--pool") for p in args.pool])
     else:
         backend = DistinguisherT1()
     diag: dict = {}
@@ -587,9 +563,9 @@ def _cmd_urejectron(args) -> dict:
 
 def _cmd_transductive_pool(args) -> dict:
     train = load_csv(args.input)
-    test = load_csv(args.test_input)
-    pool = PoolHypotheses(tuple(load_model(p) for p in args.pool))
-    U = _perturbation(args)
+    test = _load(load_csv, args.test_input, train.d, "--test-input")
+    pool = PoolHypotheses(tuple(_load(load_model, p, train.d, "--pool") for p in args.pool))
+    U = _offsets(args, train.d) if args.offset else _ball(args)
     diag: dict = {}
     model, labels = transductive_pool(pool, train, test.X, U, mode=args.mode, diagnostics=diag)
     chosen = next(i for i, h in enumerate(pool.models) if h is model)
@@ -785,11 +761,11 @@ def main(argv=None) -> int:
             save_results(args.output, doc)
         else:
             sys.stdout.write(results_text(doc))
-    except (RoblearnError, ValueError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return _exit_code(exc)
     except SystemExit as exc:  # --help, after printing the help text
         return exc.code
+    except Exception as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return _exit_code(exc)
     return EXIT_OK
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigError,
     EmptyDataset,
     InvalidNorm,
     MissingPerturbations,
@@ -35,9 +36,9 @@ DEFAULT_INFLATE_CAP = 2_000_000
 def as_vector(x) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
-        raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
+        raise ConfigError(f"expected a 1-d vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
-        raise ValueError("vector entries must be finite")
+        raise ConfigError("vector entries must be finite")
     return v
 
 
@@ -49,7 +50,7 @@ class Sample:
     def __post_init__(self):
         object.__setattr__(self, "x", as_vector(self.x))
         if self.y not in (-1, 1):
-            raise ValueError(f"label must be -1 or +1, got {self.y}")
+            raise ConfigError(f"label must be -1 or +1, got {self.y}")
 
 
 class Dataset:
@@ -59,13 +60,13 @@ class Dataset:
         X = np.asarray(X, dtype=float)
         y = np.asarray(y)
         if X.ndim != 2:
-            raise ValueError(f"X must be 2-d, got shape {X.shape}")
+            raise ConfigError(f"X must be 2-d, got shape {X.shape}")
         if y.shape != (X.shape[0],):
-            raise ValueError("label vector length must match row count")
+            raise ConfigError("label vector length must match row count")
         if not np.all(np.isfinite(X)):
-            raise ValueError("features must be finite")
+            raise ConfigError("features must be finite")
         if X.shape[0] and not np.all(np.isin(y, (-1, 1))):
-            raise ValueError("labels must be -1 or +1")
+            raise ConfigError("labels must be -1 or +1")
         self.X = X
         self.y = y.astype(np.int64)
 
@@ -83,21 +84,6 @@ class Dataset:
     def subset(self, idx) -> "Dataset":
         idx = np.asarray(idx, dtype=np.int64)
         return Dataset(self.X[idx], self.y[idx])
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __iter__(self):
-        for i in range(self.n):
-            yield self.sample(i)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Dataset)
-            and self.X.shape == other.X.shape
-            and np.array_equal(self.X, other.X)
-            and np.array_equal(self.y, other.y)
-        )
 
 
 @dataclass(frozen=True)
@@ -133,7 +119,7 @@ class LpBall:
         if not (self.p >= 1.0):
             raise InvalidNorm(f"p must be >= 1, got {self.p}")
         if not (self.gamma >= 0.0):
-            raise ValueError(f"radius must be non-negative, got {self.gamma}")
+            raise ConfigError(f"radius must be non-negative, got {self.gamma}")
 
 
 class FiniteOffsets:
@@ -142,9 +128,9 @@ class FiniteOffsets:
     def __init__(self, offsets):
         O = np.asarray(offsets, dtype=float)
         if O.ndim != 2:
-            raise ValueError("offsets must be a list of vectors")
+            raise ConfigError("offsets must be a list of vectors")
         if not np.any(np.all(O == 0.0, axis=1)):
-            raise ValueError("offset list must include the zero vector")
+            raise ConfigError("offset list must include the zero vector")
         self.offsets = O
 
     @property
@@ -164,7 +150,7 @@ class FinitePerExample:
         for i, pts in table.items():
             P = np.asarray(pts, dtype=float)
             if P.ndim != 2 or P.shape[0] == 0:
-                raise ValueError(f"perturbation list for index {i} must be non-empty 2-d")
+                raise ConfigError(f"perturbation list for index {i} must be non-empty 2-d")
             self.table[int(i)] = P
 
     def points(self, index: int) -> np.ndarray:
@@ -264,7 +250,7 @@ def worst_case_point(model: LinearModel, x, y, ball: LpBall) -> np.ndarray:
 
     Achieves the infimum of y * (<w, z> + bias) over the closed ball."""
     if ball.gamma == math.inf:
-        raise ValueError("an infinite radius has no finite worst-case point")
+        raise ConfigError("an infinite radius has no finite worst-case point")
     v = dual_maximizer(model.w, ball.p)
     x = np.asarray(x, dtype=float)
     return (as_vector(x) if x.ndim == 1 else x) - ball.gamma * np.asarray(y)[..., None] * v

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, LinearModel, as_vector
-from .errors import EmptyDataset, IoError, ParseError
+from .errors import ConfigError, EmptyDataset, IoError, ParseError
 
 
 def substream(seed: int, label: str) -> np.random.Generator:
@@ -41,9 +41,9 @@ class GaussianPair:
         c_pos = as_vector(self.centers[0])
         c_neg = as_vector(self.centers[1])
         if c_pos.shape != c_neg.shape:
-            raise ValueError("centers must share a dimension")
+            raise ConfigError("centers must share a dimension")
         if not (0.0 <= self.sigma < math.inf):
-            raise ValueError("sigma must be non-negative and finite")
+            raise ConfigError("sigma must be non-negative and finite")
         object.__setattr__(self, "centers", (c_pos, c_neg))
 
 
@@ -55,7 +55,7 @@ class TwoMoons:
 
     def __post_init__(self):
         if not (0.0 <= self.noise < math.inf):
-            raise ValueError("noise must be non-negative and finite")
+            raise ConfigError("noise must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -75,9 +75,9 @@ class MarginCluster:
     def __post_init__(self):
         object.__setattr__(self, "center", as_vector(self.center))
         if not (0.0 < self.weight < math.inf):
-            raise ValueError("cluster weight must be positive and finite")
+            raise ConfigError("cluster weight must be positive and finite")
         if not (0.0 <= self.spread < math.inf):
-            raise ValueError("spread must be non-negative and finite")
+            raise ConfigError("spread must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -87,10 +87,10 @@ class MarginUnion:
     def __post_init__(self):
         clusters = tuple(self.clusters)
         if not clusters:
-            raise ValueError("at least one cluster required")
+            raise ConfigError("at least one cluster required")
         d = clusters[0].center.shape[0]
         if any(c.center.shape[0] != d for c in clusters):
-            raise ValueError("all cluster centers must share a dimension")
+            raise ConfigError("all cluster centers must share a dimension")
         object.__setattr__(self, "clusters", clusters)
 
 
@@ -102,9 +102,9 @@ class GenSpec:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError("n must be >= 1")
+            raise ConfigError("n must be >= 1")
         if not isinstance(self.kind, (GaussianPair, TwoMoons, MarginUnion)):
-            raise ValueError(f"unknown generator kind: {type(self.kind).__name__}")
+            raise ConfigError(f"unknown generator kind: {type(self.kind).__name__}")
 
 
 def generate(spec: GenSpec) -> Dataset:
@@ -153,7 +153,7 @@ def apply_rcn(data: Dataset, eta: float, seed: int) -> Dataset:
     original dataset.
     """
     if not (0.0 <= eta < 0.5):
-        raise ValueError("eta must lie in [0, 0.5)")
+        raise ConfigError("eta must lie in [0, 0.5)")
     flips = substream(seed, "rcn-flips").random(data.n) < eta
     y = np.where(flips, -data.y, data.y).astype(np.int64)
     return Dataset(data.X.copy(), y)
@@ -265,7 +265,7 @@ def _emit_scalar(v) -> str:
         return fmt_float(v)
     s = str(v)
     if "\n" in s:
-        raise ValueError("scalar values must be single-line")
+        raise ConfigError("scalar values must be single-line")
     return s
 
 
@@ -315,17 +315,31 @@ def save_model(path: str, model: LinearModel) -> None:
     write_text(path, "\n".join(lines) + "\n")
 
 
+def parse_float(tok: str, row: int, col: int) -> float:
+    """A finite number of a model or selection file, or a ParseError at its
+    1-based row and column (a line's key, such as "w:", is column 1)."""
+    try:
+        v = float(tok)
+    except ValueError:
+        raise ParseError(f"not a number: {tok!r}", row=row, col=col) from None
+    if not math.isfinite(v):
+        raise ParseError(f"number must be finite: {tok!r}", row=row, col=col)
+    return v
+
+
 def load_model(path: str) -> LinearModel:
     lines = [ln.strip() for ln in read_text(path).splitlines() if ln.strip()]
     if not lines or lines[0] != "linear-model v1":
         raise ParseError(f"{path} is not a linear-model file", row=1, col=1)
-    w = None
-    bias = 0.0
-    for ln in lines[1:]:
-        if ln.startswith("w:"):
-            w = np.array([float(t) for t in ln[2:].split()], dtype=float)
-        elif ln.startswith("bias:"):
-            bias = float(ln[5:])
+    w, bias = None, 0.0
+    for row, ln in enumerate(lines[1:], start=2):
+        key, _, rest = ln.partition(":")
+        if key == "w":
+            w, w_row = np.array([parse_float(t, row, j) for j, t in enumerate(rest.split(), 2)]), row
+        elif key == "bias":
+            bias = parse_float(rest.strip(), row, 2)
     if w is None:
         raise ParseError(f"{path} is missing the weight line", row=2, col=1)
+    if not np.any(w):
+        raise ParseError(f"{path}: the weights must not all be zero", row=w_row, col=2)
     return LinearModel(w, bias)

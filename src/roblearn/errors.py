@@ -1,25 +1,28 @@
 """Exception types shared across the package.
 
-Every error that callers are expected to catch derives from RoblearnError.
-That is not yet exhaustive: many range checks still raise ValueError, so the
-CLI boundary also catches ValueError and maps it to the config exit code (2).
+Every error the package raises is a RoblearnError, and its class gives the
+CLI's exit code: 2 config (the default), 3 data, 4 infeasible, 5 optimizer.
 """
 
 
 class RoblearnError(Exception):
     """Base class for all package errors."""
+    exit_code = 2
 
 
-class ConfigError(RoblearnError):
-    """A configuration value is out of range or inconsistent."""
+class ConfigError(RoblearnError, ValueError):
+    """A configuration value is out of range or inconsistent; also a ValueError,
+    so callers that catch ValueError keep working."""
 
 
 class ZeroWeight(RoblearnError):
     """A weight vector with zero dual norm was used where a direction is needed."""
+    exit_code = 5
 
 
 class ZeroPerceptron(ZeroWeight):
     """An online perceptron ended with all-zero weights, which name no halfspace."""
+    exit_code = 3
 
 
 class InvalidNorm(RoblearnError):
@@ -28,14 +31,17 @@ class InvalidNorm(RoblearnError):
 
 class EmptyDataset(RoblearnError):
     """An operation that needs at least one sample received none."""
+    exit_code = 3
 
 
 class MissingPerturbations(RoblearnError):
     """A per-example perturbation table has no entry for the requested index."""
+    exit_code = 3
 
 
 class SizeLimit(RoblearnError):
     """Inflating a dataset would exceed the configured size cap."""
+    exit_code = 4
 
 
 class Unsupported(RoblearnError):
@@ -48,42 +54,52 @@ class UnsupportedGeometry(Unsupported):
 
 class OracleViolation(RoblearnError):
     """A separation oracle returned a hyperplane that fails to cut the query point."""
+    exit_code = 5
 
 
 class EllipsoidDiverged(RoblearnError):
     """The ellipsoid search grew without bound instead of closing in on the region."""
+    exit_code = 5
 
 
 class NotSeparable(RoblearnError):
     """The ellipsoid search exhausted its budget without finding a feasible classifier."""
+    exit_code = 4
 
 
 class AllZeroWeights(RoblearnError):
     """Weighted ERM needs at least one strictly positive sample weight."""
+    exit_code = 3
 
 
 class WeakLearnerFailed(RoblearnError):
     """The weak learner missed its edge on every retry."""
+    exit_code = 5
 
 
 class RetryLimit(RoblearnError):
     """Sparsification failed to find a zero-loss subcommittee within the retry cap."""
+    exit_code = 5
 
 
 class SourceExhausted(RoblearnError):
     """A finite sample source ended before the requested draws were collected."""
+    exit_code = 4
 
 
 class StreamExhausted(RoblearnError):
     """An online stream ended before the survival run completed."""
+    exit_code = 4
 
 
 class MistakeCapExceeded(RoblearnError):
     """The online learner spent its mistake budget without converging."""
+    exit_code = 4
 
 
 class NoRealizableMember(RoblearnError):
     """No pool member is consistent with both the labeled and the test batches."""
+    exit_code = 4
 
 
 class EmptyPool(RoblearnError):
@@ -92,15 +108,14 @@ class EmptyPool(RoblearnError):
 
 class ParseError(RoblearnError):
     """Malformed text input; carries 1-based row/column context when available."""
+    exit_code = 3
 
     def __init__(self, message: str, row: int | None = None, col: int | None = None):
-        loc = ""
-        if row is not None:
-            loc = f" (row {row}" + (f", col {col}" if col is not None else "") + ")"
-        super().__init__(message + loc)
-        self.row = row
-        self.col = col
+        col_text = "" if col is None else f", col {col}"
+        super().__init__(message if row is None else f"{message} (row {row}{col_text})")
+        self.row, self.col = row, col
 
 
 class IoError(RoblearnError):
     """Filesystem failure while reading or writing an artifact."""
+    exit_code = 3

@@ -19,7 +19,7 @@ from . import _kernels
 from ._kernels import glm_link_u, rcn_phi  # noqa: F401  (re-exported)
 from .core import Dataset, LinearModel, LpBall, as_vector, decision_values, robust_losses
 from .data import substream
-from .errors import AllZeroWeights, EmptyDataset, EmptyPool, InvalidNorm, ZeroPerceptron
+from .errors import AllZeroWeights, ConfigError, EmptyDataset, EmptyPool, InvalidNorm, ZeroPerceptron
 
 
 class WeightedDataset:
@@ -28,9 +28,9 @@ class WeightedDataset:
     def __init__(self, data: Dataset, weights):
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (data.n,):
-            raise ValueError("one weight per sample required")
+            raise ConfigError("one weight per sample required")
         if np.any(weights < 0) or not np.all(np.isfinite(weights)):
-            raise ValueError("weights must be finite and non-negative")
+            raise ConfigError("weights must be finite and non-negative")
         self.data = data
         self.weights = weights
 
@@ -52,9 +52,9 @@ class ErmConfig:
 
     def __post_init__(self):
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise ConfigError("epochs must be >= 1")
         if not (0.0 <= self.reg < math.inf):
-            raise ValueError("regularization must be non-negative and finite")
+            raise ConfigError("regularization must be non-negative and finite")
 
 
 def _nonzero_or_fallback(w: np.ndarray, fallback_dir: np.ndarray) -> np.ndarray:
@@ -197,11 +197,11 @@ def rcn_lambda(eps: float, gamma: float, eta: float) -> float:
     """Surrogate slope mix (eps*gamma/2 + eta) / (1 + eps*gamma); always lands
     in [eta, 1/2] for eta < 1/2."""
     if not (0.0 < eps < 1.0):
-        raise ValueError("eps must lie in (0, 1)")
+        raise ConfigError("eps must lie in (0, 1)")
     if not (0.0 < gamma < math.inf):
-        raise ValueError("gamma must be positive and finite")
+        raise ConfigError("gamma must be positive and finite")
     if not (0.0 <= eta < 0.5):
-        raise ValueError("eta must lie in [0, 0.5)")
+        raise ConfigError("eta must lie in [0, 0.5)")
     return (eps * gamma / 2.0 + eta) / (1.0 + eps * gamma)
 
 
@@ -213,7 +213,7 @@ def mirror_step(w: np.ndarray, g: np.ndarray, step: float, q: float) -> np.ndarr
     w = as_vector(w)
     sg = as_vector(step * np.asarray(g, dtype=float))
     if sg.shape != w.shape:
-        raise ValueError(f"gradient has {sg.shape[0]} entries, w has {w.shape[0]}")
+        raise ConfigError(f"gradient has {sg.shape[0]} entries, w has {w.shape[0]}")
     return _kernels._q_ball_step(w, sg, q, q / (q - 1.0))
 
 
@@ -230,7 +230,7 @@ class RcnConfig:
         if not 1.0 <= self.q < math.inf:
             raise InvalidNorm(f"q must lie in [1, inf), got {self.q}")
         if self.steps is not None and self.steps < 1:
-            raise ValueError("steps must be >= 1")
+            raise ConfigError("steps must be >= 1")
         rcn_lambda(self.eps, self.gamma, self.eta)  # checks eps, gamma and eta
 
     @property
@@ -287,11 +287,11 @@ class GlmConfig:
         if not 1.0 <= self.q < math.inf:
             raise InvalidNorm(f"q must lie in [1, inf), got {self.q}")
         if not (0.0 <= self.eta < 0.5):
-            raise ValueError("eta must lie in [0, 0.5)")
+            raise ConfigError("eta must lie in [0, 0.5)")
         if not (0.0 < self.gamma < math.inf):
-            raise ValueError("gamma must be positive and finite")
+            raise ConfigError("gamma must be positive and finite")
         if self.steps is not None and self.steps < 1:
-            raise ValueError("steps must be >= 1")
+            raise ConfigError("steps must be >= 1")
 
 
 def glm_train(data: Dataset, cfg: GlmConfig) -> LinearModel:

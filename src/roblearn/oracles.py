@@ -35,7 +35,7 @@ from .core import (
     dual_norm,
     worst_case_point,
 )
-from .errors import EllipsoidDiverged, NotSeparable, OracleViolation, UnsupportedGeometry
+from .errors import ConfigError, EllipsoidDiverged, NotSeparable, OracleViolation, UnsupportedGeometry
 
 
 class _Inside:
@@ -58,7 +58,7 @@ class Hyperplane:
         object.__setattr__(self, "normal", as_vector(self.normal))
         object.__setattr__(self, "offset", float(self.offset))
         if not np.any(self.normal):
-            raise ValueError("hyperplane normal must be non-zero")
+            raise ConfigError("hyperplane normal must be non-zero")
 
     def __iter__(self):  # unpacks like a raw (normal, offset) cut
         return iter((self.normal, self.offset))
@@ -75,9 +75,9 @@ class Polytope:
         A = np.asarray(self.A, dtype=float)
         b = np.asarray(self.b, dtype=float)
         if A.ndim != 2 or b.shape != (A.shape[0],):
-            raise ValueError("need A of shape (m, d) and b of shape (m,)")
+            raise ConfigError("need A of shape (m, d) and b of shape (m,)")
         if not (np.isfinite(A).all() and np.isfinite(b).all() and A.any(axis=1).all()):
-            raise ValueError("A and b must be finite and every row of A non-zero")
+            raise ConfigError("A and b must be finite and every row of A non-zero")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
 
@@ -93,12 +93,12 @@ class EllipsoidConfig:
 
     def __post_init__(self):
         if self.max_iters is not None and self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
+            raise ConfigError("max_iters must be positive")
         values = (self.init_radius, self.feas_slack, self.volume_eps)
         if not all(0.0 < v < math.inf for v in values):
-            raise ValueError("config values must be positive and finite")
+            raise ConfigError("config values must be positive and finite")
         if self.init_radius * self.init_radius == math.inf:  # the start shape is r^2 I
-            raise ValueError(f"init_radius {self.init_radius:.6g} is too large: "
+            raise ConfigError(f"init_radius {self.init_radius:.6g} is too large: "
                              "its square overflows")
 
     def resolved_max_iters(self, d: int) -> int:
@@ -285,7 +285,7 @@ def _search(sep, C, lo, cfg, found):
     for _ in range(cfg.resolved_max_iters(d)):
         finite = np.isfinite(C)
         if np.count_nonzero(finite) < finite.size:
-            failure = ValueError("vector entries must be finite")
+            failure = ConfigError("vector entries must be finite")
             n = int(np.argmin(finite.all(axis=1)))
             rows, C, Q = rows[:n], C[:n], Q[:n]
             if not n:
@@ -303,7 +303,7 @@ def _search(sep, C, lo, cfg, found):
         if np.count_nonzero(finite) < finite.size:  # a non-finite cut, or overflow
             cut_ok = np.isfinite(G).all(axis=1) & np.isfinite(off)
             if not cut_ok.all():  # each cut is checked once, when it arrives
-                failure = ValueError("vector entries must be finite")
+                failure = ConfigError("vector entries must be finite")
                 n = int(np.argmin(cut_ok))
                 rows, C, Q, G, off, gap = rows[:n], C[:n], Q[:n], G[:n], off[:n], gap[:n]
         bad = gap < -1e-12 * (1.0 + np.abs(off))
@@ -363,7 +363,7 @@ def ellipsoid_feasible(sep, d: int, cfg: EllipsoidConfig, center=None):
     """
     c = np.zeros(d) if center is None else as_vector(center)
     if c.shape != (d,):
-        raise ValueError(f"center must have {d} entries, got {c.shape[0]}")
+        raise ConfigError(f"center must have {d} entries, got {c.shape[0]}")
     if hasattr(sep, "reach"):
         _check_start(sep.reach(c), cfg)
     return _lockstep(_one_row(sep), np.array([c]), cfg)[0]

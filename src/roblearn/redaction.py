@@ -26,8 +26,9 @@ from .core import (
     as_vector,
     robust_risk,
 )
-from .data import fmt_float, read_text, write_text
-from .errors import EmptyDataset, EmptyPool, NoRealizableMember, ParseError, RoblearnError, Unsupported
+from .data import fmt_float, parse_float, read_text, write_text
+from .errors import (ConfigError, EmptyDataset, EmptyPool, NoRealizableMember, ParseError,
+                     RoblearnError, Unsupported)
 from .learners import ErmConfig, WeightedDataset, erm_linear
 
 
@@ -39,7 +40,7 @@ class ConstantModel:
 
     def __post_init__(self):
         if self.label not in (1, -1):
-            raise ValueError("label must be +1 or -1")
+            raise ConfigError("label must be +1 or -1")
 
     def predict(self, x) -> int:
         return self.label
@@ -56,11 +57,11 @@ class RedactConfig:
 
     def __post_init__(self):
         if not (0.0 < self.eps <= 1.0):
-            raise ValueError("eps must lie in (0, 1]")
+            raise ConfigError("eps must lie in (0, 1]")
         if self.weight is not None and not (self.weight >= 1.0):
-            raise ValueError("the training weight must be at least 1")
+            raise ConfigError("the training weight must be at least 1")
         if self.weight == math.inf:  # inf * 0 would score agreeing pairs nan
-            raise ValueError("the training weight must be finite")
+            raise ConfigError("the training weight must be finite")
 
     def resolved_weight(self, n_train: int) -> float:
         return float(self.weight) if self.weight is not None else float(n_train + 1)
@@ -79,9 +80,9 @@ class SelectionSet:
 
     def __post_init__(self):
         if self.mode not in ("rejectron", "urejectron"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise ConfigError(f"unknown mode {self.mode!r}")
         if self.mode == "rejectron" and self.base is None:
-            raise ValueError("rejectron selection sets carry their base model")
+            raise ConfigError("rejectron selection sets carry their base model")
         object.__setattr__(self, "members", tuple(self.members))
 
     def contains(self, x) -> bool:
@@ -276,9 +277,9 @@ def lambda_star(eta: float, n: int, d_proxy: int, delta: float) -> tuple[float, 
     """Agnostic parameter pair: the generalization radius eps* and the
     training weight 1 / sqrt(8 eta + eps*^2) it implies."""
     if not (0.0 <= eta < 1.0):
-        raise ValueError("eta must lie in [0, 1)")
+        raise ConfigError("eta must lie in [0, 1)")
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ConfigError("n must be >= 1")
     eps_star = 4.0 * math.sqrt((d_proxy * math.log(2.0 * n) + math.log(48.0 / delta)) / n)
     lam_star = math.sqrt(1.0 / (8.0 * eta + eps_star ** 2))
     return eps_star, lam_star
@@ -334,7 +335,7 @@ def transductive_pool(pool: PoolHypotheses, train: Dataset, test_points, U,
     Returns the chosen model and its labels for the test points."""
     tests = _as_points(test_points)
     if mode not in ("realizable", "agnostic"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise ConfigError(f"unknown mode {mode!r}")
     scores = []
     for h in pool.models:
         r_lab, r_unl = _preimage_risks(h, train, tests, U)
@@ -364,13 +365,16 @@ def _model_token(m) -> str:
     return "linear " + fmt_float(m.bias) + " " + " ".join(fmt_float(v) for v in m.w)
 
 
-def _parse_model_token(tok: str, path: str, row: int):
-    parts = tok.split()
-    if parts[0] == "const":
-        return ConstantModel(int(parts[1]))
-    if parts[0] == "linear":
-        return LinearModel(np.array([float(t) for t in parts[2:]]), float(parts[1]))
-    raise ParseError(f"{path}: unknown model kind {parts[0]!r}", row=row, col=1)
+def _parse_model_token(fields: list, path: str, row: int, col: int):
+    """The model a selection file writes as fields, the first at column col."""
+    kind, *vals = fields or [""]
+    nums = [parse_float(t, row, j) for j, t in enumerate(vals, col + 1)]
+    if kind == "const" and nums in ([1.0], [-1.0]):
+        return ConstantModel(int(nums[0]))
+    if kind == "linear" and any(nums[1:]):
+        return LinearModel(np.array(nums[1:]), nums[0])
+    raise ParseError(f"{path}: not 'const <+1 or -1>' or 'linear <bias> <weights not all zero>': "
+                     f"{' '.join(fields)!r}", row=row, col=col)
 
 
 def save_selection(path: str, S: SelectionSet) -> None:
@@ -391,29 +395,24 @@ def load_selection(path: str) -> SelectionSet:
     lines = [ln.strip() for ln in read_text(path).splitlines() if ln.strip()]
     if not lines or lines[0] != "selection-set v1":
         raise ParseError(f"{path} is not a selection-set file", row=1, col=1)
-    mode = None
-    eps = None
-    base = None
+    mode = eps = base = None
     members = []
-    for rownum, ln in enumerate(lines[1:], start=2):
-        if ln.startswith("mode:"):
-            mode = ln[5:].strip()
-        elif ln.startswith("eps:"):
-            eps = float(ln[4:])
-        elif ln.startswith("base:"):
-            base = _parse_model_token(ln[5:].strip(), path, rownum)
-        elif ln.startswith("c:"):
-            members.append(_parse_model_token(ln[2:].strip(), path, rownum))
-        elif ln.startswith("pair:"):
-            left, _, right = ln[5:].partition("|")
-            members.append(
-                (
-                    _parse_model_token(left.strip(), path, rownum),
-                    _parse_model_token(right.strip(), path, rownum),
-                )
-            )
+    for row, ln in enumerate(lines[1:], start=2):
+        key, _, rest = ln.partition(":")
+        if key == "mode":
+            mode = rest.strip()
+        elif key == "eps":
+            eps = parse_float(rest.strip(), row, 2)
+        elif key == "base":
+            base = _parse_model_token(rest.split(), path, row, 2)
+        elif key == "c":
+            members.append(_parse_model_token(rest.split(), path, row, 2))
+        elif key == "pair":
+            left, _, right = (side.split() for side in rest.partition("|"))
+            members.append((_parse_model_token(left, path, row, 2),
+                            _parse_model_token(right, path, row, len(left) + 3)))
         else:
-            raise ParseError(f"{path}: unrecognized line", row=rownum, col=1)
+            raise ParseError(f"{path}: unrecognized line", row=row, col=1)
     if mode is None:
         raise ParseError(f"{path}: missing mode line", row=1, col=1)
     return SelectionSet(mode, members, base=base, eps=eps)

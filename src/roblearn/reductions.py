@@ -36,6 +36,7 @@ from .boosting import (
 )
 from .data import substream
 from .errors import (
+    ConfigError,
     EmptyPool,
     MistakeCapExceeded,
     SourceExhausted,
@@ -127,6 +128,11 @@ class RobustifyConfig:
     retry_limit: int = 100
     rng_seed: int = 0
 
+    def __post_init__(self):
+        for name in ("subsample", "sparsify_N", "retry_limit"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+
 
 def zero_robust_loss(L: Dataset, U, base_learner, cfg: RobustifyConfig | None = None, indices=None):
     """Boost the base learner on the inflated copy of L until the majority
@@ -153,7 +159,7 @@ def _reindexed(U, indices, n: int):
     if not isinstance(U, FinitePerExample):
         return U
     if indices is None:
-        raise ValueError("per-example tables need the rows' original indices")
+        raise ConfigError("per-example tables need the rows' original indices")
     return FinitePerExample({j: U.points(int(indices[j])) for j in range(n)})
 
 
@@ -204,7 +210,7 @@ class PerExampleWeights:
     def __init__(self, counts):
         self.sizes = np.asarray(counts, dtype=np.int64)
         if np.any(self.sizes < 1):
-            raise ValueError("every example needs at least one perturbation")
+            raise ConfigError("every example needs at least one perturbation")
         self.w = np.ones(int(self.sizes.sum()))
         # each (examples, count) block's row sums are each example's .sum() bit for bit, as reduceat's are not
         starts = np.cumsum(self.sizes) - self.sizes
@@ -219,7 +225,7 @@ class PerExampleWeights:
 
     def scale_up(self, mask: np.ndarray, factor: float) -> None:
         if not (1.0 <= factor < math.inf):
-            raise ValueError("weights must be non-decreasing and finite")
+            raise ConfigError("weights must be non-decreasing and finite")
         self.w = self.w * np.where(mask, factor, 1.0)
 
 
@@ -231,11 +237,11 @@ def fms_agnostic(data: Dataset, U, erm, eta_mw: float | None = None, rounds: int
     majority vote of the round models.
     """
     if rounds is not None and rounds < 1:
-        raise ValueError("rounds must be >= 1")
+        raise ConfigError("rounds must be >= 1")
     if not (0.0 < eps <= 1.0):
-        raise ValueError("eps must lie in (0, 1]")
+        raise ConfigError("eps must lie in (0, 1]")
     if eta_mw is not None and not (0.0 <= eta_mw < math.inf):
-        raise ValueError("eta_mw must be finite and non-negative")
+        raise ConfigError("eta_mw must be finite and non-negative")
     inflated = inflate(data, U, cap=math.inf)
     flat = inflated.data
     sizes = np.bincount(inflated.origins, minlength=data.n)
@@ -329,11 +335,11 @@ def one_pass_robust(stream, online_learner, attack_oracle, eps: float, delta: fl
     Rows are drawn in blocks no longer than the rest of the survivor run, so
     a finite source gives up no row a one-row loop would not have read."""
     if not (0.0 < eps <= 1.0):
-        raise ValueError("eps must lie in (0, 1]")
+        raise ConfigError("eps must lie in (0, 1]")
     if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
+        raise ConfigError("delta must lie in (0, 1)")
     if mistake_cap < 1:
-        raise ValueError("mistake_cap must be >= 1")
+        raise ConfigError("mistake_cap must be >= 1")
     oracle = _rowwise(attack_oracle, indexed=False)
     run_len = max(1, math.ceil((1.0 / eps) * math.log(mistake_cap / delta)))
     streak = 0
@@ -368,7 +374,7 @@ def cycle_robust(data: Dataset, online_learner, attack_oracle, mistake_cap: int,
     the mistake cap, or oracle usage beyond m * cap calls, abort the run.
     Each row examined counts as one oracle call, however the rows are batched."""
     if mistake_cap < 1:
-        raise ValueError("mistake_cap must be >= 1")
+        raise ConfigError("mistake_cap must be >= 1")
     oracle = _rowwise(attack_oracle, indexed=True)
     m = data.n
     calls = 0
@@ -416,7 +422,7 @@ class EnsembleWeights:
         if w.size == 0:
             raise EmptyPool("at least one hypothesis required")
         if not np.all((w >= 0) & (w <= 1)):
-            raise ValueError("hypothesis weights must lie in [0, 1]")
+            raise ConfigError("hypothesis weights must lie in [0, 1]")
         self.weights = w
 
 
@@ -441,7 +447,7 @@ class WeightedMajority:
 def wm_constants(eta: float) -> tuple[float, float]:
     """Mistake-bound multipliers (a, b): mistakes <= a * OPT + b * ln(pool size)."""
     if not (0.0 < eta < 1.0):
-        raise ValueError("the bound constants need eta in (0, 1)")
+        raise ConfigError("the bound constants need eta in (0, 1)")
     denom = math.log(2.0 / (1.0 + eta))
     return math.log(1.0 / eta) / denom, 1.0 / denom
 
@@ -456,9 +462,9 @@ def weighted_majority_robust(pool, stream, attack_oracle, eta_wm: float, rounds:
     if not pool:
         raise EmptyPool("hypothesis pool must be non-empty")
     if not (0.0 <= eta_wm < 1.0):
-        raise ValueError("eta must lie in [0, 1)")
+        raise ConfigError("eta must lie in [0, 1)")
     if rounds is not None and rounds < 1:
-        raise ValueError("rounds must be >= 1")
+        raise ConfigError("rounds must be >= 1")
     oracle = _rowwise(attack_oracle, indexed=False)
     weights = EnsembleWeights(np.ones(len(pool)))
     predictor = WeightedMajority(pool, weights)

@@ -5,12 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from roblearn import (AllZeroWeights, Dataset, EllipsoidDiverged, LinearModel, LpBall,
+from roblearn import (AllZeroWeights, ConfigError, Dataset, EllipsoidDiverged, LinearModel, LpBall,
                       UnsupportedGeometry, WeightedDataset, ZeroPerceptron, ZeroWeight, erm_linear,
                       finite_source, load_csv, load_model, margin_attack, perceptron_init, save_csv,
                       save_model)
 from roblearn import cli, reductions
-from roblearn.cli import _exit_code, main
+from roblearn.cli import EXIT_INTERNAL, _exit_code, main
 
 from ._refs import one_pass_ref
 from .test_golden import CASES, write_inputs
@@ -268,12 +268,24 @@ def test_cli_cycle_and_wm_take_the_row_wise_scan(tmp_path, monkeypatch, capsys):
 # ---------------------------------------------------------------------------
 
 
+# model files that name a bad number, each a data error at its row and column
+BAD_MODELS = {"W_ABC": "w: 1 abc", "W_NAN": "w: nan 1", "BIAS_INF": "w: 1 0\nbias: inf",
+              "W_ZERO": "w: 0 0"}
+
+
 def _fail_with(tmp_path, capsys, argv, code):
     band = write_band(tmp_path)
     model = write_model(tmp_path)
     clash = str(tmp_path / "clash.csv")
     save_csv(clash, Dataset(np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([1, -1])))
-    fill = {"BAND": band, "MODEL": model, "CLASH": clash, "MISSING": str(tmp_path / "absent.txt")}
+    band3 = str(tmp_path / "band3.csv")  # the band rows with a third, zero column
+    rows = load_csv(band)
+    save_csv(band3, Dataset(np.column_stack([rows.X, np.zeros(rows.n)]), rows.y))
+    fill = {"BAND": band, "MODEL": model, "CLASH": clash, "MISSING": str(tmp_path / "absent.txt"),
+            "BAND3": band3, "MODEL3": write_model(tmp_path, (1.0, 0.0, 0.0), name="model3.txt")}
+    for name, body in BAD_MODELS.items():
+        fill[name] = str(tmp_path / name)
+        Path(fill[name]).write_text(f"linear-model v1\n{body}\n")
     assert run([fill.get(a, a) for a in argv]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
@@ -341,6 +353,41 @@ BOOST = ["--gamma", "0.3", "--eps", "0.2", "--beta", "0.5", "--rounds", "2"]
     # an infinite radius has no finite witness to save
     ["attack", "--model", "MODEL", "--input", "BAND", "--gamma", "inf",
      "--save-witnesses", "MISSING"],
+    # inputs of another dimension than --input's used to end in a numpy error
+    ["certify", "--model", "MODEL3", "--input", "BAND", "--gamma", "0.5"],
+    ["certify", "--model", "MODEL3", "--input", "BAND", "--gamma", "0.5", "--method", "ellipsoid"],
+    ["attack", "--model", "MODEL3", "--input", "BAND", "--gamma", "0.5"],
+    ["transductive-pool", "--input", "BAND", "--test-input", "BAND", "--pool", "MODEL", "MODEL3",
+     "--gamma", "0.2"],
+    ["urejectron", "--input", "BAND", "--test-input", "BAND", "--eps", "0.25", "--backend", "pairs",
+     "--pool", "MODEL", "MODEL3"],
+    ["wm", "--input", "BAND", "--offset", "0,0", "--eta-wm", "0.5", "--pool", "MODEL", "MODEL3"],
+    ["rcn-train", "--input", "BAND", "--test-input", "BAND3", "--gamma", "0.3", "--rcn-eta", "0.1",
+     "--steps", "50"],
+    ["one-pass", "--gen", "gaussian", "--sigma", "0.1", "--test-input", "BAND3", "--gamma", "0.2",
+     "--eps", "0.5", "--mistake-cap", "50"],
+    ["roboost", "--input", "BAND", "--test-input", "BAND3", *BOOST],
+    ["roboost", "--gen", "gaussian", "--sigma", "0.1", "--test-input", "BAND3", *BOOST],
+    ["uroboost", "--input", "BAND", "--unlabeled-input", "BAND3", *BOOST],
+    ["uroboost", "--input", "BAND", "--unlabeled-input", "BAND", "--test-input", "BAND3", *BOOST],
+    ["rejectron", "--input", "BAND", "--test-input", "BAND3", "--eps", "0.25"],
+    ["urejectron", "--input", "BAND", "--test-input", "BAND3", "--eps", "0.25"],
+    ["transductive-pool", "--input", "BAND", "--test-input", "BAND3", "--pool", "MODEL",
+     "--gamma", "0.2"],
+    ["wm", "--input", "BAND", "--offset", "0,0,0", "--eta-wm", "0.5", "--pool", "MODEL"],
+    ["fms", "--input", "BAND", "--offset", "0,0,0"],
+    ["robustify", "--input", "BAND", "--offset", "0,0", "--offset", "0.1,0,0"],
+    ["transductive-pool", "--input", "BAND", "--test-input", "BAND", "--pool", "MODEL",
+     "--offset", "0"],
+    ["wm", "--input", "BAND", "--offset", "0,0", "--offset", "1", "--eta-wm", "0.5", "--pool", "MODEL"],
+    ["alpha-boost", "--input", "BAND", "--offset", "0,0", "--offset", "1"],
+    ["roboost", "--gen", "margin-union", "--cluster", "1,0:abc", *BOOST],
+    ["roboost", "--gen", "margin-union", "--cluster", "1,0:1:zz", *BOOST],
+    # robustify checks its own ranges before it draws or sparsifies
+    ["robustify", "--input", "BAND", "--offset", "0,0", "--subsample", "0"],
+    ["robustify", "--input", "BAND", "--offset", "0,0", "--subsample=-1"],
+    ["robustify", "--input", "BAND", "--offset", "0,0", "--sparsify-n", "0"],
+    ["robustify", "--input", "BAND", "--offset", "0,0", "--sparsify-n=-1"],
 ])
 def test_config_errors_exit_2(tmp_path, capsys, argv):
     err = _fail_with(tmp_path, capsys, argv, 2)
@@ -353,7 +400,7 @@ def test_rcn_train_rejects_a_non_finite_gamma(tmp_path, capsys, method, gamma):
     # nan used to train and exit 0; glm at inf printed a numpy warning first
     argv = ["rcn-train", "--method", method, "--input", "BAND", "--gamma", gamma, "--rcn-eta", "0.1"]
     err = _fail_with(tmp_path, capsys, argv, 2)
-    assert err == "error: ValueError: gamma must be positive and finite\n"
+    assert err == "error: ConfigError: gamma must be positive and finite\n"
 
 
 def test_urejectron_rejects_a_nan_lambda_weight(tmp_path, capsys):
@@ -361,7 +408,7 @@ def test_urejectron_rejects_a_nan_lambda_weight(tmp_path, capsys):
     argv = ["urejectron", "--input", "BAND", "--test-input", "BAND", "--eps", "0.25",
             "--backend", "pairs", "--pool", "MODEL", "MODEL", "--lambda-weight", "nan"]
     err = _fail_with(tmp_path, capsys, argv, 2)
-    assert err == "error: ValueError: the training weight must be at least 1\n"
+    assert err == "error: ConfigError: the training weight must be at least 1\n"
 
 
 def test_alpha_boost_agreement_mode_runs_on_one_row(tmp_path, capsys):
@@ -413,9 +460,28 @@ def test_help_prints_usage_and_exits_0(capsys):
 @pytest.mark.parametrize("argv", [
     ["certify", "--model", "MISSING", "--input", "BAND", "--gamma", "0.5"],
     ["certify", "--model", "BAND", "--input", "BAND", "--gamma", "0.5"],
+    *(["certify", "--model", name, "--input", "BAND", "--gamma", "0.5"] for name in BAD_MODELS),
+    ["wm", "--input", "BAND", "--offset", "0,0", "--eta-wm", "0.5", "--pool", "MODEL", "W_ZERO"],
 ])
 def test_data_errors_exit_3(tmp_path, capsys, argv):
-    _fail_with(tmp_path, capsys, argv, 3)
+    err = _fail_with(tmp_path, capsys, argv, 3)
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_an_input_of_another_dimension_names_both_sizes(tmp_path, capsys):
+    argv = ["certify", "--model", "MODEL3", "--input", "BAND", "--gamma", "0.5"]
+    err = _fail_with(tmp_path, capsys, argv, 2)
+    assert err == (f"error: ConfigError: --model {tmp_path / 'model3.txt'} has dimension 3, "
+                   "where 2 is expected\n")
+
+
+def test_an_internal_error_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    def broken(args):
+        raise TypeError("a bug")
+
+    monkeypatch.setattr(cli, "_cmd_certify", broken)
+    assert run(["certify", "--model", "m.txt", "--input", "i.csv", "--gamma", "0.5"]) == EXIT_INTERNAL
+    assert capsys.readouterr().err == "error: TypeError: a bug\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -458,7 +524,9 @@ def test_error_classes_map_to_their_exit_codes():
     assert _exit_code(ZeroWeight("all zero")) == 5
     assert _exit_code(EllipsoidDiverged("grew without bound")) == 5
     assert _exit_code(UnsupportedGeometry("no oracle")) == 2
-    assert _exit_code(ValueError("bad value")) == 2
+    assert _exit_code(ConfigError("bad value")) == 2
+    assert _exit_code(ValueError("bad value")) == EXIT_INTERNAL
+    assert _exit_code(KeyError("x")) == EXIT_INTERNAL == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -506,11 +574,29 @@ def golden_inputs(tmp_path_factory):
     return workdir
 
 
-@pytest.mark.parametrize("case, flag, value", FLOAT_SWEEP)
-def test_float_flags_exit_with_a_documented_code_and_one_line(golden_inputs, monkeypatch, capsys,
-                                                             case, flag, value):
+def _run_swept(golden_inputs, monkeypatch, capsys, case, flag, value):
     monkeypatch.chdir(golden_inputs)
     code = run([*CASES[case][0], f"{flag}={value}"])
     err = capsys.readouterr().err
-    assert code in (0, 2, 3, 4, 5)
+    assert code in (0, 2, 3, 4, 5)  # never EXIT_INTERNAL, which marks a bug
     assert err == "" or (err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"))
+
+
+@pytest.mark.parametrize("case, flag, value", FLOAT_SWEEP)
+def test_float_flags_exit_with_a_documented_code_and_one_line(golden_inputs, monkeypatch, capsys,
+                                                             case, flag, value):
+    _run_swept(golden_inputs, monkeypatch, capsys, case, flag, value)
+
+
+# every int flag but --seed, fed 0 and -1 in the same way
+INT_SWEEP = [(case, flag, value)
+             for case, (argv, _side) in CASES.items()
+             for flag, kw in cli._row_flags(cli.COMMANDS[argv[0]])
+             if kw.get("type") is int and flag != "--seed"
+             for value in ("0", "-1")]
+
+
+@pytest.mark.parametrize("case, flag, value", INT_SWEEP)
+def test_int_flags_exit_with_a_documented_code_and_one_line(golden_inputs, monkeypatch, capsys,
+                                                           case, flag, value):
+    _run_swept(golden_inputs, monkeypatch, capsys, case, flag, value)

@@ -375,3 +375,19 @@ def test_model_load_errors(tmp_path):
         load_model(str(p))
     with pytest.raises(IoError):
         load_model(str(tmp_path / "absent.txt"))
+
+@pytest.mark.parametrize("body, row, col", [
+    ("w: 1 abc\n", 2, 3),
+    ("w: nan 1\n", 2, 2),
+    ("w: 1 0\nbias: inf\n", 3, 2),
+    ("w: 1 0\nbias: 1 2\n", 3, 2),
+    ("w: 0 0\n", 2, 2),
+    ("w:\n", 2, 2),
+])
+def test_model_files_with_bad_numbers_are_parse_errors(tmp_path, body, row, col):
+    # a bad token used to raise a bare ValueError, and zero weights ZeroWeight
+    p = tmp_path / "m.txt"
+    p.write_text("linear-model v1\n" + body)
+    with pytest.raises(ParseError) as exc:
+        load_model(str(p))
+    assert (exc.value.row, exc.value.col) == (row, col)

@@ -12,6 +12,9 @@ in CHANGES.md.
 from __future__ import annotations
 
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -168,3 +171,24 @@ def test_every_golden_file_belongs_to_a_case():
     pinned = {f for name in CASES for f in golden_names(name)} | {f"{n}.txt" for n in TEXT_CASES}
     on_disk = {p.name for p in GOLDEN_DIR.iterdir() if p.is_file() and p.suffix != ".py"}
     assert on_disk == pinned
+
+
+# run in a fresh `python -O` process, where assert statements are compiled out
+_OPTIMIZED_RUN = """
+import sys
+from tests.test_golden import CASES, GOLDEN_DIR, run_case
+if sys.flags.optimize != 1:
+    sys.exit("not optimized")
+differ = [f for name in CASES for f, blob in run_case(name).items()
+          if blob != (GOLDEN_DIR / f).read_bytes()]
+sys.exit(f"differ from their golden copies: {differ}" if differ else 0)
+"""
+
+
+def test_goldens_hold_under_python_O(tmp_path):
+    write_inputs(tmp_path)
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join([str(root / "src"), str(root), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_RUN], cwd=tmp_path, capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.returncode == 0, out.stderr

@@ -337,3 +337,24 @@ def test_selection_load_errors(tmp_path):
     with pytest.raises(IoError):
         save_selection(str(tmp_path / "nodir" / "x.txt"),
                        SelectionSet("urejectron", []))
+
+@pytest.mark.parametrize("line, col", [
+    ("eps: zz", 2),
+    ("eps: nan", 2),
+    ("base: linear 0 1 abc", 5),
+    ("base: linear inf 1", 3),
+    ("base: linear 0 0 0", 2),
+    ("base: linear 0", 2),
+    ("c: const", 2),
+    ("c: const 2", 2),
+    ("c:", 2),
+    ("pair: linear 0 1 0 | const", 7),
+    ("pair: linear 0 1 0 | const x", 8),
+])
+def test_selection_files_with_bad_numbers_are_parse_errors(tmp_path, line, col):
+    # these used to raise a bare ValueError or IndexError
+    p = tmp_path / "sel.txt"
+    p.write_text(f"selection-set v1\nmode: urejectron\n{line}\n")
+    with pytest.raises(ParseError) as exc:
+        load_selection(str(p))
+    assert (exc.value.row, exc.value.col) == (3, col)
