@@ -275,22 +275,22 @@ def _round_radius(cfg: BoostConfig, U: LpBall, t: int) -> LpBall:
     return LpBall(U.p, U.gamma / (2.0 ** (t - 1)))
 
 
-def beta_roboost(source, barely_learner, cfg: BoostConfig, U: LpBall, diagnostics=None) -> Cascade:
+def beta_roboost(source, barely_learner, cfg: BoostConfig, U: LpBall):
     """Round t trains on samples where all earlier models are unstable, then
     wraps each model in an abstaining stage at its round's radius.
 
     Round 1 trains on the raw source. Sampling that comes up empty (budget
     exceeded, or a finite source running dry after round 1) ends the loop
     early; the cascade then has fewer stages, with the last trained model as
-    fallback. Per-round beta_hat values (fraction of the round's sample that
-    the round's model holds at twice the radius) land in `diagnostics` when a
-    dict is supplied.
+    fallback. Returns the cascade and one (beta_hat, sample_size) per trained
+    round, beta_hat being the fraction of the round's sample that the round's
+    model holds at twice the radius; fewer than cfg.rounds_resolved pairs
+    means the loop stopped early.
     """
     T = cfg.rounds_resolved
     m = cfg.per_round_m_resolved
     budget = cfg.budget_per_draw_resolved
-    models, specs, beta_hats, sizes = [], [], [], []
-    stopped_early = False
+    models, specs, rounds = [], [], []
     for t in range(1, T + 1):
         ball_t = _round_radius(cfg, U, t)
         if t == 1:
@@ -301,27 +301,21 @@ def beta_roboost(source, barely_learner, cfg: BoostConfig, U: LpBall, diagnostic
             except SourceExhausted:
                 round_data = None
             if round_data is None:
-                stopped_early = True
                 break
         h_t = barely_learner(round_data)
         models.append(h_t)
         specs.append(ball_t)
-        sizes.append(round_data.n)
         held = int(np.sum(robust_losses(h_t, round_data, inverse_blowup(ball_t)) == 0))
-        beta_hats.append(held / round_data.n)
-    if diagnostics is not None:
-        diagnostics["beta_hats"] = beta_hats
-        diagnostics["round_sizes"] = sizes
-        diagnostics["rounds_run"] = len(models)
-        diagnostics["stopped_early"] = stopped_early
+        rounds.append((held / round_data.n, round_data.n))
     stages = [SelectiveClassifier(h, s) for h, s in zip(models, specs)]
-    return Cascade(stages, fallback=models[-1])
+    return Cascade(stages, fallback=models[-1]), rounds
 
 
-def beta_uroboost(labeled: Dataset, unlabeled_source, learner, cfg: BoostConfig, U: LpBall, diagnostics=None) -> Cascade:
+def beta_uroboost(labeled: Dataset, unlabeled_source, learner, cfg: BoostConfig, U: LpBall):
     """Pseudo-label an unlabeled source with a model trained on the labeled
-    seed set, then boost as usual. An empty unlabeled source degenerates to a
-    single abstaining stage around the seed model."""
+    seed set, then boost as usual, returning what beta_roboost returns. An
+    empty unlabeled source degenerates to a single abstaining stage around
+    the seed model, with no trained round."""
     h_hat = learner(labeled)
 
     def pseudo_source(k: int) -> Dataset:
@@ -329,14 +323,9 @@ def beta_uroboost(labeled: Dataset, unlabeled_source, learner, cfg: BoostConfig,
         return Dataset(batch.X, h_hat.predict_batch(batch.X))
 
     try:
-        return beta_roboost(pseudo_source, learner, cfg, U, diagnostics=diagnostics)
+        return beta_roboost(pseudo_source, learner, cfg, U)
     except SourceExhausted:
-        if diagnostics is not None:
-            diagnostics.setdefault("beta_hats", [])
-            diagnostics.setdefault("round_sizes", [])
-            diagnostics["rounds_run"] = 1
-            diagnostics["stopped_early"] = True
-        return Cascade([SelectiveClassifier(h_hat, U)], fallback=h_hat)
+        return Cascade([SelectiveClassifier(h_hat, U)], fallback=h_hat), []
 
 
 # ---------------------------------------------------------------------------
@@ -388,15 +377,15 @@ class AlphaBoostConfig:
         return self.alpha or 0.125, self.rounds or math.ceil(1.0 + 48.0 * ln_m)
 
 
-def alpha_boost(data: Dataset, weak_learner, cfg: AlphaBoostConfig, U=None, diagnostics=None):
+def alpha_boost(data: Dataset, weak_learner, cfg: AlphaBoostConfig, U=None):
     """Multiplicative-weights boosting of a weak (robust) learner.
 
     Examples the round's model holds (loss 0, robust when U is given) are
     downweighted by e^{-2 alpha}; the weak learner must reach weighted error
     <= 1/3 within ceil(ln(2T/delta)) attempts per round. A weak learner may
     raise WeakLearnerFailed to give up an attempt; a round whose attempts all
-    fail raises WeakLearnerFailed. Returns the model list and their
-    unweighted majority vote.
+    fail raises WeakLearnerFailed. Returns the model list, their unweighted
+    majority vote, and the weighted error of each round's model.
     """
     m = data.n
     if m == 0:
@@ -426,11 +415,7 @@ def alpha_boost(data: Dataset, weak_learner, cfg: AlphaBoostConfig, U=None, diag
         D = D / D.sum()
         if cfg.early_stop and _zero_loss(MajorityVote(models), data, U):
             break
-    if diagnostics is not None:
-        diagnostics["round_errors"] = errors
-        diagnostics["alpha"] = alpha
-        diagnostics["rounds"] = T
-    return models, MajorityVote(models)
+    return models, MajorityVote(models), errors
 
 
 def vote_agreement(models, data: Dataset, U=None) -> np.ndarray:

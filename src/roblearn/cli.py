@@ -110,6 +110,8 @@ def _vec(text: str) -> np.ndarray:
 
 def _cluster(text: str) -> MarginCluster:
     parts = text.split(":")
+    if len(parts) > 3:
+        raise ConfigError(f"not a cluster center:weight:spread: {text!r}")
     try:
         weight = float(parts[1]) if len(parts) > 1 and parts[1] else 1.0
         spread = float(parts[2]) if len(parts) > 2 and parts[2] else 0.0
@@ -141,7 +143,7 @@ def _gen_kind(args):
         if not args.cluster:
             raise ConfigError("margin-union needs at least one --cluster")
         return MarginUnion(tuple(_cluster(c) for c in args.cluster))
-    raise ConfigError(f"unknown generator {args.gen!r}")
+    raise ConfigError("provide --gen")
 
 
 def _stream(args, data: Dataset | None):
@@ -289,15 +291,12 @@ def _cmd_roboost(args) -> dict:
     source = _stream(args, train)
     learner = _barely_learner(args.learner, args.gamma)
     cfg = _boost_config(args)
-    diag: dict = {}
-    cascade = beta_roboost(source, learner, cfg, ball, diagnostics=diag)
+    cascade, rounds = beta_roboost(source, learner, cfg, ball)
     eval_data, eval_kind = _eval_data(args, train, cascade.fallback.w.size)
     return {
-        "rounds": [
-            {"round": i + 1, "beta_hat": bh, "sample_size": sz}
-            for i, (bh, sz) in enumerate(zip(diag["beta_hats"], diag["round_sizes"]))
-        ],
-        "stopped_early": diag["stopped_early"],
+        "rounds": [{"round": i, "beta_hat": bh, "sample_size": sz}
+                   for i, (bh, sz) in enumerate(rounds, 1)],
+        "stopped_early": len(rounds) < cfg.rounds_resolved,
         "eval_on": eval_kind,
         "metrics": _cascade_metrics(cascade, eval_data, ball),
     }
@@ -314,15 +313,11 @@ def _cmd_uroboost(args) -> dict:
         raise ConfigError("provide --unlabeled-input or --gen for the unlabeled source")
     learner = _barely_learner(args.learner, args.gamma)
     cfg = _boost_config(args)
-    diag: dict = {}
-    cascade = beta_uroboost(labeled, unlabeled, learner, cfg, ball, diagnostics=diag)
+    cascade, rounds = beta_uroboost(labeled, unlabeled, learner, cfg, ball)
     eval_data, eval_kind = _eval_data(args, labeled, labeled.d)
     return {
-        "rounds": [
-            {"round": i + 1, "beta_hat": bh}
-            for i, bh in enumerate(diag.get("beta_hats", []))
-        ],
-        "stopped_early": diag.get("stopped_early", False),
+        "rounds": [{"round": i, "beta_hat": bh} for i, (bh, _) in enumerate(rounds, 1)],
+        "stopped_early": len(rounds) < cfg.rounds_resolved,
         "eval_on": eval_kind,
         "metrics": _cascade_metrics(cascade, eval_data, ball),
     }
@@ -337,14 +332,13 @@ def _cmd_alpha_boost(args) -> dict:
         delta=args.delta,
         agreement_mode=args.agreement_mode,
     )
-    diag: dict = {}
-    models, vote = alpha_boost(data, erm_linear, cfg, U=U, diagnostics=diag)
-    agreement = vote_agreement(models, data, U=U)
+    models, vote, round_errors = alpha_boost(data, erm_linear, cfg, U=U)
+    alpha, rounds = cfg.resolved(data.n)
     metrics = {
-        "rounds": diag["rounds"],
-        "alpha": diag["alpha"],
-        "min_agreement": float(agreement.min()),
-        "mean_round_error": float(np.mean(diag["round_errors"])),
+        "rounds": rounds,
+        "alpha": alpha,
+        "min_agreement": float(vote_agreement(models, data, U=U).min()),
+        "mean_round_error": float(np.mean(round_errors)),
         "majority_standard_accuracy": _std_acc(vote, data),
     }
     if U is None or isinstance(U, FiniteOffsets):
@@ -364,12 +358,11 @@ def _cmd_robustify(args) -> dict:
         sparsify_N=args.sparsify_n,
         rng_seed=args.seed,
     )
-    diag: dict = {}
-    vote = robustify_nonrobust(data, U, erm_linear, cfg, diagnostics=diag)
+    vote, rounds_run = robustify_nonrobust(data, U, erm_linear, cfg)
     return {
         "metrics": {
-            "rounds_run": diag["rounds_run"],
-            "inflated_size": diag["inflated_size"],
+            "rounds_run": rounds_run,
+            "inflated_size": data.n * U.k,
             "robust_risk": robust_risk(vote, data, U),
             "standard_accuracy": _std_acc(vote, data),
         },
@@ -379,13 +372,11 @@ def _cmd_robustify(args) -> dict:
 def _cmd_fms(args) -> dict:
     data = load_csv(args.input)
     U = _offsets(args, data.d)
-    diag: dict = {}
-    vote = fms_agnostic(data, U, erm_linear, eta_mw=args.eta_mw, rounds=args.rounds,
-                        eps=args.eps, diagnostics=diag)
+    vote, eta = fms_agnostic(data, U, erm_linear, eta_mw=args.eta_mw, rounds=args.rounds, eps=args.eps)
     return {
         "metrics": {
-            "rounds": diag["rounds"],
-            "eta": diag["eta"],
+            "rounds": len(vote.models),
+            "eta": eta,
             "majority_robust_risk": robust_risk(vote, data, U),
             "standard_accuracy": _std_acc(vote, data),
         },
@@ -396,16 +387,15 @@ def _cmd_cycle_robust(args) -> dict:
     data = load_csv(args.input)
     ball = _ball(args)
     oracle = margin_attack(ball)
-    diag: dict = {}
-    state = cycle_robust(data, perceptron_init(data.d), oracle, args.mistake_cap, diagnostics=diag)
+    state, updates, passes = cycle_robust(data, perceptron_init(data.d), oracle, args.mistake_cap)
     model = perceptron_model(state)
     if args.save_model:
         save_model(args.save_model, model)
     return {
         "metrics": {
-            "oracle_calls": diag["oracle_calls"],
-            "updates": diag["updates"],
-            "passes": diag["passes"],
+            "oracle_calls": passes * data.n,
+            "updates": updates,
+            "passes": passes,
             "robust_accuracy": 1.0 - robust_risk(model, data, ball),
             "standard_accuracy": _std_acc(model, data),
         },
@@ -430,11 +420,8 @@ def _cmd_one_pass(args) -> dict:
         return head if rest is None else Dataset(np.vstack([head.X, rest.X]),
                                                  np.concatenate([head.y, rest.y]))
 
-    diag: dict = {}
-    state = one_pass_robust(
-        stream_with_probe, perceptron_init(d), oracle, args.eps, args.delta,
-        args.mistake_cap, diagnostics=diag,
-    )
+    state, updates, run_length = one_pass_robust(
+        stream_with_probe, perceptron_init(d), oracle, args.eps, args.delta, args.mistake_cap)
     model = perceptron_model(state)
     if args.save_model:
         save_model(args.save_model, model)
@@ -442,8 +429,8 @@ def _cmd_one_pass(args) -> dict:
     return {
         "eval_on": eval_kind,
         "metrics": {
-            "updates": diag["updates"],
-            "run_length": diag["run_length"],
+            "updates": updates,
+            "run_length": run_length,
             "robust_accuracy": 1.0 - robust_risk(model, eval_data, ball),
             "standard_accuracy": _std_acc(model, eval_data),
         },
@@ -455,15 +442,13 @@ def _cmd_wm(args) -> dict:
     U = _offsets(args, data.d)
     pool = [_load(load_model, p, data.d, "--pool") for p in args.pool]
     oracle = enumeration_attack(U)
-    diag: dict = {}
-    weights, predictor = weighted_majority_robust(
-        pool, finite_source(data), oracle, args.eta_wm, rounds=args.rounds, diagnostics=diag
-    )
+    weights, _, mistakes, seen = weighted_majority_robust(
+        pool, finite_source(data), oracle, args.eta_wm, rounds=args.rounds)
     opt = min(int(robust_losses(h, data, U).sum()) for h in pool)
     doc = {
         "metrics": {
-            "mistakes": diag["mistakes"],
-            "examples_seen": diag["examples_seen"],
+            "mistakes": mistakes,
+            "examples_seen": seen,
             "pool_opt": opt,
             "final_weights": [float(w) for w in weights.weights],
         },
@@ -474,7 +459,7 @@ def _cmd_wm(args) -> dict:
         doc["metrics"]["bound_a"] = a
         doc["metrics"]["bound_b"] = b
         doc["metrics"]["mistake_bound"] = bound
-        doc["metrics"]["bound_holds"] = diag["mistakes"] <= bound
+        doc["metrics"]["bound_holds"] = mistakes <= bound
     return doc
 
 
@@ -514,17 +499,16 @@ def _cmd_rejectron(args) -> dict:
     train = load_csv(args.input)
     test = _load(load_csv, args.test_input, train.d, "--test-input")
     cfg = RedactConfig(eps=args.eps, weight=args.lambda_weight)
-    diag: dict = {}
-    h, selection = rejectron(train, test.X, cfg, diagnostics=diag)
+    h, selection, scores = rejectron(train, test.X, cfg)
     if args.save_selection:
         save_selection(args.save_selection, selection)
     kept, rates = _rejection(selection, train, test)
-    metrics = {"rounds": diag["rounds"], **rates}
+    metrics = {"rounds": len(selection.members), **rates}
     if kept.any():
         preds = h.predict_batch(test.X[kept])
         metrics["selective_test_error"] = float(np.mean(preds != test.y[kept]))
     return {
-        "scores": [float(s) for s in diag["scores"]],
+        "scores": scores,
         "metrics": metrics,
     }
 
@@ -548,14 +532,13 @@ def _cmd_urejectron(args) -> dict:
         backend = FinitePoolPairs([_load(load_model, p, train.d, "--pool") for p in args.pool])
     else:
         backend = DistinguisherT1()
-    diag: dict = {}
-    selection = urejectron(train.X, test.X, cfg, backend, diagnostics=diag)
+    selection, scores, tradeoff = urejectron(train.X, test.X, cfg, backend)
     doc = {"metrics": _rejection(selection, train, test)[1]}
     if args.backend == "t1":
         wrong = erm_linear(WeightedDataset.uniform(train)).predict_batch(test.X) != test.y
-        errs = _kept_error(diag["test_scores"], wrong, [r["threshold"] for r in diag["tradeoff"]])
+        errs = _kept_error(scores, wrong, [r["threshold"] for r in tradeoff])
         doc["tradeoff"] = [{"threshold": r["threshold"], "rej_p": r["rej_train"], "rej_q": r["rej_test"],
-                            "err_q": e} for r, e in zip(diag["tradeoff"], errs)]
+                            "err_q": e} for r, e in zip(tradeoff, errs)]
     if args.save_selection:
         save_selection(args.save_selection, selection)
     return doc
@@ -566,13 +549,12 @@ def _cmd_transductive_pool(args) -> dict:
     test = _load(load_csv, args.test_input, train.d, "--test-input")
     pool = PoolHypotheses(tuple(_load(load_model, p, train.d, "--pool") for p in args.pool))
     U = _offsets(args, train.d) if args.offset else _ball(args)
-    diag: dict = {}
-    model, labels = transductive_pool(pool, train, test.X, U, mode=args.mode, diagnostics=diag)
+    model, labels, scores = transductive_pool(pool, train, test.X, U, mode=args.mode)
     chosen = next(i for i, h in enumerate(pool.models) if h is model)
     if args.save_labels:
         save_csv(args.save_labels, Dataset(test.X, labels))
     return {
-        "scores": diag["scores"],
+        "scores": [{"labeled": rl, "unlabeled": ru} for rl, ru in scores],
         "metrics": {
             "chosen_index": chosen,
             "test_agreement_with_csv_labels": float(np.mean(labels == test.y)),

@@ -67,6 +67,9 @@ class RedactConfig:
         return float(self.weight) if self.weight is not None else float(n_train + 1)
 
 
+_MODES = ("rejectron", "urejectron")  # the selection-set kinds
+
+
 @dataclass(frozen=True)
 class SelectionSet:
     """Region kept for prediction. Rejectron keeps x while every stored
@@ -79,7 +82,7 @@ class SelectionSet:
     eps: float | None = None
 
     def __post_init__(self):
-        if self.mode not in ("rejectron", "urejectron"):
+        if self.mode not in _MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.mode == "rejectron" and self.base is None:
             raise ConfigError("rejectron selection sets carry their base model")
@@ -121,7 +124,7 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
-def rejectron(train: Dataset, test_points, cfg: RedactConfig, erm=None, diagnostics=None):
+def rejectron(train: Dataset, test_points, cfg: RedactConfig, erm=None):
     """Iteratively redact test regions where some hypothesis can disagree
     with the base model cheaply on test but barely on train.
 
@@ -131,6 +134,8 @@ def rejectron(train: Dataset, test_points, cfg: RedactConfig, erm=None, diagnost
     score err_test(disagreement on selected) - Lambda * err_train(disagreement)
     stopping when it drops to eps. Runs at most floor(1 / eps) rounds, and
     every completed round removes strictly more than eps * n_test points.
+    Returns the base model, the selection set (one member per completed
+    round) and the score of every round run.
     """
     if erm is None:
         erm = erm_linear
@@ -167,13 +172,7 @@ def rejectron(train: Dataset, test_points, cfg: RedactConfig, erm=None, diagnost
             raise RoblearnError("a kept round must redact more than an eps fraction")
         members.append(c)
         selected = selected & ~disagree_sel
-    if diagnostics is not None:
-        diagnostics["rounds"] = len(members)
-        diagnostics["scores"] = scores
-        diagnostics["selected_test_fraction"] = (
-            float(selected.mean()) if n_test else 1.0
-        )
-    return h, SelectionSet("rejectron", members, base=h, eps=cfg.eps)
+    return h, SelectionSet("rejectron", members, base=h, eps=cfg.eps), scores
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +210,14 @@ def _tradeoff_rows(train_scores, test_scores) -> list:
     return [{"threshold": t, "rej_train": a, "rej_test": b} for t, a, b in zip(grid.tolist(), *below)]
 
 
-def urejectron(train_points, test_points, cfg: RedactConfig, backend, diagnostics=None) -> SelectionSet:
-    """Label-free redaction. With a finite pool, iterate the best
-    agree-on-train / split-on-test pair until its score falls to eps. In the
-    single-round mode, fit one train-vs-test separator and keep everything on
-    the train side of a threshold; the threshold sweep lands in
-    diagnostics["tradeoff"] and the test scores it ranks in diagnostics["test_scores"].
+def urejectron(train_points, test_points, cfg: RedactConfig, backend):
+    """Label-free redaction, returning (selection set, scores, tradeoff).
+    With a finite pool, iterate the best agree-on-train / split-on-test pair
+    until its score falls to eps; the scores are the rounds' best scores and
+    the tradeoff is empty. In the single-round mode, fit one train-vs-test
+    separator and keep everything on the train side of a threshold; the
+    scores are the test rows' separator scores and the tradeoff is the
+    threshold sweep over them (_tradeoff_rows).
     """
     train = _as_points(train_points)
     tests = _as_points(test_points)
@@ -250,10 +251,7 @@ def urejectron(train_points, test_points, cfg: RedactConfig, backend, diagnostic
             scores.append(float(s))
             members.append((pool[i], pool[j]))
             selected = selected & ~split
-        if diagnostics is not None:
-            diagnostics["rounds"] = len(members)
-            diagnostics["scores"] = scores
-        return SelectionSet("urejectron", members, eps=cfg.eps)
+        return SelectionSet("urejectron", members, eps=cfg.eps), scores, []
     if isinstance(backend, DistinguisherT1):
         if not (n and n_test):
             raise EmptyDataset("the t1 mode needs at least one training and one test point")
@@ -266,10 +264,9 @@ def urejectron(train_points, test_points, cfg: RedactConfig, backend, diagnostic
         # back the threshold off by a relative ulp or the argmin point can drop
         tau_star -= 1e-9 * (1.0 + abs(tau_star))
         shifted = LinearModel(d.w, d.bias - tau_star)
-        if diagnostics is not None:
-            diagnostics["test_scores"] = d.decisions(tests)
-            diagnostics["tradeoff"] = _tradeoff_rows(train_scores, diagnostics["test_scores"])
-        return SelectionSet("urejectron", [(shifted, ConstantModel(1))], eps=cfg.eps)
+        test_scores = d.decisions(tests)
+        return (SelectionSet("urejectron", [(shifted, ConstantModel(1))], eps=cfg.eps),
+                test_scores, _tradeoff_rows(train_scores, test_scores))
     raise Unsupported(f"unknown backend {type(backend).__name__}")
 
 
@@ -286,14 +283,15 @@ def lambda_star(eta: float, n: int, d_proxy: int, delta: float) -> tuple[float, 
 
 
 def massart_denoise_rejectron(extra_noisy: Dataset, heldout: Dataset, test_points,
-                              cfg: RedactConfig, erm=None, diagnostics=None):
+                              cfg: RedactConfig, erm=None):
     """Fit on the large noisy sample, relabel the held-out set with that fit,
-    then run the usual redaction on the cleaned labels."""
+    then run the usual redaction on the cleaned labels; returns what
+    rejectron returns."""
     if erm is None:
         erm = erm_linear
     h_hat = erm(WeightedDataset.uniform(extra_noisy))
     relabeled = Dataset(heldout.X, h_hat.predict_batch(heldout.X))
-    return rejectron(relabeled, test_points, cfg, erm=erm, diagnostics=diagnostics)
+    return rejectron(relabeled, test_points, cfg, erm=erm)
 
 
 # ---------------------------------------------------------------------------
@@ -328,30 +326,24 @@ def _preimage_risks(h: LinearModel, train: Dataset, tests: np.ndarray, U) -> tup
 
 
 def transductive_pool(pool: PoolHypotheses, train: Dataset, test_points, U,
-                      mode: str = "realizable", diagnostics=None):
+                      mode: str = "realizable"):
     """Pick the pool member whose predictions are stable on the preimages of
     both samples. Realizable mode demands both risks be exactly zero;
     agnostic mode minimizes the larger of the two (lowest index on ties).
-    Returns the chosen model and its labels for the test points."""
+    Returns the chosen model, its labels for the test points, and every
+    member's (labeled, unlabeled) risk pair."""
     tests = _as_points(test_points)
     if mode not in ("realizable", "agnostic"):
         raise ConfigError(f"unknown mode {mode!r}")
-    scores = []
-    for h in pool.models:
-        r_lab, r_unl = _preimage_risks(h, train, tests, U)
-        scores.append((r_lab, r_unl))
-    if diagnostics is not None:
-        diagnostics["scores"] = [
-            {"labeled": rl, "unlabeled": ru} for rl, ru in scores
-        ]
+    scores = [_preimage_risks(h, train, tests, U) for h in pool.models]
     if mode == "realizable":
         for h, (r_lab, r_unl) in zip(pool.models, scores):
             if r_lab == 0.0 and r_unl == 0.0:
-                return h, h.predict_batch(tests)
+                return h, h.predict_batch(tests), scores
         raise NoRealizableMember("no pool member is stable on both samples")
     best_i = min(range(len(scores)), key=lambda i: max(scores[i]))
     h = pool.models[best_i]
-    return h, h.predict_batch(tests)
+    return h, h.predict_batch(tests), scores
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +393,8 @@ def load_selection(path: str) -> SelectionSet:
         key, _, rest = ln.partition(":")
         if key == "mode":
             mode = rest.strip()
+            if mode not in _MODES:
+                raise ParseError(f"{path}: unknown mode {mode!r}", row=row, col=2)
         elif key == "eps":
             eps = parse_float(rest.strip(), row, 2)
         elif key == "base":

@@ -145,7 +145,7 @@ def zero_robust_loss(L: Dataset, U, base_learner, cfg: RobustifyConfig | None = 
     cfg = cfg or RobustifyConfig()
     flat = inflate(L, _reindexed(U, indices, L.n)).data
     boost_cfg = AlphaBoostConfig(alpha=cfg.alpha, rounds=cfg.inner_rounds, delta=cfg.delta, early_stop=True)
-    models, vote = alpha_boost(flat, base_learner, boost_cfg)
+    models, vote, _ = alpha_boost(flat, base_learner, boost_cfg)
     if not _zero_loss(vote, flat, None):
         raise WeakLearnerFailed("boosting did not reach zero loss on the inflated set")
     sub = sparsify_majority(
@@ -163,12 +163,13 @@ def _reindexed(U, indices, n: int):
     return FinitePerExample({j: U.points(int(indices[j])) for j in range(n)})
 
 
-def robustify_nonrobust(data: Dataset, U, base_learner, cfg: RobustifyConfig | None = None, diagnostics=None):
+def robustify_nonrobust(data: Dataset, U, base_learner, cfg: RobustifyConfig | None = None):
     """alpha_boost over the inflated training set with a weak learner that
     draws a subsample from the round's distribution, projects it back to its
     origin examples and runs zero_robust_loss on them; an attempt whose
     subsample is not robustly realizable fails and is retried. The final vote
     is sparsified until its robust loss on the original data is exactly zero.
+    Returns the sparsified vote and the number of outer rounds run.
     """
     cfg = cfg or RobustifyConfig()
     if not isinstance(U, (FiniteOffsets, FinitePerExample)):
@@ -184,18 +185,13 @@ def robustify_nonrobust(data: Dataset, U, base_learner, cfg: RobustifyConfig | N
         return zero_robust_loss(data.subset(origin_rows), U, base_learner, inner_cfg, indices=origin_rows)
 
     boost_cfg = AlphaBoostConfig(alpha=cfg.alpha, rounds=cfg.outer_rounds, delta=cfg.delta, early_stop=True)
-    boost_diag: dict = {}
-    models, vote = alpha_boost(flat, weak_learner, boost_cfg, diagnostics=boost_diag)
+    models, vote, _ = alpha_boost(flat, weak_learner, boost_cfg)
     if not _zero_loss(vote, flat, None):
         raise WeakLearnerFailed("outer boosting did not reach zero robust loss")
     sub = sparsify_majority(
         models, data, N=cfg.sparsify_N, seed=cfg.rng_seed, U=U, retry_limit=cfg.retry_limit
     )
-    if diagnostics is not None:
-        diagnostics["rounds_run"] = len(models)
-        diagnostics["round_errors"] = boost_diag["round_errors"]
-        diagnostics["inflated_size"] = flat.n
-    return MajorityVote(sub)
+    return MajorityVote(sub), len(models)
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +226,11 @@ class PerExampleWeights:
 
 
 def fms_agnostic(data: Dataset, U, erm, eta_mw: float | None = None, rounds: int | None = None,
-                 eps: float = 0.2, diagnostics=None):
+                 eps: float = 0.2):
     """Multiplicative-weights game over perturbations: each round the ERM
     fits the current per-perturbation distribution, then every perturbation
     the round's model got wrong is up-weighted by (1 + eta). Returns the
-    majority vote of the round models.
+    majority vote of the round models and the eta used.
     """
     if rounds is not None and rounds < 1:
         raise ConfigError("rounds must be >= 1")
@@ -254,10 +250,7 @@ def fms_agnostic(data: Dataset, U, erm, eta_mw: float | None = None, rounds: int
         h_t = erm(WeightedDataset(flat, weights.normalized() / data.n))
         models.append(h_t)
         weights.scale_up(h_t.predict_batch(flat.X) != flat.y, 1.0 + eta)
-    if diagnostics is not None:
-        diagnostics["rounds"] = T
-        diagnostics["eta"] = eta
-    return MajorityVote(models)
+    return MajorityVote(models), eta
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +320,11 @@ def _draw(stream, k: int) -> Dataset:
 
 
 def one_pass_robust(stream, online_learner, attack_oracle, eps: float, delta: float,
-                    mistake_cap: int, diagnostics=None):
+                    mistake_cap: int):
     """Single pass over an i.i.d. stream: update on every attackable example,
     return the first hypothesis that survives ceil((1/eps) ln(cap/delta))
-    consecutive robust-correct draws. Never updates on a survivor example.
+    consecutive robust-correct draws, with the number of updates and that
+    run length. Never updates on a survivor example.
 
     Rows are drawn in blocks no longer than the rest of the survivor run, so
     a finite source gives up no row a one-row loop would not have read."""
@@ -362,17 +356,16 @@ def one_pass_robust(stream, online_learner, attack_oracle, eps: float, delta: fl
         last = -1
         learner = _scan(oracle, learner, batch.X, batch.y, None, on_hit)
         streak = batch.n - 1 - last if last >= 0 else streak + batch.n
-    if diagnostics is not None:
-        diagnostics["updates"] = updates
-        diagnostics["run_length"] = run_len
-    return learner
+    return learner, updates, run_len
 
 
-def cycle_robust(data: Dataset, online_learner, attack_oracle, mistake_cap: int, diagnostics=None):
+def cycle_robust(data: Dataset, online_learner, attack_oracle, mistake_cap: int):
     """Cycle over the training set feeding attack witnesses to the learner
     until one full pass draws no successful attack. Learner updates beyond
     the mistake cap, or oracle usage beyond m * cap calls, abort the run.
-    Each row examined counts as one oracle call, however the rows are batched."""
+    Each row examined counts as one oracle call, however the rows are batched,
+    so a run that returns made passes * m calls. Returns the learner, the
+    number of updates and the number of passes."""
     if mistake_cap < 1:
         raise ConfigError("mistake_cap must be >= 1")
     oracle = _rowwise(attack_oracle, indexed=True)
@@ -401,11 +394,7 @@ def cycle_robust(data: Dataset, online_learner, attack_oracle, mistake_cap: int,
             )
         if updates == before:
             break
-    if diagnostics is not None:
-        diagnostics["oracle_calls"] = calls
-        diagnostics["updates"] = updates
-        diagnostics["passes"] = passes
-    return learner
+    return learner, updates, passes
 
 
 # ---------------------------------------------------------------------------
@@ -452,12 +441,12 @@ def wm_constants(eta: float) -> tuple[float, float]:
     return math.log(1.0 / eta) / denom, 1.0 / denom
 
 
-def weighted_majority_robust(pool, stream, attack_oracle, eta_wm: float, rounds: int | None = None,
-                             diagnostics=None):
+def weighted_majority_robust(pool, stream, attack_oracle, eta_wm: float, rounds: int | None = None):
     """Run the weighted-majority vote against the attack oracle; every member
     wrong on a successful attack point is down-weighted by eta. Stops after
     `rounds` draws or when a finite stream runs dry; rows are drawn in
-    blocks, as in one_pass_robust."""
+    blocks, as in one_pass_robust. Returns the weights, the vote over them,
+    the number of mistakes and the number of examples drawn."""
     pool = list(pool)
     if not pool:
         raise EmptyPool("hypothesis pool must be non-empty")
@@ -487,7 +476,4 @@ def weighted_majority_robust(pool, stream, attack_oracle, eta_wm: float, rounds:
             break
         seen += batch.n
         _scan(oracle, predictor, batch.X, batch.y, None, on_hit)
-    if diagnostics is not None:
-        diagnostics["mistakes"] = mistakes
-        diagnostics["examples_seen"] = seen
-    return weights, predictor
+    return weights, predictor, mistakes, seen

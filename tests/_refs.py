@@ -577,7 +577,7 @@ def accept_ref(source, stages, m: int, budget_per_draw: int, abstained: bool):
 
 
 def one_pass_ref(stream, online_learner, attack_oracle, eps: float, delta: float,
-                 mistake_cap: int, diagnostics=None):
+                 mistake_cap: int):
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
     run_len = max(1, math.ceil((1.0 / eps) * math.log(mistake_cap / delta)))
@@ -599,13 +599,10 @@ def one_pass_ref(stream, online_learner, attack_oracle, eps: float, delta: float
             learner = learner.update(as_vector(z), s.y)
             updates += 1
             streak = 0
-    if diagnostics is not None:
-        diagnostics["updates"] = updates
-        diagnostics["run_length"] = run_len
-    return learner
+    return learner, updates, run_len
 
 
-def cycle_ref(data: Dataset, online_learner, attack_oracle, mistake_cap: int, diagnostics=None):
+def cycle_ref(data: Dataset, online_learner, attack_oracle, mistake_cap: int):
     m = data.n
     learner = online_learner
     samples = [data.sample(i) for i in range(m)]
@@ -631,15 +628,10 @@ def cycle_ref(data: Dataset, online_learner, attack_oracle, mistake_cap: int, di
                     )
                 learner = learner.update(as_vector(z), s.y)
                 clean = False
-    if diagnostics is not None:
-        diagnostics["oracle_calls"] = calls
-        diagnostics["updates"] = updates
-        diagnostics["passes"] = passes
-    return learner
+    return learner, updates, passes
 
 
-def weighted_majority_ref(pool, stream, attack_oracle, eta_wm: float, rounds: int | None = None,
-                          diagnostics=None):
+def weighted_majority_ref(pool, stream, attack_oracle, eta_wm: float, rounds: int | None = None):
     pool = list(pool)
     if not pool:
         raise EmptyPool("hypothesis pool must be non-empty")
@@ -664,10 +656,7 @@ def weighted_majority_ref(pool, stream, attack_oracle, eta_wm: float, rounds: in
         for j, h in enumerate(pool):
             if h.predict(z) != s.y:
                 weights.weights[j] *= eta_wm
-    if diagnostics is not None:
-        diagnostics["mistakes"] = mistakes
-        diagnostics["examples_seen"] = seen
-    return weights, predictor
+    return weights, predictor, mistakes, seen
 
 
 # ---------------------------------------------------------------------------

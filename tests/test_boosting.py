@@ -395,11 +395,9 @@ def test_roboost_cascade_beats_single_model_on_cluster_mix():
     gamma = 1.6
     ball = LpBall(2.0, gamma)
     cfg = BoostConfig(beta=0.4, eps=0.05, rounds=3, per_round_m=150)
-    diag = {}
-    cascade = beta_roboost(gen_stream(THREE_CLUSTERS, 11), barely_svm(2 * gamma), cfg, ball,
-                           diagnostics=diag)
-    assert diag["rounds_run"] == 3 and not diag["stopped_early"]
-    assert 0.3 <= diag["beta_hats"][0] <= 0.7  # only the far cluster holds at 2 gamma
+    cascade, rounds = beta_roboost(gen_stream(THREE_CLUSTERS, 11), barely_svm(2 * gamma), cfg, ball)
+    assert len(cascade.stages) == len(rounds) == cfg.rounds_resolved == 3  # ran all, not stopped early
+    assert 0.3 <= rounds[0][0] <= 0.7  # only the far cluster holds at 2 gamma
     eval_data = generate(GenSpec(THREE_CLUSTERS, 800, rng_seed=999))
     single = cascade.stages[0].model
     cascade_err = robust_risk(cascade, eval_data, ball)
@@ -412,21 +410,17 @@ def test_roboost_stops_when_learner_is_already_robust():
     # one well-separated pair: round 1 holds everything, round 2 finds nothing
     wide = MarginUnion((MarginCluster(vec(0.0, 9.0), 1.0, 0.01),))
     cfg = BoostConfig(beta=1.0, eps=0.2, per_round_m=60)
-    diag = {}
-    cascade = beta_roboost(gen_stream(wide, 7), barely_svm(3.2), cfg, LpBall(2.0, 1.6),
-                           diagnostics=diag)
-    assert diag["beta_hats"][0] == pytest.approx(1.0)
-    assert diag["stopped_early"] and diag["rounds_run"] == 1
+    cascade, rounds = beta_roboost(gen_stream(wide, 7), barely_svm(3.2), cfg, LpBall(2.0, 1.6))
+    assert rounds[0][0] == pytest.approx(1.0)
+    assert len(rounds) == 1 < cfg.rounds_resolved  # stopped early
     assert len(cascade.stages) == 1
 
 
 def test_roboost_finite_source_dry_after_first_round_stops_cleanly():
     data = generate(GenSpec(THREE_CLUSTERS, 70, rng_seed=2))
     cfg = BoostConfig(beta=0.4, eps=0.2, rounds=3, per_round_m=60)
-    diag = {}
-    cascade = beta_roboost(finite_source(data), barely_svm(3.2), cfg, LpBall(2.0, 1.6),
-                           diagnostics=diag)
-    assert diag["stopped_early"] and diag["rounds_run"] == 1
+    cascade, rounds = beta_roboost(finite_source(data), barely_svm(3.2), cfg, LpBall(2.0, 1.6))
+    assert len(rounds) == 1 < cfg.rounds_resolved  # stopped early
     assert len(cascade.stages) == 1
 
 
@@ -435,8 +429,8 @@ def test_uroboost_with_faithful_pseudo_labels_matches_roboost():
     ball = LpBall(2.0, gamma)
     labeled = generate(GenSpec(THREE_CLUSTERS, 400, rng_seed=21))
     cfg = BoostConfig(beta=0.4, eps=0.2, rounds=2, per_round_m=150)
-    cascade = beta_uroboost(labeled, gen_stream(THREE_CLUSTERS, 31), barely_svm(2 * gamma),
-                            cfg, ball)
+    cascade, _ = beta_uroboost(labeled, gen_stream(THREE_CLUSTERS, 31), barely_svm(2 * gamma),
+                               cfg, ball)
     eval_data = generate(GenSpec(THREE_CLUSTERS, 800, rng_seed=998))
     assert robust_risk(cascade, eval_data, ball) <= 0.35
 
@@ -445,10 +439,8 @@ def test_uroboost_empty_unlabeled_source_degenerates():
     labeled = generate(GenSpec(THREE_CLUSTERS, 200, rng_seed=5))
     empty = finite_source(Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64)))
     cfg = BoostConfig(beta=0.4, eps=0.2, per_round_m=50)
-    diag = {}
-    cascade = beta_uroboost(labeled, empty, barely_svm(3.2), cfg, LpBall(2.0, 1.6),
-                            diagnostics=diag)
-    assert len(cascade.stages) == 1 and diag["stopped_early"]
+    cascade, rounds = beta_uroboost(labeled, empty, barely_svm(3.2), cfg, LpBall(2.0, 1.6))
+    assert len(cascade.stages) == 1 and rounds == [] and len(rounds) < cfg.rounds_resolved
     assert cascade.fallback is cascade.stages[0].model
 
 
@@ -499,18 +491,17 @@ def test_alpha_boost_downweights_held_examples():
 
 def test_alpha_boost_perfect_learner_zero_error():
     data = Dataset(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1, -1]))
-    diag = {}
-    models, vote = alpha_boost(data, lambda wd: LinearModel(vec(1.0, 0.0)),
-                               AlphaBoostConfig(rounds=5), diagnostics=diag)
+    models, vote, round_errors = alpha_boost(data, lambda wd: LinearModel(vec(1.0, 0.0)),
+                                             AlphaBoostConfig(rounds=5))
     assert len(models) == 5
-    assert diag["round_errors"] == [0.0] * 5
+    assert round_errors == [0.0] * 5
     assert np.array_equal(vote.predict_batch(data.X), data.y)
 
 
 def test_alpha_boost_early_stop_cuts_rounds_short():
     data = Dataset(np.array([[1.0], [-1.0]]), np.array([1, -1]))
-    models, _ = alpha_boost(data, lambda wd: LinearModel(vec(1.0)),
-                            AlphaBoostConfig(rounds=50, early_stop=True))
+    models, _, _ = alpha_boost(data, lambda wd: LinearModel(vec(1.0)),
+                               AlphaBoostConfig(rounds=50, early_stop=True))
     assert len(models) == 1
 
 
@@ -530,9 +521,8 @@ def test_alpha_boost_retries_a_weak_learner_that_gives_up():
             raise WeakLearnerFailed("not this subsample")
         return LinearModel(vec(1.0))
 
-    diag = {}
-    models, _ = alpha_boost(data, twice_failing, AlphaBoostConfig(rounds=2), diagnostics=diag)
-    assert len(seen) == 4 and len(models) == 2 and diag["round_errors"] == [0.0, 0.0]
+    models, _, round_errors = alpha_boost(data, twice_failing, AlphaBoostConfig(rounds=2))
+    assert len(seen) == 4 and len(models) == 2 and round_errors == [0.0, 0.0]
     assert np.array_equal(seen[0], seen[2])  # a failed attempt leaves the weights alone
 
     attempts = []
@@ -574,8 +564,8 @@ def test_alpha_boost_robust_mode_uses_ball_loss():
                     AlphaBoostConfig(rounds=2), U=ball)
     # with real margin every member is robust, hence so is the vote
     wide = Dataset(np.array([[3.0], [-3.0]]), np.array([1, -1]))
-    models, vote = alpha_boost(wide, lambda wd: LinearModel(vec(1.0)),
-                               AlphaBoostConfig(rounds=2), U=ball)
+    models, vote, _ = alpha_boost(wide, lambda wd: LinearModel(vec(1.0)),
+                                  AlphaBoostConfig(rounds=2), U=ball)
     assert all(robust_risk(h, wide, ball) == 0.0 for h in models)
 
 

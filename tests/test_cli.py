@@ -383,6 +383,8 @@ BOOST = ["--gamma", "0.3", "--eps", "0.2", "--beta", "0.5", "--rounds", "2"]
     ["alpha-boost", "--input", "BAND", "--offset", "0,0", "--offset", "1"],
     ["roboost", "--gen", "margin-union", "--cluster", "1,0:abc", *BOOST],
     ["roboost", "--gen", "margin-union", "--cluster", "1,0:1:zz", *BOOST],
+    # a fourth field used to be dropped, and the junk echoed in the document
+    ["gen-data", "--gen", "margin-union", "--cluster", "1,0:1:0:junk", "--out-csv", "MISSING"],
     # robustify checks its own ranges before it draws or sparsifies
     ["robustify", "--input", "BAND", "--offset", "0,0", "--subsample", "0"],
     ["robustify", "--input", "BAND", "--offset", "0,0", "--subsample=-1"],
@@ -392,6 +394,12 @@ BOOST = ["--gamma", "0.3", "--eps", "0.2", "--beta", "0.5", "--rounds", "2"]
 def test_config_errors_exit_2(tmp_path, capsys, argv):
     err = _fail_with(tmp_path, capsys, argv, 2)
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_gen_data_without_gen_names_the_flag(tmp_path, capsys):
+    # this used to say "unknown generator None"
+    err = _fail_with(tmp_path, capsys, ["gen-data", "--out-csv", "MISSING"], 2)
+    assert err == "error: ConfigError: provide --gen\n"
 
 
 @pytest.mark.parametrize("method", ["md", "glm"])
@@ -434,17 +442,16 @@ def test_urejectron_err_q_counts_over_the_scores_of_the_sweep(tmp_path, monkeypa
     paths = [str(tmp_path / name) for name in ("train.csv", "test.csv")]
     for path, data in zip(paths, (train, test)):
         save_csv(path, data)
-    real, diag = cli.urejectron, {}
+    real, returned = cli.urejectron, []
 
-    def spy(*args, diagnostics):
-        out = real(*args, diagnostics=diagnostics)
-        diag.update(diagnostics)
-        return out
+    def spy(*args):
+        returned.append(real(*args))
+        return returned[-1]
 
     monkeypatch.setattr(cli, "urejectron", spy)
     doc = cli._cmd_urejectron(cli._parse(["urejectron", "--input", paths[0], "--test-input", paths[1],
                                           "--eps", "0.1", "--backend", "t1"]))
-    scores = diag["test_scores"]
+    _, scores, _ = returned[0]
     wrong = erm_linear(WeightedDataset.uniform(load_csv(paths[0]))).predict_batch(test.X) != test.y
     assert len(doc["tradeoff"]) == test.n + 1
     for row in doc["tradeoff"]:
@@ -511,11 +518,10 @@ def test_one_pass_input_reads_its_first_row(tmp_path):
     out = str(tmp_path / "res.txt")
     assert run(["one-pass", "--input", path, "--gamma", "0.1", "--eps", "1", "--mistake-cap", "2",
                 "--save-model", model, "--output", out]) == 0
-    diag = {}
-    state = one_pass_ref(finite_source(load_csv(path)), perceptron_init(2),
-                         margin_attack(LpBall(2.0, 0.1)), 1.0, 0.05, 2, diagnostics=diag)
+    state, updates, _ = one_pass_ref(finite_source(load_csv(path)), perceptron_init(2),
+                                     margin_attack(LpBall(2.0, 0.1)), 1.0, 0.05, 2)
     assert load_model(model).w.tobytes() == state.w.tobytes()
-    assert f"updates: {diag['updates']}" in Path(out).read_text() and diag["updates"] == 1
+    assert f"updates: {updates}" in Path(out).read_text() and updates == 1
 
 
 def test_error_classes_map_to_their_exit_codes():

@@ -11,6 +11,7 @@ in CHANGES.md.
 
 from __future__ import annotations
 
+import importlib.util
 import io
 import os
 import subprocess
@@ -192,3 +193,27 @@ def test_goldens_hold_under_python_O(tmp_path):
     out = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_RUN], cwd=tmp_path, capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": path})
     assert out.returncode == 0, out.stderr
+
+
+def _perfbench_tracing():
+    """perfbench/tracing.py, loaded by path: perfbench is not a package."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_goldens_hold_under_the_benchmark_tracer(inputs_dir, monkeypatch):
+    # the tracer wraps functions by name and reads some of their results
+    # (len(r[0]) of alpha_boost, r.n of rejection_sample), so a return shape
+    # it misreads fails or moves bytes here
+    tracing = _perfbench_tracing()
+    monkeypatch.chdir(inputs_dir)
+    tracer = tracing.Tracer()
+    with tracing.Instrumented(tracer):
+        runs = [run_case(name) for name in CASES]
+    differ = [f for files in runs for f, blob in files.items() if blob != (GOLDEN_DIR / f).read_bytes()]
+    assert not differ, f"differ from their golden copies: {differ}"
+    assert tracer.counters["boosting.alpha_boost.rounds"] > 0
+    assert tracer.counters["boosting.rejection_sample.accepts"] > 0

@@ -33,6 +33,7 @@ from roblearn import (
     rejectron,
     save_selection,
     select_member,
+    select_members,
     selective_classify,
     transductive_pool,
     urejectron,
@@ -104,11 +105,10 @@ def test_rejectron_redacts_the_drifted_cluster():
     train = band_train()
     tests = mixed_tests()
     erm = make_pool_erm([AXIS, FLIP_UP])
-    diag = {}
-    h, S = rejectron(train, tests, RedactConfig(0.2), erm=erm, diagnostics=diag)
-    assert diag["rounds"] == 1
-    assert diag["rounds"] <= math.floor(1.0 / 0.2)
-    assert diag["selected_test_fraction"] == 0.5
+    h, S, _ = rejectron(train, tests, RedactConfig(0.2), erm=erm)
+    assert len(S.members) == 1
+    assert len(S.members) <= math.floor(1.0 / 0.2)
+    assert select_members(S, tests).mean() == 0.5  # the selected test fraction
     # the high training weight protects every training point from redaction
     assert all(select_member(S, x) for x in train.X)
     for x, y in zip(train.X, train.y):
@@ -119,19 +119,15 @@ def test_rejectron_redacts_the_drifted_cluster():
 
 def test_rejectron_keeps_everything_without_drift():
     train = band_train()
-    diag = {}
-    h, S = rejectron(train, train.X.copy(), RedactConfig(0.25),
-                     erm=make_pool_erm([AXIS, FLIP_UP]), diagnostics=diag)
-    assert diag["rounds"] == 0
-    assert diag["selected_test_fraction"] == 1.0
-    assert S.members == ()
+    h, S, _ = rejectron(train, train.X.copy(), RedactConfig(0.25), erm=make_pool_erm([AXIS, FLIP_UP]))
+    assert S.members == ()  # no round kept
+    assert select_members(S, train.X).mean() == 1.0
 
 
 def test_rejectron_handles_empty_test_sets():
-    diag = {}
-    h, S = rejectron(band_train(), np.empty(0), RedactConfig(0.5),
-                     erm=make_pool_erm([AXIS]), diagnostics=diag)
-    assert diag["selected_test_fraction"] == 1.0
+    h, S, scores = rejectron(band_train(), np.empty(0), RedactConfig(0.5), erm=make_pool_erm([AXIS]))
+    # no test row, so no round runs: the selected test fraction is 1.0 by definition
+    assert S.members == () and scores == []
 
 
 def test_rejectron_redacts_a_repeated_adversarial_point():
@@ -141,8 +137,7 @@ def test_rejectron_redacts_a_repeated_adversarial_point():
     adv = vec(1.5, 3.0)  # base says +1, truth is -1
     tests = np.concatenate([band_train().X, np.tile(adv, (20, 1))])
     truth = np.concatenate([band_train().y, -np.ones(20)]).astype(np.int64)
-    h, S = rejectron(train, tests, RedactConfig(0.2),
-                     erm=make_pool_erm([AXIS, FLIP_UP]))
+    h, S, _ = rejectron(train, tests, RedactConfig(0.2), erm=make_pool_erm([AXIS, FLIP_UP]))
     preds = [selective_classify(h, S, x) for x in tests]
     errs = sum(p is not ABSTAIN and p != t for p, t in zip(preds, truth))
     assert errs / len(tests) <= 0.2
@@ -151,10 +146,8 @@ def test_rejectron_redacts_a_repeated_adversarial_point():
 
 def test_urejectron_pool_pairs_split_only_on_drift():
     tests = mixed_tests()
-    diag = {}
-    S = urejectron(band_train().X, tests, RedactConfig(0.2),
-                   FinitePoolPairs([AXIS, FLIP_UP]), diagnostics=diag)
-    assert diag["rounds"] == 1
+    S, _, tradeoff = urejectron(band_train().X, tests, RedactConfig(0.2), FinitePoolPairs([AXIS, FLIP_UP]))
+    assert len(S.members) == 1 and tradeoff == []
     assert all(select_member(S, x) for x in band_train().X)
     assert not any(select_member(S, x) for x in tests[20:])
     with pytest.raises(EmptyPool):
@@ -166,9 +159,8 @@ def test_urejectron_t1_threshold_tradeoff():
     indist = generate(GenSpec(GaussianPair((vec(2.0, 0.0), vec(-2.0, 0.0)), 0.1), 20, rng_seed=6))
     drift = np.tile(vec(0.0, 6.0), (20, 1)) + 0.1 * np.random.default_rng(7).standard_normal((20, 2))
     tests = np.concatenate([indist.X, drift])
-    diag = {}
-    S = urejectron(rng_train.X, tests, RedactConfig(0.2), DistinguisherT1(), diagnostics=diag)
-    rows = diag["tradeoff"]
+    S, scores, rows = urejectron(rng_train.X, tests, RedactConfig(0.2), DistinguisherT1())
+    assert len(rows) == len(scores) + 1 == tests.shape[0] + 1
     # sweeping the threshold upward only ever rejects more on both sides
     for a, b in zip(rows, rows[1:]):
         assert b["threshold"] >= a["threshold"]
@@ -193,11 +185,10 @@ def test_urejectron_pairs_is_the_per_round_search(seed, k, n, n_test, eps, weigh
             for _ in range(k)]
     train, tests = (rng.integers(-3, 4, (rows, 2)).astype(float) for rows in (n, n_test))
     cfg = RedactConfig(eps, weight)
-    diag = {}
-    S = urejectron(train, tests, cfg, FinitePoolPairs(pool), diagnostics=diag)
+    S, got, _ = urejectron(train, tests, cfg, FinitePoolPairs(pool))
     members, scores = urejectron_pairs_ref(train, tests, eps, cfg.resolved_weight(n), pool)
     assert S.members == tuple((pool[i], pool[j]) for i, j in members)
-    assert [repr(v) for v in diag["scores"]] == [repr(v) for v in scores]
+    assert [repr(v) for v in got] == [repr(v) for v in scores]
 
 
 @pytest.mark.parametrize("side", ["train", "test"])
@@ -251,7 +242,7 @@ def test_massart_denoise_relabels_before_redacting():
     noisy = apply_rcn(generate(GenSpec(pair, 600, rng_seed=11)), eta=0.2, seed=12)
     heldout = generate(GenSpec(pair, 40, rng_seed=13))
     tests = generate(GenSpec(pair, 40, rng_seed=14))
-    h, S = massart_denoise_rejectron(noisy, heldout, tests.X, RedactConfig(0.2))
+    h, S, _ = massart_denoise_rejectron(noisy, heldout, tests.X, RedactConfig(0.2))
     preds = [selective_classify(h, S, x) for x in tests.X]
     errs = sum(p is not ABSTAIN and p != t for p, t in zip(preds, tests.y))
     abstains = sum(p is ABSTAIN for p in preds)
@@ -262,11 +253,10 @@ def test_transductive_pool_realizable_prefers_first_stable():
     train = band_train()
     pool = PoolHypotheses((AXIS, LinearModel(vec(2.0, 0.0))))
     ball = LpBall(2.0, 0.3)
-    diag = {}
-    h, labels = transductive_pool(pool, train, train.X, ball, diagnostics=diag)
+    h, labels, scores = transductive_pool(pool, train, train.X, ball)
     assert h is pool.models[0]
     assert np.array_equal(labels, train.y)
-    assert diag["scores"][0] == {"labeled": 0.0, "unlabeled": 0.0}
+    assert scores[0] == (0.0, 0.0)  # (labeled, unlabeled)
     with pytest.raises(EmptyPool):
         PoolHypotheses(())
 
@@ -285,21 +275,19 @@ def test_transductive_pool_agnostic_minimizes_the_worse_risk():
     tests = np.concatenate([band_train().X, [[0.05, 0.0]]])  # one point hugs the boundary
     good = AXIS
     bad = LinearModel(vec(0.0, 1.0))  # unstable everywhere on the band
-    h, _ = transductive_pool(PoolHypotheses((bad, good)), train, tests,
-                             LpBall(2.0, 0.3), mode="agnostic")
+    h, _, _ = transductive_pool(PoolHypotheses((bad, good)), train, tests,
+                                LpBall(2.0, 0.3), mode="agnostic")
     assert h is good
 
 
 def test_transductive_pool_finite_offsets_risks():
     train = Dataset(np.array([[1.0], [-1.0]]), np.array([1, -1]))
     shifts = FiniteOffsets([vec(0.0), vec(1.5)])
-    diag = {}
-    h, _ = transductive_pool(PoolHypotheses((LinearModel(vec(1.0)),)), train,
-                             np.array([[4.0], [0.5]]), shifts, mode="agnostic",
-                             diagnostics=diag)
+    h, _, scores = transductive_pool(PoolHypotheses((LinearModel(vec(1.0)),)), train,
+                                     np.array([[4.0], [0.5]]), shifts, mode="agnostic")
     # the -1 training point crosses the origin under the 1.5 shift, and the
     # 0.5 test point splits its preimage predictions
-    assert diag["scores"][0] == {"labeled": 0.5, "unlabeled": 0.5}
+    assert scores[0] == (0.5, 0.5)  # (labeled, unlabeled)
     with pytest.raises(Unsupported):
         transductive_pool(PoolHypotheses((h,)), train, train.X, object(), mode="agnostic")
 
@@ -350,6 +338,7 @@ def test_selection_load_errors(tmp_path):
     ("c:", 2),
     ("pair: linear 0 1 0 | const", 7),
     ("pair: linear 0 1 0 | const x", 8),
+    ("mode: frob", 2),
 ])
 def test_selection_files_with_bad_numbers_are_parse_errors(tmp_path, line, col):
     # these used to raise a bare ValueError or IndexError

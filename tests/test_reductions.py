@@ -135,14 +135,23 @@ def test_zero_robust_loss_rejects_unrealizable_input():
                          RobustifyConfig(inner_rounds=4))
 
 
-def test_robustify_reaches_zero_robust_loss():
+def test_robustify_reaches_zero_robust_loss(monkeypatch):
     data = separable_band()
-    diag = {}
-    vote = robustify_nonrobust(data, SHIFTS, erm_linear, diagnostics=diag)
+    boosts = []  # (rows boosted on, round errors) of each alpha_boost run, the outer one last
+
+    def recording(flat, learner, cfg, U=None):
+        models, vote, errors = boost(flat, learner, cfg, U)
+        boosts.append((flat.n, errors))
+        return models, vote, errors
+
+    boost = reductions.alpha_boost
+    monkeypatch.setattr(reductions, "alpha_boost", recording)
+    vote, rounds_run = robustify_nonrobust(data, SHIFTS, erm_linear)
     assert robust_risk(vote, data, SHIFTS) == 0.0
-    assert diag["inflated_size"] == 3 * data.n
-    assert diag["rounds_run"] >= 1
-    assert all(e <= 1.0 / 3.0 for e in diag["round_errors"])
+    inflated_size, round_errors = boosts[-1]
+    assert inflated_size == 3 * data.n
+    assert rounds_run >= 1 and len(round_errors) == rounds_run
+    assert all(e <= 1.0 / 3.0 for e in round_errors)
     with pytest.raises(Unsupported):
         robustify_nonrobust(data, LpBall(2.0, 0.5), erm_linear)
 
@@ -168,18 +177,16 @@ def test_robustify_retries_a_failed_attempt_with_the_next_seed(monkeypatch):
             return LinearModel(vec(-1.0, 0.0)) if len(calls) <= 5 else erm_linear(wd)
 
         seeds.clear()
-        diag = {}
-        vote = robustify_nonrobust(data, SHIFTS, flaky, RobustifyConfig(inner_rounds=2, rng_seed=3),
-                                   diagnostics=diag)
+        vote, rounds_run = robustify_nonrobust(data, SHIFTS, flaky, RobustifyConfig(inner_rounds=2, rng_seed=3))
         grid = np.mgrid[-3:3:13j, -3:3:13j].reshape(2, -1).T
-        return list(seeds), diag, vote.predict_batch(grid), robust_risk(vote, data, SHIFTS)
+        return list(seeds), rounds_run, vote.predict_batch(grid), robust_risk(vote, data, SHIFTS)
 
-    seeds_a, diag_a, pred_a, risk = run()
-    seeds_b, diag_b, pred_b, _ = run()
+    seeds_a, rounds_a, pred_a, risk = run()
+    seeds_b, rounds_b, pred_b, _ = run()
     # attempt k of the run seeds its inner boost with rng_seed + k
     assert seeds_a == list(range(4, 4 + len(seeds_a)))
-    assert len(seeds_a) > diag_a["rounds_run"] and risk == 0.0
-    assert (seeds_a, diag_a) == (seeds_b, diag_b)
+    assert len(seeds_a) > rounds_a and risk == 0.0
+    assert (seeds_a, rounds_a) == (seeds_b, rounds_b)
     assert np.array_equal(pred_a, pred_b)
 
 
@@ -247,20 +254,18 @@ def test_fms_vote_is_near_the_pool_optimum():
     spec = FiniteOffsets([vec(0.0), vec(0.9), vec(-0.9)])
     pool = [LinearModel(vec(1.0), bias=b) for b in (-0.6, -0.2, 0.0, 0.2, 0.6)]
     pool += [LinearModel(vec(-1.0), bias=0.1)]
-    diag = {}
-    vote = fms_agnostic(data, spec, make_pool_erm(pool), rounds=40, diagnostics=diag)
+    vote, eta = fms_agnostic(data, spec, make_pool_erm(pool), rounds=40)
     lists = [spec.points(X[i]) for i in range(data.n)]
     opt = brute_pool_optimum(pool, lists, y)
     assert robust_risk(vote, data, spec) <= 2.0 * opt + 0.1
-    assert diag["rounds"] == 40 and diag["eta"] > 0
+    assert len(vote.models) == 40 and eta > 0
 
 
 def test_fms_round_count_default():
     data = Dataset(np.array([[1.0], [-1.0]]), np.array([1, -1]))
     spec = FiniteOffsets([vec(0.0), vec(0.1), vec(-0.1)])
-    diag = {}
-    fms_agnostic(data, spec, erm_linear, eps=0.5, diagnostics=diag)
-    assert diag["rounds"] == math.ceil(32.0 * math.log(3) / 0.25)
+    vote, _ = fms_agnostic(data, spec, erm_linear, eps=0.5)
+    assert len(vote.models) == math.ceil(32.0 * math.log(3) / 0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +276,9 @@ def test_fms_round_count_default():
 def test_one_pass_learns_from_a_stream():
     pair = GaussianPair((vec(2.0, 0.0), vec(-2.0, 0.0)), sigma=0.1)
     ball = LpBall(2.0, 0.2)
-    diag = {}
-    state = one_pass_robust(gen_stream(pair, 3), perceptron_init(2), margin_attack(ball),
-                            eps=0.25, delta=0.05, mistake_cap=100, diagnostics=diag)
-    assert diag["run_length"] == math.ceil(4.0 * math.log(100 / 0.05))
+    state, _, run_length = one_pass_robust(gen_stream(pair, 3), perceptron_init(2), margin_attack(ball),
+                                           eps=0.25, delta=0.05, mistake_cap=100)
+    assert run_length == math.ceil(4.0 * math.log(100 / 0.05))
     oracle = margin_attack(ball)
     fresh = generate(GenSpec(pair, 60, rng_seed=77))
     survived = sum(oracle(state, fresh.sample(i)) is None for i in range(fresh.n))
@@ -294,12 +298,12 @@ def test_cycle_terminates_with_certified_robust_state():
     data = generate(GenSpec(pair, 80, rng_seed=4))
     ball = LpBall(2.0, 0.3)
     oracle = margin_attack(ball)
-    diag = {}
     cap = 200
-    state = cycle_robust(data, perceptron_init(2), oracle, mistake_cap=cap, diagnostics=diag)
+    state, updates, passes = cycle_robust(data, perceptron_init(2), oracle, mistake_cap=cap)
     assert all(oracle(state, data.sample(i), i) is None for i in range(data.n))
-    assert diag["updates"] <= cap
-    assert diag["oracle_calls"] <= data.n * cap
+    assert updates <= cap
+    oracle_calls = passes * data.n  # a run that returns examined every row on every pass
+    assert oracle_calls <= data.n * cap
 
 
 def test_cycle_aborts_past_the_mistake_cap():
@@ -347,14 +351,12 @@ def test_weighted_majority_suppresses_the_bad_member():
     y = np.full(12, -1, dtype=np.int64)
     stream = finite_source(Dataset(X, y))
     oracle = enumeration_attack(FiniteOffsets([vec(0.0)]))
-    diag = {}
-    weights, predictor = weighted_majority_robust(pool, stream, oracle, eta_wm=0.5,
-                                                  diagnostics=diag)
-    assert diag["mistakes"] == 1 and diag["examples_seen"] == 12
+    weights, predictor, mistakes, seen = weighted_majority_robust(pool, stream, oracle, eta_wm=0.5)
+    assert mistakes == 1 and seen == 12
     assert np.allclose(weights.weights, [0.5, 1.0])
     assert predictor.predict(vec(3.0)) == -1
     a, b = wm_constants(0.5)
-    assert diag["mistakes"] <= a * 0.0 + b * math.log(len(pool))
+    assert mistakes <= a * 0.0 + b * math.log(len(pool))
 
 
 def test_weighted_majority_respects_the_general_bound():
@@ -377,11 +379,10 @@ def test_weighted_majority_respects_the_general_bound():
                 return z
         return None
 
-    diag = {}
-    weighted_majority_robust(pool, stream, oracle, eta_wm=0.5, diagnostics=diag)
+    mistakes = weighted_majority_robust(pool, stream, oracle, eta_wm=0.5)[2]
     a, b = wm_constants(0.5)
     # the pool contains a zero-mistake member, so the bound is pure overhead
-    assert diag["mistakes"] <= a * 0.0 + b * math.log(len(pool))
+    assert mistakes <= a * 0.0 + b * math.log(len(pool))
 
 # ---------------------------------------------------------------------------
 # the block mistake scan against the one-row loops of tests/_refs.py
@@ -444,14 +445,13 @@ def _oracle(kind, rng, data, plain, log):
 
 
 def _result(run):
-    """Weight bytes and diagnostics, or the class and message of the error."""
-    diag = {}
+    """Weight bytes and the loop's counts, or the class and message of the error."""
     try:
-        out = run(diag)
+        first, *rest = run()
     except (RoblearnError, ValueError) as exc:
         return type(exc), str(exc)
-    w = out[0].weights if isinstance(out, tuple) else getattr(out, "state", out).w
-    return w.tobytes(), diag
+    w = first.weights if isinstance(first, EnsembleWeights) else getattr(first, "state", first).w
+    return w.tobytes(), tuple(v for v in rest if isinstance(v, int))
 
 
 def _next_row(source):
@@ -475,7 +475,7 @@ def test_cycle_matches_the_one_row_loop(seed, n, d, decimals, kind, plain, cap):
     for loop, log in zip((cycle_ref, cycle_robust), logs):
         rng.bit_generator.state = state
         oracle, learner = _oracle(kind, rng, data, plain, log)
-        results.append(_result(lambda diag: loop(data, learner, oracle, cap, diagnostics=diag)))
+        results.append(_result(lambda: loop(data, learner, oracle, cap)))
     assert results[1] == results[0]
     assert logs[1] == logs[0]
 
@@ -491,8 +491,7 @@ def test_one_pass_matches_the_one_row_loop(seed, n, d, decimals, kind, plain, ca
         rng.bit_generator.state = state
         oracle, learner = _oracle(kind, rng, data, plain, log)
         sources.append(finite_source(data))
-        results.append(_result(lambda diag: loop(sources[-1], learner, oracle, eps, delta, cap,
-                                                 diagnostics=diag)))
+        results.append(_result(lambda: loop(sources[-1], learner, oracle, eps, delta, cap)))
     assert results[1] == results[0]
     assert logs[1] == logs[0]
     if results[0][0] in (StreamExhausted,) or isinstance(results[0][0], bytes):
@@ -515,8 +514,7 @@ def test_weighted_majority_matches_the_one_row_loop(seed, n, d, decimals, kind, 
         rng.bit_generator.state = state
         oracle, _ = _oracle(kind, rng, data, plain, log)
         sources.append(finite_source(data))
-        results.append(_result(lambda diag: loop(pool, sources[-1], oracle, eta, rounds,
-                                                 diagnostics=diag)))
+        results.append(_result(lambda: loop(pool, sources[-1], oracle, eta, rounds)))
     assert results[1] == results[0]
     assert logs[1] == logs[0]
     if isinstance(results[0][0], bytes):
@@ -526,7 +524,7 @@ def test_weighted_majority_matches_the_one_row_loop(seed, n, d, decimals, kind, 
 def _ball_outcomes(X, y, cap, gamma=0.1):
     data = Dataset(np.array(X, dtype=float), np.array(y))
     oracle = margin_attack(LpBall(2.0, gamma))
-    return [_result(lambda diag: loop(data, perceptron_init(data.d), oracle, cap, diagnostics=diag))
+    return [_result(lambda: loop(data, perceptron_init(data.d), oracle, cap))
             for loop in (cycle_ref, cycle_robust)]
 
 
@@ -551,10 +549,10 @@ def test_one_pass_reads_no_row_past_the_survivor_run():
     # run length 2: row 0 updates, rows 1 and 2 survive, rows 3 and 4 stay unread
     data = Dataset(np.array([[-1.0], [2.0], [3.0], [-2.0], [4.0]]), np.array([-1, 1, 1, -1, 1]))
     sources = [finite_source(data), finite_source(data)]
-    runs = [_result(lambda diag: loop(src, perceptron_init(1), margin_attack(LpBall(2.0, 0.1)),
-                                      1.0, 0.5, 2, diagnostics=diag))
+    runs = [_result(lambda: loop(src, perceptron_init(1), margin_attack(LpBall(2.0, 0.1)),
+                                 1.0, 0.5, 2))
             for loop, src in zip((one_pass_ref, one_pass_robust), sources)]
-    assert runs[1] == runs[0] and runs[0][1] == {"updates": 1, "run_length": 2}
+    assert runs[1] == runs[0] and runs[0][1] == (1, 2)  # (updates, run length)
     assert _next_row(sources[1]) == _next_row(sources[0]) == vec(-2.0).tobytes()
 
 
@@ -562,8 +560,8 @@ def test_cycle_passes_row_indices_to_per_example_oracles():
     # row 1 is attackable only through its own list, row 2 has none
     data = Dataset(np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]), np.array([1, 1, 1]))
     U = FinitePerExample({0: [[1.0, 0.0]], 1: [[2.0, 0.0], [-5.0, 0.0]]})
-    outcomes = [_result(lambda diag: loop(data, BatchPerceptron(perceptron_init(2)),
-                                          enumeration_attack(U), 4, diagnostics=diag))
+    outcomes = [_result(lambda: loop(data, BatchPerceptron(perceptron_init(2)),
+                                     enumeration_attack(U), 4))
                 for loop in (cycle_ref, cycle_robust)]
     assert outcomes[1] == outcomes[0]
     assert outcomes[0] == (MissingPerturbations, "no perturbation list for example index 2")
@@ -572,16 +570,15 @@ def test_cycle_passes_row_indices_to_per_example_oracles():
 def test_streams_that_run_dry_mid_block_end_as_the_one_row_loops_do():
     data = Dataset(np.array([[1.0], [-1.0], [2.0], [3.0], [-2.0]]), np.array([1, -1, 1, 1, -1]))
     oracle = margin_attack(LpBall(2.0, 0.1))
-    passes = [_result(lambda diag: loop(finite_source(data), perceptron_init(1), oracle,
-                                        0.25, 0.5, 4, diagnostics=diag))
+    passes = [_result(lambda: loop(finite_source(data), perceptron_init(1), oracle,
+                                   0.25, 0.5, 4))
               for loop in (one_pass_ref, one_pass_robust)]
     assert passes[1] == passes[0] == (StreamExhausted, "stream ended with survivor streak 3 of 9")
     vote = enumeration_attack(FiniteOffsets([[0.0], [0.5]]))
     pool = [LinearModel(vec(1.0)), LinearModel(vec(-1.0))]
     for rounds in (None, 4, 5, 6, 50):
-        runs = [_result(lambda diag: loop(pool, finite_source(data), vote, 0.5, rounds,
-                                          diagnostics=diag))
+        runs = [_result(lambda: loop(pool, finite_source(data), vote, 0.5, rounds))
                 for loop in (weighted_majority_ref, weighted_majority_robust)]
         assert runs[1] == runs[0]
-        assert runs[0][1]["examples_seen"] == min(5, rounds or 5)
+        assert runs[0][1][1] == min(5, rounds or 5)  # (mistakes, examples seen)
 
