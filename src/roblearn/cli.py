@@ -21,7 +21,6 @@ from .core import (
     worst_case_point,
 )
 from .oracles import (
-    bound_separation,
     check_disjoint_balls,
     default_ellipsoid_config,
     ellipsoid_certify_batch,
@@ -199,9 +198,7 @@ def _echo(args, keys: str) -> dict:
 def _barely_learner(name: str, gamma: float):
     if name == "svm":
         return lambda d: svm_margin(d, 2.0 * gamma).model
-    if name == "erm":
-        return lambda d: erm_linear(WeightedDataset.uniform(d))
-    raise ConfigError(f"unknown learner {name!r}")
+    return lambda d: erm_linear(WeightedDataset.uniform(d))
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +248,7 @@ def _cmd_rerm_ellipsoid(args) -> dict:
     ball = _ball(args)
     check_disjoint_balls(data, ball)
     cfg = default_ellipsoid_config(ball, data.d)
-    model = rerm_ellipsoid(data, lambda i: bound_separation(ball, data.X[i]), cfg, ball=ball)
+    model = rerm_ellipsoid(data, ball, cfg)
     if args.save_model:
         save_model(args.save_model, model)
     return {

@@ -419,25 +419,26 @@ def ellipsoid_certify_batch(model: LinearModel, data: Dataset, U, cfg: Ellipsoid
     return _lockstep(sep, data.X, cfg)
 
 
-def rerm_ellipsoid(data: Dataset, sep_for_example, cfg: EllipsoidConfig,
-                   ball: LpBall | None = None) -> LinearModel:
+def rerm_ellipsoid(data: Dataset, U, cfg: EllipsoidConfig) -> LinearModel:
     """Robust ERM for homogeneous halfspaces by ellipsoid search in weight
-    space. Feasibility means every sample certifies robust at margin slack
-    feas_slack; each failed certification contributes the cut -y_i z_i.
+    space, against the lp ball or polytope U around each row. Feasibility
+    means every sample certifies robust at margin slack feas_slack; each
+    failed certification contributes the cut -y_i z_i. Row i is asked through
+    bound_separation(U, x_i).
 
-    sep_for_example(i) must return a query-only separation oracle for U(x_i).
-    With `ball`, the lp ball each U(x_i) is around x_i, every weight query skips
-    the rows whose closed-form robust margin y_i <w, x_i> - gamma ||w||_* beats
-    feas_slack by a relative 1e-9, as their certification can only return None;
-    the rest run in order, so the failing row and its cut stay the same.
-    Raises NotSeparable when the budget is exhausted without a feasible point,
-    and with `ball`, EllipsoidDiverged at once when it reaches past init_radius.
+    Over an lp ball every weight query skips the rows whose closed-form robust
+    margin y_i <w, x_i> - gamma ||w||_* beats feas_slack by a relative 1e-9,
+    as their certification can only return None; the rest run in order, so
+    the failing row and its cut stay the same. An lp ball that reaches past
+    init_radius raises EllipsoidDiverged at once. Raises NotSeparable when the
+    budget is exhausted without a feasible point.
     """
     d = data.d
     tau = cfg.feas_slack
-    if ball is not None:
-        _check_start(_l2_reach(ball, d), cfg)
-    rows = [(data.sample(i), sep_for_example(i)) for i in range(data.n)]
+    screen = isinstance(U, LpBall)
+    if screen:
+        _check_start(_l2_reach(U, d), cfg)
+    rows = [(data.sample(i), bound_separation(U, data.X[i])) for i in range(data.n)]
 
     def weight_oracle(wvec):
         nrm = float(np.linalg.norm(wvec))
@@ -446,9 +447,9 @@ def rerm_ellipsoid(data: Dataset, sep_for_example, cfg: EllipsoidConfig,
         # w = 0 violates every margin constraint; any point of U(x_i) cuts
         model = LinearModel(wvec) if np.any(wvec) else None
         todo = rows
-        if ball is not None:  # at w = 0 no row is proven
+        if screen:  # at w = 0 no row is proven
             raw = data.y * decision_values(data.X, wvec)
-            shift = ball.gamma * dual_norm(wvec, ball.p)
+            shift = U.gamma * dual_norm(wvec, U.p)
             proven = raw - shift - tau > 1e-9 * (np.abs(raw) + shift + tau)
             todo = [rows[i] for i in np.flatnonzero(~proven)]
         for s, sep in todo:

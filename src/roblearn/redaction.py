@@ -388,9 +388,10 @@ def load_selection(path: str) -> SelectionSet:
     if not lines or lines[0] != "selection-set v1":
         raise ParseError(f"{path} is not a selection-set file", row=1, col=1)
     mode = eps = base = None
-    members = []
+    members, first_row = [], {}
     for row, ln in enumerate(lines[1:], start=2):
         key, _, rest = ln.partition(":")
+        first_row.setdefault(key, row)
         if key == "mode":
             mode = rest.strip()
             if mode not in _MODES:
@@ -409,4 +410,9 @@ def load_selection(path: str) -> SelectionSet:
             raise ParseError(f"{path}: unrecognized line", row=row, col=1)
     if mode is None:
         raise ParseError(f"{path}: missing mode line", row=1, col=1)
+    other = "pair" if mode == "rejectron" else "c"  # the other mode's member line
+    if other in first_row:
+        raise ParseError(f"{path}: a {other!r} line in a {mode} file", row=first_row[other], col=1)
+    if mode == "rejectron" and base is None:
+        raise ParseError(f"{path}: missing base line", row=1, col=1)
     return SelectionSet(mode, members, base=base, eps=eps)

@@ -20,7 +20,6 @@ from .core import (
     FinitePerExample,
     LinearModel,
     LpBall,
-    Sample,
     as_vector,
     ball_hits,
     inflate,
@@ -44,31 +43,32 @@ from .errors import (
     Unsupported,
     WeakLearnerFailed,
 )
-from .oracles import attack
 
 
 # ---------------------------------------------------------------------------
-# attack-oracle adapters
+# attack oracles: oracle(state, X, y, start) -> (hit, witness) attacks the
+# block of rows (X, y) under a fixed learner state. hit is a boolean mask over
+# the rows, witness(j) the point in U(X[j]) that the state gets wrong for a hit
+# row j, and start the dataset index of row 0 (per-example tables need it), or
+# None.
 # ---------------------------------------------------------------------------
 
 
 def enumeration_attack(U):
-    """Attack oracle over a finite perturbation list; works for any predictor
-    exposing predict_batch(). Returns a callable (predictor, sample, index) -> z|None
-    whose `rowwise` form attacks a block of rows in one batch."""
+    """Attack oracle over a finite perturbation list, for any predictor
+    exposing predict_batch(): one batch attacks a block of rows, and a row is
+    hit when some listed point of it is misclassified; its witness is the
+    first such point."""
     if not isinstance(U, (FiniteOffsets, FinitePerExample)):
         raise Unsupported("enumeration needs a finite perturbation set")
 
-    def oracle(predictor, sample, index=None):
-        return attack(predictor, sample, U, index)
-
-    def rowwise(predictor, X, y, start):
+    def oracle(predictor, X, y, start):
         if isinstance(U, FiniteOffsets):
             known, sizes = len(y), np.full(len(y), U.k)
             Z = U.points(X).reshape(-1, X.shape[1])
         else:
             # rows end at the first index without a list; that row counts as
-            # hit and its witness raises MissingPerturbations, as attack does
+            # hit and its witness raises MissingPerturbations
             idx = range(start, start + len(y)) if start is not None else ()
             lists = [U.table[i] for i in itertools.takewhile(U.table.__contains__, idx)]
             known, sizes = len(lists), np.array([len(P) for P in lists], dtype=np.int64)
@@ -86,29 +86,21 @@ def enumeration_attack(U):
 
         return hit, witness
 
-    oracle.rowwise = rowwise
     return oracle
 
 
 def margin_attack(U: LpBall):
-    """Attack oracle for perceptron-style states with a weight vector; the
-    all-zero state predicts +1 everywhere, so only negative samples witness.
-    Its `rowwise` form tests a block of rows in one closed-form batch."""
+    """Attack oracle for perceptron-style states with a weight vector, one
+    closed-form batch per block of rows; the all-zero state predicts +1
+    everywhere, so only negative rows are hit, each its own witness."""
 
-    def oracle(state, sample: Sample, index: int | None = None):
-        w = np.asarray(state.w, dtype=float)
-        if not np.any(w):
-            return sample.x.copy() if sample.y == -1 else None
-        return attack(LinearModel(w), sample, U)
-
-    def rowwise(state, X, y, start):
+    def oracle(state, X, y, start):
         w = np.asarray(state.w, dtype=float)
         if not np.any(w):
             return y == -1, lambda j: X[j].copy()
         model = LinearModel(w)
         return ball_hits(model, X, y, U), lambda j: worst_case_point(model, X[j], y[j], U)
 
-    oracle.rowwise = rowwise
     return oracle
 
 
@@ -261,26 +253,9 @@ def fms_agnostic(data: Dataset, U, erm, eta_mw: float | None = None, rounds: int
 _MAX_DRAW = 4096  # rows per stream request, so a long survivor run stays small in memory
 
 
-def _rowwise(attack_oracle, indexed: bool):
-    """The oracle as (rowwise, most): rowwise(state, X, y, start) gives the
-    hit mask of a block of rows and witness(j) for a hit row j, and most caps
-    the rows one call may take. A callable without a `rowwise` form is asked
-    one row at a time, with the row's index only when indexed, exactly as a
-    one-row loop asks it."""
-    if hasattr(attack_oracle, "rowwise"):
-        return attack_oracle.rowwise, None
-
-    def one_row(state, X, y, start):
-        s = Sample(X[0].copy(), int(y[0]))
-        z = attack_oracle(state, s, start) if indexed else attack_oracle(state, s)
-        return np.array([z is not None]), lambda j: z
-
-    return one_row, 1
-
-
 def _scan(oracle, state, X, y, start, on_hit):
     """Run the rows (X, y) past the learner in order and return its final
-    state. The learner changes only at a hit, so one row-wise call finds the
+    state. The learner changes only at a hit, so one oracle call finds the
     next one: the lowest hit row j gets state = on_hit(state, j, witness), and
     the rows after it are attacked again under the new state. start is the
     index of row 0 for per-example oracles, or None.
@@ -289,11 +264,10 @@ def _scan(oracle, state, X, y, start, on_hit):
     window with no hit and drops to twice the last gap (at least 64 rows)
     after a hit, so dense hits re-attack few rows and sparse ones take few
     calls. The window changes the work, never the outcome."""
-    rowwise, most = oracle
     i, n, span = 0, len(y), 64
     while i < n:
-        k = min(n - i, span if most is None else most)
-        hit, witness = rowwise(state, X[i:i + k], y[i:i + k], None if start is None else start + i)
+        k = min(n - i, span)
+        hit, witness = oracle(state, X[i:i + k], y[i:i + k], None if start is None else start + i)
         j = int(np.argmax(hit))
         if not hit[j]:
             i += k
@@ -324,7 +298,8 @@ def one_pass_robust(stream, online_learner, attack_oracle, eps: float, delta: fl
     """Single pass over an i.i.d. stream: update on every attackable example,
     return the first hypothesis that survives ceil((1/eps) ln(cap/delta))
     consecutive robust-correct draws, with the number of updates and that
-    run length. Never updates on a survivor example.
+    run length. Never updates on a survivor example. attack_oracle is asked
+    block by block (see _scan), with no row index.
 
     Rows are drawn in blocks no longer than the rest of the survivor run, so
     a finite source gives up no row a one-row loop would not have read."""
@@ -334,7 +309,6 @@ def one_pass_robust(stream, online_learner, attack_oracle, eps: float, delta: fl
         raise ConfigError("delta must lie in (0, 1)")
     if mistake_cap < 1:
         raise ConfigError("mistake_cap must be >= 1")
-    oracle = _rowwise(attack_oracle, indexed=False)
     run_len = max(1, math.ceil((1.0 / eps) * math.log(mistake_cap / delta)))
     streak = 0
     updates = 0
@@ -354,7 +328,7 @@ def one_pass_robust(stream, online_learner, attack_oracle, eps: float, delta: fl
                 f"stream ended with survivor streak {streak} of {run_len}"
             ) from exc
         last = -1
-        learner = _scan(oracle, learner, batch.X, batch.y, None, on_hit)
+        learner = _scan(attack_oracle, learner, batch.X, batch.y, None, on_hit)
         streak = batch.n - 1 - last if last >= 0 else streak + batch.n
     return learner, updates, run_len
 
@@ -364,11 +338,11 @@ def cycle_robust(data: Dataset, online_learner, attack_oracle, mistake_cap: int)
     until one full pass draws no successful attack. Learner updates beyond
     the mistake cap, or oracle usage beyond m * cap calls, abort the run.
     Each row examined counts as one oracle call, however the rows are batched,
-    so a run that returns made passes * m calls. Returns the learner, the
-    number of updates and the number of passes."""
+    so a run that returns made passes * m calls. attack_oracle is asked block
+    by block (see _scan), with the blocks' row indices. Returns the learner,
+    the number of updates and the number of passes."""
     if mistake_cap < 1:
         raise ConfigError("mistake_cap must be >= 1")
-    oracle = _rowwise(attack_oracle, indexed=True)
     m = data.n
     calls = 0
     updates = 0
@@ -386,7 +360,7 @@ def cycle_robust(data: Dataset, online_learner, attack_oracle, mistake_cap: int)
         passes += 1
         before = updates
         rows = min(m, m * mistake_cap - calls)
-        learner = _scan(oracle, learner, data.X[:rows], data.y[:rows], 0, on_hit)
+        learner = _scan(attack_oracle, learner, data.X[:rows], data.y[:rows], 0, on_hit)
         calls += rows
         if rows < m:
             raise MistakeCapExceeded(
@@ -444,9 +418,9 @@ def wm_constants(eta: float) -> tuple[float, float]:
 def weighted_majority_robust(pool, stream, attack_oracle, eta_wm: float, rounds: int | None = None):
     """Run the weighted-majority vote against the attack oracle; every member
     wrong on a successful attack point is down-weighted by eta. Stops after
-    `rounds` draws or when a finite stream runs dry; rows are drawn in
-    blocks, as in one_pass_robust. Returns the weights, the vote over them,
-    the number of mistakes and the number of examples drawn."""
+    `rounds` draws or when a finite stream runs dry; rows are drawn and
+    attacked in blocks, as in one_pass_robust. Returns the weights, the vote
+    over them, the number of mistakes and the number of examples drawn."""
     pool = list(pool)
     if not pool:
         raise EmptyPool("hypothesis pool must be non-empty")
@@ -454,7 +428,6 @@ def weighted_majority_robust(pool, stream, attack_oracle, eta_wm: float, rounds:
         raise ConfigError("eta must lie in [0, 1)")
     if rounds is not None and rounds < 1:
         raise ConfigError("rounds must be >= 1")
-    oracle = _rowwise(attack_oracle, indexed=False)
     weights = EnsembleWeights(np.ones(len(pool)))
     predictor = WeightedMajority(pool, weights)
     mistakes = 0
@@ -475,5 +448,5 @@ def weighted_majority_robust(pool, stream, attack_oracle, eta_wm: float, rounds:
         except SourceExhausted:
             break
         seen += batch.n
-        _scan(oracle, predictor, batch.X, batch.y, None, on_hit)
+        _scan(attack_oracle, predictor, batch.X, batch.y, None, on_hit)
     return weights, predictor, mistakes, seen

@@ -576,6 +576,14 @@ def accept_ref(source, stages, m: int, budget_per_draw: int, abstained: bool):
 # ---------------------------------------------------------------------------
 
 
+def attack_one_ref(attack_oracle, state, x, y: int, index=None):
+    """The row-wise oracle asked about the single row (x, y): its witness,
+    or None when the row is not hit."""
+    hit, witness = attack_oracle(state, as_vector(x)[None], np.array([y]), index)
+    return witness(0) if hit[0] else None
+
+
+
 def one_pass_ref(stream, online_learner, attack_oracle, eps: float, delta: float,
                  mistake_cap: int):
     if not (0.0 < eps <= 1.0):
@@ -592,7 +600,7 @@ def one_pass_ref(stream, online_learner, attack_oracle, eps: float, delta: float
                 f"stream ended with survivor streak {streak} of {run_len}"
             ) from exc
         s = batch.sample(0)
-        z = attack_oracle(learner, s)
+        z = attack_one_ref(attack_oracle, learner, s.x, s.y)
         if z is None:
             streak += 1
         else:
@@ -619,7 +627,7 @@ def cycle_ref(data: Dataset, online_learner, attack_oracle, mistake_cap: int):
                     f"exceeded {m} x {mistake_cap} oracle calls without a clean pass"
                 )
             calls += 1
-            z = attack_oracle(learner, s, i)
+            z = attack_one_ref(attack_oracle, learner, s.x, s.y, i)
             if z is not None:
                 updates += 1
                 if updates > mistake_cap:
@@ -648,7 +656,7 @@ def weighted_majority_ref(pool, stream, attack_oracle, eta_wm: float, rounds: in
             break
         seen += 1
         s = batch.sample(0)
-        z = attack_oracle(predictor, s)
+        z = attack_one_ref(attack_oracle, predictor, s.x, s.y)
         if z is None:
             continue
         mistakes += 1

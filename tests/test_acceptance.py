@@ -35,7 +35,6 @@ from roblearn import (
     alpha_boost,
     apply_rcn,
     beta_roboost,
-    bound_separation,
     cycle_robust,
     default_ellipsoid_config,
     enumeration_attack,
@@ -456,7 +455,7 @@ def test_c10_ellipsoid_rerm_returns_certified_separators():
             descriptor, p = LpBall(math.inf, gamma), math.inf
         else:
             descriptor, p = BOX, None
-        model = rerm_ellipsoid(data, lambda i: bound_separation(descriptor, X[i]), cfg)
+        model = rerm_ellipsoid(data, descriptor, cfg)
         if p is not None:
             good = all(
                 brute_margin_certified(model.w, model.bias, X[i], int(y[i]), p, gamma)

@@ -9,7 +9,7 @@ from roblearn import (AllZeroWeights, ConfigError, Dataset, EllipsoidDiverged, L
                       UnsupportedGeometry, WeightedDataset, ZeroPerceptron, ZeroWeight, erm_linear,
                       finite_source, load_csv, load_model, margin_attack, perceptron_init, save_csv,
                       save_model)
-from roblearn import cli, reductions
+from roblearn import cli
 from roblearn.cli import EXIT_INTERNAL, _exit_code, main
 
 from ._refs import one_pass_ref
@@ -233,34 +233,6 @@ def test_wm_cli_reports_bound(tmp_path):
     assert "pool_opt: 0" in text
 
 
-def test_cli_cycle_and_wm_take_the_row_wise_scan(tmp_path, monkeypatch, capsys):
-    # the one-row oracles call reductions.attack; the row-wise forms never do
-    rng = np.random.default_rng(3)
-    X = rng.uniform(-1.0, 1.0, size=(60, 2))
-    data = str(tmp_path / "rows.csv")
-    save_csv(data, Dataset(X + np.sign(X[:, :1]) * [1.0, 0.0], np.where(X[:, 0] >= 0, 1, -1)))
-    pool = []
-    for i, w in enumerate(([1.0, 0.0], [0.3, 1.0])):
-        pool.append(str(tmp_path / f"pool{i}.txt"))
-        save_model(pool[-1], LinearModel(np.array(w)))
-    argvs = [["cycle-robust", "--input", data, "--gamma", "0.2", "--mistake-cap", "50"],
-             ["wm", "--input", data, "--offset", "0,0", "--offset", "0.5,0", "--eta-wm", "0.5",
-              "--pool", *pool]]
-    want = []
-    for argv in argvs:
-        assert run(argv) == 0
-        want.append(capsys.readouterr().out)
-
-    def one_row(*args, **kwargs):
-        raise AssertionError("a one-row attack ran")
-
-    monkeypatch.setattr(reductions, "attack", one_row)
-    for argv, out in zip(argvs, want):
-        assert run(argv) == 0
-        assert capsys.readouterr().out == out
-    assert "updates: 0" not in want[0] and "mistakes: 0" not in want[1]
-
-
 # ---------------------------------------------------------------------------
 # one test per documented exit code: 2 config, 3 data, 4 infeasible,
 # 5 optimizer; every failure is one "error:" line, never a traceback. The
@@ -409,6 +381,13 @@ def test_rcn_train_rejects_a_non_finite_gamma(tmp_path, capsys, method, gamma):
     argv = ["rcn-train", "--method", method, "--input", "BAND", "--gamma", gamma, "--rcn-eta", "0.1"]
     err = _fail_with(tmp_path, capsys, argv, 2)
     assert err == "error: ConfigError: gamma must be positive and finite\n"
+
+
+def test_urejectron_pairs_without_a_pool_names_the_flag(tmp_path, capsys):
+    argv = ["urejectron", "--input", "BAND", "--test-input", "BAND", "--eps", "0.25",
+            "--backend", "pairs"]
+    err = _fail_with(tmp_path, capsys, argv, 2)
+    assert err == "error: ConfigError: pairs backend needs --pool model files\n"
 
 
 def test_urejectron_rejects_a_nan_lambda_weight(tmp_path, capsys):
@@ -606,3 +585,34 @@ INT_SWEEP = [(case, flag, value)
 def test_int_flags_exit_with_a_documented_code_and_one_line(golden_inputs, monkeypatch, capsys,
                                                            case, flag, value):
     _run_swept(golden_inputs, monkeypatch, capsys, case, flag, value)
+
+
+def test_test_input_and_offset_runs_end_with_their_documents(tmp_path):
+    # these flags used to run only as far as the dimension check
+    train, model = write_band(tmp_path), write_model(tmp_path)
+    test = write_band(tmp_path, name="test.csv", n_side=7, seed=1)
+    rows = load_csv(train)
+    negative_first = str(tmp_path / "negative-first.csv")  # the zero perceptron gets a mistake
+    save_csv(negative_first, Dataset(rows.X[::-1], rows.y[::-1]))
+    runs = {
+        "roboost": ["--input", train, *BOOST],
+        "uroboost": ["--input", train, "--unlabeled-input", train, *BOOST],
+        "one-pass": ["--input", negative_first, "--gamma", "0.1", "--eps", "0.5",
+                     "--mistake-cap", "2"],
+        "rcn-train": ["--input", train, "--gamma", "0.3", "--rcn-eta", "0.1", "--steps", "50"],
+    }
+    for command, argv in runs.items():
+        out = tmp_path / f"{command}.txt"
+        assert run([command, *argv, "--test-input", test, "--output", str(out)]) == 0
+        text = out.read_text()
+        assert "eval_on: test-input" in text
+        assert ("n_eval: 14" in text) == (command in ("roboost", "uroboost"))
+    out = tmp_path / "alpha-boost.txt"
+    assert run(["alpha-boost", "--input", train, "--offset", "0,0", "--offset", "0.1,0",
+                "--output", str(out)]) == 0
+    assert "majority_robust_accuracy: " in out.read_text()
+    # transductive-pool still requires --gamma, which --offset makes it ignore
+    out = tmp_path / "transductive-pool.txt"
+    assert run(["transductive-pool", "--input", train, "--test-input", test, "--pool", model,
+                "--offset", "0,0", "--gamma", "0.2", "--output", str(out)]) == 0
+    assert "chosen_index: 0" in out.read_text()

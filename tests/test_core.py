@@ -157,7 +157,7 @@ def test_a_nan_margin_is_a_loss_everywhere():
         assert math.isnan(margin(model, x, ball.p))
         assert robust_losses(model, Dataset(x[None], [1]), ball).tolist() == [1]
         assert attack(model, Sample(x, 1), ball) is not None
-        hit, _witness = margin_attack(ball).rowwise(PerceptronState(w), x[None], np.array([1]), 0)
+        hit, _witness = margin_attack(ball)(PerceptronState(w), x[None], np.array([1]), 0)
         # a stage with a nan margin abstains, so a wrong fallback decides the row
         stage = SelectiveClassifier(model, LpBall(math.inf, 0.5))
         cascade = Cascade([stage], LinearModel(vec(-1.0, 0.0)))

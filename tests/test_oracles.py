@@ -324,7 +324,7 @@ def test_rerm_finds_robust_separator_in_two_dimensions():
     gamma = 0.3
     for ball in (LpBall(2.0, gamma), LpBall(math.inf, gamma)):
         cfg = default_ellipsoid_config(ball, 2)
-        model = rerm_ellipsoid(data, lambda i: bound_separation(ball, data.X[i]), cfg)
+        model = rerm_ellipsoid(data, ball, cfg)
         for i in range(data.n):
             assert brute_margin_certified(model.w, model.bias, data.X[i], int(data.y[i]),
                                           ball.p, gamma)
@@ -335,7 +335,7 @@ def test_rerm_raises_when_labels_collide():
     ball = LpBall(2.0, 0.1)
     cfg = EllipsoidConfig(max_iters=2000)
     with pytest.raises(NotSeparable):
-        rerm_ellipsoid(data, lambda i: bound_separation(ball, data.X[i]), cfg)
+        rerm_ellipsoid(data, ball, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +433,7 @@ def test_lp_balls_past_the_start_are_refused_before_any_query(monkeypatch):
     wide, wide_sep = LpBall(math.inf, 0.8), bound_separation(LpBall(math.inf, 0.8), data.X[0])
     monkeypatch.setattr(oracles, "_separate", None)  # any query fails
     for search in (lambda: ellipsoid_certify_batch(model, data, wide, cfg),
-                   lambda: rerm_ellipsoid(data, lambda i: None, cfg, ball=wide),
+                   lambda: rerm_ellipsoid(data, wide, cfg),
                    lambda: ellipsoid_certify(model, data.sample(0), wide_sep, cfg),
                    # an l2 ball of radius 0.8 centered 0.3 from the start
                    lambda: ellipsoid_feasible(bound_separation(LpBall(2.0, 0.8), vec(0.3, 0.0)),
@@ -626,7 +626,7 @@ def test_rerm_matches_reference(seed, p, d):
     X, y, _ = _separable(rng, 6, d, gamma)
     data, ball = Dataset(X, y), LpBall(p, gamma)
     cfg = default_ellipsoid_config(ball, d)
-    got = rerm_ellipsoid(data, lambda i: bound_separation(ball, data.X[i]), cfg)
+    got = rerm_ellipsoid(data, ball, cfg)
     want = rerm_ellipsoid_ref(X, y, ball, cfg)
     assert want is not None and np.array_equal(got.w, want)
 
@@ -668,42 +668,44 @@ def test_screen_keeps_rerm_on_rows_at_the_slack(seed, p, d, gaps):
         assert abs(y[j] * (w1 @ X[j]) - shift - cfg.feas_slack - gap) < 1e-14
     data = Dataset(X, y)
     want = _outcome(lambda _: rerm_ellipsoid_ref(X, y, ball, cfg), None)
-    for screen in (ball, None):
-        got = _outcome(lambda _: rerm_ellipsoid(data, lambda i: bound_separation(ball, X[i]),
-                                                cfg, ball=screen).w, None)
-        _assert_same_outcome(got, want)
+    _assert_same_outcome(_outcome(lambda _: rerm_ellipsoid(data, ball, cfg).w, None), want)
 
 
-def _screen_run(monkeypatch, data, ball, cfg, screen):
+def _screen_run(monkeypatch, data, ball, cfg):
     """The weight queries of one rerm run, and for each the rows whose
-    separation oracle it asked."""
-    weights, asked = [], []
-    search = oracles.ellipsoid_feasible
+    search it ran, in order, with the row that found a counterexample."""
+    weights, asked, failed = [], [], []
+    search, certify = oracles.ellipsoid_feasible, oracles.ellipsoid_certify
 
-    def spy(sep, d, cfg, center=None):
-        if center is not None:
-            return search(sep, d, cfg, center=center)
+    def row_of(x):
+        return int(np.flatnonzero((data.X == x).all(axis=1))[0])
+
+    def found(row, z):
+        asked[-1].append(row)
+        if z is not None:
+            failed[-1] = row
+        return z
+
+    def feasible_spy(sep, d, cfg, center=None):
+        if center is not None:  # the search at w = 0 for a point of U(x_i)
+            return found(row_of(center), search(sep, d, cfg, center=center))
 
         def weight_sep(w):  # the weight-space search
             weights.append(w.copy())
-            asked.append(set())
+            asked.append([])
+            failed.append(None)
             return sep(w)
 
         return search(weight_sep, d, cfg)
 
-    def sep_for(i):
-        inner = bound_separation(ball, data.X[i])
+    def certify_spy(model, sample, sepU, cfg, slack=0.0):
+        return found(row_of(sample.x), certify(model, sample, sepU, cfg, slack=slack))
 
-        def counted(z):
-            asked[-1].add(i)
-            return inner(z)
-
-        return counted
-
-    monkeypatch.setattr(oracles, "ellipsoid_feasible", spy)
-    model = rerm_ellipsoid(data, sep_for, cfg, ball=screen)
+    monkeypatch.setattr(oracles, "ellipsoid_feasible", feasible_spy)
+    monkeypatch.setattr(oracles, "ellipsoid_certify", certify_spy)
+    model = rerm_ellipsoid(data, ball, cfg)
     monkeypatch.undo()
-    return model, weights, asked
+    return model, weights, asked, failed
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
@@ -718,22 +720,24 @@ def test_screen_asks_no_proven_row(monkeypatch, p):
     X = (y * mag)[:, None] * w_star + np.outer(rng.uniform(-3.0, 3.0, 24), [-w_star[1], w_star[0]])
     data, ball = Dataset(X, y), LpBall(p, 0.2)
     cfg = default_ellipsoid_config(ball, 2)
-    plain, weights, asked_all = _screen_run(monkeypatch, data, ball, cfg, None)
-    model, weights_s, asked = _screen_run(monkeypatch, data, ball, cfg, ball)
-    assert np.array_equal(model.w, plain.w) and len(weights_s) == len(weights)
-    # unscreened, every query inside the radius asks rows 0..j in order, and
-    # the accepting last query asks every row
-    assert asked_all[-1] == set(range(data.n))
+    model, weights, asked, failed = _screen_run(monkeypatch, data, ball, cfg)
+    assert np.array_equal(model.w, rerm_ellipsoid_ref(X, y, ball, cfg))
+    # every query inside the radius asks the rows up to the first failing
+    # one in order, minus the rows the closed form proves; the accepting
+    # last query has no failing row
+    assert failed[-1] is None and len(weights) > 2
     skipped = 0
-    for w, w_s, rows_all, rows in zip(weights, weights_s, asked_all, asked):
-        assert np.array_equal(w, w_s)
-        assert rows_all == set(range(len(rows_all)))
+    for w, rows, fail in zip(weights, asked, failed):
+        if np.linalg.norm(w) > cfg.init_radius:
+            assert rows == []
+            continue
         raw = y * (X @ w)
         shift = 0.2 * dual_norm(w, p)
         proven = raw - shift - cfg.feas_slack > 1e-9 * (np.abs(raw) + shift + cfg.feas_slack)
-        assert rows == rows_all - set(np.flatnonzero(proven))
-        skipped += len(rows_all - rows)
-    assert skipped > 0 and sum(map(len, asked)) < sum(map(len, asked_all))
+        upto = data.n if fail is None else fail + 1
+        assert rows == [i for i in range(upto) if not proven[i]]
+        skipped += int(np.count_nonzero(proven[:upto]))
+    assert skipped > 0
 
 
 # ---------------------------------------------------------------------------
@@ -756,8 +760,7 @@ def test_disjoint_balls_check_passes_just_beyond_two_gamma(p):
     data = Dataset(np.array([[half, 0.0], [-half, 0.0]]), np.array([1, -1]))
     ball = LpBall(p, gamma)
     check_disjoint_balls(data, ball)
-    model = rerm_ellipsoid(data, lambda i: bound_separation(ball, data.X[i]),
-                           default_ellipsoid_config(ball, 2))
+    model = rerm_ellipsoid(data, ball, default_ellipsoid_config(ball, 2))
     for i in range(data.n):
         assert brute_margin_certified(model.w, model.bias, data.X[i], int(data.y[i]), p, gamma)
 

@@ -326,7 +326,7 @@ def test_selection_load_errors(tmp_path):
         save_selection(str(tmp_path / "nodir" / "x.txt"),
                        SelectionSet("urejectron", []))
 
-@pytest.mark.parametrize("line, col", [
+@pytest.mark.parametrize("mode, lines, row, col", [("urejectron", line, 3, col) for line, col in [
     ("eps: zz", 2),
     ("eps: nan", 2),
     ("base: linear 0 1 abc", 5),
@@ -339,11 +339,17 @@ def test_selection_load_errors(tmp_path):
     ("pair: linear 0 1 0 | const", 7),
     ("pair: linear 0 1 0 | const x", 8),
     ("mode: frob", 2),
+    # a member line of the other mode used to load and fail in select_member
+    ("c: linear 0 1 0", 1),
+]] + [
+    ("rejectron", "base: linear 0 1 0\npair: linear 0 1 0 | const 1", 4, 1),
+    # a rejectron file needs its base model; this used to be a ConfigError with no place
+    ("rejectron", "c: linear 0 1 0", 1, 1),
 ])
-def test_selection_files_with_bad_numbers_are_parse_errors(tmp_path, line, col):
+def test_selection_files_with_bad_numbers_are_parse_errors(tmp_path, mode, lines, row, col):
     # these used to raise a bare ValueError or IndexError
     p = tmp_path / "sel.txt"
-    p.write_text(f"selection-set v1\nmode: urejectron\n{line}\n")
+    p.write_text(f"selection-set v1\nmode: {mode}\n{lines}\n")
     with pytest.raises(ParseError) as exc:
         load_selection(str(p))
-    assert (exc.value.row, exc.value.col) == (3, col)
+    assert (exc.value.row, exc.value.col) == (row, col)

@@ -21,7 +21,6 @@ from roblearn import (
     PerceptronState,
     RobustifyConfig,
     RoblearnError,
-    Sample,
     SourceExhausted,
     StreamExhausted,
     Unsupported,
@@ -65,9 +64,9 @@ def test_enumeration_attack_finds_listed_counterexample():
     spec = FiniteOffsets([vec(0.0), vec(-2.0)])
     oracle = enumeration_attack(spec)
     h = LinearModel(vec(1.0))
-    z = oracle(h, Sample(vec(1.0), 1))
-    assert np.allclose(z, [-1.0])
-    assert oracle(h, Sample(vec(3.0), 1)) is None
+    hit, witness = oracle(h, np.array([[3.0], [1.0]]), np.array([1, 1]), None)
+    assert hit.tolist() == [False, True]
+    assert np.allclose(witness(1), [-1.0])
     with pytest.raises(Unsupported):
         enumeration_attack(LpBall(2.0, 1.0))
 
@@ -76,27 +75,32 @@ def test_enumeration_attack_per_example_uses_index():
     spec = FinitePerExample({0: np.array([[5.0]]), 1: np.array([[-5.0]])})
     oracle = enumeration_attack(spec)
     h = LinearModel(vec(1.0))
-    assert oracle(h, Sample(vec(5.0), 1), 0) is None
-    assert np.allclose(oracle(h, Sample(vec(5.0), 1), 1), [-5.0])
+    hit, witness = oracle(h, np.array([[5.0], [5.0]]), np.array([1, 1]), 0)
+    assert hit.tolist() == [False, True]
+    assert np.allclose(witness(1), [-5.0])
+    # start is the index of row 0: the same row reads the list of index 1
+    hit, witness = oracle(h, np.array([[5.0]]), np.array([1]), 1)
+    assert hit.tolist() == [True] and np.allclose(witness(0), [-5.0])
 
 
 def test_margin_attack_handles_the_zero_state():
     oracle = margin_attack(LpBall(2.0, 0.5))
     state = perceptron_init(2)
-    # the empty state predicts +1 everywhere: only negative samples witness
-    assert oracle(state, Sample(vec(1.0, 0.0), 1)) is None
-    z = oracle(state, Sample(vec(1.0, 0.0), -1))
-    assert np.allclose(z, [1.0, 0.0])
+    # the empty state predicts +1 everywhere: only negative rows are hit, each its own witness
+    hit, witness = oracle(state, np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([1, -1]), None)
+    assert hit.tolist() == [False, True]
+    assert np.allclose(witness(1), [1.0, 0.0])
 
 
 def test_margin_attack_returns_ball_witness():
     oracle = margin_attack(LpBall(2.0, 0.5))
     state = perceptron_init(2).update(vec(-1.0, 0.0), -1)  # w = (1, 0)
-    s = Sample(vec(0.3, 0.0), 1)
-    z = oracle(state, s)
-    assert lp_norm(z - s.x, 2.0) <= 0.5 + 1e-9
+    X = np.array([[0.3, 0.0], [5.0, 0.0]])
+    hit, witness = oracle(state, X, np.array([1, 1]), None)
+    assert hit.tolist() == [True, False]
+    z = witness(0)
+    assert lp_norm(z - X[0], 2.0) <= 0.5 + 1e-9
     assert float(z[0]) <= 0.0 + 1e-9  # pushed across the boundary
-    assert oracle(state, Sample(vec(5.0, 0.0), 1)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +285,8 @@ def test_one_pass_learns_from_a_stream():
     assert run_length == math.ceil(4.0 * math.log(100 / 0.05))
     oracle = margin_attack(ball)
     fresh = generate(GenSpec(pair, 60, rng_seed=77))
-    survived = sum(oracle(state, fresh.sample(i)) is None for i in range(fresh.n))
-    assert survived >= 54
+    hit, _ = oracle(state, fresh.X, fresh.y, None)
+    assert np.count_nonzero(~hit) >= 54
 
 
 def test_one_pass_wraps_a_dry_stream():
@@ -300,7 +304,7 @@ def test_cycle_terminates_with_certified_robust_state():
     oracle = margin_attack(ball)
     cap = 200
     state, updates, passes = cycle_robust(data, perceptron_init(2), oracle, mistake_cap=cap)
-    assert all(oracle(state, data.sample(i), i) is None for i in range(data.n))
+    assert not oracle(state, data.X, data.y, 0)[0].any()
     assert updates <= cap
     oracle_calls = passes * data.n  # a run that returns examined every row on every pass
     assert oracle_calls <= data.n * cap
@@ -367,17 +371,13 @@ def test_weighted_majority_respects_the_general_bound():
     stream = finite_source(generate(GenSpec(pair, 300, rng_seed=6)))
     ball = LpBall(2.0, 0.1)
 
-    def oracle(predictor, sample, index=None):
-        # exhaustive-enough witness search for a vote: center plus pushed points
-        cands = [sample.x]
-        for h in pool:
-            nrm = np.linalg.norm(h.w)
-            if nrm > 0:
-                cands.append(sample.x - 0.1 * sample.y * h.w / nrm)
-        for z in cands:
-            if predictor.predict(z) != sample.y:
-                return z
-        return None
+    def oracle(predictor, X, y, start):
+        # exhaustive-enough witness search for a vote: each row plus its points pushed along the members
+        witnesses = []
+        for x, label in zip(X, y):
+            cands = [x] + [x - 0.1 * label * h.w / np.linalg.norm(h.w) for h in pool if np.any(h.w)]
+            witnesses.append(next((z for z in cands if predictor.predict(z) != label), None))
+        return np.array([z is not None for z in witnesses]), witnesses.__getitem__
 
     mistakes = weighted_majority_robust(pool, stream, oracle, eta_wm=0.5)[2]
     a, b = wm_constants(0.5)
@@ -415,9 +415,8 @@ def _case(seed, n, d, decimals):
     return rng, Dataset(X, y)
 
 
-def _oracle(kind, rng, data, plain, log):
-    """One attack oracle of the kind, and the learner it attacks. A plain
-    oracle hides the row-wise form and logs every call it answers."""
+def _oracle(kind, rng, data):
+    """One attack oracle of the kind, and the learner it attacks."""
     d = data.d
     if kind == "ball":
         p = [1.0, 2.0, math.inf][int(rng.integers(3))]
@@ -434,14 +433,7 @@ def _oracle(kind, rng, data, plain, log):
             table = {i: data.X[i] + rng.uniform(-1, 1, size=(int(rng.integers(1, 4)), d))
                      for i in range(data.n) if rng.random() > 0.125}
             oracle = enumeration_attack(FinitePerExample(table))
-    if not plain:
-        return oracle, learner
-
-    def logged(state, sample, *index):
-        log.append((sample.x.tobytes(), sample.y, index))
-        return oracle(state, sample, *index)
-
-    return logged, learner
+    return oracle, learner
 
 
 def _result(run):
@@ -465,58 +457,54 @@ rows_case = [st.integers(0, 100_000), st.integers(0, 24), st.integers(1, 3), st.
 
 
 @settings(max_examples=200)
-@given(*rows_case, st.sampled_from(ORACLE_KINDS), st.booleans(), st.integers(1, 8))
-@example(1271, 16, 2, 1, "ball", False, 4)  # a margin at the radius that X @ w rounded by block
-def test_cycle_matches_the_one_row_loop(seed, n, d, decimals, kind, plain, cap):
+@given(*rows_case, st.sampled_from(ORACLE_KINDS), st.integers(1, 8))
+@example(1271, 16, 2, 1, "ball", 4)  # a margin at the radius that X @ w rounded by block
+def test_cycle_matches_the_one_row_loop(seed, n, d, decimals, kind, cap):
     rng, data = _case(seed, n, d, decimals)
     state = rng.bit_generator.state
-    logs = [], []
     results = []
-    for loop, log in zip((cycle_ref, cycle_robust), logs):
+    for loop in (cycle_ref, cycle_robust):
         rng.bit_generator.state = state
-        oracle, learner = _oracle(kind, rng, data, plain, log)
+        oracle, learner = _oracle(kind, rng, data)
         results.append(_result(lambda: loop(data, learner, oracle, cap)))
     assert results[1] == results[0]
-    assert logs[1] == logs[0]
 
 
 @settings(max_examples=200)
-@given(*rows_case, st.sampled_from(ORACLE_KINDS), st.booleans(), st.integers(1, 8),
+@given(*rows_case, st.sampled_from(ORACLE_KINDS), st.integers(1, 8),
        st.sampled_from([0.25, 0.5, 1.0]), st.sampled_from([0.1, 0.5, 0.9]))
-def test_one_pass_matches_the_one_row_loop(seed, n, d, decimals, kind, plain, cap, eps, delta):
+def test_one_pass_matches_the_one_row_loop(seed, n, d, decimals, kind, cap, eps, delta):
     rng, data = _case(seed, n, d, decimals)
     state = rng.bit_generator.state
-    logs, sources, results = ([], []), [], []
-    for loop, log in zip((one_pass_ref, one_pass_robust), logs):
+    sources, results = [], []
+    for loop in (one_pass_ref, one_pass_robust):
         rng.bit_generator.state = state
-        oracle, learner = _oracle(kind, rng, data, plain, log)
+        oracle, learner = _oracle(kind, rng, data)
         sources.append(finite_source(data))
         results.append(_result(lambda: loop(sources[-1], learner, oracle, eps, delta, cap)))
     assert results[1] == results[0]
-    assert logs[1] == logs[0]
     if results[0][0] in (StreamExhausted,) or isinstance(results[0][0], bytes):
         # both loops read the same rows, including a source run dry mid-block
         assert _next_row(sources[1]) == _next_row(sources[0])
 
 
 @settings(max_examples=200)
-@given(*rows_case, st.sampled_from(["offsets", "table"]), st.booleans(),
+@given(*rows_case, st.sampled_from(["offsets", "table"]),
        st.one_of(st.none(), st.integers(1, 40)), st.sampled_from([0.0, 0.25, 0.5, 0.9]),
        st.integers(1, 3))
-def test_weighted_majority_matches_the_one_row_loop(seed, n, d, decimals, kind, plain, rounds,
+def test_weighted_majority_matches_the_one_row_loop(seed, n, d, decimals, kind, rounds,
                                                     eta, members):
     rng, data = _case(seed, n, d, decimals)
     pool = [LinearModel(rng.uniform(0.1, 1.0, d) * rng.choice([-1.0, 1.0], d),
                         float(rng.uniform(-0.5, 0.5))) for _ in range(members)]
     state = rng.bit_generator.state
-    logs, sources, results = ([], []), [], []
-    for loop, log in zip((weighted_majority_ref, weighted_majority_robust), logs):
+    sources, results = [], []
+    for loop in (weighted_majority_ref, weighted_majority_robust):
         rng.bit_generator.state = state
-        oracle, _ = _oracle(kind, rng, data, plain, log)
+        oracle, _ = _oracle(kind, rng, data)
         sources.append(finite_source(data))
         results.append(_result(lambda: loop(pool, sources[-1], oracle, eta, rounds)))
     assert results[1] == results[0]
-    assert logs[1] == logs[0]
     if isinstance(results[0][0], bytes):
         assert _next_row(sources[1]) == _next_row(sources[0])
 
@@ -582,3 +570,73 @@ def test_streams_that_run_dry_mid_block_end_as_the_one_row_loops_do():
         assert runs[1] == runs[0]
         assert runs[0][1][1] == min(5, rounds or 5)  # (mistakes, examples seen)
 
+
+
+@dataclass(frozen=True)
+class AskedPerceptron:
+    """A perceptron that counts the oracle calls that consult it: margin_attack
+    reads w once per call, and enumeration_attack calls predict_batch once."""
+
+    state: PerceptronState
+    asked: list
+
+    @property
+    def w(self):
+        self.asked.append(1)
+        return self.state.w
+
+    def predict_batch(self, Z):
+        self.asked.append(1)
+        return BatchPerceptron(self.state).predict_batch(Z)
+
+    def update(self, z, y):
+        return AskedPerceptron(self.state.update(z, y), self.asked)
+
+
+@dataclass(frozen=True)
+class AskedMember:
+    """A pool member that counts the votes an enumeration oracle asks of it."""
+
+    model: LinearModel
+    asked: list
+
+    def predict(self, z):
+        return self.model.predict(z)
+
+    def predict_batch(self, Z):
+        self.asked.append(1)
+        return self.model.predict_batch(Z)
+
+
+@pytest.mark.parametrize("loop, kind", [("cycle", "ball"), ("cycle", "offsets"),
+                                        ("one-pass", "ball"), ("one-pass", "offsets"),
+                                        ("wm", "offsets")])
+def test_a_wrapped_oracle_takes_the_same_path(loop, kind):
+    # a forwarding wrapper, such as a call counter, must not change how the
+    # loops ask the oracle: same result, same oracle calls
+    pair = GaussianPair((vec(1.0, 0.5), vec(-1.0, -0.5)), sigma=0.35)
+    data = generate(GenSpec(pair, 300, rng_seed=10))  # two to four updates in every loop
+    runs = []
+    for wrapped in (False, True):
+        asked, calls = [], []
+        oracle = (margin_attack(LpBall(2.0, 0.1)) if kind == "ball"
+                  else enumeration_attack(FiniteOffsets([vec(0.0, 0.0), vec(0.1, -0.1)])))
+        if wrapped:
+            inner = oracle
+            oracle = lambda *a: calls.append(1) or inner(*a)  # noqa: E731
+        learner = AskedPerceptron(perceptron_init(2), asked)
+        if loop == "cycle":
+            result = _result(lambda: cycle_robust(data, learner, oracle, 100))
+        elif loop == "one-pass":
+            result = _result(lambda: one_pass_robust(finite_source(data), learner, oracle,
+                                                     0.1, 0.1, 20))
+        else:
+            pool = [AskedMember(LinearModel(w), asked) for w in (vec(1.0, 0.3), vec(-0.2, 1.0))]
+            result = _result(lambda: weighted_majority_robust(pool, finite_source(data), oracle,
+                                                              0.5))
+        assert isinstance(result[0], bytes) and max(result[1]) > 0  # a run with updates
+        if wrapped:
+            assert len(calls) * (2 if loop == "wm" else 1) == len(asked)
+        runs.append((result, len(asked)))
+    assert runs[1] == runs[0]
+    assert runs[0][1] < data.n  # the rows went to the oracle in blocks
