@@ -50,12 +50,24 @@ def active_backend() -> str:
 # moved, fails the test and takes the exact path. Where margins sit near 1 no
 # step is skipped; a radius that skipped nothing makes the next 1, 2, 4, ...
 # evaluations skip the radius.
+#
+# w is a list of d Python floats. Most steps are skipped ones, which do only
+# the (d,) update w - step (g + reg w); at d = 2 it takes 0.62 us one
+# coordinate at a time against 1.9 us as four numpy calls. The bits are the
+# same: each operation is one IEEE-754 double rounding in either form, with
+# no fused multiply-add (lr0 and reg are taken as Python floats for this).
+# An exact evaluation packs w into one array for X @ w and ||w||. Per
+# 300-step call on band data (n = 400 for d <= 32, else 1000; 2-core x86 VM,
+# numpy 2.4) the list form costs 0.41x the numpy form at d = 2, 0.63-0.67x
+# at d = 10, 1.07-1.10x at d = 32, 1.9-2.0x at d = 64 and 2.8-3.1x at
+# d = 256. Every hinge call of the benchmark is at d = 2.
 # ---------------------------------------------------------------------------
 
 
 def hinge_train(X, y, sw, steps, lr0, reg, fit_bias):
     n, d = X.shape
-    w = np.zeros(d)
+    lr0, reg = float(lr0), float(reg)
+    w = [0.0] * d
     b = 0.0
     ysw = y * sw
     kappa = max(1e-12, 8 * (d + 2) * 2.0**-53)
@@ -70,9 +82,11 @@ def hinge_train(X, y, sw, steps, lr0, reg, fit_bias):
         if moved < reach:
             backoff = 1
         else:
-            margins = y * (X @ w + b)
+            wa = np.array(w)
+            margins = y * (X @ wa + b)
             coef = np.where(margins < 1.0, ysw, 0.0)
             g = -(X.T @ coef)
+            gl = g.tolist()
             csum = float(coef.sum()) if fit_bias else 0.0
             if last == t - 1:
                 wait, backoff = backoff, 2 * backoff
@@ -82,15 +96,16 @@ def hinge_train(X, y, sw, steps, lr0, reg, fit_bias):
             else:
                 last, moved, nb = t, 0.0, abs(b)
                 with np.errstate(all="ignore"):
-                    wn = math.sqrt(w @ w)
+                    wn = math.sqrt(wa @ wa)
                     gn = math.sqrt(g @ g) + abs(csum)
                     gap = np.abs(margins - 1.0)
-                    reach = float(np.min((gap - kappa * (nb + 1.0)) * inv)) - kappa * (wn + float(np.max(gap)))
-        w = w - step * (g + reg * w)
+                    reach = (float(np.minimum.reduce((gap - kappa * (nb + 1.0)) * inv))
+                             - kappa * (wn + float(np.maximum.reduce(gap))))
+        w = [wi - step * (gi + reg * wi) for wi, gi in zip(w, gl)]
         if fit_bias:
             b = b + step * csum
         moved += (1.0 + kappa) * abs(step) * (gn + areg * (wn + moved)) + kappa * (wn + nb + 2.0 * moved)
-    return w, b
+    return np.array(w), b
 
 
 # ---------------------------------------------------------------------------

@@ -257,11 +257,14 @@ def save_csv(path: str, data: Dataset) -> None:
 
 
 def _emit_scalar(v) -> str:
+    # float first: the common case, np.float64 included; bool is no float
+    if isinstance(v, float):
+        return FLOAT_FMT % v
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    if isinstance(v, (float, np.floating)):
+    if isinstance(v, np.floating):
         return fmt_float(v)
     s = str(v)
     if "\n" in s:
@@ -285,10 +288,18 @@ def _emit(node, indent: int, lines: list) -> None:
             elif all(isinstance(it, dict) for it in items):
                 lines.append(f"{pad}{key}:")
                 for it in items:
-                    sub: list = []
-                    _emit(it, 0, sub)
-                    lines.append(f"{pad}  - {sub[0]}")
-                    lines.extend(f"{pad}    {s}" for s in sub[1:])
+                    if not it:
+                        lines.append(f"{pad}  - {{}}")
+                    elif any(isinstance(v, (dict, list, tuple)) for v in it.values()):
+                        sub: list = []
+                        _emit(it, 0, sub)
+                        lines.append(f"{pad}  - {sub[0]}")
+                        lines.extend(f"{pad}    {s}" for s in sub[1:])
+                    else:  # all scalars, the common case: no sub-list
+                        lead = f"{pad}  - "
+                        for k, v in it.items():
+                            lines.append(f"{lead}{k}: {_emit_scalar(v)}")
+                            lead = f"{pad}    "
             else:
                 joined = ", ".join(_emit_scalar(it) for it in items)
                 lines.append(f"{pad}{key}: [{joined}]")

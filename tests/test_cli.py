@@ -355,6 +355,12 @@ BOOST = ["--gamma", "0.3", "--eps", "0.2", "--beta", "0.5", "--rounds", "2"]
     ["alpha-boost", "--input", "BAND", "--offset", "0,0", "--offset", "1"],
     ["roboost", "--gen", "margin-union", "--cluster", "1,0:abc", *BOOST],
     ["roboost", "--gen", "margin-union", "--cluster", "1,0:1:zz", *BOOST],
+    # no source ("provide --input or --gen", "provide --unlabeled-input or --gen ...") or
+    # no cluster ("margin-union needs at least one --cluster")
+    ["roboost", *BOOST],
+    ["one-pass", "--gamma", "0.3", "--eps", "0.2", "--mistake-cap", "5"],
+    ["uroboost", "--input", "BAND", *BOOST],
+    ["roboost", "--gen", "margin-union", *BOOST],
     # a fourth field used to be dropped, and the junk echoed in the document
     ["gen-data", "--gen", "margin-union", "--cluster", "1,0:1:0:junk", "--out-csv", "MISSING"],
     # robustify checks its own ranges before it draws or sparsifies

@@ -321,7 +321,8 @@ def test_results_text_frozen_layout():
         "err": 0.25,
         "flag": True,
         "counts": [1, 2, 3],
-        "rows": [{"a": 1, "b": 2.5}, {"a": 3, "b": 4.0}],
+        "rows": [{"a": 1, "b": 2.5}, {"a": 3, "b": 4.0}, {"a": np.int64(5), "b": np.float32(0.5), "ok": True},
+                 {"a": 6, "sub": {"c": np.float64(0.1), "d": [7]}}, {}],
         "nested": {"x": 1, "empty": {}},
         "none_list": [],
     }
@@ -335,6 +336,14 @@ def test_results_text_frozen_layout():
         "    b: 2.5\n"
         "  - a: 3\n"
         "    b: 4\n"
+        "  - a: 5\n"
+        "    b: 0.5\n"
+        "    ok: true\n"
+        "  - a: 6\n"
+        "    sub:\n"
+        "      c: 0.10000000000000001\n"
+        "      d: [7]\n"
+        "  - {}\n"
         "nested:\n"
         "  x: 1\n"
         "  empty: {}\n"

@@ -46,7 +46,7 @@ def hinge_problems(draw):
     """Small problems whose margins land exactly on 1: integer or one-decimal
     features (or normal draws), some rows all zero, labels +-1."""
     n = draw(st.integers(1, 12))
-    d = draw(st.integers(1, 8))
+    d = draw(st.integers(1, 40))
     kind = draw(st.sampled_from(["int", "decimal", "normal"]))
     if kind == "normal":
         X = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((n, d))
@@ -69,7 +69,9 @@ def hinge_problems(draw):
 @example((np.array([[1.0]]), np.array([1.0]), np.array([1.0]), 400, 1.0, 0.0, False))  # n = 1, lands on margin 1
 @example((np.zeros((3, 2)), np.array([1.0, -1.0, 1.0]), np.full(3, 1 / 3), 50, 0.5, 1e-4, True))
 def test_hinge_train_is_the_dense_loop_bit_for_bit(problem):
-    assert same_bits(hinge_train(*problem), hinge_train_dense_ref(*problem))
+    got = hinge_train(*problem)
+    assert isinstance(got[0], np.ndarray) and got[0].dtype == np.float64 and got[0].shape == (problem[0].shape[1],)
+    assert same_bits(got, hinge_train_dense_ref(*problem))
 
 
 def bands(seed, n):
