@@ -11,7 +11,10 @@ as stacked centers and shapes, asking a row-wise oracle for all open rows at
 once, so certifying a dataset costs one numpy step per iteration rather than
 one per row and iteration. A single search (`ellipsoid_feasible`,
 `ellipsoid_certify`) is its one-row case behind an adapter over the scalar
-oracle, and `_separate` answers for lp balls and polytopes row by row.
+oracle, and `_separate` answers for lp balls and polytopes row by row. In
+d >= 2 a search that proves its region empty (a cut whose halfspace misses
+the ellipsoid, which holds the region) ends there rather than at its cut
+count.
 """
 
 from __future__ import annotations
@@ -84,8 +87,9 @@ class Polytope:
 
 @dataclass
 class EllipsoidConfig:
-    # None runs each search to the cut count that takes the ellipsoid's volume
+    # None caps each search at the cut count that takes the ellipsoid's volume
     # below the volume_eps ball's (resolved_max_iters); a set value caps it
+    # lower
     max_iters: int | None = None
     init_radius: float = 10.0
     feas_slack: float = 0.1
@@ -103,10 +107,12 @@ class EllipsoidConfig:
 
     def resolved_max_iters(self, d: int) -> int:
         """The least cut count N_d after which every search ellipsoid in R^d
-        is smaller than the volume_eps ball, capped by max_iters. A central
-        cut multiplies det Q by rho_d = (d^2/(d^2-1))^d (d-1)/(d+1), so N_d is
-        the least N with r^(2d) rho_d^N < volume_eps^(2d); in d = 1 it is the
-        least number of halvings that takes r below volume_eps."""
+        is smaller than the volume_eps ball, capped by max_iters. It caps a
+        search's cuts: a search that proves its region empty ends earlier
+        (see _search). A central cut multiplies det Q by
+        rho_d = (d^2/(d^2-1))^d (d-1)/(d+1), so N_d is the least N with
+        r^(2d) rho_d^N < volume_eps^(2d); in d = 1 it is the least number of
+        halvings that takes r below volume_eps."""
         r, eps = self.init_radius, self.volume_eps
         if d == 1:
             (mr, er), (me, ee) = math.frexp(r), math.frexp(eps)
@@ -222,30 +228,40 @@ def bound_separation(U_descriptor, x):
     return sep
 
 
+# The searches of one lockstep run hold at most this many floats of stacked
+# shapes (k d^2, 8 MiB), and a block of check_disjoint_balls as many row
+# differences; more rows go in chunks, in order.
+_STACK_FLOATS = 1 << 20
+
+
 def check_disjoint_balls(data: Dataset, ball: LpBall) -> None:
     """Raise NotSeparable when the balls of two rows with opposite labels meet
     (distance <= 2 gamma): no halfspace has a positive margin on both."""
     if ball.p not in (1.0, 2.0, math.inf):
         raise UnsupportedGeometry(f"no separation oracle for p={ball.p}")
-    neg = np.nonzero(data.y == -1)[0]
+    pos, neg = np.flatnonzero(data.y == 1), np.flatnonzero(data.y == -1)
     X_neg = data.X[neg]
-    for i in np.nonzero(data.y == 1)[0]:
-        near = np.linalg.norm(X_neg - data.X[i], ord=ball.p, axis=1) <= 2.0 * ball.gamma
-        if near.any():
-            raise NotSeparable(f"rows {i} and {neg[near.argmax()]} have opposite labels "
+    # blocks of positive rows against every negative row, in row order, so the
+    # first block that clashes holds the first clashing positive row
+    block = max(1, _STACK_FLOATS // max(1, neg.size * data.d))
+    for lo in range(0, pos.size, block):
+        P = data.X[pos[lo:lo + block]]
+        near = np.linalg.norm(X_neg - P[:, None], ord=ball.p, axis=2) <= 2.0 * ball.gamma
+        if np.count_nonzero(near):
+            i, j = divmod(int(near.argmax()), neg.size)
+            raise NotSeparable(f"rows {pos[lo + i]} and {neg[j]} have opposite labels "
                                "and intersecting perturbation balls")
-
-
-# The searches of one lockstep run hold at most this many floats of stacked
-# shapes (k d^2, 8 MiB); more rows go in chunks, in order.
-_STACK_FLOATS = 1 << 20
 
 
 def _lockstep(sep, C: np.ndarray, cfg: EllipsoidConfig) -> list:
     """Central-cut ellipsoid searches from the k rows of C, one per row, run
     side by side: for each row a point its oracle row accepts, or None when
     that region is empty up to volume_eps (the search reached its cut count,
-    or a cut left nothing).
+    a cut's halfspace missed the ellipsoid, or a cut left nothing). The stop
+    at a missing halfspace relies on each cut containing the row's region and
+    the start ball holding it: a region past the start ball may end with None
+    once it has no point left inside, where a longer search might have found
+    one outside.
 
     sep(rows, Z) answers the queries Z[j] of the open rows `rows` at once with
     (inside, normals, offsets): a mask, and for each row outside a raw cut
@@ -269,7 +285,10 @@ def _search(sep, C, lo, cfg, found):
 
     Every row runs at most cfg.resolved_max_iters(d) steps: a row still open
     after that many cuts has an ellipsoid smaller than the volume_eps ball and
-    ends with None. Over that count an uncut axis grows at most
+    ends with None. In d >= 2 a row also ends with None at the first cut that
+    leaves nothing, or whose halfspace misses its ellipsoid beyond rounding
+    (see _misses): its region is then empty, so the remaining cuts could only
+    end in None. Over the cut count an uncut axis grows at most
     (init_radius / volume_eps)^1.1-fold in length. Every step pays a fixed
     number of numpy calls whatever k is; the masks are tested with
     count_nonzero, and the state is compacted only on the steps where a row
@@ -310,7 +329,7 @@ def _search(sep, C, lo, cfg, found):
         if np.count_nonzero(bad):
             failure = OracleViolation("separating hyperplane does not cut the center")
             n = int(np.argmax(bad))
-            rows, C, Q, G = rows[:n], C[:n], Q[:n], G[:n]
+            rows, C, Q, G, off, gap = rows[:n], C[:n], Q[:n], G[:n], off[:n], gap[:n]
         if not rows.size:
             break
         if d == 1:  # bisection: the interval is the ellipsoid
@@ -324,14 +343,58 @@ def _search(sep, C, lo, cfg, found):
         empty = denom <= 0.0
         if np.count_nonzero(empty):
             keep = ~empty
-            rows, C, Q, G, Qg, denom = rows[keep], C[keep], Q[keep], G[keep], Qg[keep], denom[keep]
+            rows, C, Q, G, Qg, denom, off, gap = (rows[keep], C[keep], Q[keep], G[keep], Qg[keep],
+                                                  denom[keep], off[keep], gap[keep])
             if not rows.size:
                 break
-        b = Qg / np.sqrt(denom)[:, None]
+        width = np.sqrt(denom)  # the ellipsoid's half-width along the cut normal
+        missed = gap > width
+        if np.count_nonzero(missed):
+            missed[missed] = _misses(gap[missed], G[missed], C[missed], off[missed], Q[missed],
+                                     denom[missed])
+            if np.count_nonzero(missed):
+                keep = ~missed
+                rows, C, Q, Qg, width = rows[keep], C[keep], Q[keep], Qg[keep], width[keep]
+                if not rows.size:
+                    break
+        b = Qg / width[:, None]
         C = C - b / (d + 1.0)
         Q -= cut * (b[:, :, None] * b[:, None, :])
         Q *= nsq
     return failure
+
+
+# The emptiness stop. A cut {z : <g, z> <= off} contains the region, and so
+# does the ellipsoid E = {c + Q^(1/2) u : ||u|| <= 1}: E starts as the
+# init_radius ball, which the caller guarantees holds the region, and each
+# central cut keeps the half of E the region lies in. As min over E of
+# <g, z> is <g, c> - sqrt(g^T Q g), a gap <g, c> - off above the half-width
+# sqrt(g^T Q g) means the cut's halfspace misses E: the region is empty, and
+# the row ends with the None its remaining cuts would reach.
+#
+# The screen gap > sqrt(denom) compares computed values, so _misses confirms
+# it beyond their rounding. With u = 2^-53, a dot product of d terms rounds
+# by at most d u / (1 - d u) times the sum of the |terms|, plus 2^-1075 per
+# product that underflows. So the computed gap is within
+# (d + 1) u (|g|.|c| + |off|) + d 2^-1075 of the exact one, and the computed
+# denom = g^T Q g within (2d + 1) u |g|^T |Q| |g| + d 2^-1075 (1 + ||g||_1);
+# the bound does not use that Q is positive definite, which holds only up to
+# rounding. _misses asks
+#   gap - kappa (|g|.|c| + |off|) - t > sqrt(denom + kappa |g|^T |Q| |g| + t (1 + ||g||_1))
+# with kappa = 8 (d + 2) u and t = (d + 1) 2^-1074. The right side bounds the
+# exact half-width from above, up to its own rounding of 2u relative; the left
+# side bounds the exact gap from below, with more than 4u (|g|.|c| + |off|) to
+# spare. A test that passes has a right side below about |g|.|c| + |off|, so
+# the spare covers the 2u and the rounding of the test itself.
+def _misses(gap, G, C, off, Q, denom):
+    """Of the rows whose computed gap exceeds sqrt(denom), those whose exact
+    gap exceeds the exact half-width (see the comment above)."""
+    d = G.shape[1]
+    kappa, t = 8 * (d + 2) * 2.0**-53, (d + 1) * 2.0**-1074
+    absG = np.abs(G)
+    spread = np.vecdot(absG, np.matmul(np.abs(Q), absG[..., None])[..., 0])
+    width = np.sqrt(denom + kappa * spread + t * (1.0 + absG.sum(axis=1)))
+    return gap - kappa * (np.vecdot(absG, np.abs(C)) + np.abs(off)) - t > width
 
 
 def _one_row(sep):
@@ -353,13 +416,15 @@ def _one_row(sep):
 
 def ellipsoid_feasible(sep, d: int, cfg: EllipsoidConfig, center=None):
     """Find a point the separation oracle accepts, or None when the region is
-    empty up to volume_eps (the search reached its cut count, or a cut left
-    nothing).
+    empty up to volume_eps (the search reached its cut count, a cut's
+    halfspace missed the ellipsoid, or a cut left nothing).
 
-    sep answers INSIDE or a (normal, offset) cut. The caller guarantees the
-    region, if non-empty with volume_eps slack, is in the init_radius ball at
-    center; for a bound_separation oracle over an lp ball it is checked here,
-    and EllipsoidDiverged raised before the first query.
+    sep answers INSIDE or a (normal, offset) cut, and each cut must contain
+    the region. The caller guarantees the region, if non-empty with volume_eps
+    slack, is in the init_radius ball at center; for a bound_separation oracle
+    over an lp ball it is checked here, and EllipsoidDiverged raised before
+    the first query. Both are what lets a search end at a cut that misses the
+    ellipsoid (see _lockstep).
     """
     c = np.zeros(d) if center is None else as_vector(center)
     if c.shape != (d,):
@@ -394,11 +459,13 @@ def ellipsoid_certify(model: LinearModel, sample: Sample, sepU, cfg: EllipsoidCo
                       slack: float = 0.0):
     """Search U(x) for a point the model gets wrong (decision value at most
     `slack` against the label). Returns the counterexample vector, or None
-    when the intersection is empty up to volume_eps (certified robust).
+    when the intersection is empty up to volume_eps (certified robust); the
+    search ends as soon as a cut, from sepU or the model, misses its
+    ellipsoid.
 
-    sepU must be a query-only separation oracle for U(x); the search ellipsoid
-    is centered at x, so U(x) must fit in the init_radius ball around it,
-    which is checked as in ellipsoid_feasible.
+    sepU must be a query-only separation oracle for U(x) whose cuts contain
+    U(x); the search ellipsoid is centered at x, so U(x) must fit in the
+    init_radius ball around it, which is checked as in ellipsoid_feasible.
     """
     x = as_vector(sample.x)
     if hasattr(sepU, "reach"):
@@ -410,8 +477,10 @@ def ellipsoid_certify(model: LinearModel, sample: Sample, sepU, cfg: EllipsoidCo
 def ellipsoid_certify_batch(model: LinearModel, data: Dataset, U, cfg: EllipsoidConfig) -> list:
     """ellipsoid_certify on every row of data against U(x_i), for an lp ball
     or polytope U, as one lockstep search: per row the counterexample or
-    None. Raises the error the first failing row would raise on its own, and
-    EllipsoidDiverged before any query when an lp ball reaches past init_radius."""
+    None, each row ending at its own step, at the latest its cut count.
+    Raises the error the first failing row would raise on its own, and
+    EllipsoidDiverged before any query when an lp ball reaches past
+    init_radius; a polytope U(x_i) must fit in the init_radius ball at x_i."""
     if isinstance(U, LpBall):
         _check_start(_l2_reach(U, data.d), cfg)
     sep = _certify_oracle(model.w, model.bias, data.y.astype(float), 0.0,
@@ -424,7 +493,9 @@ def rerm_ellipsoid(data: Dataset, U, cfg: EllipsoidConfig) -> LinearModel:
     space, against the lp ball or polytope U around each row. Feasibility
     means every sample certifies robust at margin slack feas_slack; each
     failed certification contributes the cut -y_i z_i. Row i is asked through
-    bound_separation(U, x_i).
+    bound_separation(U, x_i), built when a weight query first gets to it. The
+    weight search's region lies in the init_radius ball, as a query outside
+    it is cut by its norm, so it too ends at a cut that misses its ellipsoid.
 
     Over an lp ball every weight query skips the rows whose closed-form robust
     margin y_i <w, x_i> - gamma ||w||_* beats feas_slack by a relative 1e-9,
@@ -438,7 +509,6 @@ def rerm_ellipsoid(data: Dataset, U, cfg: EllipsoidConfig) -> LinearModel:
     screen = isinstance(U, LpBall)
     if screen:
         _check_start(_l2_reach(U, d), cfg)
-    rows = [(data.sample(i), bound_separation(U, data.X[i])) for i in range(data.n)]
 
     def weight_oracle(wvec):
         nrm = float(np.linalg.norm(wvec))
@@ -446,13 +516,14 @@ def rerm_ellipsoid(data: Dataset, U, cfg: EllipsoidConfig) -> LinearModel:
             return wvec / nrm, float(cfg.init_radius)
         # w = 0 violates every margin constraint; any point of U(x_i) cuts
         model = LinearModel(wvec) if np.any(wvec) else None
-        todo = rows
+        todo = range(data.n)
         if screen:  # at w = 0 no row is proven
             raw = data.y * decision_values(data.X, wvec)
             shift = U.gamma * dual_norm(wvec, U.p)
             proven = raw - shift - tau > 1e-9 * (np.abs(raw) + shift + tau)
-            todo = [rows[i] for i in np.flatnonzero(~proven)]
-        for s, sep in todo:
+            todo = np.flatnonzero(~proven)
+        for i in todo:
+            s, sep = data.sample(i), bound_separation(U, data.X[i])
             if model is None:
                 z = ellipsoid_feasible(sep, d, cfg, center=s.x)
             else:

@@ -450,10 +450,28 @@ def ball_reach_ref(U, x, c) -> float:
     return float(np.linalg.norm(x - c)) + float(np.linalg.norm(far))
 
 
-def ellipsoid_feasible_ref(sep, d: int, cfg, center=None, region=None):
+def halfspace_misses_ref(g, c, off: float, Q) -> bool:
+    """Whether the cut <g, z> <= off misses the ellipsoid
+    {z : (z - c)^T Q^-1 (z - c) <= 1}, whose least <g, z> is
+    <g, c> - sqrt(g^T Q g): the gap <g, c> - off, less its rounding bound,
+    beats the half-width plus its rounding bound (u = 2^-53, and 2^-1074 per
+    product that may underflow)."""
+    d = g.shape[0]
+    kappa, tiny = 8 * (d + 2) * 2.0**-53, (d + 1) * 2.0**-1074
+    gap, denom = float(g @ c) - off, float(g @ (Q @ g))
+    if not gap > math.sqrt(denom):
+        return False
+    ag = np.abs(g)
+    low = gap - kappa * (float(ag @ np.abs(c)) + abs(off)) - tiny
+    return low > math.sqrt(denom + kappa * float(ag @ (np.abs(Q) @ ag))
+                            + tiny * (1.0 + float(ag.sum())))
+
+
+def ellipsoid_feasible_ref(sep, d: int, cfg, center=None, region=None, stop=True):
     """Central-cut ellipsoid search; sep answers INSIDE or a Hyperplane. It
-    ends empty after cfg.resolved_max_iters(d) cuts. With region = (U, x), the
-    lp ball or polytope U(x) that sep answers for, a ball reaching past
+    ends empty after cfg.resolved_max_iters(d) cuts or, with `stop` and
+    d >= 2, at the first cut that misses the ellipsoid. With region = (U, x),
+    the lp ball or polytope U(x) that sep answers for, a ball reaching past
     init_radius from the center raises before the first query."""
     c = np.zeros(d) if center is None else as_vector(center).copy()
     if region is not None and not hasattr(region[0], "A"):
@@ -485,7 +503,7 @@ def ellipsoid_feasible_ref(sep, d: int, cfg, center=None, region=None):
             raise OracleViolation("separating hyperplane does not cut the center")
         Qg = Q @ g
         denom = float(g @ Qg)
-        if denom <= 0.0:
+        if denom <= 0.0 or stop and halfspace_misses_ref(g, c, ans.offset, Q):
             return None
         bvec = Qg / math.sqrt(denom)
         c = c - bvec / (d + 1.0)
@@ -494,7 +512,8 @@ def ellipsoid_feasible_ref(sep, d: int, cfg, center=None, region=None):
     return None
 
 
-def ellipsoid_certify_ref(w, bias: float, x, y: int, sepU, cfg, slack: float = 0.0, U=None):
+def ellipsoid_certify_ref(w, bias: float, x, y: int, sepU, cfg, slack: float = 0.0, U=None,
+                          stop=True):
     """A point of U(x) with decision value at most slack against y, or None;
     sepU answers for U(x), which, when given, is checked to fit the start ball."""
     y = float(y)
@@ -506,10 +525,10 @@ def ellipsoid_certify_ref(w, bias: float, x, y: int, sepU, cfg, slack: float = 0
         return sepU(z)
 
     return ellipsoid_feasible_ref(composed, x.shape[0], cfg, center=x,
-                                  region=None if U is None else (U, x))
+                                  region=None if U is None else (U, x), stop=stop)
 
 
-def rerm_ellipsoid_ref(X, y, U, cfg):
+def rerm_ellipsoid_ref(X, y, U, cfg, stop=True):
     """Weights of a homogeneous halfspace certified at margin feas_slack on
     every row, found by ellipsoid search in weight space, or None."""
     n, d = X.shape
@@ -522,10 +541,11 @@ def rerm_ellipsoid_ref(X, y, U, cfg):
             return Hyperplane(wvec / nrm, cfg.init_radius)
         for i in range(n):
             if not np.any(wvec):
-                z = ellipsoid_feasible_ref(oracles[i], d, cfg, center=X[i], region=(U, X[i]))
+                z = ellipsoid_feasible_ref(oracles[i], d, cfg, center=X[i], region=(U, X[i]),
+                                          stop=stop)
             else:
                 z = ellipsoid_certify_ref(wvec, 0.0, X[i].copy(), int(y[i]), oracles[i], cfg,
-                                          slack=tau, U=U)
+                                          slack=tau, U=U, stop=stop)
             if z is None:
                 continue
             normal = -int(y[i]) * np.asarray(z, dtype=float)
@@ -534,7 +554,7 @@ def rerm_ellipsoid_ref(X, y, U, cfg):
             return Hyperplane(normal, -tau)
         return INSIDE
 
-    return ellipsoid_feasible_ref(weight_oracle, d, cfg)
+    return ellipsoid_feasible_ref(weight_oracle, d, cfg, stop=stop)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from roblearn import (AllZeroWeights, ConfigError, Dataset, EllipsoidDiverged, L
 from roblearn import cli
 from roblearn.cli import EXIT_INTERNAL, _exit_code, main
 
-from ._refs import one_pass_ref
+from ._refs import dual_exponent_ref, norm_ref, one_pass_ref
 from .test_golden import CASES, write_inputs
 
 
@@ -124,6 +124,29 @@ def test_certify_methods_agree_on_balls_wider_than_the_default_start(tmp_path, c
         assert run(["certify", "--model", model, "--input", data, "--gamma", "19", "--p", p,
                     "--method", method]) == 0
         assert "  robust_accuracy: 0\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("p", ["1", "2", "inf"])
+def test_ellipsoid_certify_cross_checks_the_closed_form(tmp_path, capsys, p):
+    # random rows around a biased model, about a third of them attacked; rows
+    # whose robust margin is within rounding of 0 are left out, as the two
+    # methods may break such ties apart
+    rng = np.random.default_rng(["1", "2", "inf"].index(p))
+    w, bias, gamma = np.array([1.0, -0.6, 0.3]), 0.25, 0.4
+    X = rng.normal(0.0, 1.2, (300, 3))
+    y = np.where(X @ w + bias >= 0.0, 1, -1)
+    y[rng.random(300) < 0.1] *= -1
+    raw, shift = y * (X @ w + bias), gamma * norm_ref(w, dual_exponent_ref(float(p)))
+    clear = np.abs(raw - shift) > 1e-9 * (np.abs(raw) + shift)
+    data, model = str(tmp_path / "rows.csv"), write_model(tmp_path, w=tuple(w), bias=bias)
+    save_csv(data, Dataset(X[clear], y[clear]))
+    printed = []
+    for method in ("closed", "ellipsoid"):
+        assert run(["certify", "--model", model, "--input", data, "--gamma", str(gamma),
+                    "--p", p, "--method", method]) == 0
+        printed.append([l for l in capsys.readouterr().out.splitlines() if "robust_accuracy" in l])
+    assert printed[0] == printed[1]
+    assert 0.4 < float(printed[0][0].split(":")[1]) < 0.9
 
 
 def test_gen_data_pipeline(tmp_path):

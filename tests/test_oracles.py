@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from roblearn import (
     separation_oracle,
 )
 from roblearn import oracles
-from roblearn.errors import EllipsoidDiverged, RoblearnError, UnsupportedGeometry
+from roblearn.errors import ConfigError, EllipsoidDiverged, RoblearnError, UnsupportedGeometry
 from roblearn.oracles import INSIDE, check_disjoint_balls, ellipsoid_certify_batch
 
 from ._refs import (
@@ -243,6 +244,29 @@ def test_non_finite_center_raises_before_the_next_query():
                            center=vec(np.inf, 0.0))
 
 
+def test_a_center_that_overflows_raises_before_the_next_query():
+    # a finite cut with a huge normal overflows Q g, so the next center is not
+    # finite; the row raises before its second query, and a row before it in
+    # the lockstep runs to its end first
+    huge = Polytope(np.array([[1e307, 0.0]]), np.array([-1.0]))
+    seps = [bound_separation(LpBall(2.0, 0.1), vec(1.0, 2.0)),
+            bound_separation(huge, vec(0.0, 0.0))]
+    asked = []
+
+    def sep(rows, Z):
+        asked.extend(rows.tolist())
+        return _stacked(seps)(rows, Z)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        alone = _outcome(lambda s: ellipsoid_feasible(s, 2, EllipsoidConfig()),
+                         lambda z: separation_oracle(huge, vec(0.0, 0.0), z))
+        with pytest.raises(ValueError, match="finite"):
+            oracles._lockstep(sep, np.zeros((2, 2)), EllipsoidConfig())
+    assert alone[1:] == (ConfigError, 1)
+    first = _outcome(lambda s: ellipsoid_feasible(s, 2, EllipsoidConfig()), seps[0])
+    assert first[0] is not None and asked.count(0) == first[2] > 1 and asked.count(1) == 1
+
+
 def test_config_validation_and_defaults():
     with pytest.raises(ValueError):
         EllipsoidConfig(max_iters=0)
@@ -383,13 +407,26 @@ def _outcome(search, sep):
         return None, type(exc), len(answered)
 
 
-def _assert_same_outcome(got, want):
-    assert got[1:] == want[1:]
+def _assert_same_outcome(got, want, queries=True):
+    assert got[1:] == want[1:] if queries else got[1] == want[1]
     assert (got[0] is None) == (want[0] is None)
     assert got[0] is None or np.array_equal(got[0], want[0])
 
 
+def _assert_stop_keeps_the_result(got, unstopped, center, radius):
+    """The emptiness stop ends a search only when its region has no point in
+    the start ball, so it keeps the result of the search without it, bit for
+    bit, but for a point that search found past the start ball. Such a region
+    breaks the search's precondition; the point was found as the ellipsoids
+    grew past the start ball."""
+    if got[0] is None and got[1] is None and unstopped[0] is not None:
+        assert np.linalg.norm(unstopped[0] - center) > radius
+    else:
+        _assert_same_outcome(got, unstopped, queries=False)
+
+
 def _feasible_outcomes(seed, kind, d, max_iters, volume_eps):
+    """The search's outcome, and the reference's with and without the stop."""
     rng = np.random.default_rng(seed)
     cfg = EllipsoidConfig(max_iters=max_iters, init_radius=float(rng.uniform(1.0, 10.0)),
                           volume_eps=volume_eps)
@@ -398,23 +435,30 @@ def _feasible_outcomes(seed, kind, d, max_iters, volume_eps):
     center = None if rng.random() < 0.3 else rng.standard_normal(d)
     got = _outcome(lambda sep: ellipsoid_feasible(sep, d, cfg, center=center),
                    bound_separation(U, x))
-    want = _outcome(lambda sep: ellipsoid_feasible_ref(sep, d, cfg, center=center, region=(U, x)),
-                    lambda z: separation_ref(U, x, z))
-    return got, want
+    want, unstopped = (
+        _outcome(lambda sep: ellipsoid_feasible_ref(sep, d, cfg, center=center, region=(U, x),
+                                                    stop=stop),
+                 lambda z: separation_ref(U, x, z)) for stop in (True, False))
+    start = np.zeros(d) if center is None else center
+    return got, want, unstopped, (start, cfg.init_radius)
 
 
 @given(st.integers(0, 10_000), REGIONS, st.integers(1, 3),
        st.one_of(st.none(), st.integers(1, 400)), st.sampled_from([1e-3, 1e-6]))
 def test_feasible_matches_reference(seed, kind, d, max_iters, volume_eps):
-    _assert_same_outcome(*_feasible_outcomes(seed, kind, d, max_iters, volume_eps))
+    got, want, unstopped, start = _feasible_outcomes(seed, kind, d, max_iters, volume_eps)
+    _assert_same_outcome(got, want)
+    _assert_stop_keeps_the_result(got, unstopped, *start)
 
 
 def test_region_outside_the_initial_ellipsoid_stops_as_diverged():
     # an l-inf box outside the start ball is refused before the first query;
     # a caller-supplied oracle for it carries the precondition unchecked, and
-    # its search ends at the cut count with Q still finite
-    got, want = _feasible_outcomes(2, "linf", 3, None, 1e-6)
+    # its first cut misses the start ball, so its search ends at once with the
+    # None that it reached after its 266 cuts, Q still finite, without the stop
+    got, want, unstopped, _ = _feasible_outcomes(2, "linf", 3, None, 1e-6)
     _assert_same_outcome(got, want)
+    _assert_same_outcome(got, unstopped)
     assert got[1:] == (EllipsoidDiverged, 0)
     rng = np.random.default_rng(2)  # the draws of _feasible_outcomes, center 0
     cfg = EllipsoidConfig(init_radius=float(rng.uniform(1.0, 10.0)), volume_eps=1e-6)
@@ -422,7 +466,10 @@ def test_region_outside_the_initial_ellipsoid_stops_as_diverged():
     assert rng.random() < 0.3 and np.linalg.norm(x) + U.gamma * math.sqrt(3.0) > cfg.init_radius
     unchecked = _outcome(lambda sep: ellipsoid_feasible(sep, 3, cfg),
                          lambda z: separation_oracle(U, x, z))
-    assert unchecked == (None, None, cfg.resolved_max_iters(3))
+    assert unchecked == (None, None, 1)
+    unstopped = _outcome(lambda sep: ellipsoid_feasible_ref(sep, 3, cfg, stop=False),
+                         lambda z: separation_oracle(U, x, z))
+    assert unstopped == (None, None, cfg.resolved_max_iters(3)) == (None, None, 266)
 
 
 def test_lp_balls_past_the_start_are_refused_before_any_query(monkeypatch):
@@ -454,10 +501,11 @@ def test_certify_matches_reference(seed, kind, d, slack):
     y = 1 if rng.random() < 0.5 else -1
     got = _outcome(lambda sep: ellipsoid_certify(model, Sample(x, y), sep, cfg, slack=slack),
                    bound_separation(U, x))
-    want = _outcome(lambda sep: ellipsoid_certify_ref(model.w, model.bias, x, y, sep, cfg,
-                                                      slack=slack, U=U),
-                    lambda z: separation_ref(U, x, z))
+    want, unstopped = (_outcome(lambda sep: ellipsoid_certify_ref(model.w, model.bias, x, y, sep,
+                                                                  cfg, slack=slack, U=U, stop=stop),
+                                lambda z: separation_ref(U, x, z)) for stop in (True, False))
     _assert_same_outcome(got, want)
+    _assert_stop_keeps_the_result(got, unstopped, x, cfg.init_radius)
 
 
 def _rows_outcome(search):
@@ -466,6 +514,43 @@ def _rows_outcome(search):
         return search(), None
     except (ValueError, RoblearnError) as exc:
         return None, type(exc)
+
+
+def _exact_misses(g, c, off, Q) -> bool:
+    """<g, c> - off > sqrt(g^T Q g), in rational arithmetic on the floats."""
+    g, c, Q = ([Fraction(float(v)) for v in a.ravel()] for a in (g, c, Q))
+    d = len(g)
+    gap = sum(a * b for a, b in zip(g, c)) - Fraction(float(off))
+    denom = sum(g[i] * Q[i * d + j] * g[j] for i in range(d) for j in range(d))
+    return gap > 0 and gap * gap > denom
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([(0, 0), (-260, -260), (-500, 0), (0, -500),
+                                                 (-30, 40), (240, 0), (0, 240)]))
+def test_the_emptiness_stop_holds_in_exact_arithmetic(seed, exps):
+    # cuts whose gap sits within a few ulps of the half-width sqrt(g^T Q g),
+    # scaled by 2^g_exp and 2^q_exp, from a g^T Q g of 2^-1040 (underflowing
+    # products) to 2^480: the stop never closes a row the exact test keeps
+    # open, and it closes every row ahead by 1e-9 whose g^T Q g is a normal
+    # float (a subnormal one has lost the digits to tell)
+    g_exp, q_exp = exps
+    rng = np.random.default_rng(seed)
+    k, d = 40, int(rng.integers(2, 5))
+    G = rng.standard_normal((k, d)) * 2.0**g_exp
+    M = rng.standard_normal((k, d, d)) * 2.0**q_exp
+    Q = np.matmul(M, M.transpose(0, 2, 1))
+    Q = 0.5 * (Q + Q.transpose(0, 2, 1))
+    C = rng.standard_normal((k, d)) * 2.0**q_exp
+    denom = np.vecdot(G, np.matmul(Q, G[..., None])[..., 0])
+    ahead = rng.choice([-4e-16, -1e-16, 0.0, 1e-16, 4e-16, 1e-15, 1e-9], k)
+    off = np.vecdot(G, C) - np.sqrt(denom) * (1.0 + ahead)
+    gap = np.vecdot(G, C) - off
+    assert np.isfinite(gap).all() and (denom > 0.0).all()
+    got = oracles._misses(gap, G, C, off, Q, denom)
+    exact = np.array([_exact_misses(G[i], C[i], off[i], Q[i]) for i in range(k)])
+    assert not (got & ~exact).any()
+    assert got[(ahead == 1e-9) & (denom >= 2.0**-1022)].all()
 
 
 @settings(max_examples=60, deadline=None)
@@ -485,10 +570,13 @@ def test_certify_batch_matches_reference_row_by_row(seed, kind, d, n, chunk_rows
     model = LinearModel(rng.standard_normal(d) + 0.1, bias=float(rng.standard_normal()) * 0.5)
     X = rng.standard_normal((n, d))
     y = np.where(X @ model.w + model.bias >= 0.0, 1, -1) * np.where(rng.random(n) < 0.8, 1, -1)
-    want = [_outcome(lambda sep: ellipsoid_certify_ref(model.w, model.bias, X[i], int(y[i]), sep,
-                                                       cfg, U=U),
-                     lambda z, x=X[i]: separation_ref(U, x, z)) for i in range(n)]
+    want, unstopped = ([_outcome(lambda sep: ellipsoid_certify_ref(model.w, model.bias, X[i],
+                                                                   int(y[i]), sep, cfg, U=U,
+                                                                   stop=stop),
+                                 lambda z, x=X[i]: separation_ref(U, x, z)) for i in range(n)]
+                       for stop in (True, False))
     failed = [err for _, err, _ in want if err is not None]
+    assert failed == [err for _, err, _ in unstopped if err is not None]
     data = Dataset(X, y)
     whole = _rows_outcome(lambda: ellipsoid_certify_batch(model, data, U, cfg))
     with pytest.MonkeyPatch.context() as mp:
@@ -497,9 +585,10 @@ def test_certify_batch_matches_reference_row_by_row(seed, kind, d, n, chunk_rows
     for got, err in (whole, chunked):
         # the error of the lowest failing row, the first a row loop meets
         assert err is (failed[0] if failed else None)
-        for z, (ref, _, _) in zip(got or [], want):
+        for i, (z, (ref, _, _)) in enumerate(zip(got or [], want)):
             assert (z is None) == (ref is None)
             assert z is None or z.tobytes() == ref.tobytes()
+            _assert_stop_keeps_the_result((z, None), unstopped[i], X[i], cfg.init_radius)
 
 
 @pytest.mark.parametrize("U", [LpBall(2.0, 0.3), LpBall(math.inf, 0.2),
@@ -514,17 +603,20 @@ def test_certify_batch_matches_reference_across_closing_steps(monkeypatch, U):
     X = rng.standard_normal((40, 2))
     y = np.where(X @ model.w + model.bias >= 0.0, 1, -1) * np.where(rng.random(40) < 0.85, 1, -1)
     cfg = EllipsoidConfig()
-    want = [_outcome(lambda sep: ellipsoid_certify_ref(model.w, model.bias, X[i], int(y[i]), sep,
-                                                       cfg, U=U),
-                     lambda z, x=X[i]: separation_ref(U, x, z)) for i in range(40)]
+    want, unstopped = ([_outcome(lambda sep: ellipsoid_certify_ref(model.w, model.bias, X[i],
+                                                                   int(y[i]), sep, cfg, U=U,
+                                                                   stop=stop),
+                                 lambda z, x=X[i]: separation_ref(U, x, z)) for i in range(40)]
+                       for stop in (True, False))
     assert len({steps for _, _, steps in want}) >= 6
     got = ellipsoid_certify_batch(model, Dataset(X, y), U, cfg)
     monkeypatch.setattr(oracles, "_STACK_FLOATS", 3 * 2 * 2)  # chunks of 3 rows
     assert [z is None or z.tobytes() for z in ellipsoid_certify_batch(model, Dataset(X, y), U, cfg)] \
         == [z is None or z.tobytes() for z in got]
-    for z, (ref, err, _) in zip(got, want):
+    for z, (ref, err, _), old in zip(got, want, unstopped):
         assert err is None and (z is None) == (ref is None)
         assert z is None or z.tobytes() == ref.tobytes()
+        _assert_same_outcome((z, None), old, queries=False)
 
 
 def _stacked(seps):
@@ -548,23 +640,28 @@ def test_lockstep_matches_reference_searches_row_by_row(seed, kinds, d, volume_e
     regions = [_region(kind, rng, d) for kind in kinds]
     X = rng.standard_normal((len(kinds), d)) * 2.0
     C = rng.standard_normal((len(kinds), d))
-    want = [_outcome(lambda sep: ellipsoid_feasible_ref(sep, d, cfg, center=C[i]),
-                     lambda z, i=i: separation_ref(regions[i], X[i], z)) for i in range(len(kinds))]
+    want, unstopped = ([_outcome(lambda sep: ellipsoid_feasible_ref(sep, d, cfg, center=C[i],
+                                                                    stop=stop),
+                                 lambda z, i=i: separation_ref(regions[i], X[i], z))
+                        for i in range(len(kinds))] for stop in (True, False))
     failed = [err for _, err, _ in want if err is not None]
     sep = _stacked([bound_separation(U, x) for U, x in zip(regions, X)])
     got, err = _rows_outcome(lambda: oracles._lockstep(sep, C, cfg))
     assert err is (failed[0] if failed else None)
-    for z, (ref, _, _) in zip(got or [], want):
+    for i, (z, (ref, _, _)) in enumerate(zip(got or [], want)):
         assert (z is None) == (ref is None)
         assert z is None or z.tobytes() == ref.tobytes()
+        # the rows search from their own centers, unchecked against the start
+        _assert_stop_keeps_the_result((z, None), unstopped[i], C[i], cfg.init_radius)
 
 
 def test_lockstep_rows_leave_at_their_own_steps():
     # under the budget of 53 cuts: a ball found at once; an empty diagonal slab
-    # whose g Q g reaches 0 after 38 queries; slabs 1e-5 and 1e-6 wide found
-    # at queries 29 and 37; a single point and an empty slab along an axis,
-    # which both end at the budget; and a ball of radius 1e-3 found one query
-    # before it
+    # whose cut misses the ellipsoid at query 14 (g Q g reached 0 at query 38
+    # without the stop); slabs 1e-5 and 1e-6 wide found at queries 29 and 37;
+    # a single point, which ends at the budget; an empty slab along an axis,
+    # missed at query 13 (at the budget without the stop); and a ball of
+    # radius 1e-3 found one query before the budget
     cfg = EllipsoidConfig(volume_eps=1e-2)
     assert cfg.resolved_max_iters(2) == 53
     slab, slab2 = np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([[0.0, 1.0], [0.0, -1.0]])
@@ -575,14 +672,18 @@ def test_lockstep_rows_leave_at_their_own_steps():
     X = np.array([[0.2, 0.1], [0.0, 0.0], [0.1, 0.4], [0.5, -0.2], [-0.3, 0.1], [0.0, 0.0],
                   [0.5, -0.2]])
     C = np.zeros((7, 2))
-    want = [_outcome(lambda sep: ellipsoid_feasible_ref(sep, 2, cfg, center=C[i]),
-                     lambda z, i=i: separation_ref(regions[i], X[i], z)) for i in range(7)]
+    want, unstopped = ([_outcome(lambda sep: ellipsoid_feasible_ref(sep, 2, cfg, center=C[i],
+                                                                    stop=stop),
+                                 lambda z, i=i: separation_ref(regions[i], X[i], z))
+                        for i in range(7)] for stop in (True, False))
     assert [(ref is None, steps) for ref, _, steps in want] == \
-        [(False, 1), (True, 38), (False, 29), (True, 53), (False, 37), (True, 53), (False, 52)]
+        [(False, 1), (True, 14), (False, 29), (True, 53), (False, 37), (True, 13), (False, 52)]
+    assert [steps for _, _, steps in unstopped] == [1, 38, 29, 53, 37, 53, 52]
     got = oracles._lockstep(_stacked([bound_separation(U, x) for U, x in zip(regions, X)]), C, cfg)
-    for z, (ref, _, _) in zip(got, want):
+    for z, (ref, _, _), old in zip(got, want, unstopped):
         assert (z is None) == (ref is None)
         assert z is None or z.tobytes() == ref.tobytes()
+        _assert_same_outcome((z, None), old, queries=False)
 
 
 @pytest.mark.parametrize("row0_fails", [False, True])
@@ -627,8 +728,9 @@ def test_rerm_matches_reference(seed, p, d):
     data, ball = Dataset(X, y), LpBall(p, gamma)
     cfg = default_ellipsoid_config(ball, d)
     got = rerm_ellipsoid(data, ball, cfg)
-    want = rerm_ellipsoid_ref(X, y, ball, cfg)
-    assert want is not None and np.array_equal(got.w, want)
+    for stop in (True, False):
+        want = rerm_ellipsoid_ref(X, y, ball, cfg, stop=stop)
+        assert want is not None and np.array_equal(got.w, want)
 
 
 # ---------------------------------------------------------------------------
@@ -769,3 +871,39 @@ def test_disjoint_balls_check_keeps_unsupported_norms_unsupported():
     data = Dataset(np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([1, -1]))
     with pytest.raises(UnsupportedGeometry):
         check_disjoint_balls(data, LpBall(3.0, 0.1))
+
+
+def _clash_of_the_row_loop(data, ball):
+    """The pair check_disjoint_balls names, found as it once was, with one
+    norm per positive row; None when no balls meet."""
+    neg = np.nonzero(data.y == -1)[0]
+    for i in np.nonzero(data.y == 1)[0]:
+        near = np.linalg.norm(data.X[neg] - data.X[i], ord=ball.p, axis=1) <= 2.0 * ball.gamma
+        if near.any():
+            return f"rows {i} and {neg[near.argmax()]} "
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([1.0, 2.0, math.inf]),
+       st.sampled_from([1 / 16, 1 / 8, 5 / 16]), st.sampled_from([1, 2, 3, 1 << 20]))
+def test_disjoint_balls_check_names_the_pair_the_row_loop_names(seed, p, gamma, block):
+    # rows on a grid of eighths, so many pairs sit at exactly 2 gamma (3-4-5
+    # triangles in l2), labelled at random or moved apart by label, 1 beyond
+    # the widest 2 gamma; a small _STACK_FLOATS splits the positive rows into
+    # blocks of a few rows
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(2, 40)), int(rng.integers(2, 4))
+    X = rng.integers(-8, 9, (n, d)) / 8.0
+    y = np.where(rng.random(n) < 0.5, 1, -1)
+    if rng.random() < 0.3:
+        X[:, 0] += 1.5 * y
+    data, ball = Dataset(X, y), LpBall(p, gamma)
+    want = _clash_of_the_row_loop(data, ball)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracles, "_STACK_FLOATS", block * d * max(1, int(np.sum(data.y == -1))))
+        if want is None:
+            check_disjoint_balls(data, ball)
+        else:
+            with pytest.raises(NotSeparable, match=f"^{want}"):
+                check_disjoint_balls(data, ball)
