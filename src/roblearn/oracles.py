@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -84,6 +86,53 @@ class Polytope:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
 
+    def reach(self, v) -> float:
+        """The largest l2 distance from v of a point delta with A delta <= b:
+        -inf when there is none, inf when the region is unbounded. A convex
+        function on a bounded polyhedron peaks at a vertex, so this is the
+        farthest vertex."""
+        V = self._vertices
+        if V is None:
+            return math.inf
+        D = V - v
+        return float(np.sqrt(np.vecdot(D, D).max())) if len(V) else -math.inf
+
+    @cached_property
+    def _vertices(self):
+        """The vertices of {delta : A delta <= b} as rows, no rows when it is
+        empty, or None when it is unbounded; built on first use, in C(m, d)
+        solves. A vertex solves d rows as equalities and meets the rest. A
+        non-empty region without one holds a line (rank A = r < d), so when
+        r < d the rows are solved in the r-dimensional row space only to tell
+        whether the region is empty. A region with a vertex is unbounded iff
+        the null vector n of some d - 1 independent rows has A n <= 0 or
+        A n >= 0: it then holds a ray. Each test allows a relative 1e-9,
+        which can only make the region look larger."""
+        A, b = self.A, self.b
+        m, d = A.shape
+        r = int(np.linalg.matrix_rank(A))
+        B = A if r == d else A @ np.linalg.svd(A)[2][:r].T  # A delta = B y in the row space
+        S = _subsets(m, r)
+        S = S[np.linalg.matrix_rank(B[S]) == r]
+        Y = np.linalg.solve(B[S], b[S][..., None])[..., 0]
+        meets = Y @ B.T - b <= 1e-9 * (np.abs(Y) @ np.abs(B).T + np.abs(b))
+        Y = Y[meets.all(axis=1)]
+        if r < d:
+            return None if len(Y) else np.empty((0, d))
+        if len(Y):
+            T = _subsets(m, d - 1)
+            T = T[np.linalg.matrix_rank(A[T]) == d - 1]
+            N = np.linalg.svd(A[T])[2][:, -1]  # unit null vectors, one per row
+            AN, tol = N @ A.T, 1e-9 * np.abs(A).sum(axis=1)
+            if ((AN <= tol).all(axis=1) | (AN >= -tol).all(axis=1)).any():
+                return None
+        return Y
+
+
+def _subsets(m: int, k: int) -> np.ndarray:
+    """The k-subsets of range(m) as the rows of a (C(m, k), k) array."""
+    return np.array(list(combinations(range(m), k)), dtype=int).reshape(math.comb(m, k), k)
+
 
 @dataclass
 class EllipsoidConfig:
@@ -136,10 +185,15 @@ def _l2_reach(ball: LpBall, d: int) -> float:
     return ball.gamma * d ** max(0.0, 0.5 - 1.0 / ball.p)
 
 
+def _reach(U, d: int) -> float:
+    """How far in l2 the lp ball or polytope U(x) in R^d reaches from x."""
+    return _l2_reach(U, d) if isinstance(U, LpBall) else U.reach(np.zeros(d))
+
+
 def _check_start(reach: float, cfg: EllipsoidConfig) -> None:
     """The search's precondition, for regions whose l2 reach from the search
-    center is known: the region lies in the start ball. Checked once, before
-    the first query."""
+    center is known (an lp ball or a polytope): the region lies in the start
+    ball. Checked once, before the first query."""
     if reach > cfg.init_radius:
         raise EllipsoidDiverged(f"the region reaches {reach:.6g} from the search center, "
                                 f"past init_radius {cfg.init_radius:.6g}")
@@ -209,8 +263,8 @@ def separation_oracle(U_descriptor, x, z) -> _Inside | Hyperplane:
 def bound_separation(U_descriptor, x):
     """Close the oracle over a center validated here, once. The query-only
     callable answers INSIDE or a raw cut; the ellipsoid checks its queries
-    and asks its `rowwise` form, skipping the one-row adapter. Over an lp
-    ball, `reach(c)` bounds the l2 distance from c of any point of U(x), and
+    and asks its `rowwise` form, skipping the one-row adapter. `reach(c)`
+    is the largest l2 distance from c of a point of U(x), and
     ellipsoid_feasible and ellipsoid_certify check it against init_radius."""
     X = as_vector(x)[None]
 
@@ -225,6 +279,8 @@ def bound_separation(U_descriptor, x):
     if isinstance(U_descriptor, LpBall):
         reach = _l2_reach(U_descriptor, X.shape[1])
         sep.reach = lambda c: float(np.linalg.norm(X[0] - c)) + reach
+    elif isinstance(U_descriptor, Polytope):
+        sep.reach = lambda c: U_descriptor.reach(c - X[0])
     return sep
 
 
@@ -259,7 +315,8 @@ def _lockstep(sep, C: np.ndarray, cfg: EllipsoidConfig) -> list:
     that region is empty up to volume_eps (the search reached its cut count,
     a cut's halfspace missed the ellipsoid, or a cut left nothing). The stop
     at a missing halfspace relies on each cut containing the row's region and
-    the start ball holding it: a region past the start ball may end with None
+    on the start ball holding it, which the public searches check for lp
+    balls and polytopes: a region past the start ball could end with None
     once it has no point left inside, where a longer search might have found
     one outside.
 
@@ -420,11 +477,11 @@ def ellipsoid_feasible(sep, d: int, cfg: EllipsoidConfig, center=None):
     halfspace missed the ellipsoid, or a cut left nothing).
 
     sep answers INSIDE or a (normal, offset) cut, and each cut must contain
-    the region. The caller guarantees the region, if non-empty with volume_eps
-    slack, is in the init_radius ball at center; for a bound_separation oracle
-    over an lp ball it is checked here, and EllipsoidDiverged raised before
-    the first query. Both are what lets a search end at a cut that misses the
-    ellipsoid (see _lockstep).
+    the region. The caller guarantees the region is in the init_radius ball
+    at center; for a bound_separation oracle over an lp ball or a polytope it
+    is checked here, and EllipsoidDiverged raised before the first query.
+    Both are what lets a search end at a cut that misses the ellipsoid (see
+    _lockstep).
     """
     c = np.zeros(d) if center is None else as_vector(center)
     if c.shape != (d,):
@@ -479,10 +536,10 @@ def ellipsoid_certify_batch(model: LinearModel, data: Dataset, U, cfg: Ellipsoid
     or polytope U, as one lockstep search: per row the counterexample or
     None, each row ending at its own step, at the latest its cut count.
     Raises the error the first failing row would raise on its own, and
-    EllipsoidDiverged before any query when an lp ball reaches past
-    init_radius; a polytope U(x_i) must fit in the init_radius ball at x_i."""
-    if isinstance(U, LpBall):
-        _check_start(_l2_reach(U, data.d), cfg)
+    EllipsoidDiverged before any query when U(x_i) reaches past init_radius
+    from x_i."""
+    if isinstance(U, (LpBall, Polytope)):
+        _check_start(_reach(U, data.d), cfg)
     sep = _certify_oracle(model.w, model.bias, data.y.astype(float), 0.0,
                           lambda rows, Z: _separate(U, data.X[rows], Z))
     return _lockstep(sep, data.X, cfg)
@@ -500,15 +557,15 @@ def rerm_ellipsoid(data: Dataset, U, cfg: EllipsoidConfig) -> LinearModel:
     Over an lp ball every weight query skips the rows whose closed-form robust
     margin y_i <w, x_i> - gamma ||w||_* beats feas_slack by a relative 1e-9,
     as their certification can only return None; the rest run in order, so
-    the failing row and its cut stay the same. An lp ball that reaches past
-    init_radius raises EllipsoidDiverged at once. Raises NotSeparable when the
-    budget is exhausted without a feasible point.
+    the failing row and its cut stay the same. An lp ball or polytope U(x_i)
+    that reaches past init_radius from x_i raises EllipsoidDiverged at once.
+    Raises NotSeparable when the budget is exhausted without a feasible point.
     """
     d = data.d
     tau = cfg.feas_slack
     screen = isinstance(U, LpBall)
-    if screen:
-        _check_start(_l2_reach(U, d), cfg)
+    if isinstance(U, (LpBall, Polytope)):
+        _check_start(_reach(U, d), cfg)
 
     def weight_oracle(wvec):
         nrm = float(np.linalg.norm(wvec))

@@ -11,6 +11,7 @@ weighted vote the one-row weighted-majority loop updates.
 from __future__ import annotations
 
 import decimal
+import itertools
 import math
 
 import numpy as np
@@ -450,6 +451,49 @@ def ball_reach_ref(U, x, c) -> float:
     return float(np.linalg.norm(x - c)) + float(np.linalg.norm(far))
 
 
+def polytope_reach_ref(U, x, c) -> float:
+    """How far in l2 from c the polytope U(x) reaches: -inf when it is empty
+    and inf when it is unbounded, both told by Fourier-Motzkin elimination
+    onto each axis in turn; otherwise through its farthest vertex, a point
+    of U(x) where d independent rows hold as equalities."""
+    A, b = U.A, U.b
+    m, d = A.shape
+    tol = 1e-9 * (1.0 + float(np.abs(b).max()))
+    bounded = True
+    for k in range(d):
+        rows = list(zip(A, b))
+        for j in range(d):
+            if j == k:
+                continue
+            keep = [(a, beta) for a, beta in rows if a[j] == 0.0]
+            up = [(a / a[j], beta / a[j]) for a, beta in rows if a[j] > 0.0]
+            down = [(a / -a[j], beta / -a[j]) for a, beta in rows if a[j] < 0.0]
+            for (a1, b1), (a2, b2) in itertools.product(up, down):
+                a = a1 + a2
+                a[j] = 0.0
+                keep.append((a, b1 + b2))
+            rows = keep
+        # each row now reads a[k] delta_k <= beta
+        if any(a[k] == 0.0 and beta < -tol for a, beta in rows):
+            return -math.inf
+        highs = [beta / a[k] for a, beta in rows if a[k] > 0.0]
+        lows = [beta / a[k] for a, beta in rows if a[k] < 0.0]
+        if highs and lows and max(lows) > min(highs) + tol:
+            return -math.inf
+        bounded = bounded and bool(highs) and bool(lows)
+    if not bounded:
+        return math.inf
+    far = -math.inf
+    for S in itertools.combinations(range(m), d):
+        M = A[list(S)]
+        if np.linalg.matrix_rank(M) < d:
+            continue
+        v = np.linalg.solve(M, b[list(S)])
+        if np.all(A @ v <= b + 1e-9 * (np.abs(A) @ np.abs(v) + np.abs(b))):
+            far = max(far, float(np.linalg.norm(x + v - c)))
+    return far
+
+
 def halfspace_misses_ref(g, c, off: float, Q) -> bool:
     """Whether the cut <g, z> <= off misses the ellipsoid
     {z : (z - c)^T Q^-1 (z - c) <= 1}, whose least <g, z> is
@@ -471,11 +515,13 @@ def ellipsoid_feasible_ref(sep, d: int, cfg, center=None, region=None, stop=True
     """Central-cut ellipsoid search; sep answers INSIDE or a Hyperplane. It
     ends empty after cfg.resolved_max_iters(d) cuts or, with `stop` and
     d >= 2, at the first cut that misses the ellipsoid. With region = (U, x),
-    the lp ball or polytope U(x) that sep answers for, a ball reaching past
+    the lp ball or polytope U(x) that sep answers for, a region reaching past
     init_radius from the center raises before the first query."""
     c = np.zeros(d) if center is None else as_vector(center).copy()
-    if region is not None and not hasattr(region[0], "A"):
-        if ball_reach_ref(region[0], as_vector(region[1]), c) > cfg.init_radius:
+    if region is not None:
+        U, x = region[0], as_vector(region[1])
+        reach = polytope_reach_ref(U, x, c) if hasattr(U, "A") else ball_reach_ref(U, x, c)
+        if reach > cfg.init_radius:
             raise EllipsoidDiverged("the region leaves the start ball")
     max_iters = cfg.resolved_max_iters(d)
     if d == 1:

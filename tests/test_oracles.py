@@ -33,10 +33,12 @@ from roblearn.errors import ConfigError, EllipsoidDiverged, RoblearnError, Unsup
 from roblearn.oracles import INSIDE, check_disjoint_balls, ellipsoid_certify_batch
 
 from ._refs import (
+    ball_reach_ref,
     ball_samples,
     brute_margin_certified,
     ellipsoid_certify_ref,
     ellipsoid_feasible_ref,
+    polytope_reach_ref,
     rerm_ellipsoid_ref,
     separation_ref,
 )
@@ -370,13 +372,18 @@ def test_rerm_raises_when_labels_collide():
 
 def _region(kind, rng, d):
     """A ball or polytope; about a fifth are a single point or empty, so the
-    search runs until the ellipsoid shrinks below volume_eps."""
+    search runs until the ellipsoid shrinks below volume_eps. Half the other
+    polytopes are closed by d + 1 rows that span R^d positively, reaching a
+    few units; the rest are mostly unbounded."""
     degenerate = rng.random() < 0.2
     if kind == "poly":
         m = int(rng.integers(1, 5))
         A = rng.standard_normal((m, d))
         A[np.all(A == 0.0, axis=1), 0] = 1.0
         b = rng.uniform(-0.4, 1.0, m)
+        if rng.random() < 0.5:
+            G = rng.standard_normal((d, d))
+            A, b = np.vstack([A, G, -G.sum(axis=0)]), np.append(b, rng.uniform(0.2, 2.0, d + 1))
         if degenerate:  # a_0 (z - x) <= b_0 and -a_0 (z - x) <= -b_0 - 0.1 clash
             A, b = np.vstack([A, -A[0]]), np.append(b, -b[0] - 0.1)
         return Polytope(A, b)
@@ -413,18 +420,6 @@ def _assert_same_outcome(got, want, queries=True):
     assert got[0] is None or np.array_equal(got[0], want[0])
 
 
-def _assert_stop_keeps_the_result(got, unstopped, center, radius):
-    """The emptiness stop ends a search only when its region has no point in
-    the start ball, so it keeps the result of the search without it, bit for
-    bit, but for a point that search found past the start ball. Such a region
-    breaks the search's precondition; the point was found as the ellipsoids
-    grew past the start ball."""
-    if got[0] is None and got[1] is None and unstopped[0] is not None:
-        assert np.linalg.norm(unstopped[0] - center) > radius
-    else:
-        _assert_same_outcome(got, unstopped, queries=False)
-
-
 def _feasible_outcomes(seed, kind, d, max_iters, volume_eps):
     """The search's outcome, and the reference's with and without the stop."""
     rng = np.random.default_rng(seed)
@@ -439,16 +434,15 @@ def _feasible_outcomes(seed, kind, d, max_iters, volume_eps):
         _outcome(lambda sep: ellipsoid_feasible_ref(sep, d, cfg, center=center, region=(U, x),
                                                     stop=stop),
                  lambda z: separation_ref(U, x, z)) for stop in (True, False))
-    start = np.zeros(d) if center is None else center
-    return got, want, unstopped, (start, cfg.init_radius)
+    return got, want, unstopped
 
 
 @given(st.integers(0, 10_000), REGIONS, st.integers(1, 3),
        st.one_of(st.none(), st.integers(1, 400)), st.sampled_from([1e-3, 1e-6]))
 def test_feasible_matches_reference(seed, kind, d, max_iters, volume_eps):
-    got, want, unstopped, start = _feasible_outcomes(seed, kind, d, max_iters, volume_eps)
+    got, want, unstopped = _feasible_outcomes(seed, kind, d, max_iters, volume_eps)
     _assert_same_outcome(got, want)
-    _assert_stop_keeps_the_result(got, unstopped, *start)
+    _assert_same_outcome(got, unstopped, queries=False)
 
 
 def test_region_outside_the_initial_ellipsoid_stops_as_diverged():
@@ -456,7 +450,7 @@ def test_region_outside_the_initial_ellipsoid_stops_as_diverged():
     # a caller-supplied oracle for it carries the precondition unchecked, and
     # its first cut misses the start ball, so its search ends at once with the
     # None that it reached after its 266 cuts, Q still finite, without the stop
-    got, want, unstopped, _ = _feasible_outcomes(2, "linf", 3, None, 1e-6)
+    got, want, unstopped = _feasible_outcomes(2, "linf", 3, None, 1e-6)
     _assert_same_outcome(got, want)
     _assert_same_outcome(got, unstopped)
     assert got[1:] == (EllipsoidDiverged, 0)
@@ -491,6 +485,82 @@ def test_lp_balls_past_the_start_are_refused_before_any_query(monkeypatch):
     assert ellipsoid_certify_batch(model, data, LpBall(2.0, 0.8), cfg) == [None, None]
 
 
+def test_polytopes_past_the_start_are_refused_before_any_query(monkeypatch):
+    # U(x) = {z : z_1 - x_1 <= -20} holds points the model gets wrong, all
+    # 20 or more from x: from the start ball of radius 2 at x the search
+    # would see only cuts that miss it and certify the row. So are the box
+    # -21 <= z_1 - x_1 <= -20, |z_2| <= 1, which a start radius of 30 holds,
+    # and a triangle reaching 1.5 sqrt 2 > 2 from x; an empty strip is not.
+    data = Dataset(np.array([[2.0, 0.0], [-2.0, 0.0]]), np.array([1, -1]))
+    model, cfg = LinearModel(vec(1.0, 0.0), bias=-0.5), EllipsoidConfig(init_radius=2.0)
+    half = Polytope(np.array([[1.0, 0.0]]), np.array([-20.0]))
+    box = Polytope(np.vstack([np.eye(2), -np.eye(2)]), np.array([-20.0, 1.0, 21.0, 1.0]))
+    triangle = Polytope(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]), np.array([1.5, 1.5, 0.0]))
+    empty = Polytope(np.array([[1.0, 1.0], [-1.0, -1.0]]), np.array([0.3, -0.4]))
+    assert half.reach(np.zeros(2)) == math.inf and empty.reach(np.zeros(2)) == -math.inf
+    assert triangle.reach(np.zeros(2)) == pytest.approx(1.5 * math.sqrt(2.0))
+    monkeypatch.setattr(oracles, "_separate", None)  # any query fails
+    for U in (half, box, triangle):
+        sep = bound_separation(U, data.X[0])
+        for search in (lambda: ellipsoid_certify_batch(model, data, U, cfg),
+                       lambda: rerm_ellipsoid(data, U, cfg),
+                       lambda: ellipsoid_certify(model, data.sample(0), sep, cfg),
+                       lambda: ellipsoid_feasible(sep, 2, cfg, center=data.X[0])):
+            with pytest.raises(EllipsoidDiverged):
+                search()
+    monkeypatch.undo()
+    assert ellipsoid_certify_batch(model, data, empty, cfg) == [None, None]
+    wide = EllipsoidConfig(init_radius=30.0)
+    z = ellipsoid_certify(model, data.sample(0), bound_separation(box, data.X[0]), wide)
+    assert z is not None and separation_oracle(box, data.X[0], z) is INSIDE and model.decision(z) <= 0
+
+
+def test_an_unbounded_polytope_is_refused_where_the_stop_would_certify():
+    # three random rows in R^3 leave an unbounded cone. Row 1's region (its
+    # cone minus the points the model gets right) misses the start ball, so
+    # the stop certifies it at once, while the search without the stop lets
+    # its ellipsoids grow and finds a point 35.8 from x. The search refuses it.
+    rng = np.random.default_rng(45)
+    cfg = EllipsoidConfig(init_radius=float(rng.choice([0.3, 10.0])),
+                          volume_eps=float(rng.choice([1e-3, 1e-6])))
+    assert not rng.random() < 0.2 and int(rng.integers(1, 5)) == 3
+    U = Polytope(rng.standard_normal((3, 3)), rng.uniform(-0.4, 1.0, 3))
+    model = LinearModel(rng.standard_normal(3) + 0.1, bias=float(rng.standard_normal()) * 0.5)
+    X = rng.standard_normal((4, 3))
+    y = np.where(X @ model.w + model.bias >= 0.0, 1, -1) * np.where(rng.random(4) < 0.8, 1, -1)
+    found, stopped = (ellipsoid_certify_ref(model.w, model.bias, X[1], int(y[1]),
+                                            lambda z: separation_ref(U, X[1], z), cfg, stop=stop)
+                      for stop in (False, True))
+    assert cfg.init_radius == 10.0 and np.linalg.norm(found - X[1]) > 35.0 and stopped is None
+    assert U.reach(np.zeros(3)) == math.inf
+    with pytest.raises(EllipsoidDiverged):
+        ellipsoid_certify_batch(model, Dataset(X, y), U, cfg)
+    with pytest.raises(EllipsoidDiverged):
+        ellipsoid_certify_ref(model.w, model.bias, X[1], int(y[1]),
+                              lambda z: separation_ref(U, X[1], z), cfg, U=U)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3))
+def test_polytope_reach_matches_the_reference(seed, d):
+    # Polytope.reach against Fourier-Motzkin and a vertex loop, on the
+    # polytopes the search tests draw and on ones whose rows span fewer than
+    # d dimensions; no point of the region lies farther than its reach
+    rng = np.random.default_rng(seed)
+    U = _region("poly", rng, d)
+    if d > 1 and rng.random() < 0.3:  # rank A < d: empty or holding a line
+        A = U.A.copy()
+        A[:, -1] = 0.0
+        A[np.all(A == 0.0, axis=1), 0] = 1.0
+        U = Polytope(A, U.b)
+    x, c = rng.standard_normal(d), rng.standard_normal(d)
+    got, want = U.reach(c - x), polytope_reach_ref(U, x, c)
+    assert got == want or math.isfinite(want) and got == pytest.approx(want, rel=1e-9)
+    Z = x + rng.uniform(-6.0, 6.0, (2000, d))
+    inside = np.all((Z - x) @ U.A.T <= U.b, axis=1)
+    assert not inside.any() or np.linalg.norm(Z[inside] - c, axis=1).max() <= got
+
+
 @given(st.integers(0, 10_000), REGIONS, st.integers(1, 3), st.sampled_from([0.0, 0.05]))
 def test_certify_matches_reference(seed, kind, d, slack):
     rng = np.random.default_rng(seed)
@@ -505,7 +575,7 @@ def test_certify_matches_reference(seed, kind, d, slack):
                                                                   cfg, slack=slack, U=U, stop=stop),
                                 lambda z: separation_ref(U, x, z)) for stop in (True, False))
     _assert_same_outcome(got, want)
-    _assert_stop_keeps_the_result(got, unstopped, x, cfg.init_radius)
+    _assert_same_outcome(got, unstopped, queries=False)
 
 
 def _rows_outcome(search):
@@ -559,8 +629,8 @@ def test_the_emptiness_stop_holds_in_exact_arithmetic(seed, exps):
 def test_certify_batch_matches_reference_row_by_row(seed, kind, d, n, chunk_rows):
     # most rows are right at x, so they are attacked after a few cuts or
     # certified once the ellipsoid shrinks away; the rest are attacked at x.
-    # A start radius of 0.3 leaves some regions partly outside the start: an
-    # lp ball is then refused before any query, a polytope searched as is.
+    # A start radius of 0.3 leaves some regions partly outside the start,
+    # and most open polytopes are unbounded: both are refused before any query.
     # The batch certifies at slack 0; test_certify_matches_reference covers
     # a positive slack through the same composed oracle.
     rng = np.random.default_rng(seed)
@@ -588,7 +658,7 @@ def test_certify_batch_matches_reference_row_by_row(seed, kind, d, n, chunk_rows
         for i, (z, (ref, _, _)) in enumerate(zip(got or [], want)):
             assert (z is None) == (ref is None)
             assert z is None or z.tobytes() == ref.tobytes()
-            _assert_stop_keeps_the_result((z, None), unstopped[i], X[i], cfg.init_radius)
+            _assert_same_outcome((z, None), unstopped[i], queries=False)
 
 
 @pytest.mark.parametrize("U", [LpBall(2.0, 0.3), LpBall(math.inf, 0.2),
@@ -651,8 +721,16 @@ def test_lockstep_matches_reference_searches_row_by_row(seed, kinds, d, volume_e
     for i, (z, (ref, _, _)) in enumerate(zip(got or [], want)):
         assert (z is None) == (ref is None)
         assert z is None or z.tobytes() == ref.tobytes()
-        # the rows search from their own centers, unchecked against the start
-        _assert_stop_keeps_the_result((z, None), unstopped[i], C[i], cfg.init_radius)
+        # _lockstep leaves the start ball to its callers: a row whose region
+        # fits keeps the result of the search without the stop, and every
+        # public search refuses the others before their first query
+        U, x = regions[i], X[i]
+        reach = polytope_reach_ref(U, x, C[i]) if kinds[i] == "poly" else ball_reach_ref(U, x, C[i])
+        if reach <= cfg.init_radius:
+            _assert_same_outcome((z, None), unstopped[i], queries=False)
+        else:
+            with pytest.raises(EllipsoidDiverged):
+                ellipsoid_feasible(bound_separation(U, x), d, cfg, center=C[i])
 
 
 def test_lockstep_rows_leave_at_their_own_steps():
