@@ -20,7 +20,7 @@ count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations
 
@@ -136,6 +136,13 @@ def _subsets(m: int, k: int) -> np.ndarray:
 
 @dataclass
 class EllipsoidConfig:
+    """Budget and tolerances of the ellipsoid searches. A search starts in
+    the init_radius ball around its center: the weight search, and every
+    search whose region has no closed-form reach (a polytope, a caller's
+    oracle). The row searches of ellipsoid_certify_batch and rerm_ellipsoid
+    over an lp ball start at the ball's own l2 reach when that is smaller
+    (_row_config). feas_slack is RERM's certification margin."""
+
     # None caps each search at the cut count that takes the ellipsoid's volume
     # below the volume_eps ball's (resolved_max_iters); a set value caps it
     # lower
@@ -175,7 +182,10 @@ class EllipsoidConfig:
 
 def default_ellipsoid_config(ball: LpBall, d: int) -> EllipsoidConfig:
     """Spec defaults, with the certification slack tied to the working radius
-    and the start ball wide enough to hold the lp ball around its center."""
+    and init_radius wide enough to hold the lp ball around its center. The
+    weight search starts at init_radius; the row searches of
+    ellipsoid_certify_batch and rerm_ellipsoid start at the ball's own l2
+    reach (_row_config)."""
     slack = ball.gamma / 10.0 if ball.gamma > 0 else 1e-3
     return EllipsoidConfig(init_radius=max(10.0, _l2_reach(ball, d)), feas_slack=slack)
 
@@ -188,6 +198,18 @@ def _l2_reach(ball: LpBall, d: int) -> float:
 def _reach(U, d: int) -> float:
     """How far in l2 the lp ball or polytope U(x) in R^d reaches from x."""
     return _l2_reach(U, d) if isinstance(U, LpBall) else U.reach(np.zeros(d))
+
+
+def _row_config(U, d: int, cfg: EllipsoidConfig) -> EllipsoidConfig:
+    """The config of a search over U(x) from the center x: for an lp ball the
+    start radius is its l2 reach, with a relative 2^-30 to spare for the
+    rounding of the reach and of r^2, so U(x) still lies in the start ball.
+    It is at least volume_eps, so the search makes at least one query (the
+    center), and at most init_radius. Other regions keep cfg."""
+    if not isinstance(U, LpBall):
+        return cfg
+    r = max(_l2_reach(U, d) * (1.0 + 2.0**-30), cfg.volume_eps)
+    return replace(cfg, init_radius=min(r, cfg.init_radius))
 
 
 def _check_start(reach: float, cfg: EllipsoidConfig) -> None:
@@ -313,12 +335,14 @@ def _lockstep(sep, C: np.ndarray, cfg: EllipsoidConfig) -> list:
     """Central-cut ellipsoid searches from the k rows of C, one per row, run
     side by side: for each row a point its oracle row accepts, or None when
     that region is empty up to volume_eps (the search reached its cut count,
-    a cut's halfspace missed the ellipsoid, or a cut left nothing). The stop
+    a cut's halfspace missed the ellipsoid, or a cut left nothing). Every row
+    starts in the ball of radius cfg.init_radius around its center. The stop
     at a missing halfspace relies on each cut containing the row's region and
-    on the start ball holding it, which the public searches check for lp
-    balls and polytopes: a region past the start ball could end with None
-    once it has no point left inside, where a longer search might have found
-    one outside.
+    on that start ball holding it, which the public searches check for lp
+    balls and polytopes (a row search over an lp ball gets a start radius
+    that holds it by construction, see _row_config): a region past the start
+    ball could end with None once it has no point left inside, where a longer
+    search might have found one outside.
 
     sep(rows, Z) answers the queries Z[j] of the open rows `rows` at once with
     (inside, normals, offsets): a mask, and for each row outside a raw cut
@@ -537,12 +561,15 @@ def ellipsoid_certify_batch(model: LinearModel, data: Dataset, U, cfg: Ellipsoid
     None, each row ending at its own step, at the latest its cut count.
     Raises the error the first failing row would raise on its own, and
     EllipsoidDiverged before any query when U(x_i) reaches past init_radius
-    from x_i."""
+    from x_i. Each row's search starts at x_i, in the init_radius ball for a
+    polytope and for an lp ball in the ball of its own l2 reach
+    (_row_config), so a row whose misclassification halfspace misses that
+    ball ends at its first cut."""
     if isinstance(U, (LpBall, Polytope)):
         _check_start(_reach(U, data.d), cfg)
     sep = _certify_oracle(model.w, model.bias, data.y.astype(float), 0.0,
                           lambda rows, Z: _separate(U, data.X[rows], Z))
-    return _lockstep(sep, data.X, cfg)
+    return _lockstep(sep, data.X, _row_config(U, data.d, cfg))
 
 
 def rerm_ellipsoid(data: Dataset, U, cfg: EllipsoidConfig) -> LinearModel:
@@ -551,8 +578,11 @@ def rerm_ellipsoid(data: Dataset, U, cfg: EllipsoidConfig) -> LinearModel:
     means every sample certifies robust at margin slack feas_slack; each
     failed certification contributes the cut -y_i z_i. Row i is asked through
     bound_separation(U, x_i), built when a weight query first gets to it. The
-    weight search's region lies in the init_radius ball, as a query outside
-    it is cut by its norm, so it too ends at a cut that misses its ellipsoid.
+    weight search starts at the init_radius ball around 0, and its region
+    lies in that ball, as a query outside it is cut by its norm, so it too
+    ends at a cut that misses its ellipsoid. Each row search starts at x_i,
+    for an lp ball in the ball of its own l2 reach (_row_config), for a
+    polytope in the init_radius ball.
 
     Over an lp ball every weight query skips the rows whose closed-form robust
     margin y_i <w, x_i> - gamma ||w||_* beats feas_slack by a relative 1e-9,
@@ -566,6 +596,7 @@ def rerm_ellipsoid(data: Dataset, U, cfg: EllipsoidConfig) -> LinearModel:
     screen = isinstance(U, LpBall)
     if isinstance(U, (LpBall, Polytope)):
         _check_start(_reach(U, d), cfg)
+    row_cfg = _row_config(U, d, cfg)
 
     def weight_oracle(wvec):
         nrm = float(np.linalg.norm(wvec))
@@ -582,9 +613,9 @@ def rerm_ellipsoid(data: Dataset, U, cfg: EllipsoidConfig) -> LinearModel:
         for i in todo:
             s, sep = data.sample(i), bound_separation(U, data.X[i])
             if model is None:
-                z = ellipsoid_feasible(sep, d, cfg, center=s.x)
+                z = ellipsoid_feasible(sep, d, row_cfg, center=s.x)
             else:
-                z = ellipsoid_certify(model, s, sep, cfg, slack=tau)
+                z = ellipsoid_certify(model, s, sep, row_cfg, slack=tau)
             if z is None:
                 continue
             normal = -s.y * np.asarray(z, dtype=float)

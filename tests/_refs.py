@@ -10,6 +10,7 @@ weighted vote the one-row weighted-majority loop updates.
 
 from __future__ import annotations
 
+import dataclasses
 import decimal
 import itertools
 import math
@@ -511,6 +512,19 @@ def halfspace_misses_ref(g, c, off: float, Q) -> bool:
                             + tiny * (1.0 + float(ag.sum())))
 
 
+def row_config_ref(U, d: int, cfg):
+    """The config of a row search over U(x) from x, as the batch certifier
+    and RERM's row searches use it: for an lp ball (p in 1, 2, inf) the start
+    radius is its farthest point from x, gamma along an axis for p <= 2 and
+    the cube corner gamma sqrt(d) for p = inf, times 1 + 2^-30, at least
+    volume_eps and at most init_radius; a polytope keeps cfg."""
+    if hasattr(U, "A"):
+        return cfg
+    reach = U.gamma * math.sqrt(d) if math.isinf(U.p) else U.gamma
+    r = min(cfg.init_radius, max(reach * (1.0 + 2.0**-30), cfg.volume_eps))
+    return dataclasses.replace(cfg, init_radius=r)
+
+
 def ellipsoid_feasible_ref(sep, d: int, cfg, center=None, region=None, stop=True):
     """Central-cut ellipsoid search; sep answers INSIDE or a Hyperplane. It
     ends empty after cfg.resolved_max_iters(d) cuts or, with `stop` and
@@ -576,9 +590,11 @@ def ellipsoid_certify_ref(w, bias: float, x, y: int, sepU, cfg, slack: float = 0
 
 def rerm_ellipsoid_ref(X, y, U, cfg, stop=True):
     """Weights of a homogeneous halfspace certified at margin feas_slack on
-    every row, found by ellipsoid search in weight space, or None."""
+    every row, found by ellipsoid search in weight space, or None. The
+    weight search starts at init_radius, each row search at row_config_ref."""
     n, d = X.shape
     tau = cfg.feas_slack
+    row_cfg = row_config_ref(U, d, cfg)
     oracles = [lambda z, x=x: separation_ref(U, x, z) for x in X]
 
     def weight_oracle(wvec):
@@ -587,10 +603,10 @@ def rerm_ellipsoid_ref(X, y, U, cfg, stop=True):
             return Hyperplane(wvec / nrm, cfg.init_radius)
         for i in range(n):
             if not np.any(wvec):
-                z = ellipsoid_feasible_ref(oracles[i], d, cfg, center=X[i], region=(U, X[i]),
-                                          stop=stop)
+                z = ellipsoid_feasible_ref(oracles[i], d, row_cfg, center=X[i],
+                                          region=(U, X[i]), stop=stop)
             else:
-                z = ellipsoid_certify_ref(wvec, 0.0, X[i].copy(), int(y[i]), oracles[i], cfg,
+                z = ellipsoid_certify_ref(wvec, 0.0, X[i].copy(), int(y[i]), oracles[i], row_cfg,
                                           slack=tau, U=U, stop=stop)
             if z is None:
                 continue

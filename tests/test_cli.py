@@ -14,6 +14,7 @@ from roblearn.cli import EXIT_INTERNAL, _exit_code, main
 
 from ._refs import dual_exponent_ref, norm_ref, one_pass_ref
 from .test_golden import CASES, write_inputs
+from .test_oracles import count_certify_steps
 
 
 def run(argv):
@@ -126,27 +127,77 @@ def test_certify_methods_agree_on_balls_wider_than_the_default_start(tmp_path, c
         assert "  robust_accuracy: 0\n" in capsys.readouterr().out
 
 
+def _rows_near(rng, w, bias, spread, n):
+    """n rows about a biased model with decision values uniform in
+    [-spread, spread], a tenth of the labels flipped."""
+    X = rng.normal(0.0, 1.2, (n, w.size))
+    X += np.outer(rng.uniform(-spread, spread, n) - (X @ w + bias), w / (w @ w))
+    y = np.where(X @ w + bias >= 0.0, 1, -1)
+    y[rng.random(n) < 0.1] *= -1
+    return X, y
+
+
 @pytest.mark.parametrize("p", ["1", "2", "inf"])
-def test_ellipsoid_certify_cross_checks_the_closed_form(tmp_path, capsys, p):
-    # random rows around a biased model, about a third of them attacked; rows
-    # whose robust margin is within rounding of 0 are left out, as the two
-    # methods may break such ties apart
+def test_ellipsoid_certify_cross_checks_the_closed_form(tmp_path, capsys, monkeypatch, p):
+    # random rows around a biased model, about a third of them attacked; then
+    # rows whose decision values lie within 3 gamma ||w||_* of 0, in R^3 and
+    # in R^1 (bisection), so many searches take several cuts. Rows whose
+    # robust margin is within rounding of 0 are left out, as the two methods
+    # may break such ties apart
     rng = np.random.default_rng(["1", "2", "inf"].index(p))
     w, bias, gamma = np.array([1.0, -0.6, 0.3]), 0.25, 0.4
     X = rng.normal(0.0, 1.2, (300, 3))
     y = np.where(X @ w + bias >= 0.0, 1, -1)
     y[rng.random(300) < 0.1] *= -1
-    raw, shift = y * (X @ w + bias), gamma * norm_ref(w, dual_exponent_ref(float(p)))
-    clear = np.abs(raw - shift) > 1e-9 * (np.abs(raw) + shift)
-    data, model = str(tmp_path / "rows.csv"), write_model(tmp_path, w=tuple(w), bias=bias)
-    save_csv(data, Dataset(X[clear], y[clear]))
-    printed = []
+    inputs = [(w, X, y)]
+    for v in (w, np.array([1.3])):
+        spread = 3.0 * gamma * norm_ref(v, dual_exponent_ref(float(p)))
+        inputs.append((v, *_rows_near(rng, v, bias, spread, 300)))
+    steps = count_certify_steps(monkeypatch)
+    for k, (w, X, y) in enumerate(inputs):
+        raw, shift = y * (X @ w + bias), gamma * norm_ref(w, dual_exponent_ref(float(p)))
+        clear = np.abs(raw - shift) > 1e-9 * (np.abs(raw) + shift)
+        data = str(tmp_path / f"rows{k}.csv")
+        model = write_model(tmp_path, w=tuple(w), bias=bias, name=f"model{k}.txt")
+        save_csv(data, Dataset(X[clear], y[clear]))
+        printed = []
+        for method in ("closed", "ellipsoid"):
+            assert run(["certify", "--model", model, "--input", data, "--gamma", str(gamma),
+                        "--p", p, "--method", method]) == 0
+            printed.append([l for l in capsys.readouterr().out.splitlines() if "robust_accuracy" in l])
+        assert printed[0] == printed[1]
+        assert 0.4 < float(printed[0][0].split(":")[1]) < 0.9
+        assert np.count_nonzero(steps[-1] > 1) >= 50  # searches past their first cut
+
+
+@pytest.mark.parametrize("gamma", ["0", "1e-9"])
+def test_balls_below_volume_eps_still_query_every_row(tmp_path, capsys, gamma):
+    # a row search over a ball of radius 0 or below volume_eps = 1e-6 starts
+    # at radius volume_eps, which leaves one query, the row itself: certify
+    # still finds the rows the model gets wrong at x, and rerm still fits
+    # every row of the separable band
+    band = write_band(tmp_path)
+    rows = load_csv(band)
+    w = (0.2, 1.0)
+    model = write_model(tmp_path, w=w)
+    right = rows.y * (rows.X @ np.array(w)) > 0.0
+    assert 0 < np.count_nonzero(right) < rows.n
     for method in ("closed", "ellipsoid"):
-        assert run(["certify", "--model", model, "--input", data, "--gamma", str(gamma),
-                    "--p", p, "--method", method]) == 0
-        printed.append([l for l in capsys.readouterr().out.splitlines() if "robust_accuracy" in l])
-    assert printed[0] == printed[1]
-    assert 0.4 < float(printed[0][0].split(":")[1]) < 0.9
+        assert run(["certify", "--model", model, "--input", band, "--gamma", gamma,
+                    "--method", method]) == 0
+        printed = [l for l in capsys.readouterr().out.splitlines() if "robust_accuracy" in l]
+        assert float(printed[0].split(":")[1]) == 1.0 - np.count_nonzero(~right) / rows.n
+    fitted = str(tmp_path / "rerm.model")
+    for p in ("2", "inf"):
+        assert run(["rerm-ellipsoid", "--input", band, "--gamma", gamma, "--p", p,
+                    "--save-model", fitted]) == 0
+        assert "  robust_accuracy: 1\n" in capsys.readouterr().out
+        assert np.all(rows.y * (rows.X @ load_model(fitted).w) > 0.0)
+
+
+def test_a_malformed_vector_flag_is_a_config_error(tmp_path, capsys):
+    err = _fail_with(tmp_path, capsys, ["fms", "--input", "BAND", "--offset", "1,x"], 2)
+    assert "not a comma-separated vector: '1,x'" in err
 
 
 def test_gen_data_pipeline(tmp_path):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from roblearn import (
     Dataset,
@@ -40,6 +40,7 @@ from ._refs import (
     ellipsoid_feasible_ref,
     polytope_reach_ref,
     rerm_ellipsoid_ref,
+    row_config_ref,
     separation_ref,
 )
 
@@ -180,6 +181,12 @@ def test_feasible_point_found_in_shifted_ball():
     z = ellipsoid_feasible(bound_separation(target, center), 2, cfg, center=vec(0.0, 0.0))
     assert z is not None
     assert np.linalg.norm(z - center) <= 0.2 + 1e-9
+
+
+def test_a_center_of_the_wrong_length_is_a_config_error():
+    sep = bound_separation(LpBall(2.0, 0.5), vec(0.0, 0.0))
+    with pytest.raises(ConfigError, match="center must have 2 entries, got 3"):
+        ellipsoid_feasible(sep, 2, EllipsoidConfig(), center=vec(0.0, 0.0, 0.0))
 
 
 def test_feasible_one_dimensional_interval():
@@ -623,6 +630,24 @@ def test_the_emptiness_stop_holds_in_exact_arithmetic(seed, exps):
     assert got[(ahead == 1e-9) & (denom >= 2.0**-1022)].all()
 
 
+def count_certify_steps(monkeypatch) -> list:
+    """Count the lockstep steps of each row in every ellipsoid_certify_batch
+    call from now on: the list gets one array of per-row counts per call."""
+    runs, certify_oracle = [], oracles._certify_oracle
+
+    def counted_oracle(w, bias, y, slack, region):
+        composed, steps = certify_oracle(w, bias, y, slack, region), np.zeros(len(y), dtype=int)
+        runs.append(steps)
+
+        def counted(rows, Z):
+            steps[rows] += 1
+            return composed(rows, Z)
+        return counted
+
+    monkeypatch.setattr(oracles, "_certify_oracle", counted_oracle)
+    return runs
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000), REGIONS, st.integers(1, 3), st.integers(1, 12),
        st.sampled_from([2, 3]))
@@ -640,8 +665,9 @@ def test_certify_batch_matches_reference_row_by_row(seed, kind, d, n, chunk_rows
     model = LinearModel(rng.standard_normal(d) + 0.1, bias=float(rng.standard_normal()) * 0.5)
     X = rng.standard_normal((n, d))
     y = np.where(X @ model.w + model.bias >= 0.0, 1, -1) * np.where(rng.random(n) < 0.8, 1, -1)
+    row_cfg = row_config_ref(U, d, cfg)
     want, unstopped = ([_outcome(lambda sep: ellipsoid_certify_ref(model.w, model.bias, X[i],
-                                                                   int(y[i]), sep, cfg, U=U,
+                                                                   int(y[i]), sep, row_cfg, U=U,
                                                                    stop=stop),
                                  lambda z, x=X[i]: separation_ref(U, x, z)) for i in range(n)]
                        for stop in (True, False))
@@ -667,19 +693,24 @@ def test_certify_batch_matches_reference_row_by_row(seed, kind, d, n, chunk_rows
 def test_certify_batch_matches_reference_across_closing_steps(monkeypatch, U):
     # most rows are right at x, with margins spread around the radius: they
     # are attacked after one to dozens of cuts or certified once the ellipsoid
-    # shrinks away, so rows leave the lockstep at many different steps
+    # shrinks away, so rows leave the lockstep at many different steps. The
+    # steps are counted on the lockstep's composed oracle: from a start ball
+    # that is the l2 ball itself, U(x) is asked at most once per row.
     rng = np.random.default_rng(5)
     model = LinearModel(vec(1.0, -0.5), bias=0.1)
     X = rng.standard_normal((40, 2))
     y = np.where(X @ model.w + model.bias >= 0.0, 1, -1) * np.where(rng.random(40) < 0.85, 1, -1)
     cfg = EllipsoidConfig()
+    row_cfg = row_config_ref(U, 2, cfg)
     want, unstopped = ([_outcome(lambda sep: ellipsoid_certify_ref(model.w, model.bias, X[i],
-                                                                   int(y[i]), sep, cfg, U=U,
+                                                                   int(y[i]), sep, row_cfg, U=U,
                                                                    stop=stop),
                                  lambda z, x=X[i]: separation_ref(U, x, z)) for i in range(40)]
                        for stop in (True, False))
-    assert len({steps for _, _, steps in want}) >= 6
-    got = ellipsoid_certify_batch(model, Dataset(X, y), U, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        steps = count_certify_steps(mp)
+        got = ellipsoid_certify_batch(model, Dataset(X, y), U, cfg)
+    assert len(set(steps[0].tolist())) >= 6
     monkeypatch.setattr(oracles, "_STACK_FLOATS", 3 * 2 * 2)  # chunks of 3 rows
     assert [z is None or z.tobytes() for z in ellipsoid_certify_batch(model, Dataset(X, y), U, cfg)] \
         == [z is None or z.tobytes() for z in got]
@@ -829,10 +860,14 @@ def _first_weight_query(x0, y0, cfg):
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from([1.0, 2.0, math.inf]), st.integers(2, 3),
        st.lists(st.sampled_from([-1e-12, 0.0, 1e-12, -1e-3]), min_size=1, max_size=3))
+@example(29, 2.0, 2, [1e-12, -1e-3, 1e-12])
 def test_screen_keeps_rerm_on_rows_at_the_slack(seed, p, d, gaps):
     # rows 1.. are moved along w_1's part orthogonal to w_star so that their
     # robust margin at the first non-zero query w_1 is feas_slack + gap; a
-    # gap of -1e-3 is a row that fails there and must not be screened
+    # gap of -1e-3 is a row that fails there and must not be screened. In the
+    # example, a row search whose start ball is the l2 ball itself is cut
+    # along w alone until g^T Q g rounds to 0, and ends there ("a cut left
+    # nothing")
     rng = np.random.default_rng(seed)
     gamma = float(rng.uniform(0.05, 0.3))
     ball = LpBall(p, gamma)
