@@ -44,23 +44,30 @@ def active_backend() -> str:
 # and makes R -inf or nan once a margin overflows, so R is never +inf.
 # `moved` bounds ||w - w0|| + |b - b0| from each step's size, the rounding of
 # the update included. While moved < R no computed margin can cross 1, so the
-# active set, coef, g and sum(coef) are bit for bit those already computed
-# and the step does only its (d,) update; the output equals the dense loop's
-# (tests/_refs.py::hinge_train_dense_ref). A nan in R or moved, or an inf
-# moved, fails the test and takes the exact path. Where margins sit near 1 no
-# step is skipped; a radius that skipped nothing makes the next 1, 2, 4, ...
-# evaluations skip the radius.
+# active set, coef, g and sum(coef) are bit for bit those already computed;
+# the output equals the dense loop's (tests/_refs.py::hinge_train_dense_ref).
+# A nan in R or moved, or an inf moved, fails the test and takes the exact
+# path. Where margins sit near 1 no step is skipped; a radius that skipped
+# nothing makes the next 1, 2, 4, ... evaluations skip the radius.
 #
-# w is a list of d Python floats. Most steps are skipped ones, which do only
-# the (d,) update w - step (g + reg w); at d = 2 it takes 0.62 us one
-# coordinate at a time against 1.9 us as four numpy calls. The bits are the
-# same: each operation is one IEEE-754 double rounding in either form, with
-# no fused multiply-add (lr0 and reg are taken as Python floats for this).
-# An exact evaluation packs w into one array for X @ w and ||w||. Per
+# So the loop runs over exact evaluations, not over steps. The evaluation at
+# step t starts a run: steps t, t+1, ... share its g and csum, and the run
+# ends before the first later step at which moved < R fails (or at the last
+# step). The kernel first advances `moved` over the run to find its end, then
+# applies the run one coordinate at a time: w_j = w_j - s (g_j + reg w_j)
+# over the run's step sizes s, and b = b + s csum. Each coordinate sees the
+# same IEEE-754 operations on the same operands in the same order as in the
+# dense loop, with no fused multiply-add (lr0 and reg are taken as Python
+# floats for this), so the bits are the same. w is a list of d Python floats;
+# an exact evaluation packs it into one array for X @ w and ||w||. Per
 # 300-step call on band data (n = 400 for d <= 32, else 1000; 2-core x86 VM,
-# numpy 2.4) the list form costs 0.41x the numpy form at d = 2, 0.63-0.67x
-# at d = 10, 1.07-1.10x at d = 32, 1.9-2.0x at d = 64 and 2.8-3.1x at
-# d = 256. Every hinge call of the benchmark is at d = 2.
+# numpy 2.4) the run form costs, against the per-step loop it replaced (one
+# list update per step) and against the numpy form before that, at
+#   d      2            10           32           64           256
+#   step   0.48-0.53x   0.53-0.57x   0.62-0.66x   0.68-0.72x   0.80-0.82x
+#   numpy  0.21x        0.32-0.36x   0.69-0.72x   1.15-1.36x   1.76-1.82x
+# (ranges of medians over repeated runs of 21-31 interleaved calls). Every
+# hinge call of the benchmark is at d = 2.
 # ---------------------------------------------------------------------------
 
 
@@ -72,21 +79,18 @@ def hinge_train(X, y, sw, steps, lr0, reg, fit_bias):
     ysw = y * sw
     kappa = max(1e-12, 8 * (d + 2) * 2.0**-53)
     areg = abs(reg)
-    with np.errstate(all="ignore"):
+    grow = 1.0 + kappa
+    reach = moved = wn = wnb = gn = 0.0
+    last, wait, backoff = -1, 0, 1
+    t = 1
+    with np.errstate(all="ignore"):  # an overflowing X @ w only makes R -inf or nan, see above
         # the floor keeps zero rows finite and only shrinks R
         inv = 1.0 / np.maximum(np.sqrt(np.einsum("ij,ij->i", X, X)) + fit_bias, 2.0**-1023)
-    reach = moved = wn = nb = gn = 0.0
-    last, wait, backoff = -1, 0, 1
-    for t in range(1, steps + 1):
-        step = lr0 / math.sqrt(t)
-        if moved < reach:
-            backoff = 1
-        else:
+        while t <= steps:
             wa = np.array(w)
             margins = y * (X @ wa + b)
             coef = np.where(margins < 1.0, ysw, 0.0)
             g = -(X.T @ coef)
-            gl = g.tolist()
             csum = float(coef.sum()) if fit_bias else 0.0
             if last == t - 1:
                 wait, backoff = backoff, 2 * backoff
@@ -95,16 +99,32 @@ def hinge_train(X, y, sw, steps, lr0, reg, fit_bias):
                 reach = 0.0
             else:
                 last, moved, nb = t, 0.0, abs(b)
-                with np.errstate(all="ignore"):
-                    wn = math.sqrt(wa @ wa)
-                    gn = math.sqrt(g @ g) + abs(csum)
-                    gap = np.abs(margins - 1.0)
-                    reach = (float(np.minimum.reduce((gap - kappa * (nb + 1.0)) * inv))
-                             - kappa * (wn + float(np.maximum.reduce(gap))))
-        w = [wi - step * (gi + reg * wi) for wi, gi in zip(w, gl)]
-        if fit_bias:
-            b = b + step * csum
-        moved += (1.0 + kappa) * abs(step) * (gn + areg * (wn + moved)) + kappa * (wn + nb + 2.0 * moved)
+                wn = math.sqrt(wa @ wa)
+                gn = math.sqrt(g @ g) + abs(csum)
+                gap = np.abs(margins - 1.0)
+                reach = (float(np.minimum.reduce((gap - kappa * (nb + 1.0)) * inv))
+                         - kappa * (wn + float(np.maximum.reduce(gap))))
+                wnb = wn + nb
+            # the run: step t, then every step that starts with moved < reach
+            run = []
+            while True:
+                step = lr0 / math.sqrt(t)
+                run.append(step)
+                moved += grow * abs(step) * (gn + areg * (wn + moved)) + kappa * (wnb + 2.0 * moved)
+                if t == steps or not moved < reach:
+                    break
+                t += 1
+            if len(run) > 1:
+                backoff = 1
+            for j, gj in enumerate(g.tolist()):
+                wj = w[j]
+                for step in run:
+                    wj = wj - step * (gj + reg * wj)
+                w[j] = wj
+            if fit_bias:
+                for step in run:
+                    b = b + step * csum
+            t += 1
     return np.array(w), b
 
 

@@ -176,20 +176,21 @@ def hinge_train_ref(X, y, sw, steps, lr0, reg, fit_bias):
 def hinge_train_dense_ref(X, y, sw, steps, lr0, reg, fit_bias):
     """The same descent with every step's margins and gradient evaluated in
     full, in the order the numpy kernel rounds them: the kernel must equal it
-    bit for bit."""
+    bit for bit. Overflow and nan are silent, as in the kernel."""
     n, d = X.shape
     w = np.zeros(d)
     b = 0.0
     ysw = y * sw
-    for t in range(1, steps + 1):
-        margins = y * (X @ w + b)
-        active = margins < 1.0
-        coef = np.where(active, ysw, 0.0)
-        gw = -(X.T @ coef) + reg * w
-        step = lr0 / math.sqrt(t)
-        w = w - step * gw
-        if fit_bias:
-            b = b + step * float(coef.sum())
+    with np.errstate(all="ignore"):
+        for t in range(1, steps + 1):
+            margins = y * (X @ w + b)
+            active = margins < 1.0
+            coef = np.where(active, ysw, 0.0)
+            gw = -(X.T @ coef) + reg * w
+            step = lr0 / math.sqrt(t)
+            w = w - step * gw
+            if fit_bias:
+                b = b + step * float(coef.sum())
     return w, b
 
 

@@ -64,10 +64,22 @@ def hinge_problems(draw):
             draw(st.sampled_from([0.0, 1e-4, 0.5])), draw(st.booleans()))
 
 
+# Problems at the edges of a run: one exact evaluation certifies all 50
+# steps; a single step; and a row of +-1e308 entries, whose margins overflow
+# from step 2 on, so R is -inf or nan and every step evaluates in full.
+ONE_RUN_TO_THE_LAST_STEP = (np.array([[2.0]]), np.array([1.0]), np.array([1.0]), 50, 0.01, 0.0, False)
+ONE_STEP = (np.array([[1.0, -2.0], [0.5, 0.0]]), np.array([1.0, -1.0]), np.array([0.5, 0.5]), 1, 0.5, 1e-4, True)
+OVERFLOWING_MARGINS = (np.array([[1e308, -1e308], [1.0, 0.5]]), np.array([1.0, -1.0]), np.array([0.5, 0.5]), 20, 0.5,
+                       0.0, True)
+
+
 @settings(max_examples=200)
 @given(hinge_problems())
 @example((np.array([[1.0]]), np.array([1.0]), np.array([1.0]), 400, 1.0, 0.0, False))  # n = 1, lands on margin 1
 @example((np.zeros((3, 2)), np.array([1.0, -1.0, 1.0]), np.full(3, 1 / 3), 50, 0.5, 1e-4, True))
+@example(ONE_RUN_TO_THE_LAST_STEP)
+@example(ONE_STEP)
+@example(OVERFLOWING_MARGINS)
 def test_hinge_train_is_the_dense_loop_bit_for_bit(problem):
     got = hinge_train(*problem)
     assert isinstance(got[0], np.ndarray) and got[0].dtype == np.float64 and got[0].shape == (problem[0].shape[1],)
@@ -92,21 +104,56 @@ class CountingMatrix(np.ndarray):
         return np.asarray(np.ndarray.__matmul__(self, other))
 
 
-@pytest.mark.parametrize("fit_bias", [False, True])
-def test_hinge_train_skips_most_margin_evaluations_on_bands(fit_bias):
+@pytest.mark.parametrize("fit_bias, evaluations", [(False, [3, 3, 3, 3]), (True, [9, 3, 3, 3])])
+def test_hinge_train_skips_most_margin_evaluations_on_bands(fit_bias, evaluations):
     cfg = ErmConfig()
-    steps = 0
-    CountingMatrix.products = 0
+    counts = []
     for seed in range(4):
         X, y = bands(seed, 400)
         rng = np.random.default_rng(100 + seed)
         sw = rng.random(y.shape[0]) if seed % 2 else np.ones(y.shape[0])
         sw = sw / sw.sum()
         args = (y, sw, cfg.epochs, cfg.lr0, cfg.reg, fit_bias)
+        CountingMatrix.products = 0
         assert same_bits(hinge_train(X.view(CountingMatrix), *args), hinge_train_dense_ref(X, *args))
-        steps += cfg.epochs
-    # an exact evaluation makes two products: the margins and the gradient
-    assert CountingMatrix.products / 2 < 0.1 * steps
+        # an exact evaluation makes two products: the margins and the gradient
+        counts.append(CountingMatrix.products // 2)
+    assert sum(counts) < 0.1 * 4 * cfg.epochs
+    assert counts == evaluations
+
+
+@pytest.mark.parametrize("problem, evaluations", [(ONE_RUN_TO_THE_LAST_STEP, 1), (ONE_STEP, 1),
+                                                   (OVERFLOWING_MARGINS, 20)],
+                         ids=["one-run-to-the-last-step", "one-step", "overflowing-margins"])
+def test_hinge_train_evaluates_the_run_edges_as_expected(problem, evaluations):
+    CountingMatrix.products = 0
+    hinge_train(problem[0].view(CountingMatrix), *problem[1:])
+    assert CountingMatrix.products == 2 * evaluations
+
+
+@pytest.mark.parametrize("fit_bias, evaluations", [(False, [56, 44, 37, 26]), (True, [125, 82, 50, 40])])
+def test_hinge_train_keeps_every_exact_evaluation_on_fms_rounds(fit_bias, evaluations):
+    """The oracle calls of fms: band rows times the offsets (0, 0) and
+    (+-0.3, 0), reweighted by multiplicative-weights rounds that double every
+    row below the round's median margin, so rows hover at margin 1. The exact
+    evaluations per call are pinned, so a kernel change that adds or drops
+    one shows here."""
+    cfg = ErmConfig()
+    X, y = bands(0, 60)
+    Z = (X[:, None, :] + np.array([[0.0, 0.0], [0.3, 0.0], [-0.3, 0.0]])).reshape(-1, 2)
+    yz = np.repeat(y, 3)
+    weights = np.ones(yz.shape[0])
+    counts = []
+    for _ in evaluations:
+        args = (yz, weights / weights.sum(), cfg.epochs, cfg.lr0, cfg.reg, fit_bias)
+        CountingMatrix.products = 0
+        w, b = got = hinge_train(Z.view(CountingMatrix), *args)
+        counts.append(CountingMatrix.products // 2)
+        assert same_bits(got, hinge_train_dense_ref(Z, *args))
+        margins = yz * (Z @ w + b)
+        assert margins.min() < 1.01  # some rows sit at margin 1
+        weights = weights * np.where(margins < np.median(margins), 2.0, 1.0)
+    assert counts == evaluations
 
 
 @pytest.mark.parametrize("fit_bias", [False, True])

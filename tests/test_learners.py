@@ -6,7 +6,9 @@ from hypothesis import example, given, strategies as st
 
 from roblearn import (
     AllZeroWeights,
+    ConfigError,
     Dataset,
+    EmptyDataset,
     EmptyPool,
     ErmConfig,
     GlmConfig,
@@ -93,6 +95,21 @@ def test_erm_requires_positive_total_weight():
         erm_linear(WeightedDataset.uniform(empty))
 
 
+@pytest.mark.parametrize("bad", [{"epochs": 0}, {"reg": -1e-4}, {"reg": math.inf}, {"reg": math.nan}])
+def test_erm_config_refuses_bad_epochs_and_reg(bad):
+    with pytest.raises(ConfigError):
+        ErmConfig(**bad)
+
+
+@pytest.mark.parametrize("train", [lambda data: svm_margin(data, 0.5),
+                                   lambda data: rcn_train_md(data, RcnConfig(gamma=0.1, eta=0.1)),
+                                   lambda data: glm_train(data, GlmConfig(gamma=0.1, eta=0.1))],
+                         ids=["svm_margin", "rcn_train_md", "glm_train"])
+def test_trainers_refuse_an_empty_dataset(train):
+    with pytest.raises(EmptyDataset):
+        train(Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64)))
+
+
 def test_erm_fit_bias_handles_offset_classes():
     data = Dataset(np.array([[3.0], [4.0], [1.0], [2.0]]), np.array([1, 1, -1, -1]))
     blind = erm_linear(WeightedDataset.uniform(data))
@@ -140,6 +157,8 @@ def test_pool_erm_prefers_lowest_index_on_ties():
     assert picked is pool[0]
     with pytest.raises(EmptyPool):
         pool_erm([], WeightedDataset.uniform(data))
+    with pytest.raises(AllZeroWeights):
+        pool_erm(pool, WeightedDataset(data, [0.0, 0.0]))
     learner = make_pool_erm(pool)
     assert learner(WeightedDataset.uniform(data)) is pool[0]
 
