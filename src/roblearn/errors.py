@@ -58,7 +58,8 @@ class OracleViolation(RoblearnError):
 
 
 class EllipsoidDiverged(RoblearnError):
-    """The ellipsoid search grew without bound instead of closing in on the region."""
+    """A row search over an lp ball that reaches past init_radius from its
+    center: the search would hold only the ball's part within init_radius."""
     exit_code = 5
 
 

@@ -11,18 +11,16 @@ as stacked centers and shapes, asking a row-wise oracle for all open rows at
 once, so certifying a dataset costs one numpy step per iteration rather than
 one per row and iteration. A single search (`ellipsoid_feasible`,
 `ellipsoid_certify`) is its one-row case behind an adapter over the scalar
-oracle, and `_separate` answers for lp balls and polytopes row by row. In
-d >= 2 a search that proves its region empty (a cut whose halfspace misses
-the ellipsoid, which holds the region) ends there rather than at its cut
-count.
+oracle, and `_separate` answers for lp balls and polytopes row by row.
+Every search holds its region in its start ball by cutting with the ball
+itself, so in d >= 2 a search that proves the region empty (a cut whose
+halfspace misses the ellipsoid) ends there rather than at its cut count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
-from itertools import combinations
 
 import numpy as np
 
@@ -86,62 +84,16 @@ class Polytope:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
 
-    def reach(self, v) -> float:
-        """The largest l2 distance from v of a point delta with A delta <= b:
-        -inf when there is none, inf when the region is unbounded. A convex
-        function on a bounded polyhedron peaks at a vertex, so this is the
-        farthest vertex."""
-        V = self._vertices
-        if V is None:
-            return math.inf
-        D = V - v
-        return float(np.sqrt(np.vecdot(D, D).max())) if len(V) else -math.inf
-
-    @cached_property
-    def _vertices(self):
-        """The vertices of {delta : A delta <= b} as rows, no rows when it is
-        empty, or None when it is unbounded; built on first use, in C(m, d)
-        solves. A vertex solves d rows as equalities and meets the rest. A
-        non-empty region without one holds a line (rank A = r < d), so when
-        r < d the rows are solved in the r-dimensional row space only to tell
-        whether the region is empty. A region with a vertex is unbounded iff
-        the null vector n of some d - 1 independent rows has A n <= 0 or
-        A n >= 0: it then holds a ray. Each test allows a relative 1e-9,
-        which can only make the region look larger."""
-        A, b = self.A, self.b
-        m, d = A.shape
-        r = int(np.linalg.matrix_rank(A))
-        B = A if r == d else A @ np.linalg.svd(A)[2][:r].T  # A delta = B y in the row space
-        S = _subsets(m, r)
-        S = S[np.linalg.matrix_rank(B[S]) == r]
-        Y = np.linalg.solve(B[S], b[S][..., None])[..., 0]
-        meets = Y @ B.T - b <= 1e-9 * (np.abs(Y) @ np.abs(B).T + np.abs(b))
-        Y = Y[meets.all(axis=1)]
-        if r < d:
-            return None if len(Y) else np.empty((0, d))
-        if len(Y):
-            T = _subsets(m, d - 1)
-            T = T[np.linalg.matrix_rank(A[T]) == d - 1]
-            N = np.linalg.svd(A[T])[2][:, -1]  # unit null vectors, one per row
-            AN, tol = N @ A.T, 1e-9 * np.abs(A).sum(axis=1)
-            if ((AN <= tol).all(axis=1) | (AN >= -tol).all(axis=1)).any():
-                return None
-        return Y
-
-
-def _subsets(m: int, k: int) -> np.ndarray:
-    """The k-subsets of range(m) as the rows of a (C(m, k), k) array."""
-    return np.array(list(combinations(range(m), k)), dtype=int).reshape(math.comb(m, k), k)
-
 
 @dataclass
 class EllipsoidConfig:
     """Budget and tolerances of the ellipsoid searches. A search starts in
-    the init_radius ball around its center: the weight search, and every
-    search whose region has no closed-form reach (a polytope, a caller's
-    oracle). The row searches of ellipsoid_certify_batch and rerm_ellipsoid
-    over an lp ball start at the ball's own l2 reach when that is smaller
-    (_row_config). feas_slack is RERM's certification margin."""
+    the init_radius ball around its center and searches only that ball: a
+    point its oracle accepts farther out is cut by the ball (see _lockstep).
+    The row searches of ellipsoid_certify_batch and rerm_ellipsoid over an lp
+    ball start at the ball's own l2 reach when that is smaller, and refuse a
+    ball that reaches past init_radius (_row_config). feas_slack is RERM's
+    certification margin."""
 
     # None caps each search at the cut count that takes the ellipsoid's volume
     # below the volume_eps ball's (resolved_max_iters); a set value caps it
@@ -195,30 +147,23 @@ def _l2_reach(ball: LpBall, d: int) -> float:
     return ball.gamma * d ** max(0.0, 0.5 - 1.0 / ball.p)
 
 
-def _reach(U, d: int) -> float:
-    """How far in l2 the lp ball or polytope U(x) in R^d reaches from x."""
-    return _l2_reach(U, d) if isinstance(U, LpBall) else U.reach(np.zeros(d))
-
-
 def _row_config(U, d: int, cfg: EllipsoidConfig) -> EllipsoidConfig:
     """The config of a search over U(x) from the center x: for an lp ball the
     start radius is its l2 reach, with a relative 2^-30 to spare for the
     rounding of the reach and of r^2, so U(x) still lies in the start ball.
     It is at least volume_eps, so the search makes at least one query (the
-    center), and at most init_radius. Other regions keep cfg."""
+    center), and at most init_radius. A ball that reaches past init_radius
+    raises EllipsoidDiverged: the search would hold only its part within
+    init_radius, where the closed form speaks of the whole ball. Other
+    regions keep cfg."""
     if not isinstance(U, LpBall):
         return cfg
-    r = max(_l2_reach(U, d) * (1.0 + 2.0**-30), cfg.volume_eps)
-    return replace(cfg, init_radius=min(r, cfg.init_radius))
-
-
-def _check_start(reach: float, cfg: EllipsoidConfig) -> None:
-    """The search's precondition, for regions whose l2 reach from the search
-    center is known (an lp ball or a polytope): the region lies in the start
-    ball. Checked once, before the first query."""
+    reach = _l2_reach(U, d)
     if reach > cfg.init_radius:
         raise EllipsoidDiverged(f"the region reaches {reach:.6g} from the search center, "
                                 f"past init_radius {cfg.init_radius:.6g}")
+    r = max(reach * (1.0 + 2.0**-30), cfg.volume_eps)
+    return replace(cfg, init_radius=min(r, cfg.init_radius))
 
 
 def attack(model: LinearModel, sample: Sample, U: PerturbationSpec, index: int | None = None):
@@ -285,9 +230,7 @@ def separation_oracle(U_descriptor, x, z) -> _Inside | Hyperplane:
 def bound_separation(U_descriptor, x):
     """Close the oracle over a center validated here, once. The query-only
     callable answers INSIDE or a raw cut; the ellipsoid checks its queries
-    and asks its `rowwise` form, skipping the one-row adapter. `reach(c)`
-    is the largest l2 distance from c of a point of U(x), and
-    ellipsoid_feasible and ellipsoid_certify check it against init_radius."""
+    and asks its `rowwise` form, skipping the one-row adapter."""
     X = as_vector(x)[None]
 
     def rowwise(_, Z):
@@ -298,11 +241,6 @@ def bound_separation(U_descriptor, x):
         return INSIDE if inside[0] else (normal[0], float(offset[0]))
 
     sep.rowwise = rowwise
-    if isinstance(U_descriptor, LpBall):
-        reach = _l2_reach(U_descriptor, X.shape[1])
-        sep.reach = lambda c: float(np.linalg.norm(X[0] - c)) + reach
-    elif isinstance(U_descriptor, Polytope):
-        sep.reach = lambda c: U_descriptor.reach(c - X[0])
     return sep
 
 
@@ -333,28 +271,35 @@ def check_disjoint_balls(data: Dataset, ball: LpBall) -> None:
 
 def _lockstep(sep, C: np.ndarray, cfg: EllipsoidConfig) -> list:
     """Central-cut ellipsoid searches from the k rows of C, one per row, run
-    side by side: for each row a point its oracle row accepts, or None when
-    that region is empty up to volume_eps (the search reached its cut count,
-    a cut's halfspace missed the ellipsoid, or a cut left nothing). Every row
-    starts in the ball of radius cfg.init_radius around its center. The stop
-    at a missing halfspace relies on each cut containing the row's region and
-    on that start ball holding it, which the public searches check for lp
-    balls and polytopes (a row search over an lp ball gets a start radius
-    that holds it by construction, see _row_config): a region past the start
-    ball could end with None once it has no point left inside, where a longer
-    search might have found one outside.
+    side by side: for each row a point its oracle row accepts within
+    R = cfg.init_radius of the row's center, or None when there is none up
+    to volume_eps (the search reached its cut count, a cut's halfspace missed
+    the ellipsoid, or a cut left nothing). Every row starts in the ball
+    B(c, R) around its center c, and a point z its oracle accepts farther out
+    is answered with the ball's own cut, normal (z - c) / ||z - c|| and offset
+    <normal, c> + R. So each row searches the part of its region in B(c, R),
+    which its start ellipsoid holds, and the stop at a cut that misses the
+    ellipsoid needs nothing of the oracle but cuts that contain its region. A
+    point within a relative 1e-9 past R is accepted, not cut, so that a
+    region whose reach is R (an lp ball searched from its own reach) is never
+    cut by rounding.
 
     sep(rows, Z) answers the queries Z[j] of the open rows `rows` at once with
     (inside, normals, offsets): a mask, and for each row outside a raw cut
-    <normals[j], z'> <= offsets[j]. Each row takes exactly the steps of its own
-    search. A failing row stops the rows after it, and once the rows before it
-    are done its error is raised, as a loop over the rows would raise it.
+    <normals[j], z'> <= offsets[j], in new arrays that the search may write.
+    Each row takes exactly the steps of its own search. A failing row stops
+    the rows after it, and once the rows before it are done its error is
+    raised, as a loop over the rows would raise it.
     """
     k, d = C.shape
     found = [None] * k
     chunk = max(1, _STACK_FLOATS // (d * d))
     for lo in range(0, k, chunk):
-        failure = _search(sep, C[lo:lo + chunk], lo, cfg, found)
+        # no overflow warns, in the search or in the oracles it asks: _search
+        # rescales a cut whose Q g overflows, and raises for a center that is
+        # not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            failure = _search(sep, C[lo:lo + chunk], lo, cfg, found)
         if failure is not None:
             raise failure
     return found
@@ -377,12 +322,13 @@ def _search(sep, C, lo, cfg, found):
     b_i b_j == b_j b_i."""
     k, d = C.shape
     rows = np.arange(lo, lo + k)
+    start = C
     r = cfg.init_radius
     Q = np.broadcast_to(np.eye(d) * r**2, (k, d, d)).copy()
     nsq = d * d / (d * d - 1.0) if d > 1 else 0.0
     cut = 2.0 / (d + 1.0)
     failure = None
-    for _ in range(cfg.resolved_max_iters(d)):
+    for step in range(cfg.resolved_max_iters(d)):
         finite = np.isfinite(C)
         if np.count_nonzero(finite) < finite.size:
             failure = ConfigError("vector entries must be finite")
@@ -392,7 +338,20 @@ def _search(sep, C, lo, cfg, found):
                 break
         inside, G, off = sep(rows, C)
         if np.count_nonzero(inside):
-            for j in np.flatnonzero(inside):
+            acc = np.flatnonzero(inside)
+            # an accepted point past the start ball gets the ball's own cut;
+            # the first step asks the start centers themselves
+            if step:
+                D = C[acc] - start[rows[acc] - lo]
+                dist = np.sqrt(np.vecdot(D, D))
+                far = dist > cfg.init_radius * (1.0 + 1e-9)
+                if np.count_nonzero(far):
+                    out = acc[far]
+                    inside[out] = False
+                    G[out] = D[far] / dist[far, None]
+                    off[out] = np.vecdot(G[out], start[rows[out] - lo]) + cfg.init_radius
+                    acc = acc[~far]
+            for j in acc:
                 found[rows[j]] = C[j].copy()
             keep = ~inside
             rows, C, Q, G, off = rows[keep], C[keep], Q[keep], G[keep], off[keep]
@@ -421,6 +380,17 @@ def _search(sep, C, lo, cfg, found):
         # einsum does not
         Qg = np.matmul(Q, G[..., None])[..., 0]
         denom = np.vecdot(G, Qg)
+        if not math.isfinite(denom.sum()):
+            # a finite cut whose Q g overflowed is scaled by the power of two
+            # 2^-e that takes its largest |g_j| into [1/2, 1), which keeps its
+            # halfspace. Qg, gap and width scale by 2^-e and denom by 2^-2e
+            # exactly, so b = Qg / width and gap > width are those of every
+            # power-of-two multiple of the cut that does not overflow, unless
+            # the scaling pushes an entry or product below 2^-1022.
+            e = np.where(np.isfinite(denom), 0, np.frexp(np.abs(G).max(axis=1))[1])
+            G, gap, off = np.ldexp(G, -e[:, None]), np.ldexp(gap, -e), np.ldexp(off, -e)
+            Qg = np.matmul(Q, G[..., None])[..., 0]
+            denom = np.vecdot(G, Qg)
         empty = denom <= 0.0
         if np.count_nonzero(empty):
             keep = ~empty
@@ -447,11 +417,12 @@ def _search(sep, C, lo, cfg, found):
 
 # The emptiness stop. A cut {z : <g, z> <= off} contains the region, and so
 # does the ellipsoid E = {c + Q^(1/2) u : ||u|| <= 1}: E starts as the
-# init_radius ball, which the caller guarantees holds the region, and each
-# central cut keeps the half of E the region lies in. As min over E of
-# <g, z> is <g, c> - sqrt(g^T Q g), a gap <g, c> - off above the half-width
-# sqrt(g^T Q g) means the cut's halfspace misses E: the region is empty, and
-# the row ends with the None its remaining cuts would reach.
+# init_radius ball, which holds the region as the ball's own cut keeps the
+# search inside it (see _lockstep), and each central cut keeps the half of E
+# the region lies in. As min over E of <g, z> is <g, c> - sqrt(g^T Q g), a
+# gap <g, c> - off above the half-width sqrt(g^T Q g) means the cut's
+# halfspace misses E: the region is empty, and the row ends with the None its
+# remaining cuts would reach.
 #
 # The screen gap > sqrt(denom) compares computed values, so _misses confirms
 # it beyond their rounding. With u = 2^-53, a dot product of d terms rounds
@@ -496,22 +467,19 @@ def _one_row(sep):
 
 
 def ellipsoid_feasible(sep, d: int, cfg: EllipsoidConfig, center=None):
-    """Find a point the separation oracle accepts, or None when the region is
-    empty up to volume_eps (the search reached its cut count, a cut's
-    halfspace missed the ellipsoid, or a cut left nothing).
+    """Find a point the separation oracle accepts within init_radius of
+    center, or None when there is none up to volume_eps (the search reached
+    its cut count, a cut's halfspace missed the ellipsoid, or a cut left
+    nothing).
 
     sep answers INSIDE or a (normal, offset) cut, and each cut must contain
-    the region. The caller guarantees the region is in the init_radius ball
-    at center; for a bound_separation oracle over an lp ball or a polytope it
-    is checked here, and EllipsoidDiverged raised before the first query.
-    Both are what lets a search end at a cut that misses the ellipsoid (see
-    _lockstep).
+    the region. A point sep accepts past init_radius is cut by the start
+    ball, so the search holds the region's part within init_radius and may
+    end at a cut that misses the ellipsoid (see _lockstep).
     """
     c = np.zeros(d) if center is None else as_vector(center)
     if c.shape != (d,):
         raise ConfigError(f"center must have {d} entries, got {c.shape[0]}")
-    if hasattr(sep, "reach"):
-        _check_start(sep.reach(c), cfg)
     return _lockstep(_one_row(sep), np.array([c]), cfg)[0]
 
 
@@ -540,17 +508,15 @@ def ellipsoid_certify(model: LinearModel, sample: Sample, sepU, cfg: EllipsoidCo
                       slack: float = 0.0):
     """Search U(x) for a point the model gets wrong (decision value at most
     `slack` against the label). Returns the counterexample vector, or None
-    when the intersection is empty up to volume_eps (certified robust); the
-    search ends as soon as a cut, from sepU or the model, misses its
-    ellipsoid.
+    when no such point lies within init_radius of x, up to volume_eps
+    (certified robust there); the search ends as soon as a cut, from sepU,
+    the model or the start ball, misses its ellipsoid.
 
     sepU must be a query-only separation oracle for U(x) whose cuts contain
-    U(x); the search ellipsoid is centered at x, so U(x) must fit in the
-    init_radius ball around it, which is checked as in ellipsoid_feasible.
+    U(x). The search starts in the init_radius ball around x and holds U(x)
+    in it, as ellipsoid_feasible does.
     """
     x = as_vector(sample.x)
-    if hasattr(sepU, "reach"):
-        _check_start(sepU.reach(x), cfg)
     sep = _certify_oracle(model.w, model.bias, np.array([float(sample.y)]), slack, _one_row(sepU))
     return _lockstep(sep, x[None], cfg)[0]
 
@@ -560,13 +526,12 @@ def ellipsoid_certify_batch(model: LinearModel, data: Dataset, U, cfg: Ellipsoid
     or polytope U, as one lockstep search: per row the counterexample or
     None, each row ending at its own step, at the latest its cut count.
     Raises the error the first failing row would raise on its own, and
-    EllipsoidDiverged before any query when U(x_i) reaches past init_radius
-    from x_i. Each row's search starts at x_i, in the init_radius ball for a
-    polytope and for an lp ball in the ball of its own l2 reach
-    (_row_config), so a row whose misclassification halfspace misses that
-    ball ends at its first cut."""
-    if isinstance(U, (LpBall, Polytope)):
-        _check_start(_reach(U, data.d), cfg)
+    EllipsoidDiverged before any query for an lp ball that reaches past
+    init_radius. Each row's search starts at x_i, in the init_radius ball for
+    a polytope, whose None then means no counterexample within init_radius
+    of x_i, and for an lp ball in the ball of its own l2 reach (_row_config),
+    so a row whose misclassification halfspace misses that ball ends at its
+    first cut."""
     sep = _certify_oracle(model.w, model.bias, data.y.astype(float), 0.0,
                           lambda rows, Z: _separate(U, data.X[rows], Z))
     return _lockstep(sep, data.X, _row_config(U, data.d, cfg))
@@ -578,24 +543,22 @@ def rerm_ellipsoid(data: Dataset, U, cfg: EllipsoidConfig) -> LinearModel:
     means every sample certifies robust at margin slack feas_slack; each
     failed certification contributes the cut -y_i z_i. Row i is asked through
     bound_separation(U, x_i), built when a weight query first gets to it. The
-    weight search starts at the init_radius ball around 0, and its region
-    lies in that ball, as a query outside it is cut by its norm, so it too
-    ends at a cut that misses its ellipsoid. Each row search starts at x_i,
-    for an lp ball in the ball of its own l2 reach (_row_config), for a
-    polytope in the init_radius ball.
+    weight search starts at the init_radius ball around 0, and a query
+    outside it is cut by its norm, as _lockstep would cut it. Each row search
+    starts at x_i, for an lp ball in the ball of its own l2 reach
+    (_row_config), for a polytope in the init_radius ball, which it then
+    certifies only within init_radius of x_i.
 
     Over an lp ball every weight query skips the rows whose closed-form robust
     margin y_i <w, x_i> - gamma ||w||_* beats feas_slack by a relative 1e-9,
     as their certification can only return None; the rest run in order, so
-    the failing row and its cut stay the same. An lp ball or polytope U(x_i)
-    that reaches past init_radius from x_i raises EllipsoidDiverged at once.
-    Raises NotSeparable when the budget is exhausted without a feasible point.
+    the failing row and its cut stay the same. An lp ball that reaches past
+    init_radius raises EllipsoidDiverged at once. Raises NotSeparable when the
+    budget is exhausted without a feasible point.
     """
     d = data.d
     tau = cfg.feas_slack
     screen = isinstance(U, LpBall)
-    if isinstance(U, (LpBall, Polytope)):
-        _check_start(_reach(U, d), cfg)
     row_cfg = _row_config(U, d, cfg)
 
     def weight_oracle(wvec):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import decimal
-import itertools
 import math
 
 import numpy as np
@@ -444,58 +443,6 @@ def separation_ref(U, x, z):
     return Hyperplane(normal, float(normal @ x) + gamma)
 
 
-def ball_reach_ref(U, x, c) -> float:
-    """How far in l2 from c the lp ball U(x) reaches: through its farthest
-    point from x, a vertex gamma e_1 for p <= 2 and the corner of the
-    inscribed cube gamma d^(-1/p) (1, ..., 1) otherwise."""
-    d = x.shape[0]
-    far = np.full(d, U.gamma * d ** (-1.0 / U.p)) if U.p > 2.0 else np.eye(d)[0] * U.gamma
-    return float(np.linalg.norm(x - c)) + float(np.linalg.norm(far))
-
-
-def polytope_reach_ref(U, x, c) -> float:
-    """How far in l2 from c the polytope U(x) reaches: -inf when it is empty
-    and inf when it is unbounded, both told by Fourier-Motzkin elimination
-    onto each axis in turn; otherwise through its farthest vertex, a point
-    of U(x) where d independent rows hold as equalities."""
-    A, b = U.A, U.b
-    m, d = A.shape
-    tol = 1e-9 * (1.0 + float(np.abs(b).max()))
-    bounded = True
-    for k in range(d):
-        rows = list(zip(A, b))
-        for j in range(d):
-            if j == k:
-                continue
-            keep = [(a, beta) for a, beta in rows if a[j] == 0.0]
-            up = [(a / a[j], beta / a[j]) for a, beta in rows if a[j] > 0.0]
-            down = [(a / -a[j], beta / -a[j]) for a, beta in rows if a[j] < 0.0]
-            for (a1, b1), (a2, b2) in itertools.product(up, down):
-                a = a1 + a2
-                a[j] = 0.0
-                keep.append((a, b1 + b2))
-            rows = keep
-        # each row now reads a[k] delta_k <= beta
-        if any(a[k] == 0.0 and beta < -tol for a, beta in rows):
-            return -math.inf
-        highs = [beta / a[k] for a, beta in rows if a[k] > 0.0]
-        lows = [beta / a[k] for a, beta in rows if a[k] < 0.0]
-        if highs and lows and max(lows) > min(highs) + tol:
-            return -math.inf
-        bounded = bounded and bool(highs) and bool(lows)
-    if not bounded:
-        return math.inf
-    far = -math.inf
-    for S in itertools.combinations(range(m), d):
-        M = A[list(S)]
-        if np.linalg.matrix_rank(M) < d:
-            continue
-        v = np.linalg.solve(M, b[list(S)])
-        if np.all(A @ v <= b + 1e-9 * (np.abs(A) @ np.abs(v) + np.abs(b))):
-            far = max(far, float(np.linalg.norm(x + v - c)))
-    return far
-
-
 def halfspace_misses_ref(g, c, off: float, Q) -> bool:
     """Whether the cut <g, z> <= off misses the ellipsoid
     {z : (z - c)^T Q^-1 (z - c) <= 1}, whose least <g, z> is
@@ -518,31 +465,39 @@ def row_config_ref(U, d: int, cfg):
     and RERM's row searches use it: for an lp ball (p in 1, 2, inf) the start
     radius is its farthest point from x, gamma along an axis for p <= 2 and
     the cube corner gamma sqrt(d) for p = inf, times 1 + 2^-30, at least
-    volume_eps and at most init_radius; a polytope keeps cfg."""
+    volume_eps; a ball reaching past init_radius raises. A polytope keeps
+    cfg."""
     if hasattr(U, "A"):
         return cfg
     reach = U.gamma * math.sqrt(d) if math.isinf(U.p) else U.gamma
+    if reach > cfg.init_radius:
+        raise EllipsoidDiverged("the ball leaves the start ball")
     r = min(cfg.init_radius, max(reach * (1.0 + 2.0**-30), cfg.volume_eps))
     return dataclasses.replace(cfg, init_radius=r)
 
 
-def ellipsoid_feasible_ref(sep, d: int, cfg, center=None, region=None, stop=True):
+def ellipsoid_feasible_ref(sep, d: int, cfg, center=None, stop=True):
     """Central-cut ellipsoid search; sep answers INSIDE or a Hyperplane. It
     ends empty after cfg.resolved_max_iters(d) cuts or, with `stop` and
-    d >= 2, at the first cut that misses the ellipsoid. With region = (U, x),
-    the lp ball or polytope U(x) that sep answers for, a region reaching past
-    init_radius from the center raises before the first query."""
+    d >= 2, at the first cut that misses the ellipsoid. A point sep accepts
+    farther than init_radius (times 1 + 1e-9) from the start center is cut
+    by the start ball, so only the region's part in that ball is searched."""
     c = np.zeros(d) if center is None else as_vector(center).copy()
-    if region is not None:
-        U, x = region[0], as_vector(region[1])
-        reach = polytope_reach_ref(U, x, c) if hasattr(U, "A") else ball_reach_ref(U, x, c)
-        if reach > cfg.init_radius:
-            raise EllipsoidDiverged("the region leaves the start ball")
+    start, R = c.copy(), cfg.init_radius
+
+    def held(z):
+        ans = sep(z)
+        dist = math.sqrt(float((z - start) @ (z - start)))
+        if ans is INSIDE and dist > R * (1.0 + 1e-9):
+            normal = (z - start) / dist
+            return Hyperplane(normal, float(normal @ start) + R)
+        return ans
+
     max_iters = cfg.resolved_max_iters(d)
     if d == 1:
         r = cfg.init_radius
         for _ in range(max_iters):
-            ans = sep(c)
+            ans = held(c)
             if ans is INSIDE:
                 return c
             g = float(ans.normal[0])
@@ -556,7 +511,7 @@ def ellipsoid_feasible_ref(sep, d: int, cfg, center=None, region=None, stop=True
     Q = np.eye(d) * cfg.init_radius**2
     nsq = d * d / (d * d - 1.0)
     for _ in range(max_iters):
-        ans = sep(c)
+        ans = held(c)
         if ans is INSIDE:
             return c
         g = ans.normal
@@ -573,10 +528,9 @@ def ellipsoid_feasible_ref(sep, d: int, cfg, center=None, region=None, stop=True
     return None
 
 
-def ellipsoid_certify_ref(w, bias: float, x, y: int, sepU, cfg, slack: float = 0.0, U=None,
-                          stop=True):
-    """A point of U(x) with decision value at most slack against y, or None;
-    sepU answers for U(x), which, when given, is checked to fit the start ball."""
+def ellipsoid_certify_ref(w, bias: float, x, y: int, sepU, cfg, slack: float = 0.0, stop=True):
+    """A point of U(x) within init_radius of x with decision value at most
+    slack against y, or None; sepU answers for U(x)."""
     y = float(y)
     off = slack - y * bias
 
@@ -585,8 +539,7 @@ def ellipsoid_certify_ref(w, bias: float, x, y: int, sepU, cfg, slack: float = 0
             return Hyperplane(y * w, off)
         return sepU(z)
 
-    return ellipsoid_feasible_ref(composed, x.shape[0], cfg, center=x,
-                                  region=None if U is None else (U, x), stop=stop)
+    return ellipsoid_feasible_ref(composed, x.shape[0], cfg, center=x, stop=stop)
 
 
 def rerm_ellipsoid_ref(X, y, U, cfg, stop=True):
@@ -604,11 +557,10 @@ def rerm_ellipsoid_ref(X, y, U, cfg, stop=True):
             return Hyperplane(wvec / nrm, cfg.init_radius)
         for i in range(n):
             if not np.any(wvec):
-                z = ellipsoid_feasible_ref(oracles[i], d, row_cfg, center=X[i],
-                                          region=(U, X[i]), stop=stop)
+                z = ellipsoid_feasible_ref(oracles[i], d, row_cfg, center=X[i], stop=stop)
             else:
                 z = ellipsoid_certify_ref(wvec, 0.0, X[i].copy(), int(y[i]), oracles[i], row_cfg,
-                                          slack=tau, U=U, stop=stop)
+                                          slack=tau, stop=stop)
             if z is None:
                 continue
             normal = -int(y[i]) * np.asarray(z, dtype=float)

@@ -29,16 +29,15 @@ from roblearn import (
     separation_oracle,
 )
 from roblearn import oracles
-from roblearn.errors import ConfigError, EllipsoidDiverged, RoblearnError, UnsupportedGeometry
+from roblearn.errors import (ConfigError, EllipsoidDiverged, RoblearnError, UnsupportedGeometry,
+                             ZeroWeight)
 from roblearn.oracles import INSIDE, check_disjoint_balls, ellipsoid_certify_batch
 
 from ._refs import (
-    ball_reach_ref,
     ball_samples,
     brute_margin_certified,
     ellipsoid_certify_ref,
     ellipsoid_feasible_ref,
-    polytope_reach_ref,
     rerm_ellipsoid_ref,
     row_config_ref,
     separation_ref,
@@ -254,26 +253,49 @@ def test_non_finite_center_raises_before_the_next_query():
 
 
 def test_a_center_that_overflows_raises_before_the_next_query():
-    # a finite cut with a huge normal overflows Q g, so the next center is not
-    # finite; the row raises before its second query, and a row before it in
-    # the lockstep runs to its end first
-    huge = Polytope(np.array([[1e307, 0.0]]), np.array([-1.0]))
-    seps = [bound_separation(LpBall(2.0, 0.1), vec(1.0, 2.0)),
-            bound_separation(huge, vec(0.0, 0.0))]
+    # from a start ball of radius 1.3e154, whose r^2 is finite, a cut along
+    # z_1 grows the z_2 axis of Q past the largest float, and a cut along z_2
+    # then sends the center to NaN: the row raises before its third query,
+    # alone and in lockstep after a row found at its first
+    cuts = {0: vec(1.0, 0.0), 1: vec(0.0, 1.0)}
     asked = []
 
-    def sep(rows, Z):
-        asked.extend(rows.tolist())
-        return _stacked(seps)(rows, Z)
+    def sep(z):
+        g = cuts[len(asked)]
+        asked.append(z.copy())
+        return g, float(g @ z)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        alone = _outcome(lambda s: ellipsoid_feasible(s, 2, EllipsoidConfig()),
-                         lambda z: separation_oracle(huge, vec(0.0, 0.0), z))
-        with pytest.raises(ValueError, match="finite"):
-            oracles._lockstep(sep, np.zeros((2, 2)), EllipsoidConfig())
-    assert alone[1:] == (ConfigError, 1)
-    first = _outcome(lambda s: ellipsoid_feasible(s, 2, EllipsoidConfig()), seps[0])
-    assert first[0] is not None and asked.count(0) == first[2] > 1 and asked.count(1) == 1
+    def rowwise(rows, Z):
+        inside = rows == 0
+        cut = [(np.zeros(2), 0.0) if i == 0 else sep(z) for i, z in zip(rows, Z)]
+        return inside, np.array([g for g, _ in cut]), np.array([off for _, off in cut])
+
+    cfg = EllipsoidConfig(init_radius=1.3e154)
+    alone = _outcome(lambda s: ellipsoid_feasible(s, 2, cfg), sep)
+    asked.clear()
+    with pytest.raises(ValueError, match="finite"):
+        oracles._lockstep(rowwise, np.zeros((2, 2)), cfg)
+    assert alone[1:] == (ConfigError, 2) and len(asked) == 2
+
+
+def test_a_cut_with_a_huge_normal_searches_like_its_unit_scaled_twin():
+    # rows of norm 1e307 would overflow Q g; the search scales each cut by a
+    # power of two first, so it takes the steps of the polytope whose rows
+    # that power takes into [1/2, 1), alone and beside another row
+    m, e = math.frexp(1e307)
+    huge = Polytope(np.array([[1e307, 1e307], [-1e307, 0.0]]), np.array([-1e307, -0.5e307]))
+    twin = Polytope(np.array([[m, m], [-m, 0.0]]), np.array([-m, -m / 2.0]))
+    x, cfg = vec(0.0, 0.0), EllipsoidConfig(init_radius=2.0)
+    ball = bound_separation(LpBall(2.0, 0.1), vec(1.0, 1.0))
+    alone, lockstep = [], []
+    for U in (huge, twin):
+        alone.append(_outcome(lambda s: ellipsoid_feasible(s, 2, cfg),
+                              lambda z: separation_oracle(U, x, z)))
+        lockstep.append(oracles._lockstep(_stacked([ball, bound_separation(U, x)]),
+                                          np.zeros((2, 2)), cfg))
+    assert alone[0][1:] == alone[1][1:] == (None, 9)
+    assert alone[0][0].tobytes() == alone[1][0].tobytes() == lockstep[0][1].tobytes()
+    assert [z.tobytes() for z in lockstep[0]] == [z.tobytes() for z in lockstep[1]]
 
 
 def test_config_validation_and_defaults():
@@ -363,11 +385,16 @@ def test_rerm_finds_robust_separator_in_two_dimensions():
                                           ball.p, gamma)
 
 
-def test_rerm_raises_when_labels_collide():
-    data = Dataset(np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([1, -1]))
+@pytest.mark.parametrize("rows, message", [
+    ([[1.0, 0.0], [1.0, 0.0]], "no robustly separating halfspace"),  # the labels collide
+    # the origin lies in row 0's ball, and y <w, 0> >= feas_slack holds for no w
+    ([[0.0, 0.0], [3.0, 0.0]], "a perturbation at the origin"),
+], ids=["labels-collide", "origin"])
+def test_rerm_raises_when_no_halfspace_separates(rows, message):
+    data = Dataset(np.array(rows), np.array([1, -1]))
     ball = LpBall(2.0, 0.1)
     cfg = EllipsoidConfig(max_iters=2000)
-    with pytest.raises(NotSeparable):
+    with pytest.raises(NotSeparable, match=f"^{message}"):
         rerm_ellipsoid(data, ball, cfg)
 
 
@@ -402,18 +429,13 @@ REGIONS = st.sampled_from(["l1", "l2", "linf", "poly"])
 
 
 def _outcome(search, sep):
-    """A search's result or error class, and how many queries sep answered.
-    An lp ball outside the initial ellipsoid must raise before the first
-    query, as in the reference, so the counting twin keeps sep's reach."""
+    """A search's result or error class, and how many queries sep answered."""
     answered = []
 
     def counted(z):
         ans = sep(z)
         answered.append(1)
         return ans
-
-    if hasattr(sep, "reach"):
-        counted.reach = sep.reach
 
     try:
         return search(counted), None, len(answered)
@@ -438,8 +460,7 @@ def _feasible_outcomes(seed, kind, d, max_iters, volume_eps):
     got = _outcome(lambda sep: ellipsoid_feasible(sep, d, cfg, center=center),
                    bound_separation(U, x))
     want, unstopped = (
-        _outcome(lambda sep: ellipsoid_feasible_ref(sep, d, cfg, center=center, region=(U, x),
-                                                    stop=stop),
+        _outcome(lambda sep: ellipsoid_feasible_ref(sep, d, cfg, center=center, stop=stop),
                  lambda z: separation_ref(U, x, z)) for stop in (True, False))
     return got, want, unstopped
 
@@ -452,25 +473,21 @@ def test_feasible_matches_reference(seed, kind, d, max_iters, volume_eps):
     _assert_same_outcome(got, unstopped, queries=False)
 
 
-def test_region_outside_the_initial_ellipsoid_stops_as_diverged():
-    # an l-inf box outside the start ball is refused before the first query;
-    # a caller-supplied oracle for it carries the precondition unchecked, and
-    # its first cut misses the start ball, so its search ends at once with the
-    # None that it reached after its 266 cuts, Q still finite, without the stop
+def test_region_outside_the_initial_ellipsoid_ends_at_its_first_cut():
+    # an l-inf box wholly outside the start ball: its first cut misses the
+    # ball, so the search ends at once with the None that the search without
+    # the stop reaches after its 266 cuts, through bound_separation and
+    # through a caller's oracle alike
     got, want, unstopped = _feasible_outcomes(2, "linf", 3, None, 1e-6)
     _assert_same_outcome(got, want)
-    _assert_same_outcome(got, unstopped)
-    assert got[1:] == (EllipsoidDiverged, 0)
+    assert got == (None, None, 1) and unstopped == (None, None, 266)
     rng = np.random.default_rng(2)  # the draws of _feasible_outcomes, center 0
     cfg = EllipsoidConfig(init_radius=float(rng.uniform(1.0, 10.0)), volume_eps=1e-6)
     U, x = _region("linf", rng, 3), rng.standard_normal(3) * 2.0
-    assert rng.random() < 0.3 and np.linalg.norm(x) + U.gamma * math.sqrt(3.0) > cfg.init_radius
-    unchecked = _outcome(lambda sep: ellipsoid_feasible(sep, 3, cfg),
-                         lambda z: separation_oracle(U, x, z))
-    assert unchecked == (None, None, 1)
-    unstopped = _outcome(lambda sep: ellipsoid_feasible_ref(sep, 3, cfg, stop=False),
-                         lambda z: separation_oracle(U, x, z))
-    assert unstopped == (None, None, cfg.resolved_max_iters(3)) == (None, None, 266)
+    assert rng.random() < 0.3 and np.linalg.norm(x) - U.gamma * math.sqrt(3.0) > cfg.init_radius
+    assert cfg.resolved_max_iters(3) == 266
+    assert _outcome(lambda sep: ellipsoid_feasible(sep, 3, cfg),
+                    lambda z: separation_oracle(U, x, z)) == got
 
 
 def test_lp_balls_past_the_start_are_refused_before_any_query(monkeypatch):
@@ -478,55 +495,52 @@ def test_lp_balls_past_the_start_are_refused_before_any_query(monkeypatch):
     # l2, the l2 ball of radius 0.8 only 0.8
     data = Dataset(np.array([[2.0, 0.0], [-2.0, 0.0]]), np.array([1, -1]))
     model, cfg = LinearModel(vec(1.0, 0.0)), EllipsoidConfig(init_radius=1.0)
-    wide, wide_sep = LpBall(math.inf, 0.8), bound_separation(LpBall(math.inf, 0.8), data.X[0])
+    wide = LpBall(math.inf, 0.8)
     monkeypatch.setattr(oracles, "_separate", None)  # any query fails
     for search in (lambda: ellipsoid_certify_batch(model, data, wide, cfg),
-                   lambda: rerm_ellipsoid(data, wide, cfg),
-                   lambda: ellipsoid_certify(model, data.sample(0), wide_sep, cfg),
-                   # an l2 ball of radius 0.8 centered 0.3 from the start
-                   lambda: ellipsoid_feasible(bound_separation(LpBall(2.0, 0.8), vec(0.3, 0.0)),
-                                              2, cfg)):
+                   lambda: rerm_ellipsoid(data, wide, cfg)):
         with pytest.raises(EllipsoidDiverged):
             search()
     monkeypatch.undo()
     assert ellipsoid_certify_batch(model, data, LpBall(2.0, 0.8), cfg) == [None, None]
 
 
-def test_polytopes_past_the_start_are_refused_before_any_query(monkeypatch):
+def test_polytopes_past_the_start_are_searched_within_init_radius():
     # U(x) = {z : z_1 - x_1 <= -20} holds points the model gets wrong, all
-    # 20 or more from x: from the start ball of radius 2 at x the search
-    # would see only cuts that miss it and certify the row. So are the box
-    # -21 <= z_1 - x_1 <= -20, |z_2| <= 1, which a start radius of 30 holds,
-    # and a triangle reaching 1.5 sqrt 2 > 2 from x; an empty strip is not.
+    # 20 or more from x, and so does the box -21 <= z_1 - x_1 <= -20,
+    # |z_2| <= 1. From a start ball of radius 2 every search finds no point
+    # and certifies the row, and RERM finds every row's region empty, so it
+    # accepts w = 0, which LinearModel refuses; from radius 30 the searches
+    # find a counterexample within the ball. An empty strip has none.
     data = Dataset(np.array([[2.0, 0.0], [-2.0, 0.0]]), np.array([1, -1]))
-    model, cfg = LinearModel(vec(1.0, 0.0), bias=-0.5), EllipsoidConfig(init_radius=2.0)
+    model, x = LinearModel(vec(1.0, 0.0), bias=-0.5), data.X[0]
     half = Polytope(np.array([[1.0, 0.0]]), np.array([-20.0]))
     box = Polytope(np.vstack([np.eye(2), -np.eye(2)]), np.array([-20.0, 1.0, 21.0, 1.0]))
-    triangle = Polytope(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]), np.array([1.5, 1.5, 0.0]))
     empty = Polytope(np.array([[1.0, 1.0], [-1.0, -1.0]]), np.array([0.3, -0.4]))
-    assert half.reach(np.zeros(2)) == math.inf and empty.reach(np.zeros(2)) == -math.inf
-    assert triangle.reach(np.zeros(2)) == pytest.approx(1.5 * math.sqrt(2.0))
-    monkeypatch.setattr(oracles, "_separate", None)  # any query fails
-    for U in (half, box, triangle):
-        sep = bound_separation(U, data.X[0])
-        for search in (lambda: ellipsoid_certify_batch(model, data, U, cfg),
-                       lambda: rerm_ellipsoid(data, U, cfg),
-                       lambda: ellipsoid_certify(model, data.sample(0), sep, cfg),
-                       lambda: ellipsoid_feasible(sep, 2, cfg, center=data.X[0])):
-            with pytest.raises(EllipsoidDiverged):
-                search()
-    monkeypatch.undo()
-    assert ellipsoid_certify_batch(model, data, empty, cfg) == [None, None]
-    wide = EllipsoidConfig(init_radius=30.0)
-    z = ellipsoid_certify(model, data.sample(0), bound_separation(box, data.X[0]), wide)
-    assert z is not None and separation_oracle(box, data.X[0], z) is INSIDE and model.decision(z) <= 0
+    for U in (half, box):
+        sep = bound_separation(U, x)
+        for r in (2.0, 30.0):
+            cfg = EllipsoidConfig(init_radius=r)
+            batch = ellipsoid_certify_batch(model, data, U, cfg)
+            z = ellipsoid_certify(model, data.sample(0), sep, cfg)
+            found = ellipsoid_feasible(sep, 2, cfg, center=x)
+            assert batch[1] is None and (z is None) == (found is None) == (r == 2.0)
+            assert z is None or (z.tobytes() == batch[0].tobytes() and model.decision(z) <= 0
+                                 and np.linalg.norm(z - x) <= r * (1.0 + 1e-9))
+            assert found is None or separation_oracle(U, x, found) is INSIDE
+        with pytest.raises(ZeroWeight):
+            rerm_ellipsoid(data, U, EllipsoidConfig(init_radius=2.0))
+    assert ellipsoid_certify_batch(model, data, empty, EllipsoidConfig(init_radius=2.0)) == \
+        [None, None]
 
 
-def test_an_unbounded_polytope_is_refused_where_the_stop_would_certify():
+def test_an_unbounded_polytope_is_searched_within_init_radius():
     # three random rows in R^3 leave an unbounded cone. Row 1's region (its
-    # cone minus the points the model gets right) misses the start ball, so
-    # the stop certifies it at once, while the search without the stop lets
-    # its ellipsoids grow and finds a point 35.8 from x. The search refuses it.
+    # cone minus the points the model gets right) has no point within 10 of
+    # x: the stop certifies it, as the search without the stop does, which
+    # without the start ball's cut let its ellipsoids grow and found a point
+    # 35.8 from x. From radius 30 the batch and the reference find the same
+    # point, past 10.
     rng = np.random.default_rng(45)
     cfg = EllipsoidConfig(init_radius=float(rng.choice([0.3, 10.0])),
                           volume_eps=float(rng.choice([1e-3, 1e-6])))
@@ -535,37 +549,19 @@ def test_an_unbounded_polytope_is_refused_where_the_stop_would_certify():
     model = LinearModel(rng.standard_normal(3) + 0.1, bias=float(rng.standard_normal()) * 0.5)
     X = rng.standard_normal((4, 3))
     y = np.where(X @ model.w + model.bias >= 0.0, 1, -1) * np.where(rng.random(4) < 0.8, 1, -1)
-    found, stopped = (ellipsoid_certify_ref(model.w, model.bias, X[1], int(y[1]),
-                                            lambda z: separation_ref(U, X[1], z), cfg, stop=stop)
-                      for stop in (False, True))
-    assert cfg.init_radius == 10.0 and np.linalg.norm(found - X[1]) > 35.0 and stopped is None
-    assert U.reach(np.zeros(3)) == math.inf
-    with pytest.raises(EllipsoidDiverged):
-        ellipsoid_certify_batch(model, Dataset(X, y), U, cfg)
-    with pytest.raises(EllipsoidDiverged):
-        ellipsoid_certify_ref(model.w, model.bias, X[1], int(y[1]),
-                              lambda z: separation_ref(U, X[1], z), cfg, U=U)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 10_000), st.integers(1, 3))
-def test_polytope_reach_matches_the_reference(seed, d):
-    # Polytope.reach against Fourier-Motzkin and a vertex loop, on the
-    # polytopes the search tests draw and on ones whose rows span fewer than
-    # d dimensions; no point of the region lies farther than its reach
-    rng = np.random.default_rng(seed)
-    U = _region("poly", rng, d)
-    if d > 1 and rng.random() < 0.3:  # rank A < d: empty or holding a line
-        A = U.A.copy()
-        A[:, -1] = 0.0
-        A[np.all(A == 0.0, axis=1), 0] = 1.0
-        U = Polytope(A, U.b)
-    x, c = rng.standard_normal(d), rng.standard_normal(d)
-    got, want = U.reach(c - x), polytope_reach_ref(U, x, c)
-    assert got == want or math.isfinite(want) and got == pytest.approx(want, rel=1e-9)
-    Z = x + rng.uniform(-6.0, 6.0, (2000, d))
-    inside = np.all((Z - x) @ U.A.T <= U.b, axis=1)
-    assert not inside.any() or np.linalg.norm(Z[inside] - c, axis=1).max() <= got
+    unstopped, stopped = (_outcome(lambda sep: ellipsoid_certify_ref(model.w, model.bias, X[1],
+                                                                     int(y[1]), sep, cfg,
+                                                                     stop=stop),
+                                   lambda z: separation_ref(U, X[1], z))
+                          for stop in (False, True))
+    assert cfg.init_radius == 10.0 and unstopped[:2] == stopped[:2] == (None, None)
+    assert stopped[2] < unstopped[2]
+    assert ellipsoid_certify_batch(model, Dataset(X, y), U, cfg)[1] is None
+    wide = EllipsoidConfig(init_radius=30.0, volume_eps=cfg.volume_eps)
+    z = ellipsoid_certify_batch(model, Dataset(X, y), U, wide)[1]
+    want = ellipsoid_certify_ref(model.w, model.bias, X[1], int(y[1]),
+                                 lambda z: separation_ref(U, X[1], z), wide)
+    assert z.tobytes() == want.tobytes() and 10.0 < np.linalg.norm(z - X[1]) <= 30.0 * (1.0 + 1e-9)
 
 
 @given(st.integers(0, 10_000), REGIONS, st.integers(1, 3), st.sampled_from([0.0, 0.05]))
@@ -579,7 +575,7 @@ def test_certify_matches_reference(seed, kind, d, slack):
     got = _outcome(lambda sep: ellipsoid_certify(model, Sample(x, y), sep, cfg, slack=slack),
                    bound_separation(U, x))
     want, unstopped = (_outcome(lambda sep: ellipsoid_certify_ref(model.w, model.bias, x, y, sep,
-                                                                  cfg, slack=slack, U=U, stop=stop),
+                                                                  cfg, slack=slack, stop=stop),
                                 lambda z: separation_ref(U, x, z)) for stop in (True, False))
     _assert_same_outcome(got, want)
     _assert_same_outcome(got, unstopped, queries=False)
@@ -654,8 +650,9 @@ def count_certify_steps(monkeypatch) -> list:
 def test_certify_batch_matches_reference_row_by_row(seed, kind, d, n, chunk_rows):
     # most rows are right at x, so they are attacked after a few cuts or
     # certified once the ellipsoid shrinks away; the rest are attacked at x.
-    # A start radius of 0.3 leaves some regions partly outside the start,
-    # and most open polytopes are unbounded: both are refused before any query.
+    # A start radius of 0.3 leaves some regions partly outside the start, and
+    # most open polytopes are unbounded: the searches hold them in the start
+    # ball, and an lp ball past it is refused before any query.
     # The batch certifies at slack 0; test_certify_matches_reference covers
     # a positive slack through the same composed oracle.
     rng = np.random.default_rng(seed)
@@ -665,9 +662,9 @@ def test_certify_batch_matches_reference_row_by_row(seed, kind, d, n, chunk_rows
     model = LinearModel(rng.standard_normal(d) + 0.1, bias=float(rng.standard_normal()) * 0.5)
     X = rng.standard_normal((n, d))
     y = np.where(X @ model.w + model.bias >= 0.0, 1, -1) * np.where(rng.random(n) < 0.8, 1, -1)
-    row_cfg = row_config_ref(U, d, cfg)
     want, unstopped = ([_outcome(lambda sep: ellipsoid_certify_ref(model.w, model.bias, X[i],
-                                                                   int(y[i]), sep, row_cfg, U=U,
+                                                                   int(y[i]), sep,
+                                                                   row_config_ref(U, d, cfg),
                                                                    stop=stop),
                                  lambda z, x=X[i]: separation_ref(U, x, z)) for i in range(n)]
                        for stop in (True, False))
@@ -703,7 +700,7 @@ def test_certify_batch_matches_reference_across_closing_steps(monkeypatch, U):
     cfg = EllipsoidConfig()
     row_cfg = row_config_ref(U, 2, cfg)
     want, unstopped = ([_outcome(lambda sep: ellipsoid_certify_ref(model.w, model.bias, X[i],
-                                                                   int(y[i]), sep, row_cfg, U=U,
+                                                                   int(y[i]), sep, row_cfg,
                                                                    stop=stop),
                                  lambda z, x=X[i]: separation_ref(U, x, z)) for i in range(40)]
                        for stop in (True, False))
@@ -735,7 +732,8 @@ def _stacked(seps):
        st.sampled_from([1e-3, 1e-6]))
 def test_lockstep_matches_reference_searches_row_by_row(seed, kinds, d, volume_eps):
     # each row searches its own region from its own center: rows are found,
-    # shrink away, run empty along a slab or diverge, each at its own step
+    # shrink away, run empty along a slab or leave the start ball, each at its
+    # own step
     rng = np.random.default_rng(seed)
     cfg = EllipsoidConfig(init_radius=float(rng.uniform(1.0, 10.0)), volume_eps=volume_eps)
     regions = [_region(kind, rng, d) for kind in kinds]
@@ -752,16 +750,7 @@ def test_lockstep_matches_reference_searches_row_by_row(seed, kinds, d, volume_e
     for i, (z, (ref, _, _)) in enumerate(zip(got or [], want)):
         assert (z is None) == (ref is None)
         assert z is None or z.tobytes() == ref.tobytes()
-        # _lockstep leaves the start ball to its callers: a row whose region
-        # fits keeps the result of the search without the stop, and every
-        # public search refuses the others before their first query
-        U, x = regions[i], X[i]
-        reach = polytope_reach_ref(U, x, C[i]) if kinds[i] == "poly" else ball_reach_ref(U, x, C[i])
-        if reach <= cfg.init_radius:
-            _assert_same_outcome((z, None), unstopped[i], queries=False)
-        else:
-            with pytest.raises(EllipsoidDiverged):
-                ellipsoid_feasible(bound_separation(U, x), d, cfg, center=C[i])
+        _assert_same_outcome((z, None), unstopped[i], queries=False)
 
 
 def test_lockstep_rows_leave_at_their_own_steps():
@@ -980,10 +969,17 @@ def test_disjoint_balls_check_passes_just_beyond_two_gamma(p):
         assert brute_margin_certified(model.w, model.bias, data.X[i], int(data.y[i]), p, gamma)
 
 
-def test_disjoint_balls_check_keeps_unsupported_norms_unsupported():
+@pytest.mark.parametrize("search", [
+    lambda model, data: check_disjoint_balls(data, LpBall(3.0, 0.1)),
+    lambda model, data: attack(model, data.sample(0), Polytope(np.eye(2), np.ones(2))),
+    lambda model, data: ellipsoid_certify_batch(model, data, LpBall(3.0, 0.1), EllipsoidConfig()),
+    lambda model, data: ellipsoid_certify_batch(model, data, FiniteOffsets(np.zeros((1, 2))),
+                                                EllipsoidConfig()),
+], ids=["disjoint-l3", "attack-polytope", "batch-l3", "batch-finite"])
+def test_unsupported_geometries_stay_unsupported(search):
     data = Dataset(np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([1, -1]))
     with pytest.raises(UnsupportedGeometry):
-        check_disjoint_balls(data, LpBall(3.0, 0.1))
+        search(LinearModel(vec(1.0, 0.0)), data)
 
 
 def _clash_of_the_row_loop(data, ball):
