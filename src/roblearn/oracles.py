@@ -359,38 +359,46 @@ def _search(sep, C, lo, cfg, found):
                 break
         gap = np.vecdot(G, C) - off
         finite = np.isfinite(gap)
-        if np.count_nonzero(finite) < finite.size:  # a non-finite cut, or overflow
+        overflow = np.count_nonzero(finite) < finite.size  # or a non-finite cut
+        if overflow:
             cut_ok = np.isfinite(G).all(axis=1) & np.isfinite(off)
             if not cut_ok.all():  # each cut is checked once, when it arrives
                 failure = ConfigError("vector entries must be finite")
                 n = int(np.argmin(cut_ok))
                 rows, C, Q, G, off, gap = rows[:n], C[:n], Q[:n], G[:n], off[:n], gap[:n]
-        bad = gap < -1e-12 * (1.0 + np.abs(off))
+        unit = 1.0
+        if d > 1:
+            # matmul and vecdot round each row like the one-row Q @ g and
+            # g @ Qg; einsum does not
+            Qg = np.matmul(Q, G[..., None])[..., 0]
+            denom = np.vecdot(G, Qg)
+            if overflow or not math.isfinite(denom.sum()):
+                # a finite cut whose gap or Q g overflowed is scaled by the
+                # power of two 2^-e that takes its largest |g_j| into [1/2, 1),
+                # which keeps its halfspace. Qg, gap, width and the violation
+                # tolerance scale by 2^-e and denom by 2^-2e exactly, so every
+                # test and b = Qg / width are those of every power-of-two
+                # multiple of the cut that does not overflow, unless the
+                # scaling pushes an entry or product below 2^-1022.
+                big = ~(np.isfinite(denom) & np.isfinite(gap))
+                e = np.where(big, np.frexp(np.abs(G).max(axis=1))[1], 0)
+                G, off, unit = np.ldexp(G, -e[:, None]), np.ldexp(off, -e), np.ldexp(1.0, -e)
+                gap = np.vecdot(G, C) - off
+                Qg = np.matmul(Q, G[..., None])[..., 0]
+                denom = np.vecdot(G, Qg)
+        bad = gap < -1e-12 * (unit + np.abs(off))
         if np.count_nonzero(bad):
             failure = OracleViolation("separating hyperplane does not cut the center")
             n = int(np.argmax(bad))
             rows, C, Q, G, off, gap = rows[:n], C[:n], Q[:n], G[:n], off[:n], gap[:n]
+            if d > 1:
+                Qg, denom = Qg[:n], denom[:n]
         if not rows.size:
             break
         if d == 1:  # bisection: the interval is the ellipsoid
             C = C - np.copysign(r / 2.0, G)
             r /= 2.0
             continue
-        # matmul and vecdot round each row like the one-row Q @ g and g @ Qg;
-        # einsum does not
-        Qg = np.matmul(Q, G[..., None])[..., 0]
-        denom = np.vecdot(G, Qg)
-        if not math.isfinite(denom.sum()):
-            # a finite cut whose Q g overflowed is scaled by the power of two
-            # 2^-e that takes its largest |g_j| into [1/2, 1), which keeps its
-            # halfspace. Qg, gap and width scale by 2^-e and denom by 2^-2e
-            # exactly, so b = Qg / width and gap > width are those of every
-            # power-of-two multiple of the cut that does not overflow, unless
-            # the scaling pushes an entry or product below 2^-1022.
-            e = np.where(np.isfinite(denom), 0, np.frexp(np.abs(G).max(axis=1))[1])
-            G, gap, off = np.ldexp(G, -e[:, None]), np.ldexp(gap, -e), np.ldexp(off, -e)
-            Qg = np.matmul(Q, G[..., None])[..., 0]
-            denom = np.vecdot(G, Qg)
         empty = denom <= 0.0
         if np.count_nonzero(empty):
             keep = ~empty
@@ -543,8 +551,8 @@ def rerm_ellipsoid(data: Dataset, U, cfg: EllipsoidConfig) -> LinearModel:
     means every sample certifies robust at margin slack feas_slack; each
     failed certification contributes the cut -y_i z_i. Row i is asked through
     bound_separation(U, x_i), built when a weight query first gets to it. The
-    weight search starts at the init_radius ball around 0, and a query
-    outside it is cut by its norm, as _lockstep would cut it. Each row search
+    weight search starts at the init_radius ball around 0 and, like every
+    search, is held in it by the ball's cut (_lockstep). Each row search
     starts at x_i, for an lp ball in the ball of its own l2 reach
     (_row_config), for a polytope in the init_radius ball, which it then
     certifies only within init_radius of x_i.
@@ -562,9 +570,6 @@ def rerm_ellipsoid(data: Dataset, U, cfg: EllipsoidConfig) -> LinearModel:
     row_cfg = _row_config(U, d, cfg)
 
     def weight_oracle(wvec):
-        nrm = float(np.linalg.norm(wvec))
-        if nrm > cfg.init_radius:
-            return wvec / nrm, float(cfg.init_radius)
         # w = 0 violates every margin constraint; any point of U(x_i) cuts
         model = LinearModel(wvec) if np.any(wvec) else None
         todo = range(data.n)

@@ -552,9 +552,6 @@ def rerm_ellipsoid_ref(X, y, U, cfg, stop=True):
     oracles = [lambda z, x=x: separation_ref(U, x, z) for x in X]
 
     def weight_oracle(wvec):
-        nrm = float(np.linalg.norm(wvec))
-        if nrm > cfg.init_radius:
-            return Hyperplane(wvec / nrm, cfg.init_radius)
         for i in range(n):
             if not np.any(wvec):
                 z = ellipsoid_feasible_ref(oracles[i], d, row_cfg, center=X[i], stop=stop)

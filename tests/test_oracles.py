@@ -296,6 +296,16 @@ def test_a_cut_with_a_huge_normal_searches_like_its_unit_scaled_twin():
     assert alone[0][1:] == alone[1][1:] == (None, 9)
     assert alone[0][0].tobytes() == alone[1][0].tobytes() == lockstep[0][1].tobytes()
     assert [z.tobytes() for z in lockstep[0]] == [z.tobytes() for z in lockstep[1]]
+    # from a center 20 away the gap <g, c> - off overflows as well: it is
+    # taken again from the scaled cut, which finds the twin's point
+    far = [ellipsoid_feasible(bound_separation(Polytope(np.array([[a, 0.0]]), np.zeros(1)), x), 2,
+                              EllipsoidConfig(init_radius=30.0), center=vec(20.0, 0.0))
+           for a in (1e307, m)]
+    assert far[0] is not None and far[0].tobytes() == far[1].tobytes()
+    # and a gap that overflows to nan still shows a cut that misses the center
+    for a in (1e307, m):
+        with pytest.raises(OracleViolation):
+            ellipsoid_feasible(lambda z: (vec(a, a), a / 10.0), 2, cfg, center=vec(20.0, -20.0))
 
 
 def test_config_validation_and_defaults():
