@@ -74,6 +74,7 @@ from .learners import (
     rcn_lambda,
     rcn_phi,
     rcn_train_md,
+    reuse_fits,
     svm_margin,
 )
 from .boosting import (

@@ -12,6 +12,7 @@ learner into a one-sided barely-robust one.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -333,8 +334,17 @@ def beta_uroboost(labeled: Dataset, unlabeled_source, learner, cfg: BoostConfig,
 # ---------------------------------------------------------------------------
 
 
+def _distinct(models) -> list:
+    """(model, count) of each distinct model object in the list, in order of
+    first appearance: a vote whose members repeat evaluates each once."""
+    counts = Counter(map(id, models))
+    return [(m, counts[key]) for key, m in {id(m): m for m in models}.items()]
+
+
 class MajorityVote:
-    """Unweighted vote over ±1 predictors; exact ties go to +1."""
+    """Unweighted vote over ±1 predictors; exact ties go to +1. Each distinct
+    member is evaluated once and counted as often as it appears; the sums are
+    integers, exact in float64, so the vote is the member-by-member one."""
 
     def __init__(self, models):
         models = list(models)
@@ -348,8 +358,8 @@ class MajorityVote:
     def predict_batch(self, Z) -> np.ndarray:
         Z = np.asarray(Z, dtype=float)
         total = np.zeros(Z.shape[0])
-        for m in self.models:
-            total = total + m.predict_batch(Z)
+        for m, count in _distinct(self.models):
+            total = total + count * m.predict_batch(Z)
         return np.where(total >= 0, 1, -1).astype(np.int64)
 
 
@@ -386,6 +396,10 @@ def alpha_boost(data: Dataset, weak_learner, cfg: AlphaBoostConfig, U=None):
     raise WeakLearnerFailed to give up an attempt; a round whose attempts all
     fail raises WeakLearnerFailed. Returns the model list, their unweighted
     majority vote, and the weighted error of each round's model.
+
+    The weak learner is called for every attempt of every round, even when
+    the weights repeat, as a stateful learner may answer differently; a
+    caller whose learner is deterministic may wrap it in reuse_fits.
     """
     m = data.n
     if m == 0:
@@ -419,10 +433,11 @@ def alpha_boost(data: Dataset, weak_learner, cfg: AlphaBoostConfig, U=None):
 
 
 def vote_agreement(models, data: Dataset, U=None) -> np.ndarray:
-    """Per-example fraction of models with zero (robust) loss."""
+    """Per-example fraction of models with zero (robust) loss; a model that
+    appears more than once is evaluated once (see _distinct)."""
     agree = np.zeros(data.n)
-    for h in models:
-        agree += 1.0 - robust_losses(h, data, U)
+    for h, count in _distinct(models):
+        agree += count * (1.0 - robust_losses(h, data, U))
     return agree / len(models)
 
 

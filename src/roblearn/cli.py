@@ -35,6 +35,7 @@ from .learners import (
     perceptron_init,
     perceptron_model,
     rcn_train_md,
+    reuse_fits,
     svm_margin,
 )
 from .boosting import (
@@ -329,7 +330,7 @@ def _cmd_alpha_boost(args) -> dict:
         delta=args.delta,
         agreement_mode=args.agreement_mode,
     )
-    models, vote, round_errors = alpha_boost(data, erm_linear, cfg, U=U)
+    models, vote, round_errors = alpha_boost(data, reuse_fits(erm_linear), cfg, U=U)
     alpha, rounds = cfg.resolved(data.n)
     metrics = {
         "rounds": rounds,
@@ -355,7 +356,7 @@ def _cmd_robustify(args) -> dict:
         sparsify_N=args.sparsify_n,
         rng_seed=args.seed,
     )
-    vote, rounds_run = robustify_nonrobust(data, U, erm_linear, cfg)
+    vote, rounds_run = robustify_nonrobust(data, U, reuse_fits(erm_linear), cfg)
     return {
         "metrics": {
             "rounds_run": rounds_run,
@@ -369,7 +370,8 @@ def _cmd_robustify(args) -> dict:
 def _cmd_fms(args) -> dict:
     data = load_csv(args.input)
     U = _offsets(args, data.d)
-    vote, eta = fms_agnostic(data, U, erm_linear, eta_mw=args.eta_mw, rounds=args.rounds, eps=args.eps)
+    vote, eta = fms_agnostic(data, U, reuse_fits(erm_linear), eta_mw=args.eta_mw, rounds=args.rounds,
+                             eps=args.eps)
     return {
         "metrics": {
             "rounds": len(vote.models),

@@ -71,9 +71,12 @@ def erm_linear(wdata: WeightedDataset, cfg: ErmConfig | None = None) -> LinearMo
     """Approximate weighted ERM for halfspaces via hinge subgradient descent.
 
     Deterministic: the default path uses no randomness at all, so identical
-    inputs give identical models. The returned weights are never all zero; on
-    perfectly antisymmetric data where the subgradient vanishes at the origin,
-    a fixed fallback direction is used.
+    inputs give identical models, and it reads nothing of wdata beyond
+    wdata.data and the normalized weights wdata.weights / wdata.total. A
+    caller that asks again with the same problem may therefore reuse the fit;
+    reuse_fits does that. The returned weights are never all zero; on
+    perfectly antisymmetric data where the subgradient vanishes at the
+    origin, a fixed fallback direction is used.
     """
     cfg = cfg or ErmConfig()
     total = wdata.total
@@ -86,6 +89,39 @@ def erm_linear(wdata: WeightedDataset, cfg: ErmConfig | None = None) -> LinearMo
     w, b = _kernels.hinge_train(X, yf, sw, cfg.epochs, cfg.lr0, cfg.reg, cfg.fit_bias)
     w = _nonzero_or_fallback(np.asarray(w), X.T @ (yf * sw))
     return LinearModel(w, b if cfg.fit_bias else 0.0)
+
+
+def reuse_fits(erm):
+    """The learner wd -> erm(wd), which trains each distinct weighted problem
+    once: asked again with the same data object and the same normalized
+    weights wd.weights / wd.total bit for bit, it returns the stored model (a
+    frozen LinearModel for erm_linear). Exact for a deterministic erm that
+    reads only wd.data and the normalized weights, as erm_linear does.
+
+    It keeps the fits of the last two distinct weight vectors and forgets
+    them all when the data object changes, so it holds at most 2 n floats of
+    keys. Two because once every row holds, alpha_boost only rescales its
+    weights, and their rounding can cycle: on 400 rows of band data it
+    repeats three vectors, which normalize to A, A, B, so two entries hold
+    every distinct problem.
+    """
+    data, fits = None, {}  # normalized weights' bytes -> model, least recently used first
+
+    def fit(wd):
+        nonlocal data, fits
+        total = wd.total
+        if total <= 0.0:
+            return erm(wd)  # no distribution to key on; erm_linear refuses it
+        if wd.data is not data:
+            data, fits = wd.data, {}
+        key = (wd.weights / total).tobytes()
+        model = fits.pop(key) if key in fits else erm(wd)
+        fits[key] = model
+        if len(fits) > 2:
+            del fits[next(iter(fits))]
+        return model
+
+    return fit
 
 
 @dataclass

@@ -38,7 +38,7 @@ from .core import (
     dual_norm,
     worst_case_point,
 )
-from .errors import ConfigError, EllipsoidDiverged, NotSeparable, OracleViolation, UnsupportedGeometry
+from .errors import ConfigError, EllipsoidDiverged, NotSeparable, OracleViolation, UnsupportedGeometry, ZeroWeight
 
 
 class _Inside:
@@ -562,7 +562,9 @@ def rerm_ellipsoid(data: Dataset, U, cfg: EllipsoidConfig) -> LinearModel:
     as their certification can only return None; the rest run in order, so
     the failing row and its cut stay the same. An lp ball that reaches past
     init_radius raises EllipsoidDiverged at once. Raises NotSeparable when the
-    budget is exhausted without a feasible point.
+    budget is exhausted without a feasible point, and ZeroWeight when the
+    search accepts w = 0, which it does when no row's region has a point
+    within init_radius of the row, as no row then constrains w.
     """
     d = data.d
     tau = cfg.feas_slack
@@ -596,4 +598,8 @@ def rerm_ellipsoid(data: Dataset, U, cfg: EllipsoidConfig) -> LinearModel:
     w = ellipsoid_feasible(weight_oracle, d, cfg)
     if w is None:
         raise NotSeparable("no robustly separating halfspace within the search budget")
+    if not np.any(w):
+        raise ZeroWeight(f"no row's perturbation region reaches within init_radius "
+                         f"{cfg.init_radius:.6g} of the row, so no row constrains w "
+                         "and the search accepted w = 0")
     return LinearModel(w)

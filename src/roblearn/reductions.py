@@ -223,6 +223,10 @@ def fms_agnostic(data: Dataset, U, erm, eta_mw: float | None = None, rounds: int
     fits the current per-perturbation distribution, then every perturbation
     the round's model got wrong is up-weighted by (1 + eta). Returns the
     majority vote of the round models and the eta used.
+
+    erm is called every round, even when the weights did not move, as a
+    stateful learner may answer differently; a caller whose erm is
+    deterministic may wrap it in reuse_fits.
     """
     if rounds is not None and rounds < 1:
         raise ConfigError("rounds must be >= 1")

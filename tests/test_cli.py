@@ -9,7 +9,7 @@ from roblearn import (AllZeroWeights, ConfigError, Dataset, EllipsoidDiverged, L
                       UnsupportedGeometry, WeightedDataset, ZeroPerceptron, ZeroWeight, erm_linear,
                       finite_source, load_csv, load_model, margin_attack, perceptron_init, save_csv,
                       save_model)
-from roblearn import cli
+from roblearn import _kernels, cli
 from roblearn.cli import EXIT_INTERNAL, _exit_code, main
 
 from ._refs import dual_exponent_ref, norm_ref, one_pass_ref
@@ -485,6 +485,27 @@ def test_alpha_boost_agreement_mode_runs_on_one_row(tmp_path, capsys):
     assert run(["alpha-boost", "--input", path, "--agreement-mode"]) == 0
     out = capsys.readouterr()
     assert out.err == "" and "  rounds: 78\n" in out.out
+
+
+def test_fms_and_alpha_boost_train_each_distinct_problem_once(tmp_path, capsys, monkeypatch):
+    # the band holds every offset, so fms's weights never move and
+    # alpha-boost's cycle through two roundings of one distribution: every
+    # repeated round reuses its fit instead of running the kernel again
+    calls = []
+    train = _kernels.hinge_train
+
+    def counted(*args):
+        calls.append(args[2].tobytes())
+        return train(*args)
+
+    monkeypatch.setattr(_kernels, "hinge_train", counted)
+    data = write_band(tmp_path)
+    offsets = ["--offset", "0,0", "--offset", "0.3,0", "--offset=-0.3,0"]
+    assert run(["fms", "--input", data, *offsets, "--rounds", "12"]) == 0
+    assert "  rounds: 12\n  eta:" in capsys.readouterr().out and len(calls) == 1
+    calls.clear()
+    assert run(["alpha-boost", "--input", data, *offsets, "--rounds", "12"]) == 0
+    assert "  rounds: 12\n" in capsys.readouterr().out and len(calls) == len(set(calls)) <= 2
 
 
 def test_urejectron_err_q_counts_over_the_scores_of_the_sweep(tmp_path, monkeypatch):

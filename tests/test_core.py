@@ -16,6 +16,7 @@ from roblearn import (
     Sample,
     SelectiveClassifier,
     SizeLimit,
+    ZeroWeight,
     attack,
     dual_exponent,
     dual_maximizer,
@@ -124,6 +125,11 @@ def test_linear_model_boundary_is_positive():
     m = LinearModel(vec(1.0, 0.0))
     assert m.predict(vec(0.0, 5.0)) == 1
     assert np.array_equal(m.predict_batch(np.array([[0.0, 1.0], [-1.0, 0.0]])), [1, -1])
+
+
+def test_linear_model_refuses_all_zero_weights():
+    with pytest.raises(ZeroWeight, match="must not be all zero"):
+        LinearModel(vec(0.0, -0.0))
 
 
 def _bits(v) -> bytes:

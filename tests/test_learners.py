@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -30,8 +31,10 @@ from roblearn import (
     rcn_lambda,
     rcn_phi,
     rcn_train_md,
+    reuse_fits,
     svm_margin,
 )
+from roblearn import _kernels
 from roblearn.data import apply_rcn, substream
 
 from ._refs import central_difference, q_ball_step_decimal
@@ -124,6 +127,72 @@ def test_erm_is_deterministic():
     a = erm_linear(WeightedDataset.uniform(data))
     b = erm_linear(WeightedDataset.uniform(data))
     assert np.array_equal(a.w, b.w) and a.bias == b.bias
+
+
+def test_erm_falls_back_when_no_step_leaves_the_origin():
+    # antisymmetric rows: the subgradient at the origin is exactly zero, and
+    # so is the fallback direction X^T (y sw), which leaves e1
+    flat = Dataset(np.array([[1.0, 2.0], [1.0, 2.0]]), np.array([1, -1]))
+    assert erm_linear(WeightedDataset.uniform(flat)).w.tolist() == [1.0, 0.0]
+    # a subgradient of the least subnormal: every step of at most 0.5 times
+    # it rounds to zero, so the kernel ends at the origin and the fallback
+    # direction X^T (y sw) itself is returned
+    tiny = Dataset(np.array([[5e-324, 0.0]]), np.array([1]))
+    cfg = ErmConfig()
+    w, _ = _kernels.hinge_train(tiny.X, np.ones(1), np.ones(1), cfg.epochs, cfg.lr0, cfg.reg, False)
+    assert not np.any(w)
+    assert erm_linear(WeightedDataset.uniform(tiny)).w.tobytes() == tiny.X[0].tobytes()
+
+
+# weight vectors on a 4-row dataset: a first, one an ulp from it, a third,
+# the first with -0.0 for its zero weight, and twice the first, which
+# normalizes to the first's bits
+_A = np.array([0.5, 0.0, 0.25, 0.25])
+_WEIGHTS = [_A, np.array([0.5, 0.0, 0.25, 0.25000000000000006]), np.array([0.1, 0.0, 0.3, 0.6]),
+            np.array([0.5, -0.0, 0.25, 0.25]), 2.0 * _A]
+_ERM_DATA = Dataset(np.array([[1.0, 0.2], [-0.5, 0.9], [-1.5, 0.1], [0.8, -0.4]]),
+                    np.array([1, 1, -1, -1]))
+
+
+@given(st.lists(st.integers(0, len(_WEIGHTS) - 1), max_size=12))
+@example([0, 0, 1] * 4)
+@example([0, 4, 1] * 4)  # alpha_boost's cycle: three vectors, two distributions
+@example([0, 1, 2] * 4)  # a 3-cycle of distributions: every call misses
+@example([0, 3, 0, 3, 3, 0])  # +0.0 and -0.0 are different bits
+def test_reuse_fits_trains_each_miss_of_two_once(picks):
+    erm = functools.partial(erm_linear, cfg=ErmConfig(epochs=20))
+    trained = []
+
+    def counted(wd):
+        trained.append((wd.weights / wd.total).tobytes())
+        return erm(wd)
+
+    fit = reuse_fits(counted)
+    memory, misses = [], []  # the last two distinct distributions, oldest first
+    for i in picks:
+        wd = WeightedDataset(_ERM_DATA, _WEIGHTS[i].copy())
+        got, want = fit(wd), erm(wd)
+        assert got.w.tobytes() == want.w.tobytes() and got.bias == want.bias
+        key = (_WEIGHTS[i] / _WEIGHTS[i].sum()).tobytes()
+        if key in memory:
+            memory.remove(key)
+        else:
+            misses.append(key)
+        memory = [*memory[-1:], key]
+    assert trained == misses
+    if picks:
+        # the same weights with another data object train again, and so do
+        # the old data's weights after it
+        last = WeightedDataset(_ERM_DATA, _WEIGHTS[picks[-1]])
+        again = WeightedDataset(Dataset(_ERM_DATA.X, _ERM_DATA.y), last.weights)
+        assert fit(again).w.tobytes() == erm(again).w.tobytes()
+        fit(last)
+        assert trained == [*misses, memory[-1], memory[-1]]
+
+
+def test_reuse_fits_leaves_a_zero_total_to_the_learner():
+    with pytest.raises(AllZeroWeights):
+        reuse_fits(erm_linear)(WeightedDataset(_ERM_DATA, np.zeros(4)))
 
 
 # ---------------------------------------------------------------------------

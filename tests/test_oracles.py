@@ -520,7 +520,7 @@ def test_polytopes_past_the_start_are_searched_within_init_radius():
     # 20 or more from x, and so does the box -21 <= z_1 - x_1 <= -20,
     # |z_2| <= 1. From a start ball of radius 2 every search finds no point
     # and certifies the row, and RERM finds every row's region empty, so it
-    # accepts w = 0, which LinearModel refuses; from radius 30 the searches
+    # accepts w = 0 and says that no row constrains w; from radius 30 the searches
     # find a counterexample within the ball. An empty strip has none.
     data = Dataset(np.array([[2.0, 0.0], [-2.0, 0.0]]), np.array([1, -1]))
     model, x = LinearModel(vec(1.0, 0.0), bias=-0.5), data.X[0]
@@ -538,7 +538,7 @@ def test_polytopes_past_the_start_are_searched_within_init_radius():
             assert z is None or (z.tobytes() == batch[0].tobytes() and model.decision(z) <= 0
                                  and np.linalg.norm(z - x) <= r * (1.0 + 1e-9))
             assert found is None or separation_oracle(U, x, found) is INSIDE
-        with pytest.raises(ZeroWeight):
+        with pytest.raises(ZeroWeight, match="no row's perturbation region reaches within init_radius 2 "):
             rerm_ellipsoid(data, U, EllipsoidConfig(init_radius=2.0))
     assert ellipsoid_certify_batch(model, data, empty, EllipsoidConfig(init_radius=2.0)) == \
         [None, None]
