@@ -43,10 +43,8 @@ from .core import (
 )
 from .oracles import (
     EllipsoidConfig,
-    Hyperplane,
     Polytope,
     attack,
-    bound_separation,
     default_ellipsoid_config,
     ellipsoid_certify,
     ellipsoid_feasible,

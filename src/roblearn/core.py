@@ -233,10 +233,9 @@ def margin(model: LinearModel, x, p: float) -> float:
 
 
 def margins_batch(model: LinearModel, X, p: float) -> np.ndarray:
-    nq = dual_norm(model.w, p)
-    if nq == 0.0:
-        raise ZeroWeight("margin undefined for all-zero weights")
-    return model.decisions(X) / nq
+    # a LinearModel's weights are finite and not all zero, so the norm is at
+    # least their largest |entry| > 0
+    return model.decisions(X) / dual_norm(model.w, p)
 
 
 def ball_hits(model: LinearModel, X, y, ball: LpBall) -> np.ndarray:

@@ -6,12 +6,16 @@ regions goes through the ellipsoid method: a separation oracle for U(x) is
 composed with the misclassification halfspace, and robust ERM runs a second
 ellipsoid in weight space whose cuts come from failed certifications.
 
-There is one central-cut loop, `_lockstep`: it runs k searches side by side
-as stacked centers and shapes, asking a row-wise oracle for all open rows at
-once, so certifying a dataset costs one numpy step per iteration rather than
-one per row and iteration. A single search (`ellipsoid_feasible`,
-`ellipsoid_certify`) is its one-row case behind an adapter over the scalar
-oracle, and `_separate` answers for lp balls and polytopes row by row.
+Every separation oracle has one form, sep(rows, Z) -> (inside, normals,
+offsets): for the queries Z[j] of the open rows `rows`, a mask of the
+accepted ones and, for each other row, a cut <normals[j], z'> <= offsets[j]
+that contains its region. There is one central-cut loop, `_lockstep`: it
+runs k searches side by side as stacked centers and shapes, asking the
+oracle for all open rows at once, so certifying a dataset costs one numpy
+step per iteration rather than one per row and iteration. A single search
+(`ellipsoid_feasible`, `ellipsoid_certify`) is its one-row case, and
+`_separate` answers for lp balls and polytopes row by row
+(`separation_oracle` closes it over one center).
 Every search holds its region in its start ball by cutting with the ball
 itself, so in d >= 2 a search that proves the region empty (a cut whose
 halfspace misses the ellipsoid) ends there rather than at its cut count.
@@ -39,32 +43,6 @@ from .core import (
     worst_case_point,
 )
 from .errors import ConfigError, EllipsoidDiverged, NotSeparable, OracleViolation, UnsupportedGeometry, ZeroWeight
-
-
-class _Inside:
-    def __repr__(self):
-        return "Inside"
-
-
-INSIDE = _Inside()
-
-
-@dataclass(frozen=True)
-class Hyperplane:
-    """Certificate that the query lies outside: <normal, z'> <= offset for all
-    z' in the region while <normal, query> > offset."""
-
-    normal: np.ndarray
-    offset: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "normal", as_vector(self.normal))
-        object.__setattr__(self, "offset", float(self.offset))
-        if not np.any(self.normal):
-            raise ConfigError("hyperplane normal must be non-zero")
-
-    def __iter__(self):  # unpacks like a raw (normal, offset) cut
-        return iter((self.normal, self.offset))
 
 
 @dataclass(frozen=True)
@@ -221,27 +199,12 @@ def _separate(U_descriptor, X: np.ndarray, Z: np.ndarray):
     raise UnsupportedGeometry(f"no separation oracle for {type(U_descriptor).__name__}")
 
 
-def separation_oracle(U_descriptor, x, z) -> _Inside | Hyperplane:
-    """Membership-or-separating-hyperplane for z against U(x)."""
-    inside, normal, offset = _separate(U_descriptor, as_vector(x)[None], as_vector(z)[None])
-    return INSIDE if inside[0] else Hyperplane(normal[0], offset[0])
-
-
-def bound_separation(U_descriptor, x):
-    """Close the oracle over a center validated here, once. The query-only
-    callable answers INSIDE or a raw cut; the ellipsoid checks its queries
-    and asks its `rowwise` form, skipping the one-row adapter."""
+def separation_oracle(U_descriptor, x):
+    """The row-wise separation oracle for U(x), an lp ball or polytope around
+    x, with x validated here, once: sep(rows, Z) answers every query Z[j]
+    against U(x), whatever its row."""
     X = as_vector(x)[None]
-
-    def rowwise(_, Z):
-        return _separate(U_descriptor, X, Z)
-
-    def sep(z):
-        inside, normal, offset = rowwise(None, z[None])
-        return INSIDE if inside[0] else (normal[0], float(offset[0]))
-
-    sep.rowwise = rowwise
-    return sep
+    return lambda rows, Z: _separate(U_descriptor, X, Z)
 
 
 # The searches of one lockstep run hold at most this many floats of stacked
@@ -457,38 +420,21 @@ def _misses(gap, G, C, off, Q, denom):
     return gap - kappa * (np.vecdot(absG, np.abs(C)) + np.abs(off)) - t > width
 
 
-def _one_row(sep):
-    """The scalar oracle sep(z), answering INSIDE or a (normal, offset) cut,
-    as a row-wise oracle over a single row; a bound_separation oracle is
-    asked in its own row-wise form."""
-    if hasattr(sep, "rowwise"):
-        return sep.rowwise
-
-    def answer(_, Z):
-        ans = sep(Z[0])
-        if ans is INSIDE:
-            return np.ones(1, dtype=bool), np.zeros_like(Z), np.zeros(1)
-        normal, offset = ans
-        return np.zeros(1, dtype=bool), np.asarray(normal, dtype=float)[None], np.array([offset], dtype=float)
-
-    return answer
-
-
 def ellipsoid_feasible(sep, d: int, cfg: EllipsoidConfig, center=None):
     """Find a point the separation oracle accepts within init_radius of
     center, or None when there is none up to volume_eps (the search reached
     its cut count, a cut's halfspace missed the ellipsoid, or a cut left
     nothing).
 
-    sep answers INSIDE or a (normal, offset) cut, and each cut must contain
-    the region. A point sep accepts past init_radius is cut by the start
-    ball, so the search holds the region's part within init_radius and may
-    end at a cut that misses the ellipsoid (see _lockstep).
+    sep is a row-wise oracle, asked for the one row 0 (see _lockstep), and
+    each cut must contain the region. A point sep accepts past init_radius is
+    cut by the start ball, so the search holds the region's part within
+    init_radius and may end at a cut that misses the ellipsoid.
     """
     c = np.zeros(d) if center is None else as_vector(center)
     if c.shape != (d,):
         raise ConfigError(f"center must have {d} entries, got {c.shape[0]}")
-    return _lockstep(_one_row(sep), np.array([c]), cfg)[0]
+    return _lockstep(sep, np.array([c]), cfg)[0]
 
 
 def _certify_oracle(w, bias: float, y: np.ndarray, slack: float, region):
@@ -520,12 +466,13 @@ def ellipsoid_certify(model: LinearModel, sample: Sample, sepU, cfg: EllipsoidCo
     (certified robust there); the search ends as soon as a cut, from sepU,
     the model or the start ball, misses its ellipsoid.
 
-    sepU must be a query-only separation oracle for U(x) whose cuts contain
-    U(x). The search starts in the init_radius ball around x and holds U(x)
-    in it, as ellipsoid_feasible does.
+    sepU must be a row-wise separation oracle for U(x), such as
+    separation_oracle(U, x), whose cuts contain U(x). The search starts in
+    the init_radius ball around x and holds U(x) in it, as
+    ellipsoid_feasible does.
     """
     x = as_vector(sample.x)
-    sep = _certify_oracle(model.w, model.bias, np.array([float(sample.y)]), slack, _one_row(sepU))
+    sep = _certify_oracle(model.w, model.bias, np.array([float(sample.y)]), slack, sepU)
     return _lockstep(sep, x[None], cfg)[0]
 
 
@@ -550,7 +497,7 @@ def rerm_ellipsoid(data: Dataset, U, cfg: EllipsoidConfig) -> LinearModel:
     space, against the lp ball or polytope U around each row. Feasibility
     means every sample certifies robust at margin slack feas_slack; each
     failed certification contributes the cut -y_i z_i. Row i is asked through
-    bound_separation(U, x_i), built when a weight query first gets to it. The
+    separation_oracle(U, x_i), built when a weight query first gets to it. The
     weight search starts at the init_radius ball around 0 and, like every
     search, is held in it by the ball's cut (_lockstep). Each row search
     starts at x_i, for an lp ball in the ball of its own l2 reach
@@ -571,8 +518,9 @@ def rerm_ellipsoid(data: Dataset, U, cfg: EllipsoidConfig) -> LinearModel:
     screen = isinstance(U, LpBall)
     row_cfg = _row_config(U, d, cfg)
 
-    def weight_oracle(wvec):
+    def weight_oracle(_, W):
         # w = 0 violates every margin constraint; any point of U(x_i) cuts
+        wvec = W[0]
         model = LinearModel(wvec) if np.any(wvec) else None
         todo = range(data.n)
         if screen:  # at w = 0 no row is proven
@@ -581,19 +529,19 @@ def rerm_ellipsoid(data: Dataset, U, cfg: EllipsoidConfig) -> LinearModel:
             proven = raw - shift - tau > 1e-9 * (np.abs(raw) + shift + tau)
             todo = np.flatnonzero(~proven)
         for i in todo:
-            s, sep = data.sample(i), bound_separation(U, data.X[i])
+            s, sep = data.sample(i), separation_oracle(U, data.X[i])
             if model is None:
                 z = ellipsoid_feasible(sep, d, row_cfg, center=s.x)
             else:
                 z = ellipsoid_certify(model, s, sep, row_cfg, slack=tau)
             if z is None:
                 continue
-            normal = -s.y * np.asarray(z, dtype=float)
+            normal = -s.y * z
             if not np.any(normal):
                 # constraint y <w, 0> >= tau > 0 can never hold
                 raise NotSeparable("a perturbation at the origin blocks every halfspace")
-            return normal, -tau
-        return INSIDE
+            return np.zeros(1, dtype=bool), normal[None], np.array([-tau])
+        return np.ones(1, dtype=bool), np.zeros_like(W), np.zeros(1)
 
     w = ellipsoid_feasible(weight_oracle, d, cfg)
     if w is None:

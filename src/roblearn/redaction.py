@@ -27,8 +27,7 @@ from .core import (
     robust_risk,
 )
 from .data import fmt_float, parse_float, read_text, write_text
-from .errors import (ConfigError, EmptyDataset, EmptyPool, NoRealizableMember, ParseError,
-                     RoblearnError, Unsupported)
+from .errors import ConfigError, EmptyDataset, EmptyPool, NoRealizableMember, ParseError, Unsupported
 from .learners import ErmConfig, WeightedDataset, erm_linear
 
 
@@ -165,11 +164,8 @@ def rejectron(train: Dataset, test_points, cfg: RedactConfig, erm=None):
         err_train = float(np.mean(c_train != train_pred))
         s = err_test - lam * err_train
         scores.append(float(s))
-        if s <= cfg.eps:
+        if s <= cfg.eps:  # s <= err_test, so a kept round redacts > eps * n_test rows
             break
-        removed = int(disagree_sel.sum())
-        if removed <= cfg.eps * n_test:
-            raise RoblearnError("a kept round must redact more than an eps fraction")
         members.append(c)
         selected = selected & ~disagree_sel
     return h, SelectionSet("rejectron", members, base=h, eps=cfg.eps), scores

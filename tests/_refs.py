@@ -2,10 +2,12 @@
 
 Everything here is written from the definitions, on purpose: no calls into
 roblearn's closed forms, so a bug there cannot hide a bug here. Only its
-vector check, its oracle answer types, its errors and its text read and
-write are shared, plus its generator for test streams, the stage walk that
-accept_ref's loop calls (nonrobust_ref checks that walk on its own) and the
-weighted vote the one-row weighted-majority loop updates.
+vector check, its errors and its text read and write are shared, plus its
+generator for test streams, the stage walk that accept_ref's loop calls
+(nonrobust_ref checks that walk on its own) and the weighted vote the
+one-row weighted-majority loop updates. The scalar separation-oracle
+answers (INSIDE or a Hyperplane) live here, with one_row, which asks a
+scalar oracle as the package's row-wise contract does.
 """
 
 from __future__ import annotations
@@ -19,10 +21,9 @@ import numpy as np
 from roblearn.boosting import _stage_labels
 from roblearn.core import Dataset, as_vector
 from roblearn.data import GenSpec, generate, read_text, write_text
-from roblearn.errors import (EllipsoidDiverged, EmptyDataset, EmptyPool, MistakeCapExceeded,
-                             NotSeparable, OracleViolation, ParseError, SourceExhausted,
-                             StreamExhausted)
-from roblearn.oracles import INSIDE, Hyperplane
+from roblearn.errors import (ConfigError, EllipsoidDiverged, EmptyDataset, EmptyPool,
+                             MistakeCapExceeded, NotSeparable, OracleViolation, ParseError,
+                             SourceExhausted, StreamExhausted)
 from roblearn.reductions import EnsembleWeights, WeightedMajority
 
 
@@ -411,6 +412,45 @@ def select_ref(mode: str, base, members, x) -> bool:
 # its boundary: every answer is a validated Hyperplane, every query is
 # re-validated, and Q is rebuilt out of place and re-symmetrized each step
 # ---------------------------------------------------------------------------
+
+
+class _Inside:
+    def __repr__(self):
+        return "Inside"
+
+
+INSIDE = _Inside()
+
+
+@dataclasses.dataclass(frozen=True)
+class Hyperplane:
+    """Certificate that the query lies outside: <normal, z'> <= offset for all
+    z' in the region while <normal, query> > offset."""
+
+    normal: np.ndarray
+    offset: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "normal", as_vector(self.normal))
+        object.__setattr__(self, "offset", float(self.offset))
+        if not np.any(self.normal):
+            raise ConfigError("hyperplane normal must be non-zero")
+
+    def __iter__(self):  # unpacks like a raw (normal, offset) cut
+        return iter((self.normal, self.offset))
+
+
+def one_row(sep):
+    """The scalar oracle sep(z), answering INSIDE or a (normal, offset) cut,
+    as the row-wise oracle sep(rows, Z) of a single-row search."""
+    def answer(_, Z):
+        ans = sep(Z[0])
+        if ans is INSIDE:
+            return np.ones(1, dtype=bool), np.zeros_like(Z), np.zeros(1)
+        normal, offset = ans
+        return (np.zeros(1, dtype=bool), np.asarray(normal, dtype=float)[None],
+                np.array([offset], dtype=float))
+    return answer
 
 
 def separation_ref(U, x, z):

@@ -9,6 +9,7 @@ from roblearn import (
     AlphaBoostConfig,
     BoostConfig,
     Cascade,
+    ConfigError,
     Dataset,
     FiniteOffsets,
     FinitePerExample,
@@ -18,6 +19,7 @@ from roblearn import (
     MajorityVote,
     MarginCluster,
     MarginUnion,
+    Polytope,
     RetryLimit,
     Sample,
     SelectiveClassifier,
@@ -91,6 +93,9 @@ def test_selective_predict_rejects_per_example_tables():
     sc = SelectiveClassifier(LinearModel(vec(1.0)), FinitePerExample({0: np.array([[0.0]])}))
     with pytest.raises(Unsupported):
         selective_predict(sc, vec(0.0))
+    with pytest.raises(Unsupported, match="no abstention rule for Polytope"):
+        selective_predict(SelectiveClassifier(LinearModel(vec(1.0)), Polytope(np.eye(1), np.ones(1))),
+                          vec(0.0))
 
 
 @given(st.integers(0, 3_000), st.sampled_from([2.0, math.inf]))
@@ -509,6 +514,8 @@ def test_alpha_boost_gives_up_on_hopeless_learner():
     data = Dataset(np.array([[1.0], [2.0]]), np.array([1, 1]))
     with pytest.raises(WeakLearnerFailed):
         alpha_boost(data, lambda wd: LinearModel(vec(-1.0)), AlphaBoostConfig(rounds=3))
+    with pytest.raises(ConfigError, match="empty dataset"):
+        alpha_boost(data.subset([]), lambda wd: LinearModel(vec(1.0)), AlphaBoostConfig(rounds=3))
 
 
 def test_alpha_boost_retries_a_weak_learner_that_gives_up():

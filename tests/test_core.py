@@ -6,16 +6,20 @@ from hypothesis import example, given, strategies as st
 
 from roblearn import (
     Cascade,
+    ConfigError,
     Dataset,
+    EmptyDataset,
     FiniteOffsets,
     FinitePerExample,
     InvalidNorm,
     LinearModel,
     LpBall,
+    MajorityVote,
     PerceptronState,
     Sample,
     SelectiveClassifier,
     SizeLimit,
+    Unsupported,
     ZeroWeight,
     attack,
     dual_exponent,
@@ -106,6 +110,21 @@ def test_sample_validates_label():
         Sample(vec(1.0), 0)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Sample(np.zeros((1, 2)), 1), "expected a 1-d vector"),
+    (lambda: Dataset(vec(1.0, 2.0), np.array([1, -1])), "X must be 2-d"),
+    (lambda: Dataset(np.array([[1.0], [np.nan]]), np.array([1, -1])), "features must be finite"),
+    (lambda: Dataset(np.zeros((2, 1)), np.array([1, 0])), "labels must be -1 or"),
+    (lambda: FiniteOffsets(vec(0.0, 1.0)), "offsets must be a list of vectors"),
+    (lambda: FiniteOffsets([vec(1.0, 0.0)]), "must include the zero vector"),
+    (lambda: FinitePerExample({3: np.zeros((0, 2))}), "index 3 must be non-empty 2-d"),
+], ids=["vector-2d", "dataset-1d", "dataset-nan", "dataset-label", "offsets-1d",
+        "offsets-no-zero", "per-example-empty"])
+def test_containers_refuse_malformed_input(build, message):
+    with pytest.raises(ConfigError, match=message):
+        build()
+
+
 def test_dataset_shapes_and_subset():
     data = Dataset(np.arange(6, dtype=float).reshape(3, 2), np.array([1, -1, 1]))
     assert data.n == 3 and data.d == 2
@@ -130,6 +149,8 @@ def test_linear_model_boundary_is_positive():
 def test_linear_model_refuses_all_zero_weights():
     with pytest.raises(ZeroWeight, match="must not be all zero"):
         LinearModel(vec(0.0, -0.0))
+    with pytest.raises(ZeroWeight, match="dual maximizer of the zero vector"):
+        dual_maximizer(vec(0.0, -0.0), 2.0)
 
 
 def _bits(v) -> bytes:
@@ -287,6 +308,11 @@ def test_robust_risk_averages():
     m = LinearModel(vec(1.0, 0.0))
     data = Dataset(np.array([[2.0, 0.0], [0.5, 0.0], [-2.0, 0.0]]), np.array([1, 1, -1]))
     assert robust_risk(m, data, LpBall(2.0, 1.0)) == pytest.approx(1.0 / 3.0)
+    with pytest.raises(EmptyDataset):
+        robust_risk(m, Dataset(np.zeros((0, 2)), np.zeros(0)), None)
+    # a vote has no closed-form ball loss
+    with pytest.raises(Unsupported, match="no closed form for MajorityVote"):
+        robust_risk(MajorityVote([m]), data, LpBall(2.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +363,6 @@ def test_inflate_per_example_table_keys_by_row():
 
 
 def test_inflate_rejects_balls_and_caps_size():
-    from roblearn import Unsupported
-
     data = Dataset(np.zeros((2, 1)), np.array([1, 1]))
     with pytest.raises(Unsupported):
         inflate(data, LpBall(2.0, 0.1))

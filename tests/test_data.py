@@ -106,6 +106,8 @@ def test_margin_union_places_points_at_signed_centers():
     assert 240 <= on_first <= 360
     with pytest.raises(ValueError):
         MarginUnion(())
+    with pytest.raises(ValueError, match="share a dimension"):
+        MarginUnion((MarginCluster((1.0,)), MarginCluster((1.0, 0.0))))
     with pytest.raises(ValueError):
         MarginCluster((1.0,), weight=0.0)
     with pytest.raises(ValueError):

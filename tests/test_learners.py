@@ -17,6 +17,7 @@ from roblearn import (
     LinearModel,
     RcnConfig,
     WeightedDataset,
+    ZeroPerceptron,
     erm_linear,
     glm_link_u,
     glm_loss,
@@ -256,6 +257,11 @@ def test_perceptron_updates_only_on_mistakes():
     # the original state is untouched
     assert np.array_equal(st0.w, vec(0.0, 0.0))
     assert perceptron_model(st2).predict(vec(1.0, 0.0)) == -1
+    # a +1 mistake on the same point takes w back to zero
+    st3 = perceptron_update(st2, vec(1.0, 0.0), 1)
+    assert st3.mistakes == 2 and not np.any(st3.w)
+    with pytest.raises(ZeroPerceptron, match="its 2 updates cancelled out$"):
+        perceptron_model(st3)
 
 
 def test_perceptron_mistake_bound_on_separable_stream():

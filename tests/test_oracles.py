@@ -10,7 +10,6 @@ from roblearn import (
     EllipsoidConfig,
     FiniteOffsets,
     FinitePerExample,
-    Hyperplane,
     LinearModel,
     LpBall,
     NotSeparable,
@@ -18,7 +17,6 @@ from roblearn import (
     Polytope,
     Sample,
     attack,
-    bound_separation,
     default_ellipsoid_config,
     dual_norm,
     ellipsoid_certify,
@@ -31,13 +29,16 @@ from roblearn import (
 from roblearn import oracles
 from roblearn.errors import (ConfigError, EllipsoidDiverged, RoblearnError, UnsupportedGeometry,
                              ZeroWeight)
-from roblearn.oracles import INSIDE, check_disjoint_balls, ellipsoid_certify_batch
+from roblearn.oracles import check_disjoint_balls, ellipsoid_certify_batch
 
 from ._refs import (
+    INSIDE,
+    Hyperplane,
     ball_samples,
     brute_margin_certified,
     ellipsoid_certify_ref,
     ellipsoid_feasible_ref,
+    one_row,
     rerm_ellipsoid_ref,
     row_config_ref,
     separation_ref,
@@ -107,33 +108,21 @@ def test_ball_separation_cuts_query_not_region(seed, p):
     gamma = 0.5
     ball = LpBall(p, gamma)
     z = x + rng.standard_normal(3) * 1.5
-    ans = separation_oracle(ball, x, z)
+    (inside,), (normal,), (offset,) = separation_oracle(ball, x)(np.arange(1), z[None])
     if lp_norm(z - x, p) <= gamma:
-        assert ans is INSIDE
+        assert inside
     else:
-        assert isinstance(ans, Hyperplane)
-        assert float(ans.normal @ z) > ans.offset - 1e-12
+        assert not inside and float(normal @ z) > offset - 1e-12
         inside_pts = ball_samples(x, p, gamma, 200, rng)
-        assert np.all(inside_pts @ ans.normal <= ans.offset + 1e-9)
+        assert np.all(inside_pts @ normal <= offset + 1e-9)
 
 
 def test_polytope_separation_matches_box():
     box = Polytope(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]), np.full(4, 0.5))
-    x = vec(1.0, 1.0)
-    assert separation_oracle(box, x, vec(1.4, 0.8)) is INSIDE
-    ans = separation_oracle(box, x, vec(1.7, 1.0))
-    assert isinstance(ans, Hyperplane)
-    assert float(ans.normal @ vec(1.7, 1.0)) > ans.offset
-
-
-def test_hyperplane_rejects_zero_normal():
-    with pytest.raises(ValueError):
-        Hyperplane(vec(0.0, 0.0), 1.0)
-
-
-def test_hyperplane_unpacks_to_normal_and_offset():
-    normal, offset = Hyperplane([1, 2], 3)
-    assert np.array_equal(normal, vec(1.0, 2.0)) and offset == 3.0 and type(offset) is float
+    Z = np.array([[1.4, 0.8], [1.7, 1.0]])
+    inside, normal, offset = separation_oracle(box, vec(1.0, 1.0))(np.arange(2), Z)
+    assert inside.tolist() == [True, False]
+    assert float(normal[1] @ Z[1]) > offset[1]
 
 
 def test_polytope_validates_shapes():
@@ -154,18 +143,18 @@ def test_polytope_rejects_rows_that_cannot_cut(A, b):
 @pytest.mark.parametrize("U", [LpBall(1.0, 0.5), LpBall(2.0, 0.5), LpBall(math.inf, 0.5),
                                Polytope(np.eye(2), np.full(2, 0.5))])
 def test_public_separation_oracle_validates_and_answers_hyperplanes(U):
-    x, z = vec(0.0, 0.0), vec(2.0, 1.0)
-    ans = separation_oracle(U, x, z)
-    assert isinstance(ans, Hyperplane)
-    normal, offset = bound_separation(U, x)(z)
-    assert np.array_equal(ans.normal, normal) and ans.offset == offset
+    # the factory refuses a center that is not finite; the oracle it returns
+    # answers a stack of queries with the scalar reference's cuts, bit for bit
+    x = vec(0.3, -0.7)
+    Z = np.array([[2.0, 1.0], [0.4, -0.5], [-3.0, 0.25], [0.3, -1.9]])
+    inside, normals, offsets = separation_oracle(U, x)(np.arange(4), Z)
+    want = [separation_ref(U, x, z) for z in Z]
+    assert inside.tolist() == [ans is INSIDE for ans in want] and not inside.all()
+    for normal, offset, ans in zip(normals, offsets, want):
+        assert ans is INSIDE or (normal.tobytes() == ans.normal.tobytes() and offset == ans.offset)
     for bad in (vec(np.nan, 0.0), vec(0.0, np.inf)):
         with pytest.raises(ValueError):
-            separation_oracle(U, bad, z)
-        with pytest.raises(ValueError):
-            separation_oracle(U, x, bad)
-    with pytest.raises(ValueError):
-        bound_separation(U, vec(np.inf, 0.0))
+            separation_oracle(U, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -177,13 +166,13 @@ def test_feasible_point_found_in_shifted_ball():
     cfg = EllipsoidConfig()
     target = LpBall(2.0, 0.2)
     center = vec(3.0, 4.0)
-    z = ellipsoid_feasible(bound_separation(target, center), 2, cfg, center=vec(0.0, 0.0))
+    z = ellipsoid_feasible(separation_oracle(target, center), 2, cfg, center=vec(0.0, 0.0))
     assert z is not None
     assert np.linalg.norm(z - center) <= 0.2 + 1e-9
 
 
 def test_a_center_of_the_wrong_length_is_a_config_error():
-    sep = bound_separation(LpBall(2.0, 0.5), vec(0.0, 0.0))
+    sep = separation_oracle(LpBall(2.0, 0.5), vec(0.0, 0.0))
     with pytest.raises(ConfigError, match="center must have 2 entries, got 3"):
         ellipsoid_feasible(sep, 2, EllipsoidConfig(), center=vec(0.0, 0.0, 0.0))
 
@@ -191,16 +180,16 @@ def test_a_center_of_the_wrong_length_is_a_config_error():
 def test_feasible_one_dimensional_interval():
     cfg = EllipsoidConfig()
     strip = Polytope(np.array([[1.0], [-1.0]]), np.array([0.4, -0.3]))
-    z = ellipsoid_feasible(bound_separation(strip, vec(0.0)), 1, cfg)
+    z = ellipsoid_feasible(separation_oracle(strip, vec(0.0)), 1, cfg)
     assert z is not None and 0.3 <= z[0] <= 0.4
 
 
 def test_feasible_returns_none_on_empty_region():
     cfg = EllipsoidConfig()
     empty = Polytope(np.array([[1.0], [-1.0]]), np.array([0.3, -0.4]))  # z <= .3 and z >= .4
-    assert ellipsoid_feasible(bound_separation(empty, vec(0.0)), 1, cfg) is None
+    assert ellipsoid_feasible(separation_oracle(empty, vec(0.0)), 1, cfg) is None
     empty2 = Polytope(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([0.3, -0.4]))
-    assert ellipsoid_feasible(bound_separation(empty2, vec(0.0, 0.0)), 2, cfg) is None
+    assert ellipsoid_feasible(separation_oracle(empty2, vec(0.0, 0.0)), 2, cfg) is None
 
 
 def test_bogus_oracle_cut_is_detected():
@@ -211,7 +200,7 @@ def test_bogus_oracle_cut_is_detected():
         return Hyperplane(vec(1.0, 0.0), float(z[0]) + 1.0)
 
     with pytest.raises(OracleViolation):
-        ellipsoid_feasible(lying, 2, cfg)
+        ellipsoid_feasible(one_row(lying), 2, cfg)
 
 
 def test_user_oracle_answering_hyperplanes_drives_the_search():
@@ -223,11 +212,11 @@ def test_user_oracle_answering_hyperplanes_drives_the_search():
 
         def user(z):
             calls.append(z.copy())
-            return separation_oracle(U, x, z)
+            return separation_ref(U, x, z)
 
-        got = ellipsoid_feasible(user, d, cfg)
-        assert np.array_equal(got, ellipsoid_feasible(bound_separation(U, x), d, cfg))
-        assert len(calls) > 1 and separation_oracle(U, x, got) is INSIDE
+        got = ellipsoid_feasible(one_row(user), d, cfg)
+        assert np.array_equal(got, ellipsoid_feasible(separation_oracle(U, x), d, cfg))
+        assert len(calls) > 1 and separation_ref(U, x, got) is INSIDE
 
 
 def test_non_finite_center_raises_before_the_next_query():
@@ -245,10 +234,10 @@ def test_non_finite_center_raises_before_the_next_query():
                               (2, vec(1.0, 0.0), np.nan), (1, vec(1.0), np.nan)):
         calls.clear()
         with pytest.raises(ValueError, match="finite"):
-            ellipsoid_feasible(poisoned(normal, offset), d, EllipsoidConfig())
+            ellipsoid_feasible(one_row(poisoned(normal, offset)), d, EllipsoidConfig())
         assert len(calls) == 1
     with pytest.raises(ValueError, match="finite"):
-        ellipsoid_feasible(poisoned(vec(np.nan, 1.0), 0.0), 2, EllipsoidConfig(),
+        ellipsoid_feasible(one_row(poisoned(vec(np.nan, 1.0), 0.0)), 2, EllipsoidConfig(),
                            center=vec(np.inf, 0.0))
 
 
@@ -271,7 +260,7 @@ def test_a_center_that_overflows_raises_before_the_next_query():
         return inside, np.array([g for g, _ in cut]), np.array([off for _, off in cut])
 
     cfg = EllipsoidConfig(init_radius=1.3e154)
-    alone = _outcome(lambda s: ellipsoid_feasible(s, 2, cfg), sep)
+    alone = _outcome(lambda s: ellipsoid_feasible(one_row(s), 2, cfg), sep)
     asked.clear()
     with pytest.raises(ValueError, match="finite"):
         oracles._lockstep(rowwise, np.zeros((2, 2)), cfg)
@@ -286,26 +275,26 @@ def test_a_cut_with_a_huge_normal_searches_like_its_unit_scaled_twin():
     huge = Polytope(np.array([[1e307, 1e307], [-1e307, 0.0]]), np.array([-1e307, -0.5e307]))
     twin = Polytope(np.array([[m, m], [-m, 0.0]]), np.array([-m, -m / 2.0]))
     x, cfg = vec(0.0, 0.0), EllipsoidConfig(init_radius=2.0)
-    ball = bound_separation(LpBall(2.0, 0.1), vec(1.0, 1.0))
+    ball = separation_oracle(LpBall(2.0, 0.1), vec(1.0, 1.0))
     alone, lockstep = [], []
     for U in (huge, twin):
-        alone.append(_outcome(lambda s: ellipsoid_feasible(s, 2, cfg),
-                              lambda z: separation_oracle(U, x, z)))
-        lockstep.append(oracles._lockstep(_stacked([ball, bound_separation(U, x)]),
+        alone.append(_outcome(lambda s: ellipsoid_feasible(s, 2, cfg), separation_oracle(U, x)))
+        lockstep.append(oracles._lockstep(_stacked([ball, separation_oracle(U, x)]),
                                           np.zeros((2, 2)), cfg))
     assert alone[0][1:] == alone[1][1:] == (None, 9)
     assert alone[0][0].tobytes() == alone[1][0].tobytes() == lockstep[0][1].tobytes()
     assert [z.tobytes() for z in lockstep[0]] == [z.tobytes() for z in lockstep[1]]
     # from a center 20 away the gap <g, c> - off overflows as well: it is
     # taken again from the scaled cut, which finds the twin's point
-    far = [ellipsoid_feasible(bound_separation(Polytope(np.array([[a, 0.0]]), np.zeros(1)), x), 2,
+    far = [ellipsoid_feasible(separation_oracle(Polytope(np.array([[a, 0.0]]), np.zeros(1)), x), 2,
                               EllipsoidConfig(init_radius=30.0), center=vec(20.0, 0.0))
            for a in (1e307, m)]
     assert far[0] is not None and far[0].tobytes() == far[1].tobytes()
     # and a gap that overflows to nan still shows a cut that misses the center
     for a in (1e307, m):
         with pytest.raises(OracleViolation):
-            ellipsoid_feasible(lambda z: (vec(a, a), a / 10.0), 2, cfg, center=vec(20.0, -20.0))
+            ellipsoid_feasible(one_row(lambda z: (vec(a, a), a / 10.0)), 2, cfg,
+                               center=vec(20.0, -20.0))
 
 
 def test_config_validation_and_defaults():
@@ -373,7 +362,7 @@ def test_certify_agrees_with_margin_route_when_clear(seed, p):
     if abs(worst) < 0.05:
         return
     cfg = EllipsoidConfig(feas_slack=1e-9, volume_eps=1e-8)
-    hit = ellipsoid_certify(model, Sample(x, y), bound_separation(LpBall(p, gamma), x), cfg)
+    hit = ellipsoid_certify(model, Sample(x, y), separation_oracle(LpBall(p, gamma), x), cfg)
     certified = brute_margin_certified(w, model.bias, x, y, p, gamma)
     if certified:
         assert hit is None
@@ -439,11 +428,12 @@ REGIONS = st.sampled_from(["l1", "l2", "linf", "poly"])
 
 
 def _outcome(search, sep):
-    """A search's result or error class, and how many queries sep answered."""
+    """A search's result or error class, and how many queries sep answered:
+    sep is a scalar reference oracle or the row-wise oracle of one row."""
     answered = []
 
-    def counted(z):
-        ans = sep(z)
+    def counted(*query):
+        ans = sep(*query)
         answered.append(1)
         return ans
 
@@ -468,7 +458,7 @@ def _feasible_outcomes(seed, kind, d, max_iters, volume_eps):
     x = rng.standard_normal(d) * 2.0
     center = None if rng.random() < 0.3 else rng.standard_normal(d)
     got = _outcome(lambda sep: ellipsoid_feasible(sep, d, cfg, center=center),
-                   bound_separation(U, x))
+                   separation_oracle(U, x))
     want, unstopped = (
         _outcome(lambda sep: ellipsoid_feasible_ref(sep, d, cfg, center=center, stop=stop),
                  lambda z: separation_ref(U, x, z)) for stop in (True, False))
@@ -486,8 +476,8 @@ def test_feasible_matches_reference(seed, kind, d, max_iters, volume_eps):
 def test_region_outside_the_initial_ellipsoid_ends_at_its_first_cut():
     # an l-inf box wholly outside the start ball: its first cut misses the
     # ball, so the search ends at once with the None that the search without
-    # the stop reaches after its 266 cuts, through bound_separation and
-    # through a caller's oracle alike
+    # the stop reaches after its 266 cuts, through separation_oracle and
+    # through a caller's scalar oracle alike
     got, want, unstopped = _feasible_outcomes(2, "linf", 3, None, 1e-6)
     _assert_same_outcome(got, want)
     assert got == (None, None, 1) and unstopped == (None, None, 266)
@@ -496,8 +486,8 @@ def test_region_outside_the_initial_ellipsoid_ends_at_its_first_cut():
     U, x = _region("linf", rng, 3), rng.standard_normal(3) * 2.0
     assert rng.random() < 0.3 and np.linalg.norm(x) - U.gamma * math.sqrt(3.0) > cfg.init_radius
     assert cfg.resolved_max_iters(3) == 266
-    assert _outcome(lambda sep: ellipsoid_feasible(sep, 3, cfg),
-                    lambda z: separation_oracle(U, x, z)) == got
+    assert _outcome(lambda sep: ellipsoid_feasible(one_row(sep), 3, cfg),
+                    lambda z: separation_ref(U, x, z)) == got
 
 
 def test_lp_balls_past_the_start_are_refused_before_any_query(monkeypatch):
@@ -528,7 +518,7 @@ def test_polytopes_past_the_start_are_searched_within_init_radius():
     box = Polytope(np.vstack([np.eye(2), -np.eye(2)]), np.array([-20.0, 1.0, 21.0, 1.0]))
     empty = Polytope(np.array([[1.0, 1.0], [-1.0, -1.0]]), np.array([0.3, -0.4]))
     for U in (half, box):
-        sep = bound_separation(U, x)
+        sep = separation_oracle(U, x)
         for r in (2.0, 30.0):
             cfg = EllipsoidConfig(init_radius=r)
             batch = ellipsoid_certify_batch(model, data, U, cfg)
@@ -537,7 +527,7 @@ def test_polytopes_past_the_start_are_searched_within_init_radius():
             assert batch[1] is None and (z is None) == (found is None) == (r == 2.0)
             assert z is None or (z.tobytes() == batch[0].tobytes() and model.decision(z) <= 0
                                  and np.linalg.norm(z - x) <= r * (1.0 + 1e-9))
-            assert found is None or separation_oracle(U, x, found) is INSIDE
+            assert found is None or sep(np.arange(1), found[None])[0][0]
         with pytest.raises(ZeroWeight, match="no row's perturbation region reaches within init_radius 2 "):
             rerm_ellipsoid(data, U, EllipsoidConfig(init_radius=2.0))
     assert ellipsoid_certify_batch(model, data, empty, EllipsoidConfig(init_radius=2.0)) == \
@@ -583,7 +573,7 @@ def test_certify_matches_reference(seed, kind, d, slack):
     x = rng.standard_normal(d)
     y = 1 if rng.random() < 0.5 else -1
     got = _outcome(lambda sep: ellipsoid_certify(model, Sample(x, y), sep, cfg, slack=slack),
-                   bound_separation(U, x))
+                   separation_oracle(U, x))
     want, unstopped = (_outcome(lambda sep: ellipsoid_certify_ref(model.w, model.bias, x, y, sep,
                                                                   cfg, slack=slack, stop=stop),
                                 lambda z: separation_ref(U, x, z)) for stop in (True, False))
@@ -728,12 +718,11 @@ def test_certify_batch_matches_reference_across_closing_steps(monkeypatch, U):
 
 
 def _stacked(seps):
-    """A row-wise oracle over one scalar oracle per row."""
+    """A row-wise oracle that asks row i's query of the row-wise oracle
+    seps[i], one row at a time."""
     def sep(rows, Z):
-        answers = [seps[i](z) for i, z in zip(rows, Z)]
-        cuts = [(np.zeros(Z.shape[1]), 0.0) if a is INSIDE else a for a in answers]
-        return (np.array([a is INSIDE for a in answers]), np.array([g for g, _ in cuts]),
-                np.array([off for _, off in cuts]))
+        answers = [seps[i](rows[j:j + 1], Z[j:j + 1]) for j, i in enumerate(rows)]
+        return tuple(np.concatenate(parts) for parts in zip(*answers))
     return sep
 
 
@@ -754,7 +743,7 @@ def test_lockstep_matches_reference_searches_row_by_row(seed, kinds, d, volume_e
                                  lambda z, i=i: separation_ref(regions[i], X[i], z))
                         for i in range(len(kinds))] for stop in (True, False))
     failed = [err for _, err, _ in want if err is not None]
-    sep = _stacked([bound_separation(U, x) for U, x in zip(regions, X)])
+    sep = _stacked([separation_oracle(U, x) for U, x in zip(regions, X)])
     got, err = _rows_outcome(lambda: oracles._lockstep(sep, C, cfg))
     assert err is (failed[0] if failed else None)
     for i, (z, (ref, _, _)) in enumerate(zip(got or [], want)):
@@ -787,7 +776,7 @@ def test_lockstep_rows_leave_at_their_own_steps():
     assert [(ref is None, steps) for ref, _, steps in want] == \
         [(False, 1), (True, 14), (False, 29), (True, 53), (False, 37), (True, 13), (False, 52)]
     assert [steps for _, _, steps in unstopped] == [1, 38, 29, 53, 37, 53, 52]
-    got = oracles._lockstep(_stacked([bound_separation(U, x) for U, x in zip(regions, X)]), C, cfg)
+    got = oracles._lockstep(_stacked([separation_oracle(U, x) for U, x in zip(regions, X)]), C, cfg)
     for z, (ref, _, _), old in zip(got, want, unstopped):
         assert (z is None) == (ref is None)
         assert z is None or z.tobytes() == ref.tobytes()
@@ -904,11 +893,11 @@ def _screen_run(monkeypatch, data, ball, cfg):
         if center is not None:  # the search at w = 0 for a point of U(x_i)
             return found(row_of(center), search(sep, d, cfg, center=center))
 
-        def weight_sep(w):  # the weight-space search
-            weights.append(w.copy())
+        def weight_sep(rows, W):  # the weight-space search
+            weights.append(W[0].copy())
             asked.append([])
             failed.append(None)
-            return sep(w)
+            return sep(rows, W)
 
         return search(weight_sep, d, cfg)
 

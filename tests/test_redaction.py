@@ -130,6 +130,18 @@ def test_rejectron_handles_empty_test_sets():
     assert S.members == () and scores == []
 
 
+def test_rejectron_keeps_a_round_whose_score_clears_eps_by_an_ulp():
+    # FLIP_UP disagrees with AXIS on the 5 drift points of 6 test rows and on
+    # no training row, so the round scores 5/6 against the eps just below it.
+    # It redacts 5 > eps * 6 rows, though eps * 6 rounds to 5.0.
+    eps = math.nextafter(5.0 / 6.0, 0.0)
+    tests = np.vstack([np.tile(vec(0.3, 3.0), (5, 1)), [[1.5, 0.0]]])
+    h, S, scores = rejectron(band_train(), tests, RedactConfig(eps), erm=make_pool_erm([AXIS, FLIP_UP]))
+    assert eps * 6 == 5.0 and scores == [5.0 / 6.0]
+    assert h is AXIS and S.members == (FLIP_UP,)
+    assert select_members(S, tests).tolist() == [False] * 5 + [True]
+
+
 def test_rejectron_redacts_a_repeated_adversarial_point():
     # half the test stream is one crafted point the base model gets wrong;
     # redaction must reject it rather than eat the error
@@ -288,6 +300,9 @@ def test_transductive_pool_finite_offsets_risks():
     # the -1 training point crosses the origin under the 1.5 shift, and the
     # 0.5 test point splits its preimage predictions
     assert scores[0] == (0.5, 0.5)  # (labeled, unlabeled)
+    # no test point: the unlabeled risk is 0, and only the labeled one counts
+    assert transductive_pool(PoolHypotheses((h,)), train, np.empty((0, 1)), shifts,
+                             mode="agnostic")[2] == [(0.5, 0.0)]
     with pytest.raises(Unsupported):
         transductive_pool(PoolHypotheses((h,)), train, train.X, object(), mode="agnostic")
 
@@ -319,6 +334,9 @@ def test_selection_load_errors(tmp_path):
         load_selection(str(p))
     p.write_text("selection-set v1\nmode: rejectron\nbase: linear 0 1 0\nwhat: ever\n")
     with pytest.raises(ParseError):
+        load_selection(str(p))
+    p.write_text("selection-set v1\neps: 0.25\n")
+    with pytest.raises(ParseError, match="missing mode line"):
         load_selection(str(p))
     with pytest.raises(IoError):
         load_selection(str(tmp_path / "missing.txt"))

@@ -137,6 +137,15 @@ def test_zero_robust_loss_rejects_unrealizable_input():
     with pytest.raises(WeakLearnerFailed):
         zero_robust_loss(clash, FiniteOffsets([vec(0.0)]), erm_linear,
                          RobustifyConfig(inner_rounds=4))
+    # one round of a learner that is wrong on 1 row of 4: each round meets the
+    # 1/3 edge, and the vote still errs, inner and outer
+    data = Dataset(np.array([[1.0], [2.0], [3.0], [4.0]]), np.array([1, 1, 1, -1]))
+    one = make_pool_erm([LinearModel(vec(1.0))])
+    with pytest.raises(WeakLearnerFailed, match="^boosting did not reach zero loss"):
+        zero_robust_loss(data, FiniteOffsets([vec(0.0)]), one, RobustifyConfig(inner_rounds=1))
+    with pytest.raises(WeakLearnerFailed, match="^outer boosting did not reach zero robust loss"):
+        robustify_nonrobust(data, FiniteOffsets([vec(0.0)]), one,
+                            RobustifyConfig(outer_rounds=1, subsample=1))
 
 
 def test_robustify_reaches_zero_robust_loss(monkeypatch):
@@ -361,6 +370,8 @@ def test_weighted_majority_suppresses_the_bad_member():
     assert predictor.predict(vec(3.0)) == -1
     a, b = wm_constants(0.5)
     assert mistakes <= a * 0.0 + b * math.log(len(pool))
+    with pytest.raises(EmptyPool):
+        weighted_majority_robust([], stream, oracle, eta_wm=0.5)
 
 
 def test_weighted_majority_respects_the_general_bound():
