@@ -20,21 +20,19 @@ for _var in (
 
 from ._kernels import active_backend
 from .core import (
-    ABSTAIN,
     Dataset,
     FiniteOffsets,
     FinitePerExample,
     InflatedDataset,
     LinearModel,
     LpBall,
-    Sample,
+    ball_hits,
     dual_exponent,
     dual_maximizer,
     dual_norm,
     inflate,
     inverse_blowup,
     lp_norm,
-    margin,
     margins_batch,
     robust_loss,
     robust_losses,
@@ -84,13 +82,10 @@ from .boosting import (
     alpha_boost,
     beta_roboost,
     beta_uroboost,
-    cascade_predict,
     expand_g,
     finite_source,
-    in_nonrobust_region,
     rejection_sample,
     selective_labels,
-    selective_predict,
     sparsify_majority,
     strong_to_barely,
     vote_agreement,
@@ -124,7 +119,6 @@ from .redaction import (
     save_selection,
     select_member,
     select_members,
-    selective_classify,
     transductive_pool,
     urejectron,
 )
@@ -164,6 +158,7 @@ from .errors import (
     SizeLimit,
     SourceExhausted,
     StreamExhausted,
+    TrainingDiverged,
     Unsupported,
     UnsupportedGeometry,
     WeakLearnerFailed,

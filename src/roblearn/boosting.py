@@ -18,13 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    ABSTAIN,
     Dataset,
     FiniteOffsets,
     FinitePerExample,
     LinearModel,
     LpBall,
-    as_vector,
     ball_hits,
     inverse_blowup,
     margins_batch,
@@ -49,13 +47,10 @@ from .learners import WeightedDataset
 @dataclass(frozen=True)
 class SelectiveClassifier:
     """A model that only speaks when every candidate preimage of the input
-    agrees; otherwise it abstains (returns ABSTAIN, i.e. None)."""
+    agrees; otherwise it abstains, which selective_labels marks 0."""
 
     model: LinearModel
     abstain_spec: object
-
-    def predict(self, z):
-        return selective_predict(self, z)
 
 
 def selective_labels(sc: SelectiveClassifier, Z) -> np.ndarray:
@@ -76,11 +71,6 @@ def selective_labels(sc: SelectiveClassifier, Z) -> np.ndarray:
     raise Unsupported(f"no abstention rule for {type(spec).__name__}")
 
 
-def selective_predict(sc: SelectiveClassifier, z):
-    label = int(selective_labels(sc, as_vector(z)[None, :])[0])
-    return label if label else ABSTAIN
-
-
 class Cascade:
     """Ordered abstaining stages with a last-resort raw predictor.
 
@@ -96,9 +86,6 @@ class Cascade:
             raise ConfigError("a cascade needs a fallback model")
         self.stages = stages
         self.fallback = fallback
-
-    def predict(self, z) -> int:
-        return cascade_predict(self, z)
 
     def predict_batch(self, Z) -> np.ndarray:
         Z = np.asarray(Z, dtype=float)
@@ -146,10 +133,6 @@ def _stage_labels(stages, Z) -> np.ndarray:
     return out
 
 
-def cascade_predict(c: Cascade, z) -> int:
-    return int(c.predict_batch(as_vector(z)[None, :])[0])
-
-
 # ---------------------------------------------------------------------------
 # non-robust region and rejection sampling
 # ---------------------------------------------------------------------------
@@ -160,16 +143,6 @@ def _doubled_stages(models, specs) -> list:
     # where it abstains on the inverse blowup of U: |margin| <= 2 gamma for a
     # ball, and for offsets x - (O - O) is the symmetric set x + (O - O)
     return [SelectiveClassifier(m, inverse_blowup(s)) for m, s in zip(models, specs)]
-
-
-def in_nonrobust_region(models, x, U) -> bool:
-    """True iff every model's prediction can be flipped or silenced within U:
-    for balls, |margin(x)| <= 2 gamma for all of them."""
-    models = list(models)
-    if not models:
-        raise ConfigError("need at least one model")
-    stages = _doubled_stages(models, [U] * len(models))
-    return not _stage_labels(stages, as_vector(x)[None, :])[0]
 
 
 def finite_source(data: Dataset):
@@ -352,9 +325,6 @@ class MajorityVote:
             raise ConfigError("need at least one model")
         self.models = models
 
-    def predict(self, z) -> int:
-        return int(self.predict_batch(as_vector(z)[None, :])[0])
-
     def predict_batch(self, Z) -> np.ndarray:
         Z = np.asarray(Z, dtype=float)
         total = np.zeros(Z.shape[0])
@@ -477,9 +447,6 @@ class ExpandedPredictor:
         self.model = model
         self.ball = ball
         self.y = y
-
-    def predict(self, z) -> int:
-        return int(self.predict_batch(as_vector(z)[None, :])[0])
 
     def predict_batch(self, Z) -> np.ndarray:
         m = margins_batch(self.model, Z, self.ball.p)

@@ -4,8 +4,8 @@ Perturbation sets are closed lp balls or explicit finite point sets. For a
 linear model and an lp ball the robust loss has a closed form: the attacker
 wins iff the signed dual-normalized margin is at most the radius. Finite sets
 are evaluated by enumeration against any predictor exposing .predict_batch.
-Every loss is computed for a whole dataset at once by robust_losses; the
-single-sample robust_loss is its one-row case. Every decision value comes
+Every loss is computed for a whole dataset at once by robust_losses, and
+robust_loss asks it about one labeled point. Every decision value comes
 from decision_values and every closed-form ball loss from ball_hits, so a row's
 decision value and robust loss have the same bits alone or in any block, and a
 boundary or NaN margin is a loss.
@@ -28,8 +28,6 @@ from .errors import (
     ZeroWeight,
 )
 
-ABSTAIN = None  # selective classifiers return +1, -1, or ABSTAIN
-
 DEFAULT_INFLATE_CAP = 2_000_000
 
 
@@ -42,15 +40,11 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
-class Sample:
-    x: np.ndarray
-    y: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", as_vector(self.x))
-        if self.y not in (-1, 1):
-            raise ConfigError(f"label must be -1 or +1, got {self.y}")
+def labeled_point(x, y) -> tuple[np.ndarray, int]:
+    """(x, y) checked: x a finite 1-d vector, y a label -1 or +1."""
+    if y not in (-1, 1):
+        raise ConfigError(f"label must be -1 or +1, got {y}")
+    return as_vector(x), int(y)
 
 
 class Dataset:
@@ -78,9 +72,6 @@ class Dataset:
     def d(self) -> int:
         return self.X.shape[1]
 
-    def sample(self, i: int) -> Sample:
-        return Sample(self.X[i].copy(), int(self.y[i]))
-
     def subset(self, idx) -> "Dataset":
         idx = np.asarray(idx, dtype=np.int64)
         return Dataset(self.X[idx], self.y[idx])
@@ -97,14 +88,11 @@ class LinearModel:
         if not np.any(self.w):
             raise ZeroWeight("linear model weights must not be all zero")
 
-    def decision(self, x) -> float:
-        return float(self.decisions(x))
-
     def decisions(self, X) -> np.ndarray:
         return decision_values(X, self.w, self.bias)
 
     def predict(self, x) -> int:
-        return 1 if self.decision(x) >= 0.0 else -1
+        return 1 if self.decisions(x) >= 0.0 else -1
 
     def predict_batch(self, X) -> np.ndarray:
         return np.where(self.decisions(X) >= 0.0, 1, -1)
@@ -226,13 +214,9 @@ def decision_values(X, w, bias: float = 0.0) -> np.ndarray:
     return np.vecdot(np.ascontiguousarray(X, dtype=float), w) + bias
 
 
-def margin(model: LinearModel, x, p: float) -> float:
-    """(<w, x> + bias) / ||w||_q, the signed distance scale of Lemma-style
-    margin analysis; q dual to p."""
-    return float(margins_batch(model, as_vector(x)[None, :], p)[0])
-
-
 def margins_batch(model: LinearModel, X, p: float) -> np.ndarray:
+    """(<w, x> + bias) / ||w||_q for each row x of X, the signed distance
+    scale of Lemma-style margin analysis; q dual to p."""
     # a LinearModel's weights are finite and not all zero, so the norm is at
     # least their largest |entry| > 0
     return model.decisions(X) / dual_norm(model.w, p)
@@ -279,11 +263,12 @@ def robust_losses(predictor, data: Dataset, U: PerturbationSpec | None) -> np.nd
     return (np.bincount(flat.origins, weights=wrong, minlength=data.n) > 0).astype(np.int64)
 
 
-def robust_loss(predictor, sample: Sample, U: PerturbationSpec, index: int | None = None) -> int:
-    """robust_losses of one sample; a per-example table is read at `index`."""
+def robust_loss(predictor, x, y, U: PerturbationSpec, index: int | None = None) -> int:
+    """robust_losses of the one point x labeled y; a per-example table is read at `index`."""
+    x, y = labeled_point(x, y)
     if isinstance(U, FinitePerExample):
         U = FinitePerExample({0: U.points(index)})
-    return int(robust_losses(predictor, Dataset(sample.x[None, :], [sample.y]), U)[0])
+    return int(robust_losses(predictor, Dataset(x[None, :], [y]), U)[0])
 
 
 def robust_risk(predictor, data: Dataset, U: PerturbationSpec | None) -> float:

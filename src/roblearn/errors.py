@@ -68,6 +68,11 @@ class NotSeparable(RoblearnError):
     exit_code = 4
 
 
+class TrainingDiverged(RoblearnError):
+    """A training loop ended with weights that are not finite."""
+    exit_code = 5
+
+
 class AllZeroWeights(RoblearnError):
     """Weighted ERM needs at least one strictly positive sample weight."""
     exit_code = 3

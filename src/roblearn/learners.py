@@ -19,7 +19,8 @@ from . import _kernels
 from ._kernels import glm_link_u, rcn_phi  # noqa: F401  (re-exported)
 from .core import Dataset, LinearModel, LpBall, as_vector, decision_values, robust_losses
 from .data import substream
-from .errors import AllZeroWeights, ConfigError, EmptyDataset, EmptyPool, InvalidNorm, ZeroPerceptron
+from .errors import (AllZeroWeights, ConfigError, EmptyDataset, EmptyPool, InvalidNorm, TrainingDiverged,
+                     ZeroPerceptron)
 
 
 class WeightedDataset:
@@ -87,8 +88,12 @@ def erm_linear(wdata: WeightedDataset, cfg: ErmConfig | None = None) -> LinearMo
     X = np.ascontiguousarray(wdata.data.X)
     yf = wdata.data.y.astype(float)
     w, b = _kernels.hinge_train(X, yf, sw, cfg.epochs, cfg.lr0, cfg.reg, cfg.fit_bias)
+    b = b if cfg.fit_bias else 0.0
+    if not (np.all(np.isfinite(w)) and math.isfinite(b)):
+        raise TrainingDiverged("hinge descent ended with non-finite weights: "
+                               "a step overflowed on features this large")
     w = _nonzero_or_fallback(np.asarray(w), X.T @ (yf * sw))
-    return LinearModel(w, b if cfg.fit_bias else 0.0)
+    return LinearModel(w, b)
 
 
 def reuse_fits(erm):

@@ -13,7 +13,7 @@ that contains its region. There is one central-cut loop, `_lockstep`: it
 runs k searches side by side as stacked centers and shapes, asking the
 oracle for all open rows at once, so certifying a dataset costs one numpy
 step per iteration rather than one per row and iteration. A single search
-(`ellipsoid_feasible`, `ellipsoid_certify`) is its one-row case, and
+(`ellipsoid_feasible`, `ellipsoid_certify`) is a lockstep of one row, and
 `_separate` answers for lp balls and polytopes row by row
 (`separation_oracle` closes it over one center).
 Every search holds its region in its start ball by cutting with the ball
@@ -35,11 +35,11 @@ from .core import (
     LinearModel,
     LpBall,
     PerturbationSpec,
-    Sample,
     as_vector,
     ball_hits,
     decision_values,
     dual_norm,
+    labeled_point,
     worst_case_point,
 )
 from .errors import ConfigError, EllipsoidDiverged, NotSeparable, OracleViolation, UnsupportedGeometry, ZeroWeight
@@ -144,25 +144,26 @@ def _row_config(U, d: int, cfg: EllipsoidConfig) -> EllipsoidConfig:
     return replace(cfg, init_radius=min(r, cfg.init_radius))
 
 
-def attack(model: LinearModel, sample: Sample, U: PerturbationSpec, index: int | None = None):
-    """Perfect attack oracle: None iff the sample is robust; otherwise a
-    misclassified (or boundary) witness in U(x).
+def attack(model: LinearModel, x, y, U: PerturbationSpec, index: int | None = None):
+    """Perfect attack oracle: None iff the point x labeled y is robust;
+    otherwise a misclassified (or boundary) witness in U(x).
 
     For lp balls the witness is the analytic worst-case point; for finite
     specs it is the first misclassified listed point, and the model may be
     any predictor exposing predict_batch.
     """
+    x, y = labeled_point(x, y)
     if isinstance(U, LpBall):
-        hit = ball_hits(model, sample.x[None], sample.y, U)[0]
-        return worst_case_point(model, sample.x, sample.y, U) if hit else None
+        hit = ball_hits(model, x[None], y, U)[0]
+        return worst_case_point(model, x, y, U) if hit else None
     if isinstance(U, FiniteOffsets):
-        Z = U.points(sample.x)
+        Z = U.points(x)
     elif isinstance(U, FinitePerExample):
         Z = U.points(index)
     else:
         raise UnsupportedGeometry(f"attack does not support {type(U).__name__}")
     preds = model.predict_batch(Z)
-    bad = np.nonzero(preds != sample.y)[0]
+    bad = np.nonzero(preds != y)[0]
     if bad.size == 0:
         return None
     return Z[int(bad[0])].copy()
@@ -458,7 +459,7 @@ def _certify_oracle(w, bias: float, y: np.ndarray, slack: float, region):
     return composed
 
 
-def ellipsoid_certify(model: LinearModel, sample: Sample, sepU, cfg: EllipsoidConfig,
+def ellipsoid_certify(model: LinearModel, x, y, sepU, cfg: EllipsoidConfig,
                       slack: float = 0.0):
     """Search U(x) for a point the model gets wrong (decision value at most
     `slack` against the label). Returns the counterexample vector, or None
@@ -471,8 +472,8 @@ def ellipsoid_certify(model: LinearModel, sample: Sample, sepU, cfg: EllipsoidCo
     the init_radius ball around x and holds U(x) in it, as
     ellipsoid_feasible does.
     """
-    x = as_vector(sample.x)
-    sep = _certify_oracle(model.w, model.bias, np.array([float(sample.y)]), slack, sepU)
+    x, y = labeled_point(x, y)
+    sep = _certify_oracle(model.w, model.bias, np.array([float(y)]), slack, sepU)
     return _lockstep(sep, x[None], cfg)[0]
 
 
@@ -529,14 +530,14 @@ def rerm_ellipsoid(data: Dataset, U, cfg: EllipsoidConfig) -> LinearModel:
             proven = raw - shift - tau > 1e-9 * (np.abs(raw) + shift + tau)
             todo = np.flatnonzero(~proven)
         for i in todo:
-            s, sep = data.sample(i), separation_oracle(U, data.X[i])
+            sep = separation_oracle(U, data.X[i])
             if model is None:
-                z = ellipsoid_feasible(sep, d, row_cfg, center=s.x)
+                z = ellipsoid_feasible(sep, d, row_cfg, center=data.X[i])
             else:
-                z = ellipsoid_certify(model, s, sep, row_cfg, slack=tau)
+                z = ellipsoid_certify(model, data.X[i], data.y[i], sep, row_cfg, slack=tau)
             if z is None:
                 continue
-            normal = -s.y * z
+            normal = -data.y[i] * z
             if not np.any(normal):
                 # constraint y <w, 0> >= tau > 0 can never hold
                 raise NotSeparable("a perturbation at the origin blocks every halfspace")

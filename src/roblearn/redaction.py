@@ -18,7 +18,6 @@ import numpy as np
 
 from .boosting import SelectiveClassifier, selective_labels
 from .core import (
-    ABSTAIN,
     Dataset,
     FiniteOffsets,
     LinearModel,
@@ -87,9 +86,6 @@ class SelectionSet:
             raise ConfigError("rejectron selection sets carry their base model")
         object.__setattr__(self, "members", tuple(self.members))
 
-    def contains(self, x) -> bool:
-        return select_member(self, x)
-
 
 def select_members(S: SelectionSet, X) -> np.ndarray:
     """Boolean mask of the rows of X that the selection set keeps."""
@@ -109,17 +105,11 @@ def select_member(S: SelectionSet, x) -> bool:
     return bool(select_members(S, as_vector(x)[None, :])[0])
 
 
-def selective_classify(h, S: SelectionSet, x):
-    x = as_vector(x)
-    if select_member(S, x):
-        return h.predict(x)
-    return ABSTAIN
-
-
-def _as_points(points) -> np.ndarray:
+def _as_points(points, d: int = 0) -> np.ndarray:
+    """Points as rows; an empty list is the (0, d) block."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
-        pts = pts.reshape(0, 0) if pts.size == 0 else pts.reshape(1, -1)
+        pts = pts.reshape(0, d) if pts.size == 0 else pts.reshape(1, -1)
     return pts
 
 
@@ -138,7 +128,7 @@ def rejectron(train: Dataset, test_points, cfg: RedactConfig, erm=None):
     """
     if erm is None:
         erm = erm_linear
-    tests = _as_points(test_points)
+    tests = _as_points(test_points, train.d)
     n, n_test = train.n, tests.shape[0]
     lam = cfg.resolved_weight(n)
     h = erm(WeightedDataset.uniform(train))
@@ -216,7 +206,7 @@ def urejectron(train_points, test_points, cfg: RedactConfig, backend):
     threshold sweep over them (_tradeoff_rows).
     """
     train = _as_points(train_points)
-    tests = _as_points(test_points)
+    tests = _as_points(test_points, train.shape[1])
     n, n_test = train.shape[0], tests.shape[0]
     lam = cfg.resolved_weight(n)
     if isinstance(backend, FinitePoolPairs):
@@ -328,7 +318,7 @@ def transductive_pool(pool: PoolHypotheses, train: Dataset, test_points, U,
     agnostic mode minimizes the larger of the two (lowest index on ties).
     Returns the chosen model, its labels for the test points, and every
     member's (labeled, unlabeled) risk pair."""
-    tests = _as_points(test_points)
+    tests = _as_points(test_points, train.d)
     if mode not in ("realizable", "agnostic"):
         raise ConfigError(f"unknown mode {mode!r}")
     scores = [_preimage_risks(h, train, tests, U) for h in pool.models]

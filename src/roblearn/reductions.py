@@ -400,9 +400,6 @@ class WeightedMajority:
         self.models = list(models)
         self.ensemble = weights
 
-    def predict(self, z) -> int:
-        return int(self.predict_batch(as_vector(z)[None, :])[0])
-
     def predict_batch(self, Z) -> np.ndarray:
         Z = np.asarray(Z, dtype=float)
         score = np.zeros(Z.shape[0])
@@ -424,7 +421,10 @@ def weighted_majority_robust(pool, stream, attack_oracle, eta_wm: float, rounds:
     wrong on a successful attack point is down-weighted by eta. Stops after
     `rounds` draws or when a finite stream runs dry; rows are drawn and
     attacked in blocks, as in one_pass_robust. Returns the weights, the vote
-    over them, the number of mistakes and the number of examples drawn."""
+    over them, the number of mistakes and the number of examples drawn.
+
+    Each pool member must answer predict(z) for one witness point, which
+    settles whether it is down-weighted, and predict_batch(Z) for the vote."""
     pool = list(pool)
     if not pool:
         raise EmptyPool("hypothesis pool must be non-empty")

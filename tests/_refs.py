@@ -671,12 +671,12 @@ def one_pass_ref(stream, online_learner, attack_oracle, eps: float, delta: float
             raise StreamExhausted(
                 f"stream ended with survivor streak {streak} of {run_len}"
             ) from exc
-        s = batch.sample(0)
-        z = attack_one_ref(attack_oracle, learner, s.x, s.y)
+        x, y = batch.X[0], int(batch.y[0])
+        z = attack_one_ref(attack_oracle, learner, x, y)
         if z is None:
             streak += 1
         else:
-            learner = learner.update(as_vector(z), s.y)
+            learner = learner.update(as_vector(z), y)
             updates += 1
             streak = 0
     return learner, updates, run_len
@@ -685,7 +685,6 @@ def one_pass_ref(stream, online_learner, attack_oracle, eps: float, delta: float
 def cycle_ref(data: Dataset, online_learner, attack_oracle, mistake_cap: int):
     m = data.n
     learner = online_learner
-    samples = [data.sample(i) for i in range(m)]
     calls = 0
     updates = 0
     passes = 0
@@ -693,20 +692,20 @@ def cycle_ref(data: Dataset, online_learner, attack_oracle, mistake_cap: int):
     while not clean:
         clean = True
         passes += 1
-        for i, s in enumerate(samples):
+        for i, (x, y) in enumerate(zip(data.X, data.y.tolist())):
             if calls + 1 > m * mistake_cap:
                 raise MistakeCapExceeded(
                     f"exceeded {m} x {mistake_cap} oracle calls without a clean pass"
                 )
             calls += 1
-            z = attack_one_ref(attack_oracle, learner, s.x, s.y, i)
+            z = attack_one_ref(attack_oracle, learner, x, y, i)
             if z is not None:
                 updates += 1
                 if updates > mistake_cap:
                     raise MistakeCapExceeded(
                         f"learner needed more than {mistake_cap} updates"
                     )
-                learner = learner.update(as_vector(z), s.y)
+                learner = learner.update(as_vector(z), y)
                 clean = False
     return learner, updates, passes
 
@@ -727,14 +726,14 @@ def weighted_majority_ref(pool, stream, attack_oracle, eta_wm: float, rounds: in
         except SourceExhausted:
             break
         seen += 1
-        s = batch.sample(0)
-        z = attack_one_ref(attack_oracle, predictor, s.x, s.y)
+        x, y = batch.X[0], int(batch.y[0])
+        z = attack_one_ref(attack_oracle, predictor, x, y)
         if z is None:
             continue
         mistakes += 1
         z = as_vector(z)
         for j, h in enumerate(pool):
-            if h.predict(z) != s.y:
+            if h.predict(z) != y:
                 weights.weights[j] *= eta_wm
     return weights, predictor, mistakes, seen
 

@@ -30,7 +30,6 @@ from roblearn import (
     Polytope,
     RcnConfig,
     RedactConfig,
-    Sample,
     SvmConfig,
     alpha_boost,
     apply_rcn,
@@ -57,7 +56,7 @@ from roblearn import (
     robust_risk,
     save_csv,
     save_model,
-    select_member,
+    select_members,
     svm_margin,
     urejectron,
     vote_agreement,
@@ -99,7 +98,7 @@ def test_c01_closed_form_matches_brute_force_on_balls():
         bias = 0.5 * float(rng.standard_normal())
         x = 2.0 * rng.standard_normal(d)
         y = 1 if rng.random() < 0.5 else -1
-        closed = robust_loss(LinearModel(w, bias), Sample(x, y), LpBall(p, gamma))
+        closed = robust_loss(LinearModel(w, bias), x, y, LpBall(p, gamma))
         brute = brute_ball_loss(w, bias, x, y, p, gamma, count=10_000, rng=rng)
         disagreements += int(closed != brute)
     elapsed = time.monotonic() - start
@@ -232,8 +231,8 @@ def test_c04_rejectron_realizable_guarantees():
         tests = rng.standard_normal((60, 2))
         h, S, _ = rejectron(train, tests, RedactConfig(eps), erm=make_pool_erm(pool))
         rounds_ok = len(S.members) <= max_rounds
-        train_ok = all(select_member(S, x) for x in train.X)
-        kept = np.array([select_member(S, t) for t in tests])
+        train_ok = select_members(S, train.X).all()
+        kept = select_members(S, tests)
         disagree = kept & (h.predict_batch(tests) != truth.predict_batch(tests))
         mass_ok = disagree.mean() <= eps + 1e-12
 
@@ -251,9 +250,9 @@ def test_c04_rejectron_realizable_guarantees():
         h2, S2, _ = rejectron(band_train, test_pts, RedactConfig(eps),
                               erm=make_pool_erm([h_a, h_b]))
         assert h2.predict(adv) != 1  # the planted point really is misclassified
-        kept2 = np.array([select_member(S2, t) for t in test_pts])
+        kept2 = select_members(S2, test_pts)
         sel_err = float(np.mean(kept2 & (h2.predict_batch(test_pts) != test_truth)))
-        rep_ok = sel_err <= eps and not select_member(S2, adv)
+        rep_ok = sel_err <= eps and not select_members(S2, [adv])[0]
 
         ok += int(rounds_ok and train_ok and mass_ok and rep_ok)
     assert ok == 50

@@ -1,13 +1,15 @@
 """The batch evaluation layer against explicit per-row references.
 
-robust_losses, the cascade walk, the votes, the one-sided expansion and the
-selection sets each evaluate whole arrays; every test here rebuilds the same
-answer one row at a time from the definitions in _refs.py.
+robust_losses, the margins, the selective labels, the cascade walk, the votes,
+the one-sided expansion and the selection sets each evaluate whole arrays;
+every test here rebuilds the same answer one row at a time from the
+definitions in _refs.py.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from roblearn import (
@@ -24,9 +26,11 @@ from roblearn import (
     WeightedMajority,
     expand_g,
     inflate,
+    margins_batch,
     robust_losses,
     robust_risk,
     select_members,
+    selective_labels,
 )
 
 from ._refs import (
@@ -35,8 +39,10 @@ from ._refs import (
     cascade_ball_loss_ref,
     cascade_ref,
     expanded_ref,
+    margin_ref,
     predict_ref,
     select_ref,
+    selective_ref,
     vote_ref,
 )
 
@@ -109,6 +115,26 @@ def test_plain_losses_are_the_zero_one_loss(seed):
     assert robust_losses(model, data, None).tolist() == want
 
 
+@given(seeds, st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]), st.integers(1, 4))
+def test_margins_match_per_row_margins(seed, p, d):
+    rng = np.random.default_rng(seed)
+    model = rand_model(rng, d)
+    X = rng.uniform(-3.0, 3.0, (8, d))
+    want = [margin_ref(model, x, p) for x in X]
+    assert margins_batch(model, X, p) == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+@given(seeds, st.sampled_from([1.0, 2.0, math.inf, "offsets"]), st.integers(1, 3),
+       st.floats(0.05, 1.0))
+def test_selective_labels_match_per_row_rule(seed, kind, d, gamma):
+    rng = np.random.default_rng(seed)
+    model = rand_model(rng, d)
+    spec = rand_offsets(rng, d, 4) if kind == "offsets" else LpBall(kind, gamma)
+    Z = rng.standard_normal((16, d)) * 1.5
+    want = [selective_ref(model, spec, z) for z in Z]
+    assert selective_labels(SelectiveClassifier(model, spec), Z).tolist() == want
+
+
 def rand_cascade(rng, d, p, offsets=False):
     specs = [rand_offsets(rng, d, 3) if offsets and i == 1 else LpBall(p, float(rng.uniform(0.0, 0.6)))
              for i in range(3)]
@@ -123,7 +149,6 @@ def test_cascade_predict_batch_matches_stage_walk(seed, p, offsets):
     Z = rng.standard_normal((25, 2)) * 1.5
     want = [cascade_ref(c.stages, c.fallback, z) for z in Z]
     assert c.predict_batch(Z).tolist() == want
-    assert [c.predict(z) for z in Z] == want
 
 
 @given(seeds, norms, st.floats(0.0, 0.8))
@@ -147,7 +172,6 @@ def test_votes_match_per_row_sums(seed, size):
     weighted = WeightedMajority(models, EnsembleWeights(weights))
     assert majority.predict_batch(Z).tolist() == [vote_ref(models, [1.0] * size, z) for z in Z]
     assert weighted.predict_batch(Z).tolist() == [vote_ref(models, weights, z) for z in Z]
-    assert [weighted.predict(z) for z in Z] == weighted.predict_batch(Z).tolist()
 
 
 @given(seeds, norms, st.floats(0.0, 1.0), st.sampled_from([1, -1]))
@@ -158,7 +182,6 @@ def test_expanded_predictor_matches_per_row_rule(seed, p, gamma, y):
     Z = rng.standard_normal((30, 3))
     want = [expanded_ref(model, p, gamma, y, z) for z in Z]
     assert g.predict_batch(Z).tolist() == want
-    assert [g.predict(z) for z in Z] == want
 
 
 @given(seeds, st.integers(0, 3))
@@ -172,4 +195,3 @@ def test_select_members_matches_per_row_rule(seed, size):
                             (SelectionSet("urejectron", pairs), "urejectron", pairs)):
         want = [select_ref(mode, base, stored, x) for x in X]
         assert select_members(S, X).tolist() == want
-        assert [S.contains(x) for x in X] == want

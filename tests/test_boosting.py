@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from roblearn import (
-    ABSTAIN,
     AlphaBoostConfig,
     BoostConfig,
     Cascade,
@@ -21,7 +20,6 @@ from roblearn import (
     MarginUnion,
     Polytope,
     RetryLimit,
-    Sample,
     SelectiveClassifier,
     SourceExhausted,
     SvmConfig,
@@ -31,23 +29,21 @@ from roblearn import (
     alpha_boost,
     beta_roboost,
     beta_uroboost,
-    cascade_predict,
     expand_g,
     finite_source,
     generate,
-    in_nonrobust_region,
-    margin,
+    margins_batch,
     rejection_sample,
     robust_loss,
     robust_risk,
-    selective_predict,
+    selective_labels,
     sparsify_majority,
     strong_to_barely,
     svm_margin,
     vote_agreement,
     worst_case_point,
 )
-from roblearn.boosting import _accept, _doubled_stages, _round_radius
+from roblearn.boosting import _accept, _doubled_stages, _round_radius, _stage_labels
 from roblearn.data import substream
 
 from ._refs import accept_ref, ball_samples, gen_stream, nonrobust_ref, stable_ref
@@ -55,6 +51,11 @@ from ._refs import accept_ref, ball_samples, gen_stream, nonrobust_ref, stable_r
 
 def vec(*vals):
     return np.array(vals, dtype=float)
+
+
+def nonrobust(models, U, X):
+    """Per row of X: every model's prediction can be flipped or silenced within U."""
+    return _stage_labels(_doubled_stages(models, [U] * len(models)), np.atleast_2d(X)) == 0
 
 
 # margins under the class-mean directions the rounds will train: the far
@@ -72,30 +73,27 @@ THREE_CLUSTERS = MarginUnion((
 # ---------------------------------------------------------------------------
 
 
-def test_selective_predict_ball_closed_form():
+def test_selective_labels_ball_closed_form():
     sc = SelectiveClassifier(LinearModel(vec(1.0, 0.0)), LpBall(2.0, 1.0))
-    assert selective_predict(sc, vec(3.0, 0.0)) == 1
-    assert selective_predict(sc, vec(0.5, 0.0)) is ABSTAIN
-    assert selective_predict(sc, vec(-2.0, 0.0)) == -1
-    # the exact boundary abstains
-    assert selective_predict(sc, vec(1.0, 0.0)) is ABSTAIN
-    assert sc.predict(vec(3.0, 0.0)) == 1
+    # the exact boundary (1, 0) abstains
+    got = selective_labels(sc, [[3.0, 0.0], [0.5, 0.0], [-2.0, 0.0], [1.0, 0.0]])
+    assert got.tolist() == [1, 0, -1, 0]
 
 
-def test_selective_predict_offsets_require_unanimity():
+def test_selective_labels_offsets_require_unanimity():
     sc = SelectiveClassifier(LinearModel(vec(1.0, 0.0)),
                              FiniteOffsets([vec(0.0, 0.0), vec(2.0, 0.0)]))
-    assert selective_predict(sc, vec(3.0, 0.0)) == 1
-    assert selective_predict(sc, vec(1.0, 0.0)) is ABSTAIN  # preimage (-1,0) disagrees
+    # at (1, 0) the preimage (-1, 0) disagrees
+    assert selective_labels(sc, [[3.0, 0.0], [1.0, 0.0]]).tolist() == [1, 0]
 
 
-def test_selective_predict_rejects_per_example_tables():
+def test_selective_labels_rejects_per_example_tables():
     sc = SelectiveClassifier(LinearModel(vec(1.0)), FinitePerExample({0: np.array([[0.0]])}))
     with pytest.raises(Unsupported):
-        selective_predict(sc, vec(0.0))
+        selective_labels(sc, [[0.0]])
     with pytest.raises(Unsupported, match="no abstention rule for Polytope"):
-        selective_predict(SelectiveClassifier(LinearModel(vec(1.0)), Polytope(np.eye(1), np.ones(1))),
-                          vec(0.0))
+        selective_labels(SelectiveClassifier(LinearModel(vec(1.0)), Polytope(np.eye(1), np.ones(1))),
+                         [[0.0]])
 
 
 @given(st.integers(0, 3_000), st.sampled_from([2.0, math.inf]))
@@ -107,16 +105,13 @@ def test_stable_points_keep_their_prediction_under_perturbation(seed, p):
     h = LinearModel(w, bias=float(rng.standard_normal()) * 0.2)
     gamma = 0.5
     x = rng.standard_normal(3) * 2.0
-    if abs(margin(h, x, p)) <= 2 * gamma:
+    if abs(margins_batch(h, x[None], p)[0]) <= 2 * gamma:
         return  # only the doubly-stable region carries the guarantee
     sc = SelectiveClassifier(h, LpBall(p, gamma))
     label = h.predict(x)
-    assert selective_predict(sc, x) == label
     z_star = worst_case_point(h, x, label, LpBall(p, gamma))
-    assert selective_predict(sc, z_star) == label
-    for z in ball_samples(x, p, gamma, 60, rng):
-        assert selective_predict(sc, z) in (label, ABSTAIN)
-        assert selective_predict(sc, z) == label or selective_predict(sc, z) is ABSTAIN
+    assert selective_labels(sc, [x, z_star]).tolist() == [label, label]
+    assert set(selective_labels(sc, ball_samples(x, p, gamma, 60, rng)).tolist()) <= {label, 0}
 
 
 # ---------------------------------------------------------------------------
@@ -128,10 +123,8 @@ def test_cascade_first_speaking_stage_wins():
     wide = SelectiveClassifier(LinearModel(vec(1.0, 0.0)), LpBall(2.0, 2.0))
     narrow = SelectiveClassifier(LinearModel(vec(0.0, -1.0)), LpBall(2.0, 0.1))
     c = Cascade([wide, narrow], fallback=LinearModel(vec(0.0, 1.0)))
-    assert cascade_predict(c, vec(5.0, 5.0)) == 1      # stage 1 speaks
-    assert cascade_predict(c, vec(0.5, 5.0)) == -1     # stage 1 abstains, stage 2 speaks
-    assert cascade_predict(c, vec(0.5, 0.05)) == 1     # all abstain: fallback
-    assert np.array_equal(c.predict_batch([[5.0, 5.0], [0.5, 5.0]]), [1, -1])
+    # stage 1 speaks; stage 1 abstains and stage 2 speaks; all abstain: fallback
+    assert c.predict_batch([[5.0, 5.0], [0.5, 5.0], [0.5, 0.05]]).tolist() == [1, -1, 1]
 
 
 def test_cascade_requires_stages_and_fallback():
@@ -164,12 +157,10 @@ def test_cascade_ball_loss_never_underreports(seed, p):
     c = Cascade(stages, fallback=stages[-1].model)
     x = rng.standard_normal(2) * 1.5
     y = 1 if rng.random() < 0.5 else -1
-    s = Sample(x, y)
     claimed = int(c.robust_losses_lp(Dataset([x], [y]), LpBall(p, gamma))[0])
-    assert robust_loss(c, s, LpBall(p, gamma)) == claimed  # core dispatches to the walk
+    assert robust_loss(c, x, y, LpBall(p, gamma)) == claimed  # core dispatches to the walk
     if claimed == 0:
-        for z in ball_samples(x, p, gamma, 80, rng):
-            assert cascade_predict(c, z) == y
+        assert np.all(c.predict_batch(ball_samples(x, p, gamma, 80, rng)) == y)
 
 
 # ---------------------------------------------------------------------------
@@ -180,12 +171,9 @@ def test_cascade_ball_loss_never_underreports(seed, p):
 def test_nonrobust_region_closed_form():
     h = LinearModel(vec(1.0, 0.0))
     ball = LpBall(2.0, 1.0)
-    assert in_nonrobust_region([h], vec(1.5, 0.0), ball)        # 1.5 <= 2
-    assert not in_nonrobust_region([h], vec(3.0, 0.0), ball)    # 3 > 2
+    assert nonrobust([h], ball, [[1.5, 0.0], [3.0, 0.0]]).tolist() == [True, False]  # 1.5 <= 2 < 3
     stable = LinearModel(vec(0.0, 1.0))                          # margin 5 at this x
-    assert not in_nonrobust_region([h, stable], vec(1.5, 5.0), ball)
-    with pytest.raises(ValueError):
-        in_nonrobust_region([], vec(0.0, 0.0), ball)
+    assert not nonrobust([h, stable], ball, vec(1.5, 5.0))[0]
 
 
 def _region_case(seed, kind, gamma, two_models):
@@ -222,11 +210,11 @@ region_kinds = st.sampled_from([1.0, 2.0, math.inf, "offsets"])
 @given(st.integers(0, 100_000), region_kinds, st.floats(0.05, 1.0), st.booleans())
 def test_nonrobust_region_matches_reference(seed, kind, gamma, two_models):
     models, specs, U, data = _region_case(seed, kind, gamma, two_models)
-    for x in data.X:
-        assert in_nonrobust_region(models, x, U) == nonrobust_ref(models, [U] * len(models), x)
+    assert nonrobust(models, U, data.X).tolist() == [nonrobust_ref(models, [U] * len(models), x)
+                                                     for x in data.X]
     # boundary rows of a ball are non-robust for the axis model
     if kind != "offsets":
-        assert all(in_nonrobust_region(models[:1], x, U) for x in data.X[:6])
+        assert nonrobust(models[:1], U, data.X[:6]).all()
     flags = [nonrobust_ref(models, specs, x) for x in data.X]
     want = [i for i, f in enumerate(flags) if f]
     source = finite_source(data)
@@ -256,7 +244,7 @@ def test_per_example_tables_have_no_region():
     table = FinitePerExample({0: [[0.0, 0.0]]})
     data = Dataset(np.zeros((3, 2)), np.ones(3, dtype=np.int64))
     with pytest.raises(Unsupported):
-        in_nonrobust_region([h], vec(0.0, 0.0), table)
+        nonrobust([h], table, vec(0.0, 0.0))
     with pytest.raises(Unsupported):
         rejection_sample(finite_source(data), [h], 1, 3, table)
     with pytest.raises(Unsupported):
@@ -281,7 +269,7 @@ def test_rejection_sample_filters_to_the_region():
     got = rejection_sample(finite_source(Dataset(X, y)), [h], 2, 10, ball)
     assert got.n == 2
     assert np.allclose(got.X, [[0.5, 0.0], [1.0, 1.0]])
-    assert all(in_nonrobust_region([h], row, ball) for row in got.X)
+    assert nonrobust([h], ball, got.X).all()
 
 
 def test_rejection_sample_gives_up_on_empty_region():
@@ -456,7 +444,6 @@ def test_uroboost_empty_unlabeled_source_degenerates():
 
 def test_majority_vote_ties_go_positive():
     vote = MajorityVote([LinearModel(vec(1.0)), LinearModel(vec(-1.0))])
-    assert vote.predict(vec(2.0)) == 1
     assert np.array_equal(vote.predict_batch([[2.0], [-2.0]]), [1, 1])
     with pytest.raises(ValueError):
         MajorityVote([])
@@ -622,8 +609,8 @@ def test_sparsify_retry_limit_surfaces():
 
 def test_expanded_predictor_closed_form():
     g_plus = expand_g(LinearModel(vec(1.0, 0.0)), LpBall(2.0, 1.0), 1)
-    assert g_plus.predict(vec(-0.5, 0.0)) == 1   # inside the blown-up positive region
-    assert g_plus.predict(vec(-2.0, 0.0)) == -1
+    # (-0.5, 0) lies inside the blown-up positive region, (-2, 0) outside
+    assert g_plus.predict_batch([[-0.5, 0.0], [-2.0, 0.0]]).tolist() == [1, -1]
     with pytest.raises(ValueError):
         expand_g(LinearModel(vec(1.0)), LpBall(2.0, 1.0), 0)
 
@@ -635,10 +622,10 @@ def test_expansion_agrees_with_base_on_its_robust_region(seed):
     ball = LpBall(2.0, 0.5)
     x = rng.standard_normal(2) * 2
     label = h.predict(x)
-    if label * margin(h, x, 2.0) <= ball.gamma:
+    if label * margins_batch(h, x[None], 2.0)[0] <= ball.gamma:
         return
     g = expand_g(h, ball, label)
-    assert g.predict(x) == label
+    assert g.predict_batch(x[None])[0] == label
 
 
 def test_strong_to_barely_picks_the_dominant_label():
@@ -648,7 +635,7 @@ def test_strong_to_barely_picks_the_dominant_label():
     src = finite_source(Dataset(X, np.ones(200, dtype=np.int64)))
     g = strong_to_barely(h, src, ball, delta=0.05)
     assert g.y == 1
-    assert g.predict(vec(-0.3, 0.0)) == 1
+    assert g.predict_batch([[-0.3, 0.0]])[0] == 1
     # default sample size: ceil((64/9) ln(1/delta)) = 22 at delta = 0.05
     assert math.ceil(64.0 / 9.0 * math.log(1.0 / 0.05)) == 22
 

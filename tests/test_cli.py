@@ -71,6 +71,21 @@ def test_weak_learner_failure_is_optimizer_error(tmp_path):
     assert code == 5
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in vecdot:RuntimeWarning")
+@pytest.mark.parametrize("cmd", ["fms", "alpha-boost", "robustify"])
+def test_diverged_erm_is_optimizer_error(tmp_path, capsys, cmd):
+    # hinge steps on features near the float64 limit overflow to non-finite
+    # weights; robustify's own evaluation also overflows, which numpy warns about
+    path = tmp_path / "huge.csv"
+    path.write_text("1e308,-1e308,1\n1e308,1e308,-1\n-1e308,1e308,1\n")
+    code = run([cmd, "--input", str(path), "--offset", "0,0", "--offset", "0.1,0"])
+    out, err = capsys.readouterr()
+    assert code == 5 and out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: TrainingDiverged: hinge descent ended with non-finite weights: "
+        "a step overflowed on features this large"]
+
+
 def test_bad_ball_is_config_error(tmp_path):
     data = write_band(tmp_path)
     model = write_model(tmp_path)

@@ -8,6 +8,7 @@ from roblearn import (
     Cascade,
     ConfigError,
     Dataset,
+    EllipsoidConfig,
     EmptyDataset,
     FiniteOffsets,
     FinitePerExample,
@@ -16,7 +17,6 @@ from roblearn import (
     LpBall,
     MajorityVote,
     PerceptronState,
-    Sample,
     SelectiveClassifier,
     SizeLimit,
     Unsupported,
@@ -25,15 +25,16 @@ from roblearn import (
     dual_exponent,
     dual_maximizer,
     dual_norm,
+    ellipsoid_certify,
     inflate,
     inverse_blowup,
     lp_norm,
-    margin,
     margin_attack,
     margins_batch,
     robust_loss,
     robust_losses,
     robust_risk,
+    separation_oracle,
     worst_case_point,
 )
 
@@ -101,24 +102,30 @@ def test_dual_norm_is_norm_of_dual_exponent():
 
 
 # ---------------------------------------------------------------------------
-# core containers
+# core containers, and the one-point queries that check their (x, y)
 # ---------------------------------------------------------------------------
 
 
-def test_sample_validates_label():
-    with pytest.raises(ValueError):
-        Sample(vec(1.0), 0)
+AXIS, BALL = LinearModel(vec(1.0, 0.0)), LpBall(2.0, 1.0)
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: Sample(np.zeros((1, 2)), 1), "expected a 1-d vector"),
+    (lambda: robust_loss(AXIS, vec(1.0, 0.0), 0, BALL), "label must be -1 or"),
+    (lambda: attack(AXIS, vec(1.0, 0.0), 0.5, BALL), "label must be -1 or"),
+    (lambda: ellipsoid_certify(AXIS, vec(1.0, 0.0), 2, separation_oracle(BALL, vec(1.0, 0.0)),
+                               EllipsoidConfig()), "label must be -1 or"),
+    (lambda: robust_loss(AXIS, np.zeros((1, 2)), 1, BALL), "expected a 1-d vector"),
+    (lambda: ellipsoid_certify(AXIS, np.zeros((1, 2)), 1, separation_oracle(BALL, vec(1.0, 0.0)),
+                               EllipsoidConfig()), "expected a 1-d vector"),
+    (lambda: attack(AXIS, vec(np.inf, 0.0), 1, BALL), "vector entries must be finite"),
     (lambda: Dataset(vec(1.0, 2.0), np.array([1, -1])), "X must be 2-d"),
     (lambda: Dataset(np.array([[1.0], [np.nan]]), np.array([1, -1])), "features must be finite"),
     (lambda: Dataset(np.zeros((2, 1)), np.array([1, 0])), "labels must be -1 or"),
     (lambda: FiniteOffsets(vec(0.0, 1.0)), "offsets must be a list of vectors"),
     (lambda: FiniteOffsets([vec(1.0, 0.0)]), "must include the zero vector"),
     (lambda: FinitePerExample({3: np.zeros((0, 2))}), "index 3 must be non-empty 2-d"),
-], ids=["vector-2d", "dataset-1d", "dataset-nan", "dataset-label", "offsets-1d",
+], ids=["loss-label", "attack-label", "certify-label", "loss-2d", "certify-2d", "attack-inf",
+        "dataset-1d", "dataset-nan", "dataset-label", "offsets-1d",
         "offsets-no-zero", "per-example-empty"])
 def test_containers_refuse_malformed_input(build, message):
     with pytest.raises(ConfigError, match=message):
@@ -131,8 +138,6 @@ def test_dataset_shapes_and_subset():
     sub = data.subset([2, 0])
     assert np.array_equal(sub.X, np.array([[4.0, 5.0], [0.0, 1.0]]))
     assert np.array_equal(sub.y, np.array([1, 1]))
-    s = data.sample(1)
-    assert np.array_equal(s.x, vec(2.0, 3.0)) and s.y == -1
 
 
 def test_dataset_rejects_mismatched_lengths():
@@ -171,7 +176,7 @@ def test_a_rows_decision_value_does_not_depend_on_its_block(seed, d, n, decimals
     i = int(rng.integers(n))
     k = int(rng.integers(1, n - i + 1))
     block, alone = model.decisions(X)[i], model.decisions(X[i:i + k])[0]
-    assert _bits(block) == _bits(alone) == _bits(model.decision(X[i]))
+    assert _bits(block) == _bits(alone) == _bits(model.decisions(X[i]))
     assert model.predict_batch(X)[i] == model.predict_batch(X[i:i + k])[0] == model.predict(X[i])
     assert PerceptronState(model.w).predict(X[i]) == LinearModel(model.w).predict_batch(X)[i]
 
@@ -181,9 +186,9 @@ def test_a_nan_margin_is_a_loss_everywhere():
     w, x = vec(1e308, 1e308), vec(1e308, -1e308)
     model, ball = LinearModel(w), LpBall(math.inf, 0.5)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert math.isnan(margin(model, x, ball.p))
+        assert math.isnan(margins_batch(model, x[None], ball.p)[0])
         assert robust_losses(model, Dataset(x[None], [1]), ball).tolist() == [1]
-        assert attack(model, Sample(x, 1), ball) is not None
+        assert attack(model, x, 1, ball) is not None
         hit, _witness = margin_attack(ball)(PerceptronState(w), x[None], np.array([1]), 0)
         # a stage with a nan margin abstains, so a wrong fallback decides the row
         stage = SelectiveClassifier(model, LpBall(math.inf, 0.5))
@@ -200,17 +205,9 @@ def test_a_nan_margin_is_a_loss_everywhere():
 def test_margin_is_distance_scaled_decision():
     m = LinearModel(vec(3.0, 4.0), bias=5.0)
     x = vec(1.0, 1.0)
-    assert margin(m, x, 2.0) == pytest.approx((3 + 4 + 5) / 5.0)
-    assert margin(m, x, math.inf) == pytest.approx(12 / 7.0)
-    assert margin(m, x, 1.0) == pytest.approx(12 / 4.0)
-
-
-def test_margins_batch_matches_scalar():
-    m = LinearModel(vec(1.0, -2.0), bias=0.5)
-    X = np.array([[0.0, 0.0], [1.0, 1.0], [-2.0, 3.0]])
-    got = margins_batch(m, X, 2.0)
-    want = [margin(m, X[i], 2.0) for i in range(3)]
-    assert np.allclose(got, want)
+    assert margins_batch(m, x[None], 2.0)[0] == pytest.approx((3 + 4 + 5) / 5.0)
+    assert margins_batch(m, x[None], math.inf)[0] == pytest.approx(12 / 7.0)
+    assert margins_batch(m, x[None], 1.0)[0] == pytest.approx(12 / 4.0)
 
 
 @given(
@@ -242,16 +239,16 @@ def test_worst_case_point_stays_in_ball_and_minimizes(wvals, p, gamma, y):
 def test_robust_loss_boundary_counts_as_loss():
     m = LinearModel(vec(1.0, 0.0))
     ball = LpBall(2.0, 1.0)
-    assert robust_loss(m, Sample(vec(1.0, 0.0), 1), ball) == 1  # margin == gamma
-    assert robust_loss(m, Sample(vec(1.0 + 1e-9, 0.0), 1), ball) == 0
+    assert robust_loss(m, vec(1.0, 0.0), 1, ball) == 1  # margin == gamma
+    assert robust_loss(m, vec(1.0 + 1e-9, 0.0), 1, ball) == 0
 
 
 def test_robust_loss_zero_radius_is_plain_error():
     m = LinearModel(vec(1.0, -1.0))
     ball = LpBall(2.0, 0.0)
-    assert robust_loss(m, Sample(vec(1.0, 0.0), 1), ball) == 0
-    assert robust_loss(m, Sample(vec(0.0, 1.0), 1), ball) == 1  # misclassified as is
-    assert robust_loss(m, Sample(vec(0.0, 0.0), -1), ball) == 1  # boundary tie goes to +1
+    assert robust_loss(m, vec(1.0, 0.0), 1, ball) == 0
+    assert robust_loss(m, vec(0.0, 1.0), 1, ball) == 1  # misclassified as is
+    assert robust_loss(m, vec(0.0, 0.0), -1, ball) == 1  # boundary tie goes to +1
 
 
 @given(
@@ -269,7 +266,7 @@ def test_robust_loss_matches_brute_force(seed, p, d, gamma):
     x = rng.standard_normal(d)
     y = 1 if rng.random() < 0.5 else -1
     model = LinearModel(w, bias=bias)
-    got = robust_loss(model, Sample(x, y), LpBall(p, gamma))
+    got = robust_loss(model, x, y, LpBall(p, gamma))
     # the analytic witness makes the sampled check exact for linear models
     want = brute_ball_loss(w, bias, x, y, p, gamma, 512, rng)
     assert got == want
@@ -282,26 +279,25 @@ def test_robust_loss_monotone_in_radius(seed, g_small, g_extra):
     if not np.any(w):
         w = np.ones(3)
     model = LinearModel(w, bias=float(rng.standard_normal()) * 0.3)
-    s = Sample(rng.standard_normal(3), 1 if rng.random() < 0.5 else -1)
-    small = robust_loss(model, s, LpBall(2.0, g_small))
-    big = robust_loss(model, s, LpBall(2.0, g_small + g_extra))
+    x, y = rng.standard_normal(3), 1 if rng.random() < 0.5 else -1
+    small = robust_loss(model, x, y, LpBall(2.0, g_small))
+    big = robust_loss(model, x, y, LpBall(2.0, g_small + g_extra))
     assert small <= big
 
 
 def test_robust_loss_finite_offsets_enumerates():
     m = LinearModel(vec(1.0, 0.0))
     spec = FiniteOffsets([vec(0.0, 0.0), vec(-2.0, 0.0)])
-    s = Sample(vec(1.0, 0.0), 1)
-    assert robust_loss(m, s, spec) == 1  # the shifted copy lands at (-1, 0)
-    pts = spec.points(s.x)
-    assert brute_finite_loss(m.predict, pts, s.y) == 1
+    x = vec(1.0, 0.0)
+    assert robust_loss(m, x, 1, spec) == 1  # the shifted copy lands at (-1, 0)
+    assert brute_finite_loss(m.predict, spec.points(x), 1) == 1
 
 
 def test_robust_loss_per_example_table_uses_index():
     m = LinearModel(vec(1.0, 0.0))
     table = FinitePerExample({0: np.array([[1.0, 0.0]]), 1: np.array([[-1.0, 0.0]])})
-    assert robust_loss(m, Sample(vec(1.0, 0.0), 1), table, index=0) == 0
-    assert robust_loss(m, Sample(vec(1.0, 0.0), 1), table, index=1) == 1
+    assert robust_loss(m, vec(1.0, 0.0), 1, table, index=0) == 0
+    assert robust_loss(m, vec(1.0, 0.0), 1, table, index=1) == 1
 
 
 def test_robust_risk_averages():

@@ -279,6 +279,7 @@ def _load_outcome(load, path):
 @example("f1,f2,label\r\n 0.5, 1.5 ,1\r\n\r\n-0.5,2.0,-1")
 @example("f1,f2,label\n")  # header only
 @example("f1,f2,label\n\n\n")  # header, then blank lines
+@example("1_0,1\n2,-1\n")  # float() reads 1_0 and numpy's reader does not: the scan parses it
 def test_load_csv_matches_the_field_scan(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("csv") / "d.csv"
     path.write_bytes(text.encode("utf-8"))

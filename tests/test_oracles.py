@@ -15,14 +15,13 @@ from roblearn import (
     NotSeparable,
     OracleViolation,
     Polytope,
-    Sample,
     attack,
     default_ellipsoid_config,
     dual_norm,
     ellipsoid_certify,
     ellipsoid_feasible,
     lp_norm,
-    margin,
+    margins_batch,
     rerm_ellipsoid,
     separation_oracle,
 )
@@ -65,31 +64,31 @@ def test_attack_ball_matches_robustness(seed, p, gamma):
     if not np.any(w):
         w = np.ones(3)
     model = LinearModel(w, bias=float(rng.standard_normal()) * 0.3)
-    s = Sample(rng.standard_normal(3), 1 if rng.random() < 0.5 else -1)
+    x, y = rng.standard_normal(3), 1 if rng.random() < 0.5 else -1
     ball = LpBall(p, gamma)
-    z = attack(model, s, ball)
-    if s.y * margin(model, s.x, p) > gamma:
+    z = attack(model, x, y, ball)
+    if y * margins_batch(model, x[None], p)[0] > gamma:
         assert z is None
     else:
         assert z is not None
-        assert lp_norm(z - s.x, p) <= gamma * (1 + 1e-9)
+        assert lp_norm(z - x, p) <= gamma * (1 + 1e-9)
         # witness decision value is against (or exactly on) the label
-        assert s.y * model.decision(z) <= 1e-9
+        assert y * model.decisions(z) <= 1e-9
 
 
 def test_attack_finite_offsets_returns_first_bad_point():
     model = LinearModel(vec(1.0, 0.0))
     spec = FiniteOffsets([vec(0.0, 0.0), vec(-3.0, 0.0), vec(-5.0, 0.0)])
-    z = attack(model, Sample(vec(1.0, 0.0), 1), spec)
+    z = attack(model, vec(1.0, 0.0), 1, spec)
     assert np.allclose(z, [-2.0, 0.0])
-    assert attack(model, Sample(vec(10.0, 0.0), 1), spec) is None
+    assert attack(model, vec(10.0, 0.0), 1, spec) is None
 
 
 def test_attack_per_example_table_needs_index():
     model = LinearModel(vec(1.0))
     table = FinitePerExample({0: np.array([[2.0]]), 1: np.array([[-2.0]])})
-    assert attack(model, Sample(vec(1.0), 1), table, index=0) is None
-    z = attack(model, Sample(vec(1.0), 1), table, index=1)
+    assert attack(model, vec(1.0), 1, table, index=0) is None
+    z = attack(model, vec(1.0), 1, table, index=1)
     assert np.allclose(z, [-2.0])
 
 
@@ -358,18 +357,18 @@ def test_certify_agrees_with_margin_route_when_clear(seed, p):
     y = 1 if rng.random() < 0.5 else -1
     gamma = 0.4
     # skip the thin band where finite volume tolerance may legitimately differ
-    worst = y * model.decision(x) - gamma * lp_norm(w, 1.0 if math.isinf(p) else 2.0)
+    worst = y * model.decisions(x) - gamma * lp_norm(w, 1.0 if math.isinf(p) else 2.0)
     if abs(worst) < 0.05:
         return
     cfg = EllipsoidConfig(feas_slack=1e-9, volume_eps=1e-8)
-    hit = ellipsoid_certify(model, Sample(x, y), separation_oracle(LpBall(p, gamma), x), cfg)
+    hit = ellipsoid_certify(model, x, y, separation_oracle(LpBall(p, gamma), x), cfg)
     certified = brute_margin_certified(w, model.bias, x, y, p, gamma)
     if certified:
         assert hit is None
     else:
         assert hit is not None
         assert lp_norm(hit - x, p) <= gamma + 1e-6
-        assert y * model.decision(hit) <= 1e-9
+        assert y * model.decisions(hit) <= 1e-9
 
 
 def test_rerm_finds_robust_separator_in_two_dimensions():
@@ -522,10 +521,10 @@ def test_polytopes_past_the_start_are_searched_within_init_radius():
         for r in (2.0, 30.0):
             cfg = EllipsoidConfig(init_radius=r)
             batch = ellipsoid_certify_batch(model, data, U, cfg)
-            z = ellipsoid_certify(model, data.sample(0), sep, cfg)
+            z = ellipsoid_certify(model, x, data.y[0], sep, cfg)
             found = ellipsoid_feasible(sep, 2, cfg, center=x)
             assert batch[1] is None and (z is None) == (found is None) == (r == 2.0)
-            assert z is None or (z.tobytes() == batch[0].tobytes() and model.decision(z) <= 0
+            assert z is None or (z.tobytes() == batch[0].tobytes() and model.decisions(z) <= 0
                                  and np.linalg.norm(z - x) <= r * (1.0 + 1e-9))
             assert found is None or sep(np.arange(1), found[None])[0][0]
         with pytest.raises(ZeroWeight, match="no row's perturbation region reaches within init_radius 2 "):
@@ -572,7 +571,7 @@ def test_certify_matches_reference(seed, kind, d, slack):
     model = LinearModel(rng.standard_normal(d) + 0.1, bias=float(rng.standard_normal()) * 0.5)
     x = rng.standard_normal(d)
     y = 1 if rng.random() < 0.5 else -1
-    got = _outcome(lambda sep: ellipsoid_certify(model, Sample(x, y), sep, cfg, slack=slack),
+    got = _outcome(lambda sep: ellipsoid_certify(model, x, y, sep, cfg, slack=slack),
                    separation_oracle(U, x))
     want, unstopped = (_outcome(lambda sep: ellipsoid_certify_ref(model.w, model.bias, x, y, sep,
                                                                   cfg, slack=slack, stop=stop),
@@ -901,8 +900,8 @@ def _screen_run(monkeypatch, data, ball, cfg):
 
         return search(weight_sep, d, cfg)
 
-    def certify_spy(model, sample, sepU, cfg, slack=0.0):
-        return found(row_of(sample.x), certify(model, sample, sepU, cfg, slack=slack))
+    def certify_spy(model, x, y, sepU, cfg, slack=0.0):
+        return found(row_of(x), certify(model, x, y, sepU, cfg, slack=slack))
 
     monkeypatch.setattr(oracles, "ellipsoid_feasible", feasible_spy)
     monkeypatch.setattr(oracles, "ellipsoid_certify", certify_spy)
@@ -970,7 +969,7 @@ def test_disjoint_balls_check_passes_just_beyond_two_gamma(p):
 
 @pytest.mark.parametrize("search", [
     lambda model, data: check_disjoint_balls(data, LpBall(3.0, 0.1)),
-    lambda model, data: attack(model, data.sample(0), Polytope(np.eye(2), np.ones(2))),
+    lambda model, data: attack(model, data.X[0], data.y[0], Polytope(np.eye(2), np.ones(2))),
     lambda model, data: ellipsoid_certify_batch(model, data, LpBall(3.0, 0.1), EllipsoidConfig()),
     lambda model, data: ellipsoid_certify_batch(model, data, FiniteOffsets(np.zeros((1, 2))),
                                                 EllipsoidConfig()),

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from roblearn import (
-    ABSTAIN,
     ConstantModel,
     Dataset,
     DistinguisherT1,
@@ -34,7 +33,6 @@ from roblearn import (
     save_selection,
     select_member,
     select_members,
-    selective_classify,
     transductive_pool,
     urejectron,
 )
@@ -51,6 +49,12 @@ SCORES = st.lists(SCORE, min_size=1, max_size=50).map(lambda v: np.array(v, dtyp
 
 def vec(*vals):
     return np.array(vals, dtype=float)
+
+
+def classify(h, S, X):
+    """h's labels on the rows of X the selection set keeps, 0 (abstain) elsewhere."""
+    X = np.asarray(X, dtype=float)
+    return np.where(select_members(S, X), h.predict_batch(X), 0)
 
 
 AXIS = LinearModel(vec(1.0, 0.0))
@@ -91,10 +95,9 @@ def test_redact_config_validation():
 
 def test_selection_set_modes():
     S = SelectionSet("rejectron", [FLIP_UP], base=AXIS)
-    assert S.contains(vec(1.5, 0.0))
+    assert select_member(S, vec(1.5, 0.0))
     assert not select_member(S, vec(0.3, 3.0))
-    assert selective_classify(AXIS, S, vec(1.5, 0.0)) == 1
-    assert selective_classify(AXIS, S, vec(0.3, 3.0)) is ABSTAIN
+    assert classify(AXIS, S, [[1.5, 0.0], [0.3, 3.0]]).tolist() == [1, 0]
     with pytest.raises(ValueError):
         SelectionSet("other", [])
     with pytest.raises(ValueError):
@@ -110,11 +113,9 @@ def test_rejectron_redacts_the_drifted_cluster():
     assert len(S.members) <= math.floor(1.0 / 0.2)
     assert select_members(S, tests).mean() == 0.5  # the selected test fraction
     # the high training weight protects every training point from redaction
-    assert all(select_member(S, x) for x in train.X)
-    for x, y in zip(train.X, train.y):
-        assert selective_classify(h, S, x) == y
-    for x in tests[20:]:
-        assert selective_classify(h, S, x) is ABSTAIN
+    assert select_members(S, train.X).all()
+    assert np.array_equal(classify(h, S, train.X), train.y)
+    assert not classify(h, S, tests[20:]).any()
 
 
 def test_rejectron_keeps_everything_without_drift():
@@ -150,18 +151,21 @@ def test_rejectron_redacts_a_repeated_adversarial_point():
     tests = np.concatenate([band_train().X, np.tile(adv, (20, 1))])
     truth = np.concatenate([band_train().y, -np.ones(20)]).astype(np.int64)
     h, S, _ = rejectron(train, tests, RedactConfig(0.2), erm=make_pool_erm([AXIS, FLIP_UP]))
-    preds = [selective_classify(h, S, x) for x in tests]
-    errs = sum(p is not ABSTAIN and p != t for p, t in zip(preds, truth))
+    preds = classify(h, S, tests)
+    errs = np.count_nonzero((preds != 0) & (preds != truth))
     assert errs / len(tests) <= 0.2
-    assert selective_classify(h, S, adv) is ABSTAIN
+    assert classify(h, S, [adv])[0] == 0
 
 
 def test_urejectron_pool_pairs_split_only_on_drift():
     tests = mixed_tests()
     S, _, tradeoff = urejectron(band_train().X, tests, RedactConfig(0.2), FinitePoolPairs([AXIS, FLIP_UP]))
     assert len(S.members) == 1 and tradeoff == []
-    assert all(select_member(S, x) for x in band_train().X)
-    assert not any(select_member(S, x) for x in tests[20:])
+    assert select_members(S, band_train().X).all()
+    assert not select_members(S, tests[20:]).any()
+    # no test point: no round runs
+    S, scores, _ = urejectron(band_train().X, [], RedactConfig(0.2), FinitePoolPairs([AXIS, FLIP_UP]))
+    assert S.members == () and scores == []
     with pytest.raises(EmptyPool):
         FinitePoolPairs([])
 
@@ -180,9 +184,8 @@ def test_urejectron_t1_threshold_tradeoff():
         assert b["rej_test"] >= a["rej_test"]
     assert any(r["rej_train"] <= 0.10 and r["rej_test"] >= 0.45 for r in rows)
     # the returned set keeps every training point by construction
-    assert all(select_member(S, x) for x in rng_train.X)
-    kept_drift = sum(select_member(S, x) for x in drift)
-    assert kept_drift == 0
+    assert select_members(S, rng_train.X).all()
+    assert not select_members(S, drift).any()
     with pytest.raises(Unsupported):
         urejectron(rng_train.X, tests, RedactConfig(0.2), backend="nope")
 
@@ -255,9 +258,9 @@ def test_massart_denoise_relabels_before_redacting():
     heldout = generate(GenSpec(pair, 40, rng_seed=13))
     tests = generate(GenSpec(pair, 40, rng_seed=14))
     h, S, _ = massart_denoise_rejectron(noisy, heldout, tests.X, RedactConfig(0.2))
-    preds = [selective_classify(h, S, x) for x in tests.X]
-    errs = sum(p is not ABSTAIN and p != t for p, t in zip(preds, tests.y))
-    abstains = sum(p is ABSTAIN for p in preds)
+    preds = classify(h, S, tests.X)
+    errs = np.count_nonzero((preds != 0) & (preds != tests.y))
+    abstains = np.count_nonzero(preds == 0)
     assert errs <= 2 and abstains <= 8
 
 
@@ -301,8 +304,10 @@ def test_transductive_pool_finite_offsets_risks():
     # 0.5 test point splits its preimage predictions
     assert scores[0] == (0.5, 0.5)  # (labeled, unlabeled)
     # no test point: the unlabeled risk is 0, and only the labeled one counts
-    assert transductive_pool(PoolHypotheses((h,)), train, np.empty((0, 1)), shifts,
-                             mode="agnostic")[2] == [(0.5, 0.0)]
+    for empty in (np.empty((0, 1)), []):
+        _, labels, scores = transductive_pool(PoolHypotheses((h,)), train, empty, shifts,
+                                              mode="agnostic")
+        assert labels.shape == (0,) and scores == [(0.5, 0.0)]
     with pytest.raises(Unsupported):
         transductive_pool(PoolHypotheses((h,)), train, train.X, object(), mode="agnostic")
 

@@ -342,7 +342,6 @@ def test_ensemble_weights_validation():
 def test_weighted_majority_tie_goes_positive():
     wm = WeightedMajority([ConstantModel(1), ConstantModel(-1)],
                           EnsembleWeights(np.array([0.5, 0.5])))
-    assert wm.predict(vec(0.0)) == 1
     assert np.array_equal(wm.predict_batch([[0.0], [1.0]]), [1, 1])
 
 
@@ -367,7 +366,7 @@ def test_weighted_majority_suppresses_the_bad_member():
     weights, predictor, mistakes, seen = weighted_majority_robust(pool, stream, oracle, eta_wm=0.5)
     assert mistakes == 1 and seen == 12
     assert np.allclose(weights.weights, [0.5, 1.0])
-    assert predictor.predict(vec(3.0)) == -1
+    assert predictor.predict_batch([[3.0]])[0] == -1
     a, b = wm_constants(0.5)
     assert mistakes <= a * 0.0 + b * math.log(len(pool))
     with pytest.raises(EmptyPool):
@@ -387,7 +386,8 @@ def test_weighted_majority_respects_the_general_bound():
         witnesses = []
         for x, label in zip(X, y):
             cands = [x] + [x - 0.1 * label * h.w / np.linalg.norm(h.w) for h in pool if np.any(h.w)]
-            witnesses.append(next((z for z in cands if predictor.predict(z) != label), None))
+            wrong = np.flatnonzero(predictor.predict_batch(cands) != label)
+            witnesses.append(cands[wrong[0]] if wrong.size else None)
         return np.array([z is not None for z in witnesses]), witnesses.__getitem__
 
     mistakes = weighted_majority_robust(pool, stream, oracle, eta_wm=0.5)[2]
