@@ -25,6 +25,7 @@ from .core import (
     LpBall,
     ball_hits,
     inverse_blowup,
+    losses_on,
     margins_batch,
     robust_losses,
 )
@@ -327,10 +328,16 @@ class MajorityVote:
 
     def predict_batch(self, Z) -> np.ndarray:
         Z = np.asarray(Z, dtype=float)
-        total = np.zeros(Z.shape[0])
-        for m, count in _distinct(self.models):
-            total = total + count * m.predict_batch(Z)
-        return np.where(total >= 0, 1, -1).astype(np.int64)
+        members, counts = zip(*_distinct(self.models))
+        return _weighted_vote(counts, (m.predict_batch(Z) for m in members), Z.shape[0])
+
+
+def _weighted_vote(weights, member_labels, n: int) -> np.ndarray:
+    """±1 vote over n points: weight times labels, summed in member order; 0 goes to +1."""
+    score = np.zeros(n)
+    for wi, labels in zip(weights, member_labels):
+        score = score + wi * labels
+    return np.where(score >= 0, 1, -1).astype(np.int64)
 
 
 @dataclass
@@ -374,6 +381,7 @@ def alpha_boost(data: Dataset, weak_learner, cfg: AlphaBoostConfig, U=None):
     m = data.n
     if m == 0:
         raise ConfigError("cannot boost on an empty dataset")
+    losses_of = losses_on(data, U)
     alpha, T = cfg.resolved(m)
     retries = max(1, math.ceil(math.log(2.0 * T / cfg.delta)))
     D = np.full(m, 1.0 / m)
@@ -385,7 +393,7 @@ def alpha_boost(data: Dataset, weak_learner, cfg: AlphaBoostConfig, U=None):
                 h = weak_learner(WeightedDataset(data, D))
             except WeakLearnerFailed:
                 continue
-            losses = robust_losses(h, data, U).astype(float)
+            losses = losses_of(h).astype(float)
             err = float(D @ losses)
             if err <= 1.0 / 3.0:
                 break
@@ -397,7 +405,7 @@ def alpha_boost(data: Dataset, weak_learner, cfg: AlphaBoostConfig, U=None):
         errors.append(err)
         D = D * np.where(losses == 0.0, math.exp(-2.0 * alpha), 1.0)
         D = D / D.sum()
-        if cfg.early_stop and _zero_loss(MajorityVote(models), data, U):
+        if cfg.early_stop and not losses_of(MajorityVote(models)).any():
             break
     return models, MajorityVote(models), errors
 
@@ -405,14 +413,11 @@ def alpha_boost(data: Dataset, weak_learner, cfg: AlphaBoostConfig, U=None):
 def vote_agreement(models, data: Dataset, U=None) -> np.ndarray:
     """Per-example fraction of models with zero (robust) loss; a model that
     appears more than once is evaluated once (see _distinct)."""
+    losses_of = losses_on(data, U)
     agree = np.zeros(data.n)
     for h, count in _distinct(models):
-        agree += count * (1.0 - robust_losses(h, data, U))
+        agree += count * (1.0 - losses_of(h))
     return agree / len(models)
-
-
-def _zero_loss(predictor, data: Dataset, U) -> bool:
-    return not robust_losses(predictor, data, U).any()
 
 
 def sparsify_majority(models, check_data: Dataset, N: int = 25, seed: int = 0, U=None, retry_limit: int = 100):
@@ -421,13 +426,14 @@ def sparsify_majority(models, check_data: Dataset, N: int = 25, seed: int = 0, U
     models = list(models)
     if isinstance(U, LpBall) and U.gamma > 0:
         raise Unsupported("majority votes over a ball need a finite perturbation set")
-    if not _zero_loss(MajorityVote(models), check_data, U):
+    losses_of = losses_on(check_data, U)
+    if losses_of(MajorityVote(models)).any():
         raise ConfigError("the full majority must have zero loss on check_data")
     rng = substream(seed, "sparsify")
     for _ in range(retry_limit):
         idx = rng.integers(0, len(models), size=N)
         sub = [models[i] for i in idx]
-        if _zero_loss(MajorityVote(sub), check_data, U):
+        if not losses_of(MajorityVote(sub)).any():
             return sub
     raise RetryLimit(f"no zero-loss subsample of size {N} in {retry_limit} attempts")
 

@@ -15,6 +15,7 @@ from .core import (
     Dataset,
     FiniteOffsets,
     LpBall,
+    losses_on,
     margins_batch,
     robust_losses,
     robust_risk,
@@ -50,7 +51,6 @@ from .boosting import (
 from .reductions import (
     RobustifyConfig,
     cycle_robust,
-    enumeration_attack,
     fms_agnostic,
     margin_attack,
     one_pass_robust,
@@ -440,10 +440,9 @@ def _cmd_wm(args) -> dict:
     data = load_csv(args.input)
     U = _offsets(args, data.d)
     pool = [_load(load_model, p, data.d, "--pool") for p in args.pool]
-    oracle = enumeration_attack(U)
     weights, _, mistakes, seen = weighted_majority_robust(
-        pool, finite_source(data), oracle, args.eta_wm, rounds=args.rounds)
-    opt = min(int(robust_losses(h, data, U).sum()) for h in pool)
+        pool, finite_source(data), U, args.eta_wm, rounds=args.rounds)
+    opt = min(int(losses.sum()) for losses in map(losses_on(data, U), pool))
     doc = {
         "metrics": {
             "mistakes": mistakes,

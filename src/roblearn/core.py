@@ -5,7 +5,8 @@ linear model and an lp ball the robust loss has a closed form: the attacker
 wins iff the signed dual-normalized margin is at most the radius. Finite sets
 are evaluated by enumeration against any predictor exposing .predict_batch.
 Every loss is computed for a whole dataset at once by robust_losses, and
-robust_loss asks it about one labeled point. Every decision value comes
+robust_loss asks it about one labeled point; losses_on scores many
+predictors on one dataset, enumerating a finite set's points once. Every decision value comes
 from decision_values and every closed-form ball loss from ball_hits, so a row's
 decision value and robust loss have the same bits alone or in any block, and a
 boundary or NaN margin is a loss.
@@ -90,9 +91,6 @@ class LinearModel:
 
     def decisions(self, X) -> np.ndarray:
         return decision_values(X, self.w, self.bias)
-
-    def predict(self, x) -> int:
-        return 1 if self.decisions(x) >= 0.0 else -1
 
     def predict_batch(self, X) -> np.ndarray:
         return np.where(self.decisions(X) >= 0.0, 1, -1)
@@ -258,9 +256,15 @@ def robust_losses(predictor, data: Dataset, U: PerturbationSpec | None) -> np.nd
                 f"ball robust loss has no closed form for {type(predictor).__name__}"
             )
         return lp(data, U)
-    flat = inflate(data, U, cap=math.inf)
-    wrong = predictor.predict_batch(flat.data.X) != flat.data.y
-    return (np.bincount(flat.origins, weights=wrong, minlength=data.n) > 0).astype(np.int64)
+    return enumerated_losses(predictor, inflate(data, U, cap=math.inf), data.n)
+
+
+def losses_on(data: Dataset, U: PerturbationSpec | None):
+    """robust_losses(., data, U) as a function of the predictor, inflating a finite U's data once."""
+    if isinstance(U, (FiniteOffsets, FinitePerExample)):
+        inflated = inflate(data, U, cap=math.inf)
+        return lambda predictor: enumerated_losses(predictor, inflated, data.n)
+    return lambda predictor: robust_losses(predictor, data, U)
 
 
 def robust_loss(predictor, x, y, U: PerturbationSpec, index: int | None = None) -> int:
@@ -296,6 +300,13 @@ def inverse_blowup(U: PerturbationSpec) -> PerturbationSpec:
 class InflatedDataset:
     data: Dataset
     origins: np.ndarray  # origins[j] = index of the example row j came from
+
+
+def enumerated_losses(predictor, inflated: InflatedDataset, n: int) -> np.ndarray:
+    """robust_losses over a finite spec, given the n-row dataset's inflated copy:
+    a row is lost iff some listed point of it is misclassified."""
+    wrong = predictor.predict_batch(inflated.data.X) != inflated.data.y
+    return (np.bincount(inflated.origins, weights=wrong, minlength=n) > 0).astype(np.int64)
 
 
 def inflate(data: Dataset, U: PerturbationSpec, cap: int = DEFAULT_INFLATE_CAP) -> InflatedDataset:

@@ -40,9 +40,6 @@ class ConstantModel:
         if self.label not in (1, -1):
             raise ConfigError("label must be +1 or -1")
 
-    def predict(self, x) -> int:
-        return self.label
-
     def predict_batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         return np.full(X.shape[0], self.label, dtype=np.int64)
@@ -203,19 +200,22 @@ def urejectron(train_points, test_points, cfg: RedactConfig, backend):
     the tradeoff is empty. In the single-round mode, fit one train-vs-test
     separator and keep everything on the train side of a threshold; the
     scores are the test rows' separator scores and the tradeoff is the
-    threshold sweep over them (_tradeoff_rows).
+    threshold sweep over them (_tradeoff_rows). An empty training block (or,
+    in the single-round mode, test block) raises EmptyDataset.
     """
     train = _as_points(train_points)
     tests = _as_points(test_points, train.shape[1])
     n, n_test = train.shape[0], tests.shape[0]
     lam = cfg.resolved_weight(n)
     if isinstance(backend, FinitePoolPairs):
+        if not n:
+            raise EmptyDataset("the pool mode needs at least one training point")
         pool = backend.pool
         preds_train = [c.predict_batch(train) for c in pool]
         preds_test = [c.predict_batch(tests) for c in pool]
         # (i, j, test rows the pair splits, its training penalty) in search order
         table = [(i, j, preds_test[i] != preds_test[j],
-                  lam * (float(np.mean(preds_train[i] != preds_train[j])) if n else 0.0))
+                  lam * float(np.mean(preds_train[i] != preds_train[j])))
                  for i in range(len(pool)) for j in range(i + 1, len(pool))]
         selected = np.ones(n_test, dtype=bool)
         members = []

@@ -23,13 +23,14 @@ from .core import (
     as_vector,
     ball_hits,
     inflate,
+    robust_losses,
     worst_case_point,
 )
 from .boosting import (
     AlphaBoostConfig,
     MajorityVote,
     WeightedDataset,
-    _zero_loss,
+    _weighted_vote,
     alpha_boost,
     sparsify_majority,
 )
@@ -138,7 +139,7 @@ def zero_robust_loss(L: Dataset, U, base_learner, cfg: RobustifyConfig | None = 
     flat = inflate(L, _reindexed(U, indices, L.n)).data
     boost_cfg = AlphaBoostConfig(alpha=cfg.alpha, rounds=cfg.inner_rounds, delta=cfg.delta, early_stop=True)
     models, vote, _ = alpha_boost(flat, base_learner, boost_cfg)
-    if not _zero_loss(vote, flat, None):
+    if robust_losses(vote, flat, None).any():
         raise WeakLearnerFailed("boosting did not reach zero loss on the inflated set")
     sub = sparsify_majority(
         models, flat, N=cfg.sparsify_N, seed=cfg.rng_seed, U=None, retry_limit=cfg.retry_limit
@@ -178,7 +179,7 @@ def robustify_nonrobust(data: Dataset, U, base_learner, cfg: RobustifyConfig | N
 
     boost_cfg = AlphaBoostConfig(alpha=cfg.alpha, rounds=cfg.outer_rounds, delta=cfg.delta, early_stop=True)
     models, vote, _ = alpha_boost(flat, weak_learner, boost_cfg)
-    if not _zero_loss(vote, flat, None):
+    if robust_losses(vote, flat, None).any():
         raise WeakLearnerFailed("outer boosting did not reach zero robust loss")
     sub = sparsify_majority(
         models, data, N=cfg.sparsify_N, seed=cfg.rng_seed, U=U, retry_limit=cfg.retry_limit
@@ -402,10 +403,7 @@ class WeightedMajority:
 
     def predict_batch(self, Z) -> np.ndarray:
         Z = np.asarray(Z, dtype=float)
-        score = np.zeros(Z.shape[0])
-        for wi, m in zip(self.ensemble.weights, self.models):
-            score = score + wi * m.predict_batch(Z)
-        return np.where(score >= 0, 1, -1).astype(np.int64)
+        return _weighted_vote(self.ensemble.weights, (m.predict_batch(Z) for m in self.models), Z.shape[0])
 
 
 def wm_constants(eta: float) -> tuple[float, float]:
@@ -416,15 +414,18 @@ def wm_constants(eta: float) -> tuple[float, float]:
     return math.log(1.0 / eta) / denom, 1.0 / denom
 
 
-def weighted_majority_robust(pool, stream, attack_oracle, eta_wm: float, rounds: int | None = None):
-    """Run the weighted-majority vote against the attack oracle; every member
-    wrong on a successful attack point is down-weighted by eta. Stops after
-    `rounds` draws or when a finite stream runs dry; rows are drawn and
-    attacked in blocks, as in one_pass_robust. Returns the weights, the vote
-    over them, the number of mistakes and the number of examples drawn.
-
-    Each pool member must answer predict(z) for one witness point, which
-    settles whether it is down-weighted, and predict_batch(Z) for the vote."""
+def weighted_majority_robust(pool, stream, U, eta_wm: float, rounds: int | None = None):
+    """Run the weighted-majority vote against a perfect attacker over the
+    FiniteOffsets U (drawn rows carry no index, so a FinitePerExample raises
+    MissingPerturbations); every member wrong on the first misclassified point
+    of an attacked row is down-weighted by eta. Stops after `rounds` draws or
+    when a finite stream runs dry; rows are drawn and attacked in blocks, as
+    in one_pass_robust. Returns the weights, the vote over them, the number of
+    mistakes and the number of examples drawn. Each member labels a drawn
+    block's n * k points once, kept as int8: an m-member block costs m * n * k
+    bytes, and every vote and down-weighting reads them."""
+    if not isinstance(U, (FiniteOffsets, FinitePerExample)):
+        raise Unsupported("weighted majority needs a finite perturbation set")
     pool = list(pool)
     if not pool:
         raise EmptyPool("hypothesis pool must be non-empty")
@@ -433,18 +434,21 @@ def weighted_majority_robust(pool, stream, attack_oracle, eta_wm: float, rounds:
     if rounds is not None and rounds < 1:
         raise ConfigError("rounds must be >= 1")
     weights = EnsembleWeights(np.ones(len(pool)))
-    predictor = WeightedMajority(pool, weights)
     mistakes = 0
     seen = 0
 
-    def on_hit(predictor, j, z):
+    def attack(weights, rows, y, start):
+        # rows index the block and a row's k points are k adjacent columns of P
+        cols = slice(int(rows[0]) * k, (int(rows[-1]) + 1) * k)
+        wrong = _weighted_vote(weights.weights, P[:, cols], k * len(rows)) != np.repeat(y, k)
+        hit = np.logical_or.reduceat(wrong, np.arange(0, wrong.size, k))
+        return hit, lambda j: cols.start + j * k + int(wrong[j * k:(j + 1) * k].argmax())
+
+    def on_hit(weights, j, col):
         nonlocal mistakes
         mistakes += 1
-        z = as_vector(z)
-        for k, h in enumerate(pool):
-            if h.predict(z) != batch.y[j]:
-                weights.weights[k] *= eta_wm
-        return predictor
+        weights.weights[P[:, col] != batch.y[j]] *= eta_wm
+        return weights
 
     while rounds is None or seen < rounds:
         try:
@@ -452,5 +456,9 @@ def weighted_majority_robust(pool, stream, attack_oracle, eta_wm: float, rounds:
         except SourceExhausted:
             break
         seen += batch.n
-        _scan(attack_oracle, predictor, batch.X, batch.y, None, on_hit)
-    return weights, predictor, mistakes, seen
+        # a per-example table raises here, at the first block
+        Z = U.points(None if isinstance(U, FinitePerExample) else batch.X)
+        k = Z.shape[1]
+        P = np.array([h.predict_batch(Z.reshape(-1, batch.d)) for h in pool], dtype=np.int8)
+        _scan(attack, weights, np.arange(batch.n), batch.y, None, on_hit)
+    return weights, WeightedMajority(pool, weights), mistakes, seen

@@ -648,6 +648,11 @@ def accept_ref(source, stages, m: int, budget_per_draw: int, abstained: bool):
 # ---------------------------------------------------------------------------
 
 
+def label_ref(h, z) -> int:
+    """The label a batch predictor gives the one point z, asked as a one-row block."""
+    return int(h.predict_batch(as_vector(z)[None])[0])
+
+
 def attack_one_ref(attack_oracle, state, x, y: int, index=None):
     """The row-wise oracle asked about the single row (x, y): its witness,
     or None when the row is not hit."""
@@ -731,9 +736,8 @@ def weighted_majority_ref(pool, stream, attack_oracle, eta_wm: float, rounds: in
         if z is None:
             continue
         mistakes += 1
-        z = as_vector(z)
         for j, h in enumerate(pool):
-            if h.predict(z) != y:
+            if label_ref(h, z) != y:
                 weights.weights[j] *= eta_wm
     return weights, predictor, mistakes, seen
 
@@ -862,7 +866,7 @@ def fms_sample_weights_ref(sizes, wrong_rounds, eta: float):
 def urejectron_pairs_ref(train, tests, eps: float, lam: float, pool):
     """urejectron's pool search with each pair's training disagreement
     recomputed every round; returns the chosen index pairs and the scores."""
-    n, n_test = train.shape[0], tests.shape[0]
+    n_test = tests.shape[0]
     preds_train = [c.predict_batch(train) for c in pool]
     preds_test = [c.predict_batch(tests) for c in pool]
     selected = np.ones(n_test, dtype=bool)
@@ -876,7 +880,7 @@ def urejectron_pairs_ref(train, tests, eps: float, lam: float, pool):
             for j in range(i + 1, len(pool)):
                 split = selected & (preds_test[i] != preds_test[j])
                 err_test = split.sum() / n_test
-                err_train = float(np.mean(preds_train[i] != preds_train[j])) if n else 0.0
+                err_train = float(np.mean(preds_train[i] != preds_train[j]))
                 s = err_test - lam * err_train
                 if best is None or s > best[0]:
                     best = (s, i, j, split)

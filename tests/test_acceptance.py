@@ -36,7 +36,6 @@ from roblearn import (
     beta_roboost,
     cycle_robust,
     default_ellipsoid_config,
-    enumeration_attack,
     fms_agnostic,
     generate,
     glm_link_u,
@@ -249,7 +248,7 @@ def test_c04_rejectron_realizable_guarantees():
         test_truth = np.concatenate([band_train.y, np.ones(30, dtype=np.int64)])
         h2, S2, _ = rejectron(band_train, test_pts, RedactConfig(eps),
                               erm=make_pool_erm([h_a, h_b]))
-        assert h2.predict(adv) != 1  # the planted point really is misclassified
+        assert h2.predict_batch(adv[None])[0] != 1  # the planted point really is misclassified
         kept2 = select_members(S2, test_pts)
         sel_err = float(np.mean(kept2 & (h2.predict_batch(test_pts) != test_truth)))
         rep_ok = sel_err <= eps and not select_members(S2, [adv])[0]
@@ -398,8 +397,7 @@ def test_c08_cycle_robust_terminates_within_the_call_budget():
 
 def _wm_mistakes(pool, X, y, eta_wm):
     stream = finite_source(Dataset(X, y))
-    return weighted_majority_robust(list(pool), stream, enumeration_attack(FiniteOffsets([vec(0.0)])),
-                                    eta_wm)[2]
+    return weighted_majority_robust(list(pool), stream, FiniteOffsets([vec(0.0)]), eta_wm)[2]
 
 
 def test_c09_weighted_majority_respects_the_mistake_bound():

@@ -32,6 +32,7 @@ from roblearn import (
     select_members,
     selective_labels,
 )
+from roblearn.core import losses_on
 
 from ._refs import (
     brute_ball_loss,
@@ -78,7 +79,7 @@ def test_ball_losses_match_brute_force(seed, p, gamma):
     want = [brute_ball_loss(model.w, model.bias, x, int(y), p, gamma, 40, rng)
             for x, y in zip(data.X, data.y)]
     assert got.dtype == np.int64
-    assert got.tolist() == want
+    assert got.tolist() == want == losses_on(data, LpBall(p, gamma))(model).tolist()
     assert robust_risk(model, data, LpBall(p, gamma)) == sum(want) / data.n
 
 
@@ -90,7 +91,7 @@ def test_offset_losses_match_enumeration(seed, k):
     U = rand_offsets(rng, 2, k)
     want = [brute_finite_loss(predict_of(model), x + U.offsets, int(y))
             for x, y in zip(data.X, data.y)]
-    assert robust_losses(model, data, U).tolist() == want
+    assert robust_losses(model, data, U).tolist() == want == losses_on(data, U)(model).tolist()
     flat = inflate(data, U)
     assert np.array_equal(flat.data.X, np.vstack([x + U.offsets for x in data.X]))
     assert np.array_equal(flat.origins, np.repeat(np.arange(data.n), k))
@@ -103,7 +104,8 @@ def test_per_example_losses_match_enumeration(seed):
     model = rand_model(rng, 2)
     table = {i: rng.standard_normal((int(rng.integers(1, 5)), 2)) * 1.5 for i in range(data.n)}
     want = [brute_finite_loss(predict_of(model), table[i], int(data.y[i])) for i in range(data.n)]
-    assert robust_losses(model, data, FinitePerExample(table)).tolist() == want
+    U = FinitePerExample(table)
+    assert robust_losses(model, data, U).tolist() == want == losses_on(data, U)(model).tolist()
 
 
 @given(seeds)

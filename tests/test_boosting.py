@@ -46,7 +46,7 @@ from roblearn import (
 from roblearn.boosting import _accept, _doubled_stages, _round_radius, _stage_labels
 from roblearn.data import substream
 
-from ._refs import accept_ref, ball_samples, gen_stream, nonrobust_ref, stable_ref
+from ._refs import accept_ref, ball_samples, gen_stream, label_ref, nonrobust_ref, stable_ref
 
 
 def vec(*vals):
@@ -108,7 +108,7 @@ def test_stable_points_keep_their_prediction_under_perturbation(seed, p):
     if abs(margins_batch(h, x[None], p)[0]) <= 2 * gamma:
         return  # only the doubly-stable region carries the guarantee
     sc = SelectiveClassifier(h, LpBall(p, gamma))
-    label = h.predict(x)
+    label = label_ref(h, x)
     z_star = worst_case_point(h, x, label, LpBall(p, gamma))
     assert selective_labels(sc, [x, z_star]).tolist() == [label, label]
     assert set(selective_labels(sc, ball_samples(x, p, gamma, 60, rng)).tolist()) <= {label, 0}
@@ -621,7 +621,7 @@ def test_expansion_agrees_with_base_on_its_robust_region(seed):
     h = LinearModel(rng.standard_normal(2) + vec(0.1, 0.0))
     ball = LpBall(2.0, 0.5)
     x = rng.standard_normal(2) * 2
-    label = h.predict(x)
+    label = label_ref(h, x)
     if label * margins_batch(h, x[None], 2.0)[0] <= ball.gamma:
         return
     g = expand_g(h, ball, label)

@@ -38,7 +38,7 @@ from roblearn import (
     worst_case_point,
 )
 
-from ._refs import brute_ball_loss, brute_finite_loss, norm_ref, dual_exponent_ref
+from ._refs import brute_ball_loss, brute_finite_loss, label_ref, norm_ref, dual_exponent_ref
 
 
 def vec(*vals):
@@ -147,8 +147,7 @@ def test_dataset_rejects_mismatched_lengths():
 
 def test_linear_model_boundary_is_positive():
     m = LinearModel(vec(1.0, 0.0))
-    assert m.predict(vec(0.0, 5.0)) == 1
-    assert np.array_equal(m.predict_batch(np.array([[0.0, 1.0], [-1.0, 0.0]])), [1, -1])
+    assert np.array_equal(m.predict_batch(np.array([[0.0, 5.0], [0.0, 1.0], [-1.0, 0.0]])), [1, 1, -1])
 
 
 def test_linear_model_refuses_all_zero_weights():
@@ -177,7 +176,7 @@ def test_a_rows_decision_value_does_not_depend_on_its_block(seed, d, n, decimals
     k = int(rng.integers(1, n - i + 1))
     block, alone = model.decisions(X)[i], model.decisions(X[i:i + k])[0]
     assert _bits(block) == _bits(alone) == _bits(model.decisions(X[i]))
-    assert model.predict_batch(X)[i] == model.predict_batch(X[i:i + k])[0] == model.predict(X[i])
+    assert model.predict_batch(X)[i] == model.predict_batch(X[i:i + k])[0] == label_ref(model, X[i])
     assert PerceptronState(model.w).predict(X[i]) == LinearModel(model.w).predict_batch(X)[i]
 
 
@@ -290,7 +289,7 @@ def test_robust_loss_finite_offsets_enumerates():
     spec = FiniteOffsets([vec(0.0, 0.0), vec(-2.0, 0.0)])
     x = vec(1.0, 0.0)
     assert robust_loss(m, x, 1, spec) == 1  # the shifted copy lands at (-1, 0)
-    assert brute_finite_loss(m.predict, spec.points(x), 1) == 1
+    assert brute_finite_loss(lambda z: label_ref(m, z), spec.points(x), 1) == 1
 
 
 def test_robust_loss_per_example_table_uses_index():

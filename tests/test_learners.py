@@ -87,7 +87,7 @@ def test_erm_ignores_zero_weight_rows():
     # the contradicting row carries no weight, so it cannot steer the model
     data = Dataset(np.array([[1.0], [2.0], [1.5]]), np.array([1, 1, -1]))
     model = erm_linear(WeightedDataset(data, [1.0, 1.0, 0.0]))
-    assert model.predict(vec(1.5)) == 1
+    assert model.predict_batch([[1.5]])[0] == 1
 
 
 def test_erm_requires_positive_total_weight():
@@ -256,7 +256,7 @@ def test_perceptron_updates_only_on_mistakes():
     assert np.array_equal(st2.w, vec(-1.0, 0.0))
     # the original state is untouched
     assert np.array_equal(st0.w, vec(0.0, 0.0))
-    assert perceptron_model(st2).predict(vec(1.0, 0.0)) == -1
+    assert perceptron_model(st2).predict_batch([[1.0, 0.0]])[0] == -1
     # a +1 mistake on the same point takes w back to zero
     st3 = perceptron_update(st2, vec(1.0, 0.0), 1)
     assert st3.mistakes == 2 and not np.any(st3.w)

@@ -78,8 +78,7 @@ def mixed_tests(n_side: int = 10) -> np.ndarray:
 
 def test_constant_model_contract():
     c = ConstantModel(-1)
-    assert c.predict(vec(9.0)) == -1
-    assert np.array_equal(c.predict_batch([[1.0], [2.0]]), [-1, -1])
+    assert np.array_equal(c.predict_batch([[9.0], [1.0], [2.0]]), [-1, -1, -1])
     with pytest.raises(ValueError):
         ConstantModel(0)
 
@@ -191,7 +190,7 @@ def test_urejectron_t1_threshold_tradeoff():
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(0, 30), st.integers(1, 30),
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 30), st.integers(1, 30),
        st.sampled_from([0.05, 0.1, 0.3]), st.sampled_from([None, 1.0, 2.5]))
 def test_urejectron_pairs_is_the_per_round_search(seed, k, n, n_test, eps, weight):
     # small-integer points and models, so pairs tie and split rows often
@@ -204,6 +203,13 @@ def test_urejectron_pairs_is_the_per_round_search(seed, k, n, n_test, eps, weigh
     members, scores = urejectron_pairs_ref(train, tests, eps, cfg.resolved_weight(n), pool)
     assert S.members == tuple((pool[i], pool[j]) for i, j in members)
     assert [repr(v) for v in got] == [repr(v) for v in scores]
+
+
+def test_urejectron_pool_pairs_need_a_training_point():
+    backend = FinitePoolPairs([AXIS, FLIP_UP])
+    for train, tests in (([], []), (np.empty((0, 2)), mixed_tests())):
+        with pytest.raises(EmptyDataset, match="at least one training point"):
+            urejectron(train, tests, RedactConfig(0.2), backend)
 
 
 @pytest.mark.parametrize("side", ["train", "test"])

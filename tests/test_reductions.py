@@ -362,15 +362,20 @@ def test_weighted_majority_suppresses_the_bad_member():
     X = np.full((12, 1), 3.0)
     y = np.full(12, -1, dtype=np.int64)
     stream = finite_source(Dataset(X, y))
-    oracle = enumeration_attack(FiniteOffsets([vec(0.0)]))
-    weights, predictor, mistakes, seen = weighted_majority_robust(pool, stream, oracle, eta_wm=0.5)
+    U = FiniteOffsets([vec(0.0)])
+    weights, predictor, mistakes, seen = weighted_majority_robust(pool, stream, U, eta_wm=0.5)
     assert mistakes == 1 and seen == 12
     assert np.allclose(weights.weights, [0.5, 1.0])
     assert predictor.predict_batch([[3.0]])[0] == -1
     a, b = wm_constants(0.5)
     assert mistakes <= a * 0.0 + b * math.log(len(pool))
     with pytest.raises(EmptyPool):
-        weighted_majority_robust([], stream, oracle, eta_wm=0.5)
+        weighted_majority_robust([], stream, U, eta_wm=0.5)
+    with pytest.raises(Unsupported, match="finite perturbation set"):
+        weighted_majority_robust(pool, stream, LpBall(2.0, 0.1), eta_wm=0.5)
+    # drawn rows carry no example index, so a per-example table has no list for them
+    with pytest.raises(MissingPerturbations, match="^no perturbation list for example index None$"):
+        weighted_majority_robust(pool, finite_source(Dataset(X, y)), FinitePerExample({0: X[:1]}), 0.5)
 
 
 def test_weighted_majority_respects_the_general_bound():
@@ -379,18 +384,9 @@ def test_weighted_majority_respects_the_general_bound():
     pool = [LinearModel(rng.standard_normal(2)) for _ in range(19)] + [truth]
     pair = GaussianPair((vec(2.0, -1.0), vec(-2.0, 1.0)), sigma=0.2)
     stream = finite_source(generate(GenSpec(pair, 300, rng_seed=6)))
-    ball = LpBall(2.0, 0.1)
-
-    def oracle(predictor, X, y, start):
-        # exhaustive-enough witness search for a vote: each row plus its points pushed along the members
-        witnesses = []
-        for x, label in zip(X, y):
-            cands = [x] + [x - 0.1 * label * h.w / np.linalg.norm(h.w) for h in pool if np.any(h.w)]
-            wrong = np.flatnonzero(predictor.predict_batch(cands) != label)
-            witnesses.append(cands[wrong[0]] if wrong.size else None)
-        return np.array([z is not None for z in witnesses]), witnesses.__getitem__
-
-    mistakes = weighted_majority_robust(pool, stream, oracle, eta_wm=0.5)[2]
+    # each row plus its points pushed 0.1 either way along every member's normal
+    U = FiniteOffsets([np.zeros(2)] + [s * 0.1 * h.w / np.linalg.norm(h.w) for h in pool for s in (1, -1)])
+    mistakes = weighted_majority_robust(pool, stream, U, eta_wm=0.5)[2]
     a, b = wm_constants(0.5)
     # the pool contains a zero-mistake member, so the bound is pure overhead
     assert mistakes <= a * 0.0 + b * math.log(len(pool))
@@ -428,23 +424,23 @@ def _case(seed, n, d, decimals):
 
 def _oracle(kind, rng, data):
     """One attack oracle of the kind, and the learner it attacks."""
-    d = data.d
     if kind == "ball":
         p = [1.0, 2.0, math.inf][int(rng.integers(3))]
         # round radii put rows on the sphere of integer rows, where attack counts the tie
         gamma = float(rng.choice([0.0, 0.5, 1.0, round(rng.uniform(0.0, 1.0), 2)]))
-        oracle, learner = margin_attack(LpBall(p, gamma)), perceptron_init(d)
-    else:
-        learner = BatchPerceptron(perceptron_init(d))
-        if kind == "offsets":
-            offsets = np.vstack([np.zeros(d), np.round(rng.uniform(-1, 1, size=(3, d)), 1)])
-            oracle = enumeration_attack(FiniteOffsets(offsets))
-        else:
-            # about one row in eight has no list, so the scan must stop there
-            table = {i: data.X[i] + rng.uniform(-1, 1, size=(int(rng.integers(1, 4)), d))
-                     for i in range(data.n) if rng.random() > 0.125}
-            oracle = enumeration_attack(FinitePerExample(table))
-    return oracle, learner
+        return margin_attack(LpBall(p, gamma)), perceptron_init(data.d)
+    return enumeration_attack(_finite_set(kind, rng, data)), BatchPerceptron(perceptron_init(data.d))
+
+
+def _finite_set(kind, rng, data):
+    """Four rounded offsets, zero among them, or a per-example table."""
+    d = data.d
+    if kind == "offsets":
+        return FiniteOffsets(np.vstack([np.zeros(d), np.round(rng.uniform(-1, 1, size=(3, d)), 1)]))
+    # about one row in eight has no list, so the scan must stop there
+    table = {i: data.X[i] + rng.uniform(-1, 1, size=(int(rng.integers(1, 4)), d))
+             for i in range(data.n) if rng.random() > 0.125}
+    return FinitePerExample(table)
 
 
 def _result(run):
@@ -502,19 +498,18 @@ def test_one_pass_matches_the_one_row_loop(seed, n, d, decimals, kind, cap, eps,
 @settings(max_examples=200)
 @given(*rows_case, st.sampled_from(["offsets", "table"]),
        st.one_of(st.none(), st.integers(1, 40)), st.sampled_from([0.0, 0.25, 0.5, 0.9]),
-       st.integers(1, 3))
+       st.integers(1, 5))
 def test_weighted_majority_matches_the_one_row_loop(seed, n, d, decimals, kind, rounds,
                                                     eta, members):
+    # the package votes from each block's prediction matrix; the reference asks
+    # an enumeration oracle one row at a time and each member about the witness
     rng, data = _case(seed, n, d, decimals)
     pool = [LinearModel(rng.uniform(0.1, 1.0, d) * rng.choice([-1.0, 1.0], d),
                         float(rng.uniform(-0.5, 0.5))) for _ in range(members)]
-    state = rng.bit_generator.state
-    sources, results = [], []
-    for loop in (weighted_majority_ref, weighted_majority_robust):
-        rng.bit_generator.state = state
-        oracle, _ = _oracle(kind, rng, data)
-        sources.append(finite_source(data))
-        results.append(_result(lambda: loop(pool, sources[-1], oracle, eta, rounds)))
+    U = _finite_set(kind, rng, data)
+    sources = [finite_source(data), finite_source(data)]
+    results = [_result(lambda: weighted_majority_ref(pool, sources[0], enumeration_attack(U), eta, rounds)),
+               _result(lambda: weighted_majority_robust(pool, sources[1], U, eta, rounds))]
     assert results[1] == results[0]
     if isinstance(results[0][0], bytes):
         assert _next_row(sources[1]) == _next_row(sources[0])
@@ -573,11 +568,12 @@ def test_streams_that_run_dry_mid_block_end_as_the_one_row_loops_do():
                                    0.25, 0.5, 4))
               for loop in (one_pass_ref, one_pass_robust)]
     assert passes[1] == passes[0] == (StreamExhausted, "stream ended with survivor streak 3 of 9")
-    vote = enumeration_attack(FiniteOffsets([[0.0], [0.5]]))
+    U = FiniteOffsets([[0.0], [0.5]])
     pool = [LinearModel(vec(1.0)), LinearModel(vec(-1.0))]
     for rounds in (None, 4, 5, 6, 50):
-        runs = [_result(lambda: loop(pool, finite_source(data), vote, 0.5, rounds))
-                for loop in (weighted_majority_ref, weighted_majority_robust)]
+        runs = [_result(lambda: weighted_majority_ref(pool, finite_source(data), enumeration_attack(U),
+                                                      0.5, rounds)),
+                _result(lambda: weighted_majority_robust(pool, finite_source(data), U, 0.5, rounds))]
         assert runs[1] == runs[0]
         assert runs[0][1][1] == min(5, rounds or 5)  # (mistakes, examples seen)
 
@@ -604,24 +600,8 @@ class AskedPerceptron:
         return AskedPerceptron(self.state.update(z, y), self.asked)
 
 
-@dataclass(frozen=True)
-class AskedMember:
-    """A pool member that counts the votes an enumeration oracle asks of it."""
-
-    model: LinearModel
-    asked: list
-
-    def predict(self, z):
-        return self.model.predict(z)
-
-    def predict_batch(self, Z):
-        self.asked.append(1)
-        return self.model.predict_batch(Z)
-
-
 @pytest.mark.parametrize("loop, kind", [("cycle", "ball"), ("cycle", "offsets"),
-                                        ("one-pass", "ball"), ("one-pass", "offsets"),
-                                        ("wm", "offsets")])
+                                        ("one-pass", "ball"), ("one-pass", "offsets")])
 def test_a_wrapped_oracle_takes_the_same_path(loop, kind):
     # a forwarding wrapper, such as a call counter, must not change how the
     # loops ask the oracle: same result, same oracle calls
@@ -638,16 +618,46 @@ def test_a_wrapped_oracle_takes_the_same_path(loop, kind):
         learner = AskedPerceptron(perceptron_init(2), asked)
         if loop == "cycle":
             result = _result(lambda: cycle_robust(data, learner, oracle, 100))
-        elif loop == "one-pass":
+        else:
             result = _result(lambda: one_pass_robust(finite_source(data), learner, oracle,
                                                      0.1, 0.1, 20))
-        else:
-            pool = [AskedMember(LinearModel(w), asked) for w in (vec(1.0, 0.3), vec(-0.2, 1.0))]
-            result = _result(lambda: weighted_majority_robust(pool, finite_source(data), oracle,
-                                                              0.5))
         assert isinstance(result[0], bytes) and max(result[1]) > 0  # a run with updates
         if wrapped:
-            assert len(calls) * (2 if loop == "wm" else 1) == len(asked)
+            assert len(calls) == len(asked)
         runs.append((result, len(asked)))
     assert runs[1] == runs[0]
     assert runs[0][1] < data.n  # the rows went to the oracle in blocks
+
+
+@dataclass(frozen=True)
+class AskedMember:
+    """A pool member that counts the blocks it is asked to label."""
+
+    model: LinearModel
+    asked: list
+
+    def predict_batch(self, Z):
+        self.asked.append(len(Z))
+        return self.model.predict_batch(Z)
+
+
+def test_weighted_majority_asks_each_member_once_per_drawn_block():
+    pair = GaussianPair((vec(1.0, 0.5), vec(-1.0, -0.5)), sigma=0.35)
+    data = generate(GenSpec(pair, 300, rng_seed=10))
+    U = FiniteOffsets([vec(0.0, 0.0), vec(0.1, -0.1)])
+    ws = (vec(1.0, 0.3), vec(-0.2, 1.0), vec(0.5, -1.0))
+    source, blocks = finite_source(data), []
+
+    def stream(k):
+        batch = source(k)
+        blocks.append(batch.n)
+        return batch
+
+    pool = [AskedMember(LinearModel(w), []) for w in ws]
+    result = _result(lambda: weighted_majority_robust(pool, stream, U, 0.5))
+    want = _result(lambda: weighted_majority_ref([LinearModel(w) for w in ws], finite_source(data),
+                                                 enumeration_attack(U), 0.5))
+    assert result == want and result[1][0] > 1  # several mistakes, each with the one-row bits
+    assert blocks == [256, 32, 8, 4]  # a 4096-row request halved until the 300 rows are read
+    for member in pool:
+        assert member.asked == [U.k * n for n in blocks]

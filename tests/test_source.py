@@ -47,14 +47,13 @@ def test_every_traced_name_resolves():
     assert not missing, f"perfbench/tracing.py TARGETS names what the package lacks: {missing}"
 
 
-def test_only_pool_members_and_the_perceptron_predict_one_row():
+def test_only_the_perceptron_predicts_one_row():
     # predictors answer blocks of rows through predict_batch; a one-row
     # predict is kept only where one point is the algorithm's own unit: the
-    # members of a weighted-majority pool, asked about one witness, and the
     # perceptron's one-example update
     owners = sorted(node.name for path in sorted(SRC.glob("*.py"))
                     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
                     if isinstance(node, ast.ClassDef)
                     and any(isinstance(item, ast.FunctionDef) and item.name == "predict"
                             for item in node.body))
-    assert owners == ["ConstantModel", "LinearModel", "PerceptronState"]
+    assert owners == ["PerceptronState"]
