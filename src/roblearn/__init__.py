@@ -50,12 +50,9 @@ from .oracles import (
     separation_oracle,
 )
 from .learners import (
-    ErmConfig,
     GlmConfig,
     PerceptronState,
     RcnConfig,
-    SvmConfig,
-    SvmResult,
     WeightedDataset,
     erm_linear,
     glm_link_u,

@@ -161,13 +161,15 @@ def finite_source(data: Dataset):
     return draw
 
 
-def rejection_sample(source, models, m: int, budget_per_draw: int, U, specs=None):
+def rejection_sample(source, models, m: int, budget_per_draw: int, specs):
     """Accept m labeled samples lying in the joint non-robust region of the
-    models, or None once any single accept costs more than budget_per_draw
-    rows examined (evidence the region's mass is too small to matter). Rows
-    are requested in blocks; see _accept."""
-    models = list(models)
-    specs = list(specs) if specs is not None else [U] * len(models)
+    models, models[i] judged at its own perturbation set specs[i], or None
+    once any single accept costs more than budget_per_draw rows examined
+    (evidence the region's mass is too small to matter). Rows are requested
+    in blocks; see _accept."""
+    models, specs = list(models), list(specs)
+    if len(specs) != len(models):
+        raise ConfigError(f"one perturbation set per model: {len(models)} models, {len(specs)} sets")
     got = _accept(source, _doubled_stages(models, specs), m, budget_per_draw, abstained=True)
     return None if got is None else Dataset(np.array(got[0]), np.array(got[1], dtype=np.int64))
 
@@ -209,10 +211,9 @@ class BoostConfig:
     beta: float
     eps: float
     delta: float = 0.05
-    rounds: int | None = None
-    per_round_m: int | None = None
-    learner_m: int = 0  # sample size the base learner asks for
-    multi_granularity: bool = False
+    rounds: int | None = None  # None means ceil(ln(2 / eps) / beta)
+    per_round_m: int | None = None  # a round's sample size; None means ceil(4 ln(2 rounds / delta))
+    multi_granularity: bool = False  # halve the radius from round to round
 
     def __post_init__(self):
         if not (0.0 < self.beta <= 1.0):
@@ -236,8 +237,7 @@ class BoostConfig:
     def per_round_m_resolved(self) -> int:
         if self.per_round_m is not None:
             return self.per_round_m
-        T = self.rounds_resolved
-        return max(self.learner_m, math.ceil(4.0 * math.log(2.0 * T / self.delta)))
+        return math.ceil(4.0 * math.log(2.0 * self.rounds_resolved / self.delta))
 
     @property
     def budget_per_draw_resolved(self) -> int:
@@ -272,7 +272,7 @@ def beta_roboost(source, barely_learner, cfg: BoostConfig, U: LpBall):
             round_data = source(m)
         else:
             try:
-                round_data = rejection_sample(source, models, m, budget, U, specs=specs)
+                round_data = rejection_sample(source, models, m, budget, specs)
             except SourceExhausted:
                 round_data = None
             if round_data is None:

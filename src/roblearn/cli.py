@@ -196,9 +196,9 @@ def _echo(args, keys: str) -> dict:
     return out
 
 
-def _barely_learner(name: str, gamma: float):
+def _barely_learner(name: str):
     if name == "svm":
-        return lambda d: svm_margin(d, 2.0 * gamma).model
+        return svm_margin
     return lambda d: erm_linear(WeightedDataset.uniform(d))
 
 
@@ -287,7 +287,7 @@ def _cmd_roboost(args) -> dict:
     ball = _ball(args)
     train = load_csv(args.input) if args.input else None
     source = _stream(args, train)
-    learner = _barely_learner(args.learner, args.gamma)
+    learner = _barely_learner(args.learner)
     cfg = _boost_config(args)
     cascade, rounds = beta_roboost(source, learner, cfg, ball)
     eval_data, eval_kind = _eval_data(args, train, cascade.fallback.w.size)
@@ -309,7 +309,7 @@ def _cmd_uroboost(args) -> dict:
         unlabeled = _stream(args, None)
     else:
         raise ConfigError("provide --unlabeled-input or --gen for the unlabeled source")
-    learner = _barely_learner(args.learner, args.gamma)
+    learner = _barely_learner(args.learner)
     cfg = _boost_config(args)
     cascade, rounds = beta_uroboost(labeled, unlabeled, learner, cfg, ball)
     eval_data, eval_kind = _eval_data(args, labeled, labeled.d)

@@ -1,11 +1,12 @@
 """Base learners consumed by the boosting and reduction loops.
 
 erm_linear is the workhorse: weighted hinge subgradient descent, deterministic
-for a fixed input, adequate as an approximate ERM oracle. pool_erm is the
-exact counterpart over a finite candidate list and is what invariant tests use
-when exactness matters. The two mirror-descent trainers tolerate random label
-flips: one minimizes a reweighted-slope margin surrogate, the other the
-integral loss of a monotone link function.
+for a fixed input, adequate as an approximate ERM oracle; svm_margin, the
+barely robust learner of beta_roboost, is the same descent with fixed tiny-C
+SVM settings. pool_erm is the exact counterpart over a finite candidate list
+and is what invariant tests use when exactness matters. The two mirror-descent
+trainers tolerate random label flips: one minimizes a reweighted-slope margin
+surrogate, the other the integral loss of a monotone link function.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import glm_link_u, rcn_phi  # noqa: F401  (re-exported)
-from .core import Dataset, LinearModel, LpBall, as_vector, decision_values, robust_losses
+from .core import Dataset, LinearModel, as_vector, decision_values
 from .data import substream
 from .errors import (AllZeroWeights, ConfigError, EmptyDataset, EmptyPool, InvalidNorm, TrainingDiverged,
                      ZeroPerceptron)
@@ -44,56 +45,53 @@ class WeightedDataset:
         return float(self.weights.sum())
 
 
-@dataclass
-class ErmConfig:
-    epochs: int = 300
-    lr0: float = 0.5
-    reg: float = 1e-4
-    fit_bias: bool = False
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if not (0.0 <= self.reg < math.inf):
-            raise ConfigError("regularization must be non-negative and finite")
+# the hinge descents' settings: erm_linear takes ERM_EPOCHS steps of ERM_LR0 /
+# sqrt(t) with l2 penalty ERM_REG; svm_margin takes SVM_EPOCHS steps with the
+# penalty 1 / (2 SVM_C n) of the tiny-C linear-SVM recipe
+ERM_EPOCHS = 300
+ERM_LR0 = 0.5
+ERM_REG = 1e-4
+SVM_C = 1e-6
+SVM_EPOCHS = 400
 
 
 def _nonzero_or_fallback(w: np.ndarray, fallback_dir: np.ndarray) -> np.ndarray:
     if np.any(w):
         return w
     if np.any(fallback_dir):
-        return fallback_dir.copy()
-    e1 = np.zeros(w.shape[0])
-    e1[0] = 1.0
-    return e1
+        return fallback_dir
+    return (np.arange(w.shape[0]) == 0).astype(float)
 
 
-def erm_linear(wdata: WeightedDataset, cfg: ErmConfig | None = None) -> LinearModel:
-    """Approximate weighted ERM for halfspaces via hinge subgradient descent.
+def _hinge_fit(data: Dataset, sw, steps: int, lr0: float, reg: float, fit_bias: bool) -> LinearModel:
+    """hinge_train on data with normalized weights sw; TrainingDiverged when
+    it ends non-finite, and an all-zero w falls back to X^T (y sw), then e1."""
+    X = np.ascontiguousarray(data.X)
+    yf = data.y.astype(float)
+    w, b = _kernels.hinge_train(X, yf, sw, steps, lr0, reg, fit_bias)  # b stays 0.0 without fit_bias
+    if not (np.all(np.isfinite(w)) and math.isfinite(b)):
+        raise TrainingDiverged("hinge descent ended with non-finite weights: "
+                               "a step overflowed on features this large")
+    return LinearModel(_nonzero_or_fallback(np.asarray(w), X.T @ (yf * sw)), b)
 
-    Deterministic: the default path uses no randomness at all, so identical
-    inputs give identical models, and it reads nothing of wdata beyond
-    wdata.data and the normalized weights wdata.weights / wdata.total. A
-    caller that asks again with the same problem may therefore reuse the fit;
-    reuse_fits does that. The returned weights are never all zero; on
-    perfectly antisymmetric data where the subgradient vanishes at the
-    origin, a fixed fallback direction is used.
+
+def erm_linear(wdata: WeightedDataset, *, fit_bias: bool = False) -> LinearModel:
+    """Approximate weighted ERM for halfspaces via hinge subgradient descent,
+    with an intercept when fit_bias is set.
+
+    Deterministic: it uses no randomness at all, so identical inputs give
+    identical models, and it reads nothing of wdata beyond wdata.data and the
+    normalized weights wdata.weights / wdata.total. A caller that asks again
+    with the same problem may therefore reuse the fit; reuse_fits does that.
+    The returned weights are never all zero; on perfectly antisymmetric data
+    where the subgradient vanishes at the origin, a fixed fallback direction
+    is used.
     """
-    cfg = cfg or ErmConfig()
     total = wdata.total
     if total <= 0.0:
         # covers the empty dataset too: no rows means no positive weight
         raise AllZeroWeights("training needs at least one positive weight")
-    sw = wdata.weights / total
-    X = np.ascontiguousarray(wdata.data.X)
-    yf = wdata.data.y.astype(float)
-    w, b = _kernels.hinge_train(X, yf, sw, cfg.epochs, cfg.lr0, cfg.reg, cfg.fit_bias)
-    b = b if cfg.fit_bias else 0.0
-    if not (np.all(np.isfinite(w)) and math.isfinite(b)):
-        raise TrainingDiverged("hinge descent ended with non-finite weights: "
-                               "a step overflowed on features this large")
-    w = _nonzero_or_fallback(np.asarray(w), X.T @ (yf * sw))
-    return LinearModel(w, b)
+    return _hinge_fit(wdata.data, wdata.weights / total, ERM_EPOCHS, ERM_LR0, ERM_REG, fit_bias)
 
 
 def reuse_fits(erm):
@@ -129,43 +127,15 @@ def reuse_fits(erm):
     return fit
 
 
-@dataclass
-class SvmConfig:
-    c_hinge: float = 1e-6  # LinearSVC-style C; regularization is 1/(2 C n)
-    epochs: int = 400
-    lr0: float | None = None
-    fit_bias: bool = False
-    p: float = 2.0  # perturbation norm the margins are normalized against
-
-
-@dataclass
-class SvmResult:
-    model: LinearModel
-    beta_hat: float
-
-
-def svm_margin(data: Dataset, two_gamma: float, cfg: SvmConfig | None = None) -> SvmResult:
-    """Hinge-trained halfspace with its achieved robust fraction at radius
-    two_gamma: beta_hat = fraction of training points with y*margin strictly
-    above two_gamma (dual-normalized margin).
-
-    The default c_hinge mirrors the tiny-C linear-SVM recipe, which at desk
-    scales makes the minimizer track the class-mean direction.
-    """
-    cfg = cfg or SvmConfig()
+def svm_margin(data: Dataset) -> LinearModel:
+    """Hinge-trained halfspace through the origin on uniform weights, base
+    step 1 / (2 reg): at desk scales the tiny-C recipe makes the minimizer
+    track the class-mean direction. beta_roboost measures each round's robust
+    fraction itself."""
     if data.n == 0:
         raise EmptyDataset("cannot train on an empty dataset")
-    n = data.n
-    reg = 1.0 / (2.0 * cfg.c_hinge * n)
-    lr0 = cfg.lr0 if cfg.lr0 is not None else 1.0 / (2.0 * reg)
-    sw = np.full(n, 1.0 / n)
-    X = np.ascontiguousarray(data.X)
-    yf = data.y.astype(float)
-    w, b = _kernels.hinge_train(X, yf, sw, cfg.epochs, lr0, reg, cfg.fit_bias)
-    w = _nonzero_or_fallback(np.asarray(w), X.T @ (yf * sw))
-    model = LinearModel(w, b if cfg.fit_bias else 0.0)
-    beta_hat = float(np.mean(robust_losses(model, data, LpBall(cfg.p, two_gamma)) == 0))
-    return SvmResult(model, beta_hat)
+    reg = 1.0 / (2.0 * SVM_C * data.n)
+    return _hinge_fit(data, np.full(data.n, 1.0 / data.n), SVM_EPOCHS, 1.0 / (2.0 * reg), reg, False)
 
 
 def pool_erm(pool, wdata: WeightedDataset) -> LinearModel:
@@ -279,6 +249,19 @@ class RcnConfig:
         return rcn_lambda(self.eps, self.gamma, self.eta)
 
 
+def _md_fit(data: Dataset, cfg, label: str, kernel) -> LinearModel:
+    """kernel(X, yf, idx) on contiguous X and float labels, with cfg.steps
+    (None means 2n) rows drawn with replacement from cfg.rng_seed's substream
+    label; an all-zero result falls back to X^T y, then e1."""
+    if data.n == 0:
+        raise EmptyDataset("cannot train on an empty dataset")
+    steps = cfg.steps if cfg.steps is not None else 2 * data.n
+    idx = substream(cfg.rng_seed, label).integers(0, data.n, size=steps)
+    X = np.ascontiguousarray(data.X)
+    yf = data.y.astype(float)
+    return LinearModel(_nonzero_or_fallback(np.asarray(kernel(X, yf, idx)), X.T @ yf))
+
+
 def rcn_train_md(data: Dataset, cfg: RcnConfig) -> LinearModel:
     """Stochastic mirror descent on the flip-tolerant margin surrogate,
     constrained to the unit q-ball; returns the averaged iterate.
@@ -286,15 +269,8 @@ def rcn_train_md(data: Dataset, cfg: RcnConfig) -> LinearModel:
     The caller provides label-noisy data with ||x||_p <= 1; sampling is with
     replacement from the dataset, seeded.
     """
-    if data.n == 0:
-        raise EmptyDataset("cannot train on an empty dataset")
-    steps = cfg.steps if cfg.steps is not None else 2 * data.n
-    idx = substream(cfg.rng_seed, "rcn-md").integers(0, data.n, size=steps)
-    X = np.ascontiguousarray(data.X)
-    yf = data.y.astype(float)
-    w = _kernels.md_rcn(X, yf, cfg.gamma, cfg.lam, float(cfg.q), idx)
-    w = _nonzero_or_fallback(np.asarray(w), X.T @ yf)
-    return LinearModel(w)
+    return _md_fit(data, cfg, "rcn-md",
+                   lambda X, yf, idx: _kernels.md_rcn(X, yf, cfg.gamma, cfg.lam, float(cfg.q), idx))
 
 
 def glm_loss(w: np.ndarray, x: np.ndarray, y01: float, eta: float, gamma: float) -> float:
@@ -321,7 +297,6 @@ class GlmConfig:
     eta: float
     q: float = 2.0
     steps: int | None = None
-    lr0: float | None = None  # None means 2 gamma / (1 - 2 eta)
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -336,15 +311,8 @@ class GlmConfig:
 
 
 def glm_train(data: Dataset, cfg: GlmConfig) -> LinearModel:
-    """Mirror descent on the link-integral loss; labels are mapped to {0,1}
-    internally. Same constraint set and averaging as rcn_train_md."""
-    if data.n == 0:
-        raise EmptyDataset("cannot train on an empty dataset")
-    steps = cfg.steps if cfg.steps is not None else 2 * data.n
-    lr0 = cfg.lr0 if cfg.lr0 is not None else 2.0 * cfg.gamma / (1.0 - 2.0 * cfg.eta)
-    idx = substream(cfg.rng_seed, "glm-md").integers(0, data.n, size=steps)
-    X = np.ascontiguousarray(data.X)
-    y01 = (data.y.astype(float) + 1.0) / 2.0
-    w = _kernels.md_glm(X, y01, cfg.gamma, cfg.eta, float(cfg.q), lr0, idx)
-    w = _nonzero_or_fallback(np.asarray(w), X.T @ data.y.astype(float))
-    return LinearModel(w)
+    """Mirror descent on the link-integral loss, base step 2 gamma / (1 - 2 eta);
+    labels are mapped to {0,1} internally. Same constraint set and averaging as rcn_train_md."""
+    lr0 = 2.0 * cfg.gamma / (1.0 - 2.0 * cfg.eta)
+    return _md_fit(data, cfg, "glm-md", lambda X, yf, idx: _kernels.md_glm(
+        X, (yf + 1.0) / 2.0, cfg.gamma, cfg.eta, float(cfg.q), lr0, idx))

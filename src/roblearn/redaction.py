@@ -12,7 +12,7 @@ variant that picks a single hypothesis by its two-sided stability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .core import (
 )
 from .data import fmt_float, parse_float, read_text, write_text
 from .errors import ConfigError, EmptyDataset, EmptyPool, NoRealizableMember, ParseError, Unsupported
-from .learners import ErmConfig, WeightedDataset, erm_linear
+from .learners import WeightedDataset, erm_linear
 
 
 @dataclass(frozen=True)
@@ -176,12 +176,9 @@ class FinitePoolPairs:
             raise EmptyPool("candidate pool must be non-empty")
 
 
-@dataclass
 class DistinguisherT1:
-    """Single-round practical mode: one classifier trained to tell train from
-    test, thresholded; the selection set keeps points scored train-like."""
-
-    cfg: ErmConfig = field(default_factory=lambda: ErmConfig(fit_bias=True))
+    """Single-round practical mode: erm_linear with an intercept trained to tell train
+    from test, thresholded; the selection set keeps points scored train-like."""
 
 
 def _tradeoff_rows(train_scores, test_scores) -> list:
@@ -243,7 +240,7 @@ def urejectron(train_points, test_points, cfg: RedactConfig, backend):
             raise EmptyDataset("the t1 mode needs at least one training and one test point")
         X = np.concatenate([train, tests])
         y = np.concatenate([np.ones(n), -np.ones(n_test)]).astype(np.int64)
-        d = erm_linear(WeightedDataset.uniform(Dataset(X, y)), backend.cfg)
+        d = erm_linear(WeightedDataset.uniform(Dataset(X, y)), fit_bias=True)
         train_scores = d.decisions(train)
         tau_star = float(train_scores.min())  # keeps every training point
         # the member recomputes the score in a different association order, so

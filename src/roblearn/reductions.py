@@ -116,13 +116,10 @@ class RobustifyConfig:
     inner_rounds: int | None = None  # None means ceil(1 + 48 ln |L_U|)
     subsample: int = 32
     sparsify_N: int = 25
-    alpha: float = 0.125
-    delta: float = 0.05
-    retry_limit: int = 100
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name in ("subsample", "sparsify_N", "retry_limit"):
+        for name in ("subsample", "sparsify_N"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
 
@@ -137,14 +134,11 @@ def zero_robust_loss(L: Dataset, U, base_learner, cfg: RobustifyConfig | None = 
     """
     cfg = cfg or RobustifyConfig()
     flat = inflate(L, _reindexed(U, indices, L.n)).data
-    boost_cfg = AlphaBoostConfig(alpha=cfg.alpha, rounds=cfg.inner_rounds, delta=cfg.delta, early_stop=True)
+    boost_cfg = AlphaBoostConfig(rounds=cfg.inner_rounds, early_stop=True)
     models, vote, _ = alpha_boost(flat, base_learner, boost_cfg)
     if robust_losses(vote, flat, None).any():
         raise WeakLearnerFailed("boosting did not reach zero loss on the inflated set")
-    sub = sparsify_majority(
-        models, flat, N=cfg.sparsify_N, seed=cfg.rng_seed, U=None, retry_limit=cfg.retry_limit
-    )
-    return MajorityVote(sub)
+    return MajorityVote(sparsify_majority(models, flat, N=cfg.sparsify_N, seed=cfg.rng_seed))
 
 
 def _reindexed(U, indices, n: int):
@@ -177,13 +171,11 @@ def robustify_nonrobust(data: Dataset, U, base_learner, cfg: RobustifyConfig | N
         inner_cfg = replace(cfg, rng_seed=next(inner_seeds))
         return zero_robust_loss(data.subset(origin_rows), U, base_learner, inner_cfg, indices=origin_rows)
 
-    boost_cfg = AlphaBoostConfig(alpha=cfg.alpha, rounds=cfg.outer_rounds, delta=cfg.delta, early_stop=True)
+    boost_cfg = AlphaBoostConfig(rounds=cfg.outer_rounds, early_stop=True)
     models, vote, _ = alpha_boost(flat, weak_learner, boost_cfg)
     if robust_losses(vote, flat, None).any():
         raise WeakLearnerFailed("outer boosting did not reach zero robust loss")
-    sub = sparsify_majority(
-        models, data, N=cfg.sparsify_N, seed=cfg.rng_seed, U=U, retry_limit=cfg.retry_limit
-    )
+    sub = sparsify_majority(models, data, N=cfg.sparsify_N, seed=cfg.rng_seed, U=U)
     return MajorityVote(sub), len(models)
 
 

@@ -30,7 +30,6 @@ from roblearn import (
     Polytope,
     RcnConfig,
     RedactConfig,
-    SvmConfig,
     alpha_boost,
     apply_rcn,
     beta_roboost,
@@ -121,9 +120,8 @@ def test_c02_cascade_improves_heldout_robust_accuracy():
     start = time.monotonic()
     gamma = 1.6
     ball = LpBall(2.0, gamma)
-    learner = lambda d: svm_margin(d, 2.0 * gamma, SvmConfig()).model
     cfg = BoostConfig(beta=0.4, eps=0.05, rounds=3, per_round_m=150)
-    cascade, rounds = beta_roboost(gen_stream(THREE_CLUSTERS, 11), learner, cfg, ball)
+    cascade, rounds = beta_roboost(gen_stream(THREE_CLUSTERS, 11), svm_margin, cfg, ball)
     assert len(cascade.stages) == 3
     beta1 = rounds[0][0]
     assert abs(beta1 - 0.5) <= 0.15  # the single model is engineered to be barely robust
@@ -159,8 +157,7 @@ def test_c02_optional_mnist_reference_numbers():
     train = load_csv(MNIST_TRAIN)
     test = load_csv(MNIST_TEST)
     source = finite_source(train)
-    learner = lambda d: svm_margin(d, 2.0, SvmConfig()).model
-    cascade, _ = beta_roboost(source, learner, BoostConfig(beta=0.4, eps=0.1, rounds=3,
+    cascade, _ = beta_roboost(source, svm_margin, BoostConfig(beta=0.4, eps=0.1, rounds=3,
                                                            per_round_m=min(2000, train.n // 3)),
                               ball)
     single_acc = 1.0 - robust_risk(cascade.stages[0].model, test, ball)
@@ -275,7 +272,7 @@ def test_c05_urejectron_t1_has_a_good_threshold():
     for a, b in zip(rows, rows[1:]):
         assert b["rej_train"] >= a["rej_train"] and b["rej_test"] >= a["rej_test"]
 
-    from roblearn import ErmConfig, WeightedDataset, erm_linear
+    from roblearn import WeightedDataset, erm_linear
 
     h = erm_linear(WeightedDataset.uniform(train))
     found = False

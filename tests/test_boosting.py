@@ -22,7 +22,6 @@ from roblearn import (
     RetryLimit,
     SelectiveClassifier,
     SourceExhausted,
-    SvmConfig,
     Unsupported,
     WeakLearnerFailed,
     WeightedDataset,
@@ -220,9 +219,9 @@ def test_nonrobust_region_matches_reference(seed, kind, gamma, two_models):
     source = finite_source(data)
     if not want:
         with pytest.raises(SourceExhausted):
-            rejection_sample(source, models, 1, data.n + 1, U, specs=specs)
+            rejection_sample(source, models, 1, data.n + 1, specs)
         return
-    got = rejection_sample(source, models, len(want), data.n, U, specs=specs)
+    got = rejection_sample(source, models, len(want), data.n, specs)
     assert np.array_equal(got.X, data.X[want]) and np.array_equal(got.y, data.y[want])
 
 
@@ -246,7 +245,7 @@ def test_per_example_tables_have_no_region():
     with pytest.raises(Unsupported):
         nonrobust([h], table, vec(0.0, 0.0))
     with pytest.raises(Unsupported):
-        rejection_sample(finite_source(data), [h], 1, 3, table)
+        rejection_sample(finite_source(data), [h], 1, 3, [table])
     with pytest.raises(Unsupported):
         strong_to_barely(h, finite_source(data), table)
 
@@ -266,17 +265,19 @@ def test_rejection_sample_filters_to_the_region():
     h = LinearModel(vec(1.0, 0.0))
     X = np.array([[5.0, 0.0], [0.5, 0.0], [6.0, 0.0], [1.0, 1.0], [0.2, -1.0], [7.0, 2.0]])
     y = np.array([1, 1, 1, 1, -1, 1])
-    got = rejection_sample(finite_source(Dataset(X, y)), [h], 2, 10, ball)
+    got = rejection_sample(finite_source(Dataset(X, y)), [h], 2, 10, [ball])
     assert got.n == 2
     assert np.allclose(got.X, [[0.5, 0.0], [1.0, 1.0]])
     assert nonrobust([h], ball, got.X).all()
+    with pytest.raises(ConfigError, match="one perturbation set per model"):
+        rejection_sample(finite_source(Dataset(X, y)), [h, h], 1, 10, [ball])
 
 
 def test_rejection_sample_gives_up_on_empty_region():
     ball = LpBall(2.0, 1.0)
     h = LinearModel(vec(1.0, 0.0))
     far = Dataset(np.full((40, 2), 9.0), np.ones(40, dtype=np.int64))
-    assert rejection_sample(finite_source(far), [h], 1, 5, ball) is None
+    assert rejection_sample(finite_source(far), [h], 1, 5, [ball]) is None
 
 
 def _recording(source):
@@ -352,7 +353,6 @@ def test_boost_config_resolved_defaults():
     assert cfg.rounds_resolved == 6          # ceil(ln(10) / 0.4)
     assert cfg.per_round_m_resolved == 22    # ceil(4 ln(240))
     assert cfg.budget_per_draw_resolved == 20
-    assert BoostConfig(beta=0.4, eps=0.2, learner_m=100).per_round_m_resolved == 100
 
 
 def test_boost_config_validation():
@@ -378,17 +378,13 @@ def test_round_radius_halves_in_multi_granularity_mode():
 # ---------------------------------------------------------------------------
 
 
-def barely_svm(two_gamma: float):
-    return lambda data: svm_margin(data, two_gamma, SvmConfig()).model
-
-
 def test_roboost_cascade_beats_single_model_on_cluster_mix():
     # three planted clusters; round 1 robustly holds only the far one, the
     # later rounds chase whatever the earlier stages cannot hold
     gamma = 1.6
     ball = LpBall(2.0, gamma)
     cfg = BoostConfig(beta=0.4, eps=0.05, rounds=3, per_round_m=150)
-    cascade, rounds = beta_roboost(gen_stream(THREE_CLUSTERS, 11), barely_svm(2 * gamma), cfg, ball)
+    cascade, rounds = beta_roboost(gen_stream(THREE_CLUSTERS, 11), svm_margin, cfg, ball)
     assert len(cascade.stages) == len(rounds) == cfg.rounds_resolved == 3  # ran all, not stopped early
     assert 0.3 <= rounds[0][0] <= 0.7  # only the far cluster holds at 2 gamma
     eval_data = generate(GenSpec(THREE_CLUSTERS, 800, rng_seed=999))
@@ -399,11 +395,21 @@ def test_roboost_cascade_beats_single_model_on_cluster_mix():
     assert single_err - cascade_err >= 0.15
 
 
+def test_roboost_round_beta_hat_holds_a_row_only_strictly_past_twice_the_radius():
+    # normalized margins land exactly on 2 gamma = 1: the strict rule holds no
+    # row there, and every row a hair below it
+    data = Dataset(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1, -1]))
+    axis = lambda d: LinearModel(vec(1.0, 0.0))
+    cfg = BoostConfig(beta=0.5, eps=0.2, rounds=1, per_round_m=2)
+    assert beta_roboost(finite_source(data), axis, cfg, LpBall(2.0, 0.5))[1] == [(0.0, 2)]
+    assert beta_roboost(finite_source(data), axis, cfg, LpBall(2.0, 0.4999999))[1] == [(1.0, 2)]
+
+
 def test_roboost_stops_when_learner_is_already_robust():
     # one well-separated pair: round 1 holds everything, round 2 finds nothing
     wide = MarginUnion((MarginCluster(vec(0.0, 9.0), 1.0, 0.01),))
     cfg = BoostConfig(beta=1.0, eps=0.2, per_round_m=60)
-    cascade, rounds = beta_roboost(gen_stream(wide, 7), barely_svm(3.2), cfg, LpBall(2.0, 1.6))
+    cascade, rounds = beta_roboost(gen_stream(wide, 7), svm_margin, cfg, LpBall(2.0, 1.6))
     assert rounds[0][0] == pytest.approx(1.0)
     assert len(rounds) == 1 < cfg.rounds_resolved  # stopped early
     assert len(cascade.stages) == 1
@@ -412,7 +418,7 @@ def test_roboost_stops_when_learner_is_already_robust():
 def test_roboost_finite_source_dry_after_first_round_stops_cleanly():
     data = generate(GenSpec(THREE_CLUSTERS, 70, rng_seed=2))
     cfg = BoostConfig(beta=0.4, eps=0.2, rounds=3, per_round_m=60)
-    cascade, rounds = beta_roboost(finite_source(data), barely_svm(3.2), cfg, LpBall(2.0, 1.6))
+    cascade, rounds = beta_roboost(finite_source(data), svm_margin, cfg, LpBall(2.0, 1.6))
     assert len(rounds) == 1 < cfg.rounds_resolved  # stopped early
     assert len(cascade.stages) == 1
 
@@ -422,8 +428,7 @@ def test_uroboost_with_faithful_pseudo_labels_matches_roboost():
     ball = LpBall(2.0, gamma)
     labeled = generate(GenSpec(THREE_CLUSTERS, 400, rng_seed=21))
     cfg = BoostConfig(beta=0.4, eps=0.2, rounds=2, per_round_m=150)
-    cascade, _ = beta_uroboost(labeled, gen_stream(THREE_CLUSTERS, 31), barely_svm(2 * gamma),
-                               cfg, ball)
+    cascade, _ = beta_uroboost(labeled, gen_stream(THREE_CLUSTERS, 31), svm_margin, cfg, ball)
     eval_data = generate(GenSpec(THREE_CLUSTERS, 800, rng_seed=998))
     assert robust_risk(cascade, eval_data, ball) <= 0.35
 
@@ -432,7 +437,7 @@ def test_uroboost_empty_unlabeled_source_degenerates():
     labeled = generate(GenSpec(THREE_CLUSTERS, 200, rng_seed=5))
     empty = finite_source(Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64)))
     cfg = BoostConfig(beta=0.4, eps=0.2, per_round_m=50)
-    cascade, rounds = beta_uroboost(labeled, empty, barely_svm(3.2), cfg, LpBall(2.0, 1.6))
+    cascade, rounds = beta_uroboost(labeled, empty, svm_margin, cfg, LpBall(2.0, 1.6))
     assert len(cascade.stages) == 1 and rounds == [] and len(rounds) < cfg.rounds_resolved
     assert cascade.fallback is cascade.stages[0].model
 

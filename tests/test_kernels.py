@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from roblearn import Dataset, ErmConfig, WeightedDataset, erm_linear, lp_norm, mirror_step
+from roblearn import Dataset, WeightedDataset, erm_linear, lp_norm, mirror_step
 from roblearn._kernels import _q_ball_step, glm_link_u, hinge_train, md_glm, md_rcn
+from roblearn.learners import ERM_EPOCHS, ERM_LR0, ERM_REG
 
 from ._refs import (hinge_train_dense_ref, hinge_train_ref, md_glm_ref, md_rcn_ref, q_ball_step_decimal,
                     q_ball_step_ref)
@@ -106,19 +107,18 @@ class CountingMatrix(np.ndarray):
 
 @pytest.mark.parametrize("fit_bias, evaluations", [(False, [3, 3, 3, 3]), (True, [9, 3, 3, 3])])
 def test_hinge_train_skips_most_margin_evaluations_on_bands(fit_bias, evaluations):
-    cfg = ErmConfig()
     counts = []
     for seed in range(4):
         X, y = bands(seed, 400)
         rng = np.random.default_rng(100 + seed)
         sw = rng.random(y.shape[0]) if seed % 2 else np.ones(y.shape[0])
         sw = sw / sw.sum()
-        args = (y, sw, cfg.epochs, cfg.lr0, cfg.reg, fit_bias)
+        args = (y, sw, ERM_EPOCHS, ERM_LR0, ERM_REG, fit_bias)
         CountingMatrix.products = 0
         assert same_bits(hinge_train(X.view(CountingMatrix), *args), hinge_train_dense_ref(X, *args))
         # an exact evaluation makes two products: the margins and the gradient
         counts.append(CountingMatrix.products // 2)
-    assert sum(counts) < 0.1 * 4 * cfg.epochs
+    assert sum(counts) < 0.1 * 4 * ERM_EPOCHS
     assert counts == evaluations
 
 
@@ -138,14 +138,13 @@ def test_hinge_train_keeps_every_exact_evaluation_on_fms_rounds(fit_bias, evalua
     row below the round's median margin, so rows hover at margin 1. The exact
     evaluations per call are pinned, so a kernel change that adds or drops
     one shows here."""
-    cfg = ErmConfig()
     X, y = bands(0, 60)
     Z = (X[:, None, :] + np.array([[0.0, 0.0], [0.3, 0.0], [-0.3, 0.0]])).reshape(-1, 2)
     yz = np.repeat(y, 3)
     weights = np.ones(yz.shape[0])
     counts = []
     for _ in evaluations:
-        args = (yz, weights / weights.sum(), cfg.epochs, cfg.lr0, cfg.reg, fit_bias)
+        args = (yz, weights / weights.sum(), ERM_EPOCHS, ERM_LR0, ERM_REG, fit_bias)
         CountingMatrix.products = 0
         w, b = got = hinge_train(Z.view(CountingMatrix), *args)
         counts.append(CountingMatrix.products // 2)
@@ -292,8 +291,7 @@ def test_erm_linear_matches_loop_trainer():
     X = np.concatenate([rng.standard_normal((30, 3)) + [2, 0, 0],
                         rng.standard_normal((30, 3)) - [2, 0, 0]])
     y = np.concatenate([np.ones(30), -np.ones(30)]).astype(np.int64)
-    cfg = ErmConfig()
-    model = erm_linear(WeightedDataset.uniform(Dataset(X, y)), cfg)
-    w_ref, _ = hinge_train_ref(X, y.astype(float), np.full(60, 1.0 / 60), cfg.epochs, cfg.lr0, cfg.reg, False)
+    model = erm_linear(WeightedDataset.uniform(Dataset(X, y)))
+    w_ref, _ = hinge_train_ref(X, y.astype(float), np.full(60, 1.0 / 60), ERM_EPOCHS, ERM_LR0, ERM_REG, False)
     np.testing.assert_allclose(model.w, w_ref, rtol=1e-9, atol=1e-12)
     assert np.array_equal(model.predict_batch(X), np.where(X @ w_ref >= 0.0, 1, -1))

@@ -1,4 +1,3 @@
-import functools
 import math
 
 import numpy as np
@@ -7,18 +6,20 @@ from hypothesis import example, given, strategies as st
 
 from roblearn import (
     AllZeroWeights,
-    ConfigError,
+    BoostConfig,
     Dataset,
     EmptyDataset,
     EmptyPool,
-    ErmConfig,
     GlmConfig,
     InvalidNorm,
     LinearModel,
+    LpBall,
     RcnConfig,
     WeightedDataset,
     ZeroPerceptron,
+    beta_roboost,
     erm_linear,
+    finite_source,
     glm_link_u,
     glm_loss,
     glm_train,
@@ -37,6 +38,7 @@ from roblearn import (
 )
 from roblearn import _kernels
 from roblearn.data import apply_rcn, substream
+from roblearn.learners import ERM_EPOCHS, ERM_LR0, ERM_REG
 
 from ._refs import central_difference, q_ball_step_decimal
 
@@ -99,13 +101,7 @@ def test_erm_requires_positive_total_weight():
         erm_linear(WeightedDataset.uniform(empty))
 
 
-@pytest.mark.parametrize("bad", [{"epochs": 0}, {"reg": -1e-4}, {"reg": math.inf}, {"reg": math.nan}])
-def test_erm_config_refuses_bad_epochs_and_reg(bad):
-    with pytest.raises(ConfigError):
-        ErmConfig(**bad)
-
-
-@pytest.mark.parametrize("train", [lambda data: svm_margin(data, 0.5),
+@pytest.mark.parametrize("train", [svm_margin,
                                    lambda data: rcn_train_md(data, RcnConfig(gamma=0.1, eta=0.1)),
                                    lambda data: glm_train(data, GlmConfig(gamma=0.1, eta=0.1))],
                          ids=["svm_margin", "rcn_train_md", "glm_train"])
@@ -117,7 +113,7 @@ def test_trainers_refuse_an_empty_dataset(train):
 def test_erm_fit_bias_handles_offset_classes():
     data = Dataset(np.array([[3.0], [4.0], [1.0], [2.0]]), np.array([1, 1, -1, -1]))
     blind = erm_linear(WeightedDataset.uniform(data))
-    witheta = erm_linear(WeightedDataset.uniform(data), ErmConfig(fit_bias=True))
+    witheta = erm_linear(WeightedDataset.uniform(data), fit_bias=True)
     assert np.array_equal(witheta.predict_batch(data.X), data.y)
     # without an intercept this split is not representable
     assert not np.array_equal(blind.predict_batch(data.X), data.y)
@@ -139,8 +135,7 @@ def test_erm_falls_back_when_no_step_leaves_the_origin():
     # it rounds to zero, so the kernel ends at the origin and the fallback
     # direction X^T (y sw) itself is returned
     tiny = Dataset(np.array([[5e-324, 0.0]]), np.array([1]))
-    cfg = ErmConfig()
-    w, _ = _kernels.hinge_train(tiny.X, np.ones(1), np.ones(1), cfg.epochs, cfg.lr0, cfg.reg, False)
+    w, _ = _kernels.hinge_train(tiny.X, np.ones(1), np.ones(1), ERM_EPOCHS, ERM_LR0, ERM_REG, False)
     assert not np.any(w)
     assert erm_linear(WeightedDataset.uniform(tiny)).w.tobytes() == tiny.X[0].tobytes()
 
@@ -161,7 +156,11 @@ _ERM_DATA = Dataset(np.array([[1.0, 0.2], [-0.5, 0.9], [-1.5, 0.1], [0.8, -0.4]]
 @example([0, 1, 2] * 4)  # a 3-cycle of distributions: every call misses
 @example([0, 3, 0, 3, 3, 0])  # +0.0 and -0.0 are different bits
 def test_reuse_fits_trains_each_miss_of_two_once(picks):
-    erm = functools.partial(erm_linear, cfg=ErmConfig(epochs=20))
+    def erm(wd):
+        # deterministic and cheap, and like erm_linear it reads only wd.data
+        # and the normalized weights
+        return LinearModel(wd.data.X.T @ (wd.data.y * (wd.weights / wd.total)))
+
     trained = []
 
     def counted(wd):
@@ -201,23 +200,20 @@ def test_reuse_fits_leaves_a_zero_total_to_the_learner():
 # ---------------------------------------------------------------------------
 
 
-def test_svm_beta_hat_splits_two_rings():
-    # equal-mass clusters on one axis at normalized margins 3g and 1.5g:
-    # only the far cluster clears the 2g threshold
+def test_svm_margin_splits_two_rings():
+    # equal-mass clusters on one axis at normalized margins 3g and 1.5g: the
+    # fit lies along the axis, and as beta_roboost's learner only the far
+    # cluster clears the round's 2g threshold
     g = 0.4
     X = np.array([[3 * g, 0.0], [-3 * g, 0.0], [1.5 * g, 0.0], [-1.5 * g, 0.0]] * 25)
     y = np.array([1, -1, 1, -1] * 25, dtype=np.int64)
-    res = svm_margin(Dataset(X, y), 2 * g)
-    assert res.beta_hat == pytest.approx(0.5)
-    assert abs(res.model.w[0]) > 100 * abs(res.model.w[1])
-
-
-def test_svm_beta_hat_is_strictly_above_threshold():
-    X = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    y = np.array([1, -1], dtype=np.int64)
-    res = svm_margin(Dataset(X, y), 2.0)
-    # normalized margins land exactly on the threshold: strict comparison says no
-    assert res.beta_hat == 0.0
+    data = Dataset(X, y)
+    model = svm_margin(data)
+    assert abs(model.w[0]) > 100 * abs(model.w[1])
+    cfg = BoostConfig(beta=0.5, eps=0.2, rounds=1, per_round_m=data.n)
+    cascade, rounds = beta_roboost(finite_source(data), svm_margin, cfg, LpBall(2.0, g))
+    assert rounds == [(0.5, data.n)]
+    assert cascade.stages[0].model.w.tobytes() == model.w.tobytes()
 
 
 def test_pool_erm_prefers_lowest_index_on_ties():
