@@ -38,7 +38,7 @@ from roblearn import (
 )
 from roblearn import _kernels
 from roblearn.data import apply_rcn, substream
-from roblearn.learners import ERM_EPOCHS, ERM_LR0, ERM_REG
+from roblearn.learners import ERM_EPOCHS, ERM_LR0, ERM_REG, SVM_C, SVM_EPOCHS
 
 from ._refs import central_difference, q_ball_step_decimal
 
@@ -214,6 +214,25 @@ def test_svm_margin_splits_two_rings():
     cascade, rounds = beta_roboost(finite_source(data), svm_margin, cfg, LpBall(2.0, g))
     assert rounds == [(0.5, data.n)]
     assert cascade.stages[0].model.w.tobytes() == model.w.tobytes()
+
+
+def test_svm_margin_runs_the_tiny_c_recipe():
+    # uniform weights, penalty 1 / (2 C n), base step 1 / (2 reg) and no
+    # intercept: the same bits as the kernel called with those settings
+    data, _ = planted_margin_data(60, 3, 0.2, seed=4)
+    reg = 1.0 / (2.0 * SVM_C * data.n)
+    w, b = _kernels.hinge_train(np.ascontiguousarray(data.X), data.y.astype(float),
+                                np.full(data.n, 1.0 / data.n), SVM_EPOCHS, 1.0 / (2.0 * reg), reg, False)
+    model = svm_margin(data)
+    assert b == 0.0 and model.bias == 0.0
+    assert model.w.tobytes() == np.asarray(w).tobytes()
+
+
+def test_svm_margin_falls_back_when_no_step_leaves_the_origin():
+    # every step on the least subnormal rounds to zero, so the shared hinge
+    # fit returns the fallback direction X^T (y sw), as erm_linear does
+    tiny = Dataset(np.array([[5e-324, 0.0]]), np.array([1]))
+    assert svm_margin(tiny).w.tobytes() == tiny.X[0].tobytes()
 
 
 def test_pool_erm_prefers_lowest_index_on_ties():
@@ -460,3 +479,34 @@ def test_training_substreams_are_label_separated():
     a = substream(3, "rcn-md").integers(0, 100, size=5)
     b = substream(3, "glm-md").integers(0, 100, size=5)
     assert not np.array_equal(a, b)
+
+
+def _md_kernel_call(label, data, cfg, steps):
+    # what each trainer hands the kernel: contiguous X, float labels (in {0,1}
+    # for glm, with base step 2 gamma / (1 - 2 eta)) and rows drawn from the
+    # seed's substream for its label
+    idx = substream(cfg.rng_seed, label).integers(0, data.n, size=steps)
+    X, yf = np.ascontiguousarray(data.X), data.y.astype(float)
+    if label == "rcn-md":
+        return _kernels.md_rcn(X, yf, cfg.gamma, cfg.lam, float(cfg.q), idx)
+    lr0 = 2.0 * cfg.gamma / (1.0 - 2.0 * cfg.eta)
+    return _kernels.md_glm(X, (yf + 1.0) / 2.0, cfg.gamma, cfg.eta, float(cfg.q), lr0, idx)
+
+
+_MD_TRAINERS = [(rcn_train_md, RcnConfig, "rcn-md"), (glm_train, GlmConfig, "glm-md")]
+
+
+@pytest.mark.parametrize("train,config,label", _MD_TRAINERS, ids=["rcn_train_md", "glm_train"])
+def test_md_trainers_draw_their_rows_from_their_own_substream(train, config, label):
+    noisy = apply_rcn(planted_margin_data(80, 3, 0.3, seed=5)[0], 0.1, seed=5)
+    cfg = config(gamma=0.3, eta=0.1, steps=50, rng_seed=6)
+    want = np.asarray(_md_kernel_call(label, noisy, cfg, 50))
+    assert np.any(want)
+    assert train(noisy, cfg).w.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("train,config,label", _MD_TRAINERS, ids=["rcn_train_md", "glm_train"])
+def test_md_trainers_default_to_two_n_draws(train, config, label):
+    noisy = apply_rcn(planted_margin_data(40, 3, 0.3, seed=8)[0], 0.1, seed=8)
+    bits = lambda steps: train(noisy, config(gamma=0.3, eta=0.1, steps=steps, rng_seed=1)).w.tobytes()
+    assert bits(None) == bits(2 * noisy.n) != bits(2 * noisy.n - 1)
