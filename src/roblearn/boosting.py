@@ -420,13 +420,12 @@ def vote_agreement(models, data: Dataset, U=None) -> np.ndarray:
     return agree / len(models)
 
 
-def sparsify_majority(models, check_data: Dataset, N: int = 25, seed: int = 0, U=None, retry_limit: int = 100):
+def sparsify_majority(models, check_data: Dataset, N: int = 25, seed: int = 0, retry_limit: int = 100):
     """Uniform with-replacement subsample of N vote members that still has
-    zero (robust) loss on check_data; redraws until one does."""
+    zero loss on check_data (an inflated set, for zero robust loss); redraws
+    until one does."""
     models = list(models)
-    if isinstance(U, LpBall) and U.gamma > 0:
-        raise Unsupported("majority votes over a ball need a finite perturbation set")
-    losses_of = losses_on(check_data, U)
+    losses_of = losses_on(check_data, None)
     if losses_of(MajorityVote(models)).any():
         raise ConfigError("the full majority must have zero loss on check_data")
     rng = substream(seed, "sparsify")

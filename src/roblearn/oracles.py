@@ -12,10 +12,16 @@ accepted ones and, for each other row, a cut <normals[j], z'> <= offsets[j]
 that contains its region. There is one central-cut loop, `_lockstep`: it
 runs k searches side by side as stacked centers and shapes, asking the
 oracle for all open rows at once, so certifying a dataset costs one numpy
-step per iteration rather than one per row and iteration. A single search
-(`ellipsoid_feasible`, `ellipsoid_certify`) is a lockstep of one row, and
-`_separate` answers for lp balls and polytopes row by row
-(`separation_oracle` closes it over one center).
+step per iteration rather than one per row and iteration. `_separate`
+answers for lp balls and polytopes row by row (`separation_oracle` closes it
+over one center). `ellipsoid_feasible` searches a caller's oracle from one
+center in the init_radius ball, as RERM's weight search does. Certification
+against a region U, an lp ball or a polytope, has one body, `_certify`:
+`ellipsoid_certify` is its one-row case, `ellipsoid_certify_batch` runs a
+dataset, and RERM certifies each row through `ellipsoid_certify`. The start
+rule (`_row_config`): the search of row x starts at x, in the ball of the lp
+ball's own l2 reach or, for a polytope, in the init_radius ball; an lp ball
+that reaches past init_radius raises EllipsoidDiverged before any query.
 Every search holds its region in its start ball by cutting with the ball
 itself, so in d >= 2 a search that proves the region empty (a cut whose
 halfspace misses the ellipsoid) ends there rather than at its cut count.
@@ -68,9 +74,8 @@ class EllipsoidConfig:
     """Budget and tolerances of the ellipsoid searches. A search starts in
     the init_radius ball around its center and searches only that ball: a
     point its oracle accepts farther out is cut by the ball (see _lockstep).
-    The row searches of ellipsoid_certify_batch and rerm_ellipsoid over an lp
-    ball start at the ball's own l2 reach when that is smaller, and refuse a
-    ball that reaches past init_radius (_row_config). feas_slack is RERM's
+    A certification over an lp ball starts at the ball's own l2 reach
+    instead (the start rule, _row_config). feas_slack is RERM's
     certification margin."""
 
     # None caps each search at the cut count that takes the ellipsoid's volume
@@ -113,9 +118,8 @@ class EllipsoidConfig:
 def default_ellipsoid_config(ball: LpBall, d: int) -> EllipsoidConfig:
     """Spec defaults, with the certification slack tied to the working radius
     and init_radius wide enough to hold the lp ball around its center. The
-    weight search starts at init_radius; the row searches of
-    ellipsoid_certify_batch and rerm_ellipsoid start at the ball's own l2
-    reach (_row_config)."""
+    weight search starts at init_radius, and every certification over the
+    ball at the ball's own l2 reach (_row_config)."""
     slack = ball.gamma / 10.0 if ball.gamma > 0 else 1e-3
     return EllipsoidConfig(init_radius=max(10.0, _l2_reach(ball, d)), feas_slack=slack)
 
@@ -126,22 +130,22 @@ def _l2_reach(ball: LpBall, d: int) -> float:
 
 
 def _row_config(U, d: int, cfg: EllipsoidConfig) -> EllipsoidConfig:
-    """The config of a search over U(x) from the center x: for an lp ball the
-    start radius is its l2 reach, with a relative 2^-30 to spare for the
-    rounding of the reach and of r^2, so U(x) still lies in the start ball.
-    It is at least volume_eps, so the search makes at least one query (the
-    center), and at most init_radius. A ball that reaches past init_radius
-    raises EllipsoidDiverged: the search would hold only its part within
-    init_radius, where the closed form speaks of the whole ball. Other
-    regions keep cfg."""
+    """The config of a certification over U(x) from x (the module's start
+    rule). An lp ball's l2 reach gets a relative 2^-30 to spare for the
+    rounding of the reach and of r^2, so U(x) still lies in the start ball,
+    and is at least volume_eps, so the search makes at least one query (the
+    center). A ball that reaches past init_radius raises: the search would
+    hold only its part within init_radius, where the closed form speaks of
+    the whole ball. Other regions, and a config this returned for U, come
+    back as they are."""
     if not isinstance(U, LpBall):
         return cfg
     reach = _l2_reach(U, d)
     if reach > cfg.init_radius:
         raise EllipsoidDiverged(f"the region reaches {reach:.6g} from the search center, "
                                 f"past init_radius {cfg.init_radius:.6g}")
-    r = max(reach * (1.0 + 2.0**-30), cfg.volume_eps)
-    return replace(cfg, init_radius=min(r, cfg.init_radius))
+    r = min(max(reach * (1.0 + 2.0**-30), cfg.volume_eps), cfg.init_radius)
+    return cfg if r == cfg.init_radius else replace(cfg, init_radius=r)
 
 
 def attack(model: LinearModel, x, y, U: PerturbationSpec, index: int | None = None):
@@ -459,57 +463,47 @@ def _certify_oracle(w, bias: float, y: np.ndarray, slack: float, region):
     return composed
 
 
-def ellipsoid_certify(model: LinearModel, x, y, sepU, cfg: EllipsoidConfig,
-                      slack: float = 0.0):
-    """Search U(x) for a point the model gets wrong (decision value at most
-    `slack` against the label). Returns the counterexample vector, or None
-    when no such point lies within init_radius of x, up to volume_eps
-    (certified robust there); the search ends as soon as a cut, from sepU,
-    the model or the start ball, misses its ellipsoid.
+def _certify(model: LinearModel, X: np.ndarray, y: np.ndarray, U, cfg: EllipsoidConfig, slack: float):
+    """The lockstep search of each row X[i] labeled y[i] for a point of U(X[i])
+    with decision value at most slack, from X[i] at _row_config."""
+    sep = _certify_oracle(model.w, model.bias, y, slack, lambda rows, Z: _separate(U, X[rows], Z))
+    return _lockstep(sep, X, _row_config(U, X.shape[1], cfg))
 
-    sepU must be a row-wise separation oracle for U(x), such as
-    separation_oracle(U, x), whose cuts contain U(x). The search starts in
-    the init_radius ball around x and holds U(x) in it, as
-    ellipsoid_feasible does.
+
+def ellipsoid_certify(model: LinearModel, x, y, U, cfg: EllipsoidConfig, slack: float = 0.0):
+    """Search U(x), for an lp ball or polytope U, for a point the model gets
+    wrong (decision value at most `slack` against the label). Returns the
+    counterexample vector, or None when there is none up to volume_eps
+    (certified robust there) in the start ball of _row_config. At slack 0
+    this is ellipsoid_certify_batch on the one row, bit for bit and error for
+    error.
     """
     x, y = labeled_point(x, y)
-    sep = _certify_oracle(model.w, model.bias, np.array([float(y)]), slack, sepU)
-    return _lockstep(sep, x[None], cfg)[0]
+    return _certify(model, x[None], np.array([float(y)]), U, cfg, slack)[0]
 
 
 def ellipsoid_certify_batch(model: LinearModel, data: Dataset, U, cfg: EllipsoidConfig) -> list:
-    """ellipsoid_certify on every row of data against U(x_i), for an lp ball
-    or polytope U, as one lockstep search: per row the counterexample or
-    None, each row ending at its own step, at the latest its cut count.
-    Raises the error the first failing row would raise on its own, and
-    EllipsoidDiverged before any query for an lp ball that reaches past
-    init_radius. Each row's search starts at x_i, in the init_radius ball for
-    a polytope, whose None then means no counterexample within init_radius
-    of x_i, and for an lp ball in the ball of its own l2 reach (_row_config),
-    so a row whose misclassification halfspace misses that ball ends at its
-    first cut."""
-    sep = _certify_oracle(model.w, model.bias, data.y.astype(float), 0.0,
-                          lambda rows, Z: _separate(U, data.X[rows], Z))
-    return _lockstep(sep, data.X, _row_config(U, data.d, cfg))
+    """ellipsoid_certify at slack 0 on every row of data against U(x_i), as
+    one lockstep search: per row the counterexample or None, each row ending
+    at its own step, at the latest its cut count. Raises the error the first
+    failing row would raise on its own."""
+    return _certify(model, data.X, data.y.astype(float), U, cfg, 0.0)
 
 
 def rerm_ellipsoid(data: Dataset, U, cfg: EllipsoidConfig) -> LinearModel:
     """Robust ERM for homogeneous halfspaces by ellipsoid search in weight
     space, against the lp ball or polytope U around each row. Feasibility
     means every sample certifies robust at margin slack feas_slack; each
-    failed certification contributes the cut -y_i z_i. Row i is asked through
-    separation_oracle(U, x_i), built when a weight query first gets to it. The
-    weight search starts at the init_radius ball around 0 and, like every
-    search, is held in it by the ball's cut (_lockstep). Each row search
-    starts at x_i, for an lp ball in the ball of its own l2 reach
-    (_row_config), for a polytope in the init_radius ball, which it then
-    certifies only within init_radius of x_i.
+    failed certification contributes the cut -y_i z_i. Row i is certified by
+    ellipsoid_certify, under the start rule (_row_config); at w = 0 its
+    search for any point of U(x_i) starts in the same ball. The weight search
+    starts at the init_radius ball around 0 and, like every search, is held
+    in it by the ball's cut (_lockstep).
 
     Over an lp ball every weight query skips the rows whose closed-form robust
     margin y_i <w, x_i> - gamma ||w||_* beats feas_slack by a relative 1e-9,
     as their certification can only return None; the rest run in order, so
-    the failing row and its cut stay the same. An lp ball that reaches past
-    init_radius raises EllipsoidDiverged at once. Raises NotSeparable when the
+    the failing row and its cut stay the same. Raises NotSeparable when the
     budget is exhausted without a feasible point, and ZeroWeight when the
     search accepts w = 0, which it does when no row's region has a point
     within init_radius of the row, as no row then constrains w.
@@ -530,11 +524,11 @@ def rerm_ellipsoid(data: Dataset, U, cfg: EllipsoidConfig) -> LinearModel:
             proven = raw - shift - tau > 1e-9 * (np.abs(raw) + shift + tau)
             todo = np.flatnonzero(~proven)
         for i in todo:
-            sep = separation_oracle(U, data.X[i])
             if model is None:
-                z = ellipsoid_feasible(sep, d, row_cfg, center=data.X[i])
+                z = ellipsoid_feasible(separation_oracle(U, data.X[i]), d, row_cfg,
+                                       center=data.X[i])
             else:
-                z = ellipsoid_certify(model, data.X[i], data.y[i], sep, row_cfg, slack=tau)
+                z = ellipsoid_certify(model, data.X[i], data.y[i], U, row_cfg, slack=tau)
             if z is None:
                 continue
             normal = -data.y[i] * z

@@ -175,7 +175,7 @@ def robustify_nonrobust(data: Dataset, U, base_learner, cfg: RobustifyConfig | N
     models, vote, _ = alpha_boost(flat, weak_learner, boost_cfg)
     if robust_losses(vote, flat, None).any():
         raise WeakLearnerFailed("outer boosting did not reach zero robust loss")
-    sub = sparsify_majority(models, data, N=cfg.sparsify_N, seed=cfg.rng_seed, U=U)
+    sub = sparsify_majority(models, flat, N=cfg.sparsify_N, seed=cfg.rng_seed)
     return MajorityVote(sub), len(models)
 
 

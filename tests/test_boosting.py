@@ -585,14 +585,11 @@ def test_sparsify_keeps_a_zero_loss_subvote():
     assert np.array_equal(MajorityVote(sub).predict_batch(data.X), data.y)
 
 
-def test_sparsify_demands_zero_loss_input_and_finite_spec():
+def test_sparsify_demands_zero_loss_input():
     data = Dataset(np.array([[1.0]]), np.array([1]))
     bad = LinearModel(vec(-1.0))
     with pytest.raises(ValueError):
         sparsify_majority([bad], data, N=1, seed=0)
-    good = LinearModel(vec(1.0))
-    with pytest.raises(Unsupported):
-        sparsify_majority([good], data, N=1, seed=0, U=LpBall(2.0, 0.5))
 
 
 def test_sparsify_retry_limit_surfaces():

@@ -34,7 +34,6 @@ from roblearn import (
     robust_loss,
     robust_losses,
     robust_risk,
-    separation_oracle,
     worst_case_point,
 )
 
@@ -112,11 +111,11 @@ AXIS, BALL = LinearModel(vec(1.0, 0.0)), LpBall(2.0, 1.0)
 @pytest.mark.parametrize("build, message", [
     (lambda: robust_loss(AXIS, vec(1.0, 0.0), 0, BALL), "label must be -1 or"),
     (lambda: attack(AXIS, vec(1.0, 0.0), 0.5, BALL), "label must be -1 or"),
-    (lambda: ellipsoid_certify(AXIS, vec(1.0, 0.0), 2, separation_oracle(BALL, vec(1.0, 0.0)),
-                               EllipsoidConfig()), "label must be -1 or"),
+    (lambda: ellipsoid_certify(AXIS, vec(1.0, 0.0), 2, BALL, EllipsoidConfig()),
+     "label must be -1 or"),
     (lambda: robust_loss(AXIS, np.zeros((1, 2)), 1, BALL), "expected a 1-d vector"),
-    (lambda: ellipsoid_certify(AXIS, np.zeros((1, 2)), 1, separation_oracle(BALL, vec(1.0, 0.0)),
-                               EllipsoidConfig()), "expected a 1-d vector"),
+    (lambda: ellipsoid_certify(AXIS, np.zeros((1, 2)), 1, BALL, EllipsoidConfig()),
+     "expected a 1-d vector"),
     (lambda: attack(AXIS, vec(np.inf, 0.0), 1, BALL), "vector entries must be finite"),
     (lambda: Dataset(vec(1.0, 2.0), np.array([1, -1])), "X must be 2-d"),
     (lambda: Dataset(np.array([[1.0], [np.nan]]), np.array([1, -1])), "features must be finite"),

@@ -361,7 +361,7 @@ def test_certify_agrees_with_margin_route_when_clear(seed, p):
     if abs(worst) < 0.05:
         return
     cfg = EllipsoidConfig(feas_slack=1e-9, volume_eps=1e-8)
-    hit = ellipsoid_certify(model, x, y, separation_oracle(LpBall(p, gamma), x), cfg)
+    hit = ellipsoid_certify(model, x, y, LpBall(p, gamma), cfg)
     certified = brute_margin_certified(w, model.bias, x, y, p, gamma)
     if certified:
         assert hit is None
@@ -497,11 +497,25 @@ def test_lp_balls_past_the_start_are_refused_before_any_query(monkeypatch):
     wide = LpBall(math.inf, 0.8)
     monkeypatch.setattr(oracles, "_separate", None)  # any query fails
     for search in (lambda: ellipsoid_certify_batch(model, data, wide, cfg),
+                   lambda: ellipsoid_certify(model, data.X[0], data.y[0], wide, cfg),
                    lambda: rerm_ellipsoid(data, wide, cfg)):
         with pytest.raises(EllipsoidDiverged):
             search()
     monkeypatch.undo()
     assert ellipsoid_certify_batch(model, data, LpBall(2.0, 0.8), cfg) == [None, None]
+
+
+@pytest.mark.parametrize("U, radius", [(LpBall(1.0, 0.3), 10.0), (LpBall(math.inf, 1e-9), 1.0),
+                                       (LpBall(2.0, 1.0), 1.0), (Polytope(np.eye(2), np.ones(2)), 1.0)])
+def test_row_config_returns_a_resolved_config_as_it_is(U, radius):
+    # RERM resolves its row config once and passes it to every row's
+    # ellipsoid_certify, which resolves it again: no copy is made then, nor
+    # where the start radius is init_radius already (the unit l2 ball)
+    cfg = EllipsoidConfig(init_radius=radius)
+    row_cfg = oracles._row_config(U, 2, cfg)
+    assert row_cfg == row_config_ref(U, 2, cfg)
+    assert (row_cfg is cfg) == (row_cfg.init_radius == radius)
+    assert oracles._row_config(U, 2, row_cfg) is row_cfg
 
 
 def test_polytopes_past_the_start_are_searched_within_init_radius():
@@ -521,7 +535,7 @@ def test_polytopes_past_the_start_are_searched_within_init_radius():
         for r in (2.0, 30.0):
             cfg = EllipsoidConfig(init_radius=r)
             batch = ellipsoid_certify_batch(model, data, U, cfg)
-            z = ellipsoid_certify(model, x, data.y[0], sep, cfg)
+            z = ellipsoid_certify(model, x, data.y[0], U, cfg)
             found = ellipsoid_feasible(sep, 2, cfg, center=x)
             assert batch[1] is None and (z is None) == (found is None) == (r == 2.0)
             assert z is None or (z.tobytes() == batch[0].tobytes() and model.decisions(z) <= 0
@@ -565,19 +579,36 @@ def test_an_unbounded_polytope_is_searched_within_init_radius():
 
 @given(st.integers(0, 10_000), REGIONS, st.integers(1, 3), st.sampled_from([0.0, 0.05]))
 def test_certify_matches_reference(seed, kind, d, slack):
+    # the reference starts at row_config_ref, and an lp ball past a start
+    # radius of 0.3 is refused before any query; the queries counted are the
+    # row oracle's answers, those of _separate inside the search
     rng = np.random.default_rng(seed)
-    cfg = EllipsoidConfig(volume_eps=float(rng.choice([1e-3, 1e-6])))
+    cfg = EllipsoidConfig(init_radius=float(rng.choice([0.3, 10.0])),
+                          volume_eps=float(rng.choice([1e-3, 1e-6])))
     U = _region(kind, rng, d)
     model = LinearModel(rng.standard_normal(d) + 0.1, bias=float(rng.standard_normal()) * 0.5)
     x = rng.standard_normal(d)
     y = 1 if rng.random() < 0.5 else -1
-    got = _outcome(lambda sep: ellipsoid_certify(model, x, y, sep, cfg, slack=slack),
-                   separation_oracle(U, x))
+
+    def certify(sep):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracles, "_separate", sep)
+            return ellipsoid_certify(model, x, y, U, cfg, slack=slack)
+
+    got = _outcome(certify, oracles._separate)
     want, unstopped = (_outcome(lambda sep: ellipsoid_certify_ref(model.w, model.bias, x, y, sep,
-                                                                  cfg, slack=slack, stop=stop),
+                                                                  row_config_ref(U, d, cfg),
+                                                                  slack=slack, stop=stop),
                                 lambda z: separation_ref(U, x, z)) for stop in (True, False))
     _assert_same_outcome(got, want)
     _assert_same_outcome(got, unstopped, queries=False)
+    if slack == 0.0:  # the one-row batch, bit for bit and error for error
+        batch, err = _rows_outcome(lambda: ellipsoid_certify_batch(model, Dataset(x[None], [y]),
+                                                                   U, cfg))
+        assert err is got[1]
+        if err is None:
+            assert (got[0] is None) == (batch[0] is None)
+            assert got[0] is None or got[0].tobytes() == batch[0].tobytes()
 
 
 def _rows_outcome(search):
@@ -900,8 +931,8 @@ def _screen_run(monkeypatch, data, ball, cfg):
 
         return search(weight_sep, d, cfg)
 
-    def certify_spy(model, x, y, sepU, cfg, slack=0.0):
-        return found(row_of(x), certify(model, x, y, sepU, cfg, slack=slack))
+    def certify_spy(model, x, y, U, cfg, slack=0.0):
+        return found(row_of(x), certify(model, x, y, U, cfg, slack=slack))
 
     monkeypatch.setattr(oracles, "ellipsoid_feasible", feasible_spy)
     monkeypatch.setattr(oracles, "ellipsoid_certify", certify_spy)
