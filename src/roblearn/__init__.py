@@ -88,10 +88,8 @@ from .boosting import (
     vote_agreement,
 )
 from .reductions import (
-    EnsembleWeights,
     PerExampleWeights,
     RobustifyConfig,
-    WeightedMajority,
     cycle_robust,
     enumeration_attack,
     fms_agnostic,

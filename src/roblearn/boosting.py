@@ -316,19 +316,31 @@ def _distinct(models) -> list:
 
 
 class MajorityVote:
-    """Unweighted vote over ±1 predictors; exact ties go to +1. Each distinct
-    member is evaluated once and counted as often as it appears; the sums are
-    integers, exact in float64, so the vote is the member-by-member one."""
+    """Vote over ±1 predictors; exact ties (the all-zero edge too) go to +1.
 
-    def __init__(self, models):
+    Without weights, each distinct member is evaluated once and counted as
+    often as it appears; the sums are integers, exact in float64, so the vote
+    is the member-by-member one. With weights, member i counts weights[i],
+    summed in member order. A float array of weights is held, not copied, so
+    scaling it in place moves the vote.
+    """
+
+    def __init__(self, models, weights=None):
         models = list(models)
         if not models:
             raise ConfigError("need at least one model")
+        if weights is not None:
+            weights = np.asarray(weights, dtype=float)
+            if weights.shape != (len(models),):
+                raise ConfigError(f"one weight per member: {len(models)} members, {weights.size} weights")
+            if not np.all((weights >= 0) & (weights <= 1)):
+                raise ConfigError("member weights must lie in [0, 1]")
         self.models = models
+        self.weights = weights
 
     def predict_batch(self, Z) -> np.ndarray:
         Z = np.asarray(Z, dtype=float)
-        members, counts = zip(*_distinct(self.models))
+        members, counts = zip(*_distinct(self.models)) if self.weights is None else (self.models, self.weights)
         return _weighted_vote(counts, (m.predict_batch(Z) for m in members), Z.shape[0])
 
 
@@ -346,7 +358,7 @@ class AlphaBoostConfig:
     rounds: int | None = None  # None means ceil(1 + 48 ln m), or ceil(112 ln m) in agreement mode
     delta: float = 0.05
     agreement_mode: bool = False  # alternative (T, alpha) pairing with the 5/9 agreement floor
-    early_stop: bool = False  # break once the running majority has zero loss on the data
+    early_stop: bool = False  # stop once the running majority has zero loss on the data; raise if it never does
 
     def __post_init__(self):
         if self.alpha is not None and not (0.0 < self.alpha < math.inf):
@@ -373,6 +385,10 @@ def alpha_boost(data: Dataset, weak_learner, cfg: AlphaBoostConfig, U=None):
     raise WeakLearnerFailed to give up an attempt; a round whose attempts all
     fail raises WeakLearnerFailed. Returns the model list, their unweighted
     majority vote, and the weighted error of each round's model.
+
+    With cfg.early_stop the run ends at the first round whose vote has zero
+    loss on the data, and raises WeakLearnerFailed when the rounds run out
+    before one does; the caller gets a zero-loss vote or an error.
 
     The weak learner is called for every attempt of every round, even when
     the weights repeat, as a stateful learner may answer differently; a
@@ -407,6 +423,9 @@ def alpha_boost(data: Dataset, weak_learner, cfg: AlphaBoostConfig, U=None):
         D = D / D.sum()
         if cfg.early_stop and not losses_of(MajorityVote(models)).any():
             break
+    else:
+        if cfg.early_stop:
+            raise WeakLearnerFailed(f"boosting did not reach zero loss in {T} rounds")
     return models, MajorityVote(models), errors
 
 

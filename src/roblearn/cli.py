@@ -448,7 +448,7 @@ def _cmd_wm(args) -> dict:
             "mistakes": mistakes,
             "examples_seen": seen,
             "pool_opt": opt,
-            "final_weights": [float(w) for w in weights.weights],
+            "final_weights": [float(w) for w in weights],
         },
     }
     if 0.0 < args.eta_wm < 1.0:

@@ -23,7 +23,6 @@ from .core import (
     as_vector,
     ball_hits,
     inflate,
-    robust_losses,
     worst_case_point,
 )
 from .boosting import (
@@ -42,7 +41,6 @@ from .errors import (
     SourceExhausted,
     StreamExhausted,
     Unsupported,
-    WeakLearnerFailed,
 )
 
 
@@ -129,15 +127,14 @@ def zero_robust_loss(L: Dataset, U, base_learner, cfg: RobustifyConfig | None = 
     classifies every perturbation correctly, then sparsify the vote.
 
     indices carries the original example positions of L's rows, needed when U
-    is a per-example table. Raises WeakLearnerFailed when boosting ends
-    without reaching zero loss on the inflated set (non-realizable input).
+    is a per-example table. alpha_boost's early stop raises WeakLearnerFailed
+    when its rounds end without zero loss on the inflated set (non-realizable
+    input).
     """
     cfg = cfg or RobustifyConfig()
     flat = inflate(L, _reindexed(U, indices, L.n)).data
     boost_cfg = AlphaBoostConfig(rounds=cfg.inner_rounds, early_stop=True)
-    models, vote, _ = alpha_boost(flat, base_learner, boost_cfg)
-    if robust_losses(vote, flat, None).any():
-        raise WeakLearnerFailed("boosting did not reach zero loss on the inflated set")
+    models, _, _ = alpha_boost(flat, base_learner, boost_cfg)
     return MajorityVote(sparsify_majority(models, flat, N=cfg.sparsify_N, seed=cfg.rng_seed))
 
 
@@ -154,8 +151,9 @@ def robustify_nonrobust(data: Dataset, U, base_learner, cfg: RobustifyConfig | N
     """alpha_boost over the inflated training set with a weak learner that
     draws a subsample from the round's distribution, projects it back to its
     origin examples and runs zero_robust_loss on them; an attempt whose
-    subsample is not robustly realizable fails and is retried. The final vote
-    is sparsified until its robust loss on the original data is exactly zero.
+    subsample is not robustly realizable fails and is retried. The outer run
+    stops early at zero robust loss, or raises WeakLearnerFailed when its
+    rounds end before it; the vote is then sparsified, keeping that zero loss.
     Returns the sparsified vote and the number of outer rounds run.
     """
     cfg = cfg or RobustifyConfig()
@@ -172,9 +170,7 @@ def robustify_nonrobust(data: Dataset, U, base_learner, cfg: RobustifyConfig | N
         return zero_robust_loss(data.subset(origin_rows), U, base_learner, inner_cfg, indices=origin_rows)
 
     boost_cfg = AlphaBoostConfig(rounds=cfg.outer_rounds, early_stop=True)
-    models, vote, _ = alpha_boost(flat, weak_learner, boost_cfg)
-    if robust_losses(vote, flat, None).any():
-        raise WeakLearnerFailed("outer boosting did not reach zero robust loss")
+    models, _, _ = alpha_boost(flat, weak_learner, boost_cfg)
     sub = sparsify_majority(models, flat, N=cfg.sparsify_N, seed=cfg.rng_seed)
     return MajorityVote(sub), len(models)
 
@@ -373,31 +369,6 @@ def cycle_robust(data: Dataset, online_learner, attack_oracle, mistake_cap: int)
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class EnsembleWeights:
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.size == 0:
-            raise EmptyPool("at least one hypothesis required")
-        if not np.all((w >= 0) & (w <= 1)):
-            raise ConfigError("hypothesis weights must lie in [0, 1]")
-        self.weights = w
-
-
-class WeightedMajority:
-    """Vote with per-member weights; ties (including the all-zero edge) go to +1."""
-
-    def __init__(self, models, weights: EnsembleWeights):
-        self.models = list(models)
-        self.ensemble = weights
-
-    def predict_batch(self, Z) -> np.ndarray:
-        Z = np.asarray(Z, dtype=float)
-        return _weighted_vote(self.ensemble.weights, (m.predict_batch(Z) for m in self.models), Z.shape[0])
-
-
 def wm_constants(eta: float) -> tuple[float, float]:
     """Mistake-bound multipliers (a, b): mistakes <= a * OPT + b * ln(pool size)."""
     if not (0.0 < eta < 1.0):
@@ -412,10 +383,11 @@ def weighted_majority_robust(pool, stream, U, eta_wm: float, rounds: int | None 
     MissingPerturbations); every member wrong on the first misclassified point
     of an attacked row is down-weighted by eta. Stops after `rounds` draws or
     when a finite stream runs dry; rows are drawn and attacked in blocks, as
-    in one_pass_robust. Returns the weights, the vote over them, the number of
-    mistakes and the number of examples drawn. Each member labels a drawn
-    block's n * k points once, kept as int8: an m-member block costs m * n * k
-    bytes, and every vote and down-weighting reads them."""
+    in one_pass_robust. Returns the weights (one float per member), the
+    MajorityVote that holds them, the number of mistakes and the number of
+    examples drawn. Each member labels a drawn block's n * k points once, kept
+    as int8: an m-member block costs m * n * k bytes, and every vote and
+    down-weighting reads them."""
     if not isinstance(U, (FiniteOffsets, FinitePerExample)):
         raise Unsupported("weighted majority needs a finite perturbation set")
     pool = list(pool)
@@ -425,21 +397,21 @@ def weighted_majority_robust(pool, stream, U, eta_wm: float, rounds: int | None 
         raise ConfigError("eta must lie in [0, 1)")
     if rounds is not None and rounds < 1:
         raise ConfigError("rounds must be >= 1")
-    weights = EnsembleWeights(np.ones(len(pool)))
+    weights = np.ones(len(pool))
     mistakes = 0
     seen = 0
 
     def attack(weights, rows, y, start):
         # rows index the block and a row's k points are k adjacent columns of P
         cols = slice(int(rows[0]) * k, (int(rows[-1]) + 1) * k)
-        wrong = _weighted_vote(weights.weights, P[:, cols], k * len(rows)) != np.repeat(y, k)
+        wrong = _weighted_vote(weights, P[:, cols], k * len(rows)) != np.repeat(y, k)
         hit = np.logical_or.reduceat(wrong, np.arange(0, wrong.size, k))
         return hit, lambda j: cols.start + j * k + int(wrong[j * k:(j + 1) * k].argmax())
 
     def on_hit(weights, j, col):
         nonlocal mistakes
         mistakes += 1
-        weights.weights[P[:, col] != batch.y[j]] *= eta_wm
+        weights[P[:, col] != batch.y[j]] *= eta_wm
         return weights
 
     while rounds is None or seen < rounds:
@@ -453,4 +425,4 @@ def weighted_majority_robust(pool, stream, U, eta_wm: float, rounds: int | None 
         k = Z.shape[1]
         P = np.array([h.predict_batch(Z.reshape(-1, batch.d)) for h in pool], dtype=np.int8)
         _scan(attack, weights, np.arange(batch.n), batch.y, None, on_hit)
-    return weights, WeightedMajority(pool, weights), mistakes, seen
+    return weights, MajorityVote(pool, weights), mistakes, seen

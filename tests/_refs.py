@@ -18,13 +18,12 @@ import math
 
 import numpy as np
 
-from roblearn.boosting import _stage_labels
+from roblearn.boosting import MajorityVote, _stage_labels
 from roblearn.core import Dataset, as_vector
 from roblearn.data import GenSpec, generate, read_text, write_text
 from roblearn.errors import (ConfigError, EllipsoidDiverged, EmptyDataset, EmptyPool,
                              MistakeCapExceeded, NotSeparable, OracleViolation, ParseError,
                              SourceExhausted, StreamExhausted)
-from roblearn.reductions import EnsembleWeights, WeightedMajority
 
 
 def dual_exponent_ref(p: float) -> float:
@@ -721,8 +720,8 @@ def weighted_majority_ref(pool, stream, attack_oracle, eta_wm: float, rounds: in
         raise EmptyPool("hypothesis pool must be non-empty")
     if not (0.0 <= eta_wm < 1.0):
         raise ValueError("eta must lie in [0, 1)")
-    weights = EnsembleWeights(np.ones(len(pool)))
-    predictor = WeightedMajority(pool, weights)
+    weights = np.ones(len(pool))
+    predictor = MajorityVote(pool, weights)
     mistakes = 0
     seen = 0
     while rounds is None or seen < rounds:
@@ -738,7 +737,7 @@ def weighted_majority_ref(pool, stream, attack_oracle, eta_wm: float, rounds: in
         mistakes += 1
         for j, h in enumerate(pool):
             if label_ref(h, z) != y:
-                weights.weights[j] *= eta_wm
+                weights[j] *= eta_wm
     return weights, predictor, mistakes, seen
 
 

@@ -15,7 +15,6 @@ from hypothesis import given, strategies as st
 from roblearn import (
     Cascade,
     Dataset,
-    EnsembleWeights,
     FiniteOffsets,
     FinitePerExample,
     LinearModel,
@@ -23,7 +22,6 @@ from roblearn import (
     MajorityVote,
     SelectionSet,
     SelectiveClassifier,
-    WeightedMajority,
     expand_g,
     inflate,
     margins_batch,
@@ -171,7 +169,7 @@ def test_votes_match_per_row_sums(seed, size):
     weights = rng.random(size)
     Z = rng.standard_normal((30, 3))
     majority = MajorityVote(models)
-    weighted = WeightedMajority(models, EnsembleWeights(weights))
+    weighted = MajorityVote(models, weights)
     assert majority.predict_batch(Z).tolist() == [vote_ref(models, [1.0] * size, z) for z in Z]
     assert weighted.predict_batch(Z).tolist() == [vote_ref(models, weights, z) for z in Z]
 

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from roblearn import (
     AlphaBoostConfig,
     BoostConfig,
     Cascade,
     ConfigError,
+    ConstantModel,
     Dataset,
     FiniteOffsets,
     FinitePerExample,
@@ -31,6 +32,7 @@ from roblearn import (
     expand_g,
     finite_source,
     generate,
+    make_pool_erm,
     margins_batch,
     rejection_sample,
     robust_loss,
@@ -45,7 +47,7 @@ from roblearn import (
 from roblearn.boosting import _accept, _doubled_stages, _round_radius, _stage_labels
 from roblearn.data import substream
 
-from ._refs import accept_ref, ball_samples, gen_stream, label_ref, nonrobust_ref, stable_ref
+from ._refs import accept_ref, ball_samples, gen_stream, label_ref, nonrobust_ref, stable_ref, vote_ref
 
 
 def vec(*vals):
@@ -450,8 +452,25 @@ def test_uroboost_empty_unlabeled_source_degenerates():
 def test_majority_vote_ties_go_positive():
     vote = MajorityVote([LinearModel(vec(1.0)), LinearModel(vec(-1.0))])
     assert np.array_equal(vote.predict_batch([[2.0], [-2.0]]), [1, 1])
+    weighted = MajorityVote([ConstantModel(1), ConstantModel(-1)], np.array([0.5, 0.5]))
+    assert np.array_equal(weighted.predict_batch([[0.0], [1.0]]), [1, 1])
+
+
+def test_majority_vote_weight_validation():
+    three = [ConstantModel(1), ConstantModel(-1), ConstantModel(-1)]
     with pytest.raises(ValueError):
         MajorityVote([])
+    with pytest.raises(ValueError):
+        MajorityVote([], np.array([]))
+    with pytest.raises(ValueError):
+        MajorityVote(three[:2], np.array([0.5, 1.2]))
+    with pytest.raises(ValueError):
+        MajorityVote(three[:2], np.array([0.5, np.nan]))
+    # a short array would drop the last member, and (+1, -1) ties to +1 where the three vote -1
+    with pytest.raises(ValueError, match="3 members, 2 weights"):
+        MajorityVote(three, np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="3 members, 4 weights"):
+        MajorityVote(three, np.ones(4))
 
 
 def test_alpha_boost_config_resolved_pairs():
@@ -500,6 +519,36 @@ def test_alpha_boost_early_stop_cuts_rounds_short():
     models, _, _ = alpha_boost(data, lambda wd: LinearModel(vec(1.0)),
                                AlphaBoostConfig(rounds=50, early_stop=True))
     assert len(models) == 1
+
+
+@given(st.integers(0, 100_000), st.integers(2, 12), st.integers(0, 2), st.integers(1, 8),
+       st.sampled_from([0.125, 0.5, 1.0]))
+def test_alpha_boost_early_stop_returns_the_first_zero_loss_prefix(seed, n, extra, T, alpha):
+    # rows (x, 1) labelled by the vote of x > a, x < b and a constant -1, so
+    # +1 exactly on [a, b]; the pool holds those three and `extra` random
+    # thresholds, and a run may reach zero loss at its first round, at a
+    # later one or never
+    rng = np.random.default_rng(seed)
+    a, b = np.sort(rng.uniform(-2.0, 2.0, size=2))
+    pool = [LinearModel(vec(1.0, -a)), LinearModel(vec(-1.0, b)), LinearModel(vec(0.0, -1.0))]
+    pool += [LinearModel(vec(rng.choice([-1.0, 1.0]), rng.uniform(-2.0, 2.0))) for _ in range(extra)]
+    X = np.column_stack([rng.uniform(-3.0, 3.0, size=n), np.ones(n)])
+    y = [vote_ref(pool[:3], [1.0] * 3, x) for x in X]
+    data = Dataset(X, np.array(y))
+    try:
+        full, _, _ = alpha_boost(data, make_pool_erm(pool), AlphaBoostConfig(alpha=alpha, rounds=T))
+    except WeakLearnerFailed:
+        assume(False)
+    exact = [t for t in range(1, T + 1) if [vote_ref(full[:t], [1.0] * t, x) for x in X] == y]
+    cfg = AlphaBoostConfig(alpha=alpha, rounds=T, early_stop=True)
+    if not exact:
+        with pytest.raises(WeakLearnerFailed, match=f"^boosting did not reach zero loss in {T} rounds$"):
+            alpha_boost(data, make_pool_erm(pool), cfg)
+        return
+    models, vote, errors = alpha_boost(data, make_pool_erm(pool), cfg)
+    assert len(models) == len(errors) == exact[0]
+    assert all(h is g for h, g in zip(models, full))
+    assert vote.predict_batch(X).tolist() == y
 
 
 def test_alpha_boost_gives_up_on_hopeless_learner():

@@ -71,6 +71,19 @@ def test_weak_learner_failure_is_optimizer_error(tmp_path):
     assert code == 5
 
 
+def test_robustify_out_of_outer_rounds_is_optimizer_error(tmp_path, capsys):
+    # the one outer round keeps its edge (one row of four wrong), but its vote
+    # still errs on that row
+    path = str(tmp_path / "short.csv")
+    save_csv(path, Dataset(np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [4.0, 0.0]]),
+                           np.array([1, 1, 1, -1])))
+    code = run(["robustify", "--input", path, "--offset", "0,0", "--rounds", "1", "--subsample", "1"])
+    out, err = capsys.readouterr()
+    assert code == 5 and out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: WeakLearnerFailed: boosting did not reach zero loss in 1 rounds"]
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered in vecdot:RuntimeWarning")
 @pytest.mark.parametrize("cmd", ["fms", "alpha-boost", "robustify"])
 def test_diverged_erm_is_optimizer_error(tmp_path, capsys, cmd):
